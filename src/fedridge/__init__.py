@@ -24,15 +24,15 @@ from .coordinator import (
 from .inverse import (
     DowndateInfeasible,
     InverseState,
+    SmwStep,
     audit_drift,
-    feasibility_check,
     init_from_ledger,
     smw_add,
     smw_delete,
+    smw_step,
 )
 from .kernels import (
     DimensionMismatch,
-    NoConvergence,
     NotSPD,
     ZeroReference,
     cholesky_spd,

@@ -7,10 +7,10 @@ Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,28 +42,17 @@ EXIT_INVARIANT = 4
 # In double precision any oracle deviation above this is a bug, not a result.
 HARD_DEVIATION_CEILING = 1e-6
 
-
-@dataclass
-class Config:
-    """Effective run configuration once flags and scenario defaults merge."""
-
-    gamma: float
-    sigma2: float
-    precision: str
-    variant: str
-    rank: int
-    reset_every: int
-    drift_threshold: float
-    condition_threshold: float
-    seed: int
-
-    def __post_init__(self):
-        if self.gamma <= 0 or self.sigma2 <= 0:
-            raise ValueError("gamma and sigma2 must be positive")
-        if self.drift_threshold <= 0 or self.condition_threshold <= 0:
-            raise ValueError("thresholds must be positive")
-        if self.precision not in ("f32", "f64"):
-            raise ValueError(f"unknown precision {self.precision!r}")
+# `run` flags that override the scenario field of the same name.
+RUN_OVERRIDES = (
+    "variant",
+    "precision",
+    "gamma",
+    "sigma2",
+    "rank",
+    "reset_every",
+    "drift_threshold",
+    "condition_threshold",
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -194,31 +183,9 @@ def _cmd_gen(args) -> int:
 
 
 def _run_one(scenario_path: str, features, labels, args, out_root: Path) -> dict:
-    scenario = Scenario.from_json(Path(scenario_path).read_text())
-    for name, attr in [
-        ("variant", "variant"),
-        ("precision", "precision"),
-        ("gamma", "gamma"),
-        ("sigma2", "sigma2"),
-        ("rank", "rank"),
-        ("reset_every", "reset_every"),
-        ("drift_threshold", "drift_threshold"),
-        ("condition_threshold", "condition_threshold"),
-    ]:
-        value = getattr(args, name)
-        if value is not None:
-            setattr(scenario, attr, value)
-    Config(
-        gamma=scenario.gamma,
-        sigma2=scenario.sigma2,
-        precision=scenario.precision,
-        variant=scenario.variant,
-        rank=scenario.rank,
-        reset_every=scenario.reset_every,
-        drift_threshold=scenario.drift_threshold,
-        condition_threshold=scenario.condition_threshold,
-        seed=scenario.seed,
-    )
+    overrides = {k: getattr(args, k) for k in RUN_OVERRIDES if getattr(args, k) is not None}
+    # replace() re-runs Scenario validation on the overridden values
+    scenario = dataclasses.replace(Scenario.from_json(Path(scenario_path).read_text()), **overrides)
     result = run_scenario(scenario, features, labels)
     out_root.mkdir(parents=True, exist_ok=True)
     (out_root / "metrics.csv").write_text(metrics_csv(result))

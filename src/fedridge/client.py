@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .kernels import thin_qr_rfactor
-from .stats import dtype_of, stats_from_batch
+from .stats import batch_arrays, dtype_of, stats_from_batch
 
 VARIANT_FULL = "A"  # full sufficient statistics per payload
 VARIANT_QR = "B"  # QR R-factor per payload
@@ -132,14 +132,16 @@ class ClientStore:
     def _payload(self, ids: Sequence[int], variant: str):
         f, y = self._batch(ids)
         dtype = dtype_of(self.precision)
-        st = stats_from_batch(f, y, dtype)
         if variant == VARIANT_FULL:
+            st = stats_from_batch(f, y, dtype)
             return StatsPayload(st.S, st.G, st.n)
+        # the R factor stands in for the Gram, so FᵀF is never formed here
+        f, y = batch_arrays(f, y, dtype)
         if f.shape[0] == 0:
             r = np.zeros((0, self.d), dtype=dtype)
         else:
             r = thin_qr_rfactor(f)
-        return QrPayload(r, st.G, st.n)
+        return QrPayload(r, f.T @ y, f.shape[0])
 
     def make_round_message(
         self, round_index: int, add_ids: Sequence[int], del_ids: Sequence[int], variant: str

@@ -6,8 +6,9 @@ Three ways to recover the head after a round's aggregate lands:
   from scratch (robust baseline);
 * incremental inverse -- advance a tracked inverse by SMW updates built
   from stacked client R-factors, falling back to an exact rebuild from
-  the ledger whenever a downdate is infeasible, ill-conditioned, or the
-  periodic drift audit fails;
+  the ledger whenever a downdate is infeasible, a step's capacitance could
+  amplify rounding past the condition threshold, or the periodic drift
+  audit fails;
 * truncated adds -- approximate each add round's Gram change by its top-r
   eigenpairs, carrying a perturbation bound, with the exact ledger kept
   in parallel as the authority for periodic exact resets.
@@ -24,16 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .client import ClientMessage, QrPayload, StatsPayload, VARIANT_FULL, VARIANT_QR
-from .inverse import (
-    DowndateInfeasible,
-    InverseState,
-    audit_drift,
-    capacitance_condition,
-    feasibility_check,
-    init_from_ledger,
-    smw_add,
-    smw_delete,
-)
+from .inverse import DowndateInfeasible, InverseState, audit_drift, init_from_ledger, smw_step
 from .kernels import (
     DimensionMismatch,
     NotSPD,
@@ -205,26 +197,28 @@ def run_round_b(
 
     The ledger is advanced first and stays authoritative; any failure or
     reset trigger along the SMW path rebuilds the state from it, which is
-    exactly the full-recompute fallback.
+    exactly the full-recompute fallback.  Each step is gated on its
+    capacitance's amplification: above `condition_threshold` the tracked
+    inverse can no longer be trusted to match the retrain.
     """
     add, delete = _agg_stats(agg)
     new_ledger = ledger_apply(ledger, add, delete)
     empty = np.zeros((0, agg.d), dtype=agg.S_plus.dtype)
     u_plus = _compact_factor(agg.U_plus if agg.U_plus is not None else empty)
     u_minus = _compact_factor(agg.U_minus if agg.U_minus is not None else empty)
-    reset = False
     lam = None
-    new_state = state
     try:
-        new_state = smw_add(new_state, u_plus, agg.G_plus)
-        if u_minus.shape[0] or np.any(agg.G_minus):
-            _, lam = feasibility_check(new_state.T, u_minus)
-            if capacitance_condition(new_state.T, u_minus) > condition_threshold:
-                raise DowndateInfeasible("delete capacitance condition estimate above threshold")
-            new_state = smw_delete(new_state, u_minus, agg.G_minus)
+        step = smw_step(state, u_plus, agg.G_plus)
+        if step.amplification <= condition_threshold and (u_minus.shape[0] or np.any(agg.G_minus)):
+            step = smw_step(step.state, u_minus, agg.G_minus, delete=True)
+            lam = step.lambda_max
+        # a step that can magnify rounding past the threshold leaves T inexact
+        reset = step.amplification > condition_threshold
+        new_state = step.state
     except (DowndateInfeasible, NotSPD):
-        new_state = init_from_ledger(new_ledger)
         reset = True
+    if reset:
+        new_state = init_from_ledger(new_ledger)
     if not reset and audit_every and new_ledger.t % audit_every == 0:
         if audit_drift(new_state, new_ledger) > drift_threshold:
             new_state = init_from_ledger(new_ledger)

@@ -2,17 +2,21 @@
 
 The tracked state is T = (S + gamma*I)^-1 together with the current head W.
 A round's Gram change arrives factored as ΔS = UᵀU with U of shape r x d,
-so each update solves only an r x r capacitance system:
+so each update solves only an r x r capacitance system C = I ± U T Uᵀ:
 
     add:     T+ = T - TUᵀ(I_r + U T Uᵀ)^-1 U T
              W+ = W - T+ Uᵀ(U W) + T+ G_add
     delete:  T- = T + TUᵀ(I_r - U T Uᵀ)^-1 U T
              W- = W + T- Uᵀ(U W) - T- G_del
 
-Deletions are feasible exactly when I_r - U T Uᵀ stays SPD; its Cholesky
-failing is the DowndateInfeasible signal that sends the caller back to an
-exact rebuild from the ledger.  T is re-symmetrized after every update
-because the algebra is symmetric but floating evaluation is not.
+`smw_step` factors C once and takes three answers from that one factor:
+the update itself; feasibility, since a delete is feasible exactly when
+I - U T Uᵀ stays SPD and the Cholesky factorization failing is the
+DowndateInfeasible signal; and the amplification max(λ_max(C), 1/λ_min(C)),
+which bounds how much the step can magnify rounding in T and is what the
+caller's reset gate compares against its condition threshold.  T is
+re-symmetrized after every update because the algebra is symmetric but
+floating evaluation is not.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .kernels import (
     frobenius_norm,
     solve_spd,
     spd_inverse,
-    spectral_norm,
     symmetrize,
 )
 
@@ -45,6 +48,21 @@ class InverseState:
     W: np.ndarray
     gamma: float
     updates_since_reset: int = 0
+
+
+@dataclass(frozen=True)
+class SmwStep:
+    """The state after one SMW step, with what its capacitance C said.
+
+    `amplification` is max(λ_max(C), 1/λ_min(C)) estimated from the
+    diagonal of C's Cholesky factor (exact for r = 1, a lower bound
+    otherwise).  `lambda_max` is λ_max(U T Uᵀ) of a delete step, how close
+    it came to the infeasible value 1; it is None for adds.
+    """
+
+    state: InverseState
+    amplification: float
+    lambda_max: float | None
 
 
 def init_from_ledger(ledger: stats_mod.Ledger) -> InverseState:
@@ -64,74 +82,47 @@ def _clean_rows(u, d: int, dtype) -> np.ndarray:
     return u[keep] if not keep.all() else u
 
 
-def smw_add(state: InverseState, u, g_plus) -> InverseState:
-    """Fold the addition ΔS = UᵀU and its label moment into the state."""
+def smw_step(state: InverseState, u, g, delete: bool = False) -> SmwStep:
+    """Fold ΔS = UᵀU and the label moment G into the state, or remove them.
+
+    Raises DowndateInfeasible when a delete's capacitance is not SPD, and
+    NotSPD when an add's is not, which finite U and SPD T rule out, so the
+    state is corrupted.
+    """
     d = state.T.shape[0]
     u = _clean_rows(u, d, state.T.dtype)
-    g_plus = np.asarray(g_plus, dtype=state.T.dtype)
-    if u.shape[0] == 0 and not np.any(g_plus):
-        return state
+    g = np.asarray(g, dtype=state.T.dtype)
+    r = u.shape[0]
+    if r == 0 and not np.any(g):
+        return SmwStep(state, 1.0, 0.0 if delete else None)
+    sign = -1.0 if delete else 1.0
     ut = u @ state.T
-    cap = np.eye(u.shape[0], dtype=state.T.dtype) + symmetrize(ut @ u.T)
+    m = symmetrize(ut @ u.T)
+    lam = None
+    if delete:
+        lam = float(np.linalg.eigvalsh(m.astype(np.float64))[-1]) if r else 0.0
     try:
-        factor = cholesky_spd(cap)
+        factor = cholesky_spd(np.eye(r, dtype=m.dtype) + sign * m)
     except NotSPD as exc:
-        # Cannot happen for finite U and SPD T; treat as corrupted state.
+        if delete:
+            raise DowndateInfeasible(str(exc)) from exc
         raise NotSPD(f"add capacitance lost positive definiteness: {exc}") from exc
-    t_new = symmetrize(state.T - ut.T @ solve_spd(factor, ut))
-    w_new = state.W - t_new @ (u.T @ (u @ state.W)) + t_new @ g_plus
-    return InverseState(t_new, w_new, state.gamma, state.updates_since_reset + 1)
+    pivots = np.diagonal(factor).astype(np.float64) ** 2
+    amplification = float(max(pivots.max(), 1.0 / pivots.min())) if r else 1.0
+    t_new = symmetrize(state.T - sign * (ut.T @ solve_spd(factor, ut)))
+    w_new = state.W - sign * (t_new @ (u.T @ (u @ state.W))) + sign * (t_new @ g)
+    new_state = InverseState(t_new, w_new, state.gamma, state.updates_since_reset + 1)
+    return SmwStep(new_state, amplification, lam)
+
+
+def smw_add(state: InverseState, u, g_plus) -> InverseState:
+    """Fold the addition ΔS = UᵀU and its label moment into the state."""
+    return smw_step(state, u, g_plus).state
 
 
 def smw_delete(state: InverseState, u, g_minus) -> InverseState:
     """Remove the deletion ΔS = UᵀU and its label moment from the state."""
-    d = state.T.shape[0]
-    u = _clean_rows(u, d, state.T.dtype)
-    g_minus = np.asarray(g_minus, dtype=state.T.dtype)
-    if u.shape[0] == 0 and not np.any(g_minus):
-        return state
-    ut = u @ state.T
-    cap = np.eye(u.shape[0], dtype=state.T.dtype) - symmetrize(ut @ u.T)
-    try:
-        factor = cholesky_spd(cap)
-    except NotSPD as exc:
-        raise DowndateInfeasible(str(exc)) from exc
-    t_new = symmetrize(state.T + ut.T @ solve_spd(factor, ut))
-    w_new = state.W + t_new @ (u.T @ (u @ state.W)) - t_new @ g_minus
-    return InverseState(t_new, w_new, state.gamma, state.updates_since_reset + 1)
-
-
-def feasibility_check(t, u) -> tuple[bool, float]:
-    """Whether a downdate with U is feasible, plus the diagnostic bound.
-
-    Feasibility is lambda_max(U T Uᵀ) < 1 up to a 1e-10 safety margin;
-    the eigenvalue estimate is returned either way.
-    """
-    t = as_matrix(t, "T")
-    u = _clean_rows(u, t.shape[0], t.dtype)
-    if u.shape[0] == 0:
-        return True, 0.0
-    lam = spectral_norm(symmetrize(u @ t @ u.T))
-    return lam < 1.0 - 1e-10, lam
-
-
-def capacitance_condition(t, u) -> float:
-    """Condition estimate of I - U T Uᵀ from its Cholesky diagonal.
-
-    Returns the squared ratio of extreme diagonal entries of the factor,
-    or +inf when the factorization fails outright.
-    """
-    t = as_matrix(t, "T")
-    u = _clean_rows(u, t.shape[0], t.dtype)
-    if u.shape[0] == 0:
-        return 1.0
-    cap = np.eye(u.shape[0], dtype=t.dtype) - symmetrize((u @ t) @ u.T)
-    try:
-        factor = cholesky_spd(cap)
-    except NotSPD:
-        return float("inf")
-    diag = np.diagonal(factor)
-    return float((diag.max() / diag.min()) ** 2)
+    return smw_step(state, u, g_minus, delete=True).state
 
 
 def audit_drift(state: InverseState, ledger: stats_mod.Ledger) -> float:

@@ -32,9 +32,9 @@ from .coordinator import (
     run_round_b,
 )
 from .inverse import init_from_ledger
-from .kernels import cholesky_spd, frobenius_norm, rel_frobenius_dev, solve_spd
+from .kernels import frobenius_norm, rel_frobenius_dev
 from .posterior import kl_matrix_normal, posterior_from_ledger
-from .stats import Ledger, dtype_of, ledger_init, stats_from_batch
+from .stats import PRECISION_DTYPES, Ledger, dtype_of, ledger_init, stats_from_batch
 
 _SUBSTREAMS = {"data": 0, "partition": 1, "schedule": 2}
 
@@ -267,6 +267,9 @@ def schedule_churn(
 # scenario container
 
 
+SCENARIO_VARIANTS = {"A": ["A"], "B": ["B"], "both": ["A", "B"], "approx": ["approx"]}
+
+
 @dataclass
 class Scenario:
     seed: int
@@ -286,6 +289,20 @@ class Scenario:
     audit_every: int = 32
     drift_threshold: float = 1e-6
     condition_threshold: float = 1e8
+
+    def __post_init__(self):
+        if self.variant not in SCENARIO_VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}, expected A, B, both or approx")
+        if self.precision not in PRECISION_DTYPES:
+            raise ValueError(f"unknown precision {self.precision!r}, expected 'f32' or 'f64'")
+        if self.gamma <= 0 or self.sigma2 <= 0:
+            raise ValueError("gamma and sigma2 must be positive")
+        if self.drift_threshold <= 0 or self.condition_threshold <= 0:
+            raise ValueError("thresholds must be positive")
+        if self.rank < 1:
+            raise ValueError(f"rank must be at least 1, got {self.rank}")
+        if self.reset_every < 0 or self.audit_every < 0:
+            raise ValueError("reset_every and audit_every must be non-negative")
 
     def to_json(self) -> str:
         doc = asdict(self)
@@ -318,7 +335,7 @@ def oracle_retrain(features, labels, gamma: float, precision: str = "f64") -> np
         return np.zeros((d, c), dtype=dtype)
     st = stats_from_batch(features, labels, dtype)
     h = st.S + float(gamma) * np.eye(d, dtype=dtype)
-    return solve_spd(cholesky_spd(h), st.G)
+    return np.linalg.solve(h, st.G)
 
 
 def safe_rel_dev(w, w_ref) -> float:
@@ -392,7 +409,7 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
     """Replay a scenario and collect per-round metrics for each variant."""
     if features.shape[0] != scenario.n:
         raise ValueError(f"feature file has {features.shape[0]} rows, scenario says {scenario.n}")
-    variants = {"A": ["A"], "B": ["B"], "both": ["A", "B"], "approx": ["approx"]}[scenario.variant]
+    variants = SCENARIO_VARIANTS[scenario.variant]
     test_f = features[scenario.n_train :]
     test_y = labels[scenario.n_train :]
     stores = {

@@ -76,14 +76,18 @@ def ledger_init(d: int, c: int, gamma: float = 1.0, precision: str = "f64") -> L
     return Ledger(SufficientStats.zero(d, c, dtype_of(precision)), 0, float(gamma), precision)
 
 
-def stats_from_batch(f, y, dtype=np.float64) -> SufficientStats:
-    """Form (FᵀF, FᵀY, n) for one batch, accumulating in `dtype`."""
+def batch_arrays(f, y, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    """Validate one batch (2-D, finite, matching rows) and cast it to `dtype`."""
     f = as_matrix(f, "F")
     y = as_matrix(y, "Y")
     if f.shape[0] != y.shape[0]:
         raise DimensionMismatch(f"F has {f.shape[0]} rows but Y has {y.shape[0]}")
-    f = f.astype(dtype, copy=False)
-    y = y.astype(dtype, copy=False)
+    return f.astype(dtype, copy=False), y.astype(dtype, copy=False)
+
+
+def stats_from_batch(f, y, dtype=np.float64) -> SufficientStats:
+    """Form (FᵀF, FᵀY, n) for one batch, accumulating in `dtype`."""
+    f, y = batch_arrays(f, y, dtype)
     return SufficientStats(symmetrize(f.T @ f), f.T @ y, f.shape[0])
 
 

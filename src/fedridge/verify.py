@@ -405,8 +405,8 @@ def equivalent_shuffled_heads(
 PROPERTIES = [
     Property("kernel-roundtrip", "Cholesky solve recovers planted solutions", 1e-9, "le", _kernel_roundtrip),
     Property("qr-gram", "R factor reproduces the Gram matrix", 1e-12, "le", _qr_gram),
-    Property("eig-reconstruction", "Jacobi eigendecomposition reconstructs A", 1e-10, "le", _eig_reconstruction),
-    Property("eig-orthogonality", "Jacobi eigenvectors are orthonormal", 1e-9, "le", _eig_orthogonality),
+    Property("eig-reconstruction", "LAPACK eigendecomposition reconstructs A", 1e-10, "le", _eig_reconstruction),
+    Property("eig-orthogonality", "LAPACK eigenvectors are orthonormal", 1e-9, "le", _eig_orthogonality),
     Property("second-order-lemma", "first-moment twins yield distinct heads", 0.3, "ge", _second_order_lemma),
     Property("retrain-equivalence", "full-recompute head matches the oracle each round", 1e-9, "le", _retrain_equivalence),
     Property("variant-equivalence", "inverse-tracking head matches the oracle each round", 1e-8, "le", _variant_equivalence),

@@ -120,7 +120,10 @@ def _decode_frame(buf: bytes, offset: int):
     if len(buf) < end + nbytes:
         raise WireError("truncated frame payload")
     scalars = np.frombuffer(buf, dtype=dtype, count=count, offset=end)
-    n = int(scalars[-1])
+    n = float(scalars[-1])
+    if not (n >= 0 and n.is_integer()):
+        raise WireError(f"bad sample count {n!r}")
+    n = int(n)
     if variant == VARIANT_FULL:
         tri = d * (d + 1) // 2
         payload = StatsPayload(

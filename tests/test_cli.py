@@ -139,9 +139,11 @@ def test_report_reads_outputs(tmp_path, capsys):
 
 def test_run_rejects_invalid_config(tmp_path):
     features, scenario = _gen(tmp_path)
-    code = main(["run", "--scenario", str(scenario), "--features", str(features),
-                 "--out-dir", str(tmp_path / "out"), "--gamma", "-1.0"])
-    assert code == 2
+    for flags in (["--gamma", "-1.0"], ["--rank", "-1"], ["--rank", "0"], ["--reset-every", "-1"]):
+        code = main(["run", "--scenario", str(scenario), "--features", str(features),
+                     "--out-dir", str(tmp_path / "out"), *flags])
+        assert code == 2, flags
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_multiple_scenarios_with_jobs(tmp_path):

@@ -165,8 +165,9 @@ def test_run_round_b_reset_on_boundary_deletion():
     ledger = ledger_init(d, c)
     state = init_from_ledger(ledger)
     msg = store.make_round_message(1, list(range(40)), [], VARIANT_QR)
-    ledger, state, _, info = run_round_b(ledger, state, aggregate([msg]))
-    assert not info.reset
+    ledger, state, w, info = run_round_b(ledger, state, aggregate([msg]))
+    # the add onto T = I amplifies rounding by ~1e12: served exact only via a rebuild
+    assert rel_frobenius_dev(w, solve_head(ledger)) <= 1e-8
     msg = store.make_round_message(2, [], list(range(40)), VARIANT_QR)
     ledger, state, w, info = run_round_b(ledger, state, aggregate([msg]))
     assert info.reset

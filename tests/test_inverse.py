@@ -7,11 +7,10 @@ from fedridge.inverse import (
     DowndateInfeasible,
     InverseState,
     audit_drift,
-    capacitance_condition,
-    feasibility_check,
     init_from_ledger,
     smw_add,
     smw_delete,
+    smw_step,
 )
 from fedridge.kernels import frobenius_norm, rel_frobenius_dev, symmetric_eig, thin_qr_rfactor
 from fedridge.stats import SufficientStats, ledger_apply, ledger_init, solve_head, stats_from_batch
@@ -98,22 +97,34 @@ def test_smw_delete_matches_rebuild():
     assert rel_frobenius_dev(st.W, ref.W) <= 1e-10
 
 
+def _delete_step(t, u):
+    state = InverseState(np.asarray(t, dtype=float), np.zeros((2, 1)), 1.0, 0)
+    return smw_step(state, u, np.zeros((2, 1)), delete=True)
+
+
 def test_feasibility_check_cases():
-    feasible, lam = feasibility_check(0.5 * np.eye(2), np.eye(2))
-    assert feasible and lam == pytest.approx(0.5, rel=1e-10)
-    feasible, lam = feasibility_check(np.eye(2), np.eye(2))
-    assert not feasible and lam == pytest.approx(1.0, rel=1e-10)
-    feasible, lam = feasibility_check(np.eye(2), np.array([[0.5, 0.0]]))
-    assert feasible and lam == pytest.approx(0.25, rel=1e-10)
+    assert _delete_step(0.5 * np.eye(2), np.eye(2)).lambda_max == pytest.approx(0.5, rel=1e-10)
+    with pytest.raises(DowndateInfeasible):  # lambda_max = 1: on the boundary
+        _delete_step(np.eye(2), np.eye(2))
+    assert _delete_step(np.eye(2), np.array([[0.5, 0.0]])).lambda_max == pytest.approx(0.25, rel=1e-10)
 
 
 def test_capacitance_condition_signals_boundary():
-    assert capacitance_condition(np.eye(2), np.zeros((0, 2))) == 1.0
-    assert capacitance_condition(np.eye(2), np.eye(2)) == np.inf
-    # one direction at the feasibility boundary, the other far from it
-    cond = capacitance_condition(np.diag([1.0 - 1e-7, 0.1]), np.eye(2))
-    assert cond > 1e5
-    assert capacitance_condition(0.5 * np.eye(2), np.eye(2)) == pytest.approx(1.0)
+    assert _delete_step(np.eye(2), np.zeros((0, 2))).amplification == 1.0
+    with pytest.raises(DowndateInfeasible):
+        _delete_step(np.eye(2), np.eye(2))
+    # one direction at the feasibility boundary, the other far from it:
+    # C = diag(1e-7, 0.9) amplifies by 1e7, rejected at threshold 1e5 and
+    # accepted at 1e8
+    amplification = _delete_step(np.diag([1.0 - 1e-7, 0.1]), np.eye(2)).amplification
+    assert amplification > 1e5
+    assert amplification <= 1e8
+    # C = I/2 halves one way and doubles the other
+    assert _delete_step(0.5 * np.eye(2), np.eye(2)).amplification == pytest.approx(2.0)
+    # an add's capacitance I + U T Uᵀ amplifies by its largest eigenvalue
+    add = smw_step(InverseState(np.eye(2), np.zeros((2, 1)), 1.0, 0), 1e3 * np.eye(2), np.zeros((2, 1)))
+    assert add.amplification == pytest.approx(1.0 + 1e6)
+    assert add.lambda_max is None
 
 
 def test_audit_drift_levels():

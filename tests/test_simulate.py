@@ -245,3 +245,24 @@ def test_scenario_json_round_trip():
     sc = _scenario(data, parts, schedule, seed=43)
     again = Scenario.from_json(sc.to_json())
     assert again == sc
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("variant", "C"),
+        ("precision", "f16"),
+        ("gamma", 0.0),
+        ("sigma2", -1.0),
+        ("rank", 0),
+        ("reset_every", -1),
+        ("audit_every", -1),
+        ("drift_threshold", 0.0),
+        ("condition_threshold", -1.0),
+    ],
+)
+def test_scenario_rejects_invalid_settings(field, value):
+    data = gen_synthetic(43, 100, 4, 2, 1.0)
+    parts = dirichlet_partition(43, data.classes[: data.n_train], 2, 1.0)
+    with pytest.raises(ValueError):
+        _scenario(data, parts, [initial_round(parts)], **{field: value})

@@ -1,5 +1,6 @@
 """Binary frame and feature-file formats."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -87,6 +88,15 @@ def test_decode_rejects_garbage():
     buf = encode_message(msg, "f64")
     with pytest.raises(WireError):
         decode_message(buf[: len(buf) // 2])
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("count", [float("nan"), -1.0, 2.5])
+def test_decode_rejects_bad_sample_count(precision, count):
+    msg = _message(VARIANT_FULL)
+    bad = dataclasses.replace(msg, add=dataclasses.replace(msg.add, n=count))
+    with pytest.raises(WireError):
+        decode_message(encode_message(bad, precision))
 
 
 def test_empty_payload_round_trip():
