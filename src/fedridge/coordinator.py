@@ -104,7 +104,7 @@ def _payload_stats(payload) -> tuple[np.ndarray, np.ndarray, int]:
     if isinstance(payload, StatsPayload):
         return payload.S, payload.G, payload.n
     if isinstance(payload, QrPayload):
-        return symmetrize(payload.R.T @ payload.R), payload.G, payload.n
+        return payload.R.T @ payload.R, payload.G, payload.n
     raise TypeError(f"unsupported payload type {type(payload).__name__}")
 
 
@@ -152,9 +152,9 @@ def aggregate(messages: list[ClientMessage]) -> RoundAggregate:
         variant=head.variant,
         d=d,
         c=c,
-        S_plus=symmetrize(s_add),
+        S_plus=s_add,
         G_plus=g_add,
-        S_minus=symmetrize(s_del),
+        S_minus=s_del,
         G_minus=g_del,
         n_plus=n_add,
         n_minus=n_del,
@@ -263,7 +263,7 @@ def run_round_approx(
         new_approx = ApproxState(new_ledger.stats.S.copy(), 0)
         return new_ledger, new_approx, solve_head(new_ledger), None
     ds_r, err, rank_used = _truncate_gram(agg.S_plus.astype(dtype), rank)
-    s_ap = symmetrize(approx.S_ap + ds_r)
+    s_ap = approx.S_ap + ds_r
     new_approx = ApproxState(s_ap, approx.rounds_since_reset + 1)
     t_ap = spd_inverse(s_ap + gamma * eye)
     w_ap = t_ap @ new_ledger.stats.G

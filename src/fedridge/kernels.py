@@ -12,9 +12,11 @@ order when the number of BLAS threads changes, so identical inputs give
 bitwise-identical outputs at a fixed BLAS thread count (for example
 OPENBLAS_NUM_THREADS=1), not across thread counts.
 
-Symmetric inputs are never trusted to be exactly symmetric: the Cholesky
-factorization and the eigendecomposition read only the lower triangle,
-which removes drift from asymmetric floating-point accumulation upstream.
+Symmetry is settled where a matrix is made: numpy evaluates `X.T @ X` of
+one buffer as a symmetric product, bitwise symmetric, and sums of such
+matrices stay so.  The Grams, RᵀR and `spd_inverse` need no `symmetrize`;
+only the SMW step (U T Uᵀ, the updated T) and the approx truncation
+(V diag(λ) Vᵀ) still call it.  Cholesky and eigh read the lower triangle.
 
 Only numpy is used, not scipy.  scipy's `cho_solve` and `solve_triangular`
 would solve against a triangular factor in O(d^2) per column, but scipy is
@@ -102,9 +104,9 @@ def solve_spd(factor: np.ndarray, b) -> np.ndarray:
 
 
 def spd_inverse(a) -> np.ndarray:
-    """Explicit inverse of an SPD matrix via Cholesky, re-symmetrized."""
+    """Explicit inverse of an SPD matrix via Cholesky; bitwise symmetric."""
     l_inv = np.linalg.inv(cholesky_spd(a))
-    return symmetrize(l_inv.T @ l_inv)
+    return l_inv.T @ l_inv
 
 
 def thin_qr_rfactor(f) -> np.ndarray:

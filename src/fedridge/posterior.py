@@ -8,20 +8,24 @@ Since both parameters are functions of (S, G) alone, a protocol that keeps
 the statistics exact keeps the whole posterior exact, and the KL divergence
 against a from-scratch recomputation is zero up to floating-point noise.
 
-The KL between two such posteriors with identity column covariance reduces
-to c Gaussian columns sharing one row covariance:
+The posterior is stored as its mean M and the lower Cholesky factor P of
+the row precision (S + gamma*I) / sigma2, the one factor the head solve
+already needs.  The KL between two such posteriors with identity column
+covariance reduces to c Gaussian columns sharing one row covariance; with
+precision factors P_p, P_q and mix = P_p^-1 P_q (lower triangular),
 
-    KL = c/2 * ( tr(S2^-1 S1) - d + logdet S2 - logdet S1 )
-         + 1/2 * || L2^-1 (M2 - M1) ||_F^2
+    KL(p || q) = c/2 * ( ||mix||_F^2 - d - 2 sum_i ln mix_ii )
+                 + 1/2 * || P_qᵀ (M_q - M_p) ||_F^2
 
-evaluated here through Cholesky factors so every summand is non-negative
-up to rounding (the trace/logdet part becomes sum_i of x^2 - 1 - 2 ln x
-terms plus squares).  The reduction is cross-checked in the test suite
-against a dense vectorized-Gaussian KL at small dimensions.
+and the trace/log-det part is summed as sum_i (x_i^2 - 1 - 2 ln x_i) with
+x = diag(mix), plus the squares of mix's strict lower triangle, so every
+summand is non-negative up to rounding.  The reduction is cross-checked in
+the test suite against a dense vectorized-Gaussian KL at small dimensions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,22 +34,26 @@ from .kernels import (
     DimensionMismatch,
     cholesky_spd,
     frobenius_norm,
-    spd_inverse,
+    solve_spd,
     triangular_solve_lower,
 )
-from .stats import Ledger, regularized_gram, solve_head
+from .stats import Ledger, regularized_gram
 
 
 @dataclass(frozen=True)
 class MatrixNormalPosterior:
     M: np.ndarray
-    Sigma: np.ndarray
-    sigma2: float
-    gamma: float
+    P: np.ndarray  # lower Cholesky factor of the row precision Sigma^-1
+
+    @property
+    def Sigma(self) -> np.ndarray:
+        """Row covariance (P Pᵀ)^-1, formed on demand."""
+        p_inv = np.linalg.inv(self.P)
+        return p_inv.T @ p_inv
 
     @property
     def d(self) -> int:
-        return self.Sigma.shape[0]
+        return self.P.shape[0]
 
     @property
     def c(self) -> int:
@@ -53,29 +61,27 @@ class MatrixNormalPosterior:
 
 
 def posterior_from_ledger(ledger: Ledger, sigma2: float = 1.0) -> MatrixNormalPosterior:
-    """Posterior parameters for the ledger's current retained statistics."""
+    """Posterior from one factor of S + gamma*I; M equals `solve_head` bitwise."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    mean = solve_head(ledger)
-    sigma = float(sigma2) * spd_inverse(regularized_gram(ledger))
-    return MatrixNormalPosterior(mean, sigma, float(sigma2), float(ledger.gamma))
+    factor = cholesky_spd(regularized_gram(ledger))
+    mean = solve_spd(factor, ledger.stats.G)
+    return MatrixNormalPosterior(mean, factor / math.sqrt(sigma2))
 
 
 def kl_matrix_normal(p: MatrixNormalPosterior, q: MatrixNormalPosterior) -> float:
     """KL(p || q) between matrix-normal posteriors with identity column cov."""
-    if p.Sigma.shape != q.Sigma.shape or p.M.shape != q.M.shape:
+    if p.P.shape != q.P.shape or p.M.shape != q.M.shape:
         raise DimensionMismatch("posterior dimensions differ")
-    c = p.c
-    l_p = cholesky_spd(p.Sigma.astype(np.float64))
-    l_q = cholesky_spd(q.Sigma.astype(np.float64))
-    mix = triangular_solve_lower(l_q, l_p)
-    # ||mix||_F^2 - d - 2 sum(log diag(mix)), summed as non-negative terms
+    p_p = p.P.astype(np.float64, copy=False)
+    p_q = q.P.astype(np.float64, copy=False)
+    mix = triangular_solve_lower(p_p, p_q)
     x = np.diagonal(mix)
     off = np.tril(mix, -1)
     trace_logdet = float(np.sum(x * x - 1.0 - 2.0 * np.log(x)) + np.sum(off * off))
-    white = triangular_solve_lower(l_q, (q.M - p.M).astype(np.float64))
+    white = p_q.T @ (q.M - p.M).astype(np.float64)
     quad = float(np.sum(white * white))
-    return 0.5 * (c * trace_logdet + quad)
+    return 0.5 * (p.c * trace_logdet + quad)
 
 
 def psd_order_check(sigma_before: np.ndarray, sigma_after: np.ndarray) -> bool:

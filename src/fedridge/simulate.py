@@ -33,7 +33,7 @@ from .coordinator import (
 )
 from .inverse import init_from_ledger
 from .kernels import frobenius_norm, rel_frobenius_dev
-from .posterior import kl_matrix_normal, posterior_from_ledger
+from .posterior import MatrixNormalPosterior, kl_matrix_normal, posterior_from_ledger
 from .stats import PRECISION_DTYPES, Ledger, dtype_of, ledger_init, stats_from_batch
 
 _SUBSTREAMS = {"data": 0, "partition": 1, "schedule": 2}
@@ -324,18 +324,17 @@ class Scenario:
 # oracle and evaluation helpers
 
 
-def oracle_retrain(features, labels, gamma: float, precision: str = "f64") -> np.ndarray:
-    """Centralized ridge head recomputed from scratch on the given samples."""
-    dtype = dtype_of(precision)
-    features = np.asarray(features)
-    labels = np.asarray(labels)
-    d = features.shape[1]
-    c = labels.shape[1]
-    if features.shape[0] == 0:
-        return np.zeros((d, c), dtype=dtype)
-    st = stats_from_batch(features, labels, dtype)
-    h = st.S + float(gamma) * np.eye(d, dtype=dtype)
-    return np.linalg.solve(h, st.G)
+def oracle_retrain(
+    features, labels, gamma: float, precision: str = "f64", sigma2: float = 1.0
+) -> tuple[np.ndarray, MatrixNormalPosterior]:
+    """Centralized ridge head and posterior from one Gram of the given samples.
+
+    The head is an LU solve, independent of the protocol's Cholesky path.
+    """
+    st = stats_from_batch(features, labels, dtype_of(precision))
+    h = st.S + float(gamma) * np.eye(st.d, dtype=st.S.dtype)
+    head = np.linalg.solve(h, st.G)
+    return head, posterior_from_ledger(Ledger(st, 0, float(gamma), precision), sigma2)
 
 
 def safe_rel_dev(w, w_ref) -> float:
@@ -349,24 +348,25 @@ def safe_rel_dev(w, w_ref) -> float:
     return rel_frobenius_dev(w, w_ref)
 
 
+def score_head(w, test_features, true_classes, c: int) -> tuple[float, list[float]]:
+    """Accuracy and per-class recall of head `w` from one scoring pass.
+
+    `test_features` is the float64 test matrix and `true_classes` its
+    labels' argmax, both fixed for a run.  Empty sets and classes score NaN.
+    """
+    pred = (test_features @ np.asarray(w, dtype=np.float64)).argmax(axis=1)
+    hits = pred == true_classes
+    accuracy = float(np.mean(hits)) if hits.size else float("nan")
+    recall = []
+    for cls in range(c):
+        mask = true_classes == cls
+        recall.append(float(np.mean(hits[mask])) if mask.any() else float("nan"))
+    return accuracy, recall
+
+
 def head_accuracy(w, test_features, test_labels) -> float:
-    if test_features.shape[0] == 0:
-        return float("nan")
-    scores = test_features.astype(np.float64) @ np.asarray(w, dtype=np.float64)
-    pred = scores.argmax(axis=1)
     true = np.asarray(test_labels).argmax(axis=1)
-    return float(np.mean(pred == true))
-
-
-def per_class_recall(w, test_features, test_labels) -> list[float]:
-    scores = test_features.astype(np.float64) @ np.asarray(w, dtype=np.float64)
-    pred = scores.argmax(axis=1)
-    true = np.asarray(test_labels).argmax(axis=1)
-    out = []
-    for cls in range(test_labels.shape[1]):
-        mask = true == cls
-        out.append(float(np.mean(pred[mask] == cls)) if mask.any() else float("nan"))
-    return out
+    return score_head(w, test_features.astype(np.float64), true, test_labels.shape[1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +401,13 @@ class ScenarioResult:
     summary: dict
 
 
-def _oracle_ledger(st, t: int, gamma: float) -> Ledger:
-    return Ledger(st, t, gamma, "f64")
-
-
 def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -> ScenarioResult:
     """Replay a scenario and collect per-round metrics for each variant."""
     if features.shape[0] != scenario.n:
         raise ValueError(f"feature file has {features.shape[0]} rows, scenario says {scenario.n}")
     variants = SCENARIO_VARIANTS[scenario.variant]
-    test_f = features[scenario.n_train :]
-    test_y = labels[scenario.n_train :]
+    test_f = features[scenario.n_train :].astype(np.float64)
+    test_classes = labels[scenario.n_train :].argmax(axis=1)
     stores = {
         v: {
             k: ClientStore(k, scenario.d, scenario.c, scenario.precision)
@@ -431,6 +427,7 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
     total_bytes = {v: 0 for v in variants}
     max_kl = 0.0
     max_bound = 0.0
+    inf_bound_rounds = 0
     heads: dict[str, np.ndarray] = {}
 
     for spec in scenario.schedule:
@@ -447,10 +444,9 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
             retained |= add_set
             retained -= del_set
         oracle_ids = sorted(retained)
-        f_ret = features[oracle_ids]
-        y_ret = labels[oracle_ids]
-        w_oracle = oracle_retrain(f_ret, y_ret, scenario.gamma)
-        oracle_stats = stats_from_batch(f_ret, y_ret, np.float64) if oracle_ids else None
+        w_oracle, oracle_post = oracle_retrain(
+            features[oracle_ids], labels[oracle_ids], scenario.gamma, sigma2=scenario.sigma2
+        )
 
         round_variants: dict[str, VariantMetrics] = {}
         for v in variants:
@@ -483,13 +479,16 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
                 ledgers[v], approx_state, w, report = run_round_approx(
                     ledgers[v], approx_state, agg, scenario.rank
                 )
-                if report is not None:
+                reset = report is None  # a delete round is served exactly from the ledger
+                if not reset:
                     bound = report.inverse_bound
                     if math.isfinite(report.inverse_bound):
                         max_bound = max(max_bound, report.inverse_bound)
                 if scenario.reset_every and approx_state.rounds_since_reset >= scenario.reset_every:
                     w, approx_state = periodic_reset(ledgers[v], approx_state)
                     reset = True
+                if bound == math.inf and not reset:
+                    inf_bound_rounds += 1
             if reset:
                 resets += 1
             if ledgers[v].stats.n != len(retained):
@@ -499,27 +498,10 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
                 )
             comm = account_round(messages, scenario.precision)
             total_bytes[v] += comm.total_bytes
-            if oracle_stats is not None:
-                kl = kl_matrix_normal(
-                    posterior_from_ledger(ledgers[v], scenario.sigma2),
-                    posterior_from_ledger(
-                        _oracle_ledger(oracle_stats, ledgers[v].t, scenario.gamma), scenario.sigma2
-                    ),
-                )
-            else:
-                kl = kl_matrix_normal(
-                    posterior_from_ledger(ledgers[v], scenario.sigma2),
-                    posterior_from_ledger(
-                        _oracle_ledger(
-                            ledger_init(scenario.d, scenario.c, scenario.gamma).stats,
-                            ledgers[v].t,
-                            scenario.gamma,
-                        ),
-                        scenario.sigma2,
-                    ),
-                )
+            kl = kl_matrix_normal(posterior_from_ledger(ledgers[v], scenario.sigma2), oracle_post)
             max_kl = max(max_kl, kl)
             heads[v] = w
+            accuracy, recall = score_head(w, test_f, test_classes, scenario.c)
             round_variants[v] = VariantMetrics(
                 rel_dev=safe_rel_dev(w, w_oracle),
                 reset=reset,
@@ -527,15 +509,15 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
                 bytes=comm.total_bytes,
                 lambda_max=lam,
                 bound=bound,
-                accuracy=head_accuracy(w, test_f, test_y),
+                accuracy=accuracy,
                 kl=kl,
-                recall=per_class_recall(w, test_f, test_y),
+                recall=recall,
             )
         records.append(RoundMetrics(spec.round, len(retained), round_variants))
 
     last = records[-1].variants if records else {}
     summary = {
-        "schema_version": 1,
+        "schema_version": 2,
         "final_dev_A": last["A"].rel_dev if "A" in last else None,
         "final_dev_B": last["B"].rel_dev if "B" in last else None,
         "resets": resets,
@@ -546,6 +528,7 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
     if "approx" in variants:
         summary["final_dev_approx"] = last["approx"].rel_dev if "approx" in last else None
         summary["max_bound"] = max_bound
+        summary["inf_bound_rounds"] = inf_bound_rounds
         summary["total_bytes_approx"] = total_bytes.get("approx", 0)
     return ScenarioResult(scenario, records, heads, summary)
 

@@ -18,7 +18,6 @@ from .kernels import (
     as_matrix,
     cholesky_spd,
     solve_spd,
-    symmetrize,
 )
 
 PRECISION_DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -88,7 +87,7 @@ def batch_arrays(f, y, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
 def stats_from_batch(f, y, dtype=np.float64) -> SufficientStats:
     """Form (FᵀF, FᵀY, n) for one batch, accumulating in `dtype`."""
     f, y = batch_arrays(f, y, dtype)
-    return SufficientStats(symmetrize(f.T @ f), f.T @ y, f.shape[0])
+    return SufficientStats(f.T @ f, f.T @ y, f.shape[0])
 
 
 def _check_compatible(a: SufficientStats, b: SufficientStats) -> None:
@@ -113,11 +112,9 @@ def stats_sub(a: SufficientStats, b: SufficientStats) -> SufficientStats:
 def ledger_apply(ledger: Ledger, round_add: SufficientStats, round_del: SufficientStats) -> Ledger:
     """Advance the ledger one round: stats + adds - deletes, t + 1.
 
-    S is re-symmetrized after the update so asymmetric floating-point
-    accumulation can never build up across rounds.
+    Sums and differences of symmetric Grams stay bitwise symmetric.
     """
     merged = stats_sub(stats_add(ledger.stats, round_add), round_del)
-    merged = SufficientStats(symmetrize(merged.S), merged.G, merged.n)
     return replace(ledger, stats=merged, t=ledger.t + 1)
 
 

@@ -71,7 +71,7 @@ def _rng(seed, salt):
 
 def _random_spd(rng, d, gamma=1.0):
     m = rng.standard_normal((d, d))
-    return symmetrize(m.T @ m) + gamma * np.eye(d)
+    return m.T @ m + gamma * np.eye(d)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +108,6 @@ def _eig_reconstruction(seed):
     for _ in range(10):
         d = int(rng.integers(2, 25))
         a = _random_spd(rng, d, gamma=0.0) + np.diag(rng.standard_normal(d))
-        a = symmetrize(a)
         vals, vecs = symmetric_eig(a)
         worst = max(worst, rel_frobenius_dev(vecs @ np.diag(vals) @ vecs.T, a))
     return worst
@@ -276,12 +275,8 @@ def _kl_reduction(seed):
     for _ in range(40):
         d = int(rng.integers(1, 4))
         c = int(rng.integers(1, 4))
-        p = MatrixNormalPosterior(
-            rng.standard_normal((d, c)), _random_spd(rng, d, 0.5), 1.0, 1.0
-        )
-        q = MatrixNormalPosterior(
-            rng.standard_normal((d, c)), _random_spd(rng, d, 0.5), 1.0, 1.0
-        )
+        p = MatrixNormalPosterior(rng.standard_normal((d, c)), cholesky_spd(_random_spd(rng, d, 0.5)))
+        q = MatrixNormalPosterior(rng.standard_normal((d, c)), cholesky_spd(_random_spd(rng, d, 0.5)))
         worst = max(worst, abs(kl_matrix_normal(p, q) - _dense_vectorized_kl(p, q)))
     return worst
 
@@ -294,7 +289,7 @@ def _perturbation_bound(seed):
         h = _random_spd(rng, d, gamma=1.0)
         k = int(rng.integers(1, 7))
         a = rng.standard_normal((k, d)) * float(rng.uniform(0.2, 2.0))
-        ds = symmetrize(a.T @ a)
+        ds = a.T @ a
         r = int(rng.integers(0, k))
         vals, vecs = symmetric_eig(ds)
         kept = vecs[:, :r] * vals[:r]

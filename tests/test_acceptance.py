@@ -105,7 +105,7 @@ def test_criterion_03_burst_delete_then_addback():
     scenario = _scenario(data, parts, schedule, seed=103)
     result = run_scenario(scenario, data.features, data.labels)
     ids = sorted(i for ids in parts for i in ids)
-    w_pre = oracle_retrain(data.features[ids], data.labels[ids], scenario.gamma)
+    w_pre, _ = oracle_retrain(data.features[ids], data.labels[ids], scenario.gamma)
     # deletions-only phase: per-round oracle deviation
     for rec in result.records[: 1 + len(burst)]:
         assert rec.variants["A"].rel_dev <= 1e-9

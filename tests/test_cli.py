@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from fedridge.cli import main
+from fedridge.verify import PROPERTIES
 
 
 def _gen(tmp_path, *extra, seed=7):
@@ -95,6 +98,9 @@ def test_run_approx_summary_has_bound(tmp_path):
     assert code == 0
     summary = json.loads((out_dir / "summary.json").read_text())
     assert "max_bound" in summary and summary["resets"] >= 1
+    assert summary["schema_version"] == 2
+    rows = [line.split(",") for line in (out_dir / "metrics.csv").read_text().splitlines()[1:]]
+    assert summary["inf_bound_rounds"] == sum(r[7] == "inf" and r[3] != "1" for r in rows)
 
 
 def test_run_missing_files_exit_3(tmp_path):
@@ -106,10 +112,11 @@ def test_run_missing_files_exit_3(tmp_path):
     assert main(["run", "--scenario", str(bad), "--features", str(features)]) == 3
 
 
-def test_verify_single_property(capsys):
-    assert main(["verify", "--only", "second-order-lemma"]) == 0
+@pytest.mark.parametrize("name", [p.name for p in PROPERTIES])
+def test_verify_single_property(name, capsys):
+    assert main(["verify", "--only", name]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("PASS second-order-lemma")
+    assert out.startswith(f"PASS {name}")
 
 
 def test_verify_unknown_property():

@@ -18,6 +18,7 @@ from fedridge.kernels import (
     frobenius_norm,
     rel_frobenius_dev,
     solve_spd,
+    spd_inverse,
     spectral_norm,
     symmetric_eig,
     thin_qr_rfactor,
@@ -188,6 +189,16 @@ def test_determinism_bitwise():
     v2, e2 = symmetric_eig(a.copy())
     assert np.array_equal(v1, v2) and np.array_equal(e1, e2)
     assert spectral_norm(f) == spectral_norm(f.copy())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_spd_inverse_is_bitwise_symmetric(dtype):
+    rng = np.random.default_rng(9)
+    for d in (1, 2, 17, 64, 200):
+        m = rng.standard_normal((d + 3, d))
+        inv = spd_inverse((m.T @ m + np.eye(d)).astype(dtype))
+        assert inv.dtype == dtype
+        assert np.array_equal(inv, inv.T)
 
 
 def test_non_finite_rejected():

@@ -50,8 +50,9 @@ def test_kl_self_is_zero():
 
 
 def test_kl_scalar_gaussian_case():
-    p = MatrixNormalPosterior(np.zeros((1, 1)), np.array([[1.0]]), 1.0, 1.0)
-    q = MatrixNormalPosterior(np.zeros((1, 1)), np.array([[2.0]]), 1.0, 1.0)
+    # precision factors P = chol(Sigma^-1) of the covariances 1 and 2
+    p = MatrixNormalPosterior(np.zeros((1, 1)), np.array([[1.0]]))
+    q = MatrixNormalPosterior(np.zeros((1, 1)), np.linalg.cholesky(np.linalg.inv([[2.0]])))
     expected = 0.5 * (0.5 - 1.0 + np.log(2.0))
     assert kl_matrix_normal(p, q) == pytest.approx(expected, rel=1e-12)
 
@@ -64,8 +65,9 @@ def test_kl_reduction_against_dense_oracle():
         c = int(rng.integers(1, 4))
         def random_post():
             m = rng.standard_normal((d, d))
+            sigma = m.T @ m + 0.3 * np.eye(d)
             return MatrixNormalPosterior(
-                rng.standard_normal((d, c)), (m.T @ m + 0.3 * np.eye(d)), 1.0, 1.0
+                rng.standard_normal((d, c)), np.linalg.cholesky(np.linalg.inv(sigma))
             )
         p, q = random_post(), random_post()
         assert kl_matrix_normal(p, q) == pytest.approx(_dense_vectorized_kl(p, q), abs=1e-10)
@@ -78,8 +80,9 @@ def test_kl_nonnegative_over_random_pairs():
         c = int(rng.integers(1, 5))
         def random_post():
             m = rng.standard_normal((d, d))
+            sigma = m.T @ m + 0.1 * np.eye(d)
             return MatrixNormalPosterior(
-                rng.standard_normal((d, c)), (m.T @ m + 0.1 * np.eye(d)), 1.0, 1.0
+                rng.standard_normal((d, c)), np.linalg.cholesky(np.linalg.inv(sigma))
             )
         assert kl_matrix_normal(random_post(), random_post()) >= -1e-10
 
@@ -96,7 +99,7 @@ def test_zero_kl_certificate_protocol_vs_oracle():
     oracle_led = Ledger(stats_from_batch(f, y), led.t, led.gamma, "f64")
     kl = kl_matrix_normal(posterior_from_ledger(led), posterior_from_ledger(oracle_led))
     assert -1e-12 <= kl <= 1e-9
-    np.testing.assert_allclose(solve_head(led), oracle_retrain(f, y, 1.0), rtol=1e-12)
+    np.testing.assert_allclose(solve_head(led), oracle_retrain(f, y, 1.0)[0], rtol=1e-12)
 
 
 def test_psd_order_check_directions():

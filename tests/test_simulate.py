@@ -55,14 +55,14 @@ def test_gen_synthetic_deterministic():
 
 def test_gen_synthetic_zero_separation_is_chance():
     data = gen_synthetic(5, 5000, 16, 10, 0.0)
-    w = oracle_retrain(data.features[: data.n_train], data.labels[: data.n_train], 1.0)
+    w, _ = oracle_retrain(data.features[: data.n_train], data.labels[: data.n_train], 1.0)
     acc = head_accuracy(w, data.features[data.n_train :], data.labels[data.n_train :])
     assert abs(acc - 0.1) <= 0.05
 
 
 def test_gen_synthetic_separated_clusters_learnable():
     data = gen_synthetic(7, 5000, 64, 10, 4.0)
-    w = oracle_retrain(data.features[: data.n_train], data.labels[: data.n_train], 1.0)
+    w, _ = oracle_retrain(data.features[: data.n_train], data.labels[: data.n_train], 1.0)
     acc = head_accuracy(w, data.features[data.n_train :], data.labels[data.n_train :])
     assert acc >= 0.9
 
@@ -153,9 +153,9 @@ def test_schedule_churn_never_deletes_fresh_adds():
 
 
 def test_oracle_retrain_cases():
-    w = oracle_retrain(np.eye(2), np.ones((2, 1)), 1.0)
+    w, _ = oracle_retrain(np.eye(2), np.ones((2, 1)), 1.0)
     np.testing.assert_allclose(w, [[0.5], [0.5]], rtol=1e-15)
-    w0 = oracle_retrain(np.zeros((0, 3)), np.zeros((0, 2)), 1.0)
+    w0, _ = oracle_retrain(np.zeros((0, 3)), np.zeros((0, 2)), 1.0)
     np.testing.assert_array_equal(w0, np.zeros((3, 2)))
 
 
@@ -221,6 +221,24 @@ def test_run_scenario_approx_variant_reports():
     assert reset_rounds
     for rec in reset_rounds:
         assert rec.variants["approx"].rel_dev <= 1e-9  # reset restores the oracle head
+    _assert_inf_bound_rounds_match_csv(result)
+
+    # a round with deletions re-syncs to the exact ledger: flagged and counted as a reset
+    schedule = [initial_round(parts)] + schedule_chunked(41, parts, 0.2, 3)
+    sc = _scenario(data, parts, schedule, variant="approx", rank=2, reset_every=16)
+    result = run_scenario(sc, data.features, data.labels)
+    for rec in result.records[1:]:
+        assert rec.variants["approx"].reset
+        assert rec.variants["approx"].rel_dev <= 1e-9
+    assert result.summary["resets"] == 3
+    _assert_inf_bound_rounds_match_csv(result)
+
+
+def _assert_inf_bound_rounds_match_csv(result):
+    # served with an infinite bound and not repaired by a reset
+    rows = [line.split(",") for line in metrics_csv(result).splitlines()[1:]]
+    expected = sum(row[7] == "inf" and row[3] != "1" for row in rows)
+    assert result.summary["inf_bound_rounds"] == expected
 
 
 def test_partition_invariance_across_client_counts():

@@ -136,7 +136,7 @@ def test_retrain_equivalence_over_random_stream():
         rows.append((f, y, id(f)))
         f_all = np.vstack([r[0] for r in rows])
         y_all = np.vstack([r[1] for r in rows])
-        w_oracle = oracle_retrain(f_all, y_all, 1.0)
+        w_oracle, _ = oracle_retrain(f_all, y_all, 1.0)
         assert rel_frobenius_dev(solve_head(led), w_oracle) <= 1e-9
 
 
@@ -187,11 +187,16 @@ def test_gamma_must_be_positive():
 def test_stats_gram_is_symmetric_psd():
     from fedridge.kernels import frobenius_norm, symmetric_eig
 
+    # FᵀF is evaluated as a symmetric product, so S is bitwise symmetric
+    # with no re-symmetrizing, in both precisions, empty batches included
     rng = np.random.default_rng(50)
-    for _ in range(10):
-        n = int(rng.integers(1, 40))
-        d = int(rng.integers(1, 12))
-        st = stats_from_batch(rng.standard_normal((n, d)), rng.standard_normal((n, 1)))
-        assert np.array_equal(st.S, st.S.T)
-        vals, _ = symmetric_eig(st.S)
-        assert vals[-1] >= -1e-8 * frobenius_norm(st.S)
+    shapes = [(0, 1), (0, 7), (1, 300), (300, 300), (500, 257)]
+    shapes += [(int(rng.integers(1, 40)), int(rng.integers(1, 12))) for _ in range(10)]
+    for dtype in (np.float64, np.float32):
+        for n, d in shapes:
+            st = stats_from_batch(rng.standard_normal((n, d)), rng.standard_normal((n, 1)), dtype)
+            assert st.S.dtype == dtype and st.S.shape == (d, d)
+            assert np.array_equal(st.S, st.S.T)
+            if dtype == np.float64:
+                vals, _ = symmetric_eig(st.S)
+                assert vals[-1] >= -1e-8 * frobenius_norm(st.S)

@@ -56,6 +56,16 @@ def test_message_round_trip(variant, precision):
     assert decoded.add.n == msg.add.n and decoded.delete.n == msg.delete.n
 
 
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_wide_stats_payload_round_trips_bitwise(precision):
+    # frames carry only the upper triangle of S, so S must be exactly symmetric
+    msg = _message(VARIANT_FULL, d=256, c=4, n_add=100, n_del=100, precision=precision)
+    decoded, _, _ = decode_message(encode_message(msg, precision))
+    for sent, got in ((msg.add, decoded.add), (msg.delete, decoded.delete)):
+        assert np.array_equal(got.S, sent.S) and got.S.dtype == sent.S.dtype
+        assert np.array_equal(got.G, sent.G)
+
+
 def test_frame_header_layout():
     msg = _message(VARIANT_QR, d=3, c=2, precision="f64")
     buf = encode_message(msg, "f64")
