@@ -100,19 +100,29 @@ class CommRecord:
     total_bytes: int
 
 
-def _payload_stats(payload) -> tuple[np.ndarray, np.ndarray, int]:
+def _payload_dims(payload) -> tuple[int, int]:
     if isinstance(payload, StatsPayload):
-        return payload.S, payload.G, payload.n
+        return payload.S.shape[0], payload.G.shape[1]
     if isinstance(payload, QrPayload):
-        return payload.R.T @ payload.R, payload.G, payload.n
+        return payload.R.shape[1], payload.G.shape[1]
     raise TypeError(f"unsupported payload type {type(payload).__name__}")
+
+
+def _summed(arrays) -> np.ndarray:
+    arrays = iter(arrays)
+    total = next(arrays).copy()
+    for a in arrays:
+        total += a
+    return total
 
 
 def aggregate(messages: list[ClientMessage]) -> RoundAggregate:
     """Sum client messages for one round into the server's aggregate.
 
-    Variant B messages additionally stack their R-factors row-wise so
-    that UᵀU equals the aggregated Gram change.
+    G and n are summed message by message in ascending client id.  Variant
+    A sums the clients' Grams the same way; Variant B stacks the R-factors
+    row-wise into U and takes the Gram change as UᵀU, one symmetric product
+    per side, so that UᵀU equals the aggregated Gram change by construction.
     """
     if not messages:
         raise ValueError("cannot aggregate an empty message list")
@@ -124,40 +134,32 @@ def aggregate(messages: list[ClientMessage]) -> RoundAggregate:
     variants = {m.variant for m in messages}
     if len(variants) != 1:
         raise MixedVariant(f"messages span variants {sorted(variants)}")
-    s_add, g_add, n_add = _payload_stats(head.add)
-    d = s_add.shape[0]
-    c = g_add.shape[1]
-    s_add = s_add.copy()
-    g_add = g_add.copy()
-    s_del, g_del, n_del = _payload_stats(head.delete)
-    s_del = s_del.copy()
-    g_del = g_del.copy()
-    for m in messages[1:]:
-        sa, ga, na = _payload_stats(m.add)
-        if sa.shape[0] != d or ga.shape[1] != c:
-            raise DimensionMismatch(f"message dims {sa.shape[0]}x{ga.shape[1]} do not match {d}x{c}")
-        sd, gd, nd = _payload_stats(m.delete)
-        s_add += sa
-        g_add += ga
-        n_add += na
-        s_del += sd
-        g_del += gd
-        n_del += nd
+    d, c = _payload_dims(head.add)
+    for m in messages:
+        for payload in (m.add, m.delete):
+            dims = _payload_dims(payload)
+            if dims != (d, c):
+                raise DimensionMismatch(f"message dims {dims[0]}x{dims[1]} do not match {d}x{c}")
     u_plus = u_minus = None
     if head.variant == VARIANT_QR:
         u_plus = np.vstack([m.add.R for m in messages])
         u_minus = np.vstack([m.delete.R for m in messages])
+        s_add = u_plus.T @ u_plus
+        s_del = u_minus.T @ u_minus
+    else:
+        s_add = _summed(m.add.S for m in messages)
+        s_del = _summed(m.delete.S for m in messages)
     return RoundAggregate(
         round=head.round,
         variant=head.variant,
         d=d,
         c=c,
         S_plus=s_add,
-        G_plus=g_add,
+        G_plus=_summed(m.add.G for m in messages),
         S_minus=s_del,
-        G_minus=g_del,
-        n_plus=n_add,
-        n_minus=n_del,
+        G_minus=_summed(m.delete.G for m in messages),
+        n_plus=sum(m.add.n for m in messages),
+        n_minus=sum(m.delete.n for m in messages),
         U_plus=u_plus,
         U_minus=u_minus,
     )

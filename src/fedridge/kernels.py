@@ -1,7 +1,8 @@
 """Dense real linear algebra: thin contracts over numpy's LAPACK bindings.
 
-Each factorization, solve and spectral routine wraps one or two
-`np.linalg` calls and exists only for the contract it adds: validated
+Each factorization and spectral routine wraps one or two `np.linalg`
+calls, and each triangular solve a blocked substitution over them (see
+below); they exist only for the contract they add: validated
 inputs (2-D, square, finite), NotSPD in place of LinAlgError, results in
 the input's dtype, eigenpairs in descending order.  Factorizations and
 solves run in the dtype of their input (float32 or float64); the
@@ -14,16 +15,21 @@ OPENBLAS_NUM_THREADS=1), not across thread counts.
 
 Symmetry is settled where a matrix is made: numpy evaluates `X.T @ X` of
 one buffer as a symmetric product, bitwise symmetric, and sums of such
-matrices stay so.  The Grams, RᵀR and `spd_inverse` need no `symmetrize`;
+matrices stay so.  The Grams, Variant B's UᵀU of the stacked R-factors
+and `spd_inverse` need no `symmetrize`;
 only the SMW step (U T Uᵀ, the updated T) and the approx truncation
 (V diag(λ) Vᵀ) still call it.  Cholesky and eigh read the lower triangle.
 
-Only numpy is used, not scipy.  scipy's `cho_solve` and `solve_triangular`
-would solve against a triangular factor in O(d^2) per column, but scipy is
-not a declared dependency, and importing `scipy.linalg` raised a process's
-peak resident memory from 26.8 to 55.1 MB (Python 3.11, numpy 2.4, x86-64
-Linux).  Triangular systems therefore go through `np.linalg.solve`, a
-general LU solve that costs O(d^3) but stays backward stable.
+Only numpy is used, not scipy: scipy is not a declared dependency, and
+importing `scipy.linalg` raised a process's peak resident memory from 26.8
+to 55.1 MB (Python 3.11, numpy 2.4, x86-64 Linux).  numpy has no triangular
+solver, so triangular systems go through `_solve_triangular`, a blocked
+substitution: it halves the system, solves the two diagonal blocks in turn
+and applies the off-diagonal block as one matrix product in between.
+Blocks of at most 64 rows are one `np.linalg.solve`, a backward-stable LU
+solve, so a d x d system with k right-hand sides costs O(d^2 k) in the
+products plus small LU blocks, and a system of 64 rows or fewer is exactly
+one `np.linalg.solve` call.
 """
 
 from __future__ import annotations
@@ -84,13 +90,34 @@ def cholesky_spd(a) -> np.ndarray:
         raise NotSPD(str(exc)) from exc
 
 
+_BLOCK = 64
+
+
+def _solve_triangular(t: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """Solve T X = B by recursive halving; T is lower or upper triangular.
+
+    T must be zero outside its triangle: each base block is LU-solved whole.
+    """
+    d = t.shape[0]
+    if d <= _BLOCK:
+        return np.linalg.solve(t, b)
+    h = d // 2
+    if lower:
+        x1 = _solve_triangular(t[:h, :h], b[:h], True)
+        x2 = _solve_triangular(t[h:, h:], b[h:] - t[h:, :h] @ x1, True)
+    else:
+        x2 = _solve_triangular(t[h:, h:], b[h:], False)
+        x1 = _solve_triangular(t[:h, :h], b[:h] - t[:h, h:] @ x2, False)
+    return np.concatenate([x1, x2])
+
+
 def triangular_solve_lower(L: np.ndarray, b) -> np.ndarray:
     """Solve L X = B for lower-triangular L; B may be 1-D or have no columns."""
     L = np.asarray(L)
     b = np.asarray(b, dtype=L.dtype)
     if b.shape[0] != L.shape[0]:
         raise DimensionMismatch(f"factor is {L.shape[0]}x{L.shape[0]} but B has {b.shape[0]} rows")
-    return np.linalg.solve(L, b)
+    return _solve_triangular(L, b, lower=True)
 
 
 def solve_spd(factor: np.ndarray, b) -> np.ndarray:
@@ -100,7 +127,7 @@ def solve_spd(factor: np.ndarray, b) -> np.ndarray:
     have any number of columns, including zero.
     """
     L = np.asarray(factor)
-    return np.linalg.solve(L.T, triangular_solve_lower(L, b))
+    return _solve_triangular(L.T, triangular_solve_lower(L, b), lower=False)
 
 
 def spd_inverse(a) -> np.ndarray:

@@ -30,14 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (
-    DimensionMismatch,
-    cholesky_spd,
-    frobenius_norm,
-    solve_spd,
-    triangular_solve_lower,
-)
-from .stats import Ledger, regularized_gram
+from .kernels import DimensionMismatch, frobenius_norm, triangular_solve_lower
+from .stats import Ledger
 
 
 @dataclass(frozen=True)
@@ -61,12 +55,10 @@ class MatrixNormalPosterior:
 
 
 def posterior_from_ledger(ledger: Ledger, sigma2: float = 1.0) -> MatrixNormalPosterior:
-    """Posterior from one factor of S + gamma*I; M equals `solve_head` bitwise."""
+    """Posterior from the ledger's factor of S + gamma*I; M is `solve_head`'s head."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    factor = cholesky_spd(regularized_gram(ledger))
-    mean = solve_spd(factor, ledger.stats.G)
-    return MatrixNormalPosterior(mean, factor / math.sqrt(sigma2))
+    return MatrixNormalPosterior(ledger.head, ledger.factor / math.sqrt(sigma2))
 
 
 def kl_matrix_normal(p: MatrixNormalPosterior, q: MatrixNormalPosterior) -> float:

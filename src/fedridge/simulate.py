@@ -356,12 +356,10 @@ def score_head(w, test_features, true_classes, c: int) -> tuple[float, list[floa
     """
     pred = (test_features @ np.asarray(w, dtype=np.float64)).argmax(axis=1)
     hits = pred == true_classes
-    accuracy = float(np.mean(hits)) if hits.size else float("nan")
-    recall = []
-    for cls in range(c):
-        mask = true_classes == cls
-        recall.append(float(np.mean(hits[mask])) if mask.any() else float("nan"))
-    return accuracy, recall
+    accuracy = float(np.count_nonzero(hits) / hits.size) if hits.size else float("nan")
+    with np.errstate(invalid="ignore"):  # 0/0 is the NaN of an empty class
+        recall = np.bincount(true_classes[hits], minlength=c) / np.bincount(true_classes, minlength=c)
+    return accuracy, recall.tolist()
 
 
 def head_accuracy(w, test_features, test_labels) -> float:
@@ -421,7 +419,7 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
     }
     inverse_state = init_from_ledger(ledgers["B"]) if "B" in variants else None
     approx_state = approx_init(ledgers["approx"]) if "approx" in variants else None
-    retained: set[int] = set()
+    retained = np.zeros(scenario.n, dtype=bool)
     records: list[RoundMetrics] = []
     resets = 0
     total_bytes = {v: 0 for v in variants}
@@ -435,15 +433,19 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
         if not events:
             continue
         for ev in events:
-            add_set = set(ev.add)
-            del_set = set(ev.delete)
-            if add_set & retained:
+            add = np.asarray(ev.add, dtype=np.int64)
+            delete = np.asarray(ev.delete, dtype=np.int64)
+            for ids in (add, delete):
+                if ids.size and (ids.min() < 0 or ids.max() >= scenario.n):
+                    raise RuntimeError(f"round {spec.round} names ids outside the feature file")
+            if retained[add].any():
                 raise RuntimeError(f"round {spec.round} re-adds retained ids")
-            if not del_set <= retained:
+            if not retained[delete].all():
                 raise RuntimeError(f"round {spec.round} deletes ids that are not retained")
-            retained |= add_set
-            retained -= del_set
-        oracle_ids = sorted(retained)
+            retained[add] = True
+            retained[delete] = False
+        oracle_ids = np.flatnonzero(retained)
+        n_retained = oracle_ids.size
         w_oracle, oracle_post = oracle_retrain(
             features[oracle_ids], labels[oracle_ids], scenario.gamma, sigma2=scenario.sigma2
         )
@@ -491,10 +493,10 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
                     inf_bound_rounds += 1
             if reset:
                 resets += 1
-            if ledgers[v].stats.n != len(retained):
+            if ledgers[v].stats.n != n_retained:
                 raise RuntimeError(
                     f"retained-count bookkeeping broke in round {spec.round}: "
-                    f"ledger says {ledgers[v].stats.n}, stream says {len(retained)}"
+                    f"ledger says {ledgers[v].stats.n}, stream says {n_retained}"
                 )
             comm = account_round(messages, scenario.precision)
             total_bytes[v] += comm.total_bytes
@@ -513,7 +515,7 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
                 kl=kl,
                 recall=recall,
             )
-        records.append(RoundMetrics(spec.round, len(retained), round_variants))
+        records.append(RoundMetrics(spec.round, n_retained, round_variants))
 
     last = records[-1].variants if records else {}
     summary = {

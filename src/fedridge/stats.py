@@ -10,6 +10,7 @@ round and the head is recovered by one SPD solve.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -57,7 +58,12 @@ class SufficientStats:
 
 @dataclass(frozen=True)
 class Ledger:
-    """Global retained statistics, the round counter and the ridge setting."""
+    """Global retained statistics, the round counter and the ridge setting.
+
+    A ledger is immutable, so the Cholesky factor of S + gamma*I and the
+    head solved through it are computed at most once per ledger, however
+    many callers (the served head, the posterior) ask for them.
+    """
 
     stats: SufficientStats
     t: int
@@ -67,6 +73,25 @@ class Ledger:
     @property
     def dtype(self) -> np.dtype:
         return dtype_of(self.precision)
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """Lower Cholesky factor of S + gamma*I.
+
+        NotSPD here means the ledger is corrupted: with gamma > 0 and S PSD
+        the system is always SPD.
+        """
+        return cholesky_spd(regularized_gram(self))
+
+    @cached_property
+    def head(self) -> np.ndarray:
+        """Ridge head W solving (S + gamma*I) W = G through `factor`.
+
+        Read-only, because every caller receives this same array.
+        """
+        w = solve_spd(self.factor, self.stats.G)
+        w.flags.writeable = False
+        return w
 
 
 def ledger_init(d: int, c: int, gamma: float = 1.0, precision: str = "f64") -> Ledger:
@@ -127,8 +152,7 @@ def regularized_gram(ledger: Ledger) -> np.ndarray:
 def solve_head(ledger: Ledger) -> np.ndarray:
     """Ridge head W solving (S + gamma*I) W = G, via Cholesky.
 
-    Never forms an explicit inverse.  NotSPD here means the ledger is
-    corrupted: with gamma > 0 and S PSD the system is always SPD.
+    Never forms an explicit inverse; the factor and the head are the
+    ledger's own, shared with `posterior_from_ledger`.
     """
-    factor = cholesky_spd(regularized_gram(ledger))
-    return solve_spd(factor, ledger.stats.G)
+    return ledger.head

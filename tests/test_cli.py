@@ -177,6 +177,27 @@ def test_run_invalid_event_stream_exit_4(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("case", ["past-end", "negative", "not-retained", "re-add"])
+def test_run_bad_event_ids_exit_4(tmp_path, case):
+    # the feature file has ids 0..299; ids 240.. are the test split, never added
+    features, scenario = _gen(tmp_path)
+    doc = json.loads(scenario.read_text())
+    events = doc["schedule"][0]["events"]
+    if case == "past-end":
+        events[0]["add"].append(300)
+    elif case == "negative":
+        events[0]["add"].append(-1)
+    elif case == "not-retained":
+        events[0]["delete"] = [299]
+    else:
+        events[1]["add"].append(events[0]["add"][0])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["run", "--scenario", str(bad), "--features", str(features),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 4
+
+
 def test_usage_errors_exit_2():
     assert main(["gen", "--badflag"]) == 2
     assert main([]) == 2

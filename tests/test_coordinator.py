@@ -21,7 +21,7 @@ from fedridge.coordinator import (
 from fedridge.inverse import init_from_ledger
 from fedridge.kernels import rel_frobenius_dev, spd_inverse, spectral_norm
 from fedridge.simulate import oracle_retrain
-from fedridge.stats import ledger_init, solve_head, stats_from_batch
+from fedridge.stats import dtype_of, ledger_init, solve_head, stats_from_batch
 
 
 def _store_with(client_id, ids, features, labels, d, c, precision="f64"):
@@ -113,6 +113,68 @@ def test_aggregate_matches_concatenated_batch():
     agg_b = aggregate(_round_one_messages(VARIANT_QR, features, labels, parts, d, c))
     assert rel_frobenius_dev(agg_b.U_plus.T @ agg_b.U_plus, st.S) <= 1e-12
     assert agg_b.U_plus.shape == (sum(min(len(p), d) for p in parts), d)
+
+
+def test_aggregate_rejects_dimension_mismatch_qr():
+    from fedridge.client import ClientMessage, QrPayload
+    from fedridge.kernels import DimensionMismatch
+
+    a = ClientStore(0, 2, 1).make_round_message(1, [], [], VARIANT_QR)
+    b = ClientStore(1, 3, 1).make_round_message(1, [], [], VARIANT_QR)
+    with pytest.raises(DimensionMismatch):
+        aggregate([a, b])
+    # a mismatched delete payload, R width or G column count, is caught too
+    wide_r = QrPayload(np.zeros((0, 3)), np.zeros((2, 1)), 0)
+    wide_g = QrPayload(np.zeros((0, 2)), np.zeros((2, 2)), 0)
+    for bad in (wide_r, wide_g):
+        m = ClientMessage(1, 1, VARIANT_QR, a.add, bad)
+        with pytest.raises(DimensionMismatch):
+            aggregate([a, m])
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_aggregate_qr_gram_is_product_of_stacked_factors(precision):
+    rng = np.random.default_rng(23)
+    d, c, n = 6, 2, 30
+    features = rng.standard_normal((n, d))
+    labels = rng.standard_normal((n, c))
+    parts = [range(0, 10), range(10, 18), range(18, 30)]
+    stores = [_store_with(k, ids, features, labels, d, c, precision) for k, ids in enumerate(parts)]
+    agg = aggregate([s.make_round_message(1, list(ids), [], VARIANT_QR) for s, ids in zip(stores, parts)])
+    assert np.array_equal(agg.S_plus, agg.U_plus.T @ agg.U_plus)
+    assert np.array_equal(agg.S_minus, np.zeros((d, d)))
+    if precision == "f64":
+        st = stats_from_batch(features, labels)
+        assert rel_frobenius_dev(agg.S_plus, st.S) <= 1e-13
+        assert rel_frobenius_dev(agg.G_plus, st.G) <= 1e-13
+    dels = [list(ids)[::2] for ids in parts]
+    agg = aggregate([s.make_round_message(2, [], ids, VARIANT_QR) for s, ids in zip(stores, dels)])
+    assert np.array_equal(agg.S_minus, agg.U_minus.T @ agg.U_minus)
+    assert agg.S_minus.dtype == agg.U_minus.dtype == dtype_of(precision)
+    if precision == "f64":
+        gone = sum(dels, [])
+        assert rel_frobenius_dev(agg.S_minus, stats_from_batch(features[gone], labels[gone]).S) <= 1e-13
+
+
+def test_run_round_a_shares_one_factor_with_the_posterior(monkeypatch):
+    import fedridge.stats as stats_mod
+    from fedridge.posterior import posterior_from_ledger
+
+    calls = []
+    real = stats_mod.cholesky_spd
+    monkeypatch.setattr(stats_mod, "cholesky_spd", lambda a: calls.append(1) or real(a))
+    rng = np.random.default_rng(24)
+    d, c, n = 7, 3, 40
+    features = rng.standard_normal((n, d))
+    labels = rng.standard_normal((n, c))
+    ledger, w = run_round_a(
+        ledger_init(d, c), aggregate(_round_one_messages(VARIANT_FULL, features, labels, [range(n)], d, c))
+    )
+    post = posterior_from_ledger(ledger, sigma2=2.0)
+    assert np.array_equal(w, post.M)
+    assert np.array_equal(post.P, ledger.factor / np.sqrt(2.0))
+    assert len(calls) == 1
+    assert rel_frobenius_dev(w, oracle_retrain(features, labels, 1.0)[0]) <= 1e-9
 
 
 def test_run_round_a_against_oracle():

@@ -233,3 +233,50 @@ def test_package_does_not_import_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _spd_and_factor(rng, d, dtype):
+    m = rng.standard_normal((d, d))
+    a = m.T @ m + np.eye(d)
+    return a, cholesky_spd(a).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [65, 128, 200, 257])
+def test_blocked_triangular_solves_against_library(d, dtype):
+    # above 64 rows the triangular solves split into blocks; the reference is
+    # numpy's LU solve of the same (dtype-rounded) system in float64, held to
+    # test_kernels_against_library_oracles' tolerances in f64 and to what
+    # float32's ~7 digits leave after a condition number of up to ~30 and
+    # d-term sums in f32
+    rtol, atol = (1e-9, 1e-12) if dtype == np.float64 else (1e-3, 1e-4)
+    rng = np.random.default_rng(d)
+    _, L = _spd_and_factor(rng, d, dtype)
+    L64 = L.astype(np.float64)
+    for shape in [(d, 0), (d, 1), (d, 10), (d, d), (d,)]:
+        b = rng.standard_normal(shape).astype(dtype)
+        lower = triangular_solve_lower(L, b)
+        spd = solve_spd(L, b)
+        for x in (lower, spd):
+            assert x.dtype == dtype and x.shape == shape
+        b64 = b.astype(np.float64)
+        np.testing.assert_allclose(lower, np.linalg.solve(L64, b64), rtol=rtol, atol=atol)
+        np.testing.assert_allclose(spd, np.linalg.solve(L64 @ L64.T, b64), rtol=rtol, atol=atol)
+        # the upper half alone, as solve_spd applies it after the lower one
+        np.testing.assert_allclose(
+            solve_spd(L, L @ b), np.linalg.solve(L64.T, b64), rtol=rtol, atol=atol
+        )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [1, 17, 64])
+def test_small_triangular_solves_are_one_library_call(d, dtype):
+    # up to 64 rows a triangular system is one np.linalg.solve, so results at
+    # d <= 64 are bitwise those of the plain LU solve
+    rng = np.random.default_rng(100 + d)
+    _, L = _spd_and_factor(rng, d, dtype)
+    for shape in [(d, 0), (d, 1), (d, 10), (d, d), (d,)]:
+        b = rng.standard_normal(shape).astype(dtype)
+        inner = np.linalg.solve(L, b)
+        assert np.array_equal(triangular_solve_lower(L, b), inner)
+        assert np.array_equal(solve_spd(L, b), np.linalg.solve(L.T, inner))

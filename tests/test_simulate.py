@@ -17,6 +17,7 @@ from fedridge.simulate import (
     schedule_burst,
     schedule_chunked,
     schedule_churn,
+    score_head,
     writer_partition,
 )
 
@@ -157,6 +158,22 @@ def test_oracle_retrain_cases():
     np.testing.assert_allclose(w, [[0.5], [0.5]], rtol=1e-15)
     w0, _ = oracle_retrain(np.zeros((0, 3)), np.zeros((0, 2)), 1.0)
     np.testing.assert_array_equal(w0, np.zeros((3, 2)))
+
+
+def test_score_head_matches_per_class_loop():
+    rng = np.random.default_rng(30)
+    d, c = 5, 4
+    w = rng.standard_normal((d, c))
+    test_f = rng.standard_normal((50, d))
+    true = rng.integers(0, c - 1, size=50)  # class c - 1 has no test sample
+    for f, t in ((test_f, true), (test_f[:0], true[:0])):
+        hits = (f @ w).argmax(axis=1) == t
+        want_acc = float(np.mean(hits)) if hits.size else float("nan")
+        want_recall = [float(np.mean(hits[t == k])) if np.any(t == k) else float("nan") for k in range(c)]
+        acc, recall = score_head(w, f, t, c)
+        np.testing.assert_array_equal([acc] + recall, [want_acc] + want_recall)
+        assert all(type(x) is float for x in [acc] + recall)
+    assert np.isnan(recall).all() and np.isnan(acc)
 
 
 def test_run_scenario_oracle_equivalence_and_bookkeeping():
