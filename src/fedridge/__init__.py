@@ -10,13 +10,10 @@ inverse updates, with a Bayesian zero-KL certificate on top.
 from .client import ClientMessage, ClientStore, QrPayload, Sample, StatsPayload
 from .coordinator import (
     ApproxReport,
-    ApproxState,
     CommRecord,
     RoundAggregate,
     account_round,
     aggregate,
-    approx_init,
-    periodic_reset,
     run_round_a,
     run_round_approx,
     run_round_b,

@@ -192,10 +192,15 @@ def _run_one(scenario_path: str, features, labels, args, out_root: Path) -> dict
     (out_root / "summary.json").write_text(summary_json(result))
     (out_root / "events.jsonl").write_text(events_jsonl(scenario))
     if scenario.precision == "f64":
-        # only the exact variants are held to the ceiling; truncated-add
-        # rounds deviate by design until the next reset
+        # exact rows are held to the ceiling: A, B and approx reset rows;
+        # truncated-add rounds deviate by design until the next reset
         worst = max(
-            (m.rel_dev for rec in result.records for v, m in rec.variants.items() if v in ("A", "B")),
+            (
+                m.rel_dev
+                for rec in result.records
+                for v, m in rec.variants.items()
+                if v in ("A", "B") or m.reset
+            ),
             default=0.0,
         )
         if worst > HARD_DEVIATION_CEILING:

@@ -9,9 +9,10 @@ Three ways to recover the head after a round's aggregate lands:
   the ledger whenever a downdate is infeasible, a step's capacitance could
   amplify rounding past the condition threshold, or the periodic drift
   audit fails;
-* truncated adds -- approximate each add round's Gram change by its top-r
-  eigenpairs, carrying a perturbation bound, with the exact ledger kept
-  in parallel as the authority for periodic exact resets.
+* truncated adds -- Variant B's messages and SMW step, with each add
+  round's Gram change cut to its top-r eigenpairs and a perturbation bound
+  carried; delete rounds and every `reset_every`-th round rebuild the state
+  exactly from the ledger, which advances in parallel.
 
 Aggregation always sums client payloads in a fixed order (ascending
 client id) so repeated runs are bitwise reproducible at fixed precision.
@@ -20,21 +21,13 @@ client id) so repeated runs are bitwise reproducible at fixed precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .client import ClientMessage, QrPayload, StatsPayload, VARIANT_FULL, VARIANT_QR
 from .inverse import DowndateInfeasible, InverseState, audit_drift, init_from_ledger, smw_step
-from .kernels import (
-    DimensionMismatch,
-    NotSPD,
-    spd_inverse,
-    spectral_norm,
-    symmetric_eig,
-    symmetrize,
-    thin_qr_rfactor,
-)
+from .kernels import DimensionMismatch, NotSPD, spectral_norm, symmetric_eig, thin_qr_rfactor
 from .stats import Ledger, SufficientStats, ledger_apply, solve_head
 
 DEFAULT_AUDIT_EVERY = 32
@@ -70,14 +63,6 @@ class RoundAggregate:
 class BRoundInfo:
     reset: bool
     lambda_max: float | None
-
-
-@dataclass(frozen=True)
-class ApproxState:
-    """Accumulated truncated Gram plus the rounds since the last reset."""
-
-    S_ap: np.ndarray
-    rounds_since_reset: int
 
 
 @dataclass(frozen=True)
@@ -228,50 +213,38 @@ def run_round_b(
     return new_ledger, new_state, new_state.W, BRoundInfo(reset=reset, lambda_max=lam)
 
 
-def approx_init(ledger: Ledger) -> ApproxState:
-    return ApproxState(ledger.stats.S.copy(), 0)
-
-
-def _truncate_gram(s_plus: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, int]:
-    d = s_plus.shape[0]
-    if rank >= d:
-        return s_plus, np.zeros_like(s_plus), d
-    vals, vecs = symmetric_eig(s_plus)
-    kept = vecs[:, :rank] * vals[:rank]
-    ds_r = symmetrize(kept @ vecs[:, :rank].T)
-    return ds_r, s_plus - ds_r, rank
-
-
 def run_round_approx(
-    ledger: Ledger, approx: ApproxState, agg: RoundAggregate, rank: int
-) -> tuple[Ledger, ApproxState, np.ndarray, ApproxReport | None]:
-    """Advance one round keeping only a rank-`rank` Gram update.
+    ledger: Ledger, state: InverseState, agg: RoundAggregate, rank: int, reset_every: int
+) -> tuple[Ledger, InverseState, np.ndarray, ApproxReport | None]:
+    """Advance one round folding in only a rank-`rank` Gram update.
 
-    Only add rounds are approximated; any round containing deletions is
-    handled exactly from the ledger and re-syncs the truncated state to it
-    (the perturbation bound covers additions, and subtracting an exact
-    deletion Gram from a truncated accumulation could go indefinite).  The
-    exact ledger advances unconditionally and is the authority
-    `periodic_reset` snaps back to.  When the bound's contraction
-    assumption fails the report is still returned, flagged, with infinite
+    The ledger is advanced first and stays exact.  A round with deletions,
+    or the round that would be the `reset_every`-th truncated step since
+    the last reset, rebuilds the state from the ledger and is served
+    exactly; its report is None.  Any other round folds
+    U_r = sqrt(λ_r) V_rᵀ of the top `rank` eigenpairs of its Gram change
+    into the state by one SMW add, and reports the bound on the inverse
+    error that the dropped eigenvalues induce.  When the bound's
+    contraction assumption fails the report is flagged, with infinite
     bounds.
     """
     add, delete = _agg_stats(agg)
     new_ledger = ledger_apply(ledger, add, delete)
-    dtype = new_ledger.dtype
-    gamma = float(ledger.gamma)
-    eye = np.eye(agg.d, dtype=dtype)
-    if agg.n_minus > 0 or np.any(agg.S_minus) or np.any(agg.G_minus):
-        new_approx = ApproxState(new_ledger.stats.S.copy(), 0)
-        return new_ledger, new_approx, solve_head(new_ledger), None
-    ds_r, err, rank_used = _truncate_gram(agg.S_plus.astype(dtype), rank)
-    s_ap = approx.S_ap + ds_r
-    new_approx = ApproxState(s_ap, approx.rounds_since_reset + 1)
-    t_ap = spd_inverse(s_ap + gamma * eye)
-    w_ap = t_ap @ new_ledger.stats.G
-    neglected = spectral_norm(err)
-    t_ap_norm = spectral_norm(t_ap)
-    contraction = spectral_norm(t_ap @ err)
+    deletes = agg.n_minus > 0 or np.any(agg.S_minus) or np.any(agg.G_minus)
+    if deletes or (reset_every and state.updates_since_reset + 1 >= reset_every):
+        new_state = init_from_ledger(new_ledger)
+        return new_ledger, new_state, new_state.W, None
+    vals, vecs = symmetric_eig(agg.S_plus.astype(new_ledger.dtype))
+    kept = min(rank, agg.d)
+    u_r = np.sqrt(np.maximum(vals[:kept], 0))[:, None] * vecs[:, :kept].T
+    step = smw_step(state, u_r, agg.G_plus)
+    # a round with nothing to add leaves T as is but still counts toward the reset
+    new_state = replace(step.state, updates_since_reset=state.updates_since_reset + 1)
+    dropped = vals[kept:]
+    neglected = float(np.abs(dropped).max()) if dropped.size else 0.0
+    t_ap_norm = spectral_norm(new_state.T)
+    # ||T E|| with E = V_d diag(λ_d) V_dᵀ is ||T V_d diag(λ_d)||: V_d has orthonormal columns
+    contraction = spectral_norm((new_state.T @ vecs[:, kept:]) * dropped)
     assumption_ok = contraction < 1.0
     if neglected == 0.0:
         inverse_bound = head_bound = 0.0
@@ -281,7 +254,7 @@ def run_round_approx(
     else:
         inverse_bound = head_bound = math.inf
     report = ApproxReport(
-        rank_used=rank_used,
+        rank_used=kept,
         neglected_mass=neglected,
         t_ap_norm=t_ap_norm,
         contraction=contraction,
@@ -289,12 +262,7 @@ def run_round_approx(
         head_bound=head_bound,
         assumption_ok=assumption_ok,
     )
-    return new_ledger, new_approx, w_ap, report
-
-
-def periodic_reset(ledger: Ledger, approx: ApproxState) -> tuple[np.ndarray, ApproxState]:
-    """Exact recompute from the ledger; zeroes the approximate drift."""
-    return solve_head(ledger), ApproxState(ledger.stats.S.copy(), 0)
+    return new_ledger, new_state, new_state.W, report
 
 
 def account_round(messages: list[ClientMessage], precision: str) -> CommRecord:

@@ -16,7 +16,8 @@ DowndateInfeasible signal; and the amplification max(λ_max(C), 1/λ_min(C)),
 which bounds how much the step can magnify rounding in T and is what the
 caller's reset gate compares against its condition threshold.  T is
 re-symmetrized after every update because the algebra is symmetric but
-floating evaluation is not.
+floating evaluation is not; outside the `verify` checks this step is the
+only caller of `symmetrize`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .kernels import (
     cholesky_spd,
     frobenius_norm,
     solve_spd,
-    spd_inverse,
     symmetrize,
 )
 
@@ -66,9 +66,14 @@ class SmwStep:
 
 
 def init_from_ledger(ledger: stats_mod.Ledger) -> InverseState:
-    """Exact state rebuild: T = (S + gamma*I)^-1 and W = T G."""
-    t = spd_inverse(stats_mod.regularized_gram(ledger))
-    return InverseState(t, t @ ledger.stats.G, float(ledger.gamma), 0)
+    """Exact state rebuild: T = (S + gamma*I)^-1 and W = the ledger's head.
+
+    T = inv(L)ᵀ inv(L) from the ledger's cached Cholesky factor L, which the
+    head and the posterior share, so a rebuild factors nothing anew.  W is
+    `ledger.head` itself, read-only; SMW steps replace it, never write it.
+    """
+    l_inv = np.linalg.inv(ledger.factor)
+    return InverseState(l_inv.T @ l_inv, ledger.head, float(ledger.gamma), 0)
 
 
 def _clean_rows(u, d: int, dtype) -> np.ndarray:

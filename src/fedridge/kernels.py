@@ -16,9 +16,9 @@ OPENBLAS_NUM_THREADS=1), not across thread counts.
 Symmetry is settled where a matrix is made: numpy evaluates `X.T @ X` of
 one buffer as a symmetric product, bitwise symmetric, and sums of such
 matrices stay so.  The Grams, Variant B's UᵀU of the stacked R-factors
-and `spd_inverse` need no `symmetrize`;
-only the SMW step (U T Uᵀ, the updated T) and the approx truncation
-(V diag(λ) Vᵀ) still call it.  Cholesky and eigh read the lower triangle.
+and `spd_inverse` need no `symmetrize`; only the SMW step (U T Uᵀ, the
+updated T) still calls it, for Variant B and approx mode alike.  Cholesky
+and eigh read the lower triangle.
 
 Only numpy is used, not scipy: scipy is not a declared dependency, and
 importing `scipy.linalg` raised a process's peak resident memory from 26.8

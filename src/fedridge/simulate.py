@@ -22,15 +22,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .client import ClientStore, Sample, VARIANT_FULL, VARIANT_QR
-from .coordinator import (
-    account_round,
-    aggregate,
-    approx_init,
-    periodic_reset,
-    run_round_a,
-    run_round_approx,
-    run_round_b,
-)
+from .coordinator import account_round, aggregate, run_round_a, run_round_approx, run_round_b
 from .inverse import init_from_ledger
 from .kernels import frobenius_norm, rel_frobenius_dev
 from .posterior import MatrixNormalPosterior, kl_matrix_normal, posterior_from_ledger
@@ -417,8 +409,8 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
         v: ledger_init(scenario.d, scenario.c, scenario.gamma, scenario.precision)
         for v in variants
     }
-    inverse_state = init_from_ledger(ledgers["B"]) if "B" in variants else None
-    approx_state = approx_init(ledgers["approx"]) if "approx" in variants else None
+    # Variant B and approx mode track T = (S + gamma*I)^-1 from the same start
+    states = {v: init_from_ledger(ledgers[v]) for v in variants if v != "A"}
     retained = np.zeros(scenario.n, dtype=bool)
     records: list[RoundMetrics] = []
     resets = 0
@@ -438,6 +430,8 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
             for ids in (add, delete):
                 if ids.size and (ids.min() < 0 or ids.max() >= scenario.n):
                     raise RuntimeError(f"round {spec.round} names ids outside the feature file")
+            if np.unique(add).size < add.size or np.unique(delete).size < delete.size:
+                raise RuntimeError(f"round {spec.round} repeats an id within one client's event")
             if retained[add].any():
                 raise RuntimeError(f"round {spec.round} re-adds retained ids")
             if not retained[delete].all():
@@ -452,7 +446,7 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
 
         round_variants: dict[str, VariantMetrics] = {}
         for v in variants:
-            wire_variant = VARIANT_QR if v == "B" else VARIANT_FULL
+            wire_variant = VARIANT_FULL if v == "A" else VARIANT_QR
             messages = []
             for ev in events:
                 store = stores[v][ev.client]
@@ -467,9 +461,9 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
             if v == "A":
                 ledgers[v], w = run_round_a(ledgers[v], agg)
             elif v == "B":
-                ledgers[v], inverse_state, w, info = run_round_b(
+                ledgers[v], states[v], w, info = run_round_b(
                     ledgers[v],
-                    inverse_state,
+                    states[v],
                     agg,
                     audit_every=scenario.audit_every,
                     drift_threshold=scenario.drift_threshold,
@@ -478,19 +472,16 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
                 reset = info.reset
                 lam = info.lambda_max
             else:
-                ledgers[v], approx_state, w, report = run_round_approx(
-                    ledgers[v], approx_state, agg, scenario.rank
+                ledgers[v], states[v], w, report = run_round_approx(
+                    ledgers[v], states[v], agg, scenario.rank, scenario.reset_every
                 )
-                reset = report is None  # a delete round is served exactly from the ledger
+                reset = report is None  # served exactly from the ledger, with no bound
                 if not reset:
                     bound = report.inverse_bound
-                    if math.isfinite(report.inverse_bound):
-                        max_bound = max(max_bound, report.inverse_bound)
-                if scenario.reset_every and approx_state.rounds_since_reset >= scenario.reset_every:
-                    w, approx_state = periodic_reset(ledgers[v], approx_state)
-                    reset = True
-                if bound == math.inf and not reset:
-                    inf_bound_rounds += 1
+                    if math.isfinite(bound):
+                        max_bound = max(max_bound, bound)
+                    else:
+                        inf_bound_rounds += 1
             if reset:
                 resets += 1
             if ledgers[v].stats.n != n_retained:

@@ -177,7 +177,9 @@ def test_run_invalid_event_stream_exit_4(tmp_path):
     assert code == 4
 
 
-@pytest.mark.parametrize("case", ["past-end", "negative", "not-retained", "re-add"])
+@pytest.mark.parametrize(
+    "case", ["past-end", "negative", "not-retained", "re-add", "repeated-add", "repeated-delete"]
+)
 def test_run_bad_event_ids_exit_4(tmp_path, case):
     # the feature file has ids 0..299; ids 240.. are the test split, never added
     features, scenario = _gen(tmp_path)
@@ -189,13 +191,39 @@ def test_run_bad_event_ids_exit_4(tmp_path, case):
         events[0]["add"].append(-1)
     elif case == "not-retained":
         events[0]["delete"] = [299]
-    else:
+    elif case == "re-add":
         events[1]["add"].append(events[0]["add"][0])
+    elif case == "repeated-add":
+        events[0]["add"].append(events[0]["add"][0])
+    else:
+        twice = [events[0]["add"][0]] * 2
+        doc["schedule"].append({"round": 2, "events": [{"client": events[0]["client"], "add": [], "delete": twice}]})
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code = main(["run", "--scenario", str(bad), "--features", str(features),
                  "--out-dir", str(tmp_path / "out")])
     assert code == 4
+
+
+@pytest.mark.parametrize("reset_row, code", [(True, 4), (False, 0)])
+def test_run_holds_approx_reset_rows_to_the_ceiling(tmp_path, monkeypatch, reset_row, code):
+    # reset rows are served exactly, so a deviation there is a bug; truncated rows may deviate
+    import fedridge.cli as cli_mod
+
+    real = cli_mod.run_scenario
+
+    def deviating(*args):
+        result = real(*args)
+        row = next(r.variants["approx"] for r in result.records if r.variants["approx"].reset == reset_row)
+        row.rel_dev = 1e-3
+        return result
+
+    monkeypatch.setattr(cli_mod, "run_scenario", deviating)
+    features, scenario = _gen(tmp_path, "--schedule", "churn", "--rounds", "6",
+                              "--adds-per-round", "4", "--dels-per-round", "0")
+    assert main(["run", "--scenario", str(scenario), "--features", str(features),
+                 "--out-dir", str(tmp_path / "out"), "--variant", "approx", "--rank", "2",
+                 "--reset-every", "3"]) == code
 
 
 def test_usage_errors_exit_2():

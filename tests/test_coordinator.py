@@ -12,8 +12,6 @@ from fedridge.coordinator import (
     RoundAggregate,
     account_round,
     aggregate,
-    approx_init,
-    periodic_reset,
     run_round_a,
     run_round_approx,
     run_round_b,
@@ -21,7 +19,7 @@ from fedridge.coordinator import (
 from fedridge.inverse import init_from_ledger
 from fedridge.kernels import rel_frobenius_dev, spd_inverse, spectral_norm
 from fedridge.simulate import oracle_retrain
-from fedridge.stats import dtype_of, ledger_init, solve_head, stats_from_batch
+from fedridge.stats import dtype_of, ledger_init, regularized_gram, solve_head, stats_from_batch
 
 
 def _store_with(client_id, ids, features, labels, d, c, precision="f64"):
@@ -320,10 +318,10 @@ def _add_only_agg(s_plus, g_plus=None, d=None, c=1):
 
 def test_approx_hand_case_bound_dominates_gap():
     ledger = ledger_init(2, 1)
-    approx = approx_init(ledger)
+    state = init_from_ledger(ledger)
     agg = _add_only_agg(np.diag([10.0, 0.5]))
-    ledger, approx, w_ap, report = run_round_approx(ledger, approx, agg, rank=1)
-    t_ap = spd_inverse(approx.S_ap + np.eye(2))
+    ledger, state, w_ap, report = run_round_approx(ledger, state, agg, rank=1, reset_every=0)
+    t_ap = state.T
     np.testing.assert_allclose(t_ap, np.diag([1 / 11, 1.0]), rtol=1e-12)
     assert report.assumption_ok
     assert report.rank_used == 1
@@ -342,8 +340,9 @@ def test_approx_full_rank_is_exact():
     s_plus = m.T @ m
     g = rng.standard_normal((4, 2))
     ledger = ledger_init(4, 2)
-    approx = approx_init(ledger)
-    ledger, approx, w_ap, report = run_round_approx(ledger, approx, _add_only_agg(s_plus, g, c=2), rank=4)
+    state = init_from_ledger(ledger)
+    agg = _add_only_agg(s_plus, g, c=2)
+    ledger, state, w_ap, report = run_round_approx(ledger, state, agg, rank=4, reset_every=0)
     assert report.neglected_mass == 0.0
     assert report.inverse_bound == 0.0
     np.testing.assert_allclose(w_ap, solve_head(ledger), rtol=1e-12)
@@ -351,8 +350,9 @@ def test_approx_full_rank_is_exact():
 
 def test_approx_assumption_violated_flagged():
     ledger = ledger_init(2, 1)
-    approx = approx_init(ledger)
-    ledger, approx, _, report = run_round_approx(ledger, approx, _add_only_agg(np.diag([10.0, 1.0])), rank=1)
+    state = init_from_ledger(ledger)
+    agg = _add_only_agg(np.diag([10.0, 1.0]))
+    ledger, state, _, report = run_round_approx(ledger, state, agg, rank=1, reset_every=0)
     assert not report.assumption_ok
     assert math.isinf(report.inverse_bound)
     assert report.contraction >= 1.0
@@ -365,33 +365,66 @@ def test_approx_delete_round_is_exact():
     labels = rng.standard_normal((30, c))
     store = _store_with(0, range(30), features, labels, d, c)
     ledger = ledger_init(d, c)
-    approx = approx_init(ledger)
-    agg = aggregate([store.make_round_message(1, list(range(30)), [], VARIANT_FULL)])
-    ledger, approx, _, _ = run_round_approx(ledger, approx, agg, rank=2)
-    agg = aggregate([store.make_round_message(2, [], list(range(10)), VARIANT_FULL)])
-    ledger, approx, w_ap, report = run_round_approx(ledger, approx, agg, rank=2)
+    state = init_from_ledger(ledger)
+    agg = aggregate([store.make_round_message(1, list(range(30)), [], VARIANT_QR)])
+    ledger, state, _, _ = run_round_approx(ledger, state, agg, rank=2, reset_every=0)
+    agg = aggregate([store.make_round_message(2, [], list(range(10)), VARIANT_QR)])
+    ledger, state, w_ap, report = run_round_approx(ledger, state, agg, rank=2, reset_every=0)
     assert report is None  # delete rounds fall back to exact handling
     np.testing.assert_array_equal(w_ap, solve_head(ledger))
-    np.testing.assert_array_equal(approx.S_ap, ledger.stats.S)
+    np.testing.assert_array_equal(state.T, spd_inverse(regularized_gram(ledger)))
+    assert state.updates_since_reset == 0
 
 
 def test_periodic_reset_restores_exact_head():
     rng = np.random.default_rng(30)
     d, c = 6, 2
     ledger = ledger_init(d, c)
-    approx = approx_init(ledger)
-    for rnd in range(1, 6):
-        f = rng.standard_normal((8, d))
-        y = rng.standard_normal((8, c))
-        st = stats_from_batch(f, y)
-        agg = _add_only_agg(st.S, st.G, c=c)
-        ledger, approx, w_ap, _ = run_round_approx(ledger, approx, agg, rank=1)
+    state = init_from_ledger(ledger)
+
+    def add_round():
+        st = stats_from_batch(rng.standard_normal((8, d)), rng.standard_normal((8, c)))
+        return _add_only_agg(st.S, st.G, c=c)
+
+    for _ in range(5):  # five truncated steps; the sixth would be the reset_every-th
+        ledger, state, w_ap, report = run_round_approx(ledger, state, add_round(), rank=1, reset_every=6)
+        assert report is not None
+    assert state.updates_since_reset == 5
+    drift_before = rel_frobenius_dev(w_ap, solve_head(ledger))
+    ledger, state, w_reset, report = run_round_approx(ledger, state, add_round(), rank=1, reset_every=6)
+    assert report is None
+    assert state.updates_since_reset == 0
     w_exact = solve_head(ledger)
-    drift_before = rel_frobenius_dev(w_ap, w_exact)
-    w_reset, approx = periodic_reset(ledger, approx)
-    assert approx.rounds_since_reset == 0
     np.testing.assert_array_equal(w_reset, w_exact)
     assert rel_frobenius_dev(w_reset, w_exact) <= drift_before
+
+
+def test_approx_reset_shares_the_ledger_factor(monkeypatch):
+    # a reset rebuilds T from the ledger's one Cholesky factor and serves its head
+    import fedridge.inverse as inverse_mod
+    import fedridge.kernels as kernels_mod
+    import fedridge.stats as stats_mod
+    from fedridge.posterior import posterior_from_ledger
+
+    calls = []
+    real = kernels_mod.cholesky_spd
+    for module in (stats_mod, inverse_mod, kernels_mod):
+        monkeypatch.setattr(module, "cholesky_spd", lambda a: calls.append(1) or real(a))
+    rng = np.random.default_rng(32)
+    d, c = 5, 2
+    ledger = ledger_init(d, c)
+    state = init_from_ledger(ledger)
+    for _ in range(3):  # the third round is the reset
+        st = stats_from_batch(rng.standard_normal((6, d)), rng.standard_normal((6, c)))
+        calls.clear()
+        ledger, state, w, report = run_round_approx(
+            ledger, state, _add_only_agg(st.S, st.G, c=c), rank=2, reset_every=3
+        )
+    assert report is None
+    assert len(calls) == 1
+    assert state.W is ledger.head and w is ledger.head
+    posterior_from_ledger(ledger)
+    assert len(calls) == 1
 
 
 def test_account_round_formulas():

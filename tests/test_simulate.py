@@ -251,6 +251,28 @@ def test_run_scenario_approx_variant_reports():
     _assert_inf_bound_rounds_match_csv(result)
 
 
+def test_approx_sends_variant_b_messages(monkeypatch):
+    # approx mode ships B's R-factor payloads, so its uplink equals B's on one stream
+    import fedridge.simulate as simulate_mod
+    from fedridge.client import QrPayload
+
+    payload_types = set()
+    real = simulate_mod.aggregate
+
+    def recording(messages):
+        payload_types.update(type(p) for m in messages for p in (m.add, m.delete))
+        return real(messages)
+
+    monkeypatch.setattr(simulate_mod, "aggregate", recording)
+    data = gen_synthetic(43, 300, 8, 2, 2.0)
+    parts = dirichlet_partition(43, data.classes[: data.n_train], 3, 0.5)
+    schedule = schedule_churn(43, parts, rounds=5, adds_per_round=6, deletes_per_round=3)
+    approx = run_scenario(_scenario(data, parts, schedule, variant="approx"), data.features, data.labels)
+    assert payload_types == {QrPayload}
+    exact = run_scenario(_scenario(data, parts, schedule, variant="B"), data.features, data.labels)
+    assert approx.summary["total_bytes_approx"] == exact.summary["total_bytes_B"] > 0
+
+
 def _assert_inf_bound_rounds_match_csv(result):
     # served with an infinite bound and not repaired by a reset
     rows = [line.split(",") for line in metrics_csv(result).splitlines()[1:]]
