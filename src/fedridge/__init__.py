@@ -24,8 +24,6 @@ from .inverse import (
     SmwStep,
     audit_drift,
     init_from_ledger,
-    smw_add,
-    smw_delete,
     smw_step,
 )
 from .kernels import (
@@ -58,7 +56,6 @@ from .stats import (
     SufficientStats,
     ledger_apply,
     ledger_init,
-    solve_head,
     stats_add,
     stats_from_batch,
     stats_sub,

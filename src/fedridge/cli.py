@@ -17,6 +17,7 @@ import numpy as np
 
 from .simulate import (
     Scenario,
+    UnsupportedVersion,
     dirichlet_partition,
     gen_synthetic,
     events_jsonl,
@@ -50,8 +51,6 @@ RUN_OVERRIDES = (
     "sigma2",
     "rank",
     "reset_every",
-    "drift_threshold",
-    "condition_threshold",
 )
 
 
@@ -99,8 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--sigma2", type=float, default=None)
     run.add_argument("--rank", type=int, default=None)
     run.add_argument("--reset-every", type=int, default=None)
-    run.add_argument("--drift-threshold", type=float, default=None)
-    run.add_argument("--condition-threshold", type=float, default=None)
     run.add_argument("--jobs", type=int, default=1, help="parallel scenarios")
 
     ver = sub.add_parser("verify", help="run the property suites")
@@ -231,7 +228,7 @@ def _cmd_run(args) -> int:
                         zip(paths, roots),
                     )
                 )
-    except (OSError, WireError, json.JSONDecodeError) as exc:
+    except (OSError, WireError, json.JSONDecodeError, UnsupportedVersion) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (TypeError, KeyError) as exc:

@@ -7,8 +7,8 @@ Three ways to recover the head after a round's aggregate lands:
 * incremental inverse -- advance a tracked inverse by SMW updates built
   from stacked client R-factors, falling back to an exact rebuild from
   the ledger whenever a downdate is infeasible, a step's capacitance could
-  amplify rounding past the condition threshold, or the periodic drift
-  audit fails;
+  amplify rounding past CONDITION_THRESHOLD, or the drift audit run every
+  AUDIT_EVERY rounds reads above DRIFT_THRESHOLD;
 * truncated adds -- Variant B's messages and SMW step, with each add
   round's Gram change cut to its top-r eigenpairs and a perturbation bound
   carried; delete rounds and every `reset_every`-th round rebuild the state
@@ -25,14 +25,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .client import ClientMessage, QrPayload, StatsPayload, VARIANT_FULL, VARIANT_QR
+from .client import ClientMessage, QrPayload, StatsPayload, VARIANT_QR
 from .inverse import DowndateInfeasible, InverseState, audit_drift, init_from_ledger, smw_step
 from .kernels import DimensionMismatch, NotSPD, spectral_norm, symmetric_eig, thin_qr_rfactor
-from .stats import Ledger, SufficientStats, ledger_apply, solve_head
+from .stats import Ledger, SufficientStats, dtype_of, ledger_apply
 
-DEFAULT_AUDIT_EVERY = 32
-DEFAULT_DRIFT_THRESHOLD = 1e-6
-DEFAULT_CONDITION_THRESHOLD = 1e8
+# Variant B's fixed reset policy: the drift audit's period and threshold,
+# and the gate on each SMW step's amplification.
+AUDIT_EVERY = 32
+DRIFT_THRESHOLD = 1e-6
+CONDITION_THRESHOLD = 1e8
 
 
 class MixedRound(Exception):
@@ -78,9 +80,6 @@ class ApproxReport:
 
 @dataclass(frozen=True)
 class CommRecord:
-    round: int
-    variant: str
-    per_client: dict
     total_scalars: int
     total_bytes: int
 
@@ -161,7 +160,7 @@ def run_round_a(ledger: Ledger, agg: RoundAggregate) -> tuple[Ledger, np.ndarray
     """Exact recompute: ledger update followed by one SPD solve."""
     add, delete = _agg_stats(agg)
     new_ledger = ledger_apply(ledger, add, delete)
-    return new_ledger, solve_head(new_ledger)
+    return new_ledger, new_ledger.head
 
 
 def _compact_factor(u: np.ndarray) -> np.ndarray:
@@ -173,43 +172,38 @@ def _compact_factor(u: np.ndarray) -> np.ndarray:
 
 
 def run_round_b(
-    ledger: Ledger,
-    state: InverseState,
-    agg: RoundAggregate,
-    audit_every: int = DEFAULT_AUDIT_EVERY,
-    drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
-    condition_threshold: float = DEFAULT_CONDITION_THRESHOLD,
+    ledger: Ledger, state: InverseState, agg: RoundAggregate
 ) -> tuple[Ledger, InverseState, np.ndarray, BRoundInfo]:
     """Incremental round: SMW add step, then SMW delete step.
 
-    The ledger is advanced first and stays authoritative; any failure or
-    reset trigger along the SMW path rebuilds the state from it, which is
-    exactly the full-recompute fallback.  Each step is gated on its
-    capacitance's amplification: above `condition_threshold` the tracked
-    inverse can no longer be trusted to match the retrain.
+    The ledger is advanced first and stays authoritative; an infeasible
+    downdate, a step whose capacitance's amplification exceeds
+    CONDITION_THRESHOLD, or a drift audit above DRIFT_THRESHOLD rebuilds
+    the state from it, which is exactly the full-recompute fallback.
+    `agg` must come from Variant B's R-factor messages: the SMW steps need
+    the stacked factors U, which a full-statistics aggregate lacks.
     """
+    if agg.U_plus is None or agg.U_minus is None:
+        raise ValueError(f"run_round_b needs an R-factor aggregate, got variant {agg.variant!r}")
     add, delete = _agg_stats(agg)
     new_ledger = ledger_apply(ledger, add, delete)
-    empty = np.zeros((0, agg.d), dtype=agg.S_plus.dtype)
-    u_plus = _compact_factor(agg.U_plus if agg.U_plus is not None else empty)
-    u_minus = _compact_factor(agg.U_minus if agg.U_minus is not None else empty)
+    u_plus = _compact_factor(agg.U_plus)
+    u_minus = _compact_factor(agg.U_minus)
     lam = None
     try:
         step = smw_step(state, u_plus, agg.G_plus)
-        if step.amplification <= condition_threshold and (u_minus.shape[0] or np.any(agg.G_minus)):
+        if step.amplification <= CONDITION_THRESHOLD and (u_minus.shape[0] or np.any(agg.G_minus)):
             step = smw_step(step.state, u_minus, agg.G_minus, delete=True)
             lam = step.lambda_max
-        # a step that can magnify rounding past the threshold leaves T inexact
-        reset = step.amplification > condition_threshold
         new_state = step.state
+        # a step that can magnify rounding past the threshold leaves T inexact
+        reset = step.amplification > CONDITION_THRESHOLD
     except (DowndateInfeasible, NotSPD):
         reset = True
+    if not reset and new_ledger.t % AUDIT_EVERY == 0:
+        reset = audit_drift(new_state, new_ledger) > DRIFT_THRESHOLD
     if reset:
         new_state = init_from_ledger(new_ledger)
-    if not reset and audit_every and new_ledger.t % audit_every == 0:
-        if audit_drift(new_state, new_ledger) > drift_threshold:
-            new_state = init_from_ledger(new_ledger)
-            reset = True
     return new_ledger, new_state, new_state.W, BRoundInfo(reset=reset, lambda_max=lam)
 
 
@@ -267,15 +261,5 @@ def run_round_approx(
 
 def account_round(messages: list[ClientMessage], precision: str) -> CommRecord:
     """Exact per-round communication accounting in scalars and bytes."""
-    itemsize = {"f32": 4, "f64": 8}[precision]
-    per_client = {m.client_id: m.scalar_count for m in sorted(messages, key=lambda m: m.client_id)}
-    total = sum(per_client.values())
-    round_index = messages[0].round if messages else 0
-    variant = messages[0].variant if messages else VARIANT_FULL
-    return CommRecord(
-        round=round_index,
-        variant=variant,
-        per_client=per_client,
-        total_scalars=total,
-        total_bytes=total * itemsize,
-    )
+    total = sum(m.scalar_count for m in messages)
+    return CommRecord(total_scalars=total, total_bytes=total * dtype_of(precision).itemsize)

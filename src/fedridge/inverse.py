@@ -13,8 +13,8 @@ so each update solves only an r x r capacitance system C = I ± U T Uᵀ:
 the update itself; feasibility, since a delete is feasible exactly when
 I - U T Uᵀ stays SPD and the Cholesky factorization failing is the
 DowndateInfeasible signal; and the amplification max(λ_max(C), 1/λ_min(C)),
-which bounds how much the step can magnify rounding in T and is what the
-caller's reset gate compares against its condition threshold.  T is
+which bounds how much the step can magnify rounding in T and is what
+Variant B's reset gate compares against its fixed condition threshold.  T is
 re-symmetrized after every update because the algebra is symmetric but
 floating evaluation is not; outside the `verify` checks this step is the
 only caller of `symmetrize`.
@@ -22,6 +22,7 @@ only caller of `symmetrize`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from .kernels import (
     as_matrix,
     cholesky_spd,
     frobenius_norm,
+    inverse_from_factor,
     solve_spd,
     symmetrize,
 )
@@ -72,8 +74,7 @@ def init_from_ledger(ledger: stats_mod.Ledger) -> InverseState:
     head and the posterior share, so a rebuild factors nothing anew.  W is
     `ledger.head` itself, read-only; SMW steps replace it, never write it.
     """
-    l_inv = np.linalg.inv(ledger.factor)
-    return InverseState(l_inv.T @ l_inv, ledger.head, float(ledger.gamma), 0)
+    return InverseState(inverse_from_factor(ledger.factor), ledger.head, float(ledger.gamma), 0)
 
 
 def _clean_rows(u, d: int, dtype) -> np.ndarray:
@@ -120,23 +121,13 @@ def smw_step(state: InverseState, u, g, delete: bool = False) -> SmwStep:
     return SmwStep(new_state, amplification, lam)
 
 
-def smw_add(state: InverseState, u, g_plus) -> InverseState:
-    """Fold the addition ΔS = UᵀU and its label moment into the state."""
-    return smw_step(state, u, g_plus).state
-
-
-def smw_delete(state: InverseState, u, g_minus) -> InverseState:
-    """Remove the deletion ΔS = UᵀU and its label moment from the state."""
-    return smw_step(state, u, g_minus, delete=True).state
-
-
 def audit_drift(state: InverseState, ledger: stats_mod.Ledger) -> float:
     """Drift of the tracked inverse against the authoritative ledger.
 
-    Returns ||T (S + gamma*I) - I||_F / sqrt(d); the caller compares this
-    to its reset threshold.
+    Returns ||T (S + gamma*I) - I||_F / sqrt(d) as a Python float; Variant
+    B's periodic audit compares it to its fixed drift threshold.
     """
     h = stats_mod.regularized_gram(ledger)
     d = h.shape[0]
     resid = state.T.astype(np.float64) @ h.astype(np.float64) - np.eye(d)
-    return frobenius_norm(resid) / np.sqrt(d)
+    return frobenius_norm(resid) / math.sqrt(d)

@@ -16,7 +16,8 @@ OPENBLAS_NUM_THREADS=1), not across thread counts.
 Symmetry is settled where a matrix is made: numpy evaluates `X.T @ X` of
 one buffer as a symmetric product, bitwise symmetric, and sums of such
 matrices stay so.  The Grams, Variant B's UᵀU of the stacked R-factors
-and `spd_inverse` need no `symmetrize`; only the SMW step (U T Uᵀ, the
+and the inverse from a Cholesky factor, inv(L)ᵀ inv(L) in
+`inverse_from_factor`, need no `symmetrize`; only the SMW step (U T Uᵀ, the
 updated T) still calls it, for Variant B and approx mode alike.  Cholesky
 and eigh read the lower triangle.
 
@@ -130,10 +131,15 @@ def solve_spd(factor: np.ndarray, b) -> np.ndarray:
     return _solve_triangular(L.T, triangular_solve_lower(L, b), lower=False)
 
 
+def inverse_from_factor(factor: np.ndarray) -> np.ndarray:
+    """(L Lᵀ)^-1 as inv(L)ᵀ inv(L) from the lower Cholesky factor L; bitwise symmetric."""
+    l_inv = np.linalg.inv(factor)
+    return l_inv.T @ l_inv
+
+
 def spd_inverse(a) -> np.ndarray:
     """Explicit inverse of an SPD matrix via Cholesky; bitwise symmetric."""
-    l_inv = np.linalg.inv(cholesky_spd(a))
-    return l_inv.T @ l_inv
+    return inverse_from_factor(cholesky_spd(a))
 
 
 def thin_qr_rfactor(f) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DimensionMismatch, frobenius_norm, triangular_solve_lower
+from .kernels import DimensionMismatch, frobenius_norm, inverse_from_factor, triangular_solve_lower
 from .stats import Ledger
 
 
@@ -42,8 +42,7 @@ class MatrixNormalPosterior:
     @property
     def Sigma(self) -> np.ndarray:
         """Row covariance (P Pᵀ)^-1, formed on demand."""
-        p_inv = np.linalg.inv(self.P)
-        return p_inv.T @ p_inv
+        return inverse_from_factor(self.P)
 
     @property
     def d(self) -> int:
@@ -55,7 +54,7 @@ class MatrixNormalPosterior:
 
 
 def posterior_from_ledger(ledger: Ledger, sigma2: float = 1.0) -> MatrixNormalPosterior:
-    """Posterior from the ledger's factor of S + gamma*I; M is `solve_head`'s head."""
+    """Posterior from the ledger's factor of S + gamma*I; M is `ledger.head`."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
     return MatrixNormalPosterior(ledger.head, ledger.factor / math.sqrt(sigma2))

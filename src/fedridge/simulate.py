@@ -23,6 +23,7 @@ import numpy as np
 
 from .client import ClientStore, Sample, VARIANT_FULL, VARIANT_QR
 from .coordinator import account_round, aggregate, run_round_a, run_round_approx, run_round_b
+from .coordinator import AUDIT_EVERY, CONDITION_THRESHOLD, DRIFT_THRESHOLD
 from .inverse import init_from_ledger
 from .kernels import frobenius_norm, rel_frobenius_dev
 from .posterior import MatrixNormalPosterior, kl_matrix_normal, posterior_from_ledger
@@ -261,6 +262,19 @@ def schedule_churn(
 
 SCENARIO_VARIANTS = {"A": ["A"], "B": ["B"], "both": ["A", "B"], "approx": ["approx"]}
 
+SCENARIO_VERSION = 2
+# Version 1 files also carried Variant B's reset policy, now fixed in
+# `coordinator`; they load only when they hold these values.
+_RETIRED_V1_FIELDS = {
+    "audit_every": AUDIT_EVERY,
+    "drift_threshold": DRIFT_THRESHOLD,
+    "condition_threshold": CONDITION_THRESHOLD,
+}
+
+
+class UnsupportedVersion(Exception):
+    """A scenario file declares a format version this code cannot read."""
+
 
 @dataclass
 class Scenario:
@@ -278,9 +292,6 @@ class Scenario:
     rank: int = 8
     reset_every: int = 16
     sigma2: float = 1.0
-    audit_every: int = 32
-    drift_threshold: float = 1e-6
-    condition_threshold: float = 1e8
 
     def __post_init__(self):
         if self.variant not in SCENARIO_VARIANTS:
@@ -289,22 +300,28 @@ class Scenario:
             raise ValueError(f"unknown precision {self.precision!r}, expected 'f32' or 'f64'")
         if self.gamma <= 0 or self.sigma2 <= 0:
             raise ValueError("gamma and sigma2 must be positive")
-        if self.drift_threshold <= 0 or self.condition_threshold <= 0:
-            raise ValueError("thresholds must be positive")
         if self.rank < 1:
             raise ValueError(f"rank must be at least 1, got {self.rank}")
-        if self.reset_every < 0 or self.audit_every < 0:
-            raise ValueError("reset_every and audit_every must be non-negative")
+        if self.reset_every < 0:
+            raise ValueError("reset_every must be non-negative")
 
     def to_json(self) -> str:
         doc = asdict(self)
-        doc["version"] = 1
+        doc["version"] = SCENARIO_VERSION
         return json.dumps(doc, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "Scenario":
+        """Load a version 2 file, or a version 1 file that keeps the fixed reset policy."""
         doc = json.loads(text)
-        doc.pop("version", None)
+        version = doc.pop("version", None)
+        if version == 1:
+            for key, fixed in _RETIRED_V1_FIELDS.items():
+                value = doc.pop(key, fixed)
+                if value != fixed:
+                    raise ValueError(f"scenario sets {key}={value!r}; version 2 fixes it at {fixed:g}")
+        elif version != SCENARIO_VERSION:
+            raise UnsupportedVersion(f"unsupported scenario version {version!r}; expected 1 or 2")
         doc["schedule"] = [
             RoundSpec(r["round"], [ClientEvent(e["client"], e["add"], e["delete"]) for e in r["events"]])
             for r in doc["schedule"]
@@ -352,11 +369,6 @@ def score_head(w, test_features, true_classes, c: int) -> tuple[float, list[floa
     with np.errstate(invalid="ignore"):  # 0/0 is the NaN of an empty class
         recall = np.bincount(true_classes[hits], minlength=c) / np.bincount(true_classes, minlength=c)
     return accuracy, recall.tolist()
-
-
-def head_accuracy(w, test_features, test_labels) -> float:
-    true = np.asarray(test_labels).argmax(axis=1)
-    return score_head(w, test_features.astype(np.float64), true, test_labels.shape[1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +423,7 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
     }
     # Variant B and approx mode track T = (S + gamma*I)^-1 from the same start
     states = {v: init_from_ledger(ledgers[v]) for v in variants if v != "A"}
-    retained = np.zeros(scenario.n, dtype=bool)
+    owner = np.full(scenario.n, -1, dtype=np.int64)  # retaining client per sample id, -1 if none
     records: list[RoundMetrics] = []
     resets = 0
     total_bytes = {v: 0 for v in variants}
@@ -432,13 +444,13 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
                     raise RuntimeError(f"round {spec.round} names ids outside the feature file")
             if np.unique(add).size < add.size or np.unique(delete).size < delete.size:
                 raise RuntimeError(f"round {spec.round} repeats an id within one client's event")
-            if retained[add].any():
+            if (owner[add] >= 0).any():
                 raise RuntimeError(f"round {spec.round} re-adds retained ids")
-            if not retained[delete].all():
-                raise RuntimeError(f"round {spec.round} deletes ids that are not retained")
-            retained[add] = True
-            retained[delete] = False
-        oracle_ids = np.flatnonzero(retained)
+            if (owner[delete] != ev.client).any():
+                raise RuntimeError(f"round {spec.round} deletes ids client {ev.client} does not retain")
+            owner[add] = ev.client
+            owner[delete] = -1
+        oracle_ids = np.flatnonzero(owner >= 0)
         n_retained = oracle_ids.size
         w_oracle, oracle_post = oracle_retrain(
             features[oracle_ids], labels[oracle_ids], scenario.gamma, sigma2=scenario.sigma2
@@ -461,14 +473,7 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
             if v == "A":
                 ledgers[v], w = run_round_a(ledgers[v], agg)
             elif v == "B":
-                ledgers[v], states[v], w, info = run_round_b(
-                    ledgers[v],
-                    states[v],
-                    agg,
-                    audit_every=scenario.audit_every,
-                    drift_threshold=scenario.drift_threshold,
-                    condition_threshold=scenario.condition_threshold,
-                )
+                ledgers[v], states[v], w, info = run_round_b(ledgers[v], states[v], agg)
                 reset = info.reset
                 lam = info.lambda_max
             else:

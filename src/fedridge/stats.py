@@ -147,12 +147,3 @@ def regularized_gram(ledger: Ledger) -> np.ndarray:
     """S + gamma*I in the ledger's precision."""
     s = ledger.stats.S
     return s + float(ledger.gamma) * np.eye(s.shape[0], dtype=s.dtype)
-
-
-def solve_head(ledger: Ledger) -> np.ndarray:
-    """Ridge head W solving (S + gamma*I) W = G, via Cholesky.
-
-    Never forms an explicit inverse; the factor and the head are the
-    ledger's own, shared with `posterior_from_ledger`.
-    """
-    return ledger.head

@@ -25,7 +25,7 @@ from .client import (
     variant_b_payload_scalars,
 )
 from .coordinator import aggregate, run_round_a
-from .inverse import InverseState, smw_add, smw_delete
+from .inverse import InverseState, smw_step
 from .kernels import (
     NotSPD,
     cholesky_spd,
@@ -47,7 +47,7 @@ from .simulate import (
     run_scenario,
     schedule_churn,
 )
-from .stats import Ledger, ledger_init, solve_head, stats_from_batch
+from .stats import Ledger, ledger_init, stats_from_batch
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def _second_order_lemma(seed):
     b = stats_from_batch(np.array([[1.0, 1.0], [0.0, 0.0]]), np.ones((2, 1)))
     led_a = Ledger(a, 1, 1.0, "f64")
     led_b = Ledger(b, 1, 1.0, "f64")
-    return rel_frobenius_dev(solve_head(led_a), solve_head(led_b))
+    return rel_frobenius_dev(led_a.head, led_b.head)
 
 
 @lru_cache(maxsize=4)
@@ -227,7 +227,7 @@ def _add_delete_roundtrip(seed):
         state = InverseState(t0, rng.standard_normal((d, 2)), 1.0, 0)
         u = rng.standard_normal((int(rng.integers(1, 5)), d))
         g = rng.standard_normal((d, 2))
-        back = smw_delete(smw_add(state, u, g), u, g)
+        back = smw_step(smw_step(state, u, g).state, u, g, delete=True).state
         worst = max(worst, rel_frobenius_dev(back.T, state.T))
     return worst
 
@@ -243,10 +243,10 @@ def _psd_monotonicity(seed):
         lam = spectral_norm(symmetrize(u @ t0 @ u.T))
         u = u * math.sqrt(0.5 / max(lam, 1e-12))
         ref = frobenius_norm(t0)
-        after_del = smw_delete(state, u, np.zeros((d, 1)))
+        after_del = smw_step(state, u, np.zeros((d, 1)), delete=True).state
         vals, _ = symmetric_eig(after_del.T - t0)
         worst = max(worst, max(0.0, -float(vals[-1])) / ref)
-        after_add = smw_add(state, u, np.zeros((d, 1)))
+        after_add = smw_step(state, u, np.zeros((d, 1))).state
         vals, _ = symmetric_eig(after_add.T - t0)
         worst = max(worst, max(0.0, float(vals[0])) / ref)
     return worst

@@ -35,6 +35,7 @@ import struct
 import numpy as np
 
 from .client import ClientMessage, QrPayload, StatsPayload, VARIANT_FULL, VARIANT_QR
+from .client import variant_a_payload_scalars, variant_b_payload_scalars
 
 MESSAGE_MAGIC = b"FCUL"
 FEATURE_MAGIC = b"FFUR"
@@ -113,9 +114,9 @@ def _decode_frame(buf: bytes, offset: int):
     dtype = _CODE_DTYPE[prec_code]
     variant = _CODE_VARIANT[variant_code]
     if variant == VARIANT_FULL:
-        count = d * (d + 1) // 2 + d * c + 1
+        count = variant_a_payload_scalars(d, c)
     else:
-        count = r * d + d * c + 1
+        count = variant_b_payload_scalars(r, d, c)
     nbytes = count * dtype.itemsize
     if len(buf) < end + nbytes:
         raise WireError("truncated frame payload")

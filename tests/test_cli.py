@@ -146,11 +146,42 @@ def test_report_reads_outputs(tmp_path, capsys):
 
 def test_run_rejects_invalid_config(tmp_path):
     features, scenario = _gen(tmp_path)
-    for flags in (["--gamma", "-1.0"], ["--rank", "-1"], ["--rank", "0"], ["--reset-every", "-1"]):
+    for flags in (
+        ["--gamma", "-1.0"],
+        ["--rank", "-1"],
+        ["--rank", "0"],
+        ["--reset-every", "-1"],
+        ["--condition-threshold", "1e9"],
+    ):
         code = main(["run", "--scenario", str(scenario), "--features", str(features),
                      "--out-dir", str(tmp_path / "out"), *flags])
         assert code == 2, flags
     assert not (tmp_path / "out").exists()
+
+
+def test_run_reads_version_1_scenarios(tmp_path, capsys):
+    # version 1 files also carried Variant B's reset policy, fixed since version 2
+    features, scenario = _gen(tmp_path, "--schedule", "churn", "--rounds", "3",
+                              "--adds-per-round", "2", "--dels-per-round", "2")
+    doc = json.loads(scenario.read_text())
+    assert doc["version"] == 2
+    retired = {"audit_every": 32, "drift_threshold": 1e-6, "condition_threshold": 1e8}
+
+    def run(name, **changes):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**doc, **changes}))
+        out = tmp_path / name
+        code = main(["run", "--scenario", str(path), "--features", str(features), "--out-dir", str(out)])
+        return code, out
+
+    code_v2, out_v2 = run("v2")
+    code_v1, out_v1 = run("v1", version=1, **retired)
+    assert code_v1 == code_v2 == 0
+    assert (out_v1 / "metrics.csv").read_bytes() == (out_v2 / "metrics.csv").read_bytes()
+    capsys.readouterr()
+    assert run("v1-tuned", version=1, **{**retired, "condition_threshold": 1e9})[0] == 2
+    assert "condition_threshold" in capsys.readouterr().err
+    assert run("v99", version=99)[0] == 3
 
 
 def test_run_multiple_scenarios_with_jobs(tmp_path):
@@ -178,7 +209,8 @@ def test_run_invalid_event_stream_exit_4(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "case", ["past-end", "negative", "not-retained", "re-add", "repeated-add", "repeated-delete"]
+    "case",
+    ["past-end", "negative", "not-retained", "re-add", "repeated-add", "repeated-delete", "cross-client-delete"],
 )
 def test_run_bad_event_ids_exit_4(tmp_path, case):
     # the feature file has ids 0..299; ids 240.. are the test split, never added
@@ -195,9 +227,12 @@ def test_run_bad_event_ids_exit_4(tmp_path, case):
         events[1]["add"].append(events[0]["add"][0])
     elif case == "repeated-add":
         events[0]["add"].append(events[0]["add"][0])
-    else:
+    elif case == "repeated-delete":
         twice = [events[0]["add"][0]] * 2
         doc["schedule"].append({"round": 2, "events": [{"client": events[0]["client"], "add": [], "delete": twice}]})
+    else:  # events[0]'s client retains the id, events[1]'s client deletes it
+        other = {"client": events[1]["client"], "add": [], "delete": [events[0]["add"][0]]}
+        doc["schedule"].append({"round": 2, "events": [other]})
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code = main(["run", "--scenario", str(bad), "--features", str(features),

@@ -19,7 +19,7 @@ from fedridge.coordinator import (
 from fedridge.inverse import init_from_ledger
 from fedridge.kernels import rel_frobenius_dev, spd_inverse, spectral_norm
 from fedridge.simulate import oracle_retrain
-from fedridge.stats import dtype_of, ledger_init, regularized_gram, solve_head, stats_from_batch
+from fedridge.stats import dtype_of, ledger_init, regularized_gram, stats_from_batch
 
 
 def _store_with(client_id, ids, features, labels, d, c, precision="f64"):
@@ -253,7 +253,7 @@ def test_run_round_b_reset_on_boundary_deletion():
     msg = store.make_round_message(1, list(range(40)), [], VARIANT_QR)
     ledger, state, w, info = run_round_b(ledger, state, aggregate([msg]))
     # the add onto T = I amplifies rounding by ~1e12: served exact only via a rebuild
-    assert rel_frobenius_dev(w, solve_head(ledger)) <= 1e-8
+    assert rel_frobenius_dev(w, ledger.head) <= 1e-8
     msg = store.make_round_message(2, [], list(range(40)), VARIANT_QR)
     ledger, state, w, info = run_round_b(ledger, state, aggregate([msg]))
     assert info.reset
@@ -277,6 +277,18 @@ def test_run_round_b_compacts_tall_stacks():
     assert rel_frobenius_dev(w, oracle_retrain(features, labels, 1.0)[0]) <= 1e-9
 
 
+def test_run_round_b_rejects_full_statistics_aggregate():
+    # the SMW steps need the stacked R-factors; without them the head would not move
+    rng = np.random.default_rng(28)
+    d, c = 4, 1
+    features = rng.standard_normal((10, d))
+    labels = rng.standard_normal((10, c))
+    agg = aggregate(_round_one_messages(VARIANT_FULL, features, labels, [range(10)], d, c))
+    ledger = ledger_init(d, c)
+    with pytest.raises(ValueError, match="R-factor"):
+        run_round_b(ledger, init_from_ledger(ledger), agg)
+
+
 def test_burst_delete_then_addback_round_trip():
     rng = np.random.default_rng(27)
     d, c, n = 12, 2, 260
@@ -294,6 +306,7 @@ def test_burst_delete_then_addback_round_trip():
     for i in order:  # 200 single-point deletions
         led_a, _ = run_round_a(led_a, aggregate([store_a.make_round_message(rnd, [], [int(i)], VARIANT_FULL)]))
         led_b, state, _, info = run_round_b(led_b, state, aggregate([store_b.make_round_message(rnd, [], [int(i)], VARIANT_QR)]))
+        assert isinstance(info.reset, bool)  # a numpy bool would print as False in metrics.csv
         rnd += 1
     for i in order[::-1]:  # 200 add-backs
         store_a.ingest([Sample(int(i), features[int(i)], labels[int(i)])])
@@ -345,7 +358,7 @@ def test_approx_full_rank_is_exact():
     ledger, state, w_ap, report = run_round_approx(ledger, state, agg, rank=4, reset_every=0)
     assert report.neglected_mass == 0.0
     assert report.inverse_bound == 0.0
-    np.testing.assert_allclose(w_ap, solve_head(ledger), rtol=1e-12)
+    np.testing.assert_allclose(w_ap, ledger.head, rtol=1e-12)
 
 
 def test_approx_assumption_violated_flagged():
@@ -371,7 +384,7 @@ def test_approx_delete_round_is_exact():
     agg = aggregate([store.make_round_message(2, [], list(range(10)), VARIANT_QR)])
     ledger, state, w_ap, report = run_round_approx(ledger, state, agg, rank=2, reset_every=0)
     assert report is None  # delete rounds fall back to exact handling
-    np.testing.assert_array_equal(w_ap, solve_head(ledger))
+    np.testing.assert_array_equal(w_ap, ledger.head)
     np.testing.assert_array_equal(state.T, spd_inverse(regularized_gram(ledger)))
     assert state.updates_since_reset == 0
 
@@ -390,11 +403,11 @@ def test_periodic_reset_restores_exact_head():
         ledger, state, w_ap, report = run_round_approx(ledger, state, add_round(), rank=1, reset_every=6)
         assert report is not None
     assert state.updates_since_reset == 5
-    drift_before = rel_frobenius_dev(w_ap, solve_head(ledger))
+    drift_before = rel_frobenius_dev(w_ap, ledger.head)
     ledger, state, w_reset, report = run_round_approx(ledger, state, add_round(), rank=1, reset_every=6)
     assert report is None
     assert state.updates_since_reset == 0
-    w_exact = solve_head(ledger)
+    w_exact = ledger.head
     np.testing.assert_array_equal(w_reset, w_exact)
     assert rel_frobenius_dev(w_reset, w_exact) <= drift_before
 

@@ -8,12 +8,10 @@ from fedridge.inverse import (
     InverseState,
     audit_drift,
     init_from_ledger,
-    smw_add,
-    smw_delete,
     smw_step,
 )
 from fedridge.kernels import frobenius_norm, rel_frobenius_dev, symmetric_eig, thin_qr_rfactor
-from fedridge.stats import SufficientStats, ledger_apply, ledger_init, solve_head, stats_from_batch
+from fedridge.stats import SufficientStats, ledger_apply, ledger_init, stats_from_batch
 
 BATCH_A = (np.eye(2), np.ones((2, 1)))
 BATCH_B = (np.array([[1.0, 1.0], [0.0, 0.0]]), np.ones((2, 1)))
@@ -44,7 +42,7 @@ def test_init_from_batch_b_ledger():
 
 def test_smw_add_matches_direct_inverse():
     st = init_from_ledger(ledger_init(2, 1))
-    out = smw_add(st, np.eye(2), np.ones((2, 1)))
+    out = smw_step(st, np.eye(2), np.ones((2, 1))).state
     np.testing.assert_allclose(out.T, 0.5 * np.eye(2), rtol=1e-14)
     np.testing.assert_allclose(out.W, [[0.5], [0.5]], rtol=1e-14)
     assert out.updates_since_reset == 1
@@ -52,21 +50,21 @@ def test_smw_add_matches_direct_inverse():
 
 def test_smw_add_empty_is_identity():
     st = init_from_ledger(_ledger_with(BATCH_A))
-    out = smw_add(st, np.zeros((0, 2)), np.zeros((2, 1)))
+    out = smw_step(st, np.zeros((0, 2)), np.zeros((2, 1))).state
     assert out is st
 
 
 def test_smw_add_qr_factor_matches_head():
     st = init_from_ledger(ledger_init(2, 1))
     r = thin_qr_rfactor(BATCH_B[0])
-    out = smw_add(st, r, stats_from_batch(*BATCH_B).G)
+    out = smw_step(st, r, stats_from_batch(*BATCH_B).G).state
     np.testing.assert_allclose(out.W, [[1 / 3], [1 / 3]], rtol=1e-12)
 
 
 def test_smw_delete_round_trip_to_empty():
     st = init_from_ledger(ledger_init(2, 1))
-    added = smw_add(st, np.eye(2), np.ones((2, 1)))
-    back = smw_delete(added, np.eye(2), np.ones((2, 1)))
+    added = smw_step(st, np.eye(2), np.ones((2, 1))).state
+    back = smw_step(added, np.eye(2), np.ones((2, 1)), delete=True).state
     np.testing.assert_allclose(back.T, np.eye(2), rtol=1e-12)
     np.testing.assert_allclose(back.W, np.zeros((2, 1)), atol=1e-14)
 
@@ -74,7 +72,7 @@ def test_smw_delete_round_trip_to_empty():
 def test_smw_delete_infeasible_on_empty_state():
     st = init_from_ledger(ledger_init(2, 1))
     with pytest.raises(DowndateInfeasible):
-        smw_delete(st, np.eye(2), np.ones((2, 1)))
+        smw_step(st, np.eye(2), np.ones((2, 1)), delete=True)
 
 
 def test_smw_delete_matches_rebuild():
@@ -88,9 +86,9 @@ def test_smw_delete_matches_rebuild():
     led1 = ledger_apply(led, stats_from_batch(f1, y1), SufficientStats.zero(d, c))
     led12 = ledger_apply(led1, stats_from_batch(f2, y2), SufficientStats.zero(d, c))
     st = init_from_ledger(led)
-    st = smw_add(st, thin_qr_rfactor(f1), stats_from_batch(f1, y1).G)
-    st = smw_add(st, thin_qr_rfactor(f2), stats_from_batch(f2, y2).G)
-    st = smw_delete(st, thin_qr_rfactor(f1), stats_from_batch(f1, y1).G)
+    st = smw_step(st, thin_qr_rfactor(f1), stats_from_batch(f1, y1).G).state
+    st = smw_step(st, thin_qr_rfactor(f2), stats_from_batch(f2, y2).G).state
+    st = smw_step(st, thin_qr_rfactor(f1), stats_from_batch(f1, y1).G, delete=True).state
     led2 = ledger_apply(led, stats_from_batch(f2, y2), SufficientStats.zero(d, c))
     ref = init_from_ledger(led2)
     assert rel_frobenius_dev(st.T, ref.T) <= 1e-10
@@ -152,12 +150,12 @@ def test_audit_drift_after_two_hundred_rounds():
         f = rng.standard_normal((int(rng.integers(1, 9)), d))
         y = rng.standard_normal((f.shape[0], c))
         st = stats_from_batch(f, y)
-        state = smw_add(state, thin_qr_rfactor(f), st.G)
+        state = smw_step(state, thin_qr_rfactor(f), st.G).state
         ledger = ledger_apply(ledger, st, SufficientStats.zero(d, c))
         pool.append((thin_qr_rfactor(f), st))
         if len(pool) > 3 and rng.random() < 0.6:
             r_del, st_del = pool.pop(int(rng.integers(0, len(pool))))
-            state = smw_delete(state, r_del, st_del.G)
+            state = smw_step(state, r_del, st_del.G, delete=True).state
             ledger = ledger_apply(ledger, SufficientStats.zero(d, c), st_del)
     assert audit_drift(state, ledger) <= 1e-8
 
@@ -175,13 +173,13 @@ def test_variant_equivalence_long_stream():
         y = rng.standard_normal((r_rows, c))
         st = stats_from_batch(f, y)
         ledger = ledger_apply(ledger, st, SufficientStats.zero(d, c))
-        state = smw_add(state, thin_qr_rfactor(f), st.G)
+        state = smw_step(state, thin_qr_rfactor(f), st.G).state
         pool.append((thin_qr_rfactor(f), st))
         if len(pool) > 2 and rng.random() < 0.5:
             r_del, st_del = pool.pop(int(rng.integers(0, len(pool))))
             ledger = ledger_apply(ledger, SufficientStats.zero(d, c), st_del)
-            state = smw_delete(state, r_del, st_del.G)
-        assert rel_frobenius_dev(state.W, solve_head(ledger)) <= 1e-8
+            state = smw_step(state, r_del, st_del.G, delete=True).state
+        assert rel_frobenius_dev(state.W, ledger.head) <= 1e-8
 
 
 def test_add_then_delete_identity_random():
@@ -196,7 +194,7 @@ def test_add_then_delete_identity_random():
         st = init_from_ledger(led)
         u = rng.standard_normal((int(rng.integers(1, 5)), d))
         g = rng.standard_normal((d, 2))
-        back = smw_delete(smw_add(st, u, g), u, g)
+        back = smw_step(smw_step(st, u, g).state, u, g, delete=True).state
         assert rel_frobenius_dev(back.T, st.T) <= 1e-10
 
 
@@ -212,10 +210,10 @@ def test_psd_monotonicity_of_updates():
         st = init_from_ledger(led)
         u = rng.standard_normal((2, d)) * 0.3
         floor = 1e-9 * frobenius_norm(st.T)
-        deleted = smw_delete(st, u, np.zeros((d, 1)))
+        deleted = smw_step(st, u, np.zeros((d, 1)), delete=True).state
         vals, _ = symmetric_eig(deleted.T - st.T)
         assert vals[-1] >= -floor  # deletes only increase T
-        added = smw_add(st, u, np.zeros((d, 1)))
+        added = smw_step(st, u, np.zeros((d, 1))).state
         vals, _ = symmetric_eig(added.T - st.T)
         assert vals[0] <= floor  # adds only decrease T
 

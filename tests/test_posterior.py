@@ -10,7 +10,7 @@ from fedridge.posterior import (
     psd_order_check,
 )
 from fedridge.simulate import oracle_retrain
-from fedridge.stats import Ledger, SufficientStats, ledger_apply, ledger_init, solve_head, stats_from_batch
+from fedridge.stats import Ledger, SufficientStats, ledger_apply, ledger_init, stats_from_batch
 from fedridge.verify import _dense_vectorized_kl
 
 BATCH_A = (np.eye(2), np.ones((2, 1)))
@@ -41,7 +41,7 @@ def test_posterior_of_batch_b_scaled_noise():
 
 def test_posterior_mode_matches_solve_head_bitwise():
     led = _ledger_with(BATCH_B)
-    assert np.array_equal(posterior_from_ledger(led).M, solve_head(led))
+    assert np.array_equal(posterior_from_ledger(led).M, led.head)
 
 
 def test_kl_self_is_zero():
@@ -99,7 +99,7 @@ def test_zero_kl_certificate_protocol_vs_oracle():
     oracle_led = Ledger(stats_from_batch(f, y), led.t, led.gamma, "f64")
     kl = kl_matrix_normal(posterior_from_ledger(led), posterior_from_ledger(oracle_led))
     assert -1e-12 <= kl <= 1e-9
-    np.testing.assert_allclose(solve_head(led), oracle_retrain(f, y, 1.0)[0], rtol=1e-12)
+    np.testing.assert_allclose(led.head, oracle_retrain(f, y, 1.0)[0], rtol=1e-12)
 
 
 def test_psd_order_check_directions():

@@ -8,7 +8,6 @@ from fedridge.simulate import (
     Scenario,
     dirichlet_partition,
     gen_synthetic,
-    head_accuracy,
     initial_round,
     metrics_csv,
     oracle_retrain,
@@ -57,14 +56,16 @@ def test_gen_synthetic_deterministic():
 def test_gen_synthetic_zero_separation_is_chance():
     data = gen_synthetic(5, 5000, 16, 10, 0.0)
     w, _ = oracle_retrain(data.features[: data.n_train], data.labels[: data.n_train], 1.0)
-    acc = head_accuracy(w, data.features[data.n_train :], data.labels[data.n_train :])
+    test_f = data.features[data.n_train :].astype(np.float64)
+    acc, _ = score_head(w, test_f, data.classes[data.n_train :], 10)
     assert abs(acc - 0.1) <= 0.05
 
 
 def test_gen_synthetic_separated_clusters_learnable():
     data = gen_synthetic(7, 5000, 64, 10, 4.0)
     w, _ = oracle_retrain(data.features[: data.n_train], data.labels[: data.n_train], 1.0)
-    acc = head_accuracy(w, data.features[data.n_train :], data.labels[data.n_train :])
+    test_f = data.features[data.n_train :].astype(np.float64)
+    acc, _ = score_head(w, test_f, data.classes[data.n_train :], 10)
     assert acc >= 0.9
 
 
@@ -313,9 +314,6 @@ def test_scenario_json_round_trip():
         ("sigma2", -1.0),
         ("rank", 0),
         ("reset_every", -1),
-        ("audit_every", -1),
-        ("drift_threshold", 0.0),
-        ("condition_threshold", -1.0),
     ],
 )
 def test_scenario_rejects_invalid_settings(field, value):

@@ -10,7 +10,6 @@ from fedridge.stats import (
     SufficientStats,
     ledger_apply,
     ledger_init,
-    solve_head,
     stats_add,
     stats_from_batch,
     stats_sub,
@@ -97,11 +96,11 @@ def test_ledger_exact_cancellation():
 
 def test_solve_head_cases():
     led = ledger_init(2, 1)
-    np.testing.assert_array_equal(solve_head(led), np.zeros((2, 1)))
+    np.testing.assert_array_equal(led.head, np.zeros((2, 1)))
     led_a = ledger_apply(led, stats_from_batch(*BATCH_A), SufficientStats.zero(2, 1))
-    np.testing.assert_allclose(solve_head(led_a), [[0.5], [0.5]], rtol=1e-15)
+    np.testing.assert_allclose(led_a.head, [[0.5], [0.5]], rtol=1e-15)
     led_b = ledger_apply(led, stats_from_batch(*BATCH_B), SufficientStats.zero(2, 1))
-    np.testing.assert_allclose(solve_head(led_b), [[1 / 3], [1 / 3]], rtol=1e-14)
+    np.testing.assert_allclose(led_b.head, [[1 / 3], [1 / 3]], rtol=1e-14)
 
 
 def test_second_order_information_is_necessary():
@@ -111,8 +110,8 @@ def test_second_order_information_is_necessary():
     np.testing.assert_array_equal(fa.sum(axis=0), fb.sum(axis=0))
     np.testing.assert_array_equal(fa.T @ ya, fb.T @ yb)
     led = ledger_init(2, 1)
-    wa = solve_head(ledger_apply(led, stats_from_batch(*BATCH_A), SufficientStats.zero(2, 1)))
-    wb = solve_head(ledger_apply(led, stats_from_batch(*BATCH_B), SufficientStats.zero(2, 1)))
+    wa = ledger_apply(led, stats_from_batch(*BATCH_A), SufficientStats.zero(2, 1)).head
+    wb = ledger_apply(led, stats_from_batch(*BATCH_B), SufficientStats.zero(2, 1)).head
     assert rel_frobenius_dev(wa, wb) >= 0.3
 
 
@@ -137,7 +136,7 @@ def test_retrain_equivalence_over_random_stream():
         f_all = np.vstack([r[0] for r in rows])
         y_all = np.vstack([r[1] for r in rows])
         w_oracle, _ = oracle_retrain(f_all, y_all, 1.0)
-        assert rel_frobenius_dev(solve_head(led), w_oracle) <= 1e-9
+        assert rel_frobenius_dev(led.head, w_oracle) <= 1e-9
 
 
 def test_additivity_commutes_under_permutation():
@@ -163,10 +162,10 @@ def test_additivity_commutes_under_permutation():
 def test_noop_round_is_bitwise_stable():
     led = ledger_init(2, 1)
     led = ledger_apply(led, stats_from_batch(*BATCH_A), SufficientStats.zero(2, 1))
-    w1 = solve_head(led)
+    w1 = led.head
     led2 = ledger_apply(led, SufficientStats.zero(2, 1), SufficientStats.zero(2, 1))
     assert np.array_equal(led2.stats.S, led.stats.S)
-    assert np.array_equal(solve_head(led2), w1)
+    assert np.array_equal(led2.head, w1)
 
 
 def test_single_precision_ledger_dtype():
@@ -176,7 +175,7 @@ def test_single_precision_ledger_dtype():
     st = stats_from_batch(f, y, led.dtype)
     assert st.S.dtype == np.float32
     led = ledger_apply(led, st, SufficientStats.zero(4, 2, np.float32))
-    assert solve_head(led).dtype == np.float32
+    assert led.head.dtype == np.float32
 
 
 def test_gamma_must_be_positive():
