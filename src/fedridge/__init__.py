@@ -40,6 +40,7 @@ from .kernels import (
 )
 from .posterior import MatrixNormalPosterior, kl_matrix_normal, posterior_from_ledger, psd_order_check
 from .simulate import (
+    RetainedGram,
     Scenario,
     dirichlet_partition,
     gen_synthetic,

@@ -130,8 +130,14 @@ class ClientStore:
         return f, y
 
     def _payload(self, ids: Sequence[int], variant: str):
-        f, y = self._batch(ids)
         dtype = dtype_of(self.precision)
+        if variant == VARIANT_FULL and not ids:
+            # one read-only zero, broadcast: an empty batch allocates no d x d Gram
+            zero = np.zeros((), dtype=dtype)
+            return StatsPayload(
+                np.broadcast_to(zero, (self.d, self.d)), np.broadcast_to(zero, (self.d, self.c)), 0
+            )
+        f, y = self._batch(ids)
         if variant == VARIANT_FULL:
             st = stats_from_batch(f, y, dtype)
             return StatsPayload(st.S, st.G, st.n)

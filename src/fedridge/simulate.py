@@ -4,9 +4,13 @@ A scenario bundles everything needed to replay a federated add/delete
 stream deterministically: the data seed, the client partition, an explicit
 per-round event schedule, and the server configuration.  The harness
 drives client stores and the coordinator round by round, and after every
-round recomputes the centralized head from scratch on the currently
-retained samples; the relative deviation against that oracle is the
-headline metric everywhere.
+round retrains the centralized head on the currently retained samples; the
+relative deviation against that oracle is the headline metric everywhere.
+The oracle's Gram is a sum of per-block Grams over fixed blocks of sample
+ids (`RetainedGram`): a round re-forms only the blocks whose retained ids
+changed, and the sum is never downdated, so the oracle is a function of the
+retained set alone and equals a retrain from scratch up to the order of
+summation.
 
 Synthetic features stand in for a frozen feature extractor: Gaussian
 clusters with controllable mean separation, generated in single precision
@@ -27,7 +31,7 @@ from .coordinator import AUDIT_EVERY, CONDITION_THRESHOLD, DRIFT_THRESHOLD
 from .inverse import init_from_ledger
 from .kernels import frobenius_norm, rel_frobenius_dev
 from .posterior import MatrixNormalPosterior, kl_matrix_normal, posterior_from_ledger
-from .stats import PRECISION_DTYPES, Ledger, dtype_of, ledger_init, stats_from_batch
+from .stats import PRECISION_DTYPES, Ledger, SufficientStats, ledger_init, stats_from_batch
 
 _SUBSTREAMS = {"data": 0, "partition": 1, "schedule": 2}
 
@@ -314,6 +318,8 @@ class Scenario:
     def from_json(text: str) -> "Scenario":
         """Load a version 2 file, or a version 1 file that keeps the fixed reset policy."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise TypeError(f"a scenario file holds a JSON object, not {type(doc).__name__}")
         version = doc.pop("version", None)
         if version == 1:
             for key, fixed in _RETIRED_V1_FIELDS.items():
@@ -333,17 +339,72 @@ class Scenario:
 # oracle and evaluation helpers
 
 
-def oracle_retrain(
-    features, labels, gamma: float, precision: str = "f64", sigma2: float = 1.0
-) -> tuple[np.ndarray, MatrixNormalPosterior]:
-    """Centralized ridge head and posterior from one Gram of the given samples.
+ORACLE_BLOCK_ROWS = 512
 
-    The head is an LU solve, independent of the protocol's Cholesky path.
+
+class RetainedGram:
+    """Float64 (S, G, n) of a retained subset of rows, from cached id blocks.
+
+    Sample ids are cut into fixed blocks of `block_rows = max(512, d)`
+    consecutive rows.  Each block's statistics are formed by one
+    `stats_from_batch` over its retained rows and cached under the block's
+    retained mask, so a call recomputes only the blocks whose mask changed
+    since the previous call.  The total is the sum of the non-empty blocks
+    in ascending order and is never updated by subtraction: it is a pure
+    function of the mask, bitwise the same whatever masks came before.
+    With block_rows >= d the cached Grams hold at most about as many
+    scalars as the feature matrix.
     """
-    st = stats_from_batch(features, labels, dtype_of(precision))
+
+    def __init__(self, features: np.ndarray, labels: np.ndarray):
+        self.features = features
+        self.labels = labels
+        n, self.d = features.shape
+        self.c = labels.shape[1]
+        self.block_rows = max(ORACLE_BLOCK_ROWS, self.d)
+        self.blocks = -(-n // self.block_rows)
+        self._masks: list[np.ndarray | None] = [None] * self.blocks
+        self._stats: list[SufficientStats | None] = [None] * self.blocks
+
+    def stats(self, retained: np.ndarray) -> SufficientStats:
+        """Statistics of the rows where the boolean mask `retained` is set."""
+        if retained.dtype != np.bool_ or retained.shape != (self.features.shape[0],):
+            raise ValueError(f"need a boolean mask over {self.features.shape[0]} rows")
+        s = np.zeros((self.d, self.d))
+        g = np.zeros((self.d, self.c))
+        count = 0
+        for b in range(self.blocks):
+            rows = slice(b * self.block_rows, (b + 1) * self.block_rows)
+            mask = retained[rows]
+            if self._masks[b] is None or not np.array_equal(mask, self._masks[b]):
+                self._masks[b] = mask.copy()
+                self._stats[b] = (
+                    stats_from_batch(self.features[rows][mask], self.labels[rows][mask])
+                    if mask.any()
+                    else None
+                )
+            st = self._stats[b]
+            if st is not None:
+                s += st.S
+                g += st.G
+                count += st.n
+        return SufficientStats(s, g, count)
+
+
+def oracle_retrain(
+    gram: RetainedGram, retained: np.ndarray, gamma: float, sigma2: float = 1.0
+) -> tuple[np.ndarray, MatrixNormalPosterior]:
+    """Centralized float64 ridge head and posterior of the retained rows.
+
+    The Gram comes from `gram`'s id blocks (only blocks whose retained rows
+    changed are recomputed) and depends on the retained set alone; a fresh
+    `RetainedGram` gives the from-scratch retrain.  The head is an LU
+    solve, independent of the protocol's Cholesky path.
+    """
+    st = gram.stats(retained)
     h = st.S + float(gamma) * np.eye(st.d, dtype=st.S.dtype)
     head = np.linalg.solve(h, st.G)
-    return head, posterior_from_ledger(Ledger(st, 0, float(gamma), precision), sigma2)
+    return head, posterior_from_ledger(Ledger(st, 0, float(gamma), "f64"), sigma2)
 
 
 def safe_rel_dev(w, w_ref) -> float:
@@ -424,6 +485,7 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
     # Variant B and approx mode track T = (S + gamma*I)^-1 from the same start
     states = {v: init_from_ledger(ledgers[v]) for v in variants if v != "A"}
     owner = np.full(scenario.n, -1, dtype=np.int64)  # retaining client per sample id, -1 if none
+    gram = RetainedGram(features, labels)  # per run, so `run --jobs` threads share no cache
     records: list[RoundMetrics] = []
     resets = 0
     total_bytes = {v: 0 for v in variants}
@@ -437,11 +499,15 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
         if not events:
             continue
         for ev in events:
-            add = np.asarray(ev.add, dtype=np.int64)
-            delete = np.asarray(ev.delete, dtype=np.int64)
+            add = np.asarray(ev.add)
+            delete = np.asarray(ev.delete)
             for ids in (add, delete):
+                if ids.size and ids.dtype.kind not in "iu":
+                    raise RuntimeError(f"round {spec.round} names an id that is not an integer")
                 if ids.size and (ids.min() < 0 or ids.max() >= scenario.n):
                     raise RuntimeError(f"round {spec.round} names ids outside the feature file")
+            add = add.astype(np.int64)
+            delete = delete.astype(np.int64)
             if np.unique(add).size < add.size or np.unique(delete).size < delete.size:
                 raise RuntimeError(f"round {spec.round} repeats an id within one client's event")
             if (owner[add] >= 0).any():
@@ -450,11 +516,9 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
                 raise RuntimeError(f"round {spec.round} deletes ids client {ev.client} does not retain")
             owner[add] = ev.client
             owner[delete] = -1
-        oracle_ids = np.flatnonzero(owner >= 0)
-        n_retained = oracle_ids.size
-        w_oracle, oracle_post = oracle_retrain(
-            features[oracle_ids], labels[oracle_ids], scenario.gamma, sigma2=scenario.sigma2
-        )
+        retained = owner >= 0
+        n_retained = int(np.count_nonzero(retained))
+        w_oracle, oracle_post = oracle_retrain(gram, retained, scenario.gamma, scenario.sigma2)
 
         round_variants: dict[str, VariantMetrics] = {}
         for v in variants:

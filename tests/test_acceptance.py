@@ -17,6 +17,7 @@ from fedridge.coordinator import account_round, aggregate, run_round_a
 from fedridge.kernels import frobenius_norm, rel_frobenius_dev
 from fedridge.posterior import posterior_from_ledger, psd_order_check
 from fedridge.simulate import (
+    RetainedGram,
     Scenario,
     dirichlet_partition,
     gen_synthetic,
@@ -104,8 +105,9 @@ def test_criterion_03_burst_delete_then_addback():
     schedule = [first] + burst + schedule_addback(burst)
     scenario = _scenario(data, parts, schedule, seed=103)
     result = run_scenario(scenario, data.features, data.labels)
-    ids = sorted(i for ids in parts for i in ids)
-    w_pre, _ = oracle_retrain(data.features[ids], data.labels[ids], scenario.gamma)
+    initial = np.zeros(data.features.shape[0], dtype=bool)
+    initial[[i for ids in parts for i in ids]] = True
+    w_pre, _ = oracle_retrain(RetainedGram(data.features, data.labels), initial, scenario.gamma)
     # deletions-only phase: per-round oracle deviation
     for rec in result.records[: 1 + len(burst)]:
         assert rec.variants["A"].rel_dev <= 1e-9

@@ -108,8 +108,9 @@ def test_run_missing_files_exit_3(tmp_path):
     features, scenario = _gen(tmp_path)
     assert main(["run", "--scenario", "nope.json", "--features", str(features)]) == 3
     bad = tmp_path / "bad.json"
-    bad.write_text('{"not": "a scenario"}')
-    assert main(["run", "--scenario", str(bad), "--features", str(features)]) == 3
+    for text in ('{"not": "a scenario"}', '"x"', "[1, 2]"):
+        bad.write_text(text)
+        assert main(["run", "--scenario", str(bad), "--features", str(features)]) == 3
 
 
 @pytest.mark.parametrize("name", [p.name for p in PROPERTIES])
@@ -210,7 +211,10 @@ def test_run_invalid_event_stream_exit_4(tmp_path):
 
 @pytest.mark.parametrize(
     "case",
-    ["past-end", "negative", "not-retained", "re-add", "repeated-add", "repeated-delete", "cross-client-delete"],
+    [
+        "past-end", "negative", "not-retained", "re-add", "repeated-add", "repeated-delete",
+        "cross-client-delete", "fractional-add", "fractional-delete",
+    ],
 )
 def test_run_bad_event_ids_exit_4(tmp_path, case):
     # the feature file has ids 0..299; ids 240.. are the test split, never added
@@ -230,6 +234,11 @@ def test_run_bad_event_ids_exit_4(tmp_path, case):
     elif case == "repeated-delete":
         twice = [events[0]["add"][0]] * 2
         doc["schedule"].append({"round": 2, "events": [{"client": events[0]["client"], "add": [], "delete": twice}]})
+    elif case == "fractional-add":  # truncates to 250, an id nobody retains
+        events[0]["add"].append(250.5)
+    elif case == "fractional-delete":  # truncates to an id this client retains
+        half = [events[0]["add"][0] + 0.5]
+        doc["schedule"].append({"round": 2, "events": [{"client": events[0]["client"], "add": [], "delete": half}]})
     else:  # events[0]'s client retains the id, events[1]'s client deletes it
         other = {"client": events[1]["client"], "add": [], "delete": [events[0]["add"][0]]}
         doc["schedule"].append({"round": 2, "events": [other]})

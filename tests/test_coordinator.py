@@ -18,7 +18,7 @@ from fedridge.coordinator import (
 )
 from fedridge.inverse import init_from_ledger
 from fedridge.kernels import rel_frobenius_dev, spd_inverse, spectral_norm
-from fedridge.simulate import oracle_retrain
+from fedridge.simulate import RetainedGram, oracle_retrain
 from fedridge.stats import dtype_of, ledger_init, regularized_gram, stats_from_batch
 
 
@@ -172,7 +172,7 @@ def test_run_round_a_shares_one_factor_with_the_posterior(monkeypatch):
     assert np.array_equal(w, post.M)
     assert np.array_equal(post.P, ledger.factor / np.sqrt(2.0))
     assert len(calls) == 1
-    assert rel_frobenius_dev(w, oracle_retrain(features, labels, 1.0)[0]) <= 1e-9
+    assert rel_frobenius_dev(w, oracle_retrain(RetainedGram(features, labels), np.ones(n, bool), 1.0)[0]) <= 1e-9
 
 
 def test_run_round_a_against_oracle():
@@ -183,7 +183,7 @@ def test_run_round_a_against_oracle():
     parts = [range(0, 40), range(40, 100)]
     ledger = ledger_init(d, c)
     ledger, w = run_round_a(ledger, aggregate(_round_one_messages(VARIANT_FULL, features, labels, parts, d, c)))
-    assert rel_frobenius_dev(w, oracle_retrain(features, labels, 1.0)[0]) <= 1e-9
+    assert rel_frobenius_dev(w, oracle_retrain(RetainedGram(features, labels), np.ones(n, bool), 1.0)[0]) <= 1e-9
 
 
 def test_run_round_a_delete_everything_gives_zero():
@@ -274,7 +274,7 @@ def test_run_round_b_compacts_tall_stacks():
     ledger = ledger_init(d, c)
     state = init_from_ledger(ledger)
     ledger, state, w, _ = run_round_b(ledger, state, agg)
-    assert rel_frobenius_dev(w, oracle_retrain(features, labels, 1.0)[0]) <= 1e-9
+    assert rel_frobenius_dev(w, oracle_retrain(RetainedGram(features, labels), np.ones(n, bool), 1.0)[0]) <= 1e-9
 
 
 def test_run_round_b_rejects_full_statistics_aggregate():

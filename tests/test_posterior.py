@@ -9,7 +9,7 @@ from fedridge.posterior import (
     posterior_from_ledger,
     psd_order_check,
 )
-from fedridge.simulate import oracle_retrain
+from fedridge.simulate import RetainedGram, oracle_retrain
 from fedridge.stats import Ledger, SufficientStats, ledger_apply, ledger_init, stats_from_batch
 from fedridge.verify import _dense_vectorized_kl
 
@@ -99,7 +99,7 @@ def test_zero_kl_certificate_protocol_vs_oracle():
     oracle_led = Ledger(stats_from_batch(f, y), led.t, led.gamma, "f64")
     kl = kl_matrix_normal(posterior_from_ledger(led), posterior_from_ledger(oracle_led))
     assert -1e-12 <= kl <= 1e-9
-    np.testing.assert_allclose(led.head, oracle_retrain(f, y, 1.0)[0], rtol=1e-12)
+    np.testing.assert_allclose(led.head, oracle_retrain(RetainedGram(f, y), np.ones(80, bool), 1.0)[0], rtol=1e-12)
 
 
 def test_psd_order_check_directions():

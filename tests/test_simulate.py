@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from fedridge import simulate
 from fedridge.kernels import rel_frobenius_dev
 from fedridge.simulate import (
+    RetainedGram,
     Scenario,
     dirichlet_partition,
     gen_synthetic,
@@ -19,6 +21,7 @@ from fedridge.simulate import (
     score_head,
     writer_partition,
 )
+from fedridge.stats import stats_from_batch
 
 
 def _scenario(data, assignments, schedule, **kw):
@@ -55,7 +58,8 @@ def test_gen_synthetic_deterministic():
 
 def test_gen_synthetic_zero_separation_is_chance():
     data = gen_synthetic(5, 5000, 16, 10, 0.0)
-    w, _ = oracle_retrain(data.features[: data.n_train], data.labels[: data.n_train], 1.0)
+    train = np.arange(data.features.shape[0]) < data.n_train
+    w, _ = oracle_retrain(RetainedGram(data.features, data.labels), train, 1.0)
     test_f = data.features[data.n_train :].astype(np.float64)
     acc, _ = score_head(w, test_f, data.classes[data.n_train :], 10)
     assert abs(acc - 0.1) <= 0.05
@@ -63,7 +67,8 @@ def test_gen_synthetic_zero_separation_is_chance():
 
 def test_gen_synthetic_separated_clusters_learnable():
     data = gen_synthetic(7, 5000, 64, 10, 4.0)
-    w, _ = oracle_retrain(data.features[: data.n_train], data.labels[: data.n_train], 1.0)
+    train = np.arange(data.features.shape[0]) < data.n_train
+    w, _ = oracle_retrain(RetainedGram(data.features, data.labels), train, 1.0)
     test_f = data.features[data.n_train :].astype(np.float64)
     acc, _ = score_head(w, test_f, data.classes[data.n_train :], 10)
     assert acc >= 0.9
@@ -155,10 +160,106 @@ def test_schedule_churn_never_deletes_fresh_adds():
 
 
 def test_oracle_retrain_cases():
-    w, _ = oracle_retrain(np.eye(2), np.ones((2, 1)), 1.0)
+    w, _ = oracle_retrain(RetainedGram(np.eye(2), np.ones((2, 1))), np.ones(2, bool), 1.0)
     np.testing.assert_allclose(w, [[0.5], [0.5]], rtol=1e-15)
-    w0, _ = oracle_retrain(np.zeros((0, 3)), np.zeros((0, 2)), 1.0)
+    w0, _ = oracle_retrain(RetainedGram(np.zeros((0, 3)), np.zeros((0, 2))), np.zeros(0, bool), 1.0)
     np.testing.assert_array_equal(w0, np.zeros((3, 2)))
+
+
+# 1,700 rows in 512-row blocks: block 1 (ids 512..1023) is never retained,
+# and block 3 (ids 1536..1699) is a partial one
+_BLOCKED_N = 1700
+_EMPTY_BLOCK = range(512, 1024)
+
+
+def _blocked_churn_run(monkeypatch):
+    """Replay a churn stream and record, per round, the oracle's retained mask
+    and the statistics the run's RetainedGram gives for it."""
+    data = gen_synthetic(41, _BLOCKED_N, 6, 3, 2.0)
+    live = [i for i in range(_BLOCKED_N) if i not in _EMPTY_BLOCK]
+    parts = [live[k::3] for k in range(3)]
+    schedule = schedule_churn(41, parts, rounds=6, adds_per_round=20, deletes_per_round=25)
+    scenario = _scenario(data, parts, schedule, variant="A")
+    rounds = []
+    original = simulate.oracle_retrain
+
+    def recording(gram, retained, *args):
+        out = original(gram, retained, *args)
+        rounds.append((gram, retained.copy(), gram.stats(retained)))
+        return out
+
+    monkeypatch.setattr(simulate, "oracle_retrain", recording)
+    run_scenario(scenario, data.features, data.labels)
+    assert len(rounds) == len(schedule) and len({id(g) for g, _, _ in rounds}) == 1
+    assert rounds[0][0].block_rows == 512 and rounds[0][0].blocks == 4
+    return data, rounds
+
+
+def test_oracle_cache_after_churn_is_bitwise_a_cold_cache(monkeypatch):
+    data, rounds = _blocked_churn_run(monkeypatch)
+    for _, retained, warm in rounds:
+        assert not retained[_EMPTY_BLOCK.start : _EMPTY_BLOCK.stop].any()
+        cold = RetainedGram(data.features, data.labels).stats(retained)
+        assert warm.n == cold.n == np.count_nonzero(retained)
+        assert np.array_equal(warm.S, cold.S) and np.array_equal(warm.G, cold.G)
+
+
+def test_oracle_cache_after_churn_matches_one_gram_of_the_retained_rows(monkeypatch):
+    data, rounds = _blocked_churn_run(monkeypatch)
+    for _, retained, warm in rounds:
+        direct = stats_from_batch(data.features[retained], data.labels[retained])
+        assert warm.n == direct.n
+        assert rel_frobenius_dev(warm.S, direct.S) <= 1e-13
+        assert rel_frobenius_dev(warm.G, direct.G) <= 1e-13
+
+
+def test_oracle_cache_recomputes_a_block_whose_count_is_unchanged():
+    data = gen_synthetic(43, _BLOCKED_N, 5, 2, 2.0)
+    gram = RetainedGram(data.features, data.labels)
+    retained = np.ones(_BLOCKED_N, dtype=bool)
+    retained[_EMPTY_BLOCK.start : _EMPTY_BLOCK.stop] = False
+    retained[1100] = False
+    before = gram.stats(retained)
+    retained[1100], retained[1200] = True, False  # one delete, one add, both in block 2
+    after = gram.stats(retained)
+    cold = RetainedGram(data.features, data.labels).stats(retained)
+    assert after.n == before.n
+    assert not np.array_equal(after.S, before.S)
+    assert np.array_equal(after.S, cold.S) and np.array_equal(after.G, cold.G)
+
+
+def test_single_delete_round_forms_at_most_one_block(monkeypatch):
+    data = gen_synthetic(47, _BLOCKED_N, 4, 2, 2.0)
+    live = [i for i in range(_BLOCKED_N) if i not in _EMPTY_BLOCK]
+    parts = [live[k::4] for k in range(4)]
+    burst = schedule_burst(47, parts, 12)
+    scenario = _scenario(data, parts, [initial_round(parts)] + burst, variant="A")
+    rows_per_round: list[list[int]] = []
+    original_oracle, original_stats = simulate.oracle_retrain, simulate.stats_from_batch
+
+    def oracle(*args):
+        rows_per_round.append([])
+        return original_oracle(*args)
+
+    def stats(f, y, *args):
+        rows_per_round[-1].append(len(f))
+        return original_stats(f, y, *args)
+
+    monkeypatch.setattr(simulate, "oracle_retrain", oracle)
+    monkeypatch.setattr(simulate, "stats_from_batch", stats)
+    run_scenario(scenario, data.features, data.labels)
+    assert len(rows_per_round) == 1 + len(burst)
+    assert len(rows_per_round[0]) == 3  # round 1 forms every non-empty block once
+    for rows in rows_per_round[1:]:
+        assert len(rows) <= 1 and sum(rows) <= 512
+
+
+@pytest.mark.parametrize("d", [8, 640])
+def test_oracle_cache_holds_no_more_than_the_features(d):
+    n = 4 * max(512, d)
+    gram = RetainedGram(np.zeros((n, d), dtype=np.float32), np.zeros((n, 2), dtype=np.float32))
+    assert gram.blocks >= 4
+    assert gram.blocks * d * d <= n * d
 
 
 def test_score_head_matches_per_class_loop():

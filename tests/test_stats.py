@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedridge.kernels import DimensionMismatch, rel_frobenius_dev
-from fedridge.simulate import oracle_retrain
+from fedridge.simulate import RetainedGram, oracle_retrain
 from fedridge.stats import (
     NegativeCount,
     SufficientStats,
@@ -135,7 +135,7 @@ def test_retrain_equivalence_over_random_stream():
         rows.append((f, y, id(f)))
         f_all = np.vstack([r[0] for r in rows])
         y_all = np.vstack([r[1] for r in rows])
-        w_oracle, _ = oracle_retrain(f_all, y_all, 1.0)
+        w_oracle, _ = oracle_retrain(RetainedGram(f_all, y_all), np.ones(len(f_all), bool), 1.0)
         assert rel_frobenius_dev(led.head, w_oracle) <= 1e-9
 
 

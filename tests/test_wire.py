@@ -118,6 +118,25 @@ def test_empty_payload_round_trip():
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_empty_stats_payload_is_read_only_zero_and_round_trips(precision):
+    from fedridge.coordinator import account_round
+
+    d, c = 6, 3
+    msg = ClientStore(2, d, c, precision).make_round_message(1, [], [], VARIANT_FULL)
+    for payload in (msg.add, msg.delete):
+        assert payload.S.shape == (d, d) and payload.G.shape == (d, c) and payload.n == 0
+        assert not payload.S.any() and not payload.G.any()
+        assert not payload.S.flags.writeable and not payload.G.flags.writeable
+    buf = encode_message(msg, precision)
+    assert len(buf) == 2 * 28 + account_round([msg], precision).total_bytes
+    decoded, prec, end = decode_message(buf)
+    assert (prec, end) == (precision, len(buf))
+    for got in (decoded.add, decoded.delete):
+        assert np.array_equal(got.S, np.zeros((d, d))) and np.array_equal(got.G, np.zeros((d, c)))
+        assert got.n == 0
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
 def test_feature_file_round_trip(tmp_path, precision):
     rng = np.random.default_rng(2)
     f = rng.standard_normal((20, 6)).astype(np.float32)
