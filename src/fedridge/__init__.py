@@ -12,6 +12,7 @@ from .coordinator import (
     ApproxReport,
     CommRecord,
     RoundAggregate,
+    RoundFold,
     account_round,
     aggregate,
     run_round_a,

@@ -209,6 +209,9 @@ def _run_one(scenario_path: str, features, labels, args, out_root: Path) -> dict
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         features, labels, _ = read_feature_file(args.features)
     except (OSError, WireError) as exc:
@@ -221,7 +224,7 @@ def _cmd_run(args) -> int:
             summaries = [_run_one(paths[0], features, labels, args, out_dir)]
         else:
             roots = [out_dir / Path(p).stem for p in paths]
-            with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
                 summaries = list(
                     pool.map(
                         lambda pair: _run_one(pair[0], features, labels, args, pair[1]),

@@ -14,8 +14,11 @@ Three ways to recover the head after a round's aggregate lands:
   carried; delete rounds and every `reset_every`-th round rebuild the state
   exactly from the ledger, which advances in parallel.
 
-Aggregation always sums client payloads in a fixed order (ascending
-client id) so repeated runs are bitwise reproducible at fixed precision.
+Aggregation is a running fold (`RoundFold`): each client message is
+summed into the round's aggregate as it arrives, in strictly ascending
+client id, so repeated runs are bitwise reproducible at fixed precision
+and the server holds O(d²) per round for Variant A instead of every
+client's payload.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ class MixedRound(Exception):
 
 class MixedVariant(Exception):
     """Messages of different variants were aggregated together."""
+
+
+class OutOfOrder(Exception):
+    """A message's client id is not above the last one folded into its round."""
 
 
 @dataclass(frozen=True)
@@ -92,61 +99,118 @@ def _payload_dims(payload) -> tuple[int, int]:
     raise TypeError(f"unsupported payload type {type(payload).__name__}")
 
 
-def _summed(arrays) -> np.ndarray:
-    arrays = iter(arrays)
-    total = next(arrays).copy()
-    for a in arrays:
-        total += a
-    return total
+class RoundFold:
+    """One round's running aggregate, folded one client message at a time.
 
-
-def aggregate(messages: list[ClientMessage]) -> RoundAggregate:
-    """Sum client messages for one round into the server's aggregate.
-
-    G and n are summed message by message in ascending client id.  Variant
-    A sums the clients' Grams the same way; Variant B stacks the R-factors
-    row-wise into U and takes the Gram change as UᵀU, one symmetric product
-    per side, so that UᵀU equals the aggregated Gram change by construction.
+    Messages must arrive in strictly ascending client id; one that does not
+    raises OutOfOrder, and nothing is re-sorted.  Variant A's Grams and
+    every G and n are summed in place as each message arrives (the first
+    copied, the rest added with `+=`), so for A the fold holds one set of
+    sums however many clients report and keeps no message.  Variant B's
+    R-factors are kept as blocks until `close` stacks them, forms the Gram
+    change as UᵀU and drops the blocks.  `scalars` counts what the
+    folded messages carried on the uplink.
     """
-    if not messages:
-        raise ValueError("cannot aggregate an empty message list")
-    messages = sorted(messages, key=lambda m: m.client_id)
-    head = messages[0]
-    rounds = {m.round for m in messages}
-    if len(rounds) != 1:
-        raise MixedRound(f"messages span rounds {sorted(rounds)}")
-    variants = {m.variant for m in messages}
-    if len(variants) != 1:
-        raise MixedVariant(f"messages span variants {sorted(variants)}")
-    d, c = _payload_dims(head.add)
-    for m in messages:
-        for payload in (m.add, m.delete):
+
+    def __init__(self):
+        self.round: int | None = None
+        self.variant: str | None = None
+        self.client_id: int | None = None  # the last client folded
+        self.scalars = 0
+        self.n_plus = 0
+        self.n_minus = 0
+        self._dims: tuple[int, int] | None = None
+        self._sums: list[np.ndarray] = []  # S+, G+, S-, G- for A; G+, G- for B
+        self._blocks: tuple[list, list] = ([], [])  # B's R-factors, add then delete
+
+    def add(self, msg: ClientMessage) -> None:
+        """Fold one message into the round."""
+        if self.client_id is None:
+            self.round, self.variant = msg.round, msg.variant
+            self._dims = _payload_dims(msg.add)
+        elif msg.client_id <= self.client_id:
+            raise OutOfOrder(f"client {msg.client_id} arrived after client {self.client_id}")
+        elif msg.round != self.round:
+            raise MixedRound(f"messages span rounds {self.round} and {msg.round}")
+        elif msg.variant != self.variant:
+            raise MixedVariant(f"messages span variants {self.variant} and {msg.variant}")
+        for payload in (msg.add, msg.delete):
             dims = _payload_dims(payload)
-            if dims != (d, c):
+            if dims != self._dims:
+                d, c = self._dims
                 raise DimensionMismatch(f"message dims {dims[0]}x{dims[1]} do not match {d}x{c}")
-    u_plus = u_minus = None
-    if head.variant == VARIANT_QR:
-        u_plus = np.vstack([m.add.R for m in messages])
-        u_minus = np.vstack([m.delete.R for m in messages])
-        s_add = u_plus.T @ u_plus
-        s_del = u_minus.T @ u_minus
-    else:
-        s_add = _summed(m.add.S for m in messages)
-        s_del = _summed(m.delete.S for m in messages)
-    return RoundAggregate(
-        round=head.round,
-        variant=head.variant,
-        d=d,
-        c=c,
-        S_plus=s_add,
-        G_plus=_summed(m.add.G for m in messages),
-        S_minus=s_del,
-        G_minus=_summed(m.delete.G for m in messages),
-        n_plus=sum(m.add.n for m in messages),
-        n_minus=sum(m.delete.n for m in messages),
-        U_plus=u_plus,
-        U_minus=u_minus,
-    )
+        if self.variant == VARIANT_QR:
+            self._blocks[0].append(msg.add.R)
+            self._blocks[1].append(msg.delete.R)
+            parts = (msg.add.G, msg.delete.G)
+        else:
+            parts = (msg.add.S, msg.add.G, msg.delete.S, msg.delete.G)
+        if self._sums:
+            for total, part in zip(self._sums, parts):
+                total += part
+        else:
+            self._sums = [part.copy() for part in parts]
+        self.n_plus += msg.add.n
+        self.n_minus += msg.delete.n
+        self.scalars += msg.scalar_count
+        self.client_id = msg.client_id
+
+    def comm(self, precision: str) -> CommRecord:
+        """Uplink cost of the folded messages, counted as `account_round` does."""
+        return _comm_record(self.scalars, precision)
+
+    def close(self) -> RoundAggregate:
+        """The round's aggregate; call once, after the round's last message."""
+        if self._dims is None:
+            raise ValueError("cannot aggregate an empty message list")
+        u_plus = u_minus = None
+        if self.variant == VARIANT_QR:
+            u_plus = np.vstack(self._blocks[0])
+            u_minus = np.vstack(self._blocks[1])
+            self._blocks = ([], [])
+            g_add, g_del = self._sums
+            s_add = u_plus.T @ u_plus
+            s_del = u_minus.T @ u_minus
+        else:
+            s_add, g_add, s_del, g_del = self._sums
+        d, c = self._dims
+        return RoundAggregate(
+            round=self.round,
+            variant=self.variant,
+            d=d,
+            c=c,
+            S_plus=s_add,
+            G_plus=g_add,
+            S_minus=s_del,
+            G_minus=g_del,
+            n_plus=self.n_plus,
+            n_minus=self.n_minus,
+            U_plus=u_plus,
+            U_minus=u_minus,
+        )
+
+
+def aggregate(messages: list[ClientMessage], running: RoundFold | None = None) -> RoundFold | RoundAggregate:
+    """Fold client messages into the server's aggregate for one round.
+
+    With `running`, the messages are folded into it in the order given and
+    the same, still open fold is returned; the round loop passes each
+    message this way as it arrives and closes the fold after the last.
+    Without, `messages` is the whole round: it is folded in ascending
+    client id and the closed RoundAggregate is returned.  Either way G and
+    n, and Variant A's Grams, are summed message by message in ascending
+    client id; Variant B stacks the R-factors row-wise into U and takes the
+    Gram change as UᵀU, one symmetric product per side, so that UᵀU equals
+    the aggregated Gram change by construction.
+    """
+    if running is not None:
+        for m in messages:
+            running.add(m)
+        return running
+    fold = RoundFold()
+    for m in sorted(messages, key=lambda m: m.client_id):
+        fold.add(m)
+    return fold.close()
 
 
 def _agg_stats(agg: RoundAggregate) -> tuple[SufficientStats, SufficientStats]:
@@ -259,7 +323,10 @@ def run_round_approx(
     return new_ledger, new_state, new_state.W, report
 
 
+def _comm_record(scalars: int, precision: str) -> CommRecord:
+    return CommRecord(total_scalars=scalars, total_bytes=scalars * dtype_of(precision).itemsize)
+
+
 def account_round(messages: list[ClientMessage], precision: str) -> CommRecord:
     """Exact per-round communication accounting in scalars and bytes."""
-    total = sum(m.scalar_count for m in messages)
-    return CommRecord(total_scalars=total, total_bytes=total * dtype_of(precision).itemsize)
+    return _comm_record(sum(m.scalar_count for m in messages), precision)

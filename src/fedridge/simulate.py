@@ -26,12 +26,12 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .client import ClientStore, Sample, VARIANT_FULL, VARIANT_QR
-from .coordinator import account_round, aggregate, run_round_a, run_round_approx, run_round_b
+from .coordinator import RoundFold, aggregate, run_round_a, run_round_approx, run_round_b
 from .coordinator import AUDIT_EVERY, CONDITION_THRESHOLD, DRIFT_THRESHOLD
 from .inverse import init_from_ledger
-from .kernels import frobenius_norm, rel_frobenius_dev
+from .kernels import cholesky_spd, frobenius_norm, rel_frobenius_dev
 from .posterior import MatrixNormalPosterior, kl_matrix_normal, posterior_from_ledger
-from .stats import PRECISION_DTYPES, Ledger, SufficientStats, ledger_init, stats_from_batch
+from .stats import PRECISION_DTYPES, SufficientStats, ledger_init, stats_from_batch
 
 _SUBSTREAMS = {"data": 0, "partition": 1, "schedule": 2}
 
@@ -399,12 +399,14 @@ def oracle_retrain(
     The Gram comes from `gram`'s id blocks (only blocks whose retained rows
     changed are recomputed) and depends on the retained set alone; a fresh
     `RetainedGram` gives the from-scratch retrain.  The head is an LU
-    solve, independent of the protocol's Cholesky path.
+    solve, independent of the protocol's Cholesky path, and is also the
+    posterior's mean; the posterior's precision factor is the Cholesky
+    factor of the same S + gamma*I.
     """
     st = gram.stats(retained)
     h = st.S + float(gamma) * np.eye(st.d, dtype=st.S.dtype)
     head = np.linalg.solve(h, st.G)
-    return head, posterior_from_ledger(Ledger(st, 0, float(gamma), "f64"), sigma2)
+    return head, MatrixNormalPosterior(head, cholesky_spd(h) / math.sqrt(sigma2))
 
 
 def safe_rel_dev(w, w_ref) -> float:
@@ -468,6 +470,11 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
     """Replay a scenario and collect per-round metrics for each variant."""
     if features.shape[0] != scenario.n:
         raise ValueError(f"feature file has {features.shape[0]} rows, scenario says {scenario.n}")
+    if features.shape[1] != scenario.d or labels.shape[1] != scenario.c:
+        raise ValueError(
+            f"feature file has d={features.shape[1]} and c={labels.shape[1]}, "
+            f"scenario says d={scenario.d} and c={scenario.c}"
+        )
     variants = SCENARIO_VARIANTS[scenario.variant]
     test_f = features[scenario.n_train :].astype(np.float64)
     test_classes = labels[scenario.n_train :].argmax(axis=1)
@@ -498,6 +505,9 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
         events = sorted(spec.events, key=lambda e: e.client)
         if not events:
             continue
+        clients = [ev.client for ev in events]
+        if len(set(clients)) < len(clients):
+            raise RuntimeError(f"round {spec.round} lists a client in more than one event")
         for ev in events:
             add = np.asarray(ev.add)
             delete = np.asarray(ev.delete)
@@ -523,14 +533,13 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
         round_variants: dict[str, VariantMetrics] = {}
         for v in variants:
             wire_variant = VARIANT_FULL if v == "A" else VARIANT_QR
-            messages = []
+            fold = RoundFold()
             for ev in events:
                 store = stores[v][ev.client]
                 store.ingest(Sample(i, features[i], labels[i]) for i in ev.add)
-                messages.append(
-                    store.make_round_message(spec.round, ev.add, ev.delete, wire_variant)
-                )
-            agg = aggregate(messages)
+                # folded as soon as it is formed, so no message outlives its turn
+                aggregate([store.make_round_message(spec.round, ev.add, ev.delete, wire_variant)], fold)
+            agg = fold.close()
             lam = None
             bound = None
             reset = False
@@ -558,7 +567,7 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
                     f"retained-count bookkeeping broke in round {spec.round}: "
                     f"ledger says {ledgers[v].stats.n}, stream says {n_retained}"
                 )
-            comm = account_round(messages, scenario.precision)
+            comm = fold.comm(scenario.precision)
             total_bytes[v] += comm.total_bytes
             kl = kl_matrix_normal(posterior_from_ledger(ledgers[v], scenario.sigma2), oracle_post)
             max_kl = max(max_kl, kl)
@@ -611,7 +620,7 @@ def _fmt(x) -> str:
 
 def metrics_csv(result: ScenarioResult) -> str:
     """CSV with one row per round per variant, deterministic formatting."""
-    lines = ["round,variant,rel_dev_vs_oracle,reset_flag,scalars_sent,bytes_sent,lambda_max,bound"]
+    lines = ["round,variant,rel_dev_vs_oracle,reset_flag,scalars_sent,bytes_sent,lambda_max,bound,accuracy,kl"]
     for rec in result.records:
         for v in sorted(rec.variants):
             m = rec.variants[v]
@@ -626,6 +635,8 @@ def metrics_csv(result: ScenarioResult) -> str:
                         str(m.bytes),
                         _fmt(m.lambda_max),
                         _fmt(m.bound),
+                        _fmt(m.accuracy),
+                        _fmt(m.kl),
                     ]
                 )
             )

@@ -61,8 +61,11 @@ def test_run_writes_metrics_and_summary(tmp_path, capsys):
     assert summary["max_kl"] <= 1e-9
     csv_text = (out_dir / "metrics.csv").read_text()
     assert csv_text.splitlines()[0] == (
-        "round,variant,rel_dev_vs_oracle,reset_flag,scalars_sent,bytes_sent,lambda_max,bound"
+        "round,variant,rel_dev_vs_oracle,reset_flag,scalars_sent,bytes_sent,lambda_max,bound,accuracy,kl"
     )
+    # every round's accuracy and KL reach the file
+    rows = [line.split(",") for line in csv_text.splitlines()[1:]]
+    assert rows and all(0.0 <= float(r[8]) <= 1.0 and 0.0 <= float(r[9]) <= 1e-9 for r in rows)
     events = (out_dir / "events.jsonl").read_text().strip().splitlines()
     first = json.loads(events[0])
     assert set(first) == {"round", "client_id", "op", "sample_ids", "variant"}
@@ -185,6 +188,29 @@ def test_run_reads_version_1_scenarios(tmp_path, capsys):
     assert run("v99", version=99)[0] == 3
 
 
+def test_run_rejects_a_feature_file_of_another_shape(tmp_path, capsys):
+    features, scenario = _gen(tmp_path)
+    for flags in (["--d", "6"], ["--c", "4"]):
+        other = tmp_path / flags[0][2:]
+        other.mkdir()
+        wrong, _ = _gen(other, *flags)
+        capsys.readouterr()
+        code = main(["run", "--scenario", str(scenario), "--features", str(wrong),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2, flags
+        assert "scenario says d=8 and c=3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_jobs_below_one(tmp_path):
+    features, scenario = _gen(tmp_path)
+    for jobs in ("0", "-5"):
+        code = main(["run", "--scenario", str(scenario), "--scenario", str(scenario),
+                     "--features", str(features), "--out-dir", str(tmp_path / "out"), "--jobs", jobs])
+        assert code == 2, jobs
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_multiple_scenarios_with_jobs(tmp_path):
     features, s1 = _gen(tmp_path, "--schedule", "churn", "--rounds", "3",
                         "--adds-per-round", "2", "--dels-per-round", "2")
@@ -213,7 +239,7 @@ def test_run_invalid_event_stream_exit_4(tmp_path):
     "case",
     [
         "past-end", "negative", "not-retained", "re-add", "repeated-add", "repeated-delete",
-        "cross-client-delete", "fractional-add", "fractional-delete",
+        "cross-client-delete", "fractional-add", "fractional-delete", "repeated-client",
     ],
 )
 def test_run_bad_event_ids_exit_4(tmp_path, case):
@@ -239,6 +265,8 @@ def test_run_bad_event_ids_exit_4(tmp_path, case):
     elif case == "fractional-delete":  # truncates to an id this client retains
         half = [events[0]["add"][0] + 0.5]
         doc["schedule"].append({"round": 2, "events": [{"client": events[0]["client"], "add": [], "delete": half}]})
+    elif case == "repeated-client":  # one client, two messages in one round
+        events.append({"client": events[0]["client"], "add": [], "delete": []})
     else:  # events[0]'s client retains the id, events[1]'s client deletes it
         other = {"client": events[1]["client"], "add": [], "delete": [events[0]["add"][0]]}
         doc["schedule"].append({"round": 2, "events": [other]})

@@ -9,7 +9,9 @@ from fedridge.client import ClientStore, Sample, VARIANT_FULL, VARIANT_QR
 from fedridge.coordinator import (
     MixedRound,
     MixedVariant,
+    OutOfOrder,
     RoundAggregate,
+    RoundFold,
     account_round,
     aggregate,
     run_round_a,
@@ -73,6 +75,62 @@ def test_aggregated_and_ledger_grams_are_bitwise_symmetric(variant, precision):
         ledger, _ = run_round_a(ledger, agg)
         assert np.array_equal(ledger.stats.S, ledger.stats.S.T)
     assert np.any(agg.S_minus)
+
+
+def _two_round_messages(variant, precision, d=9, c=3):
+    # three clients' round-two messages, each with both adds and deletes
+    rng = np.random.default_rng(31)
+    features = rng.standard_normal((90, d))
+    labels = rng.standard_normal((90, c))
+    parts = [range(0, 20), range(20, 24), range(24, 60)]
+    stores = [_store_with(k, ids, features, labels, d, c, precision) for k, ids in enumerate(parts)]
+    for store, ids in zip(stores, parts):
+        store.make_round_message(1, list(ids), [], variant)
+    messages = []
+    for k, store in enumerate(stores):
+        adds = list(range(60 + 10 * k, 70 + 10 * k))
+        store.ingest(Sample(i, features[i], labels[i]) for i in adds)
+        messages.append(store.make_round_message(2, adds, list(parts[k])[::2], variant))
+    return messages
+
+
+@pytest.mark.parametrize("variant", [VARIANT_FULL, VARIANT_QR])
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_fold_message_by_message_is_bitwise_the_list_aggregate(variant, precision):
+    messages = _two_round_messages(variant, precision)
+    whole = aggregate(messages)
+    fold = RoundFold()
+    for msg in messages:
+        assert aggregate([msg], fold) is fold
+    folded = fold.close()
+    for name in ("round", "variant", "d", "c", "n_plus", "n_minus"):
+        assert getattr(folded, name) == getattr(whole, name)
+    for name in ("S_plus", "G_plus", "S_minus", "G_minus", "U_plus", "U_minus"):
+        a, b = getattr(folded, name), getattr(whole, name)
+        if variant == VARIANT_FULL and name.startswith("U"):
+            assert a is None and b is None
+            continue
+        assert a.dtype == b.dtype == dtype_of(precision)
+        assert a.tobytes() == b.tobytes() and a.shape == b.shape
+    assert fold.comm(precision) == account_round(messages, precision)
+
+
+@pytest.mark.parametrize("variant", [VARIANT_FULL, VARIANT_QR])
+def test_fold_rejects_a_client_id_not_above_the_last(variant):
+    first, second, third = _two_round_messages(variant, "f64")
+    fold = aggregate([first, third], RoundFold())
+    for late in (second, third):  # below the last client, then equal to it
+        with pytest.raises(OutOfOrder):
+            aggregate([late], fold)
+    # a whole list is still folded in ascending client id, whatever its order
+    assert aggregate([third, first, second]).S_plus.tobytes() == aggregate([first, second, third]).S_plus.tobytes()
+
+
+def test_fold_of_no_messages_cannot_close():
+    with pytest.raises(ValueError):
+        RoundFold().close()
+    with pytest.raises(ValueError):
+        aggregate([])
 
 
 def test_aggregate_rejects_mixed_rounds_and_variants():

@@ -361,9 +361,9 @@ def test_approx_sends_variant_b_messages(monkeypatch):
     payload_types = set()
     real = simulate_mod.aggregate
 
-    def recording(messages):
+    def recording(messages, *running):
         payload_types.update(type(p) for m in messages for p in (m.add, m.delete))
-        return real(messages)
+        return real(messages, *running)
 
     monkeypatch.setattr(simulate_mod, "aggregate", recording)
     data = gen_synthetic(43, 300, 8, 2, 2.0)
@@ -373,6 +373,46 @@ def test_approx_sends_variant_b_messages(monkeypatch):
     assert payload_types == {QrPayload}
     exact = run_scenario(_scenario(data, parts, schedule, variant="B"), data.features, data.labels)
     assert approx.summary["total_bytes_approx"] == exact.summary["total_bytes_B"] > 0
+
+
+def test_run_scenario_folds_each_message_once_as_it_arrives(monkeypatch):
+    import weakref
+
+    import fedridge.simulate as simulate_mod
+    from fedridge.coordinator import account_round
+
+    real = simulate_mod.aggregate
+    # (round, variant) -> (client id, account_round of the message) in arrival order;
+    # the messages themselves are not kept, so the round loop's references are the only ones
+    seen: dict[tuple[int, str], list] = {}
+    alive_at_fold: list[int] = []
+    a_payloads: dict[int, list] = {}  # round -> weakrefs to A's payloads
+
+    def recording(messages, running):
+        assert isinstance(messages, list) and len(messages) == 1
+        msg = messages[0]
+        if msg.variant == "A":
+            refs = a_payloads.setdefault(msg.round, [])
+            alive_at_fold.append(sum(ref() is not None for ref in refs))
+            refs += [weakref.ref(msg.add), weakref.ref(msg.delete)]
+        seen.setdefault((msg.round, msg.variant), []).append((msg.client_id, account_round([msg], "f64")))
+        return real(messages, running)
+
+    monkeypatch.setattr(simulate_mod, "aggregate", recording)
+    data = gen_synthetic(59, 400, 10, 3, 2.0)
+    parts = dirichlet_partition(59, data.classes[: data.n_train], 6, 0.5)
+    schedule = schedule_churn(59, parts, rounds=4, adds_per_round=5, deletes_per_round=7)
+    result = run_scenario(_scenario(data, parts, schedule), data.features, data.labels)
+    # while a message is folded, no earlier A payload of its round is alive
+    assert alive_at_fold and not any(alive_at_fold)
+    assert sum(variant == "A" for _, variant in seen) == len(schedule)
+    for spec, rec in zip(schedule, result.records):
+        expected = sorted(ev.client for ev in spec.events)
+        for variant in ("A", "B"):
+            arrivals = seen[(spec.round, variant)]
+            assert [client for client, _ in arrivals] == expected  # each client once, ascending
+            assert rec.variants[variant].bytes == sum(comm.total_bytes for _, comm in arrivals)
+            assert rec.variants[variant].scalars == sum(comm.total_scalars for _, comm in arrivals)
 
 
 def _assert_inf_bound_rounds_match_csv(result):
