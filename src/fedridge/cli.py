@@ -267,32 +267,45 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _malformed(path, problem) -> int:
+    print(f"error: malformed file {path}: {problem}", file=sys.stderr)
+    return EXIT_IO
+
+
 def _cmd_report(args) -> int:
-    try:
-        summary = json.loads(Path(args.summary).read_text())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    print("run summary")
-    for key in sorted(summary):
-        print(f"  {key:>20}: {summary[key]}")
-    if args.metrics:
+    texts = []
+    for path in [args.summary] + ([args.metrics] if args.metrics else []):
         try:
-            lines = Path(args.metrics).read_text().strip().splitlines()
+            texts.append(Path(path).read_text())
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
-        devs: dict[str, list[float]] = {}
-        for line in lines[1:]:
-            cells = line.split(",")
-            if len(cells) >= 3 and cells[2]:
+        except ValueError as exc:  # not UTF-8 text
+            return _malformed(path, exc)
+    try:
+        summary = json.loads(texts[0])
+    except ValueError as exc:
+        return _malformed(args.summary, exc)
+    lines = texts[1].strip().splitlines() if args.metrics else []
+    if not isinstance(summary, dict):
+        return _malformed(args.summary, f"a summary holds a JSON object, not {type(summary).__name__}")
+    devs: dict[str, list[float]] = {}
+    for number, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) >= 3 and cells[2]:
+            try:
                 devs.setdefault(cells[1], []).append(float(cells[2]))
-        for variant in sorted(devs):
-            vals = np.asarray(devs[variant])
-            print(
-                f"  variant {variant}: rounds={len(vals)} "
-                f"median_dev={np.median(vals):.3e} max_dev={vals.max():.3e}"
-            )
+            except ValueError:
+                return _malformed(args.metrics, f"line {number}: {cells[2]!r} is not a number")
+    print("run summary")
+    for key in sorted(summary):
+        print(f"  {key:>20}: {summary[key]}")
+    for variant in sorted(devs):
+        vals = np.asarray(devs[variant])
+        print(
+            f"  variant {variant}: rounds={len(vals)} "
+            f"median_dev={np.median(vals):.3e} max_dev={vals.max():.3e}"
+        )
     return EXIT_OK
 
 

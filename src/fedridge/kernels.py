@@ -15,7 +15,7 @@ OPENBLAS_NUM_THREADS=1), not across thread counts.
 
 Symmetry is settled where a matrix is made: numpy evaluates `X.T @ X` of
 one buffer as a symmetric product, bitwise symmetric, and sums of such
-matrices stay so.  The Grams, Variant B's UᵀU of the stacked R-factors
+matrices stay so.  The Grams, Variant B's UᵀU of the round's folded R-factor
 and the inverse from a Cholesky factor, inv(L)ᵀ inv(L) in
 `inverse_from_factor`, need no `symmetrize`; only the SMW step (U T Uᵀ, the
 updated T) still calls it, for Variant B and approx mode alike.  Cholesky

@@ -298,6 +298,10 @@ class Scenario:
     sigma2: float = 1.0
 
     def __post_init__(self):
+        if self.clients < 1 or self.d < 1 or self.c < 2:
+            raise ValueError(f"need clients >= 1, d >= 1 and c >= 2, got {self.clients}, {self.d} and {self.c}")
+        if not 0 <= self.n_train <= self.n:
+            raise ValueError(f"n_train must lie in [0, n={self.n}], got {self.n_train}")
         if self.variant not in SCENARIO_VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected A, B, both or approx")
         if self.precision not in PRECISION_DTYPES:
@@ -509,6 +513,8 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
         if len(set(clients)) < len(clients):
             raise RuntimeError(f"round {spec.round} lists a client in more than one event")
         for ev in events:
+            if ev.client not in range(scenario.clients):
+                raise RuntimeError(f"round {spec.round} names client {ev.client!r}, outside [0, {scenario.clients})")
             add = np.asarray(ev.add)
             delete = np.asarray(ev.delete)
             for ids in (add, delete):
@@ -518,6 +524,8 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
                     raise RuntimeError(f"round {spec.round} names ids outside the feature file")
             add = add.astype(np.int64)
             delete = delete.astype(np.int64)
+            if add.size and add.max() >= scenario.n_train:
+                raise RuntimeError(f"round {spec.round} adds ids of the test split (n_train={scenario.n_train})")
             if np.unique(add).size < add.size or np.unique(delete).size < delete.size:
                 raise RuntimeError(f"round {spec.round} repeats an id within one client's event")
             if (owner[add] >= 0).any():

@@ -1,0 +1,53 @@
+"""The benchmark's correctness gate, applied to each of its workloads at small n.
+
+Every workload of `perfbench/workloads.py` is generated with `--n 1500` and
+replayed once through `fedridge run`; each replay must pass the gate that
+`perfbench/replay.py` applies at full size.
+"""
+
+import csv
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import fedridge.coordinator as coordinator_mod
+from fedridge.cli import main
+
+EXACT_TOL = 1e-8  # rel_dev_vs_oracle of A, B and approx reset rows
+KL_TOL = 1e-9
+
+
+def _workloads() -> dict:
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while the class is built
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.WORKLOADS
+
+
+WORKLOADS = _workloads()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_passes_the_gate_at_small_n(tmp_path, monkeypatch, name):
+    features, scenario, out = tmp_path / "features.bin", tmp_path / "scenario.json", tmp_path / "out"
+    assert main(["gen", *WORKLOADS[name].gen_args, "--n", "1500", "--seed", "1",
+                 "--out-features", str(features), "--out-scenario", str(scenario)]) == 0
+    compactions = []
+    real = coordinator_mod.thin_qr_rfactor
+    monkeypatch.setattr(coordinator_mod, "thin_qr_rfactor", lambda f: compactions.append(1) or real(f))
+    assert main(["run", "--scenario", str(scenario), "--features", str(features), "--out-dir", str(out)]) == 0
+    rows = list(csv.DictReader((out / "metrics.csv").read_text().splitlines()))
+    assert rows
+    for row in rows:
+        if row["variant"] in ("A", "B") or row["reset_flag"] == "1":
+            assert float(row["rel_dev_vs_oracle"]) <= EXACT_TOL, row
+    assert json.loads((out / "summary.json").read_text())["max_kl"] <= KL_TOL
+    assert compactions  # round 1 folds more than 2d factor rows, so the server compacts

@@ -148,6 +148,38 @@ def test_report_reads_outputs(tmp_path, capsys):
     assert main(["report", "--summary", str(tmp_path / "missing.json")]) == 3
 
 
+@pytest.mark.parametrize("case", ["list-summary", "unparseable-summary", "non-number-cell"])
+def test_report_rejects_malformed_files_exit_3(tmp_path, capsys, case):
+    summary = tmp_path / "summary.json"
+    metrics = tmp_path / "metrics.csv"
+    summary.write_text(json.dumps({"resets": 0}))
+    metrics.write_text("round,variant,rel_dev_vs_oracle\n1,A,1e-15\n")
+    if case == "list-summary":
+        summary.write_text("[1, 2]")
+        bad = summary
+    elif case == "unparseable-summary":
+        summary.write_text("{not json")
+        bad = summary
+    else:
+        metrics.write_text("round,variant,rel_dev_vs_oracle\n1,A,1e-15\n2,A,oops\n")
+        bad = metrics
+    assert main(["report", "--summary", str(summary), "--metrics", str(metrics)]) == 3
+    assert f"malformed file {bad}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("n_train", -5), ("n_train", 400), ("clients", 0)])
+def test_run_rejects_invalid_scenario_fields_exit_2(tmp_path, field, value):
+    features, scenario = _gen(tmp_path)
+    doc = json.loads(scenario.read_text())
+    doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["run", "--scenario", str(bad), "--features", str(features),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_rejects_invalid_config(tmp_path):
     features, scenario = _gen(tmp_path)
     for flags in (
@@ -240,6 +272,7 @@ def test_run_invalid_event_stream_exit_4(tmp_path):
     [
         "past-end", "negative", "not-retained", "re-add", "repeated-add", "repeated-delete",
         "cross-client-delete", "fractional-add", "fractional-delete", "repeated-client",
+        "test-split-add", "no-training-split", "client-past-end", "negative-client",
     ],
 )
 def test_run_bad_event_ids_exit_4(tmp_path, case):
@@ -267,6 +300,14 @@ def test_run_bad_event_ids_exit_4(tmp_path, case):
         doc["schedule"].append({"round": 2, "events": [{"client": events[0]["client"], "add": [], "delete": half}]})
     elif case == "repeated-client":  # one client, two messages in one round
         events.append({"client": events[0]["client"], "add": [], "delete": []})
+    elif case == "test-split-add":  # inside the feature file, but a test sample
+        events[0]["add"].append(250)
+    elif case == "no-training-split":  # every id is a test sample
+        doc["n_train"] = 0
+    elif case == "client-past-end":  # the scenario has clients 0..3
+        events[0]["client"] = 4
+    elif case == "negative-client":
+        events[0]["client"] = -1
     else:  # events[0]'s client retains the id, events[1]'s client deletes it
         other = {"client": events[1]["client"], "add": [], "delete": [events[0]["add"][0]]}
         doc["schedule"].append({"round": 2, "events": [other]})

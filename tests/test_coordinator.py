@@ -126,6 +126,65 @@ def test_fold_rejects_a_client_id_not_above_the_last(variant):
     assert aggregate([third, first, second]).S_plus.tobytes() == aggregate([first, second, third]).S_plus.tobytes()
 
 
+def _wide_round(precision, d=6, clients=8):
+    # round two of a churn: 8 x 5 add rows and 8 x 4 delete rows, both above 2d = 12
+    rng = np.random.default_rng(33)
+    features = rng.standard_normal((clients * 15, d))
+    labels = rng.standard_normal((clients * 15, 2))
+    messages, adds, deletes = [], [], []
+    for k in range(clients):
+        first, second = list(range(15 * k, 15 * k + 10)), list(range(15 * k + 10, 15 * k + 15))
+        store = _store_with(k, first + second, features, labels, d, 2, precision)
+        store.make_round_message(1, first, [], VARIANT_QR)
+        messages.append(store.make_round_message(2, second, first[::3][:4], VARIANT_QR))
+        adds += second
+        deletes += first[::3][:4]
+    return messages, features, labels, adds, deletes
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_fold_holds_at_most_2d_rows_per_side(precision):
+    messages, *_ = _wide_round(precision)
+    d = messages[0].add.R.shape[1]
+    fold = RoundFold()
+    for msg in messages:
+        aggregate([msg], fold)
+        assert all(sum(b.shape[0] for b in held) <= 2 * d for held in fold._blocks)
+    assert sum(m.add.R.shape[0] for m in messages) > 2 * d
+    assert sum(m.delete.R.shape[0] for m in messages) > 2 * d
+    folded = fold.close()
+    whole = aggregate(messages)
+    for name in ("S_plus", "G_plus", "S_minus", "G_minus", "U_plus", "U_minus"):
+        a, b = getattr(folded, name), getattr(whole, name)
+        assert a.tobytes() == b.tobytes() and a.shape == b.shape
+
+
+@pytest.mark.parametrize("precision, tol", [("f32", 1e-5), ("f64", 1e-13)])
+def test_compacted_round_gram_is_its_factor_product_and_the_batch_gram(precision, tol):
+    messages, features, labels, adds, deletes = _wide_round(precision)
+    d = features.shape[1]
+    agg = aggregate(messages)
+    for u, s, ids in ((agg.U_plus, agg.S_plus, adds), (agg.U_minus, agg.S_minus, deletes)):
+        assert u.shape == (d, d) and u.dtype == s.dtype == dtype_of(precision)
+        assert s.tobytes() == (u.T @ u).tobytes()
+        assert rel_frobenius_dev(s, stats_from_batch(features[ids], labels[ids]).S) <= tol
+
+
+def test_round_of_at_most_d_rows_is_the_plain_stack(monkeypatch):
+    import fedridge.coordinator as coordinator_mod
+
+    messages = _two_round_messages(VARIANT_QR, "f64", d=30)  # 30 add and 30 delete rows: exactly d
+    calls = []
+    real = coordinator_mod.thin_qr_rfactor
+    monkeypatch.setattr(coordinator_mod, "thin_qr_rfactor", lambda f: calls.append(1) or real(f))
+    agg = aggregate(messages)
+    assert calls == []
+    for u, s, side in ((agg.U_plus, agg.S_plus, "add"), (agg.U_minus, agg.S_minus, "delete")):
+        stack = np.vstack([getattr(m, side).R for m in messages])
+        assert u.tobytes() == stack.tobytes() and u.shape == stack.shape
+        assert s.tobytes() == (stack.T @ stack).tobytes()
+
+
 def test_fold_of_no_messages_cannot_close():
     with pytest.raises(ValueError):
         RoundFold().close()
@@ -165,10 +224,13 @@ def test_aggregate_matches_concatenated_batch():
     st = stats_from_batch(features, labels)
     assert rel_frobenius_dev(agg.S_plus, st.S) <= 1e-13
     assert rel_frobenius_dev(agg.G_plus, st.G) <= 1e-13
-    # the QR route reproduces the same aggregate through stacked factors
+    # the QR route reproduces the same aggregate through one folded factor of at most d rows
     agg_b = aggregate(_round_one_messages(VARIANT_QR, features, labels, parts, d, c))
     assert rel_frobenius_dev(agg_b.U_plus.T @ agg_b.U_plus, st.S) <= 1e-12
-    assert agg_b.U_plus.shape == (sum(min(len(p), d) for p in parts), d)
+    assert agg_b.U_plus.shape[0] <= d and agg_b.U_plus.shape[1] == d
+    ledger = ledger_init(d, c)
+    _, _, w, _ = run_round_b(ledger, init_from_ledger(ledger), agg_b)
+    assert rel_frobenius_dev(w, oracle_retrain(RetainedGram(features, labels), np.ones(n, bool), 1.0)[0]) <= 1e-9
 
 
 def test_aggregate_rejects_dimension_mismatch_qr():
@@ -320,7 +382,7 @@ def test_run_round_b_reset_on_boundary_deletion():
 
 
 def test_run_round_b_compacts_tall_stacks():
-    # more stacked factor rows than columns: capacitance must stay d x d
+    # 10 clients x min(12, 4) = 40 factor rows against d = 4: capacitance must stay d x d
     rng = np.random.default_rng(26)
     d, c, n = 4, 1, 120
     features = rng.standard_normal((n, d))
@@ -328,7 +390,8 @@ def test_run_round_b_compacts_tall_stacks():
     parts = [range(i * 12, (i + 1) * 12) for i in range(10)]
     msgs = _round_one_messages(VARIANT_QR, features, labels, parts, d, c)
     agg = aggregate(msgs)
-    assert agg.U_plus.shape[0] == 40  # 10 clients x min(12, 4)
+    assert agg.U_plus.shape[0] <= d
+    assert rel_frobenius_dev(agg.U_plus.T @ agg.U_plus, stats_from_batch(features, labels).S) <= 1e-12
     ledger = ledger_init(d, c)
     state = init_from_ledger(ledger)
     ledger, state, w, _ = run_round_b(ledger, state, agg)

@@ -179,7 +179,8 @@ def _blocked_churn_run(monkeypatch):
     live = [i for i in range(_BLOCKED_N) if i not in _EMPTY_BLOCK]
     parts = [live[k::3] for k in range(3)]
     schedule = schedule_churn(41, parts, rounds=6, adds_per_round=20, deletes_per_round=25)
-    scenario = _scenario(data, parts, schedule, variant="A")
+    # every id streams as a training sample, so none is held out for scoring
+    scenario = _scenario(data, parts, schedule, variant="A", n_train=_BLOCKED_N)
     rounds = []
     original = simulate.oracle_retrain
 
@@ -233,7 +234,7 @@ def test_single_delete_round_forms_at_most_one_block(monkeypatch):
     live = [i for i in range(_BLOCKED_N) if i not in _EMPTY_BLOCK]
     parts = [live[k::4] for k in range(4)]
     burst = schedule_burst(47, parts, 12)
-    scenario = _scenario(data, parts, [initial_round(parts)] + burst, variant="A")
+    scenario = _scenario(data, parts, [initial_round(parts)] + burst, variant="A", n_train=_BLOCKED_N)
     rows_per_round: list[list[int]] = []
     original_oracle, original_stats = simulate.oracle_retrain, simulate.stats_from_batch
 
@@ -455,6 +456,11 @@ def test_scenario_json_round_trip():
         ("sigma2", -1.0),
         ("rank", 0),
         ("reset_every", -1),
+        ("n_train", -5),
+        ("n_train", 101),
+        ("clients", 0),
+        ("d", 0),
+        ("c", 1),
     ],
 )
 def test_scenario_rejects_invalid_settings(field, value):
