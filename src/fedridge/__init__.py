@@ -39,7 +39,13 @@ from .kernels import (
     symmetric_eig,
     thin_qr_rfactor,
 )
-from .posterior import MatrixNormalPosterior, kl_matrix_normal, posterior_from_ledger, psd_order_check
+from .posterior import (
+    MatrixNormalPosterior,
+    kl_matrix_normal,
+    posterior_from_ledger,
+    posterior_from_state,
+    psd_order_check,
+)
 from .simulate import (
     RetainedGram,
     Scenario,

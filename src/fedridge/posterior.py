@@ -8,19 +8,30 @@ Since both parameters are functions of (S, G) alone, a protocol that keeps
 the statistics exact keeps the whole posterior exact, and the KL divergence
 against a from-scratch recomputation is zero up to floating-point noise.
 
-The posterior is stored as its mean M and the lower Cholesky factor P of
-the row precision (S + gamma*I) / sigma2, the one factor the head solve
-already needs.  The KL between two such posteriors with identity column
-covariance reduces to c Gaussian columns sharing one row covariance; with
-precision factors P_p, P_q and mix = P_p^-1 P_q (lower triangular),
+The posterior is stored as its mean M and one lower-triangular factor of
+its row covariance.  A posterior read from a ledger carries the lower
+Cholesky factor P of the row precision (S + gamma*I) / sigma2, the one
+factor the head solve already needs.  A posterior read from Variant B's
+tracked state T = (S + gamma*I)^-1 carries instead the lower covariance
+factor C = P^-1, taken from a reverse Cholesky of T: with J the exchange
+matrix (ones on the anti-diagonal) and L Lᵀ = J T J,
+
+    T = U Uᵀ,  U = J L J upper triangular,  so  sigma2 * T = Cᵀ C  with  C = sigma * Uᵀ,
+
+and C is lower triangular; the row covariance Cᵀ C needs no inverse.  The
+KL between two such posteriors with identity column covariance reduces to
+c Gaussian columns sharing one row covariance; with precision factors P_p,
+P_q and mix = P_p^-1 P_q (lower triangular),
 
     KL(p || q) = c/2 * ( ||mix||_F^2 - d - 2 sum_i ln mix_ii )
                  + 1/2 * || P_qᵀ (M_q - M_p) ||_F^2
 
-and the trace/log-det part is summed as sum_i (x_i^2 - 1 - 2 ln x_i) with
-x = diag(mix), plus the squares of mix's strict lower triangle, so every
-summand is non-negative up to rounding.  The reduction is cross-checked in
-the test suite against a dense vectorized-Gaussian KL at small dimensions.
+where mix is a triangular solve when p carries P and the product C_p P_q,
+of two lower-triangular matrices, when p carries C.  The trace/log-det
+part is summed as sum_i (x_i^2 - 1 - 2 ln x_i) with x = diag(mix), plus
+the squares of mix's strict lower triangle, so every summand is
+non-negative up to rounding.  The reduction is cross-checked in the test
+suite against a dense vectorized-Gaussian KL at small dimensions.
 """
 
 from __future__ import annotations
@@ -30,43 +41,85 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DimensionMismatch, frobenius_norm, inverse_from_factor, triangular_solve_lower
+from .inverse import InverseState
+from .kernels import (
+    DimensionMismatch,
+    NotSPD,
+    cholesky_spd,
+    frobenius_norm,
+    inverse_from_factor,
+    triangular_solve_lower,
+)
 from .stats import Ledger
 
 
 @dataclass(frozen=True)
 class MatrixNormalPosterior:
+    """Mean M and exactly one lower-triangular row factor, P or C = P^-1."""
+
     M: np.ndarray
-    P: np.ndarray  # lower Cholesky factor of the row precision Sigma^-1
+    P: np.ndarray | None = None  # lower Cholesky factor of the row precision Sigma^-1
+    C: np.ndarray | None = None  # lower factor of the row covariance, Sigma = CᵀC
+
+    def __post_init__(self):
+        if (self.P is None) == (self.C is None):
+            raise ValueError("a posterior carries exactly one of P and C")
 
     @property
     def Sigma(self) -> np.ndarray:
-        """Row covariance (P Pᵀ)^-1, formed on demand."""
+        """Row covariance, CᵀC or (P Pᵀ)^-1, formed on demand."""
+        if self.C is not None:
+            return self.C.T @ self.C
         return inverse_from_factor(self.P)
 
     @property
     def d(self) -> int:
-        return self.P.shape[0]
+        return (self.P if self.C is None else self.C).shape[0]
 
     @property
     def c(self) -> int:
         return self.M.shape[1]
 
 
-def posterior_from_ledger(ledger: Ledger, sigma2: float = 1.0) -> MatrixNormalPosterior:
-    """Posterior from the ledger's factor of S + gamma*I; M is `ledger.head`."""
+def _check_sigma2(sigma2: float) -> None:
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    return MatrixNormalPosterior(ledger.head, ledger.factor / math.sqrt(sigma2))
+
+
+def posterior_from_ledger(ledger: Ledger, sigma2: float = 1.0) -> MatrixNormalPosterior:
+    """Posterior from the ledger's factor of S + gamma*I; M is `ledger.head`."""
+    _check_sigma2(sigma2)
+    return MatrixNormalPosterior(ledger.head, P=ledger.factor / math.sqrt(sigma2))
+
+
+def posterior_from_state(state: InverseState, sigma2: float = 1.0) -> MatrixNormalPosterior:
+    """The served posterior N(W, sigma2 * T) of a tracked state.
+
+    C = sigma * Uᵀ, in float64, from the reverse Cholesky T = U Uᵀ.  Raises
+    NotSPD when T is not finite or not positive definite.
+    """
+    _check_sigma2(sigma2)
+    t = np.asarray(state.T, dtype=np.float64)
+    if not np.all(np.isfinite(t)):
+        raise NotSPD("T has non-finite entries")
+    u = cholesky_spd(t[::-1, ::-1])[::-1, ::-1]
+    return MatrixNormalPosterior(state.W, C=u.T * math.sqrt(sigma2))
 
 
 def kl_matrix_normal(p: MatrixNormalPosterior, q: MatrixNormalPosterior) -> float:
-    """KL(p || q) between matrix-normal posteriors with identity column cov."""
-    if p.P.shape != q.P.shape or p.M.shape != q.M.shape:
+    """KL(p || q) between matrix-normal posteriors with identity column cov.
+
+    q must carry its precision factor P; p may carry either factor.
+    """
+    if q.P is None:
+        raise ValueError("kl_matrix_normal needs q's precision factor P")
+    if p.d != q.d or p.M.shape != q.M.shape:
         raise DimensionMismatch("posterior dimensions differ")
-    p_p = p.P.astype(np.float64, copy=False)
     p_q = q.P.astype(np.float64, copy=False)
-    mix = triangular_solve_lower(p_p, p_q)
+    if p.C is not None:
+        mix = p.C.astype(np.float64, copy=False) @ p_q
+    else:
+        mix = triangular_solve_lower(p.P.astype(np.float64, copy=False), p_q)
     x = np.diagonal(mix)
     off = np.tril(mix, -1)
     trace_logdet = float(np.sum(x * x - 1.0 - 2.0 * np.log(x)) + np.sum(off * off))

@@ -18,6 +18,9 @@ Message frames ("FCUL")
     statistics frames carry S packed as its upper triangle row-major,
     then G; QR frames carry R dense, then G.  A ClientMessage serializes
     as exactly two frames: the add payload first, then the delete payload.
+    A client's QR frame has r = min(n, d); the decoder rejects d < 1,
+    c < 1, r != 0 in a full-statistics frame and r > min(n, d) in a QR
+    frame.
 
 Feature files ("FFUR")
     Little-endian header
@@ -113,6 +116,11 @@ def _decode_frame(buf: bytes, offset: int):
         raise WireError("bad precision or variant code")
     dtype = _CODE_DTYPE[prec_code]
     variant = _CODE_VARIANT[variant_code]
+    if d < 1 or c < 1:
+        raise WireError(f"implausible dimensions d={d}, c={c}")
+    max_rows = 0 if variant == VARIANT_FULL else d
+    if r > max_rows:
+        raise WireError(f"r={r} R-factor rows; a variant {variant} frame at d={d} has at most {max_rows}")
     if variant == VARIANT_FULL:
         count = variant_a_payload_scalars(d, c)
     else:
@@ -125,6 +133,8 @@ def _decode_frame(buf: bytes, offset: int):
     if not (n >= 0 and n.is_integer()):
         raise WireError(f"bad sample count {n!r}")
     n = int(n)
+    if r > n:
+        raise WireError(f"{r} R-factor rows from {n} samples")
     if variant == VARIANT_FULL:
         tri = d * (d + 1) // 2
         payload = StatsPayload(

@@ -133,6 +133,24 @@ def test_verify_tolerance_sweep_reports_failures(capsys):
     assert "FAIL kernel-roundtrip" in out and "measured=" in out
 
 
+@pytest.mark.parametrize("name", ["retrain-equivalence", "variant-equivalence", "kl-certificate", "kl-floor"])
+def test_verify_fails_a_nan_in_the_churn_run(monkeypatch, capsys, name):
+    # the NaN sits in the middle, where built-in max and min would drop it
+    import dataclasses
+
+    import fedridge.verify as verify_mod
+
+    real = verify_mod._churn_result(7)
+    records = list(real.records)
+    middle = len(records) // 2
+    variants = {v: dataclasses.replace(m, rel_dev=float("nan"), kl=float("nan"))
+                for v, m in records[middle].variants.items()}
+    records[middle] = dataclasses.replace(records[middle], variants=variants)
+    monkeypatch.setattr(verify_mod, "_churn_result", lambda seed: dataclasses.replace(real, records=records))
+    assert main(["verify", "--only", name]) == 1
+    assert f"FAIL {name}: measured=nan" in capsys.readouterr().out
+
+
 def test_report_reads_outputs(tmp_path, capsys):
     features, scenario = _gen(tmp_path, "--schedule", "churn", "--rounds", "3",
                               "--adds-per-round", "2", "--dels-per-round", "2")
@@ -337,6 +355,46 @@ def test_run_holds_approx_reset_rows_to_the_ceiling(tmp_path, monkeypatch, reset
     assert main(["run", "--scenario", str(scenario), "--features", str(features),
                  "--out-dir", str(tmp_path / "out"), "--variant", "approx", "--rank", "2",
                  "--reset-every", "3"]) == code
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_run_fails_a_nan_on_an_exact_row(tmp_path, monkeypatch, capsys, precision):
+    import fedridge.cli as cli_mod
+
+    real = cli_mod.run_scenario
+
+    def nan_row(*args):
+        result = real(*args)
+        result.records[-1].variants["A"].rel_dev = float("nan")
+        return result
+
+    monkeypatch.setattr(cli_mod, "run_scenario", nan_row)
+    features, scenario = _gen(tmp_path, "--schedule", "churn", "--rounds", "3")
+    assert main(["run", "--scenario", str(scenario), "--features", str(features),
+                 "--out-dir", str(tmp_path / "out"), "--precision", precision]) == 4
+    assert "nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_t", ["indefinite", "nan"])
+def test_run_exits_4_when_the_served_t_cannot_be_certified(tmp_path, monkeypatch, capsys, bad_t):
+    import dataclasses
+
+    import numpy as np
+
+    import fedridge.simulate as simulate_mod
+
+    real = simulate_mod.run_round_b
+
+    def corrupting(ledger, state, agg):
+        ledger, state, w, info = real(ledger, state, agg)
+        t = -state.T if bad_t == "indefinite" else np.full_like(state.T, np.nan)
+        return ledger, dataclasses.replace(state, T=t), w, info
+
+    monkeypatch.setattr(simulate_mod, "run_round_b", corrupting)
+    features, scenario = _gen(tmp_path, "--schedule", "churn", "--rounds", "3")
+    assert main(["run", "--scenario", str(scenario), "--features", str(features),
+                 "--out-dir", str(tmp_path / "out")]) == 4
+    assert "served T cannot be certified" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2():

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from fedridge.inverse import InverseState
+from fedridge.kernels import NotSPD
 from fedridge.posterior import (
     MatrixNormalPosterior,
     kl_matrix_normal,
     posterior_from_ledger,
+    posterior_from_state,
     psd_order_check,
 )
 from fedridge.simulate import RetainedGram, oracle_retrain
@@ -100,6 +103,54 @@ def test_zero_kl_certificate_protocol_vs_oracle():
     kl = kl_matrix_normal(posterior_from_ledger(led), posterior_from_ledger(oracle_led))
     assert -1e-12 <= kl <= 1e-9
     np.testing.assert_allclose(led.head, oracle_retrain(RetainedGram(f, y), np.ones(80, bool), 1.0)[0], rtol=1e-12)
+
+
+def _random_sigma(rng, d, floor):
+    m = rng.standard_normal((d, d))
+    return m.T @ m + floor * np.eye(d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_kl_from_covariance_factor_matches_dense_oracle(d, c):
+    # a served state's posterior N(W, sigma2 T) carries C = sigma Uᵀ with T = U Uᵀ
+    rng = np.random.default_rng(100 + 10 * d + c)
+    for _ in range(10):
+        t = _random_sigma(rng, d, 0.3)
+        sigma2 = float(rng.uniform(0.5, 2.0))
+        p = posterior_from_state(InverseState(t, rng.standard_normal((d, c)), 1.0), sigma2)
+        assert p.P is None and np.array_equal(p.C, np.tril(p.C))
+        np.testing.assert_allclose(p.Sigma, sigma2 * t, rtol=1e-12, atol=1e-12)
+        q = MatrixNormalPosterior(
+            rng.standard_normal((d, c)), np.linalg.cholesky(np.linalg.inv(_random_sigma(rng, d, 0.3)))
+        )
+        kl = kl_matrix_normal(p, q)
+        assert kl == pytest.approx(_dense_vectorized_kl(p, q), abs=1e-10)
+        # the same posterior through its precision factor P = C^-1
+        as_precision = MatrixNormalPosterior(p.M, np.linalg.cholesky(np.linalg.inv(sigma2 * t)))
+        assert kl == pytest.approx(kl_matrix_normal(as_precision, q), rel=1e-9, abs=1e-12)
+
+
+def test_posterior_from_state_self_kl_is_zero():
+    led = _ledger_with(BATCH_B)
+    served = posterior_from_state(InverseState(np.linalg.inv(led.factor @ led.factor.T), led.head, 1.0))
+    assert abs(kl_matrix_normal(served, posterior_from_ledger(led))) <= 1e-20
+
+
+@pytest.mark.parametrize("t", [-np.eye(2), np.array([[1.0, np.nan], [np.nan, 1.0]]), np.full((2, 2), np.inf)])
+def test_posterior_from_state_rejects_a_bad_t(t):
+    with pytest.raises(NotSPD):
+        posterior_from_state(InverseState(t, np.zeros((2, 1)), 1.0))
+
+
+def test_posterior_carries_exactly_one_factor():
+    with pytest.raises(ValueError):
+        MatrixNormalPosterior(np.zeros((1, 1)))
+    with pytest.raises(ValueError):
+        MatrixNormalPosterior(np.zeros((1, 1)), P=np.eye(1), C=np.eye(1))
+    covariance_form = MatrixNormalPosterior(np.zeros((1, 1)), C=np.eye(1))
+    with pytest.raises(ValueError):  # the reference must carry its precision factor
+        kl_matrix_normal(covariance_form, covariance_form)
 
 
 def test_psd_order_check_directions():

@@ -416,6 +416,99 @@ def test_run_scenario_folds_each_message_once_as_it_arrives(monkeypatch):
             assert rec.variants[variant].scalars == sum(comm.total_scalars for _, comm in arrivals)
 
 
+def _b_churn(variant="both"):
+    data = gen_synthetic(61, 400, 12, 3, 2.0)
+    parts = dirichlet_partition(61, data.classes[: data.n_train], 4, 0.5)
+    schedule = schedule_churn(61, parts, rounds=8, adds_per_round=4, deletes_per_round=6)
+    sc = _scenario(data, parts, schedule, variant=variant)
+    return lambda: run_scenario(sc, data.features, data.labels)
+
+
+@pytest.mark.parametrize("field", ["W", "T"])
+def test_b_kl_reads_a_nudge_of_the_served_state(monkeypatch, field):
+    # B is certified from the state it serves, so a 1e-6 nudge of it shows in B's kl and not in A's
+    import dataclasses
+
+    import fedridge.simulate as simulate_mod
+
+    run = _b_churn()
+    clean = run()
+    real = simulate_mod.run_round_b
+
+    def nudged(ledger, state, agg):
+        ledger, state, _, info = real(ledger, state, agg)
+        state = dataclasses.replace(state, **{field: getattr(state, field) * (1 + 1e-6)})
+        return ledger, state, state.W, info
+
+    monkeypatch.setattr(simulate_mod, "run_round_b", nudged)
+    dirty = run()
+    for before, after in zip(clean.records, dirty.records):
+        assert before.variants["B"].kl <= 1e-18
+        assert after.variants["B"].kl > 1e-12
+        assert after.variants["A"].kl == before.variants["A"].kl
+
+
+@pytest.mark.parametrize("threshold", [None, 100.0])
+def test_b_round_without_reset_factors_no_ledger_and_solves_no_triangle(monkeypatch, threshold):
+    import fedridge.coordinator as coordinator_mod
+    import fedridge.kernels as kernels_mod
+    import fedridge.posterior as posterior_mod
+    import fedridge.simulate as simulate_mod
+    import fedridge.stats as stats_mod
+
+    counts = {"ledger_factor": 0, "certify_triangular": 0}
+    certifying = []
+    real_cholesky = stats_mod.cholesky_spd  # in `stats`, only `Ledger.factor` calls it
+    real_triangular = kernels_mod.triangular_solve_lower
+
+    def ledger_cholesky(a):
+        counts["ledger_factor"] += 1
+        return real_cholesky(a)
+
+    def triangular(*args):
+        counts["certify_triangular"] += bool(certifying)
+        return real_triangular(*args)
+
+    def certify_span(fn):
+        def wrapped(*args):
+            certifying.append(1)
+            try:
+                return fn(*args)
+            finally:
+                certifying.pop()
+
+        return wrapped
+
+    monkeypatch.setattr(stats_mod, "cholesky_spd", ledger_cholesky)
+    monkeypatch.setattr(kernels_mod, "triangular_solve_lower", triangular)
+    monkeypatch.setattr(posterior_mod, "triangular_solve_lower", triangular)
+    for name in ("posterior_from_state", "posterior_from_ledger", "kl_matrix_normal"):
+        monkeypatch.setattr(simulate_mod, name, certify_span(getattr(simulate_mod, name)))
+    if threshold is not None:  # round 1's large add then resets
+        monkeypatch.setattr(coordinator_mod, "CONDITION_THRESHOLD", threshold)
+    result = _b_churn(variant="B")()
+    resets = sum(rec.variants["B"].reset for rec in result.records)
+    assert resets == (threshold is not None) < len(result.records)
+    # the state's start and each reset factor the ledger; nothing else does
+    assert counts == {"ledger_factor": 1 + resets, "certify_triangular": 0}
+
+
+def test_max_kl_carries_a_nan(monkeypatch):
+    import fedridge.simulate as simulate_mod
+
+    real = simulate_mod.kl_matrix_normal
+    calls = []
+
+    def one_nan(p, q):
+        calls.append(1)
+        return float("nan") if len(calls) == 2 else real(p, q)
+
+    monkeypatch.setattr(simulate_mod, "kl_matrix_normal", one_nan)
+    result = _b_churn()()
+    assert np.isnan(result.records[0].variants["B"].kl)
+    assert np.isnan(result.summary["max_kl"])
+
+
 def _assert_inf_bound_rounds_match_csv(result):
     # served with an infinite bound and not repaired by a reset
     rows = [line.split(",") for line in metrics_csv(result).splitlines()[1:]]

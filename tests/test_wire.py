@@ -109,6 +109,39 @@ def test_decode_rejects_bad_sample_count(precision, count):
         decode_message(encode_message(bad, precision))
 
 
+def _frame(variant_code, d, c, r, n):
+    """One float64 frame with an arbitrary header and a zero payload of the declared size."""
+    header = struct.pack("<4sHBBIIIII", b"FCUL", 1, variant_code, 8, 1, 0, d, c, r)
+    rows = d * (d + 1) // 2 if variant_code == 0 else r * d
+    return header + np.zeros(rows + d * c).tobytes() + np.array([float(n)]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "variant_code, d, c, r, n",
+    [
+        (0, 2, 1, 5, 3),  # a full-statistics frame declaring R-factor rows
+        (1, 2, 1, 3, 1),  # QR rows beyond both d and n
+        (1, 2, 1, 2, 1),  # QR rows beyond n
+        (1, 2, 1, 3, 5),  # QR rows beyond d
+        (0, 0, 1, 0, 0),
+        (1, 0, 1, 0, 0),
+        (0, 2, 0, 0, 0),
+        (1, 2, 0, 0, 0),
+    ],
+)
+def test_decode_rejects_implausible_header(variant_code, d, c, r, n):
+    frame = _frame(variant_code, d, c, r, n)
+    with pytest.raises(WireError):
+        decode_message(frame + frame)
+
+
+@pytest.mark.parametrize("variant_code, r, n", [(0, 0, 3), (1, 1, 1), (1, 2, 5), (1, 0, 0)])
+def test_decode_accepts_plausible_header(variant_code, r, n):
+    frame = _frame(variant_code, 2, 1, r, n)
+    decoded, _, end = decode_message(frame + frame)
+    assert end == 2 * len(frame) and decoded.add.n == n
+
+
 def test_empty_payload_round_trip():
     store = ClientStore(3, 4, 2, "f64")
     msg = store.make_round_message(2, [], [], VARIANT_QR)
