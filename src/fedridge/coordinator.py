@@ -5,10 +5,12 @@ Three ways to recover the head after a round's aggregate lands:
 * full recompute -- apply the ledger update and re-solve the SPD system
   from scratch (robust baseline);
 * incremental inverse -- advance a tracked inverse by SMW updates built
-  from the round's folded client R-factors, falling back to an exact
-  rebuild from the ledger whenever a downdate is infeasible, a step's
-  capacitance could amplify rounding past CONDITION_THRESHOLD, or the
-  drift audit run every AUDIT_EVERY rounds reads above DRIFT_THRESHOLD;
+  from the round's folded client R-factors when the round folds at most
+  rebuild_rows(d) of them, and otherwise rebuild it exactly from the
+  ledger, which is then the cheaper path; a short round also falls back to
+  the rebuild whenever a downdate is infeasible, a step's capacitance could
+  amplify rounding past CONDITION_THRESHOLD, or the drift audit run every
+  AUDIT_EVERY rounds reads above DRIFT_THRESHOLD;
 * truncated adds -- Variant B's messages and SMW step, with each add
   round's Gram change cut to its top-r eigenpairs and a perturbation bound
   carried; delete rounds and every `reset_every`-th round rebuild the state
@@ -18,10 +20,9 @@ Aggregation is a running fold (`RoundFold`): each client message is
 folded into the round's aggregate as it arrives, in strictly ascending
 client id, so repeated runs are bitwise reproducible at fixed precision
 and the server holds O(d²) per round instead of every client's payload.
-Variant A's Grams are summed in place; Variant B's R-factors are reduced
-as a streaming TSQR (Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci.
-Comput. 34, 2012): once a side holds more than 2d rows they are re-factored
-into one d-row R with the same RᵀR.
+Variant A's Grams are summed in place.  Variant B's R-factors are held as
+they arrive while the round is short, and summed as Grams RᵀR once it is
+tall, so the server never factors anything while it aggregates.
 """
 
 from __future__ import annotations
@@ -33,14 +34,29 @@ import numpy as np
 
 from .client import ClientMessage, QrPayload, StatsPayload, VARIANT_QR
 from .inverse import DowndateInfeasible, InverseState, audit_drift, init_from_ledger, smw_step
-from .kernels import DimensionMismatch, NotSPD, spectral_norm, symmetric_eig, thin_qr_rfactor
+from .kernels import DimensionMismatch, NotSPD, spectral_norm, symmetric_eig
 from .stats import Ledger, SufficientStats, dtype_of, ledger_apply
 
 # Variant B's fixed reset policy: the drift audit's period and threshold,
-# and the gate on each SMW step's amplification.
+# the gate on each SMW step's amplification, and the share of d above which
+# a round's folded factor rows are served by a rebuild instead of SMW steps.
 AUDIT_EVERY = 32
 DRIFT_THRESHOLD = 1e-6
 CONDITION_THRESHOLD = 1e8
+REBUILD_FRACTION = 0.5
+
+
+def rebuild_rows(d: int) -> int:
+    """The most R-factor rows, add and delete together, that a B round serves by SMW steps.
+
+    An SMW step of rank r costs O(r d²) and a rebuild from the ledger
+    O(d³).  With one OpenBLAS thread, a round split evenly between an add
+    and a delete step cost as much as a rebuild at about 0.6d to 0.75d
+    rows for d from 64 to 1024 (d=256: 5.6 ms at 192 rows against a 6.2 ms
+    rebuild; d=1024: 114 ms at 512 rows against 160 ms), so a round of more
+    than d/2 rows is rebuilt, which is also exact.
+    """
+    return int(REBUILD_FRACTION * d)
 
 
 class MixedRound(Exception):
@@ -110,16 +126,15 @@ class RoundFold:
     every G and n are summed in place as each message arrives (the first
     copied, the rest added with `+=`), so the fold holds one set of sums
     however many clients report and keeps no message.  Variant B's
-    R-factors are held as blocks per side (add, delete); when a side's held
-    rows exceed 2d they are replaced by `thin_qr_rfactor` of their stack,
-    which has d rows and the same RᵀR up to rounding, so a side never holds
-    more than 2d rows.  `close` stacks what is held, re-factors that stack
-    once more if it has more than d rows, and forms the Gram change as UᵀU
-    of the result.  A side that folds d rows or fewer is never re-factored.
-    The 2d threshold is fixed: on a 3,500-row round at d=256 (one BLAS
-    thread) compacting above 2d took 52.8 ms, above d 126.5 ms, and one
-    stack and QR at close 64.6 ms.  `scalars` counts what the folded
-    messages carried on the uplink.
+    R-factors are held as blocks per side (add, delete) while the round's
+    rows, both sides together, are at most `rebuild_rows(d)`; `close` then
+    stacks each side into the factor U and forms the Gram change as UᵀU.
+    The message that takes the round over that limit turns the fold into
+    Grams: each side becomes the sum of its blocks' RᵀR, in client order,
+    later messages add theirs, and `close` returns no U, since such a
+    round is served by a rebuild.  So no side ever holds more than
+    `rebuild_rows(d)` rows and the server runs no QR.  `scalars` counts
+    what the folded messages carried on the uplink.
     """
 
     def __init__(self):
@@ -131,7 +146,9 @@ class RoundFold:
         self.n_minus = 0
         self._dims: tuple[int, int] | None = None
         self._sums: list[np.ndarray] = []  # S+, G+, S-, G- for A; G+, G- for B
-        self._blocks: tuple[list, list] = ([], [])  # B's R-factors, add then delete
+        self._blocks: tuple[list, list] | None = ([], [])  # a short B round's R-factors, add then delete
+        self._rows = 0  # R-factor rows folded, both sides
+        self._grams: list[np.ndarray] = []  # a tall B round's S+, S-
 
     def add(self, msg: ClientMessage) -> None:
         """Fold one message into the round."""
@@ -150,11 +167,7 @@ class RoundFold:
                 d, c = self._dims
                 raise DimensionMismatch(f"message dims {dims[0]}x{dims[1]} do not match {d}x{c}")
         if self.variant == VARIANT_QR:
-            d = self._dims[0]
-            for held, r in zip(self._blocks, (msg.add.R, msg.delete.R)):
-                held.append(r)
-                if sum(b.shape[0] for b in held) > 2 * d:
-                    held[:] = [thin_qr_rfactor(np.vstack(held))]
+            self._fold_factors(msg.add.R, msg.delete.R)
             parts = (msg.add.G, msg.delete.G)
         else:
             parts = (msg.add.S, msg.add.G, msg.delete.S, msg.delete.G)
@@ -168,6 +181,23 @@ class RoundFold:
         self.scalars += msg.scalar_count
         self.client_id = msg.client_id
 
+    def _fold_factors(self, r_add: np.ndarray, r_del: np.ndarray) -> None:
+        d = self._dims[0]
+        self._rows += r_add.shape[0] + r_del.shape[0]
+        sides = ([r_add], [r_del])
+        if self._blocks is not None:
+            for held, r in zip(self._blocks, (r_add, r_del)):
+                held.append(r)
+            if self._rows <= rebuild_rows(d):
+                return
+            # the round is now tall: Grams replace the held factors
+            sides, self._blocks = self._blocks, None
+            self._grams = [np.zeros((d, d), dtype=r_add.dtype) for _ in sides]
+        for gram, held in zip(self._grams, sides):
+            for r in held:
+                if r.shape[0]:
+                    gram += r.T @ r
+
     def comm(self, precision: str) -> CommRecord:
         """Uplink cost of the folded messages, counted as `account_round` does."""
         return _comm_record(self.scalars, precision)
@@ -177,14 +207,16 @@ class RoundFold:
         if self._dims is None:
             raise ValueError("cannot aggregate an empty message list")
         u_plus = u_minus = None
-        if self.variant == VARIANT_QR:
-            u_plus, u_minus = (_compact(np.vstack(held)) for held in self._blocks)
-            self._blocks = ([], [])
-            g_add, g_del = self._sums
-            s_add = u_plus.T @ u_plus
-            s_del = u_minus.T @ u_minus
-        else:
+        if self.variant != VARIANT_QR:
             s_add, g_add, s_del, g_del = self._sums
+        else:
+            g_add, g_del = self._sums
+            if self._blocks is None:
+                s_add, s_del = self._grams
+            else:
+                u_plus, u_minus = (np.vstack(held) for held in self._blocks)
+                s_add = u_plus.T @ u_plus
+                s_del = u_minus.T @ u_minus
         d, c = self._dims
         return RoundAggregate(
             round=self.round,
@@ -202,11 +234,6 @@ class RoundFold:
         )
 
 
-def _compact(u: np.ndarray) -> np.ndarray:
-    # a stack of more than d rows becomes one d-row R with the same RᵀR
-    return thin_qr_rfactor(u) if u.shape[0] > u.shape[1] else u
-
-
 def aggregate(messages: list[ClientMessage], running: RoundFold | None = None) -> RoundFold | RoundAggregate:
     """Fold client messages into the server's aggregate for one round.
 
@@ -216,11 +243,12 @@ def aggregate(messages: list[ClientMessage], running: RoundFold | None = None) -
     Without, `messages` is the whole round: it is folded in ascending
     client id and the closed RoundAggregate is returned.  Either way G and
     n, and Variant A's Grams, are summed message by message in ascending
-    client id; Variant B folds the R-factors into a factor U of at most d
-    rows per side (a streaming TSQR, see RoundFold) and takes the Gram
-    change as UᵀU, one symmetric product per side, so that UᵀU equals the
-    aggregated Gram change by construction.  Both ways fold the same
-    messages in the same order, so their aggregates are bitwise equal.
+    client id; Variant B stacks a short round's R-factors into a factor U
+    per side and takes the Gram change as UᵀU, one symmetric product per
+    side, so that UᵀU equals the aggregated Gram change by construction,
+    and sums a tall round's RᵀR without keeping U (see RoundFold).  Both
+    ways fold the same messages in the same order, so their aggregates are
+    bitwise equal.
     """
     if running is not None:
         for m in messages:
@@ -249,20 +277,25 @@ def run_round_a(ledger: Ledger, agg: RoundAggregate) -> tuple[Ledger, np.ndarray
 def run_round_b(
     ledger: Ledger, state: InverseState, agg: RoundAggregate
 ) -> tuple[Ledger, InverseState, np.ndarray, BRoundInfo]:
-    """Incremental round: SMW add step, then SMW delete step.
+    """Incremental round: SMW add step, then SMW delete step, or a rebuild.
 
-    The ledger is advanced first and stays authoritative; an infeasible
-    downdate, a step whose capacitance's amplification exceeds
-    CONDITION_THRESHOLD, or a drift audit above DRIFT_THRESHOLD rebuilds
-    the state from it, which is exactly the full-recompute fallback.
-    `agg` must come from Variant B's R-factor messages: the SMW steps need
-    the round's factors U, which a full-statistics aggregate lacks.  The
-    fold leaves each U at most d rows, so no capacitance exceeds d x d.
+    The ledger is advanced first and stays authoritative.  A tall round,
+    one whose aggregate carries no U because it folded more than
+    `rebuild_rows(d)` factor rows, rebuilds the state from the ledger, the
+    cheaper path and an exact one; it reports a reset and no λ_max.  In a
+    short round an infeasible downdate, a step whose capacitance's
+    amplification exceeds CONDITION_THRESHOLD, or a drift audit above
+    DRIFT_THRESHOLD rebuilds the state the same way, which is exactly the
+    full-recompute fallback.  `agg` must come from Variant B's R-factor
+    messages: a full-statistics aggregate raises ValueError.
     """
-    if agg.U_plus is None or agg.U_minus is None:
+    if agg.variant != VARIANT_QR:
         raise ValueError(f"run_round_b needs an R-factor aggregate, got variant {agg.variant!r}")
     add, delete = _agg_stats(agg)
     new_ledger = ledger_apply(ledger, add, delete)
+    if agg.U_plus is None:
+        new_state = init_from_ledger(new_ledger)
+        return new_ledger, new_state, new_state.W, BRoundInfo(reset=True, lambda_max=None)
     lam = None
     try:
         step = smw_step(state, agg.U_plus, agg.G_plus)

@@ -2,22 +2,21 @@
 
 The tracked state is T = (S + gamma*I)^-1 together with the current head W.
 A round's Gram change arrives factored as ΔS = UᵀU with U of shape r x d,
-so each update solves only an r x r capacitance system C = I ± U T Uᵀ:
+so each update factors only an r x r capacitance C = I ± U T Uᵀ:
 
-    add:     T+ = T - TUᵀ(I_r + U T Uᵀ)^-1 U T
-             W+ = W - T+ Uᵀ(U W) + T+ G_add
-    delete:  T- = T + TUᵀ(I_r - U T Uᵀ)^-1 U T
-             W- = W + T- Uᵀ(U W) - T- G_del
+    L = chol(C),  Z = L⁻¹(U T)
+    add:     T+ = T - ZᵀZ,   W+ = W + T+ (G_add - Uᵀ(U W))
+    delete:  T- = T + ZᵀZ,   W- = W - T- (G_del - Uᵀ(U W))
 
-`smw_step` factors C once and takes three answers from that one factor:
-the update itself; feasibility, since a delete is feasible exactly when
+ZᵀZ = T Uᵀ C⁻¹ U T is one symmetric product, so the new T is bitwise
+symmetric without re-symmetrizing, and the step costs one r x r Cholesky
+and one triangular solve with d right-hand sides on top of its O(r d²)
+products.  `smw_step` takes three answers from the one factor L: the
+update itself; feasibility, since a delete is feasible exactly when
 I - U T Uᵀ stays SPD and the Cholesky factorization failing is the
 DowndateInfeasible signal; and the amplification max(λ_max(C), 1/λ_min(C)),
 which bounds how much the step can magnify rounding in T and is what
-Variant B's reset gate compares against its fixed condition threshold.  T is
-re-symmetrized after every update because the algebra is symmetric but
-floating evaluation is not; outside the `verify` checks this step is the
-only caller of `symmetrize`.
+Variant B's reset gate compares against its fixed condition threshold.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ from .kernels import (
     cholesky_spd,
     frobenius_norm,
     inverse_from_factor,
-    solve_spd,
-    symmetrize,
+    triangular_solve_lower,
 )
 
 
@@ -103,7 +101,8 @@ def smw_step(state: InverseState, u, g, delete: bool = False) -> SmwStep:
         return SmwStep(state, 1.0, 0.0 if delete else None)
     sign = -1.0 if delete else 1.0
     ut = u @ state.T
-    m = symmetrize(ut @ u.T)
+    # symmetric up to rounding; eigvalsh and the Cholesky read its lower triangle only
+    m = ut @ u.T
     lam = None
     if delete:
         lam = float(np.linalg.eigvalsh(m.astype(np.float64))[-1]) if r else 0.0
@@ -115,8 +114,9 @@ def smw_step(state: InverseState, u, g, delete: bool = False) -> SmwStep:
         raise NotSPD(f"add capacitance lost positive definiteness: {exc}") from exc
     pivots = np.diagonal(factor).astype(np.float64) ** 2
     amplification = float(max(pivots.max(), 1.0 / pivots.min())) if r else 1.0
-    t_new = symmetrize(state.T - sign * (ut.T @ solve_spd(factor, ut)))
-    w_new = state.W - sign * (t_new @ (u.T @ (u @ state.W))) + sign * (t_new @ g)
+    z = triangular_solve_lower(factor, ut)
+    t_new = state.T - sign * (z.T @ z)
+    w_new = state.W + sign * (t_new @ (g - u.T @ (u @ state.W)))
     new_state = InverseState(t_new, w_new, state.gamma, state.updates_since_reset + 1)
     return SmwStep(new_state, amplification, lam)
 

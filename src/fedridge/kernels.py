@@ -14,12 +14,13 @@ bitwise-identical outputs at a fixed BLAS thread count (for example
 OPENBLAS_NUM_THREADS=1), not across thread counts.
 
 Symmetry is settled where a matrix is made: numpy evaluates `X.T @ X` of
-one buffer as a symmetric product, bitwise symmetric, and sums of such
-matrices stay so.  The Grams, Variant B's UᵀU of the round's folded R-factor
-and the inverse from a Cholesky factor, inv(L)ᵀ inv(L) in
-`inverse_from_factor`, need no `symmetrize`; only the SMW step (U T Uᵀ, the
-updated T) still calls it, for Variant B and approx mode alike.  Cholesky
-and eigh read the lower triangle.
+one buffer as a symmetric product, bitwise symmetric, and sums and
+differences of such matrices stay so.  The Grams, Variant B's UᵀU of the
+round's folded R-factors, the inverse from a Cholesky factor, XᵀX with
+X = L⁻¹ in `inverse_from_factor`, and the SMW step's update T ∓ ZᵀZ are all
+formed this way, so nothing is symmetrized after the fact.  Cholesky and
+eigh read the lower triangle, so a product that is symmetric only up to
+rounding, such as the SMW capacitance U T Uᵀ, is passed to them as is.
 
 Only numpy is used, not scipy: scipy is not a declared dependency, and
 importing `scipy.linalg` raised a process's peak resident memory from 26.8
@@ -71,10 +72,6 @@ def _as_square(a, name: str = "a") -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got {a.shape}")
     return a
-
-
-def symmetrize(a: np.ndarray) -> np.ndarray:
-    return (a + a.T) / 2
 
 
 def cholesky_spd(a) -> np.ndarray:
@@ -132,9 +129,16 @@ def solve_spd(factor: np.ndarray, b) -> np.ndarray:
 
 
 def inverse_from_factor(factor: np.ndarray) -> np.ndarray:
-    """(L Lᵀ)^-1 as inv(L)ᵀ inv(L) from the lower Cholesky factor L; bitwise symmetric."""
-    l_inv = np.linalg.inv(factor)
-    return l_inv.T @ l_inv
+    """(L Lᵀ)^-1 as XᵀX with X = L⁻¹ from the lower Cholesky factor L; bitwise symmetric.
+
+    X is one blocked triangular solve against the identity: with one
+    OpenBLAS thread the whole inverse took 118 ms at d=1024 where
+    `np.linalg.inv`'s general LU made it 167 ms (4.8 against 5.8 ms at
+    d=256), and at d <= 64 the solve is the same LU call as that inverse.
+    """
+    L = np.asarray(factor)
+    x = _solve_triangular(L, np.eye(L.shape[0], dtype=L.dtype), lower=True)
+    return x.T @ x
 
 
 def spd_inverse(a) -> np.ndarray:

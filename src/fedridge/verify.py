@@ -35,7 +35,6 @@ from .kernels import (
     spd_inverse,
     spectral_norm,
     symmetric_eig,
-    symmetrize,
     thin_qr_rfactor,
 )
 from .posterior import MatrixNormalPosterior, kl_matrix_normal, posterior_from_state
@@ -69,6 +68,17 @@ def _rng(seed, salt):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(zlib.crc32(salt.encode()),)))
 
 
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    return (a + a.T) / 2
+
+
+# Every property reduces its measurements with np.max, which carries a NaN
+# through (built-in max drops it or not by its position), and a NaN fails
+# every tolerance comparison.
+def _worst(values) -> float:
+    return float(np.max(np.asarray(values, dtype=np.float64), initial=0.0))
+
+
 def _random_spd(rng, d, gamma=1.0):
     m = rng.standard_normal((d, d))
     return m.T @ m + gamma * np.eye(d)
@@ -80,47 +90,47 @@ def _random_spd(rng, d, gamma=1.0):
 
 def _kernel_roundtrip(seed):
     rng = _rng(seed, "kernel")
-    worst = 0.0
+    devs = []
     for _ in range(20):
         d = int(rng.integers(1, 33))
         a = _random_spd(rng, d)
         x0 = rng.standard_normal((d, int(rng.integers(1, 5))))
         x = solve_spd(cholesky_spd(a), a @ x0)
-        worst = max(worst, rel_frobenius_dev(x, x0))
-    return worst
+        devs.append(rel_frobenius_dev(x, x0))
+    return _worst(devs)
 
 
 def _qr_gram(seed):
     rng = _rng(seed, "qr")
-    worst = 0.0
+    devs = []
     for _ in range(20):
         n = int(rng.integers(1, 65))
         d = int(rng.integers(1, 65))
         f = rng.standard_normal((n, d))
         r = thin_qr_rfactor(f)
-        worst = max(worst, rel_frobenius_dev(r.T @ r, f.T @ f))
-    return worst
+        devs.append(rel_frobenius_dev(r.T @ r, f.T @ f))
+    return _worst(devs)
 
 
 def _eig_reconstruction(seed):
     rng = _rng(seed, "eig")
-    worst = 0.0
+    devs = []
     for _ in range(10):
         d = int(rng.integers(2, 25))
         a = _random_spd(rng, d, gamma=0.0) + np.diag(rng.standard_normal(d))
         vals, vecs = symmetric_eig(a)
-        worst = max(worst, rel_frobenius_dev(vecs @ np.diag(vals) @ vecs.T, a))
-    return worst
+        devs.append(rel_frobenius_dev(vecs @ np.diag(vals) @ vecs.T, a))
+    return _worst(devs)
 
 
 def _eig_orthogonality(seed):
     rng = _rng(seed, "eigq")
-    worst = 0.0
+    devs = []
     for _ in range(10):
         d = int(rng.integers(2, 25))
         vals, vecs = symmetric_eig(_random_spd(rng, d))
-        worst = max(worst, frobenius_norm(vecs.T @ vecs - np.eye(d)))
-    return worst
+        devs.append(frobenius_norm(vecs.T @ vecs - np.eye(d)))
+    return _worst(devs)
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +166,6 @@ def _churn_result(seed):
     return run_scenario(scenario, data.features, data.labels)
 
 
-# The churn checks reduce with np.max/np.min, which carry a NaN through
-# (built-in max and min drop it or not by its position), and a NaN fails
-# every tolerance comparison.
 def _retrain_equivalence(seed):
     result = _churn_result(seed)
     return float(np.max([rec.variants["A"].rel_dev for rec in result.records]))
@@ -183,11 +190,9 @@ def _kl_floor(seed):
 
 def _order_invariance(seed):
     heads = equivalent_shuffled_heads(seed, shuffles=6, n=240, d=12, c=3, clients=4)
-    worst = 0.0
-    for i in range(len(heads)):
-        for j in range(i + 1, len(heads)):
-            worst = max(worst, rel_frobenius_dev(heads[i], heads[j]))
-    return worst
+    return _worst(
+        [rel_frobenius_dev(heads[i], heads[j]) for i in range(len(heads)) for j in range(i + 1, len(heads))]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -196,36 +201,36 @@ def _order_invariance(seed):
 
 def _downdate_lemma(seed):
     rng = _rng(seed, "downdate")
-    worst = 0.0
+    misses = []
     for trial in range(1000):
         d = 6
         k = int(rng.integers(1, 5))
         h = _random_spd(rng, d, gamma=float(rng.uniform(0.1, 2.0)))
         t = spd_inverse(h)
         u = rng.standard_normal((k, d))
-        lam0 = spectral_norm(symmetrize(u @ t @ u.T))
+        lam0 = spectral_norm(_symmetrize(u @ t @ u.T))
         if trial % 2 == 0 and lam0 > 0:
             u = u * math.sqrt(rng.uniform(0.8, 1.2) / lam0)
-        lam = spectral_norm(symmetrize(u @ t @ u.T))
+        lam = spectral_norm(_symmetrize(u @ t @ u.T))
         try:
             cholesky_spd(h - u.T @ u)
             cond_i = True
         except NotSPD:
             cond_i = False
         try:
-            cholesky_spd(np.eye(u.shape[0]) - symmetrize(u @ t @ u.T))
+            cholesky_spd(np.eye(u.shape[0]) - _symmetrize(u @ t @ u.T))
             cond_ii = True
         except NotSPD:
             cond_ii = False
         cond_iii = lam < 1.0
         if not (cond_i == cond_ii == cond_iii):
-            worst = max(worst, abs(lam - 1.0))
-    return worst
+            misses.append(abs(lam - 1.0))
+    return _worst(misses)
 
 
 def _add_delete_roundtrip(seed):
     rng = _rng(seed, "roundtrip")
-    worst = 0.0
+    devs = []
     for _ in range(50):
         d = int(rng.integers(2, 17))
         t0 = spd_inverse(_random_spd(rng, d))
@@ -233,28 +238,28 @@ def _add_delete_roundtrip(seed):
         u = rng.standard_normal((int(rng.integers(1, 5)), d))
         g = rng.standard_normal((d, 2))
         back = smw_step(smw_step(state, u, g).state, u, g, delete=True).state
-        worst = max(worst, rel_frobenius_dev(back.T, state.T))
-    return worst
+        devs.append(rel_frobenius_dev(back.T, state.T))
+    return _worst(devs)
 
 
 def _psd_monotonicity(seed):
     rng = _rng(seed, "psd")
-    worst = 0.0
+    devs = []
     for _ in range(50):
         d = int(rng.integers(2, 13))
         t0 = spd_inverse(_random_spd(rng, d))
         state = InverseState(t0, np.zeros((d, 1)), 1.0, 0)
         u = rng.standard_normal((int(rng.integers(1, 4)), d))
-        lam = spectral_norm(symmetrize(u @ t0 @ u.T))
+        lam = spectral_norm(_symmetrize(u @ t0 @ u.T))
         u = u * math.sqrt(0.5 / max(lam, 1e-12))
         ref = frobenius_norm(t0)
         after_del = smw_step(state, u, np.zeros((d, 1)), delete=True).state
         vals, _ = symmetric_eig(after_del.T - t0)
-        worst = max(worst, max(0.0, -float(vals[-1])) / ref)
+        devs.append(-float(vals[-1]) / ref)
         after_add = smw_step(state, u, np.zeros((d, 1))).state
         vals, _ = symmetric_eig(after_add.T - t0)
-        worst = max(worst, max(0.0, float(vals[0])) / ref)
-    return worst
+        devs.append(float(vals[0]) / ref)
+    return _worst(devs)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +298,7 @@ def _kl_reduction(seed):
 
 def _perturbation_bound(seed):
     rng = _rng(seed, "bound")
-    worst_ratio = 0.0
+    ratios = []
     for _ in range(500):
         d = 12
         h = _random_spd(rng, d, gamma=1.0)
@@ -303,7 +308,7 @@ def _perturbation_bound(seed):
         r = int(rng.integers(0, k))
         vals, vecs = symmetric_eig(ds)
         kept = vecs[:, :r] * vals[:r]
-        ds_r = symmetrize(kept @ vecs[:, :r].T)
+        ds_r = _symmetrize(kept @ vecs[:, :r].T)
         err = ds - ds_r
         t_ap = spd_inverse(h + ds_r)
         contraction = spectral_norm(t_ap @ err)
@@ -312,16 +317,15 @@ def _perturbation_bound(seed):
         bound = spectral_norm(t_ap) ** 2 * spectral_norm(err) / (1.0 - contraction)
         gap = spectral_norm(spd_inverse(h + ds) - t_ap)
         if bound == 0.0:
-            if gap > 1e-12:
-                worst_ratio = max(worst_ratio, math.inf)
+            ratios.append(math.inf if gap > 1e-12 else 0.0)
             continue
-        worst_ratio = max(worst_ratio, gap / bound)
-    return worst_ratio
+        ratios.append(gap / bound)
+    return _worst(ratios)
 
 
 def _comm_accounting(seed):
     rng = _rng(seed, "comm")
-    worst = 0
+    gaps = []
     for _ in range(10):
         d = int(rng.integers(1, 9))
         c = int(rng.integers(1, 4))
@@ -332,7 +336,7 @@ def _comm_accounting(seed):
         )
         msg = store.make_round_message(1, list(range(n_add)), [], VARIANT_FULL)
         expect = 2 * variant_a_payload_scalars(d, c)
-        worst = max(worst, abs(msg.scalar_count - expect))
+        gaps.append(abs(msg.scalar_count - expect))
         store_b = ClientStore(1, d, c, "f64")
         store_b.ingest(
             Sample(i, rng.standard_normal(d), rng.standard_normal(c)) for i in range(n_add)
@@ -340,8 +344,8 @@ def _comm_accounting(seed):
         msg_b = store_b.make_round_message(1, list(range(n_add)), [], VARIANT_QR)
         r_add = min(n_add, d)
         expect_b = variant_b_payload_scalars(r_add, d, c) + variant_b_payload_scalars(0, d, c)
-        worst = max(worst, abs(msg_b.scalar_count - expect_b))
-    return float(worst)
+        gaps.append(abs(msg_b.scalar_count - expect_b))
+    return _worst(gaps)
 
 
 # ---------------------------------------------------------------------------

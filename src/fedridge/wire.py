@@ -14,8 +14,10 @@ Message frames ("FCUL")
         r        u32  R-factor rows (0 for full-statistics frames)
 
     followed by the payload matrices in row-major order and the sample
-    count as one trailing scalar, all in the declared precision.  Full
-    statistics frames carry S packed as its upper triangle row-major,
+    count as one trailing scalar, all in the declared precision, so a
+    frame carries counts up to 2^24 (float32) or 2^53 (float64), above
+    which not every integer is exact; encoder and decoder refuse larger
+    ones.  Full statistics frames carry S packed as its upper triangle row-major,
     then G; QR frames carry R dense, then G.  A ClientMessage serializes
     as exactly two frames: the add payload first, then the delete payload.
     A client's QR frame has r = min(n, d); the decoder rejects d < 1,
@@ -73,8 +75,16 @@ def unpack_symmetric(packed: np.ndarray, d: int) -> np.ndarray:
     return m
 
 
+def _max_count(dtype: np.dtype) -> int:
+    # every integer up to 2^(mantissa bits + 1) is exact in the float type
+    return 2 ** (np.finfo(dtype).nmant + 1)
+
+
 def _encode_frame(payload, variant: str, precision: str, round_index: int, client_id: int) -> bytes:
     dtype = _CODE_DTYPE[_PRECISION_CODE[precision]]
+    max_count = _max_count(dtype)
+    if payload.n > max_count:
+        raise WireError(f"sample count {payload.n} above {max_count} is not exact in a {precision} frame")
     if isinstance(payload, StatsPayload):
         d = payload.S.shape[0]
         c = payload.G.shape[1]
@@ -130,7 +140,7 @@ def _decode_frame(buf: bytes, offset: int):
         raise WireError("truncated frame payload")
     scalars = np.frombuffer(buf, dtype=dtype, count=count, offset=end)
     n = float(scalars[-1])
-    if not (n >= 0 and n.is_integer()):
+    if not (0 <= n <= _max_count(dtype) and n.is_integer()):
         raise WireError(f"bad sample count {n!r}")
     n = int(n)
     if r > n:

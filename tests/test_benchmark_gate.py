@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-import fedridge.coordinator as coordinator_mod
 from fedridge.cli import main
 
 EXACT_TOL = 1e-8  # rel_dev_vs_oracle of A, B and approx reset rows
@@ -36,13 +35,10 @@ WORKLOADS = _workloads()
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_workload_passes_the_gate_at_small_n(tmp_path, monkeypatch, name):
+def test_workload_passes_the_gate_at_small_n(tmp_path, name):
     features, scenario, out = tmp_path / "features.bin", tmp_path / "scenario.json", tmp_path / "out"
     assert main(["gen", *WORKLOADS[name].gen_args, "--n", "1500", "--seed", "1",
                  "--out-features", str(features), "--out-scenario", str(scenario)]) == 0
-    compactions = []
-    real = coordinator_mod.thin_qr_rfactor
-    monkeypatch.setattr(coordinator_mod, "thin_qr_rfactor", lambda f: compactions.append(1) or real(f))
     assert main(["run", "--scenario", str(scenario), "--features", str(features), "--out-dir", str(out)]) == 0
     rows = list(csv.DictReader((out / "metrics.csv").read_text().splitlines()))
     assert rows
@@ -50,4 +46,6 @@ def test_workload_passes_the_gate_at_small_n(tmp_path, monkeypatch, name):
         if row["variant"] in ("A", "B") or row["reset_flag"] == "1":
             assert float(row["rel_dev_vs_oracle"]) <= EXACT_TOL, row
     assert json.loads((out / "summary.json").read_text())["max_kl"] <= KL_TOL
-    assert compactions  # round 1 folds more than 2d factor rows, so the server compacts
+    # round 1 folds more than rebuild_rows(d) factor rows, so Variant B serves it by a rebuild
+    round_one_b = [row["reset_flag"] for row in rows if row["variant"] == "B" and row["round"] == "1"]
+    assert round_one_b == ([] if "approx" in WORKLOADS[name].gen_args else ["1"])

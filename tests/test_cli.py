@@ -151,6 +151,38 @@ def test_verify_fails_a_nan_in_the_churn_run(monkeypatch, capsys, name):
     assert f"FAIL {name}: measured=nan" in capsys.readouterr().out
 
 
+def _nan(*_):
+    return float("nan")
+
+
+def _nan_eigenvalues(a):
+    return [float("nan")] * len(a), None
+
+
+@pytest.mark.parametrize(
+    "name, target, fake",
+    [
+        ("kernel-roundtrip", "rel_frobenius_dev", _nan),
+        ("qr-gram", "rel_frobenius_dev", _nan),
+        ("eig-reconstruction", "rel_frobenius_dev", _nan),
+        ("eig-orthogonality", "frobenius_norm", _nan),
+        ("order-invariance", "rel_frobenius_dev", _nan),
+        ("downdate-lemma", "spectral_norm", _nan),
+        ("add-delete-roundtrip", "rel_frobenius_dev", _nan),
+        ("psd-monotonicity", "symmetric_eig", _nan_eigenvalues),
+        ("perturbation-bound", "spectral_norm", _nan),
+        ("comm-accounting", "variant_a_payload_scalars", _nan),
+    ],
+)
+def test_verify_fails_a_nan_measurement(monkeypatch, capsys, name, target, fake):
+    # built-in max(0.0, nan) is 0.0, so a reduction that starts from 0.0 would pass the NaN
+    import fedridge.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, target, fake)
+    assert main(["verify", "--only", name]) == 1
+    assert f"FAIL {name}: measured=nan" in capsys.readouterr().out
+
+
 def test_report_reads_outputs(tmp_path, capsys):
     features, scenario = _gen(tmp_path, "--schedule", "churn", "--rounds", "3",
                               "--adds-per-round", "2", "--dels-per-round", "2")

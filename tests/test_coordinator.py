@@ -16,6 +16,7 @@ from fedridge.coordinator import (
     aggregate,
     run_round_a,
     run_round_approx,
+    rebuild_rows,
     run_round_b,
 )
 from fedridge.inverse import init_from_ledger
@@ -77,8 +78,9 @@ def test_aggregated_and_ledger_grams_are_bitwise_symmetric(variant, precision):
     assert np.any(agg.S_minus)
 
 
-def _two_round_messages(variant, precision, d=9, c=3):
-    # three clients' round-two messages, each with both adds and deletes
+def _two_round_messages(variant, precision, d=9, c=3, adds=10, stride=2):
+    # three clients' round-two messages, each adding `adds` samples and deleting every
+    # `stride`-th of its round-one samples (20, 4 and 36 of them)
     rng = np.random.default_rng(31)
     features = rng.standard_normal((90, d))
     labels = rng.standard_normal((90, c))
@@ -88,31 +90,36 @@ def _two_round_messages(variant, precision, d=9, c=3):
         store.make_round_message(1, list(ids), [], variant)
     messages = []
     for k, store in enumerate(stores):
-        adds = list(range(60 + 10 * k, 70 + 10 * k))
-        store.ingest(Sample(i, features[i], labels[i]) for i in adds)
-        messages.append(store.make_round_message(2, adds, list(parts[k])[::2], variant))
+        new = list(range(60 + 10 * k, 60 + 10 * k + adds))
+        store.ingest(Sample(i, features[i], labels[i]) for i in new)
+        messages.append(store.make_round_message(2, new, list(parts[k])[::stride], variant))
     return messages
+
+
+# a tall round: 27 add and 30 delete factor rows at d = 9; a short one: 9 and 10 rows at d = 40
+_TALL, _SHORT = {}, {"d": 40, "adds": 3, "stride": 7}
 
 
 @pytest.mark.parametrize("variant", [VARIANT_FULL, VARIANT_QR])
 @pytest.mark.parametrize("precision", ["f32", "f64"])
 def test_fold_message_by_message_is_bitwise_the_list_aggregate(variant, precision):
-    messages = _two_round_messages(variant, precision)
-    whole = aggregate(messages)
-    fold = RoundFold()
-    for msg in messages:
-        assert aggregate([msg], fold) is fold
-    folded = fold.close()
-    for name in ("round", "variant", "d", "c", "n_plus", "n_minus"):
-        assert getattr(folded, name) == getattr(whole, name)
-    for name in ("S_plus", "G_plus", "S_minus", "G_minus", "U_plus", "U_minus"):
-        a, b = getattr(folded, name), getattr(whole, name)
-        if variant == VARIANT_FULL and name.startswith("U"):
-            assert a is None and b is None
-            continue
-        assert a.dtype == b.dtype == dtype_of(precision)
-        assert a.tobytes() == b.tobytes() and a.shape == b.shape
-    assert fold.comm(precision) == account_round(messages, precision)
+    for shape in (_TALL, _SHORT):
+        messages = _two_round_messages(variant, precision, **shape)
+        whole = aggregate(messages)
+        fold = RoundFold()
+        for msg in messages:
+            assert aggregate([msg], fold) is fold
+        folded = fold.close()
+        for name in ("round", "variant", "d", "c", "n_plus", "n_minus"):
+            assert getattr(folded, name) == getattr(whole, name)
+        for name in ("S_plus", "G_plus", "S_minus", "G_minus", "U_plus", "U_minus"):
+            a, b = getattr(folded, name), getattr(whole, name)
+            if name.startswith("U") and (variant == VARIANT_FULL or shape is _TALL):
+                assert a is None and b is None
+                continue
+            assert a.dtype == b.dtype == dtype_of(precision)
+            assert a.tobytes() == b.tobytes() and a.shape == b.shape
+        assert fold.comm(precision) == account_round(messages, precision)
 
 
 @pytest.mark.parametrize("variant", [VARIANT_FULL, VARIANT_QR])
@@ -127,7 +134,7 @@ def test_fold_rejects_a_client_id_not_above_the_last(variant):
 
 
 def _wide_round(precision, d=6, clients=8):
-    # round two of a churn: 8 x 5 add rows and 8 x 4 delete rows, both above 2d = 12
+    # round two of a churn: 8 x 5 add rows and 8 x 4 delete rows, far above rebuild_rows(6) = 3
     rng = np.random.default_rng(33)
     features = rng.standard_normal((clients * 15, d))
     labels = rng.standard_normal((clients * 15, 2))
@@ -144,45 +151,52 @@ def _wide_round(precision, d=6, clients=8):
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
 def test_fold_holds_at_most_2d_rows_per_side(precision):
+    # the bound is now rebuild_rows(d) for both sides together; past it the fold keeps no U
     messages, *_ = _wide_round(precision)
     d = messages[0].add.R.shape[1]
     fold = RoundFold()
     for msg in messages:
         aggregate([msg], fold)
-        assert all(sum(b.shape[0] for b in held) <= 2 * d for held in fold._blocks)
-    assert sum(m.add.R.shape[0] for m in messages) > 2 * d
-    assert sum(m.delete.R.shape[0] for m in messages) > 2 * d
+        assert fold._blocks is None or sum(b.shape[0] for held in fold._blocks for b in held) <= rebuild_rows(d)
+    assert fold._blocks is None
+    assert sum(m.add.R.shape[0] for m in messages) > rebuild_rows(d)
+    assert sum(m.delete.R.shape[0] for m in messages) > rebuild_rows(d)
     folded = fold.close()
+    assert folded.U_plus is None and folded.U_minus is None
     whole = aggregate(messages)
-    for name in ("S_plus", "G_plus", "S_minus", "G_minus", "U_plus", "U_minus"):
+    for name in ("S_plus", "G_plus", "S_minus", "G_minus"):
         a, b = getattr(folded, name), getattr(whole, name)
         assert a.tobytes() == b.tobytes() and a.shape == b.shape
 
 
-@pytest.mark.parametrize("precision, tol", [("f32", 1e-5), ("f64", 1e-13)])
-def test_compacted_round_gram_is_its_factor_product_and_the_batch_gram(precision, tol):
+@pytest.mark.parametrize("precision, tol", [("f32", 1e-5), ("f64", 1e-13)], ids=["f32", "f64"])
+def test_tall_round_gram_is_the_batch_gram(precision, tol):
     messages, features, labels, adds, deletes = _wide_round(precision)
-    d = features.shape[1]
     agg = aggregate(messages)
-    for u, s, ids in ((agg.U_plus, agg.S_plus, adds), (agg.U_minus, agg.S_minus, deletes)):
-        assert u.shape == (d, d) and u.dtype == s.dtype == dtype_of(precision)
-        assert s.tobytes() == (u.T @ u).tobytes()
+    assert agg.U_plus is None and agg.U_minus is None
+    for s, ids, side in ((agg.S_plus, adds, "add"), (agg.S_minus, deletes, "delete")):
+        assert s.dtype == dtype_of(precision) and np.array_equal(s, s.T)
+        # the sum of each message's RᵀR in client order
+        expect = np.zeros_like(s)
+        for m in messages:
+            r = getattr(m, side).R
+            expect += r.T @ r
+        assert s.tobytes() == expect.tobytes()
         assert rel_frobenius_dev(s, stats_from_batch(features[ids], labels[ids]).S) <= tol
 
 
-def test_round_of_at_most_d_rows_is_the_plain_stack(monkeypatch):
-    import fedridge.coordinator as coordinator_mod
-
-    messages = _two_round_messages(VARIANT_QR, "f64", d=30)  # 30 add and 30 delete rows: exactly d
-    calls = []
-    real = coordinator_mod.thin_qr_rfactor
-    monkeypatch.setattr(coordinator_mod, "thin_qr_rfactor", lambda f: calls.append(1) or real(f))
+def test_round_of_at_most_rebuild_rows_is_the_plain_stack():
+    # 9 add and 10 delete rows: exactly rebuild_rows(38)
+    messages = _two_round_messages(VARIANT_QR, "f64", d=38, adds=3, stride=7)
+    rows = sum(m.add.R.shape[0] + m.delete.R.shape[0] for m in messages)
+    assert rows == rebuild_rows(38)
     agg = aggregate(messages)
-    assert calls == []
     for u, s, side in ((agg.U_plus, agg.S_plus, "add"), (agg.U_minus, agg.S_minus, "delete")):
         stack = np.vstack([getattr(m, side).R for m in messages])
         assert u.tobytes() == stack.tobytes() and u.shape == stack.shape
         assert s.tobytes() == (stack.T @ stack).tobytes()
+    # one more row and the same round is tall
+    assert aggregate(_two_round_messages(VARIANT_QR, "f64", d=37, adds=3, stride=7)).U_plus is None
 
 
 def test_fold_of_no_messages_cannot_close():
@@ -224,10 +238,10 @@ def test_aggregate_matches_concatenated_batch():
     st = stats_from_batch(features, labels)
     assert rel_frobenius_dev(agg.S_plus, st.S) <= 1e-13
     assert rel_frobenius_dev(agg.G_plus, st.G) <= 1e-13
-    # the QR route reproduces the same aggregate through one folded factor of at most d rows
+    # the QR route's 18 factor rows make a tall round: its Grams are summed and no U is kept
     agg_b = aggregate(_round_one_messages(VARIANT_QR, features, labels, parts, d, c))
-    assert rel_frobenius_dev(agg_b.U_plus.T @ agg_b.U_plus, st.S) <= 1e-12
-    assert agg_b.U_plus.shape[0] <= d and agg_b.U_plus.shape[1] == d
+    assert rel_frobenius_dev(agg_b.S_plus, st.S) <= 1e-12
+    assert agg_b.U_plus is None
     ledger = ledger_init(d, c)
     _, _, w, _ = run_round_b(ledger, init_from_ledger(ledger), agg_b)
     assert rel_frobenius_dev(w, oracle_retrain(RetainedGram(features, labels), np.ones(n, bool), 1.0)[0]) <= 1e-9
@@ -252,11 +266,12 @@ def test_aggregate_rejects_dimension_mismatch_qr():
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
 def test_aggregate_qr_gram_is_product_of_stacked_factors(precision):
+    # a short round: 12 factor rows, at most rebuild_rows(24)
     rng = np.random.default_rng(23)
-    d, c, n = 6, 2, 30
+    d, c, n = 24, 2, 12
     features = rng.standard_normal((n, d))
     labels = rng.standard_normal((n, c))
-    parts = [range(0, 10), range(10, 18), range(18, 30)]
+    parts = [range(0, 4), range(4, 7), range(7, 12)]
     stores = [_store_with(k, ids, features, labels, d, c, precision) for k, ids in enumerate(parts)]
     agg = aggregate([s.make_round_message(1, list(ids), [], VARIANT_QR) for s, ids in zip(stores, parts)])
     assert np.array_equal(agg.S_plus, agg.U_plus.T @ agg.U_plus)
@@ -347,14 +362,25 @@ def test_run_round_b_tracks_run_round_a():
     msgs_b = [s.make_round_message(1, list(p), [], VARIANT_QR) for s, p in zip(stores_b, parts)]
     led_a, w_a = run_round_a(led_a, aggregate(msgs_a))
     led_b, state, w_b, info = run_round_b(led_b, state, aggregate(msgs_b))
-    assert not info.reset
+    # 30 factor rows against d = 10: a tall round, served by a rebuild
+    assert info.reset and info.lambda_max is None
     assert rel_frobenius_dev(w_b, w_a) <= 1e-8
-    # now delete a slice from one client in both variants
+    # now delete a slice from one client in both variants: 10 rows, tall again
     dels = list(range(20, 30))
     msgs_a = [stores_a[1].make_round_message(2, [], dels, VARIANT_FULL)]
     msgs_b = [stores_b[1].make_round_message(2, [], dels, VARIANT_QR)]
     led_a, w_a = run_round_a(led_a, aggregate(msgs_a))
     led_b, state, w_b, info = run_round_b(led_b, state, aggregate(msgs_b))
+    assert info.reset
+    assert rel_frobenius_dev(w_b, w_a) <= 1e-8
+    # and a delete of rebuild_rows(d) = 5 rows, served by an SMW step
+    dels = list(range(30, 35))
+    msgs_a = [stores_a[1].make_round_message(3, [], dels, VARIANT_FULL)]
+    msgs_b = [stores_b[1].make_round_message(3, [], dels, VARIANT_QR)]
+    led_a, w_a = run_round_a(led_a, aggregate(msgs_a))
+    agg_b = aggregate(msgs_b)
+    assert agg_b.U_minus.shape == (rebuild_rows(d), d)
+    led_b, state, w_b, info = run_round_b(led_b, state, agg_b)
     assert not info.reset
     assert info.lambda_max is not None and 0 < info.lambda_max < 1
     assert rel_frobenius_dev(w_b, w_a) <= 1e-8
@@ -362,27 +388,47 @@ def test_run_round_b_tracks_run_round_a():
 
 def test_run_round_b_reset_on_boundary_deletion():
     # deleting the whole retained set with a large data scale drives the
-    # delete capacitance condition over the threshold and forces a rebuild
+    # delete capacitance condition over the threshold and forces a rebuild;
+    # 3 samples at d = 6 keep both rounds short, so each takes the SMW path
     rng = np.random.default_rng(25)
     d, c = 6, 2
-    features = rng.standard_normal((40, d)) * 1e5
-    labels = rng.standard_normal((40, c))
-    store = _store_with(0, range(40), features, labels, d, c)
+    features = rng.standard_normal((3, d)) * 1e5
+    labels = rng.standard_normal((3, c))
+    store = _store_with(0, range(3), features, labels, d, c)
     ledger = ledger_init(d, c)
     state = init_from_ledger(ledger)
-    msg = store.make_round_message(1, list(range(40)), [], VARIANT_QR)
-    ledger, state, w, info = run_round_b(ledger, state, aggregate([msg]))
-    # the add onto T = I amplifies rounding by ~1e12: served exact only via a rebuild
+    agg = aggregate([store.make_round_message(1, list(range(3)), [], VARIANT_QR)])
+    assert agg.U_plus.shape == (rebuild_rows(d), d)
+    ledger, state, w, info = run_round_b(ledger, state, agg)
+    # the add onto T = I amplifies rounding by ~1e10: served exact only via a rebuild
+    assert info.reset
     assert rel_frobenius_dev(w, ledger.head) <= 1e-8
-    msg = store.make_round_message(2, [], list(range(40)), VARIANT_QR)
-    ledger, state, w, info = run_round_b(ledger, state, aggregate([msg]))
+    agg = aggregate([store.make_round_message(2, [], list(range(3)), VARIANT_QR)])
+    assert agg.U_minus.shape == (rebuild_rows(d), d)
+    ledger, state, w, info = run_round_b(ledger, state, agg)
     assert info.reset
     np.testing.assert_allclose(w, np.zeros((d, c)), atol=1e-30)
     assert ledger.stats.n == 0
 
 
-def test_run_round_b_compacts_tall_stacks():
-    # 10 clients x min(12, 4) = 40 factor rows against d = 4: capacitance must stay d x d
+@pytest.mark.parametrize("scale, gated", [(1.0, False), (1e5, True)])
+def test_add_amplification_gate_resets_a_short_round(scale, gated):
+    # 8 rows at d = 16 are a short round; scaled by 1e5 its add onto T = I amplifies rounding by ~1e10
+    rng = np.random.default_rng(34)
+    d, c, n = 16, 2, 8
+    features = rng.standard_normal((n, d)) * scale
+    labels = rng.standard_normal((n, c))
+    agg = aggregate(_round_one_messages(VARIANT_QR, features, labels, [range(0, 3), range(3, n)], d, c))
+    assert agg.U_plus.shape == (rebuild_rows(d), d)
+    ledger = ledger_init(d, c)
+    ledger, state, w, info = run_round_b(ledger, init_from_ledger(ledger), agg)
+    assert info.reset == gated
+    # S + I has condition ~1e10 when scaled, so the head is compared with the ledger's solve
+    assert rel_frobenius_dev(w, ledger.head) <= 1e-9
+
+
+def test_run_round_b_rebuilds_tall_rounds():
+    # 10 clients x min(12, 4) = 40 factor rows against d = 4: a rebuild, with no SMW step
     rng = np.random.default_rng(26)
     d, c, n = 4, 1, 120
     features = rng.standard_normal((n, d))
@@ -390,11 +436,13 @@ def test_run_round_b_compacts_tall_stacks():
     parts = [range(i * 12, (i + 1) * 12) for i in range(10)]
     msgs = _round_one_messages(VARIANT_QR, features, labels, parts, d, c)
     agg = aggregate(msgs)
-    assert agg.U_plus.shape[0] <= d
-    assert rel_frobenius_dev(agg.U_plus.T @ agg.U_plus, stats_from_batch(features, labels).S) <= 1e-12
+    assert agg.U_plus is None and agg.U_minus is None
+    assert rel_frobenius_dev(agg.S_plus, stats_from_batch(features, labels).S) <= 1e-12
     ledger = ledger_init(d, c)
     state = init_from_ledger(ledger)
-    ledger, state, w, _ = run_round_b(ledger, state, agg)
+    ledger, state, w, info = run_round_b(ledger, state, agg)
+    assert info.reset and info.lambda_max is None
+    assert w is ledger.head and state.updates_since_reset == 0
     assert rel_frobenius_dev(w, oracle_retrain(RetainedGram(features, labels), np.ones(n, bool), 1.0)[0]) <= 1e-9
 
 

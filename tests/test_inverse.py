@@ -95,6 +95,29 @@ def test_smw_delete_matches_rebuild():
     assert rel_frobenius_dev(st.W, ref.W) <= 1e-10
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("r", [1, 7, 70])
+def test_smw_step_t_is_bitwise_symmetric_without_symmetrize(dtype, r):
+    # T ∓ ZᵀZ is symmetric by construction; 70 rows take the blocked triangular solve
+    import fedridge.inverse as inverse_mod
+    import fedridge.kernels as kernels_mod
+
+    assert not hasattr(inverse_mod, "symmetrize") and not hasattr(kernels_mod, "symmetrize")
+    rng = np.random.default_rng(r)
+    d, c = 90, 3
+    f = rng.standard_normal((3 * d, d))
+    led = ledger_apply(ledger_init(d, c, 1.0, "f64"), stats_from_batch(f, f[:, :c]), SufficientStats.zero(d, c))
+    state = init_from_ledger(led)
+    state = InverseState(state.T.astype(dtype), state.W.astype(dtype), 1.0)
+    u = rng.standard_normal((r, d)).astype(dtype)
+    g = rng.standard_normal((d, c)).astype(dtype)
+    added = smw_step(state, u, g).state
+    back = smw_step(added, u, g, delete=True).state
+    for t in (added.T, back.T):
+        assert t.dtype == dtype and np.array_equal(t, t.T)
+    assert rel_frobenius_dev(back.T, state.T) <= (1e-4 if dtype == np.float32 else 1e-12)
+
+
 def _delete_step(t, u):
     state = InverseState(np.asarray(t, dtype=float), np.zeros((2, 1)), 1.0, 0)
     return smw_step(state, u, np.zeros((2, 1)), delete=True)

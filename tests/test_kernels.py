@@ -16,6 +16,7 @@ from fedridge.kernels import (
     ZeroReference,
     cholesky_spd,
     frobenius_norm,
+    inverse_from_factor,
     rel_frobenius_dev,
     solve_spd,
     spd_inverse,
@@ -199,6 +200,18 @@ def test_spd_inverse_is_bitwise_symmetric(dtype):
         inv = spd_inverse((m.T @ m + np.eye(d)).astype(dtype))
         assert inv.dtype == dtype
         assert np.array_equal(inv, inv.T)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-13)])
+@pytest.mark.parametrize("d", [17, 64, 65, 257])
+def test_inverse_from_factor_matches_the_library_inverse(dtype, tol, d):
+    # 64 rows is one LU block of the triangular solve; 65 and 257 take the blocked path
+    rng = np.random.default_rng(d)
+    m = rng.standard_normal((2 * d, d))  # condition number about 30
+    a = (m.T @ m + np.eye(d)).astype(dtype)
+    inv = inverse_from_factor(cholesky_spd(a))
+    assert inv.dtype == dtype and np.array_equal(inv, inv.T)
+    assert rel_frobenius_dev(inv, np.linalg.inv(a.astype(np.float64))) <= tol
 
 
 def test_non_finite_rejected():

@@ -318,15 +318,33 @@ def test_run_scenario_precision_gap():
     data = gen_synthetic(37, 2000, 32, 4, 3.0)
     parts = dirichlet_partition(37, data.classes[: data.n_train], 6, 0.5)
     schedule = [initial_round(parts)]
-    dev = {}
+    dev, dev_a = {}, {}
     for prec in ("f64", "f32"):
         res = run_scenario(
             _scenario(data, parts, schedule, precision=prec), data.features, data.labels
         )
         dev[prec] = res.records[-1].variants["B"].rel_dev
+        dev_a[prec] = res.records[-1].variants["A"].rel_dev
     assert dev["f64"] <= 1e-8
-    assert 1e-6 <= dev["f32"] <= 1e-2
+    # criterion 02's floor: a tall round 1 is rebuilt, so B's f32 error is A's, not an SMW step's
+    assert 1e-7 <= dev["f32"] <= 1e-2
+    assert dev["f32"] <= 10 * dev_a["f32"]
     assert dev["f32"] >= 100 * dev["f64"]
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_b_churn_is_as_exact_as_a(precision):
+    # round 1 is tall and rebuilt, so no rank-d SMW step onto I/gamma leaves B behind A;
+    # the churn rounds fold 10 factor rows, within rebuild_rows(32), and take SMW steps
+    data = gen_synthetic(43, 2000, 32, 4, 3.0)
+    parts = dirichlet_partition(43, data.classes[: data.n_train], 6, 0.5)
+    schedule = schedule_churn(43, parts, rounds=6, adds_per_round=5, deletes_per_round=5)
+    result = run_scenario(_scenario(data, parts, schedule, precision=precision), data.features, data.labels)
+    resets = [rec.variants["B"].reset for rec in result.records]
+    assert resets[0] and not any(resets[1:])
+    dev_a = max(rec.variants["A"].rel_dev for rec in result.records)
+    dev_b = max(rec.variants["B"].rel_dev for rec in result.records)
+    assert dev_b <= 10 * dev_a
 
 
 def test_run_scenario_approx_variant_reports():
@@ -417,9 +435,11 @@ def test_run_scenario_folds_each_message_once_as_it_arrives(monkeypatch):
 
 
 def _b_churn(variant="both"):
+    # each churn round folds at most 4 + 2 factor rows, within rebuild_rows(12) = 6, so B
+    # serves it by SMW steps; round 1 is tall and rebuilt
     data = gen_synthetic(61, 400, 12, 3, 2.0)
     parts = dirichlet_partition(61, data.classes[: data.n_train], 4, 0.5)
-    schedule = schedule_churn(61, parts, rounds=8, adds_per_round=4, deletes_per_round=6)
+    schedule = schedule_churn(61, parts, rounds=8, adds_per_round=4, deletes_per_round=2)
     sc = _scenario(data, parts, schedule, variant=variant)
     return lambda: run_scenario(sc, data.features, data.labels)
 
@@ -484,11 +504,13 @@ def test_b_round_without_reset_factors_no_ledger_and_solves_no_triangle(monkeypa
     monkeypatch.setattr(posterior_mod, "triangular_solve_lower", triangular)
     for name in ("posterior_from_state", "posterior_from_ledger", "kl_matrix_normal"):
         monkeypatch.setattr(simulate_mod, name, certify_span(getattr(simulate_mod, name)))
-    if threshold is not None:  # round 1's large add then resets
+    if threshold is not None:  # a gate this low no longer matters to round 1, which takes no SMW step
         monkeypatch.setattr(coordinator_mod, "CONDITION_THRESHOLD", threshold)
     result = _b_churn(variant="B")()
-    resets = sum(rec.variants["B"].reset for rec in result.records)
-    assert resets == (threshold is not None) < len(result.records)
+    resets = [rec.variants["B"].reset for rec in result.records]
+    # round 1 is tall and rebuilt; the churn rounds' steps amplify rounding by under 1.1
+    assert resets[0] and not any(resets[1:])
+    resets = sum(resets)
     # the state's start and each reset factor the ledger; nothing else does
     assert counts == {"ledger_factor": 1 + resets, "certify_triangular": 0}
 

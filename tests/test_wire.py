@@ -56,6 +56,26 @@ def test_message_round_trip(variant, precision):
     assert decoded.add.n == msg.add.n and decoded.delete.n == msg.delete.n
 
 
+@pytest.mark.parametrize("variant", [VARIANT_FULL, VARIANT_QR])
+@pytest.mark.parametrize("precision, limit", [("f32", 2**24), ("f64", 2**53)])
+def test_sample_count_is_carried_exactly_up_to_the_precision_limit(variant, precision, limit):
+    msg = _message(variant, precision=precision)
+    at_limit = dataclasses.replace(msg, add=dataclasses.replace(msg.add, n=limit))
+    decoded, _, _ = decode_message(encode_message(at_limit, precision))
+    assert decoded.add.n == limit
+    # limit + 1 would decode as limit
+    past = dataclasses.replace(msg, delete=dataclasses.replace(msg.delete, n=limit + 1))
+    with pytest.raises(WireError, match="not exact"):
+        encode_message(past, precision)
+    # a frame whose count is limit + 2, exact in the float type, is refused on decode too
+    buf = bytearray(encode_message(at_limit, precision))
+    dtype = np.dtype(np.float32 if precision == "f32" else np.float64)
+    add_end = 28 + at_limit.add.scalar_count * dtype.itemsize  # the count ends the add frame
+    buf[add_end - dtype.itemsize : add_end] = np.array([limit + 2], dtype=dtype).tobytes()
+    with pytest.raises(WireError, match="sample count"):
+        decode_message(bytes(buf))
+
+
 @pytest.mark.parametrize("precision", ["f32", "f64"])
 def test_wide_stats_payload_round_trips_bitwise(precision):
     # frames carry only the upper triangle of S, so S must be exactly symmetric
