@@ -9,7 +9,6 @@ inverse updates, with a Bayesian zero-KL certificate on top.
 
 from .client import ClientMessage, ClientStore, QrPayload, Sample, StatsPayload
 from .coordinator import (
-    ApproxReport,
     CommRecord,
     RoundAggregate,
     RoundFold,

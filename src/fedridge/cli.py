@@ -119,9 +119,6 @@ def _cmd_gen(args) -> int:
     if args.n < 1 or args.d < 1 or args.c < 2:
         print("error: need n >= 1, d >= 1, c >= 2", file=sys.stderr)
         return EXIT_USAGE
-    if args.alpha <= 0:
-        print("error: --alpha must be positive", file=sys.stderr)
-        return EXIT_USAGE
     data = gen_synthetic(args.seed, args.n, args.d, args.c, args.separation)
     if args.partition == "dirichlet":
         assignments = dirichlet_partition(

@@ -12,9 +12,14 @@ Three ways to recover the head after a round's aggregate lands:
   amplify rounding past CONDITION_THRESHOLD, or the drift audit run every
   AUDIT_EVERY rounds reads above DRIFT_THRESHOLD;
 * truncated adds -- Variant B's messages and SMW step, with each add
-  round's Gram change cut to its top-r eigenpairs and a perturbation bound
-  carried; delete rounds and every `reset_every`-th round rebuild the state
-  exactly from the ledger, which advances in parallel.
+  round's Gram change cut to its top-r eigenpairs.  Each cut drops a PSD
+  part, so the dropped mass E = S - S_ap is PSD, T = (S + γI)⁻¹ ≼ T_ap and
+  T_ap - T = T_ap E T.  The state carries Σ, the largest dropped eigenvalue
+  summed over the truncated steps since the last rebuild, and each such
+  round reports the bound ||T_ap - T||₂ <= min(1/γ, ||T_ap||_∞)² Σ, which
+  holds across steps and is always finite.  Delete rounds and every
+  `reset_every`-th round rebuild the state exactly from the ledger, which
+  advances in parallel, and reset Σ to 0.
 
 Aggregation is a running fold (`RoundFold`): each client message is
 folded into the round's aggregate as it arrives, in strictly ascending
@@ -27,14 +32,13 @@ tall, so the server never factors anything while it aggregates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .client import ClientMessage, QrPayload, StatsPayload, VARIANT_QR
 from .inverse import DowndateInfeasible, InverseState, audit_drift, init_from_ledger, smw_step
-from .kernels import DimensionMismatch, NotSPD, spectral_norm, symmetric_eig
+from .kernels import DimensionMismatch, NotSPD, symmetric_eig
 from .stats import Ledger, SufficientStats, dtype_of, ledger_apply
 
 # Variant B's fixed reset policy: the drift audit's period and threshold,
@@ -91,17 +95,6 @@ class RoundAggregate:
 class BRoundInfo:
     reset: bool
     lambda_max: float | None
-
-
-@dataclass(frozen=True)
-class ApproxReport:
-    rank_used: int
-    neglected_mass: float
-    t_ap_norm: float
-    contraction: float
-    inverse_bound: float
-    head_bound: float
-    assumption_ok: bool
 
 
 @dataclass(frozen=True)
@@ -316,18 +309,17 @@ def run_round_b(
 
 def run_round_approx(
     ledger: Ledger, state: InverseState, agg: RoundAggregate, rank: int, reset_every: int
-) -> tuple[Ledger, InverseState, np.ndarray, ApproxReport | None]:
+) -> tuple[Ledger, InverseState, np.ndarray, float | None]:
     """Advance one round folding in only a rank-`rank` Gram update.
 
     The ledger is advanced first and stays exact.  A round with deletions,
     or the round that would be the `reset_every`-th truncated step since
     the last reset, rebuilds the state from the ledger and is served
-    exactly; its report is None.  Any other round folds
+    exactly; its bound is None.  Any other round folds
     U_r = sqrt(λ_r) V_rᵀ of the top `rank` eigenpairs of its Gram change
-    into the state by one SMW add, and reports the bound on the inverse
-    error that the dropped eigenvalues induce.  When the bound's
-    contraction assumption fails the report is flagged, with infinite
-    bounds.
+    into the state by one SMW add, adds the largest dropped eigenvalue to
+    the state's Σ (`neglected_mass`), and returns the bound
+    min(1/γ, ||T_ap||_∞)² Σ on ||T_ap - (S + γI)⁻¹||₂.
     """
     add, delete = _agg_stats(agg)
     new_ledger = ledger_apply(ledger, add, delete)
@@ -339,31 +331,13 @@ def run_round_approx(
     kept = min(rank, agg.d)
     u_r = np.sqrt(np.maximum(vals[:kept], 0))[:, None] * vecs[:, :kept].T
     step = smw_step(state, u_r, agg.G_plus)
-    # a round with nothing to add leaves T as is but still counts toward the reset
-    new_state = replace(step.state, updates_since_reset=state.updates_since_reset + 1)
     dropped = vals[kept:]
-    neglected = float(np.abs(dropped).max()) if dropped.size else 0.0
-    t_ap_norm = spectral_norm(new_state.T)
-    # ||T E|| with E = V_d diag(λ_d) V_dᵀ is ||T V_d diag(λ_d)||: V_d has orthonormal columns
-    contraction = spectral_norm((new_state.T @ vecs[:, kept:]) * dropped)
-    assumption_ok = contraction < 1.0
-    if neglected == 0.0:
-        inverse_bound = head_bound = 0.0
-    elif assumption_ok:
-        inverse_bound = t_ap_norm**2 * neglected / (1.0 - contraction)
-        head_bound = inverse_bound * spectral_norm(new_ledger.stats.G)
-    else:
-        inverse_bound = head_bound = math.inf
-    report = ApproxReport(
-        rank_used=kept,
-        neglected_mass=neglected,
-        t_ap_norm=t_ap_norm,
-        contraction=contraction,
-        inverse_bound=inverse_bound,
-        head_bound=head_bound,
-        assumption_ok=assumption_ok,
-    )
-    return new_ledger, new_state, new_state.W, report
+    neglected = state.neglected_mass + (float(np.abs(dropped).max()) if dropped.size else 0.0)
+    # a round with nothing to add leaves T as is but still counts toward the reset
+    new_state = replace(step.state, updates_since_reset=state.updates_since_reset + 1, neglected_mass=neglected)
+    # ||T_ap||₂ is at most any induced norm of the symmetric T_ap, and at most 1/γ as S_ap ⪰ 0
+    t_norm = min(1.0 / new_state.gamma, float(np.abs(new_state.T).sum(axis=1).max()))
+    return new_ledger, new_state, new_state.W, t_norm**2 * neglected
 
 
 def _comm_record(scalars: int, precision: str) -> CommRecord:

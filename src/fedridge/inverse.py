@@ -22,7 +22,7 @@ Variant B's reset gate compares against its fixed condition threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,10 +44,17 @@ class DowndateInfeasible(Exception):
 
 @dataclass(frozen=True)
 class InverseState:
+    """The tracked inverse T and head W, and what they left out.
+
+    `neglected_mass` is Σ: approx mode's dropped eigenvalue mass, summed
+    over its truncated steps since the last rebuild (0 for an exact state).
+    """
+
     T: np.ndarray
     W: np.ndarray
     gamma: float
     updates_since_reset: int = 0
+    neglected_mass: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -71,8 +78,9 @@ def init_from_ledger(ledger: stats_mod.Ledger) -> InverseState:
     T = inv(L)ᵀ inv(L) from the ledger's cached Cholesky factor L, which the
     head and the posterior share, so a rebuild factors nothing anew.  W is
     `ledger.head` itself, read-only; SMW steps replace it, never write it.
+    The rebuilt state is exact, so its `neglected_mass` is 0.
     """
-    return InverseState(inverse_from_factor(ledger.factor), ledger.head, float(ledger.gamma), 0)
+    return InverseState(inverse_from_factor(ledger.factor), ledger.head, float(ledger.gamma))
 
 
 def _clean_rows(u, d: int, dtype) -> np.ndarray:
@@ -91,7 +99,9 @@ def smw_step(state: InverseState, u, g, delete: bool = False) -> SmwStep:
 
     Raises DowndateInfeasible when a delete's capacitance is not SPD, and
     NotSPD when an add's is not, which finite U and SPD T rule out, so the
-    state is corrupted.
+    state is corrupted.  The step replaces T and W and counts itself in
+    `updates_since_reset`; every other field, `neglected_mass` included, is
+    carried unchanged.
     """
     d = state.T.shape[0]
     u = _clean_rows(u, d, state.T.dtype)
@@ -117,7 +127,7 @@ def smw_step(state: InverseState, u, g, delete: bool = False) -> SmwStep:
     z = triangular_solve_lower(factor, ut)
     t_new = state.T - sign * (z.T @ z)
     w_new = state.W + sign * (t_new @ (g - u.T @ (u @ state.W)))
-    new_state = InverseState(t_new, w_new, state.gamma, state.updates_since_reset + 1)
+    new_state = replace(state, T=t_new, W=w_new, updates_since_reset=state.updates_since_reset + 1)
     return SmwStep(new_state, amplification, lam)
 
 

@@ -65,6 +65,8 @@ def gen_synthetic(seed: int, n: int, d: int, c: int, class_separation: float) ->
     """
     if c < 2:
         raise ValueError("need at least two classes for one-hot labels")
+    if not math.isfinite(class_separation):
+        raise ValueError(f"class separation must be finite, got {class_separation!r}")
     rng = rng_stream(seed, "data")
     means = rng.standard_normal((c, d))
     norms = np.sqrt(np.sum(means**2, axis=1, keepdims=True))
@@ -91,8 +93,8 @@ def dirichlet_partition(seed: int, classes: np.ndarray, k: int, alpha: float) ->
     """
     if k < 1:
         raise ValueError("need at least one client")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     rng = rng_stream(seed, "partition")
     classes = np.asarray(classes)
     out: list[list[int]] = [[] for _ in range(k)]
@@ -181,6 +183,8 @@ def schedule_chunked(
         if classes is None:
             raise ValueError("target_class requires the class labels")
         pool = [i for i in pool if int(classes[i]) == target_class]
+        if not pool:
+            raise ValueError(f"no retained sample has target class {target_class}")
     rng = rng_stream(seed, "schedule")
     perm = rng.permutation(np.asarray(pool, dtype=np.int64))
     size = int(fraction * len(pool))
@@ -197,7 +201,7 @@ def schedule_burst(
     """`count` rounds, each deleting exactly one retained sample."""
     owners = _owner_map(assignments)
     pool = sorted(owners)
-    if count > len(pool):
+    if not 0 <= count <= len(pool):
         raise ValueError(f"cannot burst-delete {count} of {len(pool)} retained samples")
     rng = rng_stream(seed, "schedule")
     chosen = rng.permutation(np.asarray(pool, dtype=np.int64))[:count]
@@ -233,6 +237,11 @@ def schedule_churn(
     retained before the round started (a sample added in round t can only
     be deleted from round t+1 on).
     """
+    if min(rounds, adds_per_round, deletes_per_round) < 0:
+        raise ValueError(
+            f"rounds, adds and deletes per round must be non-negative, "
+            f"got {rounds}, {adds_per_round} and {deletes_per_round}"
+        )
     owners = _owner_map(assignments)
     rng = rng_stream(seed, "schedule")
     perm = list(rng.permutation(np.asarray(sorted(owners), dtype=np.int64)))
@@ -306,8 +315,10 @@ class Scenario:
             raise ValueError(f"unknown variant {self.variant!r}, expected A, B, both or approx")
         if self.precision not in PRECISION_DTYPES:
             raise ValueError(f"unknown precision {self.precision!r}, expected 'f32' or 'f64'")
-        if self.gamma <= 0 or self.sigma2 <= 0:
-            raise ValueError("gamma and sigma2 must be positive")
+        for name in ("gamma", "sigma2"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.rank < 1:
             raise ValueError(f"rank must be at least 1, got {self.rank}")
         if self.reset_every < 0:
@@ -506,8 +517,6 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
     records: list[RoundMetrics] = []
     resets = 0
     total_bytes = {v: 0 for v in variants}
-    max_bound = 0.0
-    inf_bound_rounds = 0
     heads: dict[str, np.ndarray] = {}
 
     for spec in scenario.schedule:
@@ -563,16 +572,10 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
                 reset = info.reset
                 lam = info.lambda_max
             else:
-                ledgers[v], states[v], w, report = run_round_approx(
+                ledgers[v], states[v], w, bound = run_round_approx(
                     ledgers[v], states[v], agg, scenario.rank, scenario.reset_every
                 )
-                reset = report is None  # served exactly from the ledger, with no bound
-                if not reset:
-                    bound = report.inverse_bound
-                    if math.isfinite(bound):
-                        max_bound = max(max_bound, bound)
-                    else:
-                        inf_bound_rounds += 1
+                reset = bound is None  # served exactly from the ledger, with no bound
             if reset:
                 resets += 1
             if ledgers[v].stats.n != n_retained:
@@ -608,19 +611,19 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
 
     last = records[-1].variants if records else {}
     summary = {
-        "schema_version": 2,
+        "schema_version": 3,
         "final_dev_A": last["A"].rel_dev if "A" in last else None,
         "final_dev_B": last["B"].rel_dev if "B" in last else None,
         "resets": resets,
         "total_bytes_A": total_bytes.get("A", 0),
         "total_bytes_B": total_bytes.get("B", 0),
-        # np.max, unlike max(), carries a NaN through
+        # np.max, unlike max(), carries a NaN through; so does max_bound's
         "max_kl": float(np.max([m.kl for rec in records for m in rec.variants.values()], initial=0.0)),
     }
     if "approx" in variants:
         summary["final_dev_approx"] = last["approx"].rel_dev if "approx" in last else None
-        summary["max_bound"] = max_bound
-        summary["inf_bound_rounds"] = inf_bound_rounds
+        bounds = [rec.variants["approx"].bound for rec in records if not rec.variants["approx"].reset]
+        summary["max_bound"] = float(np.max(bounds, initial=0.0))
         summary["total_bytes_approx"] = total_bytes.get("approx", 0)
     return ScenarioResult(scenario, records, heads, summary)
 

@@ -9,6 +9,7 @@ round and the head is recovered by one SPD solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -95,8 +96,8 @@ class Ledger:
 
 
 def ledger_init(d: int, c: int, gamma: float = 1.0, precision: str = "f64") -> Ledger:
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     return Ledger(SufficientStats.zero(d, c, dtype_of(precision)), 0, float(gamma), precision)
 
 

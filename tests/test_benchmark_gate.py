@@ -8,6 +8,7 @@ replayed once through `fedridge run`; each replay must pass the gate that
 import csv
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -45,6 +46,8 @@ def test_workload_passes_the_gate_at_small_n(tmp_path, name):
     for row in rows:
         if row["variant"] in ("A", "B") or row["reset_flag"] == "1":
             assert float(row["rel_dev_vs_oracle"]) <= EXACT_TOL, row
+        else:  # a truncated approx row serves a head within a finite bound
+            assert row["bound"] and math.isfinite(float(row["bound"])), row
     assert json.loads((out / "summary.json").read_text())["max_kl"] <= KL_TOL
     # round 1 folds more than rebuild_rows(d) factor rows, so Variant B serves it by a rebuild
     round_one_b = [row["reset_flag"] for row in rows if row["variant"] == "B" and row["round"] == "1"]

@@ -33,10 +33,33 @@ def test_gen_writes_both_files(tmp_path, capsys):
     assert doc["clients"] == 4 and doc["d"] == 8
 
 
-def test_gen_rejects_zero_clients(tmp_path):
-    code = main(["gen", "--clients", "0", "--out-features", str(tmp_path / "f.bin"),
-                 "--out-scenario", str(tmp_path / "s.json")])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--clients", "0"],
+        ["--schedule", "burst", "--count", "-1"],
+        ["--schedule", "burst-addback", "--count", "-1"],
+        ["--schedule", "churn", "--adds-per-round", "-2"],
+        ["--schedule", "churn", "--rounds", "-1"],
+        ["--schedule", "churn", "--dels-per-round", "-1"],
+        ["--alpha", "0"],
+        ["--alpha", "nan"],
+        ["--alpha", "inf"],
+        ["--separation", "nan"],
+        ["--separation", "inf"],
+        ["--schedule", "chunked", "--target-class", "99"],
+        ["--gamma", "nan"],
+        ["--gamma", "inf"],
+    ],
+    ids="_".join,
+)
+def test_gen_rejects_zero_clients(tmp_path, flags):
+    # each bad number is refused before anything is written, never misread
+    features, scenario = tmp_path / "f.bin", tmp_path / "s.json"
+    code = main(["gen", "--n", "300", "--d", "8", "--c", "3", "--clients", "4", *flags,
+                 "--out-features", str(features), "--out-scenario", str(scenario)])
     assert code == 2
+    assert not features.exists() and not scenario.exists()
 
 
 def test_gen_is_byte_deterministic(tmp_path):
@@ -101,9 +124,12 @@ def test_run_approx_summary_has_bound(tmp_path):
     assert code == 0
     summary = json.loads((out_dir / "summary.json").read_text())
     assert "max_bound" in summary and summary["resets"] >= 1
-    assert summary["schema_version"] == 2
+    assert summary["schema_version"] == 3
     rows = [line.split(",") for line in (out_dir / "metrics.csv").read_text().splitlines()[1:]]
-    assert summary["inf_bound_rounds"] == sum(r[7] == "inf" and r[3] != "1" for r in rows)
+    # every truncated round reports a finite bound; reset rounds report none
+    assert all(r[7] != "inf" for r in rows) and "inf_bound_rounds" not in summary
+    assert all((r[7] == "") == (r[3] == "1") for r in rows)
+    assert summary["max_bound"] == max(float(r[7]) for r in rows if r[7])
 
 
 def test_run_missing_files_exit_3(tmp_path):
@@ -234,6 +260,10 @@ def test_run_rejects_invalid_config(tmp_path):
     features, scenario = _gen(tmp_path)
     for flags in (
         ["--gamma", "-1.0"],
+        ["--gamma", "inf"],
+        ["--gamma", "nan"],
+        ["--sigma2", "nan"],
+        ["--sigma2", "inf"],
         ["--rank", "-1"],
         ["--rank", "0"],
         ["--reset-every", "-1"],

@@ -1,7 +1,5 @@
 """Aggregation, round drivers, approximate mode and accounting."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -502,18 +500,15 @@ def test_approx_hand_case_bound_dominates_gap():
     ledger = ledger_init(2, 1)
     state = init_from_ledger(ledger)
     agg = _add_only_agg(np.diag([10.0, 0.5]))
-    ledger, state, w_ap, report = run_round_approx(ledger, state, agg, rank=1, reset_every=0)
+    ledger, state, w_ap, bound = run_round_approx(ledger, state, agg, rank=1, reset_every=0)
     t_ap = state.T
     np.testing.assert_allclose(t_ap, np.diag([1 / 11, 1.0]), rtol=1e-12)
-    assert report.assumption_ok
-    assert report.rank_used == 1
-    assert report.neglected_mass == pytest.approx(0.5, rel=1e-9)
-    assert report.t_ap_norm == pytest.approx(1.0, rel=1e-9)
-    assert report.contraction == pytest.approx(0.5, rel=1e-9)
-    assert report.inverse_bound == pytest.approx(1.0, rel=1e-9)
+    assert state.neglected_mass == pytest.approx(0.5, rel=1e-9)
+    # min(1/γ, ||T_ap||_∞)² Σ = 1² · 0.5
+    assert bound == pytest.approx(0.5, rel=1e-9)
     true_gap = spectral_norm(spd_inverse(np.eye(2) + np.diag([10.0, 0.5])) - t_ap)
     assert true_gap == pytest.approx(1 / 3, rel=1e-9)
-    assert true_gap <= report.inverse_bound
+    assert true_gap <= bound
 
 
 def test_approx_full_rank_is_exact():
@@ -524,20 +519,38 @@ def test_approx_full_rank_is_exact():
     ledger = ledger_init(4, 2)
     state = init_from_ledger(ledger)
     agg = _add_only_agg(s_plus, g, c=2)
-    ledger, state, w_ap, report = run_round_approx(ledger, state, agg, rank=4, reset_every=0)
-    assert report.neglected_mass == 0.0
-    assert report.inverse_bound == 0.0
+    ledger, state, w_ap, bound = run_round_approx(ledger, state, agg, rank=4, reset_every=0)
+    assert state.neglected_mass == 0.0
+    assert bound == 0.0
     np.testing.assert_allclose(w_ap, ledger.head, rtol=1e-12)
 
 
-def test_approx_assumption_violated_flagged():
+def test_approx_bound_is_finite_where_the_contraction_fails():
+    # ||T_ap E||₂ = 1 here, so a bound resting on ||T_ap E|| < 1 would be infinite
     ledger = ledger_init(2, 1)
     state = init_from_ledger(ledger)
     agg = _add_only_agg(np.diag([10.0, 1.0]))
-    ledger, state, _, report = run_round_approx(ledger, state, agg, rank=1, reset_every=0)
-    assert not report.assumption_ok
-    assert math.isinf(report.inverse_bound)
-    assert report.contraction >= 1.0
+    ledger, state, _, bound = run_round_approx(ledger, state, agg, rank=1, reset_every=0)
+    assert bound == pytest.approx(1.0, rel=1e-9)
+    true_gap = spectral_norm(spd_inverse(np.eye(2) + np.diag([10.0, 1.0])) - state.T)
+    assert true_gap == pytest.approx(0.5, rel=1e-9)
+    assert true_gap <= bound
+
+
+def test_approx_bound_accumulates_until_a_reset():
+    # two truncated diag(10, 0.5) steps drop 0.5 each: Σ = 1, and T_ap = diag(1/21, 1)
+    ledger = ledger_init(2, 1)
+    state = init_from_ledger(ledger)
+    agg = _add_only_agg(np.diag([10.0, 0.5]))
+    for sigma in (0.5, 1.0):
+        ledger, state, _, bound = run_round_approx(ledger, state, agg, rank=1, reset_every=3)
+        assert state.neglected_mass == pytest.approx(sigma, rel=1e-12)
+        assert bound == pytest.approx(sigma, rel=1e-12)
+    true_gap = spectral_norm(spd_inverse(np.eye(2) + np.diag([20.0, 1.0])) - state.T)
+    assert true_gap == pytest.approx(0.5, rel=1e-9)
+    assert true_gap <= bound
+    ledger, state, _, bound = run_round_approx(ledger, state, agg, rank=1, reset_every=3)
+    assert bound is None and state.neglected_mass == 0.0
 
 
 def test_approx_delete_round_is_exact():
@@ -551,11 +564,11 @@ def test_approx_delete_round_is_exact():
     agg = aggregate([store.make_round_message(1, list(range(30)), [], VARIANT_QR)])
     ledger, state, _, _ = run_round_approx(ledger, state, agg, rank=2, reset_every=0)
     agg = aggregate([store.make_round_message(2, [], list(range(10)), VARIANT_QR)])
-    ledger, state, w_ap, report = run_round_approx(ledger, state, agg, rank=2, reset_every=0)
-    assert report is None  # delete rounds fall back to exact handling
+    ledger, state, w_ap, bound = run_round_approx(ledger, state, agg, rank=2, reset_every=0)
+    assert bound is None  # delete rounds fall back to exact handling
     np.testing.assert_array_equal(w_ap, ledger.head)
     np.testing.assert_array_equal(state.T, spd_inverse(regularized_gram(ledger)))
-    assert state.updates_since_reset == 0
+    assert state.updates_since_reset == 0 and state.neglected_mass == 0.0
 
 
 def test_periodic_reset_restores_exact_head():
@@ -569,12 +582,12 @@ def test_periodic_reset_restores_exact_head():
         return _add_only_agg(st.S, st.G, c=c)
 
     for _ in range(5):  # five truncated steps; the sixth would be the reset_every-th
-        ledger, state, w_ap, report = run_round_approx(ledger, state, add_round(), rank=1, reset_every=6)
-        assert report is not None
+        ledger, state, w_ap, bound = run_round_approx(ledger, state, add_round(), rank=1, reset_every=6)
+        assert bound is not None
     assert state.updates_since_reset == 5
     drift_before = rel_frobenius_dev(w_ap, ledger.head)
-    ledger, state, w_reset, report = run_round_approx(ledger, state, add_round(), rank=1, reset_every=6)
-    assert report is None
+    ledger, state, w_reset, bound = run_round_approx(ledger, state, add_round(), rank=1, reset_every=6)
+    assert bound is None
     assert state.updates_since_reset == 0
     w_exact = ledger.head
     np.testing.assert_array_equal(w_reset, w_exact)
@@ -599,10 +612,10 @@ def test_approx_reset_shares_the_ledger_factor(monkeypatch):
     for _ in range(3):  # the third round is the reset
         st = stats_from_batch(rng.standard_normal((6, d)), rng.standard_normal((6, c)))
         calls.clear()
-        ledger, state, w, report = run_round_approx(
+        ledger, state, w, bound = run_round_approx(
             ledger, state, _add_only_agg(st.S, st.G, c=c), rank=2, reset_every=3
         )
-    assert report is None
+    assert bound is None
     assert len(calls) == 1
     assert state.W is ledger.head and w is ledger.head
     posterior_from_ledger(ledger)

@@ -1,5 +1,7 @@
 """SMW inverse tracking: updates, downdates, feasibility, drift."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,16 @@ def test_smw_add_matches_direct_inverse():
     np.testing.assert_allclose(out.T, 0.5 * np.eye(2), rtol=1e-14)
     np.testing.assert_allclose(out.W, [[0.5], [0.5]], rtol=1e-14)
     assert out.updates_since_reset == 1
+
+
+@pytest.mark.parametrize("delete", [False, True])
+def test_smw_step_carries_the_neglected_mass(delete):
+    # only T, W and the step count change; approx mode's Σ survives every step
+    st = dataclasses.replace(init_from_ledger(_ledger_with(BATCH_A)), neglected_mass=0.25)
+    out = smw_step(st, 0.5 * np.eye(2)[:1], np.zeros((2, 1)), delete=delete).state
+    assert out.neglected_mass == 0.25 and out.gamma == st.gamma
+    assert out.updates_since_reset == st.updates_since_reset + 1
+    assert init_from_ledger(_ledger_with(BATCH_A)).neglected_mass == 0.0
 
 
 def test_smw_add_empty_is_identity():

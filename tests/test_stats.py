@@ -179,8 +179,9 @@ def test_single_precision_ledger_dtype():
 
 
 def test_gamma_must_be_positive():
-    with pytest.raises(ValueError):
-        ledger_init(2, 1, gamma=0.0)
+    for gamma in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="gamma"):
+            ledger_init(2, 1, gamma=gamma)
 
 
 def test_stats_gram_is_symmetric_psd():
