@@ -1,10 +1,13 @@
 """Per-client retained store and round-message formation.
 
-A client caches each sample's feature vector at add time, so deletion
-messages are always formed from the very same floats that entered the
-statistics; nothing is ever recomputed from raw inputs.  Round messages
-carry only aggregate matrices whose sizes depend on (d, c, r), never on
-how much data the client retains.
+A client keeps each retained sample's feature and label rows as given at
+ingest, without copying, and forms a deletion message from those same
+rows, so the floats that leave the statistics are the ones that entered
+them as long as the caller does not mutate a retained row.  Nothing is
+recomputed from raw inputs.  Round messages carry only aggregate matrices
+whose sizes depend on (d, c, r), never on how much data the client
+retains: Variant A sends each batch's `SufficientStats` (S, G, n), and
+Variant B its thin-QR R-factor with G and n.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .kernels import thin_qr_rfactor
-from .stats import batch_arrays, dtype_of, stats_from_batch
+from .stats import SufficientStats, batch_arrays, dtype_of, stats_from_batch
 
 VARIANT_FULL = "A"  # full sufficient statistics per payload
 VARIANT_QR = "B"  # QR R-factor per payload
@@ -38,21 +41,6 @@ class Sample:
 
 
 @dataclass(frozen=True)
-class StatsPayload:
-    """Variant A payload: (S, G, n) of one add or delete batch."""
-
-    S: np.ndarray
-    G: np.ndarray
-    n: int
-
-    @property
-    def scalar_count(self) -> int:
-        d = self.S.shape[0]
-        c = self.G.shape[1]
-        return variant_a_payload_scalars(d, c)
-
-
-@dataclass(frozen=True)
 class QrPayload:
     """Variant B payload: thin-QR R factor of F plus (G, n)."""
 
@@ -61,10 +49,12 @@ class QrPayload:
     n: int
 
     @property
-    def scalar_count(self) -> int:
-        r, d = self.R.shape
-        c = self.G.shape[1]
-        return variant_b_payload_scalars(r, d, c)
+    def d(self) -> int:
+        return self.R.shape[1]
+
+    @property
+    def c(self) -> int:
+        return self.G.shape[1]
 
 
 @dataclass(frozen=True)
@@ -72,12 +62,12 @@ class ClientMessage:
     client_id: int
     round: int
     variant: str
-    add: StatsPayload | QrPayload
-    delete: StatsPayload | QrPayload
+    add: SufficientStats | QrPayload
+    delete: SufficientStats | QrPayload
 
     @property
     def scalar_count(self) -> int:
-        return self.add.scalar_count + self.delete.scalar_count
+        return payload_scalars(self.add) + payload_scalars(self.delete)
 
 
 def variant_a_payload_scalars(d: int, c: int) -> int:
@@ -90,6 +80,13 @@ def variant_b_payload_scalars(r: int, d: int, c: int) -> int:
     return r * d + d * c + 1
 
 
+def payload_scalars(payload: SufficientStats | QrPayload) -> int:
+    """Scalars one payload carries on the uplink."""
+    if isinstance(payload, QrPayload):
+        return variant_b_payload_scalars(payload.R.shape[0], payload.d, payload.c)
+    return variant_a_payload_scalars(payload.d, payload.c)
+
+
 @dataclass
 class ClientStore:
     """One client's retained multiset, keyed by sample id.
@@ -98,6 +95,11 @@ class ClientStore:
     announced via an add payload (retained), and gone after a delete
     payload.  A deleted id may be re-ingested later; that is how add-back
     streams are expressed.
+
+    `ingest` does not copy: a sample given as arrays is kept as views of
+    them.  A caller must not mutate a row while its sample is retained, or
+    the delete payload is formed from the new values and no longer cancels
+    the add payload.
     """
 
     client_id: int
@@ -134,13 +136,12 @@ class ClientStore:
         if variant == VARIANT_FULL and not ids:
             # one read-only zero, broadcast: an empty batch allocates no d x d Gram
             zero = np.zeros((), dtype=dtype)
-            return StatsPayload(
+            return SufficientStats(
                 np.broadcast_to(zero, (self.d, self.d)), np.broadcast_to(zero, (self.d, self.c)), 0
             )
         f, y = self._batch(ids)
         if variant == VARIANT_FULL:
-            st = stats_from_batch(f, y, dtype)
-            return StatsPayload(st.S, st.G, st.n)
+            return stats_from_batch(f, y, dtype)
         # the R factor stands in for the Gram, so FᵀF is never formed here
         f, y = batch_arrays(f, y, dtype)
         if f.shape[0] == 0:

@@ -15,19 +15,23 @@ Three ways to recover the head after a round's aggregate lands:
   round's Gram change cut to its top-r eigenpairs.  Each cut drops a PSD
   part, so the dropped mass E = S - S_ap is PSD, T = (S + γI)⁻¹ ≼ T_ap and
   T_ap - T = T_ap E T.  The state carries Σ, the largest dropped eigenvalue
-  summed over the truncated steps since the last rebuild, and each such
-  round reports the bound ||T_ap - T||₂ <= min(1/γ, ||T_ap||_∞)² Σ, which
-  holds across steps and is always finite.  Delete rounds and every
-  `reset_every`-th round rebuild the state exactly from the ledger, which
-  advances in parallel, and reset Σ to 0.
+  summed over the truncated steps since the last rebuild.  With
+  t = min(1/γ, ||T_ap||_∞) >= ||T_ap||₂, each such round reports the bound
+  ||T_ap - T||₂ <= min(t, t² Σ): t² Σ from T_ap - T = T_ap E T, and t
+  because 0 ≼ T_ap - T ≼ T_ap.  It holds across steps and never exceeds
+  1/γ.  Delete rounds and every `reset_every`-th round rebuild the state
+  exactly from the ledger, which advances in parallel, and reset Σ to 0.
 
 Aggregation is a running fold (`RoundFold`): each client message is
 folded into the round's aggregate as it arrives, in strictly ascending
 client id, so repeated runs are bitwise reproducible at fixed precision
 and the server holds O(d²) per round instead of every client's payload.
-Variant A's Grams are summed in place.  Variant B's R-factors are held as
-they arrive while the round is short, and summed as Grams RᵀR once it is
-tall, so the server never factors anything while it aggregates.
+Variant A's messages are `SufficientStats`, summed in place.  Variant B's
+R-factors are held as they arrive while the round is short, and summed as
+Grams RᵀR once it is tall, so the server never factors anything while it
+aggregates.  Either way the round's `RoundAggregate` carries its adds and
+its deletes as one `SufficientStats` each, which is what `ledger_apply`
+takes, and the B and approx drivers report each round as a `RoundReport`.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .client import ClientMessage, QrPayload, StatsPayload, VARIANT_QR
+from .client import ClientMessage, VARIANT_QR
 from .inverse import DowndateInfeasible, InverseState, audit_drift, init_from_ledger, smw_step
 from .kernels import DimensionMismatch, NotSPD, symmetric_eig
 from .stats import Ledger, SufficientStats, dtype_of, ledger_apply
@@ -77,38 +81,34 @@ class OutOfOrder(Exception):
 
 @dataclass(frozen=True)
 class RoundAggregate:
+    """One round's summed adds and deletes; a short B round also keeps its stacked factors."""
+
     round: int
     variant: str
-    d: int
-    c: int
-    S_plus: np.ndarray
-    G_plus: np.ndarray
-    S_minus: np.ndarray
-    G_minus: np.ndarray
-    n_plus: int
-    n_minus: int
+    add: SufficientStats
+    delete: SufficientStats
     U_plus: np.ndarray | None = None
     U_minus: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
-class BRoundInfo:
+class RoundReport:
+    """How an inverse-tracking round was served.
+
+    `reset` is set when the state was rebuilt exactly from the ledger;
+    `lambda_max` is Variant B's delete-step eigenvalue and `bound` approx
+    mode's inverse-error bound, each None where it does not apply.
+    """
+
     reset: bool
-    lambda_max: float | None
+    lambda_max: float | None = None
+    bound: float | None = None
 
 
 @dataclass(frozen=True)
 class CommRecord:
     total_scalars: int
     total_bytes: int
-
-
-def _payload_dims(payload) -> tuple[int, int]:
-    if isinstance(payload, StatsPayload):
-        return payload.S.shape[0], payload.G.shape[1]
-    if isinstance(payload, QrPayload):
-        return payload.R.shape[1], payload.G.shape[1]
-    raise TypeError(f"unsupported payload type {type(payload).__name__}")
 
 
 class RoundFold:
@@ -147,7 +147,7 @@ class RoundFold:
         """Fold one message into the round."""
         if self.client_id is None:
             self.round, self.variant = msg.round, msg.variant
-            self._dims = _payload_dims(msg.add)
+            self._dims = (msg.add.d, msg.add.c)
         elif msg.client_id <= self.client_id:
             raise OutOfOrder(f"client {msg.client_id} arrived after client {self.client_id}")
         elif msg.round != self.round:
@@ -155,7 +155,7 @@ class RoundFold:
         elif msg.variant != self.variant:
             raise MixedVariant(f"messages span variants {self.variant} and {msg.variant}")
         for payload in (msg.add, msg.delete):
-            dims = _payload_dims(payload)
+            dims = (payload.d, payload.c)
             if dims != self._dims:
                 d, c = self._dims
                 raise DimensionMismatch(f"message dims {dims[0]}x{dims[1]} do not match {d}x{c}")
@@ -210,18 +210,11 @@ class RoundFold:
                 u_plus, u_minus = (np.vstack(held) for held in self._blocks)
                 s_add = u_plus.T @ u_plus
                 s_del = u_minus.T @ u_minus
-        d, c = self._dims
         return RoundAggregate(
             round=self.round,
             variant=self.variant,
-            d=d,
-            c=c,
-            S_plus=s_add,
-            G_plus=g_add,
-            S_minus=s_del,
-            G_minus=g_del,
-            n_plus=self.n_plus,
-            n_minus=self.n_minus,
+            add=SufficientStats(s_add, g_add, self.n_plus),
+            delete=SufficientStats(s_del, g_del, self.n_minus),
             U_plus=u_plus,
             U_minus=u_minus,
         )
@@ -253,23 +246,15 @@ def aggregate(messages: list[ClientMessage], running: RoundFold | None = None) -
     return fold.close()
 
 
-def _agg_stats(agg: RoundAggregate) -> tuple[SufficientStats, SufficientStats]:
-    return (
-        SufficientStats(agg.S_plus, agg.G_plus, agg.n_plus),
-        SufficientStats(agg.S_minus, agg.G_minus, agg.n_minus),
-    )
-
-
 def run_round_a(ledger: Ledger, agg: RoundAggregate) -> tuple[Ledger, np.ndarray]:
     """Exact recompute: ledger update followed by one SPD solve."""
-    add, delete = _agg_stats(agg)
-    new_ledger = ledger_apply(ledger, add, delete)
+    new_ledger = ledger_apply(ledger, agg.add, agg.delete)
     return new_ledger, new_ledger.head
 
 
 def run_round_b(
     ledger: Ledger, state: InverseState, agg: RoundAggregate
-) -> tuple[Ledger, InverseState, np.ndarray, BRoundInfo]:
+) -> tuple[Ledger, InverseState, np.ndarray, RoundReport]:
     """Incremental round: SMW add step, then SMW delete step, or a rebuild.
 
     The ledger is advanced first and stays authoritative.  A tall round,
@@ -284,16 +269,15 @@ def run_round_b(
     """
     if agg.variant != VARIANT_QR:
         raise ValueError(f"run_round_b needs an R-factor aggregate, got variant {agg.variant!r}")
-    add, delete = _agg_stats(agg)
-    new_ledger = ledger_apply(ledger, add, delete)
+    new_ledger = ledger_apply(ledger, agg.add, agg.delete)
     if agg.U_plus is None:
         new_state = init_from_ledger(new_ledger)
-        return new_ledger, new_state, new_state.W, BRoundInfo(reset=True, lambda_max=None)
+        return new_ledger, new_state, new_state.W, RoundReport(reset=True)
     lam = None
     try:
-        step = smw_step(state, agg.U_plus, agg.G_plus)
-        if step.amplification <= CONDITION_THRESHOLD and (agg.U_minus.shape[0] or np.any(agg.G_minus)):
-            step = smw_step(step.state, agg.U_minus, agg.G_minus, delete=True)
+        step = smw_step(state, agg.U_plus, agg.add.G)
+        if step.amplification <= CONDITION_THRESHOLD and (agg.U_minus.shape[0] or np.any(agg.delete.G)):
+            step = smw_step(step.state, agg.U_minus, agg.delete.G, delete=True)
             lam = step.lambda_max
         new_state = step.state
         # a step that can magnify rounding past the threshold leaves T inexact
@@ -304,40 +288,42 @@ def run_round_b(
         reset = audit_drift(new_state, new_ledger) > DRIFT_THRESHOLD
     if reset:
         new_state = init_from_ledger(new_ledger)
-    return new_ledger, new_state, new_state.W, BRoundInfo(reset=reset, lambda_max=lam)
+    return new_ledger, new_state, new_state.W, RoundReport(reset=reset, lambda_max=lam)
 
 
 def run_round_approx(
     ledger: Ledger, state: InverseState, agg: RoundAggregate, rank: int, reset_every: int
-) -> tuple[Ledger, InverseState, np.ndarray, float | None]:
+) -> tuple[Ledger, InverseState, np.ndarray, RoundReport]:
     """Advance one round folding in only a rank-`rank` Gram update.
 
     The ledger is advanced first and stays exact.  A round with deletions,
     or the round that would be the `reset_every`-th truncated step since
     the last reset, rebuilds the state from the ledger and is served
-    exactly; its bound is None.  Any other round folds
+    exactly; it reports a reset and no bound.  Any other round folds
     U_r = sqrt(λ_r) V_rᵀ of the top `rank` eigenpairs of its Gram change
     into the state by one SMW add, adds the largest dropped eigenvalue to
-    the state's Σ (`neglected_mass`), and returns the bound
-    min(1/γ, ||T_ap||_∞)² Σ on ||T_ap - (S + γI)⁻¹||₂.
+    the state's Σ (`neglected_mass`), and reports the bound min(t, t² Σ)
+    on ||T_ap - (S + γI)⁻¹||₂, with t = min(1/γ, ||T_ap||_∞); the module
+    docstring derives both terms.
     """
-    add, delete = _agg_stats(agg)
-    new_ledger = ledger_apply(ledger, add, delete)
-    deletes = agg.n_minus > 0 or np.any(agg.S_minus) or np.any(agg.G_minus)
+    new_ledger = ledger_apply(ledger, agg.add, agg.delete)
+    deletes = agg.delete.n > 0 or np.any(agg.delete.S) or np.any(agg.delete.G)
     if deletes or (reset_every and state.updates_since_reset + 1 >= reset_every):
         new_state = init_from_ledger(new_ledger)
-        return new_ledger, new_state, new_state.W, None
-    vals, vecs = symmetric_eig(agg.S_plus.astype(new_ledger.dtype))
-    kept = min(rank, agg.d)
+        return new_ledger, new_state, new_state.W, RoundReport(reset=True)
+    vals, vecs = symmetric_eig(agg.add.S.astype(new_ledger.dtype))
+    kept = min(rank, agg.add.d)
     u_r = np.sqrt(np.maximum(vals[:kept], 0))[:, None] * vecs[:, :kept].T
-    step = smw_step(state, u_r, agg.G_plus)
+    step = smw_step(state, u_r, agg.add.G)
     dropped = vals[kept:]
     neglected = state.neglected_mass + (float(np.abs(dropped).max()) if dropped.size else 0.0)
     # a round with nothing to add leaves T as is but still counts toward the reset
     new_state = replace(step.state, updates_since_reset=state.updates_since_reset + 1, neglected_mass=neglected)
     # ||T_ap||₂ is at most any induced norm of the symmetric T_ap, and at most 1/γ as S_ap ⪰ 0
     t_norm = min(1.0 / new_state.gamma, float(np.abs(new_state.T).sum(axis=1).max()))
-    return new_ledger, new_state, new_state.W, t_norm**2 * neglected
+    # np.minimum, unlike min(), carries a NaN Σ through to the report
+    bound = float(np.minimum(t_norm, t_norm**2 * neglected))
+    return new_ledger, new_state, new_state.W, RoundReport(reset=False, bound=bound)
 
 
 def _comm_record(scalars: int, precision: str) -> CommRecord:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .client import ClientStore, Sample, VARIANT_FULL, VARIANT_QR
-from .coordinator import RoundFold, aggregate, run_round_a, run_round_approx, run_round_b
+from .coordinator import RoundFold, RoundReport, aggregate, run_round_a, run_round_approx, run_round_b
 from .coordinator import AUDIT_EVERY, CONDITION_THRESHOLD, DRIFT_THRESHOLD
 from .inverse import init_from_ledger
 from .kernels import DimensionMismatch, NotSPD, cholesky_spd, frobenius_norm
@@ -173,7 +173,8 @@ def schedule_chunked(
     Each step removes `fraction` of the original pool, drawn uniformly
     across all clients without replacement between steps.  With a target
     class set, the pool is restricted to that class's ids and the
-    fraction applies to the class pool instead.
+    fraction applies to the class pool instead.  A step that would delete
+    no id, because ⌊fraction·|pool|⌋ = 0, is refused.
     """
     if fraction < 0 or steps < 0 or fraction * steps > 1 + 1e-12:
         raise ValueError("fraction * steps must stay within the available pool")
@@ -188,6 +189,8 @@ def schedule_chunked(
     rng = rng_stream(seed, "schedule")
     perm = rng.permutation(np.asarray(pool, dtype=np.int64))
     size = int(fraction * len(pool))
+    if steps and not size:
+        raise ValueError(f"a fraction of {fraction!r} deletes no id of a pool of {len(pool)}")
     rounds = []
     for step in range(steps):
         ids = perm[step * size : (step + 1) * size]
@@ -562,21 +565,16 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
                 # folded as soon as it is formed, so no message outlives its turn
                 aggregate([store.make_round_message(spec.round, ev.add, ev.delete, wire_variant)], fold)
             agg = fold.close()
-            lam = None
-            bound = None
-            reset = False
             if v == "A":
                 ledgers[v], w = run_round_a(ledgers[v], agg)
+                report = RoundReport(reset=False)
             elif v == "B":
-                ledgers[v], states[v], w, info = run_round_b(ledgers[v], states[v], agg)
-                reset = info.reset
-                lam = info.lambda_max
+                ledgers[v], states[v], w, report = run_round_b(ledgers[v], states[v], agg)
             else:
-                ledgers[v], states[v], w, bound = run_round_approx(
+                ledgers[v], states[v], w, report = run_round_approx(
                     ledgers[v], states[v], agg, scenario.rank, scenario.reset_every
                 )
-                reset = bound is None  # served exactly from the ledger, with no bound
-            if reset:
+            if report.reset:
                 resets += 1
             if ledgers[v].stats.n != n_retained:
                 raise RuntimeError(
@@ -598,11 +596,11 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
             accuracy, recall = score_head(w, test_f, test_classes, scenario.c)
             round_variants[v] = VariantMetrics(
                 rel_dev=safe_rel_dev(w, w_oracle),
-                reset=reset,
+                reset=report.reset,
                 scalars=comm.total_scalars,
                 bytes=comm.total_bytes,
-                lambda_max=lam,
-                bound=bound,
+                lambda_max=report.lambda_max,
+                bound=report.bound,
                 accuracy=accuracy,
                 kl=kl,
                 recall=recall,

@@ -24,7 +24,6 @@ from .client import (
     variant_a_payload_scalars,
     variant_b_payload_scalars,
 )
-from .coordinator import aggregate, run_round_a
 from .inverse import InverseState, smw_step
 from .kernels import (
     NotSPD,
@@ -40,13 +39,14 @@ from .kernels import (
 from .posterior import MatrixNormalPosterior, kl_matrix_normal, posterior_from_state
 from .simulate import (
     ClientEvent,
+    RoundSpec,
     Scenario,
     dirichlet_partition,
     gen_synthetic,
     run_scenario,
     schedule_churn,
 )
-from .stats import Ledger, ledger_init, stats_from_batch
+from .stats import Ledger, stats_from_batch
 
 
 @dataclass(frozen=True)
@@ -390,22 +390,21 @@ def equivalent_shuffled_heads(
             for i in delete_ids:
                 if del_round[i] == t:
                     events.setdefault(assignment[i], ClientEvent(assignment[i])).delete.append(i)
-            if events:
-                schedule.append((t, [events[k] for k in sorted(events)]))
-        ledger = ledger_init(d, c, 1.0, "f64")
-        stores = {k: ClientStore(k, d, c, "f64") for k in range(clients)}
-        w_final = np.zeros((d, c))
-        for t, evs in schedule:
-            messages = []
-            for ev in evs:
-                stores[ev.client].ingest(
-                    Sample(i, data.features[i], data.labels[i]) for i in sorted(ev.add)
-                )
-                messages.append(
-                    stores[ev.client].make_round_message(t, sorted(ev.add), sorted(ev.delete), VARIANT_FULL)
-                )
-            ledger, w_final = run_round_a(ledger, aggregate(messages))
-        heads.append(w_final)
+            schedule.append(RoundSpec(t, [events[k] for k in sorted(events)]))
+        scenario = Scenario(
+            seed=seed,
+            d=d,
+            c=c,
+            clients=clients,
+            n=n,
+            n_train=data.n_train,
+            gamma=1.0,
+            precision="f64",
+            variant="A",
+            partition={"kind": "shuffled"},
+            schedule=schedule,
+        )
+        heads.append(run_scenario(scenario, data.features, data.labels).final_heads["A"])
     return heads
 
 

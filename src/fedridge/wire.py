@@ -17,9 +17,10 @@ Message frames ("FCUL")
     count as one trailing scalar, all in the declared precision, so a
     frame carries counts up to 2^24 (float32) or 2^53 (float64), above
     which not every integer is exact; encoder and decoder refuse larger
-    ones.  Full statistics frames carry S packed as its upper triangle row-major,
-    then G; QR frames carry R dense, then G.  A ClientMessage serializes
-    as exactly two frames: the add payload first, then the delete payload.
+    ones.  Full statistics frames carry a `SufficientStats` payload: S
+    packed as its upper triangle row-major, then G.  QR frames carry a
+    `QrPayload`: R dense, then G.  A ClientMessage serializes as exactly
+    two frames: the add payload first, then the delete payload.
     A client's QR frame has r = min(n, d); the decoder rejects d < 1,
     c < 1, r != 0 in a full-statistics frame and r > min(n, d) in a QR
     frame.
@@ -39,8 +40,9 @@ import struct
 
 import numpy as np
 
-from .client import ClientMessage, QrPayload, StatsPayload, VARIANT_FULL, VARIANT_QR
+from .client import ClientMessage, QrPayload, VARIANT_FULL, VARIANT_QR
 from .client import variant_a_payload_scalars, variant_b_payload_scalars
+from .stats import SufficientStats
 
 MESSAGE_MAGIC = b"FCUL"
 FEATURE_MAGIC = b"FFUR"
@@ -85,14 +87,11 @@ def _encode_frame(payload, variant: str, precision: str, round_index: int, clien
     max_count = _max_count(dtype)
     if payload.n > max_count:
         raise WireError(f"sample count {payload.n} above {max_count} is not exact in a {precision} frame")
-    if isinstance(payload, StatsPayload):
-        d = payload.S.shape[0]
-        c = payload.G.shape[1]
+    if isinstance(payload, SufficientStats):
         r = 0
         body = [pack_symmetric(payload.S), payload.G.reshape(-1)]
     elif isinstance(payload, QrPayload):
-        r, d = payload.R.shape
-        c = payload.G.shape[1]
+        r = payload.R.shape[0]
         body = [payload.R.reshape(-1), payload.G.reshape(-1)]
     else:
         raise WireError(f"unsupported payload type {type(payload).__name__}")
@@ -103,8 +102,8 @@ def _encode_frame(payload, variant: str, precision: str, round_index: int, clien
         _PRECISION_CODE[precision],
         round_index,
         client_id,
-        d,
-        c,
+        payload.d,
+        payload.c,
         r,
     )
     scalars = np.concatenate([np.concatenate(body), np.array([payload.n])]).astype(dtype)
@@ -147,7 +146,7 @@ def _decode_frame(buf: bytes, offset: int):
         raise WireError(f"{r} R-factor rows from {n} samples")
     if variant == VARIANT_FULL:
         tri = d * (d + 1) // 2
-        payload = StatsPayload(
+        payload = SufficientStats(
             unpack_symmetric(scalars[:tri].copy(), d),
             scalars[tri : tri + d * c].reshape(d, c).copy(),
             n,

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from fedridge.client import ClientStore, Sample, VARIANT_FULL, VARIANT_QR
+from fedridge.client import ClientStore, Sample, VARIANT_FULL, VARIANT_QR, payload_scalars
 from fedridge.coordinator import account_round, aggregate, run_round_a
 from fedridge.kernels import frobenius_norm, rel_frobenius_dev
 from fedridge.posterior import posterior_from_ledger, psd_order_check
@@ -257,9 +257,9 @@ def test_criterion_10_communication_accounting():
         store.ingest(Sample(i, features[i], labels[i]) for i in range(r))
         msg = store.make_round_message(1, list(range(r)), [], variant)
         if variant == VARIANT_FULL:
-            assert msg.add.scalar_count == d * (d + 1) // 2 + d * c + 1
+            assert payload_scalars(msg.add) == d * (d + 1) // 2 + d * c + 1
         else:
-            assert msg.add.scalar_count == r * d + d * c + 1
+            assert payload_scalars(msg.add) == r * d + d * c + 1
         totals[variant] = account_round([msg], "f64").total_bytes
     ratio = totals[VARIANT_QR] / totals[VARIANT_FULL]
     assert ratio < 0.10

@@ -2,7 +2,8 @@
 
 Every workload of `perfbench/workloads.py` is generated with `--n 1500` and
 replayed once through `fedridge run`; each replay must pass the gate that
-`perfbench/replay.py` applies at full size.
+`perfbench/replay.py` applies at full size.  The functions whose spans feed
+the benchmark's per-round metrics must still exist in the package.
 """
 
 import csv
@@ -20,19 +21,36 @@ EXACT_TOL = 1e-8  # rel_dev_vs_oracle of A, B and approx reset rows
 KL_TOL = 1e-9
 
 
-def _workloads() -> dict:
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _perfbench_module(name: str):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up while the class is built
     try:
         spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
-    return module.WORKLOADS
+    return module
 
 
-WORKLOADS = _workloads()
+WORKLOADS = _perfbench_module("workloads").WORKLOADS
+
+
+def test_traced_event_spans_resolve_to_package_callables():
+    # the tracer records a vanished function as absent instead of failing, which would
+    # silently zero the per-round serve.*, certify and oracle samples built from these spans
+    spans = _perfbench_module("spans")
+    found = set()
+    for module, attr in spans.TRACED:
+        name = spans.metric_name(module, attr)
+        if name not in spans.EVENT_SPANS:
+            continue
+        target = importlib.import_module(f"{spans.PACKAGE}.{module}")
+        for part in attr.split("."):
+            target = getattr(target, part, None)
+        assert callable(target), f"traced {module}.{attr} is not a callable in {spans.PACKAGE}"
+        found.add(name)
+    assert found == spans.EVENT_SPANS
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

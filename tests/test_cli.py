@@ -48,6 +48,7 @@ def test_gen_writes_both_files(tmp_path, capsys):
         ["--separation", "nan"],
         ["--separation", "inf"],
         ["--schedule", "chunked", "--target-class", "99"],
+        ["--schedule", "chunked", "--fraction", "0.001", "--steps", "4"],
         ["--gamma", "nan"],
         ["--gamma", "inf"],
     ],

@@ -10,14 +10,15 @@ from fedridge.client import (
     DuplicateId,
     QrPayload,
     Sample,
-    StatsPayload,
     UnknownDeleteId,
     VARIANT_FULL,
     VARIANT_QR,
+    payload_scalars,
     variant_a_payload_scalars,
     variant_b_payload_scalars,
 )
 from fedridge.kernels import rel_frobenius_dev
+from fedridge.stats import SufficientStats
 
 
 def _samples(ids, d=2, c=1, rng=None):
@@ -104,13 +105,13 @@ def test_payload_scalar_counts_follow_formulas():
         store = ClientStore(0, d, c)
         store.ingest(_samples(range(n_add), d=d, c=c, rng=rng))
         msg = store.make_round_message(1, list(range(n_add)), [], VARIANT_FULL)
-        assert msg.add.scalar_count == variant_a_payload_scalars(d, c)
-        assert msg.delete.scalar_count == variant_a_payload_scalars(d, c)
+        assert payload_scalars(msg.add) == variant_a_payload_scalars(d, c)
+        assert payload_scalars(msg.delete) == variant_a_payload_scalars(d, c)
         store_b = ClientStore(1, d, c)
         store_b.ingest(_samples(range(n_add), d=d, c=c, rng=rng))
         msg_b = store_b.make_round_message(1, list(range(n_add)), [], VARIANT_QR)
-        assert msg_b.add.scalar_count == variant_b_payload_scalars(min(n_add, d), d, c)
-        assert msg_b.delete.scalar_count == variant_b_payload_scalars(0, d, c)
+        assert payload_scalars(msg_b.add) == variant_b_payload_scalars(min(n_add, d), d, c)
+        assert payload_scalars(msg_b.delete) == variant_b_payload_scalars(0, d, c)
 
 
 def test_message_size_independent_of_retained_volume():
@@ -135,7 +136,7 @@ def test_empty_batch_keeps_uniform_qr_schema():
 def test_payloads_carry_only_aggregates():
     # structural raw-data confinement: payload fields are aggregate
     # matrices plus a count, with shapes set by (d, c, r) alone
-    assert {f.name for f in dataclasses.fields(StatsPayload)} == {"S", "G", "n"}
+    assert {f.name for f in dataclasses.fields(SufficientStats)} == {"S", "G", "n"}
     assert {f.name for f in dataclasses.fields(QrPayload)} == {"R", "G", "n"}
     rng = np.random.default_rng(4)
     store = ClientStore(0, 6, 2)

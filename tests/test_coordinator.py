@@ -1,9 +1,11 @@
 """Aggregation, round drivers, approximate mode and accounting."""
 
+from operator import attrgetter
+
 import numpy as np
 import pytest
 
-from fedridge.client import ClientStore, Sample, VARIANT_FULL, VARIANT_QR
+from fedridge.client import ClientStore, Sample, VARIANT_FULL, VARIANT_QR, payload_scalars
 from fedridge.coordinator import (
     MixedRound,
     MixedVariant,
@@ -20,7 +22,7 @@ from fedridge.coordinator import (
 from fedridge.inverse import init_from_ledger
 from fedridge.kernels import rel_frobenius_dev, spd_inverse, spectral_norm
 from fedridge.simulate import RetainedGram, oracle_retrain
-from fedridge.stats import dtype_of, ledger_init, regularized_gram, stats_from_batch
+from fedridge.stats import SufficientStats, dtype_of, ledger_init, regularized_gram, stats_from_batch
 
 
 def _store_with(client_id, ids, features, labels, d, c, precision="f64"):
@@ -45,9 +47,9 @@ def test_aggregate_sums_clients():
                       Sample(10 * k + 1, np.array([0.0, 1.0]), np.array([1.0]))])
         msgs.append(store.make_round_message(1, [10 * k, 10 * k + 1], [], VARIANT_FULL))
     agg = aggregate(msgs)
-    np.testing.assert_array_equal(agg.S_plus, 2 * np.eye(2))
-    np.testing.assert_array_equal(agg.S_minus, np.zeros((2, 2)))
-    assert agg.n_plus == 4 and agg.n_minus == 0
+    np.testing.assert_array_equal(agg.add.S, 2 * np.eye(2))
+    np.testing.assert_array_equal(agg.delete.S, np.zeros((2, 2)))
+    assert agg.add.n == 4 and agg.delete.n == 0
 
 
 @pytest.mark.parametrize("variant", [VARIANT_FULL, VARIANT_QR])
@@ -69,11 +71,11 @@ def test_aggregated_and_ledger_grams_are_bitwise_symmetric(variant, precision):
     ledger = ledger_init(d, c, 1.0, precision)
     for messages in (round_one, round_two):
         agg = aggregate(messages)
-        assert np.array_equal(agg.S_plus, agg.S_plus.T)
-        assert np.array_equal(agg.S_minus, agg.S_minus.T)
+        assert np.array_equal(agg.add.S, agg.add.S.T)
+        assert np.array_equal(agg.delete.S, agg.delete.S.T)
         ledger, _ = run_round_a(ledger, agg)
         assert np.array_equal(ledger.stats.S, ledger.stats.S.T)
-    assert np.any(agg.S_minus)
+    assert np.any(agg.delete.S)
 
 
 def _two_round_messages(variant, precision, d=9, c=3, adds=10, stride=2):
@@ -108,10 +110,10 @@ def test_fold_message_by_message_is_bitwise_the_list_aggregate(variant, precisio
         for msg in messages:
             assert aggregate([msg], fold) is fold
         folded = fold.close()
-        for name in ("round", "variant", "d", "c", "n_plus", "n_minus"):
-            assert getattr(folded, name) == getattr(whole, name)
-        for name in ("S_plus", "G_plus", "S_minus", "G_minus", "U_plus", "U_minus"):
-            a, b = getattr(folded, name), getattr(whole, name)
+        for name in ("round", "variant", "add.d", "add.c", "add.n", "delete.n"):
+            assert attrgetter(name)(folded) == attrgetter(name)(whole)
+        for name in ("add.S", "add.G", "delete.S", "delete.G", "U_plus", "U_minus"):
+            a, b = attrgetter(name)(folded), attrgetter(name)(whole)
             if name.startswith("U") and (variant == VARIANT_FULL or shape is _TALL):
                 assert a is None and b is None
                 continue
@@ -128,7 +130,7 @@ def test_fold_rejects_a_client_id_not_above_the_last(variant):
         with pytest.raises(OutOfOrder):
             aggregate([late], fold)
     # a whole list is still folded in ascending client id, whatever its order
-    assert aggregate([third, first, second]).S_plus.tobytes() == aggregate([first, second, third]).S_plus.tobytes()
+    assert aggregate([third, first, second]).add.S.tobytes() == aggregate([first, second, third]).add.S.tobytes()
 
 
 def _wide_round(precision, d=6, clients=8):
@@ -162,8 +164,8 @@ def test_fold_holds_at_most_2d_rows_per_side(precision):
     folded = fold.close()
     assert folded.U_plus is None and folded.U_minus is None
     whole = aggregate(messages)
-    for name in ("S_plus", "G_plus", "S_minus", "G_minus"):
-        a, b = getattr(folded, name), getattr(whole, name)
+    for name in ("add.S", "add.G", "delete.S", "delete.G"):
+        a, b = attrgetter(name)(folded), attrgetter(name)(whole)
         assert a.tobytes() == b.tobytes() and a.shape == b.shape
 
 
@@ -172,7 +174,7 @@ def test_tall_round_gram_is_the_batch_gram(precision, tol):
     messages, features, labels, adds, deletes = _wide_round(precision)
     agg = aggregate(messages)
     assert agg.U_plus is None and agg.U_minus is None
-    for s, ids, side in ((agg.S_plus, adds, "add"), (agg.S_minus, deletes, "delete")):
+    for s, ids, side in ((agg.add.S, adds, "add"), (agg.delete.S, deletes, "delete")):
         assert s.dtype == dtype_of(precision) and np.array_equal(s, s.T)
         # the sum of each message's RᵀR in client order
         expect = np.zeros_like(s)
@@ -189,7 +191,7 @@ def test_round_of_at_most_rebuild_rows_is_the_plain_stack():
     rows = sum(m.add.R.shape[0] + m.delete.R.shape[0] for m in messages)
     assert rows == rebuild_rows(38)
     agg = aggregate(messages)
-    for u, s, side in ((agg.U_plus, agg.S_plus, "add"), (agg.U_minus, agg.S_minus, "delete")):
+    for u, s, side in ((agg.U_plus, agg.add.S, "add"), (agg.U_minus, agg.delete.S, "delete")):
         stack = np.vstack([getattr(m, side).R for m in messages])
         assert u.tobytes() == stack.tobytes() and u.shape == stack.shape
         assert s.tobytes() == (stack.T @ stack).tobytes()
@@ -234,11 +236,11 @@ def test_aggregate_matches_concatenated_batch():
     parts = [range(0, 10), range(10, 18), range(18, 30)]
     agg = aggregate(_round_one_messages(VARIANT_FULL, features, labels, parts, d, c))
     st = stats_from_batch(features, labels)
-    assert rel_frobenius_dev(agg.S_plus, st.S) <= 1e-13
-    assert rel_frobenius_dev(agg.G_plus, st.G) <= 1e-13
+    assert rel_frobenius_dev(agg.add.S, st.S) <= 1e-13
+    assert rel_frobenius_dev(agg.add.G, st.G) <= 1e-13
     # the QR route's 18 factor rows make a tall round: its Grams are summed and no U is kept
     agg_b = aggregate(_round_one_messages(VARIANT_QR, features, labels, parts, d, c))
-    assert rel_frobenius_dev(agg_b.S_plus, st.S) <= 1e-12
+    assert rel_frobenius_dev(agg_b.add.S, st.S) <= 1e-12
     assert agg_b.U_plus is None
     ledger = ledger_init(d, c)
     _, _, w, _ = run_round_b(ledger, init_from_ledger(ledger), agg_b)
@@ -272,19 +274,19 @@ def test_aggregate_qr_gram_is_product_of_stacked_factors(precision):
     parts = [range(0, 4), range(4, 7), range(7, 12)]
     stores = [_store_with(k, ids, features, labels, d, c, precision) for k, ids in enumerate(parts)]
     agg = aggregate([s.make_round_message(1, list(ids), [], VARIANT_QR) for s, ids in zip(stores, parts)])
-    assert np.array_equal(agg.S_plus, agg.U_plus.T @ agg.U_plus)
-    assert np.array_equal(agg.S_minus, np.zeros((d, d)))
+    assert np.array_equal(agg.add.S, agg.U_plus.T @ agg.U_plus)
+    assert np.array_equal(agg.delete.S, np.zeros((d, d)))
     if precision == "f64":
         st = stats_from_batch(features, labels)
-        assert rel_frobenius_dev(agg.S_plus, st.S) <= 1e-13
-        assert rel_frobenius_dev(agg.G_plus, st.G) <= 1e-13
+        assert rel_frobenius_dev(agg.add.S, st.S) <= 1e-13
+        assert rel_frobenius_dev(agg.add.G, st.G) <= 1e-13
     dels = [list(ids)[::2] for ids in parts]
     agg = aggregate([s.make_round_message(2, [], ids, VARIANT_QR) for s, ids in zip(stores, dels)])
-    assert np.array_equal(agg.S_minus, agg.U_minus.T @ agg.U_minus)
-    assert agg.S_minus.dtype == agg.U_minus.dtype == dtype_of(precision)
+    assert np.array_equal(agg.delete.S, agg.U_minus.T @ agg.U_minus)
+    assert agg.delete.S.dtype == agg.U_minus.dtype == dtype_of(precision)
     if precision == "f64":
         gone = sum(dels, [])
-        assert rel_frobenius_dev(agg.S_minus, stats_from_batch(features[gone], labels[gone]).S) <= 1e-13
+        assert rel_frobenius_dev(agg.delete.S, stats_from_batch(features[gone], labels[gone]).S) <= 1e-13
 
 
 def test_run_round_a_shares_one_factor_with_the_posterior(monkeypatch):
@@ -435,7 +437,7 @@ def test_run_round_b_rebuilds_tall_rounds():
     msgs = _round_one_messages(VARIANT_QR, features, labels, parts, d, c)
     agg = aggregate(msgs)
     assert agg.U_plus is None and agg.U_minus is None
-    assert rel_frobenius_dev(agg.S_plus, stats_from_batch(features, labels).S) <= 1e-12
+    assert rel_frobenius_dev(agg.add.S, stats_from_batch(features, labels).S) <= 1e-12
     ledger = ledger_init(d, c)
     state = init_from_ledger(ledger)
     ledger, state, w, info = run_round_b(ledger, state, agg)
@@ -489,10 +491,9 @@ def _add_only_agg(s_plus, g_plus=None, d=None, c=1):
     d = d or s_plus.shape[0]
     g_plus = g_plus if g_plus is not None else np.zeros((d, c))
     return RoundAggregate(
-        round=1, variant=VARIANT_FULL, d=d, c=c,
-        S_plus=s_plus, G_plus=g_plus,
-        S_minus=np.zeros((d, d)), G_minus=np.zeros((d, c)),
-        n_plus=1, n_minus=0,
+        round=1, variant=VARIANT_FULL,
+        add=SufficientStats(s_plus, g_plus, 1),
+        delete=SufficientStats(np.zeros((d, d)), np.zeros((d, c)), 0),
     )
 
 
@@ -500,15 +501,15 @@ def test_approx_hand_case_bound_dominates_gap():
     ledger = ledger_init(2, 1)
     state = init_from_ledger(ledger)
     agg = _add_only_agg(np.diag([10.0, 0.5]))
-    ledger, state, w_ap, bound = run_round_approx(ledger, state, agg, rank=1, reset_every=0)
+    ledger, state, w_ap, report = run_round_approx(ledger, state, agg, rank=1, reset_every=0)
     t_ap = state.T
     np.testing.assert_allclose(t_ap, np.diag([1 / 11, 1.0]), rtol=1e-12)
     assert state.neglected_mass == pytest.approx(0.5, rel=1e-9)
     # min(1/γ, ||T_ap||_∞)² Σ = 1² · 0.5
-    assert bound == pytest.approx(0.5, rel=1e-9)
+    assert report.bound == pytest.approx(0.5, rel=1e-9)
     true_gap = spectral_norm(spd_inverse(np.eye(2) + np.diag([10.0, 0.5])) - t_ap)
     assert true_gap == pytest.approx(1 / 3, rel=1e-9)
-    assert true_gap <= bound
+    assert true_gap <= report.bound
 
 
 def test_approx_full_rank_is_exact():
@@ -519,9 +520,9 @@ def test_approx_full_rank_is_exact():
     ledger = ledger_init(4, 2)
     state = init_from_ledger(ledger)
     agg = _add_only_agg(s_plus, g, c=2)
-    ledger, state, w_ap, bound = run_round_approx(ledger, state, agg, rank=4, reset_every=0)
+    ledger, state, w_ap, report = run_round_approx(ledger, state, agg, rank=4, reset_every=0)
     assert state.neglected_mass == 0.0
-    assert bound == 0.0
+    assert report.bound == 0.0
     np.testing.assert_allclose(w_ap, ledger.head, rtol=1e-12)
 
 
@@ -530,11 +531,11 @@ def test_approx_bound_is_finite_where_the_contraction_fails():
     ledger = ledger_init(2, 1)
     state = init_from_ledger(ledger)
     agg = _add_only_agg(np.diag([10.0, 1.0]))
-    ledger, state, _, bound = run_round_approx(ledger, state, agg, rank=1, reset_every=0)
-    assert bound == pytest.approx(1.0, rel=1e-9)
+    ledger, state, _, report = run_round_approx(ledger, state, agg, rank=1, reset_every=0)
+    assert report.bound == pytest.approx(1.0, rel=1e-9)
     true_gap = spectral_norm(spd_inverse(np.eye(2) + np.diag([10.0, 1.0])) - state.T)
     assert true_gap == pytest.approx(0.5, rel=1e-9)
-    assert true_gap <= bound
+    assert true_gap <= report.bound
 
 
 def test_approx_bound_accumulates_until_a_reset():
@@ -543,14 +544,14 @@ def test_approx_bound_accumulates_until_a_reset():
     state = init_from_ledger(ledger)
     agg = _add_only_agg(np.diag([10.0, 0.5]))
     for sigma in (0.5, 1.0):
-        ledger, state, _, bound = run_round_approx(ledger, state, agg, rank=1, reset_every=3)
+        ledger, state, _, report = run_round_approx(ledger, state, agg, rank=1, reset_every=3)
         assert state.neglected_mass == pytest.approx(sigma, rel=1e-12)
-        assert bound == pytest.approx(sigma, rel=1e-12)
+        assert report.bound == pytest.approx(sigma, rel=1e-12)
     true_gap = spectral_norm(spd_inverse(np.eye(2) + np.diag([20.0, 1.0])) - state.T)
     assert true_gap == pytest.approx(0.5, rel=1e-9)
-    assert true_gap <= bound
-    ledger, state, _, bound = run_round_approx(ledger, state, agg, rank=1, reset_every=3)
-    assert bound is None and state.neglected_mass == 0.0
+    assert true_gap <= report.bound
+    ledger, state, _, report = run_round_approx(ledger, state, agg, rank=1, reset_every=3)
+    assert report.reset and report.bound is None and state.neglected_mass == 0.0
 
 
 def test_approx_delete_round_is_exact():
@@ -564,8 +565,8 @@ def test_approx_delete_round_is_exact():
     agg = aggregate([store.make_round_message(1, list(range(30)), [], VARIANT_QR)])
     ledger, state, _, _ = run_round_approx(ledger, state, agg, rank=2, reset_every=0)
     agg = aggregate([store.make_round_message(2, [], list(range(10)), VARIANT_QR)])
-    ledger, state, w_ap, bound = run_round_approx(ledger, state, agg, rank=2, reset_every=0)
-    assert bound is None  # delete rounds fall back to exact handling
+    ledger, state, w_ap, report = run_round_approx(ledger, state, agg, rank=2, reset_every=0)
+    assert report.reset and report.bound is None  # delete rounds fall back to exact handling
     np.testing.assert_array_equal(w_ap, ledger.head)
     np.testing.assert_array_equal(state.T, spd_inverse(regularized_gram(ledger)))
     assert state.updates_since_reset == 0 and state.neglected_mass == 0.0
@@ -582,12 +583,12 @@ def test_periodic_reset_restores_exact_head():
         return _add_only_agg(st.S, st.G, c=c)
 
     for _ in range(5):  # five truncated steps; the sixth would be the reset_every-th
-        ledger, state, w_ap, bound = run_round_approx(ledger, state, add_round(), rank=1, reset_every=6)
-        assert bound is not None
+        ledger, state, w_ap, report = run_round_approx(ledger, state, add_round(), rank=1, reset_every=6)
+        assert not report.reset and report.bound is not None
     assert state.updates_since_reset == 5
     drift_before = rel_frobenius_dev(w_ap, ledger.head)
-    ledger, state, w_reset, bound = run_round_approx(ledger, state, add_round(), rank=1, reset_every=6)
-    assert bound is None
+    ledger, state, w_reset, report = run_round_approx(ledger, state, add_round(), rank=1, reset_every=6)
+    assert report.reset and report.bound is None
     assert state.updates_since_reset == 0
     w_exact = ledger.head
     np.testing.assert_array_equal(w_reset, w_exact)
@@ -612,10 +613,10 @@ def test_approx_reset_shares_the_ledger_factor(monkeypatch):
     for _ in range(3):  # the third round is the reset
         st = stats_from_batch(rng.standard_normal((6, d)), rng.standard_normal((6, c)))
         calls.clear()
-        ledger, state, w, bound = run_round_approx(
+        ledger, state, w, report = run_round_approx(
             ledger, state, _add_only_agg(st.S, st.G, c=c), rank=2, reset_every=3
         )
-    assert bound is None
+    assert report.reset and report.bound is None
     assert len(calls) == 1
     assert state.W is ledger.head and w is ledger.head
     posterior_from_ledger(ledger)
@@ -628,11 +629,11 @@ def test_account_round_formulas():
     store = ClientStore(0, d, c)
     store.ingest(Sample(i, rng.standard_normal(d), rng.standard_normal(c)) for i in range(3))
     msg = store.make_round_message(1, [0, 1, 2], [], VARIANT_FULL)
-    assert msg.add.scalar_count == 19  # d(d+1)/2 + dc + 1
+    assert payload_scalars(msg.add) == 19  # d(d+1)/2 + dc + 1
     store_b = ClientStore(1, d, c)
     store_b.ingest(Sample(i, rng.standard_normal(d), rng.standard_normal(c)) for i in range(2))
     msg_b = store_b.make_round_message(1, [0, 1], [], VARIANT_QR)
-    assert msg_b.add.scalar_count == 17  # r*d + dc + 1 with r=2
+    assert payload_scalars(msg_b.add) == 17  # r*d + dc + 1 with r=2
     rec = account_round([msg], "f64")
     assert rec.total_scalars == msg.scalar_count
     assert rec.total_bytes == 8 * msg.scalar_count

@@ -565,10 +565,13 @@ def test_approx_bound_holds_across_truncated_steps(monkeypatch, rank, reset_ever
         gap = spectral_norm(state.T - spd_inverse(regularized_gram(ledger)))
         # a row with nothing dropped has bound 0 and is held to rounding (||T|| <= 1/γ = 1)
         assert gap <= m.bound + 1e-12, (rec.round, gap, m.bound)
+        assert m.bound <= 1 / sc.gamma, (rec.round, m.bound)
     assert truncated >= 8
 
 
 def test_max_bound_carries_a_nan(monkeypatch):
+    import dataclasses
+
     import fedridge.simulate as simulate_mod
 
     real = simulate_mod.run_round_approx
@@ -577,7 +580,7 @@ def test_max_bound_carries_a_nan(monkeypatch):
     def one_nan(*args):
         out = real(*args)
         calls.append(1)
-        return (*out[:3], float("nan")) if len(calls) == 2 else out
+        return (*out[:3], dataclasses.replace(out[3], bound=float("nan"))) if len(calls) == 2 else out
 
     monkeypatch.setattr(simulate_mod, "run_round_approx", one_nan)
     data = gen_synthetic(41, 400, 8, 2, 2.0)

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from fedridge.client import ClientStore, Sample, VARIANT_FULL, VARIANT_QR
+from fedridge.client import ClientStore, Sample, VARIANT_FULL, VARIANT_QR, payload_scalars
 from fedridge.wire import (
     WireError,
     decode_message,
@@ -70,7 +70,7 @@ def test_sample_count_is_carried_exactly_up_to_the_precision_limit(variant, prec
     # a frame whose count is limit + 2, exact in the float type, is refused on decode too
     buf = bytearray(encode_message(at_limit, precision))
     dtype = np.dtype(np.float32 if precision == "f32" else np.float64)
-    add_end = 28 + at_limit.add.scalar_count * dtype.itemsize  # the count ends the add frame
+    add_end = 28 + payload_scalars(at_limit.add) * dtype.itemsize  # the count ends the add frame
     buf[add_end - dtype.itemsize : add_end] = np.array([limit + 2], dtype=dtype).tobytes()
     with pytest.raises(WireError, match="sample count"):
         decode_message(bytes(buf))
