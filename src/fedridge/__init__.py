@@ -12,6 +12,7 @@ from .coordinator import (
     CommRecord,
     RoundAggregate,
     RoundFold,
+    Server,
     account_round,
     aggregate,
     run_round_a,

@@ -1,6 +1,7 @@
-"""Server-side round loop: aggregation, ledger update, head recovery.
+"""The server: aggregation, ledger update, head recovery and certificate.
 
-Three ways to recover the head after a round's aggregate lands:
+A `Server` owns one variant's ledger and tracked state, and serves each
+round by one of three drivers, which recover the head by:
 
 * full recompute -- apply the ledger update and re-solve the SPD system
   from scratch (robust baseline);
@@ -19,8 +20,9 @@ Three ways to recover the head after a round's aggregate lands:
   t = min(1/γ, ||T_ap||_∞) >= ||T_ap||₂, each such round reports the bound
   ||T_ap - T||₂ <= min(t, t² Σ): t² Σ from T_ap - T = T_ap E T, and t
   because 0 ≼ T_ap - T ≼ T_ap.  It holds across steps and never exceeds
-  1/γ.  Delete rounds and every `reset_every`-th round rebuild the state
-  exactly from the ledger, which advances in parallel, and reset Σ to 0.
+  1/γ.  Delete rounds and every `reset_every`-th ledger round rebuild the
+  state exactly from the ledger, which advances in parallel, and reset Σ
+  to 0.
 
 Aggregation is a running fold (`RoundFold`): each client message is
 folded into the round's aggregate as it arrives, in strictly ascending
@@ -31,19 +33,21 @@ R-factors are held as they arrive while the round is short, and summed as
 Grams RᵀR once it is tall, so the server never factors anything while it
 aggregates.  Either way the round's `RoundAggregate` carries its adds and
 its deletes as one `SufficientStats` each, which is what `ledger_apply`
-takes, and the B and approx drivers report each round as a `RoundReport`.
+takes, and `Server.serve` reports every round as a `RoundReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
-from .client import ClientMessage, VARIANT_QR
+from .client import ClientMessage, VARIANT_FULL, VARIANT_QR
 from .inverse import DowndateInfeasible, InverseState, audit_drift, init_from_ledger, smw_step
 from .kernels import DimensionMismatch, NotSPD, symmetric_eig
-from .stats import Ledger, SufficientStats, dtype_of, ledger_apply
+from .posterior import MatrixNormalPosterior, posterior_from_ledger, posterior_from_state
+from .stats import Ledger, SufficientStats, dtype_of, ledger_apply, ledger_init
 
 # Variant B's fixed reset policy: the drift audit's period and threshold,
 # the gate on each SMW step's amplification, and the share of d above which
@@ -93,7 +97,7 @@ class RoundAggregate:
 
 @dataclass(frozen=True)
 class RoundReport:
-    """How an inverse-tracking round was served.
+    """How a round was served.
 
     `reset` is set when the state was rebuilt exactly from the ledger;
     `lambda_max` is Variant B's delete-step eigenvalue and `bound` approx
@@ -224,17 +228,12 @@ def aggregate(messages: list[ClientMessage], running: RoundFold | None = None) -
     """Fold client messages into the server's aggregate for one round.
 
     With `running`, the messages are folded into it in the order given and
-    the same, still open fold is returned; the round loop passes each
+    the same, still open fold is returned; `Server.serve` passes each
     message this way as it arrives and closes the fold after the last.
     Without, `messages` is the whole round: it is folded in ascending
-    client id and the closed RoundAggregate is returned.  Either way G and
-    n, and Variant A's Grams, are summed message by message in ascending
-    client id; Variant B stacks a short round's R-factors into a factor U
-    per side and takes the Gram change as UᵀU, one symmetric product per
-    side, so that UᵀU equals the aggregated Gram change by construction,
-    and sums a tall round's RᵀR without keeping U (see RoundFold).  Both
-    ways fold the same messages in the same order, so their aggregates are
-    bitwise equal.
+    client id and the closed RoundAggregate is returned.  Both ways fold
+    the same messages in the same order (see RoundFold), so their
+    aggregates are bitwise equal.
     """
     if running is not None:
         for m in messages:
@@ -297,18 +296,17 @@ def run_round_approx(
     """Advance one round folding in only a rank-`rank` Gram update.
 
     The ledger is advanced first and stays exact.  A round with deletions,
-    or the round that would be the `reset_every`-th truncated step since
-    the last reset, rebuilds the state from the ledger and is served
-    exactly; it reports a reset and no bound.  Any other round folds
-    U_r = sqrt(λ_r) V_rᵀ of the top `rank` eigenpairs of its Gram change
-    into the state by one SMW add, adds the largest dropped eigenvalue to
-    the state's Σ (`neglected_mass`), and reports the bound min(t, t² Σ)
-    on ||T_ap - (S + γI)⁻¹||₂, with t = min(1/γ, ||T_ap||_∞); the module
-    docstring derives both terms.
+    or one that takes the ledger to a multiple of `reset_every` rounds, is
+    served exactly by a rebuild from the ledger and reports a reset and no
+    bound.  Any other round folds U_r = sqrt(λ_r) V_rᵀ of the top `rank`
+    eigenpairs of its Gram change into the state by one SMW add, adds the
+    largest dropped eigenvalue to the state's Σ (`neglected_mass`), and
+    reports the bound min(t, t² Σ) on ||T_ap - (S + γI)⁻¹||₂, with
+    t = min(1/γ, ||T_ap||_∞); the module docstring derives both terms.
     """
     new_ledger = ledger_apply(ledger, agg.add, agg.delete)
     deletes = agg.delete.n > 0 or np.any(agg.delete.S) or np.any(agg.delete.G)
-    if deletes or (reset_every and state.updates_since_reset + 1 >= reset_every):
+    if deletes or (reset_every and new_ledger.t % reset_every == 0):
         new_state = init_from_ledger(new_ledger)
         return new_ledger, new_state, new_state.W, RoundReport(reset=True)
     vals, vecs = symmetric_eig(agg.add.S.astype(new_ledger.dtype))
@@ -317,10 +315,9 @@ def run_round_approx(
     step = smw_step(state, u_r, agg.add.G)
     dropped = vals[kept:]
     neglected = state.neglected_mass + (float(np.abs(dropped).max()) if dropped.size else 0.0)
-    # a round with nothing to add leaves T as is but still counts toward the reset
-    new_state = replace(step.state, updates_since_reset=state.updates_since_reset + 1, neglected_mass=neglected)
+    new_state = replace(step.state, neglected_mass=neglected)
     # ||T_ap||₂ is at most any induced norm of the symmetric T_ap, and at most 1/γ as S_ap ⪰ 0
-    t_norm = min(1.0 / new_state.gamma, float(np.abs(new_state.T).sum(axis=1).max()))
+    t_norm = min(1.0 / new_ledger.gamma, float(np.abs(new_state.T).sum(axis=1).max()))
     # np.minimum, unlike min(), carries a NaN Σ through to the report
     bound = float(np.minimum(t_norm, t_norm**2 * neglected))
     return new_ledger, new_state, new_state.W, RoundReport(reset=False, bound=bound)
@@ -333,3 +330,50 @@ def _comm_record(scalars: int, precision: str) -> CommRecord:
 def account_round(messages: list[ClientMessage], precision: str) -> CommRecord:
     """Exact per-round communication accounting in scalars and bytes."""
     return _comm_record(sum(m.scalar_count for m in messages), precision)
+
+
+class Server:
+    """One variant's server: it owns the ledger, the tracked state (None for A) and the certificate.
+
+    `variant` is "A", "B" or "approx"; approx truncates its adds to `rank`
+    eigenpairs and rebuilds every `reset_every`-th ledger round.
+    `wire_variant` is what the server's clients send: full statistics for
+    A, R-factors for B and approx.
+    """
+
+    def __init__(self, variant: str, d: int, c: int, gamma: float, precision="f64", rank=8, reset_every=16):
+        if variant not in ("A", "B", "approx"):
+            raise ValueError(f"unknown server variant {variant!r}, expected A, B or approx")
+        self.variant, self.rank, self.reset_every = variant, rank, reset_every
+        self.wire_variant = VARIANT_FULL if variant == "A" else VARIANT_QR
+        self.ledger = ledger_init(d, c, gamma, precision)
+        self.state = None if variant == "A" else init_from_ledger(self.ledger)
+
+    @property
+    def head(self) -> np.ndarray:
+        """The served head: A's ledger head, B's and approx's tracked W."""
+        return self.ledger.head if self.state is None else self.state.W
+
+    def serve(self, messages: Iterable[ClientMessage]) -> tuple[np.ndarray, RoundReport, CommRecord]:
+        """Fold each message by `aggregate([msg], fold)` as it arrives, then run the variant's driver.
+
+        Returns the served head, the round's report and the uplink of its messages.
+        """
+        fold = RoundFold()
+        for msg in messages:
+            aggregate([msg], fold)
+        agg = fold.close()
+        if self.variant == "A":
+            self.ledger, w = run_round_a(self.ledger, agg)
+            report = RoundReport(reset=False)
+        elif self.variant == "B":
+            self.ledger, self.state, w, report = run_round_b(self.ledger, self.state, agg)
+        else:
+            self.ledger, self.state, w, report = run_round_approx(self.ledger, self.state, agg, self.rank, self.reset_every)
+        return w, report, fold.comm(self.ledger.precision)
+
+    def posterior(self, sigma2: float = 1.0) -> MatrixNormalPosterior:
+        """Certify what is served: B's tracked state (NotSPD if T is not SPD), A's and approx's ledger."""
+        if self.variant == "B":
+            return posterior_from_state(self.state, sigma2)
+        return posterior_from_ledger(self.ledger, sigma2)

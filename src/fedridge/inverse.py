@@ -1,6 +1,6 @@
 """Incremental inverse tracking via rank-k Sherman-Morrison-Woodbury updates.
 
-The tracked state is T = (S + gamma*I)^-1 together with the current head W.
+The state is T = (S + gamma*I)^-1 and the head W; gamma and the round count stay in the ledger.
 A round's Gram change arrives factored as ΔS = UᵀU with U of shape r x d,
 so each update factors only an r x r capacitance C = I ± U T Uᵀ:
 
@@ -52,8 +52,6 @@ class InverseState:
 
     T: np.ndarray
     W: np.ndarray
-    gamma: float
-    updates_since_reset: int = 0
     neglected_mass: float = 0.0
 
 
@@ -80,7 +78,7 @@ def init_from_ledger(ledger: stats_mod.Ledger) -> InverseState:
     `ledger.head` itself, read-only; SMW steps replace it, never write it.
     The rebuilt state is exact, so its `neglected_mass` is 0.
     """
-    return InverseState(inverse_from_factor(ledger.factor), ledger.head, float(ledger.gamma))
+    return InverseState(inverse_from_factor(ledger.factor), ledger.head)
 
 
 def _clean_rows(u, d: int, dtype) -> np.ndarray:
@@ -99,9 +97,8 @@ def smw_step(state: InverseState, u, g, delete: bool = False) -> SmwStep:
 
     Raises DowndateInfeasible when a delete's capacitance is not SPD, and
     NotSPD when an add's is not, which finite U and SPD T rule out, so the
-    state is corrupted.  The step replaces T and W and counts itself in
-    `updates_since_reset`; every other field, `neglected_mass` included, is
-    carried unchanged.
+    state is corrupted.  The step replaces T and W and carries
+    `neglected_mass` unchanged.
     """
     d = state.T.shape[0]
     u = _clean_rows(u, d, state.T.dtype)
@@ -127,8 +124,7 @@ def smw_step(state: InverseState, u, g, delete: bool = False) -> SmwStep:
     z = triangular_solve_lower(factor, ut)
     t_new = state.T - sign * (z.T @ z)
     w_new = state.W + sign * (t_new @ (g - u.T @ (u @ state.W)))
-    new_state = replace(state, T=t_new, W=w_new, updates_since_reset=state.updates_since_reset + 1)
-    return SmwStep(new_state, amplification, lam)
+    return SmwStep(replace(state, T=t_new, W=w_new), amplification, lam)
 
 
 def audit_drift(state: InverseState, ledger: stats_mod.Ledger) -> float:

@@ -3,9 +3,10 @@
 A scenario bundles everything needed to replay a federated add/delete
 stream deterministically: the data seed, the client partition, an explicit
 per-round event schedule, and the server configuration.  The harness
-drives client stores and the coordinator round by round, and after every
-round retrains the centralized head on the currently retained samples; the
-relative deviation against that oracle is the headline metric everywhere.
+feeds client stores' messages to one `coordinator.Server` per variant,
+round by round, and after every round retrains the centralized head on
+the retained samples; the relative deviation against that oracle is the
+headline metric everywhere.
 The oracle's Gram is a sum of per-block Grams over fixed blocks of sample
 ids (`RetainedGram`): a round re-forms only the blocks whose retained ids
 changed, and the sum is never downdated, so the oracle is a function of the
@@ -25,13 +26,11 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .client import ClientStore, Sample, VARIANT_FULL, VARIANT_QR
-from .coordinator import RoundFold, RoundReport, aggregate, run_round_a, run_round_approx, run_round_b
-from .coordinator import AUDIT_EVERY, CONDITION_THRESHOLD, DRIFT_THRESHOLD
-from .inverse import init_from_ledger
+from .client import ClientStore, Sample
+from .coordinator import Server
 from .kernels import DimensionMismatch, NotSPD, cholesky_spd, frobenius_norm
-from .posterior import MatrixNormalPosterior, kl_matrix_normal, posterior_from_ledger, posterior_from_state
-from .stats import PRECISION_DTYPES, SufficientStats, ledger_init, stats_from_batch
+from .posterior import MatrixNormalPosterior, kl_matrix_normal
+from .stats import PRECISION_DTYPES, SufficientStats, stats_from_batch
 
 _SUBSTREAMS = {"data": 0, "partition": 1, "schedule": 2}
 
@@ -279,13 +278,6 @@ def schedule_churn(
 SCENARIO_VARIANTS = {"A": ["A"], "B": ["B"], "both": ["A", "B"], "approx": ["approx"]}
 
 SCENARIO_VERSION = 2
-# Version 1 files also carried Variant B's reset policy, now fixed in
-# `coordinator`; they load only when they hold these values.
-_RETIRED_V1_FIELDS = {
-    "audit_every": AUDIT_EVERY,
-    "drift_threshold": DRIFT_THRESHOLD,
-    "condition_threshold": CONDITION_THRESHOLD,
-}
 
 
 class UnsupportedVersion(Exception):
@@ -334,18 +326,13 @@ class Scenario:
 
     @staticmethod
     def from_json(text: str) -> "Scenario":
-        """Load a version 2 file, or a version 1 file that keeps the fixed reset policy."""
+        """Load a version 2 file; any other version raises UnsupportedVersion."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise TypeError(f"a scenario file holds a JSON object, not {type(doc).__name__}")
         version = doc.pop("version", None)
-        if version == 1:
-            for key, fixed in _RETIRED_V1_FIELDS.items():
-                value = doc.pop(key, fixed)
-                if value != fixed:
-                    raise ValueError(f"scenario sets {key}={value!r}; version 2 fixes it at {fixed:g}")
-        elif version != SCENARIO_VERSION:
-            raise UnsupportedVersion(f"unsupported scenario version {version!r}; expected 1 or 2")
+        if version != SCENARIO_VERSION:
+            raise UnsupportedVersion(f"unsupported scenario version {version!r}; expected {SCENARIO_VERSION}")
         doc["schedule"] = [
             RoundSpec(r["round"], [ClientEvent(e["client"], e["add"], e["delete"]) for e in r["events"]])
             for r in doc["schedule"]
@@ -502,25 +489,15 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
     variants = SCENARIO_VARIANTS[scenario.variant]
     test_f = features[scenario.n_train :].astype(np.float64)
     test_classes = labels[scenario.n_train :].argmax(axis=1)
-    stores = {
-        v: {
-            k: ClientStore(k, scenario.d, scenario.c, scenario.precision)
-            for k in range(scenario.clients)
-        }
+    servers = {
+        v: Server(v, scenario.d, scenario.c, scenario.gamma, scenario.precision, scenario.rank, scenario.reset_every)
         for v in variants
     }
-    ledgers = {
-        v: ledger_init(scenario.d, scenario.c, scenario.gamma, scenario.precision)
-        for v in variants
-    }
-    # Variant B and approx mode track T = (S + gamma*I)^-1 from the same start
-    states = {v: init_from_ledger(ledgers[v]) for v in variants if v != "A"}
+    stores = {v: {k: ClientStore(k, scenario.d, scenario.c, scenario.precision) for k in range(scenario.clients)}
+              for v in variants}
     owner = np.full(scenario.n, -1, dtype=np.int64)  # retaining client per sample id, -1 if none
     gram = RetainedGram(features, labels)  # per run, so `run --jobs` threads share no cache
     records: list[RoundMetrics] = []
-    resets = 0
-    total_bytes = {v: 0 for v in variants}
-    heads: dict[str, np.ndarray] = {}
 
     for spec in scenario.schedule:
         events = sorted(spec.events, key=lambda e: e.client)
@@ -532,15 +509,13 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
         for ev in events:
             if ev.client not in range(scenario.clients):
                 raise RuntimeError(f"round {spec.round} names client {ev.client!r}, outside [0, {scenario.clients})")
-            add = np.asarray(ev.add)
-            delete = np.asarray(ev.delete)
+            add, delete = np.asarray(ev.add), np.asarray(ev.delete)
             for ids in (add, delete):
                 if ids.size and ids.dtype.kind not in "iu":
                     raise RuntimeError(f"round {spec.round} names an id that is not an integer")
                 if ids.size and (ids.min() < 0 or ids.max() >= scenario.n):
                     raise RuntimeError(f"round {spec.round} names ids outside the feature file")
-            add = add.astype(np.int64)
-            delete = delete.astype(np.int64)
+            add, delete = add.astype(np.int64), delete.astype(np.int64)
             if add.size and add.max() >= scenario.n_train:
                 raise RuntimeError(f"round {spec.round} adds ids of the test split (n_train={scenario.n_train})")
             if np.unique(add).size < add.size or np.unique(delete).size < delete.size:
@@ -556,43 +531,24 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
         w_oracle, oracle_post = oracle_retrain(gram, retained, scenario.gamma, scenario.sigma2)
 
         round_variants: dict[str, VariantMetrics] = {}
-        for v in variants:
-            wire_variant = VARIANT_FULL if v == "A" else VARIANT_QR
-            fold = RoundFold()
-            for ev in events:
-                store = stores[v][ev.client]
-                store.ingest(Sample(i, features[i], labels[i]) for i in ev.add)
-                # folded as soon as it is formed, so no message outlives its turn
-                aggregate([store.make_round_message(spec.round, ev.add, ev.delete, wire_variant)], fold)
-            agg = fold.close()
-            if v == "A":
-                ledgers[v], w = run_round_a(ledgers[v], agg)
-                report = RoundReport(reset=False)
-            elif v == "B":
-                ledgers[v], states[v], w, report = run_round_b(ledgers[v], states[v], agg)
-            else:
-                ledgers[v], states[v], w, report = run_round_approx(
-                    ledgers[v], states[v], agg, scenario.rank, scenario.reset_every
-                )
-            if report.reset:
-                resets += 1
-            if ledgers[v].stats.n != n_retained:
+        for v, server in servers.items():
+            # a generator: each message is formed only when the server folds it
+            messages = (
+                stores[v][ev.client]
+                .ingest(Sample(i, features[i], labels[i]) for i in ev.add)
+                .make_round_message(spec.round, ev.add, ev.delete, server.wire_variant)
+                for ev in events
+            )
+            w, report, comm = server.serve(messages)
+            if server.ledger.stats.n != n_retained:
                 raise RuntimeError(
                     f"retained-count bookkeeping broke in round {spec.round}: "
-                    f"ledger says {ledgers[v].stats.n}, stream says {n_retained}"
+                    f"ledger says {server.ledger.stats.n}, stream says {n_retained}"
                 )
-            comm = fold.comm(scenario.precision)
-            total_bytes[v] += comm.total_bytes
-            # B is certified from the state it serves, A and approx from their ledgers
-            if v == "B":
-                try:
-                    post = posterior_from_state(states[v], scenario.sigma2)
-                except NotSPD as exc:
-                    raise RuntimeError(f"round {spec.round}: B's served T cannot be certified: {exc}") from exc
-            else:
-                post = posterior_from_ledger(ledgers[v], scenario.sigma2)
-            kl = kl_matrix_normal(post, oracle_post)
-            heads[v] = w
+            try:
+                kl = kl_matrix_normal(server.posterior(scenario.sigma2), oracle_post)
+            except NotSPD as exc:
+                raise RuntimeError(f"round {spec.round}: {v}'s served T cannot be certified: {exc}") from exc
             accuracy, recall = score_head(w, test_f, test_classes, scenario.c)
             round_variants[v] = VariantMetrics(
                 rel_dev=safe_rel_dev(w, w_oracle),
@@ -607,23 +563,24 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
             )
         records.append(RoundMetrics(spec.round, n_retained, round_variants))
 
-    last = records[-1].variants if records else {}
+    rows = [rec.variants for rec in records]
+    last = rows[-1] if rows else {}
     summary = {
         "schema_version": 3,
         "final_dev_A": last["A"].rel_dev if "A" in last else None,
         "final_dev_B": last["B"].rel_dev if "B" in last else None,
-        "resets": resets,
-        "total_bytes_A": total_bytes.get("A", 0),
-        "total_bytes_B": total_bytes.get("B", 0),
+        "resets": sum(m.reset for row in rows for m in row.values()),
+        "total_bytes_A": sum(row["A"].bytes for row in rows if "A" in row),
+        "total_bytes_B": sum(row["B"].bytes for row in rows if "B" in row),
         # np.max, unlike max(), carries a NaN through; so does max_bound's
-        "max_kl": float(np.max([m.kl for rec in records for m in rec.variants.values()], initial=0.0)),
+        "max_kl": float(np.max([m.kl for row in rows for m in row.values()], initial=0.0)),
     }
     if "approx" in variants:
         summary["final_dev_approx"] = last["approx"].rel_dev if "approx" in last else None
-        bounds = [rec.variants["approx"].bound for rec in records if not rec.variants["approx"].reset]
+        bounds = [row["approx"].bound for row in rows if not row["approx"].reset]
         summary["max_bound"] = float(np.max(bounds, initial=0.0))
-        summary["total_bytes_approx"] = total_bytes.get("approx", 0)
-    return ScenarioResult(scenario, records, heads, summary)
+        summary["total_bytes_approx"] = sum(row["approx"].bytes for row in rows)
+    return ScenarioResult(scenario, records, {v: server.head for v, server in servers.items()}, summary)
 
 
 # ---------------------------------------------------------------------------

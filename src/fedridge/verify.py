@@ -234,7 +234,7 @@ def _add_delete_roundtrip(seed):
     for _ in range(50):
         d = int(rng.integers(2, 17))
         t0 = spd_inverse(_random_spd(rng, d))
-        state = InverseState(t0, rng.standard_normal((d, 2)), 1.0, 0)
+        state = InverseState(t0, rng.standard_normal((d, 2)))
         u = rng.standard_normal((int(rng.integers(1, 5)), d))
         g = rng.standard_normal((d, 2))
         back = smw_step(smw_step(state, u, g).state, u, g, delete=True).state
@@ -248,7 +248,7 @@ def _psd_monotonicity(seed):
     for _ in range(50):
         d = int(rng.integers(2, 13))
         t0 = spd_inverse(_random_spd(rng, d))
-        state = InverseState(t0, np.zeros((d, 1)), 1.0, 0)
+        state = InverseState(t0, np.zeros((d, 1)))
         u = rng.standard_normal((int(rng.integers(1, 4)), d))
         lam = spectral_norm(_symmetrize(u @ t0 @ u.T))
         u = u * math.sqrt(0.5 / max(lam, 1e-12))
@@ -287,7 +287,7 @@ def _kl_reduction(seed):
         c = int(rng.integers(1, 4))
         if trial % 2:
             # a served state's posterior N(W, sigma2 T), carrying its covariance factor
-            state = InverseState(spd_inverse(_random_spd(rng, d, 0.5)), rng.standard_normal((d, c)), 1.0)
+            state = InverseState(spd_inverse(_random_spd(rng, d, 0.5)), rng.standard_normal((d, c)))
             p = posterior_from_state(state, float(rng.uniform(0.5, 2.0)))
         else:
             p = MatrixNormalPosterior(rng.standard_normal((d, c)), cholesky_spd(_random_spd(rng, d, 0.5)))

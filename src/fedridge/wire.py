@@ -22,8 +22,8 @@ Message frames ("FCUL")
     `QrPayload`: R dense, then G.  A ClientMessage serializes as exactly
     two frames: the add payload first, then the delete payload.
     A client's QR frame has r = min(n, d); the decoder rejects d < 1,
-    c < 1, r != 0 in a full-statistics frame and r > min(n, d) in a QR
-    frame.
+    c < 1, any non-finite scalar, r != 0 in a full-statistics frame and
+    r > min(n, d) in a QR frame.
 
 Feature files ("FFUR")
     Little-endian header
@@ -69,11 +69,10 @@ def pack_symmetric(s: np.ndarray) -> np.ndarray:
 
 
 def unpack_symmetric(packed: np.ndarray, d: int) -> np.ndarray:
-    m = np.zeros((d, d), dtype=packed.dtype)
-    iu = np.triu_indices(d)
-    m[iu] = packed
-    m = m + m.T
-    m[np.diag_indices(d)] /= 2
+    """The symmetric matrix whose upper triangle is `packed`, each entry copied, never summed."""
+    m = np.empty((d, d), dtype=packed.dtype)
+    rows, cols = np.triu_indices(d)
+    m[rows, cols] = m[cols, rows] = packed
     return m
 
 
@@ -138,6 +137,8 @@ def _decode_frame(buf: bytes, offset: int):
     if len(buf) < end + nbytes:
         raise WireError("truncated frame payload")
     scalars = np.frombuffer(buf, dtype=dtype, count=count, offset=end)
+    if not np.isfinite(scalars).all():
+        raise WireError("non-finite payload scalar")
     n = float(scalars[-1])
     if not (0 <= n <= _max_count(dtype) and n.is_integer()):
         raise WireError(f"bad sample count {n!r}")

@@ -276,8 +276,8 @@ def test_run_rejects_invalid_config(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_run_reads_version_1_scenarios(tmp_path, capsys):
-    # version 1 files also carried Variant B's reset policy, fixed since version 2
+def test_run_rejects_version_1_scenarios_exit_3(tmp_path, capsys):
+    # version 1 files carried Variant B's reset policy, fixed since version 2; no writer is left
     features, scenario = _gen(tmp_path, "--schedule", "churn", "--rounds", "3",
                               "--adds-per-round", "2", "--dels-per-round", "2")
     doc = json.loads(scenario.read_text())
@@ -287,18 +287,14 @@ def test_run_reads_version_1_scenarios(tmp_path, capsys):
     def run(name, **changes):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({**doc, **changes}))
-        out = tmp_path / name
-        code = main(["run", "--scenario", str(path), "--features", str(features), "--out-dir", str(out)])
-        return code, out
+        return main(["run", "--scenario", str(path), "--features", str(features), "--out-dir", str(tmp_path / name)])
 
-    code_v2, out_v2 = run("v2")
-    code_v1, out_v1 = run("v1", version=1, **retired)
-    assert code_v1 == code_v2 == 0
-    assert (out_v1 / "metrics.csv").read_bytes() == (out_v2 / "metrics.csv").read_bytes()
+    assert run("v2") == 0
     capsys.readouterr()
-    assert run("v1-tuned", version=1, **{**retired, "condition_threshold": 1e9})[0] == 2
-    assert "condition_threshold" in capsys.readouterr().err
-    assert run("v99", version=99)[0] == 3
+    for name, changes in (("v1", {"version": 1, **retired}), ("v1-bare", {"version": 1}), ("v99", {"version": 99})):
+        assert run(name, **changes) == 3, name
+        assert "unsupported scenario version" in capsys.readouterr().err
+        assert not (tmp_path / name).exists()
 
 
 def test_run_rejects_a_feature_file_of_another_shape(tmp_path, capsys):
@@ -444,16 +440,16 @@ def test_run_exits_4_when_the_served_t_cannot_be_certified(tmp_path, monkeypatch
 
     import numpy as np
 
-    import fedridge.simulate as simulate_mod
+    import fedridge.coordinator as coordinator_mod
 
-    real = simulate_mod.run_round_b
+    real = coordinator_mod.run_round_b
 
     def corrupting(ledger, state, agg):
         ledger, state, w, info = real(ledger, state, agg)
         t = -state.T if bad_t == "indefinite" else np.full_like(state.T, np.nan)
         return ledger, dataclasses.replace(state, T=t), w, info
 
-    monkeypatch.setattr(simulate_mod, "run_round_b", corrupting)
+    monkeypatch.setattr(coordinator_mod, "run_round_b", corrupting)
     features, scenario = _gen(tmp_path, "--schedule", "churn", "--rounds", "3")
     assert main(["run", "--scenario", str(scenario), "--features", str(features),
                  "--out-dir", str(tmp_path / "out")]) == 4

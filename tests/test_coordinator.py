@@ -442,7 +442,7 @@ def test_run_round_b_rebuilds_tall_rounds():
     state = init_from_ledger(ledger)
     ledger, state, w, info = run_round_b(ledger, state, agg)
     assert info.reset and info.lambda_max is None
-    assert w is ledger.head and state.updates_since_reset == 0
+    assert w is ledger.head and ledger.t == 1
     assert rel_frobenius_dev(w, oracle_retrain(RetainedGram(features, labels), np.ones(n, bool), 1.0)[0]) <= 1e-9
 
 
@@ -569,7 +569,7 @@ def test_approx_delete_round_is_exact():
     assert report.reset and report.bound is None  # delete rounds fall back to exact handling
     np.testing.assert_array_equal(w_ap, ledger.head)
     np.testing.assert_array_equal(state.T, spd_inverse(regularized_gram(ledger)))
-    assert state.updates_since_reset == 0 and state.neglected_mass == 0.0
+    assert ledger.t == 2 and state.neglected_mass == 0.0
 
 
 def test_periodic_reset_restores_exact_head():
@@ -585,11 +585,11 @@ def test_periodic_reset_restores_exact_head():
     for _ in range(5):  # five truncated steps; the sixth would be the reset_every-th
         ledger, state, w_ap, report = run_round_approx(ledger, state, add_round(), rank=1, reset_every=6)
         assert not report.reset and report.bound is not None
-    assert state.updates_since_reset == 5
+    assert ledger.t == 5
     drift_before = rel_frobenius_dev(w_ap, ledger.head)
     ledger, state, w_reset, report = run_round_approx(ledger, state, add_round(), rank=1, reset_every=6)
     assert report.reset and report.bound is None
-    assert state.updates_since_reset == 0
+    assert ledger.t == 6 and state.neglected_mass == 0.0
     w_exact = ledger.head
     np.testing.assert_array_equal(w_reset, w_exact)
     assert rel_frobenius_dev(w_reset, w_exact) <= drift_before

@@ -118,7 +118,7 @@ def test_kl_from_covariance_factor_matches_dense_oracle(d, c):
     for _ in range(10):
         t = _random_sigma(rng, d, 0.3)
         sigma2 = float(rng.uniform(0.5, 2.0))
-        p = posterior_from_state(InverseState(t, rng.standard_normal((d, c)), 1.0), sigma2)
+        p = posterior_from_state(InverseState(t, rng.standard_normal((d, c))), sigma2)
         assert p.P is None and np.array_equal(p.C, np.tril(p.C))
         np.testing.assert_allclose(p.Sigma, sigma2 * t, rtol=1e-12, atol=1e-12)
         q = MatrixNormalPosterior(
@@ -133,14 +133,14 @@ def test_kl_from_covariance_factor_matches_dense_oracle(d, c):
 
 def test_posterior_from_state_self_kl_is_zero():
     led = _ledger_with(BATCH_B)
-    served = posterior_from_state(InverseState(np.linalg.inv(led.factor @ led.factor.T), led.head, 1.0))
+    served = posterior_from_state(InverseState(np.linalg.inv(led.factor @ led.factor.T), led.head))
     assert abs(kl_matrix_normal(served, posterior_from_ledger(led))) <= 1e-20
 
 
 @pytest.mark.parametrize("t", [-np.eye(2), np.array([[1.0, np.nan], [np.nan, 1.0]]), np.full((2, 2), np.inf)])
 def test_posterior_from_state_rejects_a_bad_t(t):
     with pytest.raises(NotSPD):
-        posterior_from_state(InverseState(t, np.zeros((2, 1)), 1.0))
+        posterior_from_state(InverseState(t, np.zeros((2, 1))))
 
 
 def test_posterior_carries_exactly_one_factor():

@@ -374,17 +374,17 @@ def test_run_scenario_approx_variant_reports():
 
 def test_approx_sends_variant_b_messages(monkeypatch):
     # approx mode ships B's R-factor payloads, so its uplink equals B's on one stream
-    import fedridge.simulate as simulate_mod
+    import fedridge.coordinator as coordinator_mod
     from fedridge.client import QrPayload
 
     payload_types = set()
-    real = simulate_mod.aggregate
+    real = coordinator_mod.aggregate
 
     def recording(messages, *running):
         payload_types.update(type(p) for m in messages for p in (m.add, m.delete))
         return real(messages, *running)
 
-    monkeypatch.setattr(simulate_mod, "aggregate", recording)
+    monkeypatch.setattr(coordinator_mod, "aggregate", recording)
     data = gen_synthetic(43, 300, 8, 2, 2.0)
     parts = dirichlet_partition(43, data.classes[: data.n_train], 3, 0.5)
     schedule = schedule_churn(43, parts, rounds=5, adds_per_round=6, deletes_per_round=3)
@@ -397,10 +397,10 @@ def test_approx_sends_variant_b_messages(monkeypatch):
 def test_run_scenario_folds_each_message_once_as_it_arrives(monkeypatch):
     import weakref
 
-    import fedridge.simulate as simulate_mod
+    import fedridge.coordinator as coordinator_mod
     from fedridge.coordinator import account_round
 
-    real = simulate_mod.aggregate
+    real = coordinator_mod.aggregate
     # (round, variant) -> (client id, account_round of the message) in arrival order;
     # the messages themselves are not kept, so the round loop's references are the only ones
     seen: dict[tuple[int, str], list] = {}
@@ -417,7 +417,7 @@ def test_run_scenario_folds_each_message_once_as_it_arrives(monkeypatch):
         seen.setdefault((msg.round, msg.variant), []).append((msg.client_id, account_round([msg], "f64")))
         return real(messages, running)
 
-    monkeypatch.setattr(simulate_mod, "aggregate", recording)
+    monkeypatch.setattr(coordinator_mod, "aggregate", recording)
     data = gen_synthetic(59, 400, 10, 3, 2.0)
     parts = dirichlet_partition(59, data.classes[: data.n_train], 6, 0.5)
     schedule = schedule_churn(59, parts, rounds=4, adds_per_round=5, deletes_per_round=7)
@@ -449,18 +449,18 @@ def test_b_kl_reads_a_nudge_of_the_served_state(monkeypatch, field):
     # B is certified from the state it serves, so a 1e-6 nudge of it shows in B's kl and not in A's
     import dataclasses
 
-    import fedridge.simulate as simulate_mod
+    import fedridge.coordinator as coordinator_mod
 
     run = _b_churn()
     clean = run()
-    real = simulate_mod.run_round_b
+    real = coordinator_mod.run_round_b
 
     def nudged(ledger, state, agg):
         ledger, state, _, info = real(ledger, state, agg)
         state = dataclasses.replace(state, **{field: getattr(state, field) * (1 + 1e-6)})
         return ledger, state, state.W, info
 
-    monkeypatch.setattr(simulate_mod, "run_round_b", nudged)
+    monkeypatch.setattr(coordinator_mod, "run_round_b", nudged)
     dirty = run()
     for before, after in zip(clean.records, dirty.records):
         assert before.variants["B"].kl <= 1e-18
@@ -502,8 +502,9 @@ def test_b_round_without_reset_factors_no_ledger_and_solves_no_triangle(monkeypa
     monkeypatch.setattr(stats_mod, "cholesky_spd", ledger_cholesky)
     monkeypatch.setattr(kernels_mod, "triangular_solve_lower", triangular)
     monkeypatch.setattr(posterior_mod, "triangular_solve_lower", triangular)
-    for name in ("posterior_from_state", "posterior_from_ledger", "kl_matrix_normal"):
-        monkeypatch.setattr(simulate_mod, name, certify_span(getattr(simulate_mod, name)))
+    for module, name in ((coordinator_mod, "posterior_from_state"), (coordinator_mod, "posterior_from_ledger"),
+                         (simulate_mod, "kl_matrix_normal")):
+        monkeypatch.setattr(module, name, certify_span(getattr(module, name)))
     if threshold is not None:  # a gate this low no longer matters to round 1, which takes no SMW step
         monkeypatch.setattr(coordinator_mod, "CONDITION_THRESHOLD", threshold)
     result = _b_churn(variant="B")()
@@ -542,17 +543,17 @@ def _approx_d64(rank, reset_every, seed=1):
 @pytest.mark.parametrize("rank, reset_every", [(8, 8), (2, 8), (32, 8), (8, 0), (32, 0)])
 def test_approx_bound_holds_across_truncated_steps(monkeypatch, rank, reset_every):
     # a bound counting only the current step's dropped mass fails here (rank 8: rounds 11-13)
-    import fedridge.simulate as simulate_mod
+    import fedridge.coordinator as coordinator_mod
 
     served = []
-    real = simulate_mod.run_round_approx
+    real = coordinator_mod.run_round_approx
 
     def recording(*args):
         out = real(*args)
         served.append(out[:2])  # the round's ledger and state
         return out
 
-    monkeypatch.setattr(simulate_mod, "run_round_approx", recording)
+    monkeypatch.setattr(coordinator_mod, "run_round_approx", recording)
     data, sc = _approx_d64(rank, reset_every)
     result = run_scenario(sc, data.features, data.labels)
     truncated = 0
@@ -572,9 +573,9 @@ def test_approx_bound_holds_across_truncated_steps(monkeypatch, rank, reset_ever
 def test_max_bound_carries_a_nan(monkeypatch):
     import dataclasses
 
-    import fedridge.simulate as simulate_mod
+    import fedridge.coordinator as coordinator_mod
 
-    real = simulate_mod.run_round_approx
+    real = coordinator_mod.run_round_approx
     calls = []
 
     def one_nan(*args):
@@ -582,7 +583,7 @@ def test_max_bound_carries_a_nan(monkeypatch):
         calls.append(1)
         return (*out[:3], dataclasses.replace(out[3], bound=float("nan"))) if len(calls) == 2 else out
 
-    monkeypatch.setattr(simulate_mod, "run_round_approx", one_nan)
+    monkeypatch.setattr(coordinator_mod, "run_round_approx", one_nan)
     data = gen_synthetic(41, 400, 8, 2, 2.0)
     parts = dirichlet_partition(41, data.classes[: data.n_train], 3, 0.5)
     schedule = schedule_churn(41, parts, rounds=4, adds_per_round=6, deletes_per_round=0)

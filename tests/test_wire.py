@@ -2,9 +2,11 @@
 
 import dataclasses
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedridge.client import ClientStore, Sample, VARIANT_FULL, VARIANT_QR, payload_scalars
 from fedridge.wire import (
@@ -127,6 +129,68 @@ def test_decode_rejects_bad_sample_count(precision, count):
     bad = dataclasses.replace(msg, add=dataclasses.replace(msg.add, n=count))
     with pytest.raises(WireError):
         decode_message(encode_message(bad, precision))
+
+
+def test_stats_frame_with_a_diagonal_near_the_float32_limit_round_trips_bitwise():
+    # 3e38 is finite in float32, but mirroring S by S + Sᵀ and halving the diagonal overflowed it
+    msg = _message(VARIANT_FULL, precision="f32")
+    s = msg.add.S.copy()
+    np.fill_diagonal(s, 3e38)
+    decoded, _, _ = decode_message(encode_message(dataclasses.replace(msg, add=dataclasses.replace(msg.add, S=s)), "f32"))
+    assert decoded.add.S.dtype == s.dtype and decoded.add.S.tobytes() == s.tobytes()
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("variant, field", [(VARIANT_QR, "G"), (VARIANT_QR, "R"), (VARIANT_FULL, "S"), (VARIANT_FULL, "G")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_decode_rejects_a_non_finite_payload_scalar(precision, variant, field, value):
+    msg = _message(variant, precision=precision)
+    part = getattr(msg.delete, field).copy()
+    part[0, -1] = value  # in S's upper triangle, which the frame carries
+    bad = dataclasses.replace(msg, delete=dataclasses.replace(msg.delete, **{field: part}))
+    with pytest.raises(WireError, match="non-finite"):
+        decode_message(encode_message(bad, precision))
+
+
+VALID_MESSAGES = [
+    encode_message(_message(variant, precision=precision), precision)
+    for variant in (VARIANT_FULL, VARIANT_QR)
+    for precision in ("f32", "f64")
+]
+
+# a write lands anywhere, or in the first frame's header; it is random bytes or one non-finite scalar
+NON_FINITE_BYTES = [np.array([x], dtype=t).tobytes() for x in (np.nan, np.inf, -np.inf) for t in ("<f4", "<f8")]
+WRITES = st.tuples(
+    st.one_of(st.integers(0, 63), st.integers(min_value=0)),
+    st.one_of(st.binary(min_size=1, max_size=8), st.sampled_from(NON_FINITE_BYTES)),
+)
+
+
+@settings(max_examples=500)
+@given(
+    buf=st.sampled_from(VALID_MESSAGES),
+    writes=st.lists(WRITES, max_size=4),
+    keep=st.one_of(st.none(), st.integers(min_value=0)),
+    tail=st.binary(max_size=48),
+)
+def test_decode_of_mutated_frames_gives_finite_payloads_or_wire_error(buf, writes, keep, tail):
+    # a frame pair with overwritten bytes, cut short or extended either decodes or raises WireError
+    buf = bytearray(buf)
+    for pos, run in writes:
+        pos %= len(buf)
+        buf[pos : pos + len(run)] = run[: len(buf) - pos]
+    if keep is not None:
+        del buf[keep % (len(buf) + 1) :]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            msg, _, _ = decode_message(bytes(buf + tail))
+        except WireError:
+            return
+    for payload in (msg.add, msg.delete):
+        matrix = payload.S if msg.variant == VARIANT_FULL else payload.R
+        assert np.isfinite(matrix).all() and np.isfinite(payload.G).all()
+        assert isinstance(payload.n, int) and payload.n >= 0
 
 
 def _frame(variant_code, d, c, r, n):
