@@ -7,11 +7,9 @@ Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -44,15 +42,14 @@ EXIT_INVARIANT = 4
 # In double precision any oracle deviation above this is a bug, not a result.
 HARD_DEVIATION_CEILING = 1e-6
 
-# `run` flags that override the scenario field of the same name.
-RUN_OVERRIDES = (
-    "variant",
-    "precision",
-    "gamma",
-    "sigma2",
-    "rank",
-    "reset_every",
-)
+
+class _Once(argparse.Action):
+    """Store an option's value; a second occurrence is a usage error."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"{option_string} may be given only once")
+        setattr(namespace, self.dest, value)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,17 +86,10 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out-features", default="features.bin")
     gen.add_argument("--out-scenario", default="scenario.json")
 
-    run = sub.add_parser("run", help="replay scenarios and write metrics")
-    run.add_argument("--scenario", action="append", required=True, help="scenario JSON (repeatable)")
+    run = sub.add_parser("run", help="replay a scenario")
+    run.add_argument("--scenario", action=_Once, required=True, help="scenario JSON")
     run.add_argument("--features", required=True, help="feature file")
     run.add_argument("--out-dir", default=".")
-    run.add_argument("--variant", choices=["A", "B", "both", "approx"], default=None)
-    run.add_argument("--precision", choices=["f32", "f64"], default=None)
-    run.add_argument("--gamma", type=float, default=None)
-    run.add_argument("--sigma2", type=float, default=None)
-    run.add_argument("--rank", type=int, default=None)
-    run.add_argument("--reset-every", type=int, default=None)
-    run.add_argument("--jobs", type=int, default=1, help="parallel scenarios")
 
     ver = sub.add_parser("verify", help="run the property suites")
     ver.add_argument("--only", default=None, help="run a single named property")
@@ -177,59 +167,34 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _run_one(scenario_path: str, features, labels, args, out_root: Path) -> dict:
-    overrides = {k: getattr(args, k) for k in RUN_OVERRIDES if getattr(args, k) is not None}
-    # replace() re-runs Scenario validation on the overridden values
-    scenario = dataclasses.replace(Scenario.from_json(Path(scenario_path).read_text()), **overrides)
-    result = run_scenario(scenario, features, labels)
-    out_root.mkdir(parents=True, exist_ok=True)
-    (out_root / "metrics.csv").write_text(metrics_csv(result))
-    (out_root / "summary.json").write_text(summary_json(result))
-    (out_root / "events.jsonl").write_text(events_jsonl(scenario))
-    # exact rows are A, B and approx reset rows; truncated-add rounds deviate
-    # by design until the next reset.  np.max carries a NaN, which fails the
-    # `<=` test in either precision; double precision also holds the ceiling.
-    worst = np.max(
-        [
-            m.rel_dev
-            for rec in result.records
-            for v, m in rec.variants.items()
-            if v in ("A", "B") or m.reset
-        ],
-        initial=0.0,
-    )
-    ceiling = HARD_DEVIATION_CEILING if scenario.precision == "f64" else math.inf
-    if not worst <= ceiling:
-        raise AssertionError(
-            f"{scenario.precision} oracle deviation {worst:.3e} on an exact row exceeds "
-            f"the hard ceiling {ceiling:.0e}; treating as a bug"
-        )
-    return result.summary
-
-
 def _cmd_run(args) -> int:
-    if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         features, labels, _ = read_feature_file(args.features)
-    except (OSError, WireError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    out_dir = Path(args.out_dir)
-    paths = list(args.scenario)
-    try:
-        if len(paths) == 1:
-            summaries = [_run_one(paths[0], features, labels, args, out_dir)]
-        else:
-            roots = [out_dir / Path(p).stem for p in paths]
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                summaries = list(
-                    pool.map(
-                        lambda pair: _run_one(pair[0], features, labels, args, pair[1]),
-                        zip(paths, roots),
-                    )
-                )
+        scenario = Scenario.from_json(Path(args.scenario).read_text())
+        result = run_scenario(scenario, features, labels)
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "metrics.csv").write_text(metrics_csv(result))
+        (out_dir / "summary.json").write_text(summary_json(result))
+        (out_dir / "events.jsonl").write_text(events_jsonl(scenario))
+        # exact rows are A, B and approx reset rows; truncated-add rounds deviate
+        # by design until the next reset.  np.max carries a NaN, which fails the
+        # `<=` test in either precision; double precision also holds the ceiling.
+        worst = np.max(
+            [
+                m.rel_dev
+                for rec in result.records
+                for v, m in rec.variants.items()
+                if v in ("A", "B") or m.reset
+            ],
+            initial=0.0,
+        )
+        ceiling = HARD_DEVIATION_CEILING if scenario.precision == "f64" else math.inf
+        if not worst <= ceiling:
+            raise AssertionError(
+                f"{scenario.precision} oracle deviation {worst:.3e} on an exact row exceeds "
+                f"the hard ceiling {ceiling:.0e}; treating as a bug"
+            )
     except (OSError, WireError, json.JSONDecodeError, UnsupportedVersion) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -242,9 +207,7 @@ def _cmd_run(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    for path, summary in zip(paths, summaries):
-        line = {k: summary[k] for k in sorted(summary)}
-        print(f"{path}: {json.dumps(line, sort_keys=True)}")
+    print(f"{args.scenario}: {json.dumps(result.summary, sort_keys=True)}")
     return EXIT_OK
 
 

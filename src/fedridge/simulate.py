@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -33,6 +34,11 @@ from .posterior import MatrixNormalPosterior, kl_matrix_normal
 from .stats import PRECISION_DTYPES, SufficientStats, stats_from_batch
 
 _SUBSTREAMS = {"data": 0, "partition": 1, "schedule": 2}
+
+
+def _is_int(value) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def rng_stream(seed: int, name: str) -> np.random.Generator:
@@ -302,6 +308,9 @@ class Scenario:
     sigma2: float = 1.0
 
     def __post_init__(self):
+        for name in ("seed", "d", "c", "clients", "n", "n_train", "rank", "reset_every"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.clients < 1 or self.d < 1 or self.c < 2:
             raise ValueError(f"need clients >= 1, d >= 1 and c >= 2, got {self.clients}, {self.d} and {self.c}")
         if not 0 <= self.n_train <= self.n:
@@ -312,7 +321,7 @@ class Scenario:
             raise ValueError(f"unknown precision {self.precision!r}, expected 'f32' or 'f64'")
         for name in ("gamma", "sigma2"):
             value = getattr(self, name)
-            if not 0 < value < math.inf:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.rank < 1:
             raise ValueError(f"rank must be at least 1, got {self.rank}")
@@ -496,7 +505,7 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
     stores = {v: {k: ClientStore(k, scenario.d, scenario.c, scenario.precision) for k in range(scenario.clients)}
               for v in variants}
     owner = np.full(scenario.n, -1, dtype=np.int64)  # retaining client per sample id, -1 if none
-    gram = RetainedGram(features, labels)  # per run, so `run --jobs` threads share no cache
+    gram = RetainedGram(features, labels)
     records: list[RoundMetrics] = []
 
     for spec in scenario.schedule:
@@ -507,8 +516,8 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
         if len(set(clients)) < len(clients):
             raise RuntimeError(f"round {spec.round} lists a client in more than one event")
         for ev in events:
-            if ev.client not in range(scenario.clients):
-                raise RuntimeError(f"round {spec.round} names client {ev.client!r}, outside [0, {scenario.clients})")
+            if not _is_int(ev.client) or ev.client not in range(scenario.clients):
+                raise RuntimeError(f"round {spec.round} names client {ev.client!r}, not an integer in [0, {scenario.clients})")
             add, delete = np.asarray(ev.add), np.asarray(ev.delete)
             for ids in (add, delete):
                 if ids.size and ids.dtype.kind not in "iu":

@@ -31,7 +31,8 @@ Feature files ("FFUR")
         magic 4s = b"FFUR", version u16, n u32, d u32, c u32, dtype u8
 
     with dtype 4 = float32 / 8 = float64, followed by the n x d feature
-    matrix row-major, then the n x c label matrix row-major.
+    matrix row-major, then the n x c label matrix row-major.  The reader
+    rejects a file holding any non-finite feature or label.
 """
 
 from __future__ import annotations
@@ -214,10 +215,9 @@ def read_feature_file(path) -> tuple[np.ndarray, np.ndarray, str]:
     need = _FEATURE_HEADER.size + (n * d + n * c) * dtype.itemsize
     if len(buf) < need:
         raise WireError("truncated feature file body")
-    features = np.frombuffer(buf, dtype=dtype, count=n * d, offset=_FEATURE_HEADER.size)
+    features = np.frombuffer(buf, dtype=dtype, count=n * d, offset=_FEATURE_HEADER.size).reshape(n, d).copy()
     labels = np.frombuffer(buf, dtype=dtype, count=n * c, offset=_FEATURE_HEADER.size + n * d * dtype.itemsize)
-    return (
-        features.reshape(n, d).copy(),
-        labels.reshape(n, c).copy(),
-        _CODE_PRECISION[prec_code],
-    )
+    labels = labels.reshape(n, c).copy()
+    if not (np.isfinite(features).all() and np.isfinite(labels).all()):
+        raise WireError("non-finite feature or label")
+    return features, labels, _CODE_PRECISION[prec_code]

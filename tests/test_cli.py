@@ -1,11 +1,15 @@
 """CLI surface: gen / run / verify / report, exit codes, determinism."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from fedridge.cli import main
+from fedridge.cli import _build_parser, main
 from fedridge.verify import PROPERTIES
+from fedridge.wire import WireError, read_feature_file, write_feature_file
 
 
 def _gen(tmp_path, *extra, seed=7):
@@ -72,6 +76,21 @@ def test_gen_is_byte_deterministic(tmp_path):
     assert s1.read_text() == s2.read_text()
 
 
+def test_gen_server_flags_change_only_their_fields(tmp_path):
+    # `run` replays a scenario as written; these settings are changed at `gen`
+    flags = ["--variant", "approx", "--precision", "f32", "--rank", "3", "--reset-every", "5", "--gamma", "2"]
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "set").mkdir()
+    f1, s1 = _gen(tmp_path / "plain", "--schedule", "churn")
+    f2, s2 = _gen(tmp_path / "set", "--schedule", "churn", *flags)
+    assert f1.read_bytes() == f2.read_bytes()
+    plain, changed = json.loads(s1.read_text()), json.loads(s2.read_text())
+    assert plain.keys() == changed.keys()
+    assert {k for k in plain if plain[k] != changed[k]} == {"variant", "precision", "rank", "reset_every", "gamma"}
+    assert (changed["variant"], changed["precision"], changed["rank"], changed["reset_every"], changed["gamma"]) == (
+        "approx", "f32", 3, 5, 2.0)
+
+
 def test_run_writes_metrics_and_summary(tmp_path, capsys):
     features, scenario = _gen(tmp_path, "--schedule", "churn", "--rounds", "5",
                               "--adds-per-round", "3", "--dels-per-round", "4")
@@ -117,11 +136,11 @@ def test_run_determinism_byte_identical_csv(tmp_path):
 
 def test_run_approx_summary_has_bound(tmp_path):
     features, scenario = _gen(tmp_path, "--schedule", "churn", "--rounds", "6",
-                              "--adds-per-round", "4", "--dels-per-round", "0")
+                              "--adds-per-round", "4", "--dels-per-round", "0",
+                              "--variant", "approx", "--rank", "2", "--reset-every", "3")
     out_dir = tmp_path / "out"
     code = main(["run", "--scenario", str(scenario), "--features", str(features),
-                 "--out-dir", str(out_dir), "--variant", "approx", "--rank", "2",
-                 "--reset-every", "3"])
+                 "--out-dir", str(out_dir)])
     assert code == 0
     summary = json.loads((out_dir / "summary.json").read_text())
     assert "max_bound" in summary and summary["resets"] >= 1
@@ -244,7 +263,16 @@ def test_report_rejects_malformed_files_exit_3(tmp_path, capsys, case):
     assert f"malformed file {bad}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [("n_train", -5), ("n_train", 400), ("clients", 0)])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_train", -5), ("n_train", 400), ("clients", 0),
+        ("gamma", -1.0), ("gamma", float("inf")), ("gamma", float("nan")), ("gamma", True),
+        ("sigma2", float("nan")), ("sigma2", float("inf")), ("sigma2", True),
+        ("rank", -1), ("rank", 0), ("rank", True), ("rank", 2.5), ("reset_every", -1), ("reset_every", 2.5),
+        ("seed", "x"), ("d", 8.0), ("clients", 4.0), ("n_train", 240.0),
+    ],
+)
 def test_run_rejects_invalid_scenario_fields_exit_2(tmp_path, field, value):
     features, scenario = _gen(tmp_path)
     doc = json.loads(scenario.read_text())
@@ -258,17 +286,13 @@ def test_run_rejects_invalid_scenario_fields_exit_2(tmp_path, field, value):
 
 
 def test_run_rejects_invalid_config(tmp_path):
+    # `run` takes its settings from the scenario file only, and one scenario per call
     features, scenario = _gen(tmp_path)
     for flags in (
-        ["--gamma", "-1.0"],
-        ["--gamma", "inf"],
-        ["--gamma", "nan"],
-        ["--sigma2", "nan"],
-        ["--sigma2", "inf"],
-        ["--rank", "-1"],
-        ["--rank", "0"],
-        ["--reset-every", "-1"],
+        ["--precision", "f32"],
         ["--condition-threshold", "1e9"],
+        ["--jobs", "2"],
+        ["--scenario", str(scenario)],
     ):
         code = main(["run", "--scenario", str(scenario), "--features", str(features),
                      "--out-dir", str(tmp_path / "out"), *flags])
@@ -311,26 +335,19 @@ def test_run_rejects_a_feature_file_of_another_shape(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_run_rejects_jobs_below_one(tmp_path):
+@pytest.mark.parametrize("row, value", [("training", float("nan")), ("test", float("inf"))])
+def test_run_refuses_a_non_finite_feature_file_exit_3(tmp_path, capsys, row, value):
+    # rows 0..239 are the training split, 240..299 the test split
     features, scenario = _gen(tmp_path)
-    for jobs in ("0", "-5"):
-        code = main(["run", "--scenario", str(scenario), "--scenario", str(scenario),
-                     "--features", str(features), "--out-dir", str(tmp_path / "out"), "--jobs", jobs])
-        assert code == 2, jobs
+    x, y, _ = read_feature_file(features)
+    x[0 if row == "training" else 250, 3] = value
+    write_feature_file(features, x, y)
+    with pytest.raises(WireError, match="non-finite"):
+        read_feature_file(features)
+    assert main(["run", "--scenario", str(scenario), "--features", str(features),
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-def test_run_multiple_scenarios_with_jobs(tmp_path):
-    features, s1 = _gen(tmp_path, "--schedule", "churn", "--rounds", "3",
-                        "--adds-per-round", "2", "--dels-per-round", "2")
-    s2 = tmp_path / "second.json"
-    s2.write_text(s1.read_text())
-    code = main(["run", "--scenario", str(s1), "--scenario", str(s2),
-                 "--features", str(features), "--out-dir", str(tmp_path / "out"),
-                 "--jobs", "2"])
-    assert code == 0
-    assert (tmp_path / "out" / "scenario" / "summary.json").exists()
-    assert (tmp_path / "out" / "second" / "summary.json").exists()
 
 
 def test_run_invalid_event_stream_exit_4(tmp_path):
@@ -350,6 +367,7 @@ def test_run_invalid_event_stream_exit_4(tmp_path):
         "past-end", "negative", "not-retained", "re-add", "repeated-add", "repeated-delete",
         "cross-client-delete", "fractional-add", "fractional-delete", "repeated-client",
         "test-split-add", "no-training-split", "client-past-end", "negative-client",
+        "float-client", "bool-client",
     ],
 )
 def test_run_bad_event_ids_exit_4(tmp_path, case):
@@ -385,6 +403,11 @@ def test_run_bad_event_ids_exit_4(tmp_path, case):
         events[0]["client"] = 4
     elif case == "negative-client":
         events[0]["client"] = -1
+    elif case == "float-client":  # equals its own id, so the repeated-client check does not trip
+        events[0]["client"] = float(events[0]["client"])
+    elif case == "bool-client":  # likewise
+        assert events[0]["client"] in (0, 1)
+        events[0]["client"] = bool(events[0]["client"])
     else:  # events[0]'s client retains the id, events[1]'s client deletes it
         other = {"client": events[1]["client"], "add": [], "delete": [events[0]["add"][0]]}
         doc["schedule"].append({"round": 2, "events": [other]})
@@ -410,10 +433,10 @@ def test_run_holds_approx_reset_rows_to_the_ceiling(tmp_path, monkeypatch, reset
 
     monkeypatch.setattr(cli_mod, "run_scenario", deviating)
     features, scenario = _gen(tmp_path, "--schedule", "churn", "--rounds", "6",
-                              "--adds-per-round", "4", "--dels-per-round", "0")
+                              "--adds-per-round", "4", "--dels-per-round", "0",
+                              "--variant", "approx", "--rank", "2", "--reset-every", "3")
     assert main(["run", "--scenario", str(scenario), "--features", str(features),
-                 "--out-dir", str(tmp_path / "out"), "--variant", "approx", "--rank", "2",
-                 "--reset-every", "3"]) == code
+                 "--out-dir", str(tmp_path / "out")]) == code
 
 
 @pytest.mark.parametrize("precision", ["f64", "f32"])
@@ -428,9 +451,9 @@ def test_run_fails_a_nan_on_an_exact_row(tmp_path, monkeypatch, capsys, precisio
         return result
 
     monkeypatch.setattr(cli_mod, "run_scenario", nan_row)
-    features, scenario = _gen(tmp_path, "--schedule", "churn", "--rounds", "3")
+    features, scenario = _gen(tmp_path, "--schedule", "churn", "--rounds", "3", "--precision", precision)
     assert main(["run", "--scenario", str(scenario), "--features", str(features),
-                 "--out-dir", str(tmp_path / "out"), "--precision", precision]) == 4
+                 "--out-dir", str(tmp_path / "out")]) == 4
     assert "nan" in capsys.readouterr().err
 
 
@@ -459,3 +482,20 @@ def test_run_exits_4_when_the_served_t_cannot_be_certified(tmp_path, monkeypatch
 def test_usage_errors_exit_2():
     assert main(["gen", "--badflag"]) == 2
     assert main([]) == 2
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["fedridge"]:
+                yield words[1:]
+
+
+def test_readme_commands_parse():
+    # a removed or renamed flag must not linger in the documented commands
+    commands = list(_readme_commands())
+    assert {words[0] for words in commands} == {"gen", "run", "verify", "report"}
+    for words in commands:
+        _build_parser().parse_args(words)

@@ -642,6 +642,20 @@ def test_scenario_json_round_trip():
         ("clients", 0),
         ("d", 0),
         ("c", 1),
+        # each value below is in range but not an integer (or, for gamma and sigma2, a bool)
+        ("reset_every", 2.5),
+        ("rank", 2.5),
+        ("rank", True),
+        ("seed", "x"),
+        ("seed", None),
+        ("d", 4.0),
+        ("c", 2.0),
+        ("clients", 2.0),
+        ("n", 100.0),
+        ("n_train", 80.0),
+        ("gamma", True),
+        ("sigma2", True),
+        ("gamma", "1.0"),
     ],
 )
 def test_scenario_rejects_invalid_settings(field, value):
@@ -649,3 +663,11 @@ def test_scenario_rejects_invalid_settings(field, value):
     parts = dirichlet_partition(43, data.classes[: data.n_train], 2, 1.0)
     with pytest.raises(ValueError):
         _scenario(data, parts, [initial_round(parts)], **{field: value})
+
+
+def test_scenario_accepts_numpy_integers():
+    data = gen_synthetic(43, 100, 4, 2, 1.0)
+    parts = dirichlet_partition(43, data.classes[: data.n_train], 2, 1.0)
+    ints = {name: np.int64(value) for name, value in (("seed", 43), ("d", 4), ("clients", 2), ("rank", 3))}
+    sc = _scenario(data, parts, [initial_round(parts)], **ints)
+    assert sc.rank == 3
