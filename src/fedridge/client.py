@@ -5,9 +5,10 @@ ingest, without copying, and forms a deletion message from those same
 rows, so the floats that leave the statistics are the ones that entered
 them as long as the caller does not mutate a retained row.  Nothing is
 recomputed from raw inputs.  Round messages carry only aggregate matrices
-whose sizes depend on (d, c, r), never on how much data the client
-retains: Variant A sends each batch's `SufficientStats` (S, G, n), and
-Variant B its thin-QR R-factor with G and n.
+whose sizes depend on (d, c) and, for Variant B, r = min(n, d), never on
+how much data the client retains: Variant A sends each batch's
+`SufficientStats` (S, G, n), and Variant B its thin-QR R-factor with G
+and n.  A payload of no samples is all zeros and costs no uplink scalars.
 """
 
 from __future__ import annotations
@@ -70,21 +71,36 @@ class ClientMessage:
         return payload_scalars(self.add) + payload_scalars(self.delete)
 
 
-def variant_a_payload_scalars(d: int, c: int) -> int:
-    """Packed symmetric S, dense G, plus the sample count."""
-    return d * (d + 1) // 2 + d * c + 1
+def variant_a_payload_scalars(n: int, d: int, c: int) -> int:
+    """S's upper triangle and dense G for n >= 1 samples; nothing for none."""
+    return d * (d + 1) // 2 + d * c if n else 0
 
 
-def variant_b_payload_scalars(r: int, d: int, c: int) -> int:
-    """Dense r x d factor, dense G, plus the sample count."""
-    return r * d + d * c + 1
+def variant_b_payload_scalars(n: int, d: int, c: int) -> int:
+    """The upper trapezoid of the r = min(n, d) row R factor and dense G; nothing for no samples.
+
+    r d - r(r-1)/2 grows with r up to d(d+1)/2 at r = d, so a B payload
+    never costs more than an A payload of the same (d, c), and costs as
+    much once n >= d.
+    """
+    r = min(n, d)
+    return r * d - r * (r - 1) // 2 + d * c if n else 0
 
 
 def payload_scalars(payload: SufficientStats | QrPayload) -> int:
-    """Scalars one payload carries on the uplink."""
+    """Scalars one payload carries on the uplink, as its frame holds them."""
     if isinstance(payload, QrPayload):
-        return variant_b_payload_scalars(payload.R.shape[0], payload.d, payload.c)
-    return variant_a_payload_scalars(payload.d, payload.c)
+        return variant_b_payload_scalars(payload.n, payload.d, payload.c)
+    return variant_a_payload_scalars(payload.n, payload.d, payload.c)
+
+
+def empty_payload(variant: str, d: int, c: int, dtype) -> SufficientStats | QrPayload:
+    """The payload of no samples, as read-only broadcast zeros that allocate no d x d or d x c block."""
+    zero = np.zeros((), dtype=dtype)
+    g = np.broadcast_to(zero, (d, c))
+    if variant == VARIANT_FULL:
+        return SufficientStats(np.broadcast_to(zero, (d, d)), g, 0)
+    return QrPayload(np.zeros((0, d), dtype=dtype), g, 0)
 
 
 @dataclass
@@ -133,22 +149,14 @@ class ClientStore:
 
     def _payload(self, ids: Sequence[int], variant: str):
         dtype = dtype_of(self.precision)
-        if variant == VARIANT_FULL and not ids:
-            # one read-only zero, broadcast: an empty batch allocates no d x d Gram
-            zero = np.zeros((), dtype=dtype)
-            return SufficientStats(
-                np.broadcast_to(zero, (self.d, self.d)), np.broadcast_to(zero, (self.d, self.c)), 0
-            )
+        if not ids:
+            return empty_payload(variant, self.d, self.c, dtype)
         f, y = self._batch(ids)
         if variant == VARIANT_FULL:
             return stats_from_batch(f, y, dtype)
         # the R factor stands in for the Gram, so FᵀF is never formed here
         f, y = batch_arrays(f, y, dtype)
-        if f.shape[0] == 0:
-            r = np.zeros((0, self.d), dtype=dtype)
-        else:
-            r = thin_qr_rfactor(f)
-        return QrPayload(r, f.T @ y, f.shape[0])
+        return QrPayload(thin_qr_rfactor(f), f.T @ y, f.shape[0])
 
     def make_round_message(
         self, round_index: int, add_ids: Sequence[int], del_ids: Sequence[int], variant: str

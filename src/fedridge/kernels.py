@@ -149,9 +149,10 @@ def spd_inverse(a) -> np.ndarray:
 def thin_qr_rfactor(f) -> np.ndarray:
     """R factor of a thin QR of F, with Rᵀ R = Fᵀ F.
 
-    R is min(n, d) x d upper-trapezoidal.  Row signs are flipped so the
-    diagonal is non-negative, which makes R unique for full-rank inputs.
-    Rank-deficient inputs simply yield (numerically) zero rows.
+    R is min(n, d) x d upper-trapezoidal, with +0.0 below its diagonal.
+    Row signs are flipped so the diagonal is non-negative, which makes R
+    unique for full-rank inputs.  Rank-deficient inputs simply yield
+    (numerically) zero rows.
     """
     f = as_matrix(f, "f")
     if f.shape[0] < 1:
@@ -159,7 +160,8 @@ def thin_qr_rfactor(f) -> np.ndarray:
     r = np.linalg.qr(f, mode="r")
     signs = np.sign(np.diagonal(r)).astype(f.dtype)
     signs[signs == 0] = 1
-    return signs[:, None] * r
+    # a flipped row's zeros would be -0.0; triu rewrites them as the +0.0 a packed frame restores
+    return np.triu(signs[:, None] * r)
 
 
 def symmetric_eig(a):

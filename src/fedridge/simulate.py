@@ -508,7 +508,13 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
     gram = RetainedGram(features, labels)
     records: list[RoundMetrics] = []
 
+    previous_round = None
     for spec in scenario.schedule:
+        if not _is_int(spec.round) or (previous_round is not None and spec.round <= previous_round):
+            raise RuntimeError(
+                f"round {spec.round!r} is not an integer above the round before it ({previous_round!r})"
+            )
+        previous_round = spec.round
         events = sorted(spec.events, key=lambda e: e.client)
         if not events:
             continue
@@ -548,7 +554,10 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
                 .make_round_message(spec.round, ev.add, ev.delete, server.wire_variant)
                 for ev in events
             )
-            w, report, comm = server.serve(messages)
+            try:
+                w, report, comm = server.serve(messages)
+            except NotSPD as exc:
+                raise RuntimeError(f"round {spec.round}: {v}'s ledger or state is not SPD: {exc}") from exc
             if server.ledger.stats.n != n_retained:
                 raise RuntimeError(
                     f"retained-count bookkeeping broke in round {spec.round}: "

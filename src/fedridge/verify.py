@@ -47,6 +47,7 @@ from .simulate import (
     schedule_churn,
 )
 from .stats import Ledger, stats_from_batch
+from .wire import encode_message
 
 
 @dataclass(frozen=True)
@@ -333,16 +334,19 @@ def _comm_accounting(seed):
             Sample(i, rng.standard_normal(d), rng.standard_normal(c)) for i in range(n_add)
         )
         msg = store.make_round_message(1, list(range(n_add)), [], VARIANT_FULL)
-        expect = 2 * variant_a_payload_scalars(d, c)
+        # the empty delete side is a header-only frame
+        expect = variant_a_payload_scalars(n_add, d, c) + variant_a_payload_scalars(0, d, c)
         gaps.append(abs(msg.scalar_count - expect))
         store_b = ClientStore(1, d, c, "f64")
         store_b.ingest(
             Sample(i, rng.standard_normal(d), rng.standard_normal(c)) for i in range(n_add)
         )
         msg_b = store_b.make_round_message(1, list(range(n_add)), [], VARIANT_QR)
-        r_add = min(n_add, d)
-        expect_b = variant_b_payload_scalars(r_add, d, c) + variant_b_payload_scalars(0, d, c)
+        expect_b = variant_b_payload_scalars(n_add, d, c) + variant_b_payload_scalars(0, d, c)
         gaps.append(abs(msg_b.scalar_count - expect_b))
+        # the counts are what the frames hold: two 28-byte headers plus the scalars
+        for m in (msg, msg_b):
+            gaps.append(abs(len(encode_message(m, "f64")) - (2 * 28 + 8 * m.scalar_count)))
     return _worst(gaps)
 
 
@@ -424,7 +428,7 @@ PROPERTIES = [
     Property("kl-certificate", "protocol posterior has (near) zero KL to retrain", 1e-9, "le", _kl_certificate),
     Property("kl-floor", "computed KL never goes meaningfully negative", 1e-12, "le", _kl_floor),
     Property("perturbation-bound", "measured truncation gap within the stated bound", 1.0 + 1e-6, "le", _perturbation_bound),
-    Property("comm-accounting", "message scalar counts match the size formulas", 0.0, "le", _comm_accounting),
+    Property("comm-accounting", "message scalar counts match the size formulas and the frames", 0.0, "le", _comm_accounting),
 ]
 
 

@@ -1,53 +1,71 @@
 """Binary interchange formats.
 
-Message frames ("FCUL")
-    One frame per payload, little-endian:
+Message frames ("FCUL", version 2)
+    One frame per payload, little-endian.  The 28-byte header is
 
-        magic    4s   b"FCUL"
-        version  u16  format version, currently 1
-        variant  u8   0 = full statistics, 1 = QR factor
-        precision u8  4 = float32, 8 = float64
-        round    u32
-        client   u32
-        d        u32
-        c        u32
-        r        u32  R-factor rows (0 for full-statistics frames)
+        magic     4s   b"FCUL"
+        version   u16  message-frame version, currently 2
+        variant   u8   0 = full statistics, 1 = QR factor
+        precision u8   4 = float32, 8 = float64
+        round     u32
+        client    u32
+        d         u32
+        c         u32
+        n         u32  the payload's sample count
 
-    followed by the payload matrices in row-major order and the sample
-    count as one trailing scalar, all in the declared precision, so a
-    frame carries counts up to 2^24 (float32) or 2^53 (float64), above
-    which not every integer is exact; encoder and decoder refuse larger
-    ones.  Full statistics frames carry a `SufficientStats` payload: S
-    packed as its upper triangle row-major, then G.  QR frames carry a
-    `QrPayload`: R dense, then G.  A ClientMessage serializes as exactly
-    two frames: the add payload first, then the delete payload.
-    A client's QR frame has r = min(n, d); the decoder rejects d < 1,
-    c < 1, any non-finite scalar, r != 0 in a full-statistics frame and
-    r > min(n, d) in a QR frame.
+    so n is exact in either precision for every count below 2^32.  The
+    header fixes the payload's size (`client.payload_scalars`).  A frame of
+    n = 0 samples is the header alone and carries no scalar.  Any other
+    frame is followed by its payload matrices row-major in the declared
+    precision: a full-statistics frame carries a `SufficientStats`, S
+    packed as its upper triangle and then G, d(d+1)/2 + dc scalars; a QR
+    frame carries a `QrPayload`, its R factor of r = min(n, d) rows packed
+    as its upper trapezoid and then G, r d - r(r-1)/2 + dc scalars, which
+    is never more than a full-statistics frame and as much once n >= d.
+    A ClientMessage serializes as exactly two frames, the add payload
+    first, then the delete payload, which agree on every header field but n.
 
-Feature files ("FFUR")
+    The encoder raises WireError for a payload it cannot carry exactly: n
+    not an integer in [0, 2^32), a zero-sample payload with a nonzero entry,
+    or an R factor whose row count is not min(n, d) or that has a nonzero
+    entry below its diagonal.  The decoder rejects any other version
+    (version 1 carried n as a trailing float), d < 1, c < 1 and any
+    non-finite scalar, and decodes a zero-sample frame as the read-only
+    zeros a client forms for an empty batch (`client.empty_payload`).
+    Since a header alone declares a d x d zero payload, both sides refuse
+    d or c above MAX_DIM = 8192: a full-statistics frame there already
+    holds 33.6M scalars.
+
+Feature files ("FFUR", version 1)
     Little-endian header
 
         magic 4s = b"FFUR", version u16, n u32, d u32, c u32, dtype u8
 
     with dtype 4 = float32 / 8 = float64, followed by the n x d feature
     matrix row-major, then the n x c label matrix row-major.  The reader
-    rejects a file holding any non-finite feature or label.
+    rejects a file holding any non-finite feature or label.  Feature files
+    keep their own version: a new message-frame version leaves them as
+    they are.
 """
 
 from __future__ import annotations
 
+import numbers
 import struct
+from functools import lru_cache
 
 import numpy as np
 
-from .client import ClientMessage, QrPayload, VARIANT_FULL, VARIANT_QR
+from .client import ClientMessage, QrPayload, VARIANT_FULL, VARIANT_QR, empty_payload
 from .client import variant_a_payload_scalars, variant_b_payload_scalars
 from .stats import SufficientStats
 
 MESSAGE_MAGIC = b"FCUL"
 FEATURE_MAGIC = b"FFUR"
-WIRE_VERSION = 1
+MESSAGE_VERSION = 2
+FEATURE_VERSION = 1
+MAX_COUNT = 2**32 - 1  # the largest n the header's u32 field holds
+MAX_DIM = 2**13  # the largest d or c a frame may declare
 
 _FRAME_HEADER = struct.Struct("<4sHBBIIIII")
 _FEATURE_HEADER = struct.Struct("<4sHIIIB")
@@ -57,109 +75,117 @@ _CODE_PRECISION = {v: k for k, v in _PRECISION_CODE.items()}
 _CODE_DTYPE = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
 _VARIANT_CODE = {VARIANT_FULL: 0, VARIANT_QR: 1}
 _CODE_VARIANT = {v: k for k, v in _VARIANT_CODE.items()}
+_PAYLOAD_SCALARS = {VARIANT_FULL: variant_a_payload_scalars, VARIANT_QR: variant_b_payload_scalars}
 
 
 class WireError(Exception):
     """Malformed or truncated binary frame."""
 
 
-def pack_symmetric(s: np.ndarray) -> np.ndarray:
-    """Upper triangle of a symmetric matrix, row-major."""
-    d = s.shape[0]
-    return s[np.triu_indices(d)]
+@lru_cache(maxsize=16)
+def _upper_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat row-major indices of a d x d matrix's upper triangle, row by row, and of their mirror images.
+
+    The first r d - r(r-1)/2 of them are the upper trapezoid of the first
+    r rows, and an r x d matrix has the flat indices of those rows, so one
+    cached pair per d serves S and every R factor at that d.
+    """
+    rows, cols = np.triu_indices(d)
+    upper, mirror = rows * d + cols, cols * d + rows
+    upper.flags.writeable = mirror.flags.writeable = False
+    return upper, mirror
+
+
+def pack_upper(m: np.ndarray) -> np.ndarray:
+    """Upper trapezoid of an r x d matrix with r <= d, row-major; S's upper triangle when r = d."""
+    r, d = m.shape
+    return m.reshape(-1)[_upper_indices(d)[0][: r * d - r * (r - 1) // 2]]
+
+
+def unpack_upper(packed: np.ndarray, r: int, d: int) -> np.ndarray:
+    """The r x d matrix, zero below its diagonal, whose upper trapezoid is `packed`."""
+    m = np.zeros(r * d, dtype=packed.dtype)
+    m[_upper_indices(d)[0][: packed.size]] = packed
+    return m.reshape(r, d)
 
 
 def unpack_symmetric(packed: np.ndarray, d: int) -> np.ndarray:
     """The symmetric matrix whose upper triangle is `packed`, each entry copied, never summed."""
-    m = np.empty((d, d), dtype=packed.dtype)
-    rows, cols = np.triu_indices(d)
-    m[rows, cols] = m[cols, rows] = packed
-    return m
-
-
-def _max_count(dtype: np.dtype) -> int:
-    # every integer up to 2^(mantissa bits + 1) is exact in the float type
-    return 2 ** (np.finfo(dtype).nmant + 1)
+    upper, mirror = _upper_indices(d)
+    m = np.empty(d * d, dtype=packed.dtype)
+    m[upper] = packed
+    m[mirror] = packed
+    return m.reshape(d, d)
 
 
 def _encode_frame(payload, variant: str, precision: str, round_index: int, client_id: int) -> bytes:
-    dtype = _CODE_DTYPE[_PRECISION_CODE[precision]]
-    max_count = _max_count(dtype)
-    if payload.n > max_count:
-        raise WireError(f"sample count {payload.n} above {max_count} is not exact in a {precision} frame")
-    if isinstance(payload, SufficientStats):
-        r = 0
-        body = [pack_symmetric(payload.S), payload.G.reshape(-1)]
-    elif isinstance(payload, QrPayload):
-        r = payload.R.shape[0]
-        body = [payload.R.reshape(-1), payload.G.reshape(-1)]
+    n = payload.n
+    if not (payload.d <= MAX_DIM and payload.c <= MAX_DIM):
+        raise WireError(f"dimensions d={payload.d}, c={payload.c} above {MAX_DIM}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 0 <= n <= MAX_COUNT:
+        raise WireError(f"sample count {n!r} is not an integer in [0, 2^32)")
+    if variant == VARIANT_FULL and isinstance(payload, SufficientStats):
+        matrix = payload.S
+    elif variant == VARIANT_QR and isinstance(payload, QrPayload):
+        matrix, rows = payload.R, min(n, payload.d)
+        if matrix.shape[0] != rows:
+            raise WireError(f"an R factor of {n} samples has min(n, d) = {rows} rows, not {matrix.shape[0]}")
+        if np.tril(matrix, -1).any():
+            raise WireError("R factor has a nonzero entry below its diagonal")
     else:
-        raise WireError(f"unsupported payload type {type(payload).__name__}")
+        raise WireError(f"a variant {variant} frame cannot carry a {type(payload).__name__}")
     header = _FRAME_HEADER.pack(
         MESSAGE_MAGIC,
-        WIRE_VERSION,
+        MESSAGE_VERSION,
         _VARIANT_CODE[variant],
         _PRECISION_CODE[precision],
         round_index,
         client_id,
         payload.d,
         payload.c,
-        r,
+        n,
     )
-    scalars = np.concatenate([np.concatenate(body), np.array([payload.n])]).astype(dtype)
-    return header + scalars.tobytes()
+    if n == 0:
+        if matrix.any() or payload.G.any():
+            raise WireError("a zero-sample payload has a nonzero entry")
+        return header
+    dtype = _CODE_DTYPE[_PRECISION_CODE[precision]]
+    return header + np.concatenate([pack_upper(matrix), payload.G.reshape(-1)]).astype(dtype).tobytes()
 
 
 def _decode_frame(buf: bytes, offset: int):
     end = offset + _FRAME_HEADER.size
     if len(buf) < end:
         raise WireError("truncated frame header")
-    magic, version, variant_code, prec_code, round_index, client_id, d, c, r = _FRAME_HEADER.unpack(
+    magic, version, variant_code, prec_code, round_index, client_id, d, c, n = _FRAME_HEADER.unpack(
         buf[offset:end]
     )
     if magic != MESSAGE_MAGIC:
         raise WireError(f"bad magic {magic!r}")
-    if version != WIRE_VERSION:
-        raise WireError(f"unsupported version {version}")
+    if version != MESSAGE_VERSION:
+        raise WireError(f"unsupported message-frame version {version}")
     if prec_code not in _CODE_DTYPE or variant_code not in _CODE_VARIANT:
         raise WireError("bad precision or variant code")
     dtype = _CODE_DTYPE[prec_code]
     variant = _CODE_VARIANT[variant_code]
-    if d < 1 or c < 1:
+    if not (1 <= d <= MAX_DIM and 1 <= c <= MAX_DIM):
         raise WireError(f"implausible dimensions d={d}, c={c}")
-    max_rows = 0 if variant == VARIANT_FULL else d
-    if r > max_rows:
-        raise WireError(f"r={r} R-factor rows; a variant {variant} frame at d={d} has at most {max_rows}")
-    if variant == VARIANT_FULL:
-        count = variant_a_payload_scalars(d, c)
-    else:
-        count = variant_b_payload_scalars(r, d, c)
+    meta = (variant, _CODE_PRECISION[prec_code], round_index, client_id, d, c)
+    if n == 0:
+        return empty_payload(variant, d, c, dtype), meta, end
+    count = _PAYLOAD_SCALARS[variant](n, d, c)
     nbytes = count * dtype.itemsize
     if len(buf) < end + nbytes:
         raise WireError("truncated frame payload")
     scalars = np.frombuffer(buf, dtype=dtype, count=count, offset=end)
     if not np.isfinite(scalars).all():
         raise WireError("non-finite payload scalar")
-    n = float(scalars[-1])
-    if not (0 <= n <= _max_count(dtype) and n.is_integer()):
-        raise WireError(f"bad sample count {n!r}")
-    n = int(n)
-    if r > n:
-        raise WireError(f"{r} R-factor rows from {n} samples")
+    tri = count - d * c
+    g = scalars[tri:].reshape(d, c).copy()
     if variant == VARIANT_FULL:
-        tri = d * (d + 1) // 2
-        payload = SufficientStats(
-            unpack_symmetric(scalars[:tri].copy(), d),
-            scalars[tri : tri + d * c].reshape(d, c).copy(),
-            n,
-        )
+        payload = SufficientStats(unpack_symmetric(scalars[:tri], d), g, n)
     else:
-        payload = QrPayload(
-            scalars[: r * d].reshape(r, d).copy(),
-            scalars[r * d : r * d + d * c].reshape(d, c).copy(),
-            n,
-        )
-    meta = (variant, _CODE_PRECISION[prec_code], round_index, client_id)
+        payload = QrPayload(unpack_upper(scalars[:tri], min(n, d), d), g, n)
     return payload, meta, end + nbytes
 
 
@@ -176,7 +202,7 @@ def decode_message(buf: bytes, offset: int = 0) -> tuple[ClientMessage, str, int
     delete, meta_del, offset = _decode_frame(buf, offset)
     if meta_add != meta_del:
         raise WireError(f"frame pair mismatch: {meta_add} vs {meta_del}")
-    variant, precision, round_index, client_id = meta_add
+    variant, precision, round_index, client_id, _, _ = meta_add
     return (
         ClientMessage(client_id=client_id, round=round_index, variant=variant, add=add, delete=delete),
         precision,
@@ -192,7 +218,7 @@ def write_feature_file(path, features: np.ndarray, labels: np.ndarray, precision
     if labels.shape[0] != n:
         raise WireError(f"features have {n} rows but labels have {labels.shape[0]}")
     c = labels.shape[1]
-    header = _FEATURE_HEADER.pack(FEATURE_MAGIC, WIRE_VERSION, n, d, c, _PRECISION_CODE[precision])
+    header = _FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, n, d, c, _PRECISION_CODE[precision])
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(features.tobytes())
@@ -207,8 +233,8 @@ def read_feature_file(path) -> tuple[np.ndarray, np.ndarray, str]:
     magic, version, n, d, c, prec_code = _FEATURE_HEADER.unpack(buf[: _FEATURE_HEADER.size])
     if magic != FEATURE_MAGIC:
         raise WireError(f"bad magic {magic!r}")
-    if version != WIRE_VERSION:
-        raise WireError(f"unsupported version {version}")
+    if version != FEATURE_VERSION:
+        raise WireError(f"unsupported feature-file version {version}")
     if prec_code not in _CODE_DTYPE:
         raise WireError(f"bad dtype code {prec_code}")
     dtype = _CODE_DTYPE[prec_code]

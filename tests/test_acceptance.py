@@ -256,10 +256,12 @@ def test_criterion_10_communication_accounting():
         store = ClientStore(0, d, c)
         store.ingest(Sample(i, features[i], labels[i]) for i in range(r))
         msg = store.make_round_message(1, list(range(r)), [], variant)
+        # the count rides in the frame header; the empty delete side is a header-only frame
         if variant == VARIANT_FULL:
-            assert payload_scalars(msg.add) == d * (d + 1) // 2 + d * c + 1
+            assert payload_scalars(msg.add) == d * (d + 1) // 2 + d * c
         else:
-            assert payload_scalars(msg.add) == r * d + d * c + 1
+            assert payload_scalars(msg.add) == r * d - r * (r - 1) // 2 + d * c
+        assert payload_scalars(msg.delete) == 0
         totals[variant] = account_round([msg], "f64").total_bytes
     ratio = totals[VARIANT_QR] / totals[VARIANT_FULL]
     assert ratio < 0.10

@@ -5,6 +5,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedridge.cli import _build_parser, main
@@ -418,6 +419,56 @@ def test_run_bad_event_ids_exit_4(tmp_path, case):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "case, rounds, bad",
+    [
+        ("string", [1, "x", 1, 4], "'x'"),  # also repeats round 1
+        ("repeat", [1, 2, 2, 4], "2"),
+        ("decreasing", [1, 3, 2, 4], "2"),
+        ("float", [1, 2.0, 3, 4], "2.0"),
+        ("bool", [True, 2, 3, 4], "True"),
+    ],
+)
+def test_run_refuses_round_numbers_that_do_not_increase_exit_4(tmp_path, capsys, case, rounds, bad):
+    # rows of different rounds must never share a label in metrics.csv
+    features, scenario = _gen(tmp_path, "--schedule", "churn", "--rounds", "3",
+                              "--adds-per-round", "2", "--dels-per-round", "2")
+    doc = json.loads(scenario.read_text())
+    assert [spec["round"] for spec in doc["schedule"]] == [1, 2, 3, 4]
+    for spec, number in zip(doc["schedule"], rounds):
+        spec["round"] = number
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", str(bad_file), "--features", str(features), "--out-dir", str(out)])
+    assert code == 4
+    assert f"round {bad} is not an integer above the round before it" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("variant", ["A", "B"])
+def test_run_with_a_ledger_that_is_not_spd_exits_4(tmp_path, capsys, variant):
+    # float32, gamma 1e-6 and six rows near 1e4 at d = 4: S + gamma*I does not factor
+    rng = np.random.default_rng(0)
+    features = tmp_path / "features.bin"
+    write_feature_file(features, 1e4 + rng.standard_normal((6, 4)), np.eye(6, 2), "f32")
+    doc = {
+        "version": 2, "seed": 0, "d": 4, "c": 2, "clients": 1, "n": 6, "n_train": 6, "gamma": 1e-6,
+        "precision": "f32", "variant": variant, "partition": {"kind": "dirichlet", "alpha": 0.5},
+        "rank": 2, "reset_every": 0, "sigma2": 1.0,
+        "schedule": [
+            {"round": 1, "events": [{"client": 0, "add": list(range(6)), "delete": []}]},
+            {"round": 2, "events": [{"client": 0, "add": [], "delete": list(range(5))}]},
+        ],
+    }
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    code = main(["run", "--scenario", str(scenario), "--features", str(features),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 4
+    assert f"round 1: {variant}'s ledger or state is not SPD" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("reset_row, code", [(True, 4), (False, 0)])
 def test_run_holds_approx_reset_rows_to_the_ceiling(tmp_path, monkeypatch, reset_row, code):
     # reset rows are served exactly, so a deviation there is a bug; truncated rows may deviate
@@ -460,8 +511,6 @@ def test_run_fails_a_nan_on_an_exact_row(tmp_path, monkeypatch, capsys, precisio
 @pytest.mark.parametrize("bad_t", ["indefinite", "nan"])
 def test_run_exits_4_when_the_served_t_cannot_be_certified(tmp_path, monkeypatch, capsys, bad_t):
     import dataclasses
-
-    import numpy as np
 
     import fedridge.coordinator as coordinator_mod
 

@@ -105,13 +105,17 @@ def test_payload_scalar_counts_follow_formulas():
         store = ClientStore(0, d, c)
         store.ingest(_samples(range(n_add), d=d, c=c, rng=rng))
         msg = store.make_round_message(1, list(range(n_add)), [], VARIANT_FULL)
-        assert payload_scalars(msg.add) == variant_a_payload_scalars(d, c)
-        assert payload_scalars(msg.delete) == variant_a_payload_scalars(d, c)
+        assert payload_scalars(msg.add) == variant_a_payload_scalars(n_add, d, c)
+        assert payload_scalars(msg.add) == (d * (d + 1) // 2 + d * c if n_add else 0)
+        assert payload_scalars(msg.delete) == variant_a_payload_scalars(0, d, c) == 0
         store_b = ClientStore(1, d, c)
         store_b.ingest(_samples(range(n_add), d=d, c=c, rng=rng))
         msg_b = store_b.make_round_message(1, list(range(n_add)), [], VARIANT_QR)
-        assert payload_scalars(msg_b.add) == variant_b_payload_scalars(min(n_add, d), d, c)
-        assert payload_scalars(msg_b.delete) == variant_b_payload_scalars(0, d, c)
+        r = min(n_add, d)
+        assert msg_b.add.R.shape == (r, d)
+        assert payload_scalars(msg_b.add) == variant_b_payload_scalars(n_add, d, c)
+        assert payload_scalars(msg_b.add) == (r * d - r * (r - 1) // 2 + d * c if n_add else 0)
+        assert payload_scalars(msg_b.delete) == variant_b_payload_scalars(0, d, c) == 0
 
 
 def test_message_size_independent_of_retained_volume():

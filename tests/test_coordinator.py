@@ -629,11 +629,11 @@ def test_account_round_formulas():
     store = ClientStore(0, d, c)
     store.ingest(Sample(i, rng.standard_normal(d), rng.standard_normal(c)) for i in range(3))
     msg = store.make_round_message(1, [0, 1, 2], [], VARIANT_FULL)
-    assert payload_scalars(msg.add) == 19  # d(d+1)/2 + dc + 1
+    assert payload_scalars(msg.add) == 18  # d(d+1)/2 + dc
     store_b = ClientStore(1, d, c)
     store_b.ingest(Sample(i, rng.standard_normal(d), rng.standard_normal(c)) for i in range(2))
     msg_b = store_b.make_round_message(1, [0, 1], [], VARIANT_QR)
-    assert payload_scalars(msg_b.add) == 17  # r*d + dc + 1 with r=2
+    assert payload_scalars(msg_b.add) == 15  # r*d - r(r-1)/2 + dc with r=2
     rec = account_round([msg], "f64")
     assert rec.total_scalars == msg.scalar_count
     assert rec.total_bytes == 8 * msg.scalar_count

@@ -10,12 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from fedridge.client import ClientStore, Sample, VARIANT_FULL, VARIANT_QR, payload_scalars
 from fedridge.wire import (
+    MAX_COUNT,
     WireError,
+    _upper_indices,
     decode_message,
     encode_message,
-    pack_symmetric,
+    pack_upper,
     read_feature_file,
     unpack_symmetric,
+    unpack_upper,
     write_feature_file,
 )
 
@@ -31,11 +34,22 @@ def _message(variant, d=3, c=2, n_add=4, n_del=2, precision="f64"):
 
 def test_pack_unpack_symmetric():
     rng = np.random.default_rng(1)
-    m = rng.standard_normal((5, 5))
-    s = (m + m.T) / 2
-    packed = pack_symmetric(s)
-    assert packed.shape == (15,)
-    np.testing.assert_array_equal(unpack_symmetric(packed, 5), s)
+    for d in (1, 5):
+        m = rng.standard_normal((d, d))
+        s = (m + m.T) / 2
+        packed = pack_upper(s)
+        assert packed.shape == (d * (d + 1) // 2,)
+        np.testing.assert_array_equal(packed, s[np.triu_indices(d)])
+        assert unpack_symmetric(packed, d).tobytes() == s.tobytes()
+    # an R factor's trapezoid, r < d and r = d, and S share one cached index array per d
+    for r, d in ((0, 5), (2, 5), (5, 5), (1, 1), (0, 1)):
+        rf = np.triu(rng.standard_normal((r, d)))
+        packed = pack_upper(rf)
+        assert packed.shape == (r * d - r * (r - 1) // 2,)
+        np.testing.assert_array_equal(packed, rf[np.triu_indices(r, m=d)])
+        got = unpack_upper(packed, r, d)
+        assert got.shape == (r, d) and got.tobytes() == rf.tobytes()
+    assert _upper_indices(5) is _upper_indices(5)
 
 
 @pytest.mark.parametrize("variant", [VARIANT_FULL, VARIANT_QR])
@@ -59,23 +73,19 @@ def test_message_round_trip(variant, precision):
 
 
 @pytest.mark.parametrize("variant", [VARIANT_FULL, VARIANT_QR])
-@pytest.mark.parametrize("precision, limit", [("f32", 2**24), ("f64", 2**53)])
-def test_sample_count_is_carried_exactly_up_to_the_precision_limit(variant, precision, limit):
-    msg = _message(variant, precision=precision)
-    at_limit = dataclasses.replace(msg, add=dataclasses.replace(msg.add, n=limit))
-    decoded, _, _ = decode_message(encode_message(at_limit, precision))
-    assert decoded.add.n == limit
-    # limit + 1 would decode as limit
-    past = dataclasses.replace(msg, delete=dataclasses.replace(msg.delete, n=limit + 1))
-    with pytest.raises(WireError, match="not exact"):
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_sample_count_is_carried_exactly_up_to_the_header_limit(variant, precision):
+    # n is the header's u32, so both precisions carry 2^32 - 1, beyond float32's 2^24
+    assert MAX_COUNT == 2**32 - 1
+    msg = _message(variant, d=2, precision=precision)  # two added samples: R has its min(n, d) = 2 rows
+    at_limit = dataclasses.replace(msg, add=dataclasses.replace(msg.add, n=MAX_COUNT))
+    buf = encode_message(at_limit, precision)
+    assert struct.unpack_from("<I", buf, 24)[0] == MAX_COUNT
+    decoded, _, _ = decode_message(buf)
+    assert decoded.add.n == MAX_COUNT and isinstance(decoded.add.n, int)
+    past = dataclasses.replace(msg, delete=dataclasses.replace(msg.delete, n=MAX_COUNT + 1))
+    with pytest.raises(WireError, match=r"not an integer in \[0, 2\^32\)"):
         encode_message(past, precision)
-    # a frame whose count is limit + 2, exact in the float type, is refused on decode too
-    buf = bytearray(encode_message(at_limit, precision))
-    dtype = np.dtype(np.float32 if precision == "f32" else np.float64)
-    add_end = 28 + payload_scalars(at_limit.add) * dtype.itemsize  # the count ends the add frame
-    buf[add_end - dtype.itemsize : add_end] = np.array([limit + 2], dtype=dtype).tobytes()
-    with pytest.raises(WireError, match="sample count"):
-        decode_message(bytes(buf))
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
@@ -91,15 +101,16 @@ def test_wide_stats_payload_round_trips_bitwise(precision):
 def test_frame_header_layout():
     msg = _message(VARIANT_QR, d=3, c=2, precision="f64")
     buf = encode_message(msg, "f64")
-    magic, version, variant, prec, rnd, client, d, c, r = struct.unpack_from("<4sHBBIIIII", buf, 0)
+    magic, version, variant, prec, rnd, client, d, c, n = struct.unpack_from("<4sHBBIIIII", buf, 0)
     assert magic == b"FCUL"
-    assert version == 1
+    assert version == 2
     assert variant == 1  # QR frames
     assert prec == 8
     assert rnd == 5 and client == 9 and d == 3 and c == 2
-    assert r == msg.add.R.shape[0]
-    # payload scalar count for the first frame matches its header
-    first_frame_bytes = 28 + (r * d + d * c + 1) * 8
+    assert n == msg.add.n == 2
+    # the header's n fixes the payload: the upper trapezoid of r = min(n, d) rows, then G
+    r = min(n, d)
+    first_frame_bytes = 28 + (r * d - r * (r - 1) // 2 + d * c) * 8
     magic2 = buf[first_frame_bytes : first_frame_bytes + 4]
     assert magic2 == b"FCUL"
 
@@ -152,10 +163,18 @@ def test_decode_rejects_a_non_finite_payload_scalar(precision, variant, field, v
         decode_message(encode_message(bad, precision))
 
 
+def test_encode_refuses_a_payload_of_the_other_variant():
+    msg = _message(VARIANT_QR, d=3)
+    bad = dataclasses.replace(msg, add=_message(VARIANT_FULL, d=3).add)
+    with pytest.raises(WireError, match="cannot carry"):
+        encode_message(bad, "f64")
+
+
 VALID_MESSAGES = [
-    encode_message(_message(variant, precision=precision), precision)
+    encode_message(_message(variant, n_del=n_del, precision=precision), precision)
     for variant in (VARIANT_FULL, VARIANT_QR)
     for precision in ("f32", "f64")
+    for n_del in (2, 0)  # with n_del = 0 the delete frame is the header alone
 ]
 
 # a write lands anywhere, or in the first frame's header; it is random bytes or one non-finite scalar
@@ -193,37 +212,82 @@ def test_decode_of_mutated_frames_gives_finite_payloads_or_wire_error(buf, write
         assert isinstance(payload.n, int) and payload.n >= 0
 
 
-def _frame(variant_code, d, c, r, n):
-    """One float64 frame with an arbitrary header and a zero payload of the declared size."""
-    header = struct.pack("<4sHBBIIIII", b"FCUL", 1, variant_code, 8, 1, 0, d, c, r)
-    rows = d * (d + 1) // 2 if variant_code == 0 else r * d
-    return header + np.zeros(rows + d * c).tobytes() + np.array([float(n)]).tobytes()
+def _frame(variant_code, d, c, r, n, version=2):
+    """One float64 frame with an arbitrary header and a zero payload: S, or an R factor of r rows, then G.
+
+    A frame of n = 0 samples is the header alone.
+    """
+    header = struct.pack("<4sHBBIIIII", b"FCUL", version, variant_code, 8, 1, 0, d, c, n)
+    if n == 0:
+        return header
+    packed = d * (d + 1) // 2 if variant_code == 0 else r * d - r * (r - 1) // 2
+    return header + np.zeros(packed + d * c).tobytes()
 
 
 @pytest.mark.parametrize(
     "variant_code, d, c, r, n",
     [
-        (0, 2, 1, 5, 3),  # a full-statistics frame declaring R-factor rows
-        (1, 2, 1, 3, 1),  # QR rows beyond both d and n
-        (1, 2, 1, 2, 1),  # QR rows beyond n
-        (1, 2, 1, 3, 5),  # QR rows beyond d
         (0, 0, 1, 0, 0),
         (1, 0, 1, 0, 0),
         (0, 2, 0, 0, 0),
         (1, 2, 0, 0, 0),
+        # a header-only frame would decode to zeros of any declared size
+        (0, 2**13 + 1, 1, 0, 0),
+        (1, 2, 2**13 + 1, 0, 0),
+        (0, 2**32 - 1, 2**32 - 1, 0, 0),
     ],
 )
 def test_decode_rejects_implausible_header(variant_code, d, c, r, n):
     frame = _frame(variant_code, d, c, r, n)
-    with pytest.raises(WireError):
+    with pytest.raises(WireError, match="implausible dimensions"):
         decode_message(frame + frame)
 
 
 @pytest.mark.parametrize("variant_code, r, n", [(0, 0, 3), (1, 1, 1), (1, 2, 5), (1, 0, 0)])
 def test_decode_accepts_plausible_header(variant_code, r, n):
+    # r is the R factor's row count, min(n, d) at d = 2, which the decoder reads off n
     frame = _frame(variant_code, 2, 1, r, n)
     decoded, _, end = decode_message(frame + frame)
     assert end == 2 * len(frame) and decoded.add.n == n
+    if variant_code == 1:
+        assert decoded.add.R.shape == (r, 2)
+
+
+@pytest.mark.parametrize("other_d, other_c", [(3, 1), (2, 2)])
+def test_decode_refuses_a_frame_pair_whose_dimensions_differ(other_d, other_c):
+    with pytest.raises(WireError, match="frame pair mismatch"):
+        decode_message(_frame(0, 2, 1, 0, 3) + _frame(0, other_d, other_c, 0, 0))
+
+
+def test_decode_refuses_other_frame_versions():
+    # version 1 (r in the header, the count as a trailing float) is refused like any unknown version
+    v1 = struct.pack("<4sHBBIIIII", b"FCUL", 1, 1, 8, 1, 0, 2, 1, 1) + np.zeros(2 + 2 + 1).tobytes()
+    for version, frame in ((1, v1), (0, _frame(1, 2, 1, 1, 1, version=0)), (3, _frame(1, 2, 1, 1, 1, version=3))):
+        with pytest.raises(WireError, match=f"version {version}"):
+            decode_message(frame + frame)
+
+
+@pytest.mark.parametrize(
+    "variant, changes, match",
+    [
+        pytest.param(VARIANT_FULL, {"n": 2.0}, "not an integer", id="A-float-n"),
+        pytest.param(VARIANT_QR, {"n": True}, "not an integer", id="B-bool-n"),
+        pytest.param(VARIANT_FULL, {"n": -1}, "not an integer", id="A-negative-n"),
+        pytest.param(VARIANT_FULL, {"n": 2**32}, "not an integer", id="A-n-past-u32"),
+        pytest.param(VARIANT_FULL, {"n": 0}, "zero-sample", id="A-zero-n-nonzero-S-and-G"),
+        pytest.param(VARIANT_FULL, {"n": 0, "G": np.zeros((3, 2))}, "zero-sample", id="A-zero-n-nonzero-S"),
+        pytest.param(VARIANT_QR, {"n": 0, "R": np.zeros((0, 3))}, "zero-sample", id="B-zero-n-nonzero-G"),
+        pytest.param(VARIANT_QR, {"n": 3}, "rows", id="B-too-few-rows"),  # 3 samples at d = 3 need 3 rows
+        pytest.param(VARIANT_QR, {"n": 1}, "rows", id="B-too-many-rows"),
+        pytest.param(VARIANT_QR, {"R": np.ones((2, 3))}, "below its diagonal", id="B-below-diagonal"),
+        pytest.param(VARIANT_FULL, {"S": np.broadcast_to(0.0, (2**13 + 1,) * 2)}, "above", id="A-d-past-max"),
+    ],
+)
+def test_encode_refuses_what_a_frame_cannot_carry_exactly(variant, changes, match):
+    msg = _message(variant, d=3)  # its add payload holds two samples
+    bad = dataclasses.replace(msg, add=dataclasses.replace(msg.add, **changes))
+    with pytest.raises(WireError, match=match):
+        encode_message(bad, "f64")
 
 
 def test_empty_payload_round_trip():
@@ -271,6 +335,19 @@ def test_feature_file_round_trip(tmp_path, precision):
     assert dtype_code == (4 if precision == "f32" else 8)
 
 
+def test_hand_packed_version_1_feature_file_reads(tmp_path):
+    # feature files keep their own version 1 whatever the message-frame version is
+    f = np.arange(6, dtype="<f8").reshape(3, 2)
+    y = np.eye(3, 2, dtype="<f8")
+    path = tmp_path / "v1.bin"
+    path.write_bytes(struct.pack("<4sHIIIB", b"FFUR", 1, 3, 2, 2, 8) + f.tobytes() + y.tobytes())
+    f2, y2, prec = read_feature_file(path)
+    assert prec == "f64" and f2.tobytes() == f.tobytes() and y2.tobytes() == y.tobytes()
+    path.write_bytes(struct.pack("<4sHIIIB", b"FFUR", 2, 3, 2, 2, 8) + f.tobytes() + y.tobytes())
+    with pytest.raises(WireError, match="version 2"):
+        read_feature_file(path)
+
+
 def test_round_driven_through_wire_bytes():
     # encode every client message, decode from the byte stream, and the
     # aggregate must advance the server identically to the in-memory path
@@ -304,3 +381,82 @@ def test_feature_file_truncation_detected(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(WireError):
         read_feature_file(path)
+
+
+def _replayed_messages(monkeypatch, schedule_kind, variant, precision):
+    """Every client message the servers fold while a small scenario replays."""
+    import fedridge.coordinator as coordinator_mod
+    from fedridge.simulate import (
+        Scenario, dirichlet_partition, gen_synthetic, initial_round, run_scenario,
+        schedule_addback, schedule_burst, schedule_churn,
+    )
+
+    d = 6
+    data = gen_synthetic(16, 300, d, 3, 2.0)
+    parts = dirichlet_partition(16, data.classes[: data.n_train], 5, 0.5)
+    if schedule_kind == "churn":
+        schedule = schedule_churn(16, parts, rounds=4, adds_per_round=5, deletes_per_round=5)
+    else:
+        burst = schedule_burst(16, parts, 3)
+        schedule = [initial_round(parts)] + burst + schedule_addback(burst)
+    scenario = Scenario(
+        seed=16, d=d, c=3, clients=len(parts), n=300, n_train=data.n_train, gamma=1.0,
+        precision=precision, variant=variant, partition={"kind": "dirichlet", "alpha": 0.5},
+        schedule=schedule, rank=2, reset_every=3,
+    )
+    folded = []
+    real = coordinator_mod.aggregate
+
+    def recording(messages, running):
+        folded.extend(messages)
+        return real(messages, running)
+
+    monkeypatch.setattr(coordinator_mod, "aggregate", recording)
+    run_scenario(scenario, data.features, data.labels)
+    return folded, d
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("variant", ["both", "approx"])
+@pytest.mark.parametrize("schedule_kind", ["churn", "burst-addback"])
+def test_accounting_equals_the_frames_of_every_replayed_message(monkeypatch, schedule_kind, variant, precision):
+    from fedridge.client import variant_a_payload_scalars, variant_b_payload_scalars
+    from fedridge.coordinator import account_round
+
+    messages, d = _replayed_messages(monkeypatch, schedule_kind, variant, precision)
+    sides_seen = set()
+    for msg in messages:
+        buf = encode_message(msg, precision)
+        assert len(buf) == 2 * 28 + account_round([msg], precision).total_bytes
+        decoded, got_precision, end = decode_message(buf)
+        assert (got_precision, end) == (precision, len(buf))
+        assert (decoded.client_id, decoded.round, decoded.variant) == (msg.client_id, msg.round, msg.variant)
+        for sent, got in ((msg.add, decoded.add), (msg.delete, decoded.delete)):
+            assert type(got) is type(sent) and got.n == sent.n
+            matrix = "S" if msg.variant == VARIANT_FULL else "R"
+            assert _same_bits(getattr(got, matrix), getattr(sent, matrix)) and _same_bits(got.G, sent.G)
+            c = sent.c
+            if sent.n == 0:
+                sides_seen.add("empty")
+                assert payload_scalars(sent) == 0
+            elif msg.variant == VARIANT_QR:
+                sides_seen.add("B, n >= d" if sent.n >= d else "B, n < d")
+                b, a = variant_b_payload_scalars(sent.n, d, c), variant_a_payload_scalars(sent.n, d, c)
+                assert payload_scalars(sent) == b
+                assert b < a if sent.n < d else b == a
+    # the replay exercised header-only sides and R factors below and at full rank
+    assert sides_seen == {"empty", "B, n < d", "B, n >= d"}
+
+
+@pytest.mark.parametrize("d, c", [(1, 1), (4, 2), (64, 10), (256, 10)])
+def test_b_payload_never_costs_more_than_a(d, c):
+    from fedridge.client import variant_a_payload_scalars, variant_b_payload_scalars
+
+    assert variant_a_payload_scalars(0, d, c) == variant_b_payload_scalars(0, d, c) == 0
+    for n in range(1, 2 * d + 2):
+        b, a = variant_b_payload_scalars(n, d, c), variant_a_payload_scalars(n, d, c)
+        assert b < a if n < d else b == a
