@@ -7,7 +7,7 @@ retraining after every round, by full recomputation or by incremental
 inverse updates, with a Bayesian zero-KL certificate on top.
 """
 
-from .client import ClientMessage, ClientStore, QrPayload, Sample
+from .client import ClientMessage, ClientStore, PackedStats, QrPayload
 from .coordinator import (
     CommRecord,
     RoundAggregate,

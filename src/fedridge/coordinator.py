@@ -28,12 +28,14 @@ Aggregation is a running fold (`RoundFold`): each client message is
 folded into the round's aggregate as it arrives, in strictly ascending
 client id, so repeated runs are bitwise reproducible at fixed precision
 and the server holds O(d²) per round instead of every client's payload.
-Variant A's messages are `SufficientStats`, summed in place.  Variant B's
+Variant A's messages are `PackedStats`, whose packed upper triangles are
+summed in place and unpacked once, when the round closes.  Variant B's
 R-factors are held as they arrive while the round is short, and summed as
 Grams RᵀR once it is tall, so the server never factors anything while it
 aggregates.  Either way the round's `RoundAggregate` carries its adds and
-its deletes as one `SufficientStats` each, which is what `ledger_apply`
-takes, and `Server.serve` reports every round as a `RoundReport`.
+its deletes as one dense `SufficientStats` each, which is what
+`ledger_apply` takes, and `Server.serve` reports every round as a
+`RoundReport`.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 
 from .client import ClientMessage, VARIANT_FULL, VARIANT_QR
 from .inverse import DowndateInfeasible, InverseState, audit_drift, init_from_ledger, smw_step
-from .kernels import DimensionMismatch, NotSPD, symmetric_eig
+from .kernels import DimensionMismatch, NotSPD, symmetric_eig, unpack_symmetric
 from .posterior import MatrixNormalPosterior, posterior_from_ledger, posterior_from_state
 from .stats import Ledger, SufficientStats, dtype_of, ledger_apply, ledger_init
 
@@ -119,12 +121,16 @@ class RoundFold:
     """One round's running aggregate, folded one client message at a time.
 
     Messages must arrive in strictly ascending client id; one that does not
-    raises OutOfOrder, and nothing is re-sorted.  Variant A's Grams and
-    every G and n are summed in place as each message arrives (the first
-    copied, the rest added with `+=`), so the fold holds one set of sums
-    however many clients report and keeps no message.  Variant B's
-    R-factors are held as blocks per side (add, delete) while the round's
-    rows, both sides together, are at most `rebuild_rows(d)`; `close` then
+    raises OutOfOrder, and nothing is re-sorted.  Variant A's packed Grams
+    and every G and n are summed in place as each message arrives (a side's
+    first copied, the rest added with `+=`), so the fold holds one set of
+    sums however many clients report and keeps no message.  A side of no
+    samples holds only zeros and is skipped.  Each entry of A's triangle
+    gets the same additions in the same client order as in dense d x d
+    sums, at half the bytes, and `close` unpacks each side's triangle once;
+    a side that no sample reached is zeros.  Variant B's R-factors are held
+    as blocks per side (add, delete) while the round's rows, both sides
+    together, are at most `rebuild_rows(d)`; `close` then
     stacks each side into the factor U and forms the Gram change as UᵀU.
     The message that takes the round over that limit turns the fold into
     Grams: each side becomes the sum of its blocks' RᵀR, in client order,
@@ -142,7 +148,8 @@ class RoundFold:
         self.n_plus = 0
         self.n_minus = 0
         self._dims: tuple[int, int] | None = None
-        self._sums: list[np.ndarray] = []  # S+, G+, S-, G- for A; G+, G- for B
+        self._dtype: np.dtype | None = None
+        self._sums: list[list | None] = [None, None]  # add then delete: [packed S, G] for A, [G] for B
         self._blocks: tuple[list, list] | None = ([], [])  # a short B round's R-factors, add then delete
         self._rows = 0  # R-factor rows folded, both sides
         self._grams: list[np.ndarray] = []  # a tall B round's S+, S-
@@ -151,7 +158,7 @@ class RoundFold:
         """Fold one message into the round."""
         if self.client_id is None:
             self.round, self.variant = msg.round, msg.variant
-            self._dims = (msg.add.d, msg.add.c)
+            self._dims, self._dtype = (msg.add.d, msg.add.c), msg.add.G.dtype
         elif msg.client_id <= self.client_id:
             raise OutOfOrder(f"client {msg.client_id} arrived after client {self.client_id}")
         elif msg.round != self.round:
@@ -165,14 +172,15 @@ class RoundFold:
                 raise DimensionMismatch(f"message dims {dims[0]}x{dims[1]} do not match {d}x{c}")
         if self.variant == VARIANT_QR:
             self._fold_factors(msg.add.R, msg.delete.R)
-            parts = (msg.add.G, msg.delete.G)
-        else:
-            parts = (msg.add.S, msg.add.G, msg.delete.S, msg.delete.G)
-        if self._sums:
-            for total, part in zip(self._sums, parts):
-                total += part
-        else:
-            self._sums = [part.copy() for part in parts]
+        for side, payload in enumerate((msg.add, msg.delete)):
+            if not payload.n:
+                continue
+            parts = (payload.G,) if self.variant == VARIANT_QR else (payload.S, payload.G)
+            if self._sums[side] is None:
+                self._sums[side] = [part.copy() for part in parts]
+            else:
+                for total, part in zip(self._sums[side], parts):
+                    total += part
         self.n_plus += msg.add.n
         self.n_minus += msg.delete.n
         self.scalars += msg.scalar_count
@@ -203,17 +211,20 @@ class RoundFold:
         """The round's aggregate; call once, after the round's last message."""
         if self._dims is None:
             raise ValueError("cannot aggregate an empty message list")
+        d, c = self._dims
+        # a side that no sample reached sums to zeros; G is the last of each side's sums
+        g_add, g_del = (np.zeros((d, c), self._dtype) if sums is None else sums[-1] for sums in self._sums)
         u_plus = u_minus = None
         if self.variant != VARIANT_QR:
-            s_add, g_add, s_del, g_del = self._sums
+            s_add, s_del = (
+                np.zeros((d, d), self._dtype) if sums is None else unpack_symmetric(sums[0], d) for sums in self._sums
+            )
+        elif self._blocks is None:
+            s_add, s_del = self._grams
         else:
-            g_add, g_del = self._sums
-            if self._blocks is None:
-                s_add, s_del = self._grams
-            else:
-                u_plus, u_minus = (np.vstack(held) for held in self._blocks)
-                s_add = u_plus.T @ u_plus
-                s_del = u_minus.T @ u_minus
+            u_plus, u_minus = (np.vstack(held) for held in self._blocks)
+            s_add = u_plus.T @ u_plus
+            s_del = u_minus.T @ u_minus
         return RoundAggregate(
             round=self.round,
             variant=self.variant,

@@ -15,12 +15,16 @@ OPENBLAS_NUM_THREADS=1), not across thread counts.
 
 Symmetry is settled where a matrix is made: numpy evaluates `X.T @ X` of
 one buffer as a symmetric product, bitwise symmetric, and sums and
-differences of such matrices stay so.  The Grams, Variant B's UᵀU of the
-round's folded R-factors, the inverse from a Cholesky factor, XᵀX with
-X = L⁻¹ in `inverse_from_factor`, and the SMW step's update T ∓ ZᵀZ are all
-formed this way, so nothing is symmetrized after the fact.  Cholesky and
-eigh read the lower triangle, so a product that is symmetric only up to
-rounding, such as the SMW capacitance U T Uᵀ, is passed to them as is.
+differences of such matrices stay so.  Variant B's UᵀU of the round's
+folded R-factors, the inverse from a Cholesky factor, XᵀX with X = L⁻¹ in
+`inverse_from_factor`, and the SMW step's update T ∓ ZᵀZ are all formed
+this way, so nothing is symmetrized after the fact.  A client's Gram
+(`packed_gram`) is its upper triangle alone, packed row by row, so it is
+symmetric by construction; packed Grams are summed as they are, and
+`unpack_symmetric` copies each entry to both of its places, never sums.
+Cholesky and eigh read the lower triangle, so a product that is symmetric
+only up to rounding, such as the SMW capacitance U T Uᵀ, is passed to them
+as is.
 
 Only numpy is used, not scipy: scipy is not a declared dependency, and
 importing `scipy.linalg` raised a process's peak resident memory from 26.8
@@ -37,6 +41,7 @@ one `np.linalg.solve` call.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -162,6 +167,52 @@ def thin_qr_rfactor(f) -> np.ndarray:
     signs[signs == 0] = 1
     # a flipped row's zeros would be -0.0; triu rewrites them as the +0.0 a packed frame restores
     return np.triu(signs[:, None] * r)
+
+
+@lru_cache(maxsize=16)
+def upper_mask(d: int) -> np.ndarray:
+    """Read-only d x d boolean mask of the upper triangle, cached per d.
+
+    A boolean gather takes the masked entries row by row, so `m[mask]` is
+    m's packed upper triangle, and `m[mask[:r]]` the upper trapezoid of an
+    r x d matrix: one mask per d serves every packed S and R factor.
+    """
+    mask = np.triu(np.ones((d, d), dtype=bool))
+    mask.flags.writeable = False
+    return mask
+
+
+# A batch of at most this many rows forms its Gram as a general product.
+# numpy's symmetric product computes one triangle and then copies it into
+# the other one entry at a time; with one OpenBLAS thread, that copy costs
+# more than the general product's second triangle up to about 128 rows at
+# d=64 and d=256 (d=256, f64: 0.10 against 0.25 ms at 2 rows, 0.29 against
+# 0.34 ms at 64, a tie at 128, 1.0 against 0.7 ms at 256).
+GENERAL_PRODUCT_ROWS = 128
+
+
+def packed_gram(f: np.ndarray) -> np.ndarray:
+    """The upper triangle of FᵀF, row by row, in F's dtype: d(d+1)/2 entries.
+
+    Short batches take a general product (`np.dot` of Fᵀ with a copy of F,
+    which numpy does not recognise as symmetric; `@` takes a slower
+    non-BLAS loop at one row), tall ones numpy's symmetric product.  With
+    one OpenBLAS thread the general product gave `f.T @ f`'s upper triangle
+    bitwise at every power-of-two d from 1 to 1024 up to 256 rows, in f32
+    and f64; at other widths, such as d = 65 or 100 in f64, some entries
+    differ in the last place, each within the dot product's rounding bound.
+    """
+    gram = np.dot(f.T, f.copy()) if f.shape[0] <= GENERAL_PRODUCT_ROWS else f.T @ f
+    return gram[upper_mask(f.shape[1])]
+
+
+def unpack_symmetric(packed: np.ndarray, d: int) -> np.ndarray:
+    """The symmetric d x d matrix whose packed upper triangle is `packed`; each entry is copied, never summed."""
+    mask = upper_mask(d)
+    m = np.empty((d, d), dtype=packed.dtype)
+    m[mask] = packed
+    m.T[mask] = packed
+    return m
 
 
 def symmetric_eig(a):

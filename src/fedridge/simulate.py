@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .client import ClientStore, Sample
+from .client import ClientStore, read_only
 from .coordinator import Server
 from .kernels import DimensionMismatch, NotSPD, cholesky_spd, frobenius_norm
 from .posterior import MatrixNormalPosterior, kl_matrix_normal
@@ -496,14 +496,17 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
             f"scenario says d={scenario.d} and c={scenario.c}"
         )
     variants = SCENARIO_VARIANTS[scenario.variant]
+    # every client store shares these rows; a writable matrix is copied here once
+    features, labels = read_only(features), read_only(labels)
     test_f = features[scenario.n_train :].astype(np.float64)
     test_classes = labels[scenario.n_train :].argmax(axis=1)
     servers = {
         v: Server(v, scenario.d, scenario.c, scenario.gamma, scenario.precision, scenario.rank, scenario.reset_every)
         for v in variants
     }
-    stores = {v: {k: ClientStore(k, scenario.d, scenario.c, scenario.precision) for k in range(scenario.clients)}
-              for v in variants}
+    stores = {
+        v: {k: ClientStore(k, features, labels, scenario.precision) for k in range(scenario.clients)} for v in variants
+    }
     owner = np.full(scenario.n, -1, dtype=np.int64)  # retaining client per sample id, -1 if none
     gram = RetainedGram(features, labels)
     records: list[RoundMetrics] = []
@@ -550,7 +553,7 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
             # a generator: each message is formed only when the server folds it
             messages = (
                 stores[v][ev.client]
-                .ingest(Sample(i, features[i], labels[i]) for i in ev.add)
+                .ingest(ev.add)
                 .make_round_message(spec.round, ev.add, ev.delete, server.wire_variant)
                 for ev in events
             )

@@ -18,7 +18,6 @@ import numpy as np
 
 from .client import (
     ClientStore,
-    Sample,
     VARIANT_FULL,
     VARIANT_QR,
     variant_a_payload_scalars,
@@ -329,18 +328,13 @@ def _comm_accounting(seed):
         d = int(rng.integers(1, 9))
         c = int(rng.integers(1, 4))
         n_add = int(rng.integers(0, 6))
-        store = ClientStore(0, d, c, "f64")
-        store.ingest(
-            Sample(i, rng.standard_normal(d), rng.standard_normal(c)) for i in range(n_add)
-        )
+        features, labels = rng.standard_normal((n_add, d)), rng.standard_normal((n_add, c))
+        store = ClientStore(0, features, labels, "f64").ingest(range(n_add))
         msg = store.make_round_message(1, list(range(n_add)), [], VARIANT_FULL)
         # the empty delete side is a header-only frame
         expect = variant_a_payload_scalars(n_add, d, c) + variant_a_payload_scalars(0, d, c)
         gaps.append(abs(msg.scalar_count - expect))
-        store_b = ClientStore(1, d, c, "f64")
-        store_b.ingest(
-            Sample(i, rng.standard_normal(d), rng.standard_normal(c)) for i in range(n_add)
-        )
+        store_b = ClientStore(1, features, labels, "f64").ingest(range(n_add))
         msg_b = store_b.make_round_message(1, list(range(n_add)), [], VARIANT_QR)
         expect_b = variant_b_payload_scalars(n_add, d, c) + variant_b_payload_scalars(0, d, c)
         gaps.append(abs(msg_b.scalar_count - expect_b))

@@ -17,8 +17,9 @@ Message frames ("FCUL", version 2)
     header fixes the payload's size (`client.payload_scalars`).  A frame of
     n = 0 samples is the header alone and carries no scalar.  Any other
     frame is followed by its payload matrices row-major in the declared
-    precision: a full-statistics frame carries a `SufficientStats`, S
-    packed as its upper triangle and then G, d(d+1)/2 + dc scalars; a QR
+    precision: a full-statistics frame carries a `PackedStats`, whose S is
+    already its packed upper triangle, and then G, d(d+1)/2 + dc scalars,
+    so encoding is a concatenation and decoding a split of the buffer; a QR
     frame carries a `QrPayload`, its R factor of r = min(n, d) rows packed
     as its upper trapezoid and then G, r d - r(r-1)/2 + dc scalars, which
     is never more than a full-statistics frame and as much once n >= d.
@@ -27,8 +28,9 @@ Message frames ("FCUL", version 2)
 
     The encoder raises WireError for a payload it cannot carry exactly: n
     not an integer in [0, 2^32), a zero-sample payload with a nonzero entry,
-    or an R factor whose row count is not min(n, d) or that has a nonzero
-    entry below its diagonal.  The decoder rejects any other version
+    a packed S of other than d(d+1)/2 entries, or an R factor whose row
+    count is not min(n, d) or that has a nonzero entry below its diagonal.
+    The decoder rejects any other version
     (version 1 carried n as a trailing float), d < 1, c < 1 and any
     non-finite scalar, and decodes a zero-sample frame as the read-only
     zeros a client forms for an empty batch (`client.empty_payload`).
@@ -43,22 +45,21 @@ Feature files ("FFUR", version 1)
 
     with dtype 4 = float32 / 8 = float64, followed by the n x d feature
     matrix row-major, then the n x c label matrix row-major.  The reader
-    rejects a file holding any non-finite feature or label.  Feature files
-    keep their own version: a new message-frame version leaves them as
-    they are.
+    rejects a file holding any non-finite feature or label, and returns
+    both matrices read-only.  Feature files keep their own version: a new
+    message-frame version leaves them as they are.
 """
 
 from __future__ import annotations
 
 import numbers
 import struct
-from functools import lru_cache
 
 import numpy as np
 
-from .client import ClientMessage, QrPayload, VARIANT_FULL, VARIANT_QR, empty_payload
+from .client import ClientMessage, PackedStats, QrPayload, VARIANT_FULL, VARIANT_QR, empty_payload
 from .client import variant_a_payload_scalars, variant_b_payload_scalars
-from .stats import SufficientStats
+from .kernels import upper_mask
 
 MESSAGE_MAGIC = b"FCUL"
 FEATURE_MAGIC = b"FFUR"
@@ -82,40 +83,17 @@ class WireError(Exception):
     """Malformed or truncated binary frame."""
 
 
-@lru_cache(maxsize=16)
-def _upper_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat row-major indices of a d x d matrix's upper triangle, row by row, and of their mirror images.
-
-    The first r d - r(r-1)/2 of them are the upper trapezoid of the first
-    r rows, and an r x d matrix has the flat indices of those rows, so one
-    cached pair per d serves S and every R factor at that d.
-    """
-    rows, cols = np.triu_indices(d)
-    upper, mirror = rows * d + cols, cols * d + rows
-    upper.flags.writeable = mirror.flags.writeable = False
-    return upper, mirror
-
-
 def pack_upper(m: np.ndarray) -> np.ndarray:
-    """Upper trapezoid of an r x d matrix with r <= d, row-major; S's upper triangle when r = d."""
+    """Upper trapezoid of an r x d matrix with r <= d, row by row."""
     r, d = m.shape
-    return m.reshape(-1)[_upper_indices(d)[0][: r * d - r * (r - 1) // 2]]
+    return m[upper_mask(d)[:r]]
 
 
 def unpack_upper(packed: np.ndarray, r: int, d: int) -> np.ndarray:
     """The r x d matrix, zero below its diagonal, whose upper trapezoid is `packed`."""
-    m = np.zeros(r * d, dtype=packed.dtype)
-    m[_upper_indices(d)[0][: packed.size]] = packed
-    return m.reshape(r, d)
-
-
-def unpack_symmetric(packed: np.ndarray, d: int) -> np.ndarray:
-    """The symmetric matrix whose upper triangle is `packed`, each entry copied, never summed."""
-    upper, mirror = _upper_indices(d)
-    m = np.empty(d * d, dtype=packed.dtype)
-    m[upper] = packed
-    m[mirror] = packed
-    return m.reshape(d, d)
+    m = np.zeros((r, d), dtype=packed.dtype)
+    m[upper_mask(d)[:r]] = packed
+    return m
 
 
 def _encode_frame(payload, variant: str, precision: str, round_index: int, client_id: int) -> bytes:
@@ -124,8 +102,10 @@ def _encode_frame(payload, variant: str, precision: str, round_index: int, clien
         raise WireError(f"dimensions d={payload.d}, c={payload.c} above {MAX_DIM}")
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 0 <= n <= MAX_COUNT:
         raise WireError(f"sample count {n!r} is not an integer in [0, 2^32)")
-    if variant == VARIANT_FULL and isinstance(payload, SufficientStats):
+    if variant == VARIANT_FULL and isinstance(payload, PackedStats):
         matrix = payload.S
+        if matrix.shape != (payload.d * (payload.d + 1) // 2,):
+            raise WireError(f"a packed S at d={payload.d} has d(d+1)/2 entries, not shape {matrix.shape}")
     elif variant == VARIANT_QR and isinstance(payload, QrPayload):
         matrix, rows = payload.R, min(n, payload.d)
         if matrix.shape[0] != rows:
@@ -150,7 +130,8 @@ def _encode_frame(payload, variant: str, precision: str, round_index: int, clien
             raise WireError("a zero-sample payload has a nonzero entry")
         return header
     dtype = _CODE_DTYPE[_PRECISION_CODE[precision]]
-    return header + np.concatenate([pack_upper(matrix), payload.G.reshape(-1)]).astype(dtype).tobytes()
+    packed = matrix if variant == VARIANT_FULL else pack_upper(matrix)
+    return header + np.concatenate([packed, payload.G.reshape(-1)]).astype(dtype, copy=False).tobytes()
 
 
 def _decode_frame(buf: bytes, offset: int):
@@ -183,7 +164,7 @@ def _decode_frame(buf: bytes, offset: int):
     tri = count - d * c
     g = scalars[tri:].reshape(d, c).copy()
     if variant == VARIANT_FULL:
-        payload = SufficientStats(unpack_symmetric(scalars[:tri], d), g, n)
+        payload = PackedStats(scalars[:tri].copy(), g, n)
     else:
         payload = QrPayload(unpack_upper(scalars[:tri], min(n, d), d), g, n)
     return payload, meta, end + nbytes
@@ -246,4 +227,6 @@ def read_feature_file(path) -> tuple[np.ndarray, np.ndarray, str]:
     labels = labels.reshape(n, c).copy()
     if not (np.isfinite(features).all() and np.isfinite(labels).all()):
         raise WireError("non-finite feature or label")
+    # read-only, so client stores share these rows instead of copying them
+    features.flags.writeable = labels.flags.writeable = False
     return features, labels, _CODE_PRECISION[prec_code]

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from fedridge.client import ClientStore, Sample, VARIANT_FULL, VARIANT_QR, payload_scalars
+from fedridge.client import ClientStore, VARIANT_FULL, VARIANT_QR, payload_scalars
 from fedridge.coordinator import account_round, aggregate, run_round_a
 from fedridge.kernels import frobenius_norm, rel_frobenius_dev
 from fedridge.posterior import posterior_from_ledger, psd_order_check
@@ -181,8 +181,7 @@ def test_criterion_08_bayesian_certificate():
     features = rng.standard_normal((n, d)).astype(np.float32)
     labels = np.zeros((n, c), dtype=np.float32)
     labels[np.arange(n), rng.integers(0, c, n)] = 1.0
-    store = ClientStore(0, d, c, "f64")
-    store.ingest(Sample(i, features[i], labels[i]) for i in range(n))
+    store = ClientStore(0, features, labels, "f64").ingest(range(n))
     ledger = ledger_init(d, c)
     ledger, _ = run_round_a(ledger, aggregate([store.make_round_message(1, list(range(n)), [], VARIANT_FULL)]))
     retained = set(range(n))
@@ -206,7 +205,7 @@ def test_criterion_08_bayesian_certificate():
                 msg = store.make_round_message(rnd, [], [i], VARIANT_FULL)
                 retained.discard(i)
             else:
-                store.ingest([Sample(i, features[i], labels[i])])
+                store.ingest([i])
                 msg = store.make_round_message(rnd, [i], [], VARIANT_FULL)
                 retained.add(i)
             ledger, _ = run_round_a(ledger, aggregate([msg]))
@@ -253,8 +252,7 @@ def test_criterion_10_communication_accounting():
     labels = rng.standard_normal((r, c))
     totals = {}
     for variant in (VARIANT_FULL, VARIANT_QR):
-        store = ClientStore(0, d, c)
-        store.ingest(Sample(i, features[i], labels[i]) for i in range(r))
+        store = ClientStore(0, features, labels).ingest(range(r))
         msg = store.make_round_message(1, list(range(r)), [], variant)
         # the count rides in the frame header; the empty delete side is a header-only frame
         if variant == VARIANT_FULL:

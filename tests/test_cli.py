@@ -341,6 +341,7 @@ def test_run_refuses_a_non_finite_feature_file_exit_3(tmp_path, capsys, row, val
     # rows 0..239 are the training split, 240..299 the test split
     features, scenario = _gen(tmp_path)
     x, y, _ = read_feature_file(features)
+    x = x.copy()  # the reader's arrays are read-only
     x[0 if row == "training" else 250, 3] = value
     write_feature_file(features, x, y)
     with pytest.raises(WireError, match="non-finite"):

@@ -5,7 +5,7 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
-from fedridge.client import ClientStore, Sample, VARIANT_FULL, VARIANT_QR, payload_scalars
+from fedridge.client import ClientStore, VARIANT_FULL, VARIANT_QR, payload_scalars
 from fedridge.coordinator import (
     MixedRound,
     MixedVariant,
@@ -20,15 +20,18 @@ from fedridge.coordinator import (
     run_round_b,
 )
 from fedridge.inverse import init_from_ledger
-from fedridge.kernels import rel_frobenius_dev, spd_inverse, spectral_norm
+from fedridge.kernels import rel_frobenius_dev, spd_inverse, spectral_norm, unpack_symmetric
 from fedridge.simulate import RetainedGram, oracle_retrain
 from fedridge.stats import SufficientStats, dtype_of, ledger_init, regularized_gram, stats_from_batch
 
 
 def _store_with(client_id, ids, features, labels, d, c, precision="f64"):
-    store = ClientStore(client_id, d, c, precision)
-    store.ingest(Sample(i, features[i], labels[i]) for i in ids)
-    return store
+    return ClientStore(client_id, features, labels, precision).ingest(ids)
+
+
+def _idle_store(client_id, d, c):
+    """A store over no rows: every payload it forms is empty."""
+    return ClientStore(client_id, np.zeros((0, d)), np.zeros((0, c)))
 
 
 def _round_one_messages(variant, features, labels, parts, d, c):
@@ -42,10 +45,8 @@ def _round_one_messages(variant, features, labels, parts, d, c):
 def test_aggregate_sums_clients():
     msgs = []
     for k in range(2):
-        store = ClientStore(k, 2, 1)
-        store.ingest([Sample(10 * k, np.array([1.0, 0.0]), np.array([1.0])),
-                      Sample(10 * k + 1, np.array([0.0, 1.0]), np.array([1.0]))])
-        msgs.append(store.make_round_message(1, [10 * k, 10 * k + 1], [], VARIANT_FULL))
+        store = ClientStore(k, np.eye(2), np.ones((2, 1))).ingest([0, 1])
+        msgs.append(store.make_round_message(1, [0, 1], [], VARIANT_FULL))
     agg = aggregate(msgs)
     np.testing.assert_array_equal(agg.add.S, 2 * np.eye(2))
     np.testing.assert_array_equal(agg.delete.S, np.zeros((2, 2)))
@@ -66,7 +67,7 @@ def test_aggregated_and_ledger_grams_are_bitwise_symmetric(variant, precision):
     round_two = []
     for k, store in enumerate(stores):
         adds = list(range(120 + 10 * k, 130 + 10 * k))
-        store.ingest(Sample(i, features[i], labels[i]) for i in adds)
+        store.ingest(adds)
         round_two.append(store.make_round_message(2, adds, list(parts[k])[::3], variant))
     ledger = ledger_init(d, c, 1.0, precision)
     for messages in (round_one, round_two):
@@ -91,7 +92,7 @@ def _two_round_messages(variant, precision, d=9, c=3, adds=10, stride=2):
     messages = []
     for k, store in enumerate(stores):
         new = list(range(60 + 10 * k, 60 + 10 * k + adds))
-        store.ingest(Sample(i, features[i], labels[i]) for i in new)
+        store.ingest(new)
         messages.append(store.make_round_message(2, new, list(parts[k])[::stride], variant))
     return messages
 
@@ -120,6 +121,34 @@ def test_fold_message_by_message_is_bitwise_the_list_aggregate(variant, precisio
             assert a.dtype == b.dtype == dtype_of(precision)
             assert a.tobytes() == b.tobytes() and a.shape == b.shape
         assert fold.comm(precision) == account_round(messages, precision)
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_a_fold_of_packed_triangles_equals_the_sum_of_dense_grams(precision):
+    # the reference is the dense fold: every payload unpacked, d x d sums in client order;
+    # each entry gets the same additions in the same order, so only a zero's sign could differ
+    messages = _two_round_messages(VARIANT_FULL, precision, **_SHORT)
+    # an idle client and one that only adds: their zero-sample sides are skipped
+    d, c = messages[0].add.d, messages[0].add.c
+    features = np.random.default_rng(34).standard_normal((2, d))
+    adder = ClientStore(7, features, features[:, :c], precision).ingest([0, 1])
+    messages += [_idle_store(5, d, c).make_round_message(2, [], [], VARIANT_FULL),
+                 adder.make_round_message(2, [0, 1], [], VARIANT_FULL)]
+    agg = aggregate(messages)
+    for side in ("add", "delete"):
+        payloads = [getattr(m, side) for m in sorted(messages, key=lambda m: m.client_id)]
+        dense = np.zeros((d, d), dtype=dtype_of(precision))
+        for p in payloads:
+            dense += unpack_symmetric(p.S, d)
+        got = getattr(agg, side)
+        assert got.S.dtype == dense.dtype and np.array_equal(got.S, dense)
+        assert got.n == sum(p.n for p in payloads)
+    # a side that no sample reached is zeros of the round's precision
+    empty = aggregate([adder.make_round_message(3, [], [], VARIANT_FULL),
+                       _idle_store(8, d, c).make_round_message(3, [], [], VARIANT_FULL)])
+    for side in (empty.add, empty.delete):
+        assert side.S.shape == (d, d) and side.G.shape == (d, c) and side.n == 0
+        assert side.S.dtype == dtype_of(precision) and not side.S.any() and not side.G.any()
 
 
 @pytest.mark.parametrize("variant", [VARIANT_FULL, VARIANT_QR])
@@ -207,14 +236,11 @@ def test_fold_of_no_messages_cannot_close():
 
 
 def test_aggregate_rejects_mixed_rounds_and_variants():
-    store1 = ClientStore(0, 2, 1)
-    m1 = store1.make_round_message(1, [], [], VARIANT_FULL)
-    store2 = ClientStore(1, 2, 1)
-    m2 = store2.make_round_message(2, [], [], VARIANT_FULL)
+    m1 = _idle_store(0, 2, 1).make_round_message(1, [], [], VARIANT_FULL)
+    m2 = _idle_store(1, 2, 1).make_round_message(2, [], [], VARIANT_FULL)
     with pytest.raises(MixedRound):
         aggregate([m1, m2])
-    store3 = ClientStore(2, 2, 1)
-    m3 = store3.make_round_message(1, [], [], VARIANT_QR)
+    m3 = _idle_store(2, 2, 1).make_round_message(1, [], [], VARIANT_QR)
     with pytest.raises(MixedVariant):
         aggregate([m1, m3])
 
@@ -222,8 +248,8 @@ def test_aggregate_rejects_mixed_rounds_and_variants():
 def test_aggregate_rejects_dimension_mismatch():
     from fedridge.kernels import DimensionMismatch
 
-    a = ClientStore(0, 2, 1).make_round_message(1, [], [], VARIANT_FULL)
-    b = ClientStore(1, 3, 1).make_round_message(1, [], [], VARIANT_FULL)
+    a = _idle_store(0, 2, 1).make_round_message(1, [], [], VARIANT_FULL)
+    b = _idle_store(1, 3, 1).make_round_message(1, [], [], VARIANT_FULL)
     with pytest.raises(DimensionMismatch):
         aggregate([a, b])
 
@@ -251,8 +277,8 @@ def test_aggregate_rejects_dimension_mismatch_qr():
     from fedridge.client import ClientMessage, QrPayload
     from fedridge.kernels import DimensionMismatch
 
-    a = ClientStore(0, 2, 1).make_round_message(1, [], [], VARIANT_QR)
-    b = ClientStore(1, 3, 1).make_round_message(1, [], [], VARIANT_QR)
+    a = _idle_store(0, 2, 1).make_round_message(1, [], [], VARIANT_QR)
+    b = _idle_store(1, 3, 1).make_round_message(1, [], [], VARIANT_QR)
     with pytest.raises(DimensionMismatch):
         aggregate([a, b])
     # a mismatched delete payload, R width or G column count, is caught too
@@ -342,7 +368,7 @@ def test_run_round_a_noop_is_bitwise_stable():
     store = _store_with(0, range(9), features, labels, d, c)
     ledger = ledger_init(d, c)
     ledger, w1 = run_round_a(ledger, aggregate([store.make_round_message(1, list(range(9)), [], VARIANT_FULL)]))
-    idle = ClientStore(0, d, c)
+    idle = _idle_store(0, d, c)
     ledger, w2 = run_round_a(ledger, aggregate([idle.make_round_message(2, [], [], VARIANT_FULL)]))
     assert np.array_equal(w1, w2)
 
@@ -478,8 +504,8 @@ def test_burst_delete_then_addback_round_trip():
         assert isinstance(info.reset, bool)  # a numpy bool would print as False in metrics.csv
         rnd += 1
     for i in order[::-1]:  # 200 add-backs
-        store_a.ingest([Sample(int(i), features[int(i)], labels[int(i)])])
-        store_b.ingest([Sample(int(i), features[int(i)], labels[int(i)])])
+        store_a.ingest([int(i)])
+        store_b.ingest([int(i)])
         led_a, w_a = run_round_a(led_a, aggregate([store_a.make_round_message(rnd, [int(i)], [], VARIANT_FULL)]))
         led_b, state, w_b, _ = run_round_b(led_b, state, aggregate([store_b.make_round_message(rnd, [int(i)], [], VARIANT_QR)]))
         rnd += 1
@@ -626,12 +652,10 @@ def test_approx_reset_shares_the_ledger_factor(monkeypatch):
 def test_account_round_formulas():
     rng = np.random.default_rng(31)
     d, c = 4, 2
-    store = ClientStore(0, d, c)
-    store.ingest(Sample(i, rng.standard_normal(d), rng.standard_normal(c)) for i in range(3))
-    msg = store.make_round_message(1, [0, 1, 2], [], VARIANT_FULL)
+    features, labels = rng.standard_normal((3, d)), rng.standard_normal((3, c))
+    msg = ClientStore(0, features, labels).ingest(range(3)).make_round_message(1, [0, 1, 2], [], VARIANT_FULL)
     assert payload_scalars(msg.add) == 18  # d(d+1)/2 + dc
-    store_b = ClientStore(1, d, c)
-    store_b.ingest(Sample(i, rng.standard_normal(d), rng.standard_normal(c)) for i in range(2))
+    store_b = ClientStore(1, features, labels).ingest(range(2))
     msg_b = store_b.make_round_message(1, [0, 1], [], VARIANT_QR)
     assert payload_scalars(msg_b.add) == 15  # r*d - r(r-1)/2 + dc with r=2
     rec = account_round([msg], "f64")

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
-from fedridge.client import ClientStore, Sample
+from fedridge.client import ClientStore
 from fedridge.coordinator import Server
 from fedridge.kernels import spd_inverse, spectral_norm
 from fedridge.simulate import RetainedGram, oracle_retrain, safe_rel_dev
@@ -29,7 +29,7 @@ class ServerMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.servers = [Server(v, D, C, GAMMA, "f64", rank=2, reset_every=3) for v in ("A", "B", "approx")]
-        self.stores = [[ClientStore(k, D, C) for k in range(CLIENTS)] for _ in self.servers]
+        self.stores = [[ClientStore(k, FEATURES, LABELS) for k in range(CLIENTS)] for _ in self.servers]
         self.retained = np.zeros(N, bool)
         self.added = np.zeros(N, bool)  # ever added: an added id that is not retained was deleted
         self.adds: set[int] = set()  # staged for the next round
@@ -70,7 +70,7 @@ class ServerMachine(RuleBasedStateMachine):
         for server, stores in zip(self.servers, self.stores):
             w, report, _ = server.serve(
                 stores[k]
-                .ingest(Sample(i, FEATURES[i], LABELS[i]) for i in adds)
+                .ingest(adds)
                 .make_round_message(self.round, adds, deletes, server.wire_variant)
                 for k, adds, deletes in events
             )

@@ -434,6 +434,32 @@ def test_run_scenario_folds_each_message_once_as_it_arrives(monkeypatch):
             assert rec.variants[variant].scalars == sum(comm.total_scalars for _, comm in arrivals)
 
 
+def test_run_scenario_shares_the_read_only_rows_of_a_feature_file(monkeypatch, tmp_path):
+    from fedridge.wire import read_feature_file, write_feature_file
+
+    stores = []
+
+    class Recording(simulate.ClientStore):
+        def __post_init__(self):
+            super().__post_init__()
+            stores.append(self)
+
+    monkeypatch.setattr(simulate, "ClientStore", Recording)
+    data = gen_synthetic(47, 300, 8, 3, 2.0)
+    parts = dirichlet_partition(47, data.classes[: data.n_train], 4, 0.5)
+    scenario = _scenario(data, parts, schedule_churn(47, parts, rounds=2, adds_per_round=4, deletes_per_round=4))
+    write_feature_file(tmp_path / "features.bin", data.features, data.labels, "f32")
+    features, labels, _ = read_feature_file(tmp_path / "features.bin")
+    run_scenario(scenario, features, labels)
+    assert len(stores) == 2 * len(parts)
+    assert all(np.shares_memory(s.features, features) and np.shares_memory(s.labels, labels) for s in stores)
+    # a writable matrix is copied once, and the copy is shared by every store
+    stores.clear()
+    run_scenario(scenario, data.features, data.labels)
+    assert not np.shares_memory(stores[0].features, data.features)
+    assert all(s.features is stores[0].features and s.labels is stores[0].labels for s in stores)
+
+
 def _b_churn(variant="both"):
     # each churn round folds at most 4 + 2 factor rows, within rebuild_rows(12) = 6, so B
     # serves it by SMW steps; round 1 is tall and rebuilt

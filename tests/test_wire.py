@@ -8,16 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedridge.client import ClientStore, Sample, VARIANT_FULL, VARIANT_QR, payload_scalars
+from fedridge.client import ClientStore, PackedStats, VARIANT_FULL, VARIANT_QR, empty_payload, payload_scalars
+from fedridge.kernels import packed_gram, unpack_symmetric, upper_mask
 from fedridge.wire import (
     MAX_COUNT,
     WireError,
-    _upper_indices,
     decode_message,
     encode_message,
     pack_upper,
     read_feature_file,
-    unpack_symmetric,
     unpack_upper,
     write_feature_file,
 )
@@ -25,11 +24,9 @@ from fedridge.wire import (
 
 def _message(variant, d=3, c=2, n_add=4, n_del=2, precision="f64"):
     rng = np.random.default_rng(0)
-    store = ClientStore(9, d, c, precision)
-    store.ingest(Sample(i, rng.standard_normal(d), rng.standard_normal(c)) for i in range(n_add))
-    store.make_round_message(1, list(range(n_add)), [], variant)
-    store.ingest(Sample(100 + i, rng.standard_normal(d), rng.standard_normal(c)) for i in range(2))
-    return store.make_round_message(5, [100, 101], list(range(n_del)), variant)
+    store = ClientStore(9, rng.standard_normal((102, d)), rng.standard_normal((102, c)), precision)
+    store.ingest(range(n_add)).make_round_message(1, list(range(n_add)), [], variant)
+    return store.ingest([100, 101]).make_round_message(5, [100, 101], list(range(n_del)), variant)
 
 
 def test_pack_unpack_symmetric():
@@ -41,7 +38,7 @@ def test_pack_unpack_symmetric():
         assert packed.shape == (d * (d + 1) // 2,)
         np.testing.assert_array_equal(packed, s[np.triu_indices(d)])
         assert unpack_symmetric(packed, d).tobytes() == s.tobytes()
-    # an R factor's trapezoid, r < d and r = d, and S share one cached index array per d
+    # an R factor's trapezoid, r < d and r = d, and S share one cached mask per d
     for r, d in ((0, 5), (2, 5), (5, 5), (1, 1), (0, 1)):
         rf = np.triu(rng.standard_normal((r, d)))
         packed = pack_upper(rf)
@@ -49,7 +46,39 @@ def test_pack_unpack_symmetric():
         np.testing.assert_array_equal(packed, rf[np.triu_indices(r, m=d)])
         got = unpack_upper(packed, r, d)
         assert got.shape == (r, d) and got.tobytes() == rf.tobytes()
-    assert _upper_indices(5) is _upper_indices(5)
+    assert upper_mask(5) is upper_mask(5) and not upper_mask(5).flags.writeable
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize(
+    "d, k", [(d, k) for d in (1, 2, 64, 65, 256) for k in sorted({1, 2, d // 2, d, 3 * d} - {0})]
+)
+def test_packed_gram_is_the_gram_and_its_frame_round_trips_bitwise(d, k, precision):
+    # both sides of the general/symmetric product rule, at even and odd d
+    dtype = np.dtype(np.float32 if precision == "f32" else np.float64)
+    rng = np.random.default_rng(d * 1000 + k)
+    f = rng.standard_normal((k, d)).astype(dtype)
+    packed = packed_gram(f)
+    assert packed.dtype == dtype and packed.shape == (d * (d + 1) // 2,)
+    s = unpack_symmetric(packed, d)
+    assert np.array_equal(s, s.T)
+    # each entry is a k-term dot product: |error| <= γ_k |F|ᵀ|F| with γ_k = k u / (1 - k u)
+    # (Higham, Accuracy and Stability, 2nd ed., eq. 3.5); the float64 reference adds at most as much
+    u = np.finfo(dtype).eps / 2
+    f64 = f.astype(np.float64)
+    bound = 2 * (k * u / (1 - k * u)) * (np.abs(f64).T @ np.abs(f64))
+    assert (np.abs(s - f64.T @ f64) <= bound).all()
+    g = rng.standard_normal((d, 3)).astype(dtype)
+    msg = dataclasses.replace(
+        _message(VARIANT_FULL, d=d, c=3, precision=precision),
+        add=PackedStats(packed, g, k),
+        delete=empty_payload(VARIANT_FULL, d, 3, dtype),
+    )
+    buf = encode_message(msg, precision)
+    # the add frame, then the header-only delete frame
+    assert len(buf) == 28 + dtype.itemsize * (d * (d + 1) // 2 + d * 3) + 28
+    decoded, _, _ = decode_message(buf)
+    assert decoded.add.S.tobytes() == packed.tobytes() and decoded.add.G.tobytes() == g.tobytes()
 
 
 @pytest.mark.parametrize("variant", [VARIANT_FULL, VARIANT_QR])
@@ -116,9 +145,8 @@ def test_frame_header_layout():
 
 
 def test_little_endian_on_wire():
-    store = ClientStore(0, 1, 1, "f64")
-    store.ingest([Sample(0, np.array([2.0]), np.array([0.0]))])
-    msg = store.make_round_message(1, [0], [], VARIANT_FULL)
+    store = ClientStore(0, np.array([[2.0]]), np.array([[0.0]]), "f64")
+    msg = store.ingest([0]).make_round_message(1, [0], [], VARIANT_FULL)
     buf = encode_message(msg, "f64")
     # first payload scalar of the add frame is S[0,0] = 4.0
     assert struct.unpack_from("<d", buf, 28)[0] == 4.0
@@ -145,10 +173,14 @@ def test_decode_rejects_bad_sample_count(precision, count):
 def test_stats_frame_with_a_diagonal_near_the_float32_limit_round_trips_bitwise():
     # 3e38 is finite in float32, but mirroring S by S + Sᵀ and halving the diagonal overflowed it
     msg = _message(VARIANT_FULL, precision="f32")
-    s = msg.add.S.copy()
+    s = unpack_symmetric(msg.add.S, 3)
     np.fill_diagonal(s, 3e38)
-    decoded, _, _ = decode_message(encode_message(dataclasses.replace(msg, add=dataclasses.replace(msg.add, S=s)), "f32"))
-    assert decoded.add.S.dtype == s.dtype and decoded.add.S.tobytes() == s.tobytes()
+    packed = s[upper_mask(3)]
+    decoded, _, _ = decode_message(
+        encode_message(dataclasses.replace(msg, add=dataclasses.replace(msg.add, S=packed)), "f32")
+    )
+    assert decoded.add.S.dtype == s.dtype and decoded.add.S.tobytes() == packed.tobytes()
+    assert unpack_symmetric(decoded.add.S, 3).tobytes() == s.tobytes()
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
@@ -157,7 +189,7 @@ def test_stats_frame_with_a_diagonal_near_the_float32_limit_round_trips_bitwise(
 def test_decode_rejects_a_non_finite_payload_scalar(precision, variant, field, value):
     msg = _message(variant, precision=precision)
     part = getattr(msg.delete, field).copy()
-    part[0, -1] = value  # in S's upper triangle, which the frame carries
+    part.flat[part.shape[-1] - 1] = value  # the last entry of R's or G's first row, or of packed S
     bad = dataclasses.replace(msg, delete=dataclasses.replace(msg.delete, **{field: part}))
     with pytest.raises(WireError, match="non-finite"):
         decode_message(encode_message(bad, precision))
@@ -280,7 +312,8 @@ def test_decode_refuses_other_frame_versions():
         pytest.param(VARIANT_QR, {"n": 3}, "rows", id="B-too-few-rows"),  # 3 samples at d = 3 need 3 rows
         pytest.param(VARIANT_QR, {"n": 1}, "rows", id="B-too-many-rows"),
         pytest.param(VARIANT_QR, {"R": np.ones((2, 3))}, "below its diagonal", id="B-below-diagonal"),
-        pytest.param(VARIANT_FULL, {"S": np.broadcast_to(0.0, (2**13 + 1,) * 2)}, "above", id="A-d-past-max"),
+        pytest.param(VARIANT_FULL, {"G": np.broadcast_to(0.0, (2**13 + 1, 2))}, "above", id="A-d-past-max"),
+        pytest.param(VARIANT_FULL, {"S": np.zeros((3, 3))}, r"d\(d\+1\)/2", id="A-S-not-packed"),
     ],
 )
 def test_encode_refuses_what_a_frame_cannot_carry_exactly(variant, changes, match):
@@ -291,7 +324,7 @@ def test_encode_refuses_what_a_frame_cannot_carry_exactly(variant, changes, matc
 
 
 def test_empty_payload_round_trip():
-    store = ClientStore(3, 4, 2, "f64")
+    store = ClientStore(3, np.zeros((0, 4)), np.zeros((0, 2)), "f64")
     msg = store.make_round_message(2, [], [], VARIANT_QR)
     decoded, _, _ = decode_message(encode_message(msg, "f64"))
     assert decoded.add.R.shape == (0, 4)
@@ -303,9 +336,9 @@ def test_empty_stats_payload_is_read_only_zero_and_round_trips(precision):
     from fedridge.coordinator import account_round
 
     d, c = 6, 3
-    msg = ClientStore(2, d, c, precision).make_round_message(1, [], [], VARIANT_FULL)
+    msg = ClientStore(2, np.zeros((0, d)), np.zeros((0, c)), precision).make_round_message(1, [], [], VARIANT_FULL)
     for payload in (msg.add, msg.delete):
-        assert payload.S.shape == (d, d) and payload.G.shape == (d, c) and payload.n == 0
+        assert payload.S.shape == (d * (d + 1) // 2,) and payload.G.shape == (d, c) and payload.n == 0
         assert not payload.S.any() and not payload.G.any()
         assert not payload.S.flags.writeable and not payload.G.flags.writeable
     buf = encode_message(msg, precision)
@@ -313,7 +346,7 @@ def test_empty_stats_payload_is_read_only_zero_and_round_trips(precision):
     decoded, prec, end = decode_message(buf)
     assert (prec, end) == (precision, len(buf))
     for got in (decoded.add, decoded.delete):
-        assert np.array_equal(got.S, np.zeros((d, d))) and np.array_equal(got.G, np.zeros((d, c)))
+        assert np.array_equal(got.S, np.zeros(d * (d + 1) // 2)) and np.array_equal(got.G, np.zeros((d, c)))
         assert got.n == 0
 
 
@@ -326,6 +359,8 @@ def test_feature_file_round_trip(tmp_path, precision):
     write_feature_file(path, f, y, precision)
     f2, y2, prec = read_feature_file(path)
     assert prec == precision
+    # read-only, so client stores can share the rows without copying them
+    assert not f2.flags.writeable and not y2.flags.writeable
     np.testing.assert_allclose(f2, f, rtol=0 if precision == "f32" else 1e-16)
     np.testing.assert_allclose(y2, y, rtol=0)
     raw = path.read_bytes()
@@ -356,12 +391,11 @@ def test_round_driven_through_wire_bytes():
 
     rng = np.random.default_rng(4)
     d, c = 5, 2
+    features, labels = rng.standard_normal((30, d)), rng.standard_normal((30, c))
     messages = []
     for k in range(3):
-        store = ClientStore(k, d, c, "f64")
         ids = list(range(10 * k, 10 * k + 6))
-        store.ingest(Sample(i, rng.standard_normal(d), rng.standard_normal(c)) for i in ids)
-        messages.append(store.make_round_message(1, ids, [], VARIANT_FULL))
+        messages.append(ClientStore(k, features, labels, "f64").ingest(ids).make_round_message(1, ids, [], VARIANT_FULL))
     stream = b"".join(encode_message(m, "f64") for m in messages)
     decoded = []
     offset = 0
