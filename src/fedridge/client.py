@@ -14,7 +14,7 @@ samples is all zeros and costs no uplink scalars.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,11 +27,11 @@ VARIANTS = (VARIANT_FULL, VARIANT_QR)
 
 
 class DuplicateId(Exception):
-    """A sample id was ingested twice while still retained."""
+    """An add named an id the client already retains, or named it twice."""
 
 
 class UnknownDeleteId(Exception):
-    """A deletion referenced an id the client does not retain."""
+    """A deletion named an id the client does not retain, or named it twice."""
 
 
 @dataclass(frozen=True)
@@ -130,10 +130,9 @@ def read_only(a) -> np.ndarray:
 class ClientStore:
     """One client's retained multiset: ids of rows of a shared feature and label matrix.
 
-    Ids move through three phases: ingested-but-unannounced (pending),
-    announced via an add payload (retained), and gone after a delete
-    payload.  A deleted id may be re-ingested later; that is how add-back
-    streams are expressed.
+    An id is retained from the message whose add payload announces it until
+    the message whose delete payload removes it.  A deleted id may be added
+    again later; that is how add-back streams are expressed.
 
     The matrices are kept through `read_only`: read-only ones are shared as
     given, and a writable one is copied once, so a caller's later writes to
@@ -146,7 +145,6 @@ class ClientStore:
     labels: np.ndarray  # n x c
     precision: str = "f64"
     retained: set = field(default_factory=set)
-    pending: set = field(default_factory=set)
 
     def __post_init__(self):
         self.features, self.labels = read_only(self.features), read_only(self.labels)
@@ -163,20 +161,9 @@ class ClientStore:
     def c(self) -> int:
         return self.labels.shape[1]
 
-    def ingest(self, ids: Iterable[int]) -> "ClientStore":
-        """Announce sample ids, rows of the feature matrix, for this round's add payload."""
-        for sid in ids:
-            if sid in self.retained:
-                raise DuplicateId(f"client {self.client_id} already retains id {sid}")
-            if not 0 <= sid < len(self.features):
-                raise IndexError(f"id {sid} is not a row of the {len(self.features)}-row feature matrix")
-            self.retained.add(sid)
-            self.pending.add(sid)
-        return self
-
-    def _payload(self, ids: list[int], variant: str) -> PackedStats | QrPayload:
+    def _payload(self, ids: Sequence[int], variant: str) -> PackedStats | QrPayload:
         dtype = dtype_of(self.precision)
-        if not ids:
+        if not len(ids):
             return empty_payload(variant, self.d, self.c, dtype)
         f, y = batch_arrays(self.features[ids], self.labels[ids], dtype)
         if variant == VARIANT_FULL:
@@ -189,21 +176,25 @@ class ClientStore:
     ) -> ClientMessage:
         """Form this client's message for one round and update the store.
 
-        Additions must have been ingested (and not yet announced) this
-        round; deletions must reference retained, previously announced
-        ids.  Deleted samples leave the store only after their payload is
-        formed from their rows.
+        Additions must be distinct rows of the feature matrix that the store
+        does not retain, and deletions distinct ids it retains, both as of
+        the start of the round.  A refused message leaves the store as it
+        was; deleted samples leave it only after their payload is formed
+        from their rows.
         """
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
-        add_ids = list(add_ids)
-        del_ids = list(del_ids)
-        for sid in add_ids:
-            if sid not in self.pending:
-                raise ValueError(f"id {sid} was not ingested this round on client {self.client_id}")
-        for sid in del_ids:
-            if sid not in self.retained or sid in self.pending:
-                raise UnknownDeleteId(f"id {sid} is not retained by client {self.client_id}")
+        added, deleted = set(add_ids), set(del_ids)
+        if added and not 0 <= min(added) <= max(added) < len(self.features):
+            raise IndexError(f"an added id is not a row of the {len(self.features)}-row feature matrix")
+        if len(added) < len(add_ids):
+            raise DuplicateId(f"client {self.client_id} is asked to add an id twice")
+        if not added.isdisjoint(self.retained):
+            raise DuplicateId(f"client {self.client_id} already retains id {min(added & self.retained)}")
+        if len(deleted) < len(del_ids):
+            raise UnknownDeleteId(f"client {self.client_id} is asked to delete an id twice")
+        if not deleted <= self.retained:
+            raise UnknownDeleteId(f"id {min(deleted - self.retained)} is not retained by client {self.client_id}")
         msg = ClientMessage(
             client_id=self.client_id,
             round=round_index,
@@ -211,6 +202,6 @@ class ClientStore:
             add=self._payload(add_ids, variant),
             delete=self._payload(del_ids, variant),
         )
-        self.pending.difference_update(add_ids)
-        self.retained.difference_update(del_ids)
+        self.retained -= deleted
+        self.retained |= added
         return msg

@@ -3,6 +3,7 @@
 A scenario bundles everything needed to replay a federated add/delete
 stream deterministically: the data seed, the client partition, an explicit
 per-round event schedule, and the server configuration.  The harness
+checks the whole schedule once (`check_schedule`) before round 1, then
 feeds client stores' messages to one `coordinator.Server` per variant,
 round by round, and after every round retrains the centralized head on
 the retained samples; the relative deviation against that oracle is the
@@ -486,6 +487,61 @@ class ScenarioResult:
     summary: dict
 
 
+def _id_array(round_index, ids, n: int) -> np.ndarray:
+    """`ids` as int64, when it is a flat list of integers in [0, n)."""
+    if not isinstance(ids, list):
+        raise RuntimeError(f"round {round_index} gives ids that are not a list")
+    if not all(map(_is_int, ids)):
+        raise RuntimeError(f"round {round_index} names an id that is not an integer")
+    if len(ids) and (min(ids) < 0 or max(ids) >= n):
+        raise RuntimeError(f"round {round_index} names ids outside the feature file")
+    return np.asarray(ids, dtype=np.int64)
+
+
+def check_schedule(scenario: Scenario) -> list[RoundSpec]:
+    """The rounds that have events, sorted by client with int64 ids, once all are valid.
+
+    Rounds are strictly increasing integers, each naming a client at most
+    once, by an integer in [0, clients), with flat integer id lists in
+    [0, n) and adds in the training split.  As of the round's start, its
+    adds are distinct ids no client retains and each delete a distinct id
+    its own client retains; a violation raises RuntimeError naming the round.
+    """
+    owner = np.full(scenario.n, -1, dtype=np.int64)  # retaining client per sample id, -1 if none
+    rounds: list[RoundSpec] = []
+    numbers = [spec.round for spec in scenario.schedule]
+    for previous, spec in zip([None, *numbers], scenario.schedule):
+        r = spec.round
+        if not _is_int(r) or (previous is not None and r <= previous):
+            raise RuntimeError(f"round {r!r} is not an integer above the round before it ({previous!r})")
+        for ev in spec.events:
+            if not _is_int(ev.client) or ev.client not in range(scenario.clients):
+                raise RuntimeError(f"round {r} names client {ev.client!r}, not an integer in [0, {scenario.clients})")
+        events = [
+            ClientEvent(ev.client, _id_array(r, ev.add, scenario.n), _id_array(r, ev.delete, scenario.n))
+            for ev in sorted(spec.events, key=lambda e: e.client)
+        ]
+        if not events:
+            continue
+        if len({ev.client for ev in events}) < len(events):
+            raise RuntimeError(f"round {r} lists a client in more than one event")
+        for ev in events:
+            if ev.add.size and ev.add.max() >= scenario.n_train:
+                raise RuntimeError(f"round {r} adds ids of the test split (n_train={scenario.n_train})")
+            if np.unique(ev.add).size < ev.add.size or np.unique(ev.delete).size < ev.delete.size:
+                raise RuntimeError(f"round {r} repeats an id within one client's event")
+            if (owner[ev.delete] != ev.client).any():
+                raise RuntimeError(f"round {r} deletes ids client {ev.client} does not retain")
+        adds = np.concatenate([ev.add for ev in events])
+        if (owner[adds] >= 0).any() or np.unique(adds).size < adds.size:
+            raise RuntimeError(f"round {r} re-adds retained ids, or adds one id on two clients")
+        for ev in events:
+            owner[ev.delete] = -1
+            owner[ev.add] = ev.client
+        rounds.append(RoundSpec(r, events))
+    return rounds
+
+
 def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -> ScenarioResult:
     """Replay a scenario and collect per-round metrics for each variant."""
     if features.shape[0] != scenario.n:
@@ -495,6 +551,7 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
             f"feature file has d={features.shape[1]} and c={labels.shape[1]}, "
             f"scenario says d={scenario.d} and c={scenario.c}"
         )
+    schedule = check_schedule(scenario)
     variants = SCENARIO_VARIANTS[scenario.variant]
     # every client store shares these rows; a writable matrix is copied here once
     features, labels = read_only(features), read_only(labels)
@@ -507,44 +564,14 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
     stores = {
         v: {k: ClientStore(k, features, labels, scenario.precision) for k in range(scenario.clients)} for v in variants
     }
-    owner = np.full(scenario.n, -1, dtype=np.int64)  # retaining client per sample id, -1 if none
     gram = RetainedGram(features, labels)
+    retained = np.zeros(scenario.n, dtype=bool)
     records: list[RoundMetrics] = []
 
-    previous_round = None
-    for spec in scenario.schedule:
-        if not _is_int(spec.round) or (previous_round is not None and spec.round <= previous_round):
-            raise RuntimeError(
-                f"round {spec.round!r} is not an integer above the round before it ({previous_round!r})"
-            )
-        previous_round = spec.round
-        events = sorted(spec.events, key=lambda e: e.client)
-        if not events:
-            continue
-        clients = [ev.client for ev in events]
-        if len(set(clients)) < len(clients):
-            raise RuntimeError(f"round {spec.round} lists a client in more than one event")
-        for ev in events:
-            if not _is_int(ev.client) or ev.client not in range(scenario.clients):
-                raise RuntimeError(f"round {spec.round} names client {ev.client!r}, not an integer in [0, {scenario.clients})")
-            add, delete = np.asarray(ev.add), np.asarray(ev.delete)
-            for ids in (add, delete):
-                if ids.size and ids.dtype.kind not in "iu":
-                    raise RuntimeError(f"round {spec.round} names an id that is not an integer")
-                if ids.size and (ids.min() < 0 or ids.max() >= scenario.n):
-                    raise RuntimeError(f"round {spec.round} names ids outside the feature file")
-            add, delete = add.astype(np.int64), delete.astype(np.int64)
-            if add.size and add.max() >= scenario.n_train:
-                raise RuntimeError(f"round {spec.round} adds ids of the test split (n_train={scenario.n_train})")
-            if np.unique(add).size < add.size or np.unique(delete).size < delete.size:
-                raise RuntimeError(f"round {spec.round} repeats an id within one client's event")
-            if (owner[add] >= 0).any():
-                raise RuntimeError(f"round {spec.round} re-adds retained ids")
-            if (owner[delete] != ev.client).any():
-                raise RuntimeError(f"round {spec.round} deletes ids client {ev.client} does not retain")
-            owner[add] = ev.client
-            owner[delete] = -1
-        retained = owner >= 0
+    for spec in schedule:
+        for ev in spec.events:
+            retained[ev.delete] = False
+            retained[ev.add] = True
         n_retained = int(np.count_nonzero(retained))
         w_oracle, oracle_post = oracle_retrain(gram, retained, scenario.gamma, scenario.sigma2)
 
@@ -552,10 +579,8 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
         for v, server in servers.items():
             # a generator: each message is formed only when the server folds it
             messages = (
-                stores[v][ev.client]
-                .ingest(ev.add)
-                .make_round_message(spec.round, ev.add, ev.delete, server.wire_variant)
-                for ev in events
+                stores[v][ev.client].make_round_message(spec.round, ev.add, ev.delete, server.wire_variant)
+                for ev in spec.events
             )
             try:
                 w, report, comm = server.serve(messages)
@@ -624,22 +649,8 @@ def metrics_csv(result: ScenarioResult) -> str:
     for rec in result.records:
         for v in sorted(rec.variants):
             m = rec.variants[v]
-            lines.append(
-                ",".join(
-                    [
-                        str(rec.round),
-                        v,
-                        _fmt(m.rel_dev),
-                        _fmt(m.reset),
-                        str(m.scalars),
-                        str(m.bytes),
-                        _fmt(m.lambda_max),
-                        _fmt(m.bound),
-                        _fmt(m.accuracy),
-                        _fmt(m.kl),
-                    ]
-                )
-            )
+            cells = (m.rel_dev, m.reset, m.scalars, m.bytes, m.lambda_max, m.bound, m.accuracy, m.kl)
+            lines.append(",".join([str(rec.round), v, *map(_fmt, cells)]))
     return "\n".join(lines) + "\n"
 
 

@@ -329,13 +329,11 @@ def _comm_accounting(seed):
         c = int(rng.integers(1, 4))
         n_add = int(rng.integers(0, 6))
         features, labels = rng.standard_normal((n_add, d)), rng.standard_normal((n_add, c))
-        store = ClientStore(0, features, labels, "f64").ingest(range(n_add))
-        msg = store.make_round_message(1, list(range(n_add)), [], VARIANT_FULL)
+        msg = ClientStore(0, features, labels, "f64").make_round_message(1, range(n_add), [], VARIANT_FULL)
         # the empty delete side is a header-only frame
         expect = variant_a_payload_scalars(n_add, d, c) + variant_a_payload_scalars(0, d, c)
         gaps.append(abs(msg.scalar_count - expect))
-        store_b = ClientStore(1, features, labels, "f64").ingest(range(n_add))
-        msg_b = store_b.make_round_message(1, list(range(n_add)), [], VARIANT_QR)
+        msg_b = ClientStore(1, features, labels, "f64").make_round_message(1, range(n_add), [], VARIANT_QR)
         expect_b = variant_b_payload_scalars(n_add, d, c) + variant_b_payload_scalars(0, d, c)
         gaps.append(abs(msg_b.scalar_count - expect_b))
         # the counts are what the frames hold: two 28-byte headers plus the scalars

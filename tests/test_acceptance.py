@@ -181,7 +181,7 @@ def test_criterion_08_bayesian_certificate():
     features = rng.standard_normal((n, d)).astype(np.float32)
     labels = np.zeros((n, c), dtype=np.float32)
     labels[np.arange(n), rng.integers(0, c, n)] = 1.0
-    store = ClientStore(0, features, labels, "f64").ingest(range(n))
+    store = ClientStore(0, features, labels, "f64")
     ledger = ledger_init(d, c)
     ledger, _ = run_round_a(ledger, aggregate([store.make_round_message(1, list(range(n)), [], VARIANT_FULL)]))
     retained = set(range(n))
@@ -205,7 +205,6 @@ def test_criterion_08_bayesian_certificate():
                 msg = store.make_round_message(rnd, [], [i], VARIANT_FULL)
                 retained.discard(i)
             else:
-                store.ingest([i])
                 msg = store.make_round_message(rnd, [i], [], VARIANT_FULL)
                 retained.add(i)
             ledger, _ = run_round_a(ledger, aggregate([msg]))
@@ -252,8 +251,7 @@ def test_criterion_10_communication_accounting():
     labels = rng.standard_normal((r, c))
     totals = {}
     for variant in (VARIANT_FULL, VARIANT_QR):
-        store = ClientStore(0, features, labels).ingest(range(r))
-        msg = store.make_round_message(1, list(range(r)), [], variant)
+        msg = ClientStore(0, features, labels).make_round_message(1, range(r), [], variant)
         # the count rides in the frame header; the empty delete side is a header-only frame
         if variant == VARIANT_FULL:
             assert payload_scalars(msg.add) == d * (d + 1) // 2 + d * c

@@ -352,49 +352,72 @@ def test_run_refuses_a_non_finite_feature_file_exit_3(tmp_path, capsys, row, val
     assert not (tmp_path / "out").exists()
 
 
-def test_run_invalid_event_stream_exit_4(tmp_path):
-    features, scenario = _gen(tmp_path)
-    doc = json.loads(scenario.read_text())
-    doc["schedule"][0]["events"][0]["delete"] = [999999]  # never added
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    code = main(["run", "--scenario", str(bad), "--features", str(features),
-                 "--out-dir", str(tmp_path / "out")])
-    assert code == 4
+# each bad event stream and the words its exit-4 message holds
+_BAD_EVENTS = {
+    "past-end": "names ids outside the feature file",
+    "negative": "names ids outside the feature file",
+    "never-added": "names ids outside the feature file",
+    "not-retained": "deletes ids client",
+    "re-add": "round 1 re-adds retained ids, or adds one id on two clients",
+    "repeated-add": "round 1 repeats an id within one client's event",
+    "repeated-delete": "round 2 repeats an id within one client's event",
+    "cross-client-delete": "round 2 deletes ids client",
+    "move-to-a-lower-client": "round 2 re-adds retained ids",
+    "move-to-a-higher-client": "round 2 re-adds retained ids",
+    "fractional-add": "names an id that is not an integer",
+    "fractional-delete": "round 2 names an id that is not an integer",
+    "bare-int-add": "round 1 gives ids that are not a list",
+    "nested-add": "round 1 names an id that is not an integer",
+    "repeated-client": "round 1 lists a client in more than one event",
+    "test-split-add": "round 1 adds ids of the test split (n_train=240)",
+    "no-training-split": "round 1 adds ids of the test split (n_train=0)",
+    "client-past-end": "round 1 names client 4, not an integer in [0, 4)",
+    "negative-client": "round 1 names client -1, not an integer in [0, 4)",
+    "float-client": "not an integer in [0, 4)",
+    "bool-client": "not an integer in [0, 4)",
+}
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        "past-end", "negative", "not-retained", "re-add", "repeated-add", "repeated-delete",
-        "cross-client-delete", "fractional-add", "fractional-delete", "repeated-client",
-        "test-split-add", "no-training-split", "client-past-end", "negative-client",
-        "float-client", "bool-client",
-    ],
-)
-def test_run_bad_event_ids_exit_4(tmp_path, case):
+@pytest.mark.parametrize("case, message", _BAD_EVENTS.items(), ids=list(_BAD_EVENTS))
+def test_run_bad_event_ids_exit_4(tmp_path, capsys, case, message):
     # the feature file has ids 0..299; ids 240.. are the test split, never added
     features, scenario = _gen(tmp_path)
     doc = json.loads(scenario.read_text())
     events = doc["schedule"][0]["events"]
+    first = events[0]["add"][0]  # retained by events[0]'s client from round 1 on
     if case == "past-end":
         events[0]["add"].append(300)
     elif case == "negative":
         events[0]["add"].append(-1)
+    elif case == "never-added":
+        events[0]["delete"] = [999999]
     elif case == "not-retained":
         events[0]["delete"] = [299]
-    elif case == "re-add":
-        events[1]["add"].append(events[0]["add"][0])
+    elif case == "re-add":  # two clients add the same id in one round
+        events[1]["add"].append(first)
     elif case == "repeated-add":
-        events[0]["add"].append(events[0]["add"][0])
+        events[0]["add"].append(first)
     elif case == "repeated-delete":
-        twice = [events[0]["add"][0]] * 2
-        doc["schedule"].append({"round": 2, "events": [{"client": events[0]["client"], "add": [], "delete": twice}]})
+        doc["schedule"].append({"round": 2, "events": [{"client": events[0]["client"], "add": [], "delete": [first] * 2}]})
+    elif case.startswith("move-to-a-"):
+        # one round deletes an id from its client and adds it on another: judged at the
+        # round's start the add is a re-add, whichever of the two clients is numbered first
+        low, high = events[0], events[-1]
+        assert low["client"] < high["client"]
+        src, dst = (low, high) if case == "move-to-a-higher-client" else (high, low)
+        moved = src["add"][0]
+        doc["schedule"].append({"round": 2, "events": [
+            {"client": src["client"], "add": [], "delete": [moved]},
+            {"client": dst["client"], "add": [moved], "delete": []},
+        ]})
     elif case == "fractional-add":  # truncates to 250, an id nobody retains
         events[0]["add"].append(250.5)
     elif case == "fractional-delete":  # truncates to an id this client retains
-        half = [events[0]["add"][0] + 0.5]
-        doc["schedule"].append({"round": 2, "events": [{"client": events[0]["client"], "add": [], "delete": half}]})
+        doc["schedule"].append({"round": 2, "events": [{"client": events[0]["client"], "add": [], "delete": [first + 0.5]}]})
+    elif case == "bare-int-add":
+        events[0]["add"] = first
+    elif case == "nested-add":
+        events[0]["add"] = [[first]]
     elif case == "repeated-client":  # one client, two messages in one round
         events.append({"client": events[0]["client"], "add": [], "delete": []})
     elif case == "test-split-add":  # inside the feature file, but a test sample
@@ -411,13 +434,46 @@ def test_run_bad_event_ids_exit_4(tmp_path, case):
         assert events[0]["client"] in (0, 1)
         events[0]["client"] = bool(events[0]["client"])
     else:  # events[0]'s client retains the id, events[1]'s client deletes it
-        other = {"client": events[1]["client"], "add": [], "delete": [events[0]["add"][0]]}
+        other = {"client": events[1]["client"], "add": [], "delete": [first]}
         doc["schedule"].append({"round": 2, "events": [other]})
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    code = main(["run", "--scenario", str(bad), "--features", str(features),
-                 "--out-dir", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", str(bad), "--features", str(features), "--out-dir", str(out)])
     assert code == 4
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_bad_event_in_the_last_round_exits_4_before_any_round_is_served(tmp_path, monkeypatch, capsys):
+    features, scenario = _gen(tmp_path, "--schedule", "churn", "--rounds", "4",
+                              "--adds-per-round", "3", "--dels-per-round", "3")
+    doc = json.loads(scenario.read_text())
+    last = doc["schedule"][-1]["events"][0]
+    last["delete"].append(299)  # a test sample, never retained
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    import fedridge.coordinator as coordinator_mod
+    import fedridge.simulate as simulate_mod
+
+    calls = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(coordinator_mod.Server, "serve")
+    counting(simulate_mod, "oracle_retrain")
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", str(bad), "--features", str(features), "--out-dir", str(out)])
+    assert code == 4
+    assert f"round {doc['schedule'][-1]['round']} deletes ids client {last['client']} does not retain" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -31,11 +31,11 @@ def _store(n=10, d=2, c=1, rng=None, client_id=0):
 
 def test_ingest_and_duplicate():
     store = _store()
-    store.ingest([1, 2])
+    store.make_round_message(1, [1, 2], [], VARIANT_FULL)
     assert store.retained == {1, 2}
-    with pytest.raises(DuplicateId):
-        store.ingest([2])
-    store.ingest([])
+    with pytest.raises(DuplicateId, match="already retains id 2"):
+        store.make_round_message(2, [3, 2], [], VARIANT_FULL)
+    store.make_round_message(2, [], [], VARIANT_FULL)
     assert store.retained == {1, 2}
 
 
@@ -44,8 +44,37 @@ def test_ingest_refuses_an_id_outside_the_feature_matrix(sid):
     # a negative id would otherwise gather a row from the end
     store = _store()
     with pytest.raises(IndexError, match="not a row"):
-        store.ingest([sid])
-    assert not store.retained and not store.pending
+        store.make_round_message(1, [sid], [], VARIANT_FULL)
+    assert not store.retained
+
+
+def test_a_repeated_delete_id_is_refused():
+    # forming it would subtract the row from the ledger twice
+    store = _store()
+    store.make_round_message(1, [1, 3], [], VARIANT_FULL)
+    with pytest.raises(UnknownDeleteId, match="delete an id twice"):
+        store.make_round_message(2, [], [1, 1], VARIANT_FULL)
+    assert store.retained == {1, 3}
+
+
+@pytest.mark.parametrize(
+    "add, delete, error",
+    [
+        pytest.param([2, 2], [], DuplicateId, id="repeated-add"),
+        pytest.param([4, 1], [], DuplicateId, id="re-add"),
+        pytest.param([4], [3, 5], UnknownDeleteId, id="not-retained-delete"),
+        pytest.param([4], [1, 1], UnknownDeleteId, id="repeated-delete"),
+    ],
+)
+def test_a_refused_message_leaves_the_store_unchanged(add, delete, error):
+    store = _store()
+    store.make_round_message(1, [1, 3], [], VARIANT_FULL)
+    with pytest.raises(error):
+        store.make_round_message(2, add, delete, VARIANT_FULL)
+    assert store.retained == {1, 3}
+    # the refused ids are still free to add, and the retained ones to delete
+    msg = store.make_round_message(3, [2, 4], [1, 3], VARIANT_FULL)
+    assert (msg.add.n, msg.delete.n, store.retained) == (2, 2, {2, 4})
 
 
 def test_store_refuses_matrices_of_different_rows():
@@ -55,7 +84,7 @@ def test_store_refuses_matrices_of_different_rows():
 
 def test_batch_a_payload_full_stats():
     store = ClientStore(0, np.eye(2), np.ones((2, 1)))
-    msg = store.ingest([0, 1]).make_round_message(1, [0, 1], [], VARIANT_FULL)
+    msg = store.make_round_message(1, [0, 1], [], VARIANT_FULL)
     assert isinstance(msg.add, PackedStats)
     np.testing.assert_array_equal(msg.add.S, [1.0, 0.0, 1.0])  # the upper triangle of I, row by row
     np.testing.assert_array_equal(msg.add.G, [[1.0], [1.0]])
@@ -64,7 +93,7 @@ def test_batch_a_payload_full_stats():
 
 def test_batch_a_payload_qr_variant():
     store = ClientStore(0, np.eye(2), np.ones((2, 1)))
-    msg = store.ingest([0, 1]).make_round_message(1, [0, 1], [], VARIANT_QR)
+    msg = store.make_round_message(1, [0, 1], [], VARIANT_QR)
     np.testing.assert_allclose(msg.add.R.T @ msg.add.R, np.eye(2), atol=1e-15)
 
 
@@ -74,7 +103,7 @@ def test_writes_to_the_caller_matrix_after_an_add_do_not_reach_the_delete(varian
     rng = np.random.default_rng(6)
     features, labels = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
     store = ClientStore(0, features, labels, precision)
-    added = store.ingest([1, 2]).make_round_message(1, [1, 2], [], variant).add
+    added = store.make_round_message(1, [1, 2], [], variant).add
     features[1:3] = 1e3
     labels[1:3] = -7.0
     deleted = store.make_round_message(2, [], [1, 2], variant).delete
@@ -98,28 +127,21 @@ def test_read_only_shares_only_a_read_only_matrix_that_owns_its_data():
 
 def test_foreign_delete_id_rejected():
     store = _store()
-    store.ingest([1])
     store.make_round_message(1, [1], [], VARIANT_FULL)
     with pytest.raises(UnknownDeleteId):
         store.make_round_message(2, [], [42], VARIANT_FULL)
 
 
 def test_same_round_delete_of_pending_add_rejected():
+    # an id is judged against what the store retains when the round starts
     store = _store()
-    store.ingest([1])
     with pytest.raises(UnknownDeleteId):
         store.make_round_message(1, [1], [1], VARIANT_FULL)
-
-
-def test_unannounced_add_rejected():
-    store = _store()
-    with pytest.raises(ValueError):
-        store.make_round_message(1, [5], [], VARIANT_FULL)
+    assert not store.retained
 
 
 def test_delete_uses_cached_features_then_forgets():
     store = _store(n=7, d=3, c=2, rng=np.random.default_rng(1))
-    store.ingest([4, 5, 6])
     store.make_round_message(1, [4, 5, 6], [], VARIANT_FULL)
     msg = store.make_round_message(2, [], [5], VARIANT_FULL)
     f5 = store.features[5]
@@ -131,10 +153,8 @@ def test_delete_uses_cached_features_then_forgets():
 
 def test_reingest_after_delete_is_allowed():
     store = _store()
-    store.ingest([1])
     store.make_round_message(1, [1], [], VARIANT_FULL)
     store.make_round_message(2, [], [1], VARIANT_FULL)
-    store.ingest([1])
     msg = store.make_round_message(3, [1], [], VARIANT_FULL)
     assert msg.add.n == 1
 
@@ -143,13 +163,11 @@ def test_payload_scalar_counts_follow_formulas():
     rng = np.random.default_rng(2)
     for d, c, n_add in [(4, 2, 3), (8, 1, 0), (5, 3, 9)]:
         store = _store(n=n_add, d=d, c=c, rng=rng)
-        store.ingest(range(n_add))
         msg = store.make_round_message(1, list(range(n_add)), [], VARIANT_FULL)
         assert payload_scalars(msg.add) == variant_a_payload_scalars(n_add, d, c)
         assert payload_scalars(msg.add) == (d * (d + 1) // 2 + d * c if n_add else 0)
         assert payload_scalars(msg.delete) == variant_a_payload_scalars(0, d, c) == 0
-        store_b = ClientStore(1, store.features, store.labels).ingest(range(n_add))
-        msg_b = store_b.make_round_message(1, list(range(n_add)), [], VARIANT_QR)
+        msg_b = ClientStore(1, store.features, store.labels).make_round_message(1, range(n_add), [], VARIANT_QR)
         r = min(n_add, d)
         assert msg_b.add.R.shape == (r, d)
         assert payload_scalars(msg_b.add) == variant_b_payload_scalars(n_add, d, c)
@@ -159,8 +177,8 @@ def test_payload_scalar_counts_follow_formulas():
 
 def test_message_size_independent_of_retained_volume():
     rng = np.random.default_rng(3)
-    small = _store(n=2, d=4, c=2, rng=rng).ingest(range(2))
-    large = _store(n=500, d=4, c=2, rng=rng).ingest(range(500))
+    small = _store(n=2, d=4, c=2, rng=rng)
+    large = _store(n=500, d=4, c=2, rng=rng)
     m_small = small.make_round_message(1, [0, 1], [], VARIANT_FULL)
     m_large = large.make_round_message(1, list(range(500)), [], VARIANT_FULL)
     assert m_small.scalar_count == m_large.scalar_count
@@ -180,7 +198,7 @@ def test_payloads_carry_only_aggregates():
     assert {f.name for f in dataclasses.fields(SufficientStats)} == {"S", "G", "n"}
     assert {f.name for f in dataclasses.fields(PackedStats)} == {"S", "G", "n"}
     assert {f.name for f in dataclasses.fields(QrPayload)} == {"R", "G", "n"}
-    store = _store(n=40, d=6, c=2, rng=np.random.default_rng(4)).ingest(range(40))
+    store = _store(n=40, d=6, c=2, rng=np.random.default_rng(4))
     msg = store.make_round_message(1, list(range(40)), [], VARIANT_QR)
     assert msg.add.R.shape == (6, 6)  # min(40, d) rows, never 40
     assert msg.add.G.shape == (6, 2)
@@ -190,7 +208,7 @@ def test_variant_agreement_of_gram():
     store_a = _store(n=12, d=5, c=2, rng=np.random.default_rng(5))
     store_b = ClientStore(1, store_a.features, store_a.labels)
     ids = list(range(12))
-    msg_a = store_a.ingest(ids).make_round_message(1, ids, [], VARIANT_FULL)
-    msg_b = store_b.ingest(ids).make_round_message(1, ids, [], VARIANT_QR)
+    msg_a = store_a.make_round_message(1, ids, [], VARIANT_FULL)
+    msg_b = store_b.make_round_message(1, ids, [], VARIANT_QR)
     assert rel_frobenius_dev(msg_b.add.R.T @ msg_b.add.R, unpack_symmetric(msg_a.add.S, 5)) <= 1e-12
     np.testing.assert_allclose(msg_b.add.G, msg_a.add.G, rtol=1e-15)

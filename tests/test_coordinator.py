@@ -25,10 +25,6 @@ from fedridge.simulate import RetainedGram, oracle_retrain
 from fedridge.stats import SufficientStats, dtype_of, ledger_init, regularized_gram, stats_from_batch
 
 
-def _store_with(client_id, ids, features, labels, d, c, precision="f64"):
-    return ClientStore(client_id, features, labels, precision).ingest(ids)
-
-
 def _idle_store(client_id, d, c):
     """A store over no rows: every payload it forms is empty."""
     return ClientStore(client_id, np.zeros((0, d)), np.zeros((0, c)))
@@ -37,7 +33,7 @@ def _idle_store(client_id, d, c):
 def _round_one_messages(variant, features, labels, parts, d, c):
     messages = []
     for k, ids in enumerate(parts):
-        store = _store_with(k, ids, features, labels, d, c)
+        store = ClientStore(k, features, labels)
         messages.append(store.make_round_message(1, list(ids), [], variant))
     return messages
 
@@ -45,7 +41,7 @@ def _round_one_messages(variant, features, labels, parts, d, c):
 def test_aggregate_sums_clients():
     msgs = []
     for k in range(2):
-        store = ClientStore(k, np.eye(2), np.ones((2, 1))).ingest([0, 1])
+        store = ClientStore(k, np.eye(2), np.ones((2, 1)))
         msgs.append(store.make_round_message(1, [0, 1], [], VARIANT_FULL))
     agg = aggregate(msgs)
     np.testing.assert_array_equal(agg.add.S, 2 * np.eye(2))
@@ -62,12 +58,11 @@ def test_aggregated_and_ledger_grams_are_bitwise_symmetric(variant, precision):
     features = rng.standard_normal((160, d))
     labels = rng.standard_normal((160, c))
     parts = [range(0, 50), range(50, 95), range(95, 120)]
-    stores = [_store_with(k, ids, features, labels, d, c, precision) for k, ids in enumerate(parts)]
+    stores = [ClientStore(k, features, labels, precision) for k in range(len(parts))]
     round_one = [s.make_round_message(1, list(ids), [], variant) for s, ids in zip(stores, parts)]
     round_two = []
     for k, store in enumerate(stores):
         adds = list(range(120 + 10 * k, 130 + 10 * k))
-        store.ingest(adds)
         round_two.append(store.make_round_message(2, adds, list(parts[k])[::3], variant))
     ledger = ledger_init(d, c, 1.0, precision)
     for messages in (round_one, round_two):
@@ -86,13 +81,12 @@ def _two_round_messages(variant, precision, d=9, c=3, adds=10, stride=2):
     features = rng.standard_normal((90, d))
     labels = rng.standard_normal((90, c))
     parts = [range(0, 20), range(20, 24), range(24, 60)]
-    stores = [_store_with(k, ids, features, labels, d, c, precision) for k, ids in enumerate(parts)]
+    stores = [ClientStore(k, features, labels, precision) for k in range(len(parts))]
     for store, ids in zip(stores, parts):
         store.make_round_message(1, list(ids), [], variant)
     messages = []
     for k, store in enumerate(stores):
         new = list(range(60 + 10 * k, 60 + 10 * k + adds))
-        store.ingest(new)
         messages.append(store.make_round_message(2, new, list(parts[k])[::stride], variant))
     return messages
 
@@ -131,7 +125,7 @@ def test_a_fold_of_packed_triangles_equals_the_sum_of_dense_grams(precision):
     # an idle client and one that only adds: their zero-sample sides are skipped
     d, c = messages[0].add.d, messages[0].add.c
     features = np.random.default_rng(34).standard_normal((2, d))
-    adder = ClientStore(7, features, features[:, :c], precision).ingest([0, 1])
+    adder = ClientStore(7, features, features[:, :c], precision)
     messages += [_idle_store(5, d, c).make_round_message(2, [], [], VARIANT_FULL),
                  adder.make_round_message(2, [0, 1], [], VARIANT_FULL)]
     agg = aggregate(messages)
@@ -170,7 +164,7 @@ def _wide_round(precision, d=6, clients=8):
     messages, adds, deletes = [], [], []
     for k in range(clients):
         first, second = list(range(15 * k, 15 * k + 10)), list(range(15 * k + 10, 15 * k + 15))
-        store = _store_with(k, first + second, features, labels, d, 2, precision)
+        store = ClientStore(k, features, labels, precision)
         store.make_round_message(1, first, [], VARIANT_QR)
         messages.append(store.make_round_message(2, second, first[::3][:4], VARIANT_QR))
         adds += second
@@ -298,7 +292,7 @@ def test_aggregate_qr_gram_is_product_of_stacked_factors(precision):
     features = rng.standard_normal((n, d))
     labels = rng.standard_normal((n, c))
     parts = [range(0, 4), range(4, 7), range(7, 12)]
-    stores = [_store_with(k, ids, features, labels, d, c, precision) for k, ids in enumerate(parts)]
+    stores = [ClientStore(k, features, labels, precision) for k in range(len(parts))]
     agg = aggregate([s.make_round_message(1, list(ids), [], VARIANT_QR) for s, ids in zip(stores, parts)])
     assert np.array_equal(agg.add.S, agg.U_plus.T @ agg.U_plus)
     assert np.array_equal(agg.delete.S, np.zeros((d, d)))
@@ -352,7 +346,7 @@ def test_run_round_a_delete_everything_gives_zero():
     d, c = 4, 2
     features = rng.standard_normal((12, d))
     labels = rng.standard_normal((12, c))
-    store = _store_with(0, range(12), features, labels, d, c)
+    store = ClientStore(0, features, labels)
     ledger = ledger_init(d, c)
     ledger, _ = run_round_a(ledger, aggregate([store.make_round_message(1, list(range(12)), [], VARIANT_FULL)]))
     ledger, w = run_round_a(ledger, aggregate([store.make_round_message(2, [], list(range(12)), VARIANT_FULL)]))
@@ -365,7 +359,7 @@ def test_run_round_a_noop_is_bitwise_stable():
     d, c = 5, 2
     features = rng.standard_normal((9, d))
     labels = rng.standard_normal((9, c))
-    store = _store_with(0, range(9), features, labels, d, c)
+    store = ClientStore(0, features, labels)
     ledger = ledger_init(d, c)
     ledger, w1 = run_round_a(ledger, aggregate([store.make_round_message(1, list(range(9)), [], VARIANT_FULL)]))
     idle = _idle_store(0, d, c)
@@ -379,8 +373,8 @@ def test_run_round_b_tracks_run_round_a():
     features = rng.standard_normal((n, d))
     labels = rng.standard_normal((n, c))
     parts = [range(0, 20), range(20, 45), range(45, 60)]
-    stores_a = [_store_with(k, p, features, labels, d, c) for k, p in enumerate(parts)]
-    stores_b = [_store_with(k, p, features, labels, d, c) for k, p in enumerate(parts)]
+    stores_a = [ClientStore(k, features, labels) for k in range(len(parts))]
+    stores_b = [ClientStore(k, features, labels) for k in range(len(parts))]
     led_a = ledger_init(d, c)
     led_b = ledger_init(d, c)
     state = init_from_ledger(led_b)
@@ -420,7 +414,7 @@ def test_run_round_b_reset_on_boundary_deletion():
     d, c = 6, 2
     features = rng.standard_normal((3, d)) * 1e5
     labels = rng.standard_normal((3, c))
-    store = _store_with(0, range(3), features, labels, d, c)
+    store = ClientStore(0, features, labels)
     ledger = ledger_init(d, c)
     state = init_from_ledger(ledger)
     agg = aggregate([store.make_round_message(1, list(range(3)), [], VARIANT_QR)])
@@ -489,8 +483,8 @@ def test_burst_delete_then_addback_round_trip():
     d, c, n = 12, 2, 260
     features = rng.standard_normal((n, d))
     labels = rng.standard_normal((n, c))
-    store_a = _store_with(0, range(n), features, labels, d, c)
-    store_b = _store_with(0, range(n), features, labels, d, c)
+    store_a = ClientStore(0, features, labels)
+    store_b = ClientStore(0, features, labels)
     led_a = ledger_init(d, c)
     led_b = ledger_init(d, c)
     state = init_from_ledger(led_b)
@@ -504,8 +498,6 @@ def test_burst_delete_then_addback_round_trip():
         assert isinstance(info.reset, bool)  # a numpy bool would print as False in metrics.csv
         rnd += 1
     for i in order[::-1]:  # 200 add-backs
-        store_a.ingest([int(i)])
-        store_b.ingest([int(i)])
         led_a, w_a = run_round_a(led_a, aggregate([store_a.make_round_message(rnd, [int(i)], [], VARIANT_FULL)]))
         led_b, state, w_b, _ = run_round_b(led_b, state, aggregate([store_b.make_round_message(rnd, [int(i)], [], VARIANT_QR)]))
         rnd += 1
@@ -585,7 +577,7 @@ def test_approx_delete_round_is_exact():
     d, c = 5, 2
     features = rng.standard_normal((30, d))
     labels = rng.standard_normal((30, c))
-    store = _store_with(0, range(30), features, labels, d, c)
+    store = ClientStore(0, features, labels)
     ledger = ledger_init(d, c)
     state = init_from_ledger(ledger)
     agg = aggregate([store.make_round_message(1, list(range(30)), [], VARIANT_QR)])
@@ -653,10 +645,9 @@ def test_account_round_formulas():
     rng = np.random.default_rng(31)
     d, c = 4, 2
     features, labels = rng.standard_normal((3, d)), rng.standard_normal((3, c))
-    msg = ClientStore(0, features, labels).ingest(range(3)).make_round_message(1, [0, 1, 2], [], VARIANT_FULL)
+    msg = ClientStore(0, features, labels).make_round_message(1, [0, 1, 2], [], VARIANT_FULL)
     assert payload_scalars(msg.add) == 18  # d(d+1)/2 + dc
-    store_b = ClientStore(1, features, labels).ingest(range(2))
-    msg_b = store_b.make_round_message(1, [0, 1], [], VARIANT_QR)
+    msg_b = ClientStore(1, features, labels).make_round_message(1, [0, 1], [], VARIANT_QR)
     assert payload_scalars(msg_b.add) == 15  # r*d - r(r-1)/2 + dc with r=2
     rec = account_round([msg], "f64")
     assert rec.total_scalars == msg.scalar_count

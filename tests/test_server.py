@@ -69,9 +69,7 @@ class ServerMachine(RuleBasedStateMachine):
         w_oracle, _ = oracle_retrain(RetainedGram(FEATURES, LABELS), self.retained, GAMMA)
         for server, stores in zip(self.servers, self.stores):
             w, report, _ = server.serve(
-                stores[k]
-                .ingest(adds)
-                .make_round_message(self.round, adds, deletes, server.wire_variant)
+                stores[k].make_round_message(self.round, adds, deletes, server.wire_variant)
                 for k, adds, deletes in events
             )
             assert server.ledger.stats.n == np.count_nonzero(self.retained)

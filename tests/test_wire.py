@@ -25,8 +25,8 @@ from fedridge.wire import (
 def _message(variant, d=3, c=2, n_add=4, n_del=2, precision="f64"):
     rng = np.random.default_rng(0)
     store = ClientStore(9, rng.standard_normal((102, d)), rng.standard_normal((102, c)), precision)
-    store.ingest(range(n_add)).make_round_message(1, list(range(n_add)), [], variant)
-    return store.ingest([100, 101]).make_round_message(5, [100, 101], list(range(n_del)), variant)
+    store.make_round_message(1, range(n_add), [], variant)
+    return store.make_round_message(5, [100, 101], range(n_del), variant)
 
 
 def test_pack_unpack_symmetric():
@@ -146,7 +146,7 @@ def test_frame_header_layout():
 
 def test_little_endian_on_wire():
     store = ClientStore(0, np.array([[2.0]]), np.array([[0.0]]), "f64")
-    msg = store.ingest([0]).make_round_message(1, [0], [], VARIANT_FULL)
+    msg = store.make_round_message(1, [0], [], VARIANT_FULL)
     buf = encode_message(msg, "f64")
     # first payload scalar of the add frame is S[0,0] = 4.0
     assert struct.unpack_from("<d", buf, 28)[0] == 4.0
@@ -395,7 +395,7 @@ def test_round_driven_through_wire_bytes():
     messages = []
     for k in range(3):
         ids = list(range(10 * k, 10 * k + 6))
-        messages.append(ClientStore(k, features, labels, "f64").ingest(ids).make_round_message(1, ids, [], VARIANT_FULL))
+        messages.append(ClientStore(k, features, labels, "f64").make_round_message(1, ids, [], VARIANT_FULL))
     stream = b"".join(encode_message(m, "f64") for m in messages)
     decoded = []
     offset = 0
