@@ -30,7 +30,6 @@ from .inverse import (
 from .kernels import (
     DimensionMismatch,
     NotSPD,
-    ZeroReference,
     cholesky_spd,
     frobenius_norm,
     rel_frobenius_dev,

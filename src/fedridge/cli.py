@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--rounds", type=int, default=8, help="churn: number of churn rounds")
     gen.add_argument("--adds-per-round", type=int, default=20)
     gen.add_argument("--dels-per-round", type=int, default=20)
-    gen.add_argument("--target-class", type=int, default=None)
+    gen.add_argument("--target-class", type=int, default=None, help="chunked: delete only this class")
     gen.add_argument("--rank", type=int, default=8)
     gen.add_argument("--reset-every", type=int, default=16)
     gen.add_argument("--out-features", default="features.bin")
@@ -108,6 +108,9 @@ def _cmd_gen(args) -> int:
         return EXIT_USAGE
     if args.n < 1 or args.d < 1 or args.c < 2:
         print("error: need n >= 1, d >= 1, c >= 2", file=sys.stderr)
+        return EXIT_USAGE
+    if args.target_class is not None and args.schedule != "chunked":
+        print("error: --target-class applies only to --schedule chunked", file=sys.stderr)
         return EXIT_USAGE
     data = gen_synthetic(args.seed, args.n, args.d, args.c, args.separation)
     if args.partition == "dirichlet":

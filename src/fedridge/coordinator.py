@@ -40,6 +40,7 @@ its deletes as one dense `SufficientStats` each, which is what
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -355,6 +356,9 @@ class Server:
     def __init__(self, variant: str, d: int, c: int, gamma: float, precision="f64", rank=8, reset_every=16):
         if variant not in ("A", "B", "approx"):
             raise ValueError(f"unknown server variant {variant!r}, expected A, B or approx")
+        for name, value, least in (("rank", rank, 1), ("reset_every", reset_every, 0)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         self.variant, self.rank, self.reset_every = variant, rank, reset_every
         self.wire_variant = VARIANT_FULL if variant == "A" else VARIANT_QR
         self.ledger = ledger_init(d, c, gamma, precision)

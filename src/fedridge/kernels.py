@@ -54,10 +54,6 @@ class DimensionMismatch(Exception):
     """Operands have incompatible shapes."""
 
 
-class ZeroReference(Exception):
-    """Relative deviation requested against a zero reference matrix."""
-
-
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return `a` as a 2-D float array with finite entries."""
     m = np.asarray(a)
@@ -240,12 +236,16 @@ def frobenius_norm(a) -> float:
 
 
 def rel_frobenius_dev(a, b) -> float:
-    """Relative Frobenius deviation ||A - B||_F / ||B||_F."""
+    """Relative Frobenius deviation ||A - B||_F / ||B||_F, or ||A||_F when B is zero.
+
+    An empty retained set has a zero oracle head; a head is then judged by
+    its absolute norm.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
     ref = frobenius_norm(b)
     if ref == 0.0:
-        raise ZeroReference("reference matrix has zero Frobenius norm")
+        return frobenius_norm(a)
     return frobenius_norm(a - b) / ref

@@ -82,8 +82,8 @@ class MatrixNormalPosterior:
 
 
 def _check_sigma2(sigma2: float) -> None:
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
+    if not 0 < sigma2 < math.inf:  # also refuses NaN
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2!r}")
 
 
 def posterior_from_ledger(ledger: Ledger, sigma2: float = 1.0) -> MatrixNormalPosterior:

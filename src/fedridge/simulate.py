@@ -30,7 +30,7 @@ import numpy as np
 
 from .client import ClientStore, read_only
 from .coordinator import Server
-from .kernels import DimensionMismatch, NotSPD, cholesky_spd, frobenius_norm
+from .kernels import NotSPD, cholesky_spd, rel_frobenius_dev
 from .posterior import MatrixNormalPosterior, kl_matrix_normal
 from .stats import PRECISION_DTYPES, SufficientStats, stats_from_batch
 
@@ -116,6 +116,8 @@ def dirichlet_partition(seed: int, classes: np.ndarray, k: int, alpha: float) ->
 
 def writer_partition(seed: int, n: int, k: int, writers: int) -> list[list[int]]:
     """Writer-style grouping: samples belong to writers, writers to clients."""
+    if k < 1:
+        raise ValueError("need at least one client")
     if writers < k:
         raise ValueError("need at least as many writers as clients")
     rng = rng_stream(seed, "partition")
@@ -150,18 +152,21 @@ def initial_round(assignments: list[list[int]]) -> RoundSpec:
 
 
 def _owner_map(assignments: list[list[int]]) -> dict[int, int]:
-    owners: dict[int, int] = {}
-    for client, ids in enumerate(assignments):
-        for i in ids:
-            owners[i] = client
-    return owners
+    return {i: client for client, ids in enumerate(assignments) for i in ids}
 
 
-def _delete_round(round_index: int, ids, owners: dict[int, int]) -> RoundSpec:
-    per_client: dict[int, list[int]] = {}
-    for i in ids:
-        per_client.setdefault(owners[i], []).append(int(i))
-    events = [ClientEvent(k, [], sorted(v)) for k, v in sorted(per_client.items())]
+def grouped_round(round_index: int, owners: dict[int, int], adds=(), deletes=()) -> RoundSpec:
+    """One round listing each id under the client `owners[id]` that owns it.
+
+    Clients come in ascending order, and each client's ids in the order given.
+    """
+    add: dict[int, list[int]] = {}
+    delete: dict[int, list[int]] = {}
+    for i in adds:
+        add.setdefault(owners[i], []).append(i)
+    for i in deletes:
+        delete.setdefault(owners[i], []).append(i)
+    events = [ClientEvent(k, add.get(k, []), delete.get(k, [])) for k in sorted(add.keys() | delete.keys())]
     return RoundSpec(round_index, events)
 
 
@@ -170,11 +175,10 @@ def schedule_chunked(
     assignments: list[list[int]],
     fraction: float,
     steps: int,
-    start_round: int = 2,
     classes: np.ndarray | None = None,
     target_class: int | None = None,
 ) -> list[RoundSpec]:
-    """Rounds deleting a fixed fraction of the initially retained ids.
+    """Rounds 2, 3, ... deleting a fixed fraction of the initially retained ids.
 
     Each step removes `fraction` of the original pool, drawn uniformly
     across all clients without replacement between steps.  With a target
@@ -197,37 +201,32 @@ def schedule_chunked(
     size = int(fraction * len(pool))
     if steps and not size:
         raise ValueError(f"a fraction of {fraction!r} deletes no id of a pool of {len(pool)}")
-    rounds = []
-    for step in range(steps):
-        ids = perm[step * size : (step + 1) * size]
-        rounds.append(_delete_round(start_round + step, ids, owners))
-    return rounds
+    return [
+        grouped_round(2 + step, owners, deletes=np.sort(perm[step * size : (step + 1) * size]).tolist())
+        for step in range(steps)
+    ]
 
 
-def schedule_burst(
-    seed: int, assignments: list[list[int]], count: int, start_round: int = 2
-) -> list[RoundSpec]:
-    """`count` rounds, each deleting exactly one retained sample."""
+def schedule_burst(seed: int, assignments: list[list[int]], count: int) -> list[RoundSpec]:
+    """Rounds 2 to count + 1, each deleting exactly one retained sample."""
     owners = _owner_map(assignments)
     pool = sorted(owners)
     if not 0 <= count <= len(pool):
         raise ValueError(f"cannot burst-delete {count} of {len(pool)} retained samples")
     rng = rng_stream(seed, "schedule")
-    chosen = rng.permutation(np.asarray(pool, dtype=np.int64))[:count]
+    chosen = rng.permutation(np.asarray(pool, dtype=np.int64))[:count].tolist()
+    return [grouped_round(2 + i, owners, deletes=[sid]) for i, sid in enumerate(chosen)]
+
+
+def schedule_addback(burst: list[RoundSpec]) -> list[RoundSpec]:
+    """Re-add the ids of a burst schedule, one round each in reverse order, after its last round."""
     return [
-        _delete_round(start_round + i, [int(sid)], owners) for i, sid in enumerate(chosen)
+        RoundSpec(burst[-1].round + 1 + i, [ClientEvent(ev.client, list(ev.delete)) for ev in spec.events if ev.delete])
+        for i, spec in enumerate(reversed(burst))
     ]
 
 
-def schedule_addback(burst: list[RoundSpec], start_round: int | None = None) -> list[RoundSpec]:
-    """Re-add the ids of a burst schedule, one per round, in reverse order."""
-    if start_round is None:
-        start_round = (burst[-1].round + 1) if burst else 2
-    rounds = []
-    for i, spec in enumerate(reversed(burst)):
-        events = [ClientEvent(ev.client, list(ev.delete), []) for ev in spec.events if ev.delete]
-        rounds.append(RoundSpec(start_round + i, events))
-    return rounds
+CHURN_HOLDBACK = 0.2  # the share of the pool that churn keeps out of round 1
 
 
 def schedule_churn(
@@ -236,15 +235,13 @@ def schedule_churn(
     rounds: int,
     adds_per_round: int,
     deletes_per_round: int,
-    holdback_fraction: float = 0.2,
-    start_round: int = 1,
 ) -> list[RoundSpec]:
-    """Initial ingest plus rounds mixing additions and deletions.
+    """Initial ingest in round 1 plus rounds 2 to rounds + 1 mixing additions and deletions.
 
-    A held-back slice of the pool is kept out of the first round and fed
-    in over the churn rounds, while deletions draw from whatever was
-    retained before the round started (a sample added in round t can only
-    be deleted from round t+1 on).
+    A held-back slice (`CHURN_HOLDBACK`) of the pool is kept out of the
+    first round and fed in over the churn rounds, while deletions draw from
+    whatever was retained before the round started (a sample added in round
+    t can only be deleted from round t+1 on).
     """
     if min(rounds, adds_per_round, deletes_per_round) < 0:
         raise ValueError(
@@ -253,26 +250,16 @@ def schedule_churn(
         )
     owners = _owner_map(assignments)
     rng = rng_stream(seed, "schedule")
-    perm = list(rng.permutation(np.asarray(sorted(owners), dtype=np.int64)))
-    n_hold = min(int(len(perm) * holdback_fraction), rounds * adds_per_round)
-    held = [int(i) for i in perm[:n_hold]]
-    initial = sorted(int(i) for i in perm[n_hold:])
-    per_client: dict[int, list[int]] = {}
-    for i in initial:
-        per_client.setdefault(owners[i], []).append(i)
-    out = [RoundSpec(start_round, [ClientEvent(k, v, []) for k, v in sorted(per_client.items())])]
-    retained = list(initial)
+    perm = rng.permutation(np.asarray(sorted(owners), dtype=np.int64)).tolist()
+    n_hold = min(int(len(perm) * CHURN_HOLDBACK), rounds * adds_per_round)
+    held = perm[:n_hold]
+    retained = sorted(perm[n_hold:])
+    out = [grouped_round(1, owners, adds=retained)]
     for step in range(rounds):
         adds = held[step * adds_per_round : (step + 1) * adds_per_round]
-        n_del = min(deletes_per_round, len(retained))
-        del_pos = rng.choice(len(retained), size=n_del, replace=False)
+        del_pos = rng.choice(len(retained), size=min(deletes_per_round, len(retained)), replace=False)
         dels = sorted(retained[p] for p in del_pos)
-        events: dict[int, ClientEvent] = {}
-        for i in adds:
-            events.setdefault(owners[i], ClientEvent(owners[i])).add.append(i)
-        for i in dels:
-            events.setdefault(owners[i], ClientEvent(owners[i])).delete.append(i)
-        out.append(RoundSpec(start_round + 1 + step, [events[k] for k in sorted(events)]))
+        out.append(grouped_round(2 + step, owners, adds, dels))
         removed = set(dels)
         retained = [i for i in retained if i not in removed] + sorted(adds)
     return out
@@ -422,23 +409,6 @@ def oracle_retrain(
     h = st.S + float(gamma) * np.eye(st.d, dtype=st.S.dtype)
     head = np.linalg.solve(h, st.G)
     return head, MatrixNormalPosterior(head, cholesky_spd(h) / math.sqrt(sigma2))
-
-
-def safe_rel_dev(w, w_ref) -> float:
-    """Relative deviation, falling back to the absolute norm at a zero ref.
-
-    An empty retained set has a zero oracle head; the protocol heads are
-    then judged by their absolute Frobenius norm instead.  Otherwise this is
-    `kernels.rel_frobenius_dev`, bitwise, with ||w_ref||_F formed once.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    w_ref = np.asarray(w_ref, dtype=np.float64)
-    if w.shape != w_ref.shape:
-        raise DimensionMismatch(f"shape mismatch {w.shape} vs {w_ref.shape}")
-    ref = frobenius_norm(w_ref)
-    if ref == 0.0:
-        return frobenius_norm(w)
-    return frobenius_norm(w - w_ref) / ref
 
 
 def score_head(w, test_features, true_classes, c: int) -> tuple[float, list[float]]:
@@ -597,7 +567,7 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
                 raise RuntimeError(f"round {spec.round}: {v}'s served T cannot be certified: {exc}") from exc
             accuracy, recall = score_head(w, test_f, test_classes, scenario.c)
             round_variants[v] = VariantMetrics(
-                rel_dev=safe_rel_dev(w, w_oracle),
+                rel_dev=rel_frobenius_dev(w, w_oracle),
                 reset=report.reset,
                 scalars=comm.total_scalars,
                 bytes=comm.total_bytes,

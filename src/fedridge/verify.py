@@ -37,11 +37,10 @@ from .kernels import (
 )
 from .posterior import MatrixNormalPosterior, kl_matrix_normal, posterior_from_state
 from .simulate import (
-    ClientEvent,
-    RoundSpec,
     Scenario,
     dirichlet_partition,
     gen_synthetic,
+    grouped_round,
     run_scenario,
     schedule_churn,
 )
@@ -346,47 +345,35 @@ def _comm_accounting(seed):
 # shared helpers for invariance checks
 
 
-def equivalent_shuffled_heads(
-    seed: int, shuffles: int, n: int, d: int, c: int, clients: int, delete_fraction: float = 0.3
-) -> list[np.ndarray]:
+def equivalent_shuffled_heads(seed: int, shuffles: int, n: int, d: int, c: int, clients: int) -> list[np.ndarray]:
     """Final heads from randomized replays with the same final multiset.
 
     Every replay re-partitions the samples across clients, re-groups the
-    additions into waves, and spreads the (fixed) deletions over random
-    later rounds; all of them retain exactly the same final multiset, so
-    all final heads must agree up to floating reordering.
+    additions into three waves, and spreads the same deletions (30% of the
+    training split) over random later rounds; all of them retain exactly
+    the same final multiset, so all final heads must agree up to floating
+    reordering.
     """
     data = gen_synthetic(seed, n, d, c, 2.0)
     pool = list(range(data.n_train))
     base = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(99,)))
-    delete_ids = sorted(int(i) for i in base.choice(pool, int(len(pool) * delete_fraction), replace=False))
+    delete_ids = sorted(int(i) for i in base.choice(pool, int(len(pool) * 0.3), replace=False))
     heads = []
     for shuffle in range(shuffles):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(100 + shuffle,)))
         order = rng.permutation(pool)
         bounds = sorted(rng.choice(np.arange(1, len(pool)), clients - 1, replace=False))
-        assignment = {}
-        for client, part in enumerate(np.split(order, bounds)):
-            for i in part:
-                assignment[int(i)] = client
+        owners = {int(i): client for client, part in enumerate(np.split(order, bounds)) for i in part}
         waves = np.split(rng.permutation(pool), [len(pool) // 3, 2 * len(pool) // 3])
-        add_round = {}
-        for w, wave in enumerate(waves):
-            for i in wave:
-                add_round[int(i)] = 1 + w
+        add_round = {int(i): 1 + w for w, wave in enumerate(waves) for i in wave}
         last_add = 3
         del_round = {i: int(rng.integers(add_round[i] + 1, last_add + 4)) for i in delete_ids}
-        total_rounds = max([last_add] + list(del_round.values()))
-        schedule = []
-        for t in range(1, total_rounds + 1):
-            events: dict[int, ClientEvent] = {}
-            for i in pool:
-                if add_round[i] == t:
-                    events.setdefault(assignment[i], ClientEvent(assignment[i])).add.append(i)
-            for i in delete_ids:
-                if del_round[i] == t:
-                    events.setdefault(assignment[i], ClientEvent(assignment[i])).delete.append(i)
-            schedule.append(RoundSpec(t, [events[k] for k in sorted(events)]))
+        schedule = [
+            grouped_round(
+                t, owners, [i for i in pool if add_round[i] == t], [i for i in delete_ids if del_round[i] == t]
+            )
+            for t in range(1, max([last_add, *del_round.values()]) + 1)
+        ]
         scenario = Scenario(
             seed=seed,
             d=d,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fedridge.cli import _build_parser, main
+from fedridge.simulate import Scenario, check_schedule, dirichlet_partition, gen_synthetic, writer_partition
 from fedridge.verify import PROPERTIES
 from fedridge.wire import WireError, read_feature_file, write_feature_file
 
@@ -53,6 +54,11 @@ def test_gen_writes_both_files(tmp_path, capsys):
         ["--separation", "nan"],
         ["--separation", "inf"],
         ["--schedule", "chunked", "--target-class", "99"],
+        # a target class narrows only a chunked schedule's pool
+        ["--target-class", "1"],
+        ["--schedule", "burst", "--target-class", "1"],
+        ["--schedule", "burst-addback", "--target-class", "1"],
+        ["--schedule", "churn", "--target-class", "1"],
         ["--schedule", "chunked", "--fraction", "0.001", "--steps", "4"],
         ["--gamma", "nan"],
         ["--gamma", "inf"],
@@ -75,6 +81,25 @@ def test_gen_is_byte_deterministic(tmp_path):
     f2, s2 = _gen(tmp_path / "b", "--schedule", "churn")
     assert f1.read_bytes() == f2.read_bytes()
     assert s1.read_text() == s2.read_text()
+
+
+@pytest.mark.parametrize("partition", ["dirichlet", "writers"])
+@pytest.mark.parametrize("schedule", ["ingest", "chunked", "burst", "burst-addback", "churn"])
+def test_gen_lists_each_id_under_the_client_the_partition_assigned_it(tmp_path, schedule, partition):
+    _, path = _gen(tmp_path, "--schedule", schedule, "--partition", partition)
+    scenario = Scenario.from_json(path.read_text())
+    data = gen_synthetic(7, 300, 8, 3, 2.0)  # _gen's data
+    if partition == "dirichlet":
+        parts = dirichlet_partition(7, data.classes[: data.n_train], 4, 0.5)
+    else:
+        parts = writer_partition(7, data.n_train, 4, 100)
+    check_schedule(scenario)  # raises on an invalid stream
+    for spec in scenario.schedule:
+        clients = [ev.client for ev in spec.events]
+        assert clients == sorted(set(clients)), spec.round
+        for ev in spec.events:
+            assert set(ev.add) | set(ev.delete) <= set(parts[ev.client]), (spec.round, ev.client)
+            assert ev.delete == sorted(ev.delete), (spec.round, ev.client)
 
 
 def test_gen_server_flags_change_only_their_fields(tmp_path):

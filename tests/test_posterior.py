@@ -174,6 +174,7 @@ def test_psd_order_check_directions():
         assert psd_order_check(after, before)
 
 
-def test_sigma2_must_be_positive():
+@pytest.mark.parametrize("sigma2", [0.0, float("nan"), float("inf"), -float("inf")])
+def test_sigma2_must_be_positive(sigma2):
     with pytest.raises(ValueError):
-        posterior_from_ledger(ledger_init(2, 1), sigma2=0.0)
+        posterior_from_ledger(ledger_init(2, 1), sigma2=sigma2)

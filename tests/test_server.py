@@ -9,13 +9,14 @@ lies within the bound it reports.
 """
 
 import numpy as np
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from fedridge.client import ClientStore
 from fedridge.coordinator import Server
-from fedridge.kernels import spd_inverse, spectral_norm
-from fedridge.simulate import RetainedGram, oracle_retrain, safe_rel_dev
+from fedridge.kernels import rel_frobenius_dev, spd_inverse, spectral_norm
+from fedridge.simulate import RetainedGram, oracle_retrain
 from fedridge.stats import regularized_gram
 
 D, C, CLIENTS, N, GAMMA = 8, 3, 3, 48, 1.0
@@ -78,8 +79,16 @@ class ServerMachine(RuleBasedStateMachine):
                 # a round with nothing dropped has bound 0 and is held to rounding
                 assert gap <= report.bound + 1e-12, (self.round, gap, report.bound)
             else:
-                assert safe_rel_dev(w, w_oracle) <= 1e-8, (server.variant, self.round)
+                assert rel_frobenius_dev(w, w_oracle) <= 1e-8, (server.variant, self.round)
 
 
 TestServerMachine = ServerMachine.TestCase
 TestServerMachine.settings = settings(max_examples=40, stateful_step_count=30)
+
+
+@pytest.mark.parametrize("bad", [{"rank": -1}, {"rank": 0}, {"rank": 2.5}, {"reset_every": -3}], ids=str)
+def test_server_refuses_a_rank_or_reset_period_that_scenario_refuses(bad):
+    # rank -1 would keep d-1 eigenpairs, rank 0 none, and 2.5 fail at the first truncated add;
+    # Scenario refuses all of them
+    with pytest.raises(ValueError):
+        Server("approx", 6, 3, 1.0, **bad)

@@ -103,6 +103,11 @@ def test_writer_partition_is_a_partition():
     assert flat == list(range(500))
 
 
+def test_writer_partition_needs_a_client():
+    with pytest.raises(ValueError, match="at least one client"):
+        writer_partition(1, 500, 0, writers=30)
+
+
 def test_schedule_chunked_counts():
     data = gen_synthetic(13, 500, 4, 2, 1.0)
     parts = dirichlet_partition(13, data.classes[: data.n_train], 3, 1.0)
