@@ -24,7 +24,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -37,9 +38,14 @@ from .stats import PRECISION_DTYPES, SufficientStats, stats_from_batch
 _SUBSTREAMS = {"data": 0, "partition": 1, "schedule": 2}
 
 
+def _is_int_type(kind: type) -> bool:
+    """A Python or numpy integer type; bool is not one."""
+    return issubclass(kind, numbers.Integral) and not issubclass(kind, bool)
+
+
 def _is_int(value) -> bool:
     """A Python or numpy integer; a bool is not one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return _is_int_type(type(value))
 
 
 def rng_stream(seed: int, name: str) -> np.random.Generator:
@@ -110,7 +116,7 @@ def dirichlet_partition(seed: int, classes: np.ndarray, k: int, alpha: float) ->
         props = rng.dirichlet(np.full(k, float(alpha)))
         bounds = (np.cumsum(props)[:-1] * len(ids)).astype(int)
         for client, part in enumerate(np.split(ids, bounds)):
-            out[client].extend(int(i) for i in part)
+            out[client].extend(part.tolist())
     return [sorted(ids) for ids in out]
 
 
@@ -121,11 +127,10 @@ def writer_partition(seed: int, n: int, k: int, writers: int) -> list[list[int]]
     if writers < k:
         raise ValueError("need at least as many writers as clients")
     rng = rng_stream(seed, "partition")
-    writer_of = rng.integers(0, writers, size=n)
-    out: list[list[int]] = [[] for _ in range(k)]
-    for i in range(n):
-        out[int(writer_of[i]) % k].append(i)
-    return [sorted(ids) for ids in out]
+    client_of = rng.integers(0, writers, size=n) % k
+    # a stable sort of the ids by client keeps each client's ids ascending
+    bounds = np.cumsum(np.bincount(client_of, minlength=k))[:-1]
+    return [part.tolist() for part in np.split(np.argsort(client_of, kind="stable"), bounds)]
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +156,19 @@ def initial_round(assignments: list[list[int]]) -> RoundSpec:
     return RoundSpec(1, events)
 
 
-def _owner_map(assignments: list[list[int]]) -> dict[int, int]:
-    return {i: client for client, ids in enumerate(assignments) for i in ids}
+def _owners(assignments: list[list[int]]) -> tuple[list[int], np.ndarray]:
+    """Each id's client as a list indexed by id (-1 where none), and the assigned ids ascending."""
+    sizes = [len(ids) for ids in assignments]
+    ids = np.fromiter(chain.from_iterable(assignments), dtype=np.int64, count=sum(sizes))
+    owner = np.full(ids.max() + 1 if ids.size else 0, -1, dtype=np.int64)
+    owner[ids] = np.repeat(np.arange(len(assignments)), sizes)
+    return owner.tolist(), np.unique(ids)
 
 
-def grouped_round(round_index: int, owners: dict[int, int], adds=(), deletes=()) -> RoundSpec:
+def grouped_round(round_index: int, owners, adds=(), deletes=()) -> RoundSpec:
     """One round listing each id under the client `owners[id]` that owns it.
 
+    `owners` maps an id to its client: a list indexed by id, or a dict.
     Clients come in ascending order, and each client's ids in the order given.
     """
     add: dict[int, list[int]] = {}
@@ -184,20 +195,22 @@ def schedule_chunked(
     across all clients without replacement between steps.  With a target
     class set, the pool is restricted to that class's ids and the
     fraction applies to the class pool instead.  A step that would delete
-    no id, because ⌊fraction·|pool|⌋ = 0, is refused.
+    no id, because ⌊fraction·|pool|⌋ = 0, is refused, and so is a fraction
+    that is not a finite number in [0, 1].
     """
-    if fraction < 0 or steps < 0 or fraction * steps > 1 + 1e-12:
+    if not (math.isfinite(fraction) and 0 <= fraction <= 1):
+        raise ValueError(f"fraction must be a finite number in [0, 1], got {fraction!r}")
+    if steps < 0 or fraction * steps > 1 + 1e-12:
         raise ValueError("fraction * steps must stay within the available pool")
-    owners = _owner_map(assignments)
-    pool = sorted(owners)
+    owners, pool = _owners(assignments)
     if target_class is not None:
         if classes is None:
             raise ValueError("target_class requires the class labels")
-        pool = [i for i in pool if int(classes[i]) == target_class]
-        if not pool:
+        pool = pool[np.asarray(classes)[pool] == target_class]
+        if not pool.size:
             raise ValueError(f"no retained sample has target class {target_class}")
     rng = rng_stream(seed, "schedule")
-    perm = rng.permutation(np.asarray(pool, dtype=np.int64))
+    perm = rng.permutation(pool)
     size = int(fraction * len(pool))
     if steps and not size:
         raise ValueError(f"a fraction of {fraction!r} deletes no id of a pool of {len(pool)}")
@@ -209,12 +222,11 @@ def schedule_chunked(
 
 def schedule_burst(seed: int, assignments: list[list[int]], count: int) -> list[RoundSpec]:
     """Rounds 2 to count + 1, each deleting exactly one retained sample."""
-    owners = _owner_map(assignments)
-    pool = sorted(owners)
+    owners, pool = _owners(assignments)
     if not 0 <= count <= len(pool):
         raise ValueError(f"cannot burst-delete {count} of {len(pool)} retained samples")
     rng = rng_stream(seed, "schedule")
-    chosen = rng.permutation(np.asarray(pool, dtype=np.int64))[:count].tolist()
+    chosen = rng.permutation(pool)[:count].tolist()
     return [grouped_round(2 + i, owners, deletes=[sid]) for i, sid in enumerate(chosen)]
 
 
@@ -248,20 +260,18 @@ def schedule_churn(
             f"rounds, adds and deletes per round must be non-negative, "
             f"got {rounds}, {adds_per_round} and {deletes_per_round}"
         )
-    owners = _owner_map(assignments)
+    owners, pool = _owners(assignments)
     rng = rng_stream(seed, "schedule")
-    perm = rng.permutation(np.asarray(sorted(owners), dtype=np.int64)).tolist()
+    perm = rng.permutation(pool)
     n_hold = min(int(len(perm) * CHURN_HOLDBACK), rounds * adds_per_round)
     held = perm[:n_hold]
-    retained = sorted(perm[n_hold:])
-    out = [grouped_round(1, owners, adds=retained)]
+    retained = np.sort(perm[n_hold:])  # in the order deletions draw positions from
+    out = [grouped_round(1, owners, adds=retained.tolist())]
     for step in range(rounds):
         adds = held[step * adds_per_round : (step + 1) * adds_per_round]
         del_pos = rng.choice(len(retained), size=min(deletes_per_round, len(retained)), replace=False)
-        dels = sorted(retained[p] for p in del_pos)
-        out.append(grouped_round(2 + step, owners, adds, dels))
-        removed = set(dels)
-        retained = [i for i in retained if i not in removed] + sorted(adds)
+        out.append(grouped_round(2 + step, owners, adds.tolist(), np.sort(retained[del_pos]).tolist()))
+        retained = np.concatenate([np.delete(retained, del_pos), np.sort(adds)])
     return out
 
 
@@ -317,7 +327,15 @@ class Scenario:
             raise ValueError("reset_every must be non-negative")
 
     def to_json(self) -> str:
-        doc = asdict(self)
+        """The version 2 document, built from the fields; `partition` goes in as given."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["schedule"] = [
+            {
+                "round": spec.round,
+                "events": [{"client": ev.client, "add": ev.add, "delete": ev.delete} for ev in spec.events],
+            }
+            for spec in self.schedule
+        ]
         doc["version"] = SCENARIO_VERSION
         return json.dumps(doc, sort_keys=True)
 
@@ -457,15 +475,29 @@ class ScenarioResult:
     summary: dict
 
 
-def _id_array(round_index, ids, n: int) -> np.ndarray:
-    """`ids` as int64, when it is a flat list of integers in [0, n)."""
-    if not isinstance(ids, list):
-        raise RuntimeError(f"round {round_index} gives ids that are not a list")
-    if not all(map(_is_int, ids)):
-        raise RuntimeError(f"round {round_index} names an id that is not an integer")
-    if len(ids) and (min(ids) < 0 or max(ids) >= n):
-        raise RuntimeError(f"round {round_index} names ids outside the feature file")
-    return np.asarray(ids, dtype=np.int64)
+def _round_fault(r, events: list[ClientEvent], owner: np.ndarray, n_train: int) -> str:
+    """What is wrong with round `r`, once its checks have failed.
+
+    Events are judged in client order, each by its adds' split, then
+    repeats, then its deletes' owner; a round none of them faults re-adds
+    a retained id or adds one id on two clients.
+    """
+    for ev in events:
+        if ev.add.size and ev.add.max() >= n_train:
+            return f"round {r} adds ids of the test split (n_train={n_train})"
+        if np.unique(ev.add).size < ev.add.size or np.unique(ev.delete).size < ev.delete.size:
+            return f"round {r} repeats an id within one client's event"
+        if (owner[ev.delete] != ev.client).any():
+            return f"round {r} deletes ids client {ev.client} does not retain"
+    return f"round {r} re-adds retained ids, or adds one id on two clients"
+
+
+def _repeats(ids: np.ndarray) -> bool:
+    """Whether an id occurs twice, by one sort."""
+    if ids.size < 2:
+        return False
+    ids = np.sort(ids)
+    return bool((ids[1:] == ids[:-1]).any())
 
 
 def check_schedule(scenario: Scenario) -> list[RoundSpec]:
@@ -476,6 +508,15 @@ def check_schedule(scenario: Scenario) -> list[RoundSpec]:
     [0, n) and adds in the training split.  As of the round's start, its
     adds are distinct ids no client retains and each delete a distinct id
     its own client retains; a violation raises RuntimeError naming the round.
+
+    A round is checked in one pass over one flat list of all its ids, the
+    adds of every event and then the deletes: one integer test per distinct
+    type in the list, one int64 array with one range check, one sort of the
+    adds and one of the deletes for repeats, and one gather of the client
+    that retains each id, against no client for an add and the event's own
+    for a delete.  Which message a failing round gets is worked out only
+    after it fails (`_round_fault`).  A returned event's ids are views of
+    its round's array, in file order.
     """
     owner = np.full(scenario.n, -1, dtype=np.int64)  # retaining client per sample id, -1 if none
     rounds: list[RoundSpec] = []
@@ -487,27 +528,39 @@ def check_schedule(scenario: Scenario) -> list[RoundSpec]:
         for ev in spec.events:
             if not _is_int(ev.client) or ev.client not in range(scenario.clients):
                 raise RuntimeError(f"round {r} names client {ev.client!r}, not an integer in [0, {scenario.clients})")
-        events = [
-            ClientEvent(ev.client, _id_array(r, ev.add, scenario.n), _id_array(r, ev.delete, scenario.n))
-            for ev in sorted(spec.events, key=lambda e: e.client)
-        ]
+        events = sorted(spec.events, key=lambda e: e.client)
         if not events:
             continue
+        sides = [ev.add for ev in events] + [ev.delete for ev in events]  # every add, then every delete
+        if not all(isinstance(ids, list) for ids in sides):
+            raise RuntimeError(f"round {r} gives ids that are not a list")
+        flat = list(chain.from_iterable(sides))
+        if not all(map(_is_int_type, set(map(type, flat)))):
+            raise RuntimeError(f"round {r} names an id that is not an integer")
+        try:
+            ids = np.array(flat, dtype=np.int64)
+        except OverflowError:  # an integer beyond int64 is beyond the feature file
+            ids = None
+        if ids is None or (ids.size and (ids.min() < 0 or ids.max() >= scenario.n)):
+            raise RuntimeError(f"round {r} names ids outside the feature file")
         if len({ev.client for ev in events}) < len(events):
             raise RuntimeError(f"round {r} lists a client in more than one event")
-        for ev in events:
-            if ev.add.size and ev.add.max() >= scenario.n_train:
-                raise RuntimeError(f"round {r} adds ids of the test split (n_train={scenario.n_train})")
-            if np.unique(ev.add).size < ev.add.size or np.unique(ev.delete).size < ev.delete.size:
-                raise RuntimeError(f"round {r} repeats an id within one client's event")
-            if (owner[ev.delete] != ev.client).any():
-                raise RuntimeError(f"round {r} deletes ids client {ev.client} does not retain")
-        adds = np.concatenate([ev.add for ev in events])
-        if (owner[adds] >= 0).any() or np.unique(adds).size < adds.size:
-            raise RuntimeError(f"round {r} re-adds retained ids, or adds one id on two clients")
-        for ev in events:
-            owner[ev.delete] = -1
-            owner[ev.add] = ev.client
+        m = len(events)
+        clients = [ev.client for ev in events]
+        sizes = [len(side) for side in sides]
+        bounds = list(accumulate(sizes, initial=0))
+        views = [ids[a:b] for a, b in zip(bounds, bounds[1:])]
+        events = [ClientEvent(k, add, delete) for k, add, delete in zip(clients, views[:m], views[m:])]
+        adds, deletes = ids[: bounds[m]], ids[bounds[m] :]
+        if (
+            (owner[ids] != np.array([-1] * m + clients, dtype=np.int64).repeat(sizes)).any()
+            or (adds.size and adds.max() >= scenario.n_train)
+            or _repeats(adds)
+            or _repeats(deletes)
+        ):
+            raise RuntimeError(_round_fault(r, events, owner, scenario.n_train))
+        # an add's client retains it from now on, and a deleted id no client
+        owner[ids] = np.array(clients + [-1] * m, dtype=np.int64).repeat(sizes)
         rounds.append(RoundSpec(r, events))
     return rounds
 
@@ -625,23 +678,14 @@ def metrics_csv(result: ScenarioResult) -> str:
 
 
 def events_jsonl(scenario: Scenario) -> str:
-    lines = []
-    for spec in scenario.schedule:
-        for ev in sorted(spec.events, key=lambda e: e.client):
-            for op, ids in (("add", ev.add), ("delete", ev.delete)):
-                if ids:
-                    lines.append(
-                        json.dumps(
-                            {
-                                "round": spec.round,
-                                "client_id": ev.client,
-                                "op": op,
-                                "sample_ids": list(ids),
-                                "variant": scenario.variant,
-                            },
-                            sort_keys=True,
-                        )
-                    )
+    encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps(..., sort_keys=True) builds per call
+    lines = [
+        encode({"round": spec.round, "client_id": ev.client, "op": op, "sample_ids": ids, "variant": scenario.variant})
+        for spec in scenario.schedule
+        for ev in sorted(spec.events, key=lambda e: e.client)
+        for op, ids in (("add", ev.add), ("delete", ev.delete))
+        if ids
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -1,7 +1,9 @@
 """CLI surface: gen / run / verify / report, exit codes, determinism."""
 
+import dataclasses
 import json
 import re
+import runpy
 import shlex
 from pathlib import Path
 
@@ -9,7 +11,14 @@ import numpy as np
 import pytest
 
 from fedridge.cli import _build_parser, main
-from fedridge.simulate import Scenario, check_schedule, dirichlet_partition, gen_synthetic, writer_partition
+from fedridge.simulate import (
+    SCENARIO_VERSION,
+    Scenario,
+    check_schedule,
+    dirichlet_partition,
+    gen_synthetic,
+    writer_partition,
+)
 from fedridge.verify import PROPERTIES
 from fedridge.wire import WireError, read_feature_file, write_feature_file
 
@@ -60,6 +69,12 @@ def test_gen_writes_both_files(tmp_path, capsys):
         ["--schedule", "burst-addback", "--target-class", "1"],
         ["--schedule", "churn", "--target-class", "1"],
         ["--schedule", "chunked", "--fraction", "0.001", "--steps", "4"],
+        # a fraction that is not a finite number in [0, 1], even with no step to take
+        ["--schedule", "chunked", "--fraction", "inf", "--steps", "0"],
+        ["--schedule", "chunked", "--fraction", "-inf", "--steps", "0"],
+        ["--schedule", "chunked", "--fraction", "nan", "--steps", "0"],
+        ["--schedule", "chunked", "--fraction", "1e308", "--steps", "0"],
+        ["--schedule", "chunked", "--fraction", "2", "--steps", "0"],
         ["--gamma", "nan"],
         ["--gamma", "inf"],
     ],
@@ -93,13 +108,45 @@ def test_gen_lists_each_id_under_the_client_the_partition_assigned_it(tmp_path, 
         parts = dirichlet_partition(7, data.classes[: data.n_train], 4, 0.5)
     else:
         parts = writer_partition(7, data.n_train, 4, 100)
-    check_schedule(scenario)  # raises on an invalid stream
+    # the checked stream is every event, sorted by client, with its int64 ids id for id in file order
+    checked = check_schedule(scenario)
+    assert [
+        (spec.round, [(ev.client, ev.add.tolist(), ev.delete.tolist()) for ev in spec.events]) for spec in checked
+    ] == [
+        (spec.round, [(ev.client, ev.add, ev.delete) for ev in sorted(spec.events, key=lambda e: e.client)])
+        for spec in scenario.schedule
+        if spec.events
+    ]
+    assert {ids.dtype for spec in checked for ev in spec.events for ids in (ev.add, ev.delete)} == {np.dtype(np.int64)}
     for spec in scenario.schedule:
         clients = [ev.client for ev in spec.events]
         assert clients == sorted(set(clients)), spec.round
         for ev in spec.events:
             assert set(ev.add) | set(ev.delete) <= set(parts[ev.client]), (spec.round, ev.client)
             assert ev.delete == sorted(ev.delete), (spec.round, ev.client)
+
+
+_WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))["WORKLOADS"]
+_SMALL_GEN = ["--n", "300", "--d", "8", "--c", "3", "--clients", "4", "--alpha", "0.5"]
+_WRITER_CASES = {name: list(w.gen_args) for name, w in _WORKLOADS.items()} | {
+    f"{schedule}-{partition}": [*_SMALL_GEN, "--schedule", schedule, "--partition", partition]
+    for schedule in ("ingest", "chunked", "burst", "burst-addback", "churn")
+    for partition in ("dirichlet", "writers")
+}
+
+
+@pytest.mark.parametrize("flags", _WRITER_CASES.values(), ids=list(_WRITER_CASES))
+def test_scenario_writer_keeps_the_asdict_document(tmp_path, flags):
+    # the writer once deep-copied the scenario with dataclasses.asdict; its document is the reference
+    for seed in (1, 2, 3):
+        features, path = tmp_path / "f.bin", tmp_path / "s.json"
+        argv = ["gen", *flags, "--seed", str(seed), "--out-features", str(features), "--out-scenario", str(path)]
+        assert main(argv) == 0
+        scenario = Scenario.from_json(path.read_text())
+        text = scenario.to_json()
+        assert text == path.read_text()
+        assert text == json.dumps({**dataclasses.asdict(scenario), "version": SCENARIO_VERSION}, sort_keys=True)
+        assert Scenario.from_json(text) == scenario
 
 
 def test_gen_server_flags_change_only_their_fields(tmp_path):
@@ -390,6 +437,11 @@ _BAD_EVENTS = {
     "move-to-a-lower-client": "round 2 re-adds retained ids",
     "move-to-a-higher-client": "round 2 re-adds retained ids",
     "fractional-add": "names an id that is not an integer",
+    "bool-add": "round 1 names an id that is not an integer",
+    "string-add": "round 1 names an id that is not an integer",
+    "null-delete": "round 1 names an id that is not an integer",
+    "float-in-a-later-round": "round 2 names an id that is not an integer",
+    "beyond-int64-add": "round 1 names ids outside the feature file",
     "fractional-delete": "round 2 names an id that is not an integer",
     "bare-int-add": "round 1 gives ids that are not a list",
     "nested-add": "round 1 names an id that is not an integer",
@@ -439,6 +491,16 @@ def test_run_bad_event_ids_exit_4(tmp_path, capsys, case, message):
         events[0]["add"].append(250.5)
     elif case == "fractional-delete":  # truncates to an id this client retains
         doc["schedule"].append({"round": 2, "events": [{"client": events[0]["client"], "add": [], "delete": [first + 0.5]}]})
+    elif case == "bool-add":  # JSON true
+        events[0]["add"].append(True)
+    elif case == "string-add":
+        events[0]["add"].append(str(first))
+    elif case == "null-delete":
+        events[0]["delete"] = [None]
+    elif case == "float-in-a-later-round":  # a whole float naming an id the client retains
+        doc["schedule"].append({"round": 2, "events": [{"client": events[0]["client"], "add": [], "delete": [float(first)]}]})
+    elif case == "beyond-int64-add":
+        events[0]["add"].append(2**70)
     elif case == "bare-int-add":
         events[0]["add"] = first
     elif case == "nested-add":

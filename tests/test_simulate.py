@@ -1,13 +1,18 @@
 """Scenario generation, partitions, schedules and the round loop."""
 
+import re
+
 import numpy as np
 import pytest
 
 from fedridge import simulate
 from fedridge.kernels import rel_frobenius_dev, spd_inverse, spectral_norm
 from fedridge.simulate import (
+    ClientEvent,
     RetainedGram,
+    RoundSpec,
     Scenario,
+    check_schedule,
     dirichlet_partition,
     gen_synthetic,
     initial_round,
@@ -103,6 +108,16 @@ def test_writer_partition_is_a_partition():
     assert flat == list(range(500))
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 1000])
+def test_writer_partition_matches_a_per_sample_grouping(seed, n):
+    writer_of = simulate.rng_stream(seed, "partition").integers(0, 30, size=n)
+    out = [[] for _ in range(7)]
+    for i in range(n):
+        out[int(writer_of[i]) % 7].append(i)
+    assert writer_partition(seed, n, 7, writers=30) == out
+
+
 def test_writer_partition_needs_a_client():
     with pytest.raises(ValueError, match="at least one client"):
         writer_partition(1, 500, 0, writers=30)
@@ -148,6 +163,38 @@ def test_schedule_burst_and_addback():
     assert schedule_burst(19, parts, 0) == []
     with pytest.raises(ValueError):
         schedule_burst(19, parts, data.n_train + 1)
+
+
+def _churn_by_lists(seed, assignments, rounds, adds_per_round, deletes_per_round):
+    # schedule_churn as it was written with Python lists, a dict of owners and a set per round
+    owners = {i: client for client, ids in enumerate(assignments) for i in ids}
+    rng = simulate.rng_stream(seed, "schedule")
+    perm = rng.permutation(np.asarray(sorted(owners), dtype=np.int64)).tolist()
+    n_hold = min(int(len(perm) * simulate.CHURN_HOLDBACK), rounds * adds_per_round)
+    held, retained = perm[:n_hold], sorted(perm[n_hold:])
+    out = [simulate.grouped_round(1, owners, adds=retained)]
+    for step in range(rounds):
+        adds = held[step * adds_per_round : (step + 1) * adds_per_round]
+        del_pos = rng.choice(len(retained), size=min(deletes_per_round, len(retained)), replace=False)
+        dels = sorted(retained[p] for p in del_pos)
+        out.append(simulate.grouped_round(2 + step, owners, adds, dels))
+        removed = set(dels)
+        retained = [i for i in retained if i not in removed] + sorted(adds)
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("rounds, adds, deletes", [(6, 20, 25), (12, 50, 0), (4, 0, 300), (3, 400, 10)])
+def test_schedule_churn_draws_what_the_list_version_drew(seed, rounds, adds, deletes):
+    data = gen_synthetic(seed, 1000, 4, 5, 1.0)
+    parts = dirichlet_partition(seed, data.classes[: data.n_train], 6, 0.5)
+    assert schedule_churn(seed, parts, rounds, adds, deletes) == _churn_by_lists(seed, parts, rounds, adds, deletes)
+
+
+@pytest.mark.parametrize("fraction", [float("inf"), float("-inf"), float("nan"), 1e308, 2.0, -0.1])
+def test_schedule_chunked_refuses_a_fraction_outside_0_1(fraction):
+    with pytest.raises(ValueError, match=re.escape(repr(fraction))):
+        schedule_chunked(1, [[0, 1, 2], [3, 4]], fraction, 0)
 
 
 def test_schedule_churn_never_deletes_fresh_adds():
@@ -694,6 +741,30 @@ def test_scenario_rejects_invalid_settings(field, value):
     parts = dirichlet_partition(43, data.classes[: data.n_train], 2, 1.0)
     with pytest.raises(ValueError):
         _scenario(data, parts, [initial_round(parts)], **{field: value})
+
+
+def test_check_schedule_accepts_numpy_integer_ids():
+    data = gen_synthetic(43, 200, 4, 2, 1.0)
+    parts = dirichlet_partition(43, data.classes[: data.n_train], 3, 1.0)
+    schedule = schedule_churn(43, parts, rounds=4, adds_per_round=5, deletes_per_round=6)
+    plain = check_schedule(_scenario(data, parts, schedule))
+    kinds = [np.int64, np.int32, np.uint16, int]  # one round mixes numpy and Python integers
+    as_numpy = [
+        RoundSpec(
+            spec.round,
+            [
+                ClientEvent(np.uint64(ev.client) if i % 2 else ev.client,
+                            [kinds[(i + j) % 4](x) for j, x in enumerate(ev.add)],
+                            [kinds[(i + j) % 3](x) for j, x in enumerate(ev.delete)])
+                for i, ev in enumerate(spec.events)
+            ],
+        )
+        for spec in schedule
+    ]
+    checked = check_schedule(_scenario(data, parts, as_numpy))
+    assert [(s.round, [(e.client, e.add.tolist(), e.delete.tolist()) for e in s.events]) for s in checked] == [
+        (s.round, [(e.client, e.add.tolist(), e.delete.tolist()) for e in s.events]) for s in plain
+    ]
 
 
 def test_scenario_accepts_numpy_integers():
