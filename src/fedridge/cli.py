@@ -42,6 +42,18 @@ EXIT_INVARIANT = 4
 # In double precision any oracle deviation above this is a bug, not a result.
 HARD_DEVIATION_CEILING = 1e-6
 
+# The `gen` flags that only some schedules or partitions read, with their
+# defaults.  A flag that the chosen schedule or partition does not read is
+# refused, never silently dropped.
+SCHEDULE_FLAGS = {
+    "ingest": {},
+    "chunked": {"fraction": 0.2, "steps": 4, "target_class": None},
+    "burst": {"count": 200},
+    "burst-addback": {"count": 200},
+    "churn": {"rounds": 8, "adds_per_round": 20, "dels_per_round": 20},
+}
+PARTITION_FLAGS = {"dirichlet": {"alpha": 0.3}, "writers": {"writers": 100}}
+
 
 class _Once(argparse.Action):
     """Store an option's value; a second occurrence is a usage error."""
@@ -61,26 +73,22 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--d", type=int, default=64)
     gen.add_argument("--c", type=int, default=10)
     gen.add_argument("--clients", type=int, default=10)
-    gen.add_argument("--alpha", type=float, default=0.3, help="Dirichlet concentration")
-    gen.add_argument("--partition", choices=["dirichlet", "writers"], default="dirichlet")
-    gen.add_argument("--writers", type=int, default=100)
+    gen.add_argument("--alpha", type=float, help="dirichlet: concentration (default 0.3)")
+    gen.add_argument("--partition", choices=list(PARTITION_FLAGS), default="dirichlet")
+    gen.add_argument("--writers", type=int, help="writers: number of writers (default 100)")
     gen.add_argument("--separation", type=float, default=3.0)
     gen.add_argument("--seed", type=int, default=7)
     gen.add_argument("--gamma", type=float, default=1.0)
     gen.add_argument("--precision", choices=["f32", "f64"], default="f64")
     gen.add_argument("--variant", choices=["A", "B", "both", "approx"], default="both")
-    gen.add_argument(
-        "--schedule",
-        choices=["ingest", "chunked", "burst", "burst-addback", "churn"],
-        default="ingest",
-    )
-    gen.add_argument("--fraction", type=float, default=0.2, help="chunked: fraction per step")
-    gen.add_argument("--steps", type=int, default=4, help="chunked: number of steps")
-    gen.add_argument("--count", type=int, default=200, help="burst: number of deletions")
-    gen.add_argument("--rounds", type=int, default=8, help="churn: number of churn rounds")
-    gen.add_argument("--adds-per-round", type=int, default=20)
-    gen.add_argument("--dels-per-round", type=int, default=20)
-    gen.add_argument("--target-class", type=int, default=None, help="chunked: delete only this class")
+    gen.add_argument("--schedule", choices=list(SCHEDULE_FLAGS), default="ingest")
+    gen.add_argument("--fraction", type=float, help="chunked: fraction per step (default 0.2)")
+    gen.add_argument("--steps", type=int, help="chunked: number of steps (default 4)")
+    gen.add_argument("--count", type=int, help="burst, burst-addback: number of deletions (default 200)")
+    gen.add_argument("--rounds", type=int, help="churn: number of churn rounds (default 8)")
+    gen.add_argument("--adds-per-round", type=int, help="churn: additions per round (default 20)")
+    gen.add_argument("--dels-per-round", type=int, help="churn: deletions per round (default 20)")
+    gen.add_argument("--target-class", type=int, help="chunked: delete only this class")
     gen.add_argument("--rank", type=int, default=8)
     gen.add_argument("--reset-every", type=int, default=16)
     gen.add_argument("--out-features", default="features.bin")
@@ -109,9 +117,16 @@ def _cmd_gen(args) -> int:
     if args.n < 1 or args.d < 1 or args.c < 2:
         print("error: need n >= 1, d >= 1, c >= 2", file=sys.stderr)
         return EXIT_USAGE
-    if args.target_class is not None and args.schedule != "chunked":
-        print("error: --target-class applies only to --schedule chunked", file=sys.stderr)
-        return EXIT_USAGE
+    reads = {**SCHEDULE_FLAGS[args.schedule], **PARTITION_FLAGS[args.partition]}
+    for option, table in (("--schedule", SCHEDULE_FLAGS), ("--partition", PARTITION_FLAGS)):
+        for name in sorted({name for flags in table.values() for name in flags}):
+            if getattr(args, name) is None:
+                setattr(args, name, reads.get(name))
+            elif name not in reads:
+                readers = " or ".join(kind for kind, flags in table.items() if name in flags)
+                flag = "--" + name.replace("_", "-")
+                print(f"error: {flag} applies only to {option} {readers}", file=sys.stderr)
+                return EXIT_USAGE
     data = gen_synthetic(args.seed, args.n, args.d, args.c, args.separation)
     if args.partition == "dirichlet":
         assignments = dirichlet_partition(

@@ -7,8 +7,10 @@ from the same floats that entered the statistics.  Round messages carry
 only aggregate matrices whose sizes depend on (d, c) and, for Variant B,
 r = min(n, d), never on how much data the client retains: Variant A sends
 each batch's `PackedStats`, FᵀF packed as its upper triangle with G = FᵀY
-and n, and Variant B its thin-QR R-factor with G and n.  A payload of no
-samples is all zeros and costs no uplink scalars.
+and n, and Variant B its `QrPayload`, the r x d R factor and the r x c
+block Z = QᵀY of one thin QR of [F | Y], with n.  RᵀZ = FᵀY, so B never
+forms or sends the dense d x c moment: a one-sample B side is d + c
+scalars.  A payload of no samples is all zeros and costs no uplink scalars.
 """
 
 from __future__ import annotations
@@ -53,10 +55,13 @@ class PackedStats:
 
 @dataclass(frozen=True)
 class QrPayload:
-    """Variant B payload: thin-QR R factor of F plus (G, n)."""
+    """Variant B payload: R and Z = QᵀY from one thin QR of [F | Y], plus n.
+
+    Both have r = min(n, d) rows, and RᵀR = FᵀF, RᵀZ = FᵀY.
+    """
 
     R: np.ndarray
-    G: np.ndarray
+    Z: np.ndarray
     n: int
 
     @property
@@ -65,7 +70,14 @@ class QrPayload:
 
     @property
     def c(self) -> int:
-        return self.G.shape[1]
+        return self.Z.shape[1]
+
+    @property
+    def G(self) -> np.ndarray:
+        """FᵀY recovered as RᵀZ, read-only; the server folds Z and never reads this."""
+        g = self.R.T @ self.Z
+        g.flags.writeable = False
+        return g
 
 
 @dataclass(frozen=True)
@@ -87,14 +99,14 @@ def variant_a_payload_scalars(n: int, d: int, c: int) -> int:
 
 
 def variant_b_payload_scalars(n: int, d: int, c: int) -> int:
-    """The upper trapezoid of the r = min(n, d) row R factor and dense G; nothing for no samples.
+    """The upper trapezoid of the r = min(n, d) row R factor and the r x c Z; nothing for no samples.
 
-    r d - r(r-1)/2 grows with r up to d(d+1)/2 at r = d, so a B payload
-    never costs more than an A payload of the same (d, c), and costs as
-    much once n >= d.
+    r d - r(r-1)/2 + r c grows with r up to d(d+1)/2 + d c at r = d, so a
+    B payload never costs more than an A payload of the same (d, c), and
+    costs as much once n >= d.
     """
     r = min(n, d)
-    return r * d - r * (r - 1) // 2 + d * c if n else 0
+    return r * d - r * (r - 1) // 2 + r * c
 
 
 def payload_scalars(payload: PackedStats | QrPayload) -> int:
@@ -105,12 +117,15 @@ def payload_scalars(payload: PackedStats | QrPayload) -> int:
 
 
 def empty_payload(variant: str, d: int, c: int, dtype) -> PackedStats | QrPayload:
-    """The payload of no samples, as read-only broadcast zeros that allocate no packed S or d x c block."""
-    zero = np.zeros((), dtype=dtype)
-    g = np.broadcast_to(zero, (d, c))
+    """The payload of no samples.
+
+    A's is read-only broadcast zeros, which allocate no packed S or d x c
+    block; B's is an R and a Z of no rows.
+    """
     if variant == VARIANT_FULL:
-        return PackedStats(np.broadcast_to(zero, (d * (d + 1) // 2,)), g, 0)
-    return QrPayload(np.zeros((0, d), dtype=dtype), g, 0)
+        zero = np.zeros((), dtype=dtype)
+        return PackedStats(np.broadcast_to(zero, (d * (d + 1) // 2,)), np.broadcast_to(zero, (d, c)), 0)
+    return QrPayload(np.zeros((0, d), dtype=dtype), np.zeros((0, c), dtype=dtype), 0)
 
 
 def read_only(a) -> np.ndarray:
@@ -168,8 +183,8 @@ class ClientStore:
         f, y = batch_arrays(self.features[ids], self.labels[ids], dtype)
         if variant == VARIANT_FULL:
             return PackedStats(packed_gram(f), f.T @ y, len(ids))
-        # the R factor stands in for the Gram, so FᵀF is never formed here
-        return QrPayload(thin_qr_rfactor(f), f.T @ y, len(ids))
+        # one QR of [F | Y]: R stands in for FᵀF and Z for FᵀY, so neither is formed here
+        return QrPayload(*thin_qr_rfactor(f, y), len(ids))
 
     def make_round_message(
         self, round_index: int, add_ids: Sequence[int], del_ids: Sequence[int], variant: str

@@ -6,12 +6,13 @@ round by one of three drivers, which recover the head by:
 * full recompute -- apply the ledger update and re-solve the SPD system
   from scratch (robust baseline);
 * incremental inverse -- advance a tracked inverse by SMW updates built
-  from the round's folded client R-factors when the round folds at most
-  rebuild_rows(d) of them, and otherwise rebuild it exactly from the
-  ledger, which is then the cheaper path; a short round also falls back to
-  the rebuild whenever a downdate is infeasible, a step's capacitance could
-  amplify rounding past CONDITION_THRESHOLD, or the drift audit run every
-  AUDIT_EVERY rounds reads above DRIFT_THRESHOLD;
+  from the round's folded client R-factors and Z blocks when the round
+  folds at most rebuild_rows(d) factor rows, and otherwise rebuild it
+  exactly from the ledger, which is then the cheaper path; a short round
+  also falls back to the rebuild whenever a downdate is infeasible, a
+  step's capacitance could amplify rounding past CONDITION_THRESHOLD, or
+  the drift audit run every AUDIT_EVERY rounds reads above
+  DRIFT_THRESHOLD;
 * truncated adds -- Variant B's messages and SMW step, with each add
   round's Gram change cut to its top-r eigenpairs.  Each cut drops a PSD
   part, so the dropped mass E = S - S_ap is PSD, T = (S + γI)⁻¹ ≼ T_ap and
@@ -30,12 +31,14 @@ client id, so repeated runs are bitwise reproducible at fixed precision
 and the server holds O(d²) per round instead of every client's payload.
 Variant A's messages are `PackedStats`, whose packed upper triangles are
 summed in place and unpacked once, when the round closes.  Variant B's
-R-factors are held as they arrive while the round is short, and summed as
-Grams RᵀR once it is tall, so the server never factors anything while it
-aggregates.  Either way the round's `RoundAggregate` carries its adds and
-its deletes as one dense `SufficientStats` each, which is what
-`ledger_apply` takes, and `Server.serve` reports every round as a
-`RoundReport`.
+messages are `QrPayload`s: their R factors and Z = QᵀY blocks are held as
+they arrive while the round is short and stacked into U and Z when it
+closes, which gives S = UᵀU and G = UᵀZ, and once the round is tall each
+message's RᵀR and RᵀZ are summed instead, so the server never factors
+anything while it aggregates.  Either way the round's `RoundAggregate`
+carries its adds and its deletes as one dense `SufficientStats` each,
+which is what `ledger_apply` takes, and `Server.serve` reports every round
+as a `RoundReport`.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .client import ClientMessage, VARIANT_FULL, VARIANT_QR
+from .client import ClientMessage, QrPayload, VARIANT_FULL, VARIANT_QR
 from .inverse import DowndateInfeasible, InverseState, audit_drift, init_from_ledger, smw_step
 from .kernels import DimensionMismatch, NotSPD, symmetric_eig, unpack_symmetric
 from .posterior import MatrixNormalPosterior, posterior_from_ledger, posterior_from_state
@@ -122,23 +125,24 @@ class RoundFold:
     """One round's running aggregate, folded one client message at a time.
 
     Messages must arrive in strictly ascending client id; one that does not
-    raises OutOfOrder, and nothing is re-sorted.  Variant A's packed Grams
-    and every G and n are summed in place as each message arrives (a side's
-    first copied, the rest added with `+=`), so the fold holds one set of
-    sums however many clients report and keeps no message.  A side of no
-    samples holds only zeros and is skipped.  Each entry of A's triangle
+    raises OutOfOrder, and nothing is re-sorted.  Every n, and Variant A's
+    packed Grams and G, are summed in place as each message arrives (a
+    side's first copied, the rest added with `+=`), so an A fold holds one
+    set of sums however many clients report and keeps no message.  A side
+    of no samples holds only zeros and is skipped.  Each entry of A's triangle
     gets the same additions in the same client order as in dense d x d
     sums, at half the bytes, and `close` unpacks each side's triangle once;
-    a side that no sample reached is zeros.  Variant B's R-factors are held
-    as blocks per side (add, delete) while the round's rows, both sides
-    together, are at most `rebuild_rows(d)`; `close` then
-    stacks each side into the factor U and forms the Gram change as UᵀU.
-    The message that takes the round over that limit turns the fold into
-    Grams: each side becomes the sum of its blocks' RᵀR, in client order,
-    later messages add theirs, and `close` returns no U, since such a
-    round is served by a rebuild.  So no side ever holds more than
-    `rebuild_rows(d)` rows and the server runs no QR.  `scalars` counts
-    what the folded messages carried on the uplink.
+    a side that no sample reached is zeros.  Variant B's payloads, each an
+    R factor and its Z block of as many rows, are held per side (add,
+    delete) while the round's rows, both sides together, are at most
+    `rebuild_rows(d)`; `close` then stacks each side's R factors into U and
+    its Z blocks into Z, and forms the Gram change as UᵀU and the moment
+    change as UᵀZ.  The message that takes the round over that limit turns
+    the fold into sums: each side becomes the sum of its payloads' RᵀR and
+    RᵀZ, in client order, later messages add theirs, and `close` returns
+    no U, since such a round is served by a rebuild.  So no side ever
+    holds more than `rebuild_rows(d)` rows and the server runs no QR.
+    `scalars` counts what the folded messages carried on the uplink.
     """
 
     def __init__(self):
@@ -150,16 +154,18 @@ class RoundFold:
         self.n_minus = 0
         self._dims: tuple[int, int] | None = None
         self._dtype: np.dtype | None = None
-        self._sums: list[list | None] = [None, None]  # add then delete: [packed S, G] for A, [G] for B
-        self._blocks: tuple[list, list] | None = ([], [])  # a short B round's R-factors, add then delete
+        self._sums: list[list | None] = [None, None]  # A's [packed S, G], add then delete
+        self._blocks: tuple[list, list] | None = ([], [])  # a short B round's payloads, add then delete
         self._rows = 0  # R-factor rows folded, both sides
-        self._grams: list[np.ndarray] = []  # a tall B round's S+, S-
+        self._grams: list[list[np.ndarray]] = []  # a tall B round's [S, G], add then delete
 
     def add(self, msg: ClientMessage) -> None:
         """Fold one message into the round."""
         if self.client_id is None:
             self.round, self.variant = msg.round, msg.variant
-            self._dims, self._dtype = (msg.add.d, msg.add.c), msg.add.G.dtype
+            # B's G is derived from R and Z, so the dtype comes from each variant's first matrix
+            self._dims = (msg.add.d, msg.add.c)
+            self._dtype = (msg.add.R if msg.variant == VARIANT_QR else msg.add.S).dtype
         elif msg.client_id <= self.client_id:
             raise OutOfOrder(f"client {msg.client_id} arrived after client {self.client_id}")
         elif msg.round != self.round:
@@ -172,37 +178,38 @@ class RoundFold:
                 d, c = self._dims
                 raise DimensionMismatch(f"message dims {dims[0]}x{dims[1]} do not match {d}x{c}")
         if self.variant == VARIANT_QR:
-            self._fold_factors(msg.add.R, msg.delete.R)
-        for side, payload in enumerate((msg.add, msg.delete)):
-            if not payload.n:
-                continue
-            parts = (payload.G,) if self.variant == VARIANT_QR else (payload.S, payload.G)
-            if self._sums[side] is None:
-                self._sums[side] = [part.copy() for part in parts]
-            else:
-                for total, part in zip(self._sums[side], parts):
-                    total += part
+            self._fold_factors(msg.add, msg.delete)
+        else:
+            for side, payload in enumerate((msg.add, msg.delete)):
+                if not payload.n:
+                    continue
+                if self._sums[side] is None:
+                    self._sums[side] = [payload.S.copy(), payload.G.copy()]
+                else:
+                    for total, part in zip(self._sums[side], (payload.S, payload.G)):
+                        total += part
         self.n_plus += msg.add.n
         self.n_minus += msg.delete.n
         self.scalars += msg.scalar_count
         self.client_id = msg.client_id
 
-    def _fold_factors(self, r_add: np.ndarray, r_del: np.ndarray) -> None:
-        d = self._dims[0]
-        self._rows += r_add.shape[0] + r_del.shape[0]
-        sides = ([r_add], [r_del])
+    def _fold_factors(self, add: QrPayload, delete: QrPayload) -> None:
+        d, c = self._dims
+        self._rows += add.R.shape[0] + delete.R.shape[0]
+        sides = ([add], [delete])
         if self._blocks is not None:
-            for held, r in zip(self._blocks, (r_add, r_del)):
-                held.append(r)
+            for held, payload in zip(self._blocks, (add, delete)):
+                held.append(payload)
             if self._rows <= rebuild_rows(d):
                 return
-            # the round is now tall: Grams replace the held factors
+            # the round is now tall: sums of RᵀR and RᵀZ replace the held payloads
             sides, self._blocks = self._blocks, None
-            self._grams = [np.zeros((d, d), dtype=r_add.dtype) for _ in sides]
-        for gram, held in zip(self._grams, sides):
-            for r in held:
-                if r.shape[0]:
-                    gram += r.T @ r
+            self._grams = [[np.zeros((d, d), self._dtype), np.zeros((d, c), self._dtype)] for _ in sides]
+        for (gram, moment), held in zip(self._grams, sides):
+            for payload in held:
+                if payload.n:
+                    gram += payload.R.T @ payload.R
+                    moment += payload.R.T @ payload.Z
 
     def comm(self, precision: str) -> CommRecord:
         """Uplink cost of the folded messages, counted as `account_round` does."""
@@ -213,19 +220,22 @@ class RoundFold:
         if self._dims is None:
             raise ValueError("cannot aggregate an empty message list")
         d, c = self._dims
-        # a side that no sample reached sums to zeros; G is the last of each side's sums
-        g_add, g_del = (np.zeros((d, c), self._dtype) if sums is None else sums[-1] for sums in self._sums)
         u_plus = u_minus = None
         if self.variant != VARIANT_QR:
-            s_add, s_del = (
-                np.zeros((d, d), self._dtype) if sums is None else unpack_symmetric(sums[0], d) for sums in self._sums
+            # a side that no sample reached sums to zeros
+            (s_add, g_add), (s_del, g_del) = (
+                (np.zeros((d, d), self._dtype), np.zeros((d, c), self._dtype))
+                if sums is None
+                else (unpack_symmetric(sums[0], d), sums[1])
+                for sums in self._sums
             )
         elif self._blocks is None:
-            s_add, s_del = self._grams
+            (s_add, g_add), (s_del, g_del) = self._grams
         else:
-            u_plus, u_minus = (np.vstack(held) for held in self._blocks)
-            s_add = u_plus.T @ u_plus
-            s_del = u_minus.T @ u_minus
+            u_plus, u_minus = (np.vstack([p.R for p in held]) for held in self._blocks)
+            z_plus, z_minus = (np.vstack([p.Z for p in held]) for held in self._blocks)
+            s_add, g_add = u_plus.T @ u_plus, u_plus.T @ z_plus
+            s_del, g_del = u_minus.T @ u_minus, u_minus.T @ z_minus
         return RoundAggregate(
             round=self.round,
             variant=self.variant,
@@ -287,7 +297,7 @@ def run_round_b(
     lam = None
     try:
         step = smw_step(state, agg.U_plus, agg.add.G)
-        if step.amplification <= CONDITION_THRESHOLD and (agg.U_minus.shape[0] or np.any(agg.delete.G)):
+        if step.amplification <= CONDITION_THRESHOLD and agg.U_minus.shape[0]:
             step = smw_step(step.state, agg.U_minus, agg.delete.G, delete=True)
             lam = step.lambda_max
         new_state = step.state

@@ -147,22 +147,34 @@ def spd_inverse(a) -> np.ndarray:
     return inverse_from_factor(cholesky_spd(a))
 
 
-def thin_qr_rfactor(f) -> np.ndarray:
-    """R factor of a thin QR of F, with Rᵀ R = Fᵀ F.
+def thin_qr_rfactor(f, y=None):
+    """R factor of a thin QR of F, with Rᵀ R = Fᵀ F; given a label block Y, also Z = QᵀY.
 
     R is min(n, d) x d upper-trapezoidal, with +0.0 below its diagonal.
     Row signs are flipped so the diagonal is non-negative, which makes R
     unique for full-rank inputs.  Rank-deficient inputs simply yield
     (numerically) zero rows.
+
+    With Y (n x c, cast to F's dtype) the one QR is of [F | Y], the least
+    squares device of Golub and Van Loan (*Matrix Computations*, §5.3):
+    its first k = min(n, d) rows are [R | Z], and (R, Z) is returned.  The
+    rows below k touch only Y's columns, so FᵀY = RᵀZ exactly in exact
+    arithmetic, and the sign flip of a row of R flips the same row of Z.
     """
     f = as_matrix(f, "f")
-    if f.shape[0] < 1:
+    n, d = f.shape
+    if n < 1:
         raise DimensionMismatch("F must have at least one row")
-    r = np.linalg.qr(f, mode="r")
+    if y is not None:
+        y = as_matrix(y, "y").astype(f.dtype, copy=False)
+        if y.shape[0] != n:
+            raise DimensionMismatch(f"F has {n} rows but Y has {y.shape[0]}")
+    r = np.linalg.qr(f if y is None else np.hstack([f, y]), mode="r")[: min(n, d)]
     signs = np.sign(np.diagonal(r)).astype(f.dtype)
     signs[signs == 0] = 1
     # a flipped row's zeros would be -0.0; triu rewrites them as the +0.0 a packed frame restores
-    return np.triu(signs[:, None] * r)
+    r = np.triu(signs[:, None] * r)
+    return r if y is None else (r[:, :d], r[:, d:])
 
 
 @lru_cache(maxsize=16)

@@ -73,7 +73,8 @@ def gen_synthetic(seed: int, n: int, d: int, c: int, class_separation: float) ->
 
     Cluster means are random directions scaled to `class_separation`;
     zero separation makes every class identically distributed, so any
-    head can only reach chance accuracy.
+    head can only reach chance accuracy.  A separation whose features do
+    not fit in float32 is refused, since no run could read them.
     """
     if c < 2:
         raise ValueError("need at least two classes for one-hot labels")
@@ -90,7 +91,10 @@ def gen_synthetic(seed: int, n: int, d: int, c: int, class_separation: float) ->
         )
     classes = np.resize(np.arange(c), n)
     rng.shuffle(classes)
-    features = (means[classes] + rng.standard_normal((n, d))).astype(np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        features = (means[classes] + rng.standard_normal((n, d))).astype(np.float32)
+    if not np.isfinite(features).all():
+        raise ValueError(f"class separation {class_separation!r} gives features that are not finite in float32")
     labels = np.zeros((n, c), dtype=np.float32)
     labels[np.arange(n), classes] = 1.0
     return SyntheticData(features, labels, int(n * 0.8))

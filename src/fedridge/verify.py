@@ -106,8 +106,9 @@ def _qr_gram(seed):
         n = int(rng.integers(1, 65))
         d = int(rng.integers(1, 65))
         f = rng.standard_normal((n, d))
-        r = thin_qr_rfactor(f)
-        devs.append(rel_frobenius_dev(r.T @ r, f.T @ f))
+        y = rng.standard_normal((n, int(rng.integers(1, 11))))
+        r, z = thin_qr_rfactor(f, y)
+        devs += [rel_frobenius_dev(r.T @ r, f.T @ f), rel_frobenius_dev(r.T @ z, f.T @ y)]
     return _worst(devs)
 
 
@@ -393,7 +394,7 @@ def equivalent_shuffled_heads(seed: int, shuffles: int, n: int, d: int, c: int, 
 
 PROPERTIES = [
     Property("kernel-roundtrip", "Cholesky solve recovers planted solutions", 1e-9, "le", _kernel_roundtrip),
-    Property("qr-gram", "R factor reproduces the Gram matrix", 1e-12, "le", _qr_gram),
+    Property("qr-gram", "R and Z = QᵀY reproduce FᵀF and FᵀY", 1e-12, "le", _qr_gram),
     Property("eig-reconstruction", "LAPACK eigendecomposition reconstructs A", 1e-10, "le", _eig_reconstruction),
     Property("eig-orthogonality", "LAPACK eigenvectors are orthonormal", 1e-9, "le", _eig_orthogonality),
     Property("second-order-lemma", "first-moment twins yield distinct heads", 0.3, "ge", _second_order_lemma),

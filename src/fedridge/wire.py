@@ -1,10 +1,10 @@
 """Binary interchange formats.
 
-Message frames ("FCUL", version 2)
+Message frames ("FCUL", version 3)
     One frame per payload, little-endian.  The 28-byte header is
 
         magic     4s   b"FCUL"
-        version   u16  message-frame version, currently 2
+        version   u16  message-frame version, currently 3
         variant   u8   0 = full statistics, 1 = QR factor
         precision u8   4 = float32, 8 = float64
         round     u32
@@ -21,19 +21,21 @@ Message frames ("FCUL", version 2)
     already its packed upper triangle, and then G, d(d+1)/2 + dc scalars,
     so encoding is a concatenation and decoding a split of the buffer; a QR
     frame carries a `QrPayload`, its R factor of r = min(n, d) rows packed
-    as its upper trapezoid and then G, r d - r(r-1)/2 + dc scalars, which
-    is never more than a full-statistics frame and as much once n >= d.
-    A ClientMessage serializes as exactly two frames, the add payload
-    first, then the delete payload, which agree on every header field but n.
+    as its upper trapezoid and then its r x c block Z = QᵀY, r d -
+    r(r-1)/2 + rc scalars, which is never more than a full-statistics frame
+    and as much once n >= d.  A one-sample QR frame is d + c scalars.  A
+    ClientMessage serializes as exactly two frames, the add payload first,
+    then the delete payload, which agree on every header field but n.
 
     The encoder raises WireError for a payload it cannot carry exactly: n
     not an integer in [0, 2^32), a zero-sample payload with a nonzero entry,
-    a packed S of other than d(d+1)/2 entries, or an R factor whose row
-    count is not min(n, d) or that has a nonzero entry below its diagonal.
-    The decoder rejects any other version
-    (version 1 carried n as a trailing float), d < 1, c < 1 and any
-    non-finite scalar, and decodes a zero-sample frame as the read-only
-    zeros a client forms for an empty batch (`client.empty_payload`).
+    a packed S of other than d(d+1)/2 entries, or an R factor or Z whose row
+    count is not min(n, d), or an R factor with a nonzero entry below its
+    diagonal.  The decoder rejects any other version (version 2 carried a QR
+    frame's dense d x c G in place of Z, version 1 also n as a trailing
+    float), d < 1, c < 1 and any non-finite scalar, and decodes a
+    zero-sample frame as the zeros a client forms for an empty batch
+    (`client.empty_payload`).
     Since a header alone declares a d x d zero payload, both sides refuse
     d or c above MAX_DIM = 8192: a full-statistics frame there already
     holds 33.6M scalars.
@@ -63,7 +65,7 @@ from .kernels import upper_mask
 
 MESSAGE_MAGIC = b"FCUL"
 FEATURE_MAGIC = b"FFUR"
-MESSAGE_VERSION = 2
+MESSAGE_VERSION = 3
 FEATURE_VERSION = 1
 MAX_COUNT = 2**32 - 1  # the largest n the header's u32 field holds
 MAX_DIM = 2**13  # the largest d or c a frame may declare
@@ -103,15 +105,11 @@ def _encode_frame(payload, variant: str, precision: str, round_index: int, clien
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 0 <= n <= MAX_COUNT:
         raise WireError(f"sample count {n!r} is not an integer in [0, 2^32)")
     if variant == VARIANT_FULL and isinstance(payload, PackedStats):
-        matrix = payload.S
+        matrix, labels = payload.S, payload.G
         if matrix.shape != (payload.d * (payload.d + 1) // 2,):
             raise WireError(f"a packed S at d={payload.d} has d(d+1)/2 entries, not shape {matrix.shape}")
     elif variant == VARIANT_QR and isinstance(payload, QrPayload):
-        matrix, rows = payload.R, min(n, payload.d)
-        if matrix.shape[0] != rows:
-            raise WireError(f"an R factor of {n} samples has min(n, d) = {rows} rows, not {matrix.shape[0]}")
-        if np.tril(matrix, -1).any():
-            raise WireError("R factor has a nonzero entry below its diagonal")
+        matrix, labels = payload.R, payload.Z
     else:
         raise WireError(f"a variant {variant} frame cannot carry a {type(payload).__name__}")
     header = _FRAME_HEADER.pack(
@@ -126,12 +124,20 @@ def _encode_frame(payload, variant: str, precision: str, round_index: int, clien
         n,
     )
     if n == 0:
-        if matrix.any() or payload.G.any():
+        if matrix.any() or labels.any():
             raise WireError("a zero-sample payload has a nonzero entry")
         return header
+    if variant == VARIANT_QR:
+        rows = min(n, payload.d)
+        if matrix.shape[0] != rows or labels.shape[0] != rows:
+            raise WireError(
+                f"R and Z of {n} samples have min(n, d) = {rows} rows, not {matrix.shape[0]} and {labels.shape[0]}"
+            )
+        if np.tril(matrix, -1).any():
+            raise WireError("R factor has a nonzero entry below its diagonal")
+        matrix = pack_upper(matrix)
     dtype = _CODE_DTYPE[_PRECISION_CODE[precision]]
-    packed = matrix if variant == VARIANT_FULL else pack_upper(matrix)
-    return header + np.concatenate([packed, payload.G.reshape(-1)]).astype(dtype, copy=False).tobytes()
+    return header + np.concatenate([matrix, labels.reshape(-1)]).astype(dtype, copy=False).tobytes()
 
 
 def _decode_frame(buf: bytes, offset: int):
@@ -161,12 +167,14 @@ def _decode_frame(buf: bytes, offset: int):
     scalars = np.frombuffer(buf, dtype=dtype, count=count, offset=end)
     if not np.isfinite(scalars).all():
         raise WireError("non-finite payload scalar")
-    tri = count - d * c
-    g = scalars[tri:].reshape(d, c).copy()
+    # G has d rows, and Z as many as R: min(n, d)
+    rows = d if variant == VARIANT_FULL else min(n, d)
+    tri = count - rows * c
+    labels = scalars[tri:].reshape(rows, c).copy()
     if variant == VARIANT_FULL:
-        payload = PackedStats(scalars[:tri].copy(), g, n)
+        payload = PackedStats(scalars[:tri].copy(), labels, n)
     else:
-        payload = QrPayload(unpack_upper(scalars[:tri], min(n, d), d), g, n)
+        payload = QrPayload(unpack_upper(scalars[:tri], rows, d), labels, n)
     return payload, meta, end + nbytes
 
 

@@ -256,7 +256,7 @@ def test_criterion_10_communication_accounting():
         if variant == VARIANT_FULL:
             assert payload_scalars(msg.add) == d * (d + 1) // 2 + d * c
         else:
-            assert payload_scalars(msg.add) == r * d - r * (r - 1) // 2 + d * c
+            assert payload_scalars(msg.add) == r * d - r * (r - 1) // 2 + r * c
         assert payload_scalars(msg.delete) == 0
         totals[variant] = account_round([msg], "f64").total_bytes
     ratio = totals[VARIANT_QR] / totals[VARIANT_FULL]

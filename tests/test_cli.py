@@ -26,11 +26,13 @@ from fedridge.wire import WireError, read_feature_file, write_feature_file
 def _gen(tmp_path, *extra, seed=7):
     features = tmp_path / "features.bin"
     scenario = tmp_path / "scenario.json"
+    # --alpha is read only by the Dirichlet partition, and gen refuses it beside --partition writers
+    alpha = [] if "writers" in extra else ["--alpha", "0.5"]
     code = main(
         [
             "gen",
             "--n", "300", "--d", "8", "--c", "3", "--clients", "4",
-            "--alpha", "0.5", "--seed", str(seed), "--separation", "2.0",
+            *alpha, "--seed", str(seed), "--separation", "2.0",
             "--out-features", str(features), "--out-scenario", str(scenario),
             *extra,
         ]
@@ -89,6 +91,42 @@ def test_gen_rejects_zero_clients(tmp_path, flags):
     assert not features.exists() and not scenario.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--fraction", "nan", "--count", "-5"], "--count"),
+        (["--schedule", "churn", "--fraction", "inf"], "--fraction"),
+        (["--partition", "writers", "--alpha", "nan"], "--alpha"),
+        (["--partition", "dirichlet", "--writers", "-1"], "--writers"),
+        # a valid value is refused too: the flag would be dropped unread
+        (["--partition", "writers", "--alpha", "0.3"], "--alpha"),
+        (["--schedule", "ingest", "--steps", "4"], "--steps"),
+        (["--schedule", "chunked", "--rounds", "2"], "--rounds"),
+        (["--schedule", "burst-addback", "--dels-per-round", "3"], "--dels-per-round"),
+        (["--schedule", "churn", "--count", "10"], "--count"),
+    ],
+    ids=lambda v: "_".join(v) if isinstance(v, list) else None,
+)
+def test_gen_refuses_a_flag_its_schedule_or_partition_does_not_read(tmp_path, capsys, flags, named):
+    features, scenario = tmp_path / "f.bin", tmp_path / "s.json"
+    code = main(["gen", "--n", "300", "--d", "8", "--c", "3", "--clients", "4", *flags,
+                 "--out-features", str(features), "--out-scenario", str(scenario)])
+    assert code == 2
+    assert not features.exists() and not scenario.exists()
+    assert f"error: {named} applies only to" in capsys.readouterr().err
+
+
+def test_gen_refuses_features_that_overflow_float32(tmp_path, capsys, recwarn):
+    # the features used to overflow to inf with a RuntimeWarning, and `run` then refused the file
+    features, scenario = tmp_path / "f.bin", tmp_path / "s.json"
+    code = main(["gen", "--n", "300", "--d", "8", "--c", "3", "--clients", "4", "--separation", "1e308",
+                 "--out-features", str(features), "--out-scenario", str(scenario)])
+    assert code == 2
+    assert not features.exists() and not scenario.exists()
+    assert "not finite in float32" in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_gen_is_byte_deterministic(tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
@@ -127,9 +165,10 @@ def test_gen_lists_each_id_under_the_client_the_partition_assigned_it(tmp_path, 
 
 
 _WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))["WORKLOADS"]
-_SMALL_GEN = ["--n", "300", "--d", "8", "--c", "3", "--clients", "4", "--alpha", "0.5"]
+_SMALL_GEN = ["--n", "300", "--d", "8", "--c", "3", "--clients", "4"]
+_PARTITION_GEN = {"dirichlet": ["--alpha", "0.5"], "writers": []}
 _WRITER_CASES = {name: list(w.gen_args) for name, w in _WORKLOADS.items()} | {
-    f"{schedule}-{partition}": [*_SMALL_GEN, "--schedule", schedule, "--partition", partition]
+    f"{schedule}-{partition}": [*_SMALL_GEN, *_PARTITION_GEN[partition], "--schedule", schedule, "--partition", partition]
     for schedule in ("ingest", "chunked", "burst", "burst-addback", "churn")
     for partition in ("dirichlet", "writers")
 }

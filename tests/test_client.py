@@ -171,7 +171,7 @@ def test_payload_scalar_counts_follow_formulas():
         r = min(n_add, d)
         assert msg_b.add.R.shape == (r, d)
         assert payload_scalars(msg_b.add) == variant_b_payload_scalars(n_add, d, c)
-        assert payload_scalars(msg_b.add) == (r * d - r * (r - 1) // 2 + d * c if n_add else 0)
+        assert payload_scalars(msg_b.add) == (r * d - r * (r - 1) // 2 + r * c if n_add else 0)
         assert payload_scalars(msg_b.delete) == variant_b_payload_scalars(0, d, c) == 0
 
 
@@ -197,10 +197,11 @@ def test_payloads_carry_only_aggregates():
     # matrices plus a count, with shapes set by (d, c, r) alone
     assert {f.name for f in dataclasses.fields(SufficientStats)} == {"S", "G", "n"}
     assert {f.name for f in dataclasses.fields(PackedStats)} == {"S", "G", "n"}
-    assert {f.name for f in dataclasses.fields(QrPayload)} == {"R", "G", "n"}
+    assert {f.name for f in dataclasses.fields(QrPayload)} == {"R", "Z", "n"}
     store = _store(n=40, d=6, c=2, rng=np.random.default_rng(4))
     msg = store.make_round_message(1, list(range(40)), [], VARIANT_QR)
     assert msg.add.R.shape == (6, 6)  # min(40, d) rows, never 40
+    assert msg.add.Z.shape == (6, 2)
     assert msg.add.G.shape == (6, 2)
 
 

@@ -648,7 +648,7 @@ def test_account_round_formulas():
     msg = ClientStore(0, features, labels).make_round_message(1, [0, 1, 2], [], VARIANT_FULL)
     assert payload_scalars(msg.add) == 18  # d(d+1)/2 + dc
     msg_b = ClientStore(1, features, labels).make_round_message(1, [0, 1], [], VARIANT_QR)
-    assert payload_scalars(msg_b.add) == 15  # r*d - r(r-1)/2 + dc with r=2
+    assert payload_scalars(msg_b.add) == 11  # r*d - r(r-1)/2 + rc with r=2
     rec = account_round([msg], "f64")
     assert rec.total_scalars == msg.scalar_count
     assert rec.total_bytes == 8 * msg.scalar_count

@@ -127,6 +127,21 @@ def test_qr_gram_identity_property():
         assert rel_frobenius_dev(r.T @ r, f.T @ f) <= 1e-12
 
 
+def test_qr_of_features_and_labels_is_one_factorization():
+    # [F | Y] = Q [R | Z] on its first min(n, d) rows, so R is F's factor and RᵀZ = FᵀY
+    rng = np.random.default_rng(3)
+    for n, d, c in ((2, 5, 3), (5, 5, 1), (7, 5, 3), (30, 5, 3)):
+        f, y = rng.standard_normal((n, d)), rng.standard_normal((n, c))
+        r, z = thin_qr_rfactor(f, y)
+        assert r.shape == (min(n, d), d) and z.shape == (min(n, d), c)
+        assert rel_frobenius_dev(r, thin_qr_rfactor(f)) <= 1e-13
+        assert rel_frobenius_dev(r.T @ z, f.T @ y) <= 1e-13
+    r, z = thin_qr_rfactor(np.ones((3, 2), dtype=np.float32), np.ones((3, 1)))
+    assert r.dtype == z.dtype == np.float32
+    with pytest.raises(DimensionMismatch):
+        thin_qr_rfactor(np.ones((3, 2)), np.ones((2, 1)))
+
+
 def test_eig_diagonal():
     vals, vecs = symmetric_eig(np.diag([10.0, 1.0]))
     np.testing.assert_allclose(vals, [10.0, 1.0])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedridge.client import ClientStore, PackedStats, VARIANT_FULL, VARIANT_QR, empty_payload, payload_scalars
-from fedridge.kernels import packed_gram, unpack_symmetric, upper_mask
+from fedridge.kernels import packed_gram, rel_frobenius_dev, unpack_symmetric, upper_mask
 from fedridge.wire import (
     MAX_COUNT,
     WireError,
@@ -132,14 +132,14 @@ def test_frame_header_layout():
     buf = encode_message(msg, "f64")
     magic, version, variant, prec, rnd, client, d, c, n = struct.unpack_from("<4sHBBIIIII", buf, 0)
     assert magic == b"FCUL"
-    assert version == 2
+    assert version == 3
     assert variant == 1  # QR frames
     assert prec == 8
     assert rnd == 5 and client == 9 and d == 3 and c == 2
     assert n == msg.add.n == 2
-    # the header's n fixes the payload: the upper trapezoid of r = min(n, d) rows, then G
+    # the header's n fixes the payload: the upper trapezoid of r = min(n, d) rows, then r x c Z
     r = min(n, d)
-    first_frame_bytes = 28 + (r * d - r * (r - 1) // 2 + d * c) * 8
+    first_frame_bytes = 28 + (r * d - r * (r - 1) // 2 + r * c) * 8
     magic2 = buf[first_frame_bytes : first_frame_bytes + 4]
     assert magic2 == b"FCUL"
 
@@ -188,6 +188,8 @@ def test_stats_frame_with_a_diagonal_near_the_float32_limit_round_trips_bitwise(
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_decode_rejects_a_non_finite_payload_scalar(precision, variant, field, value):
     msg = _message(variant, precision=precision)
+    # a B frame carries its label moment G as Z = QᵀY
+    field = "Z" if (variant, field) == (VARIANT_QR, "G") else field
     part = getattr(msg.delete, field).copy()
     part.flat[part.shape[-1] - 1] = value  # the last entry of R's or G's first row, or of packed S
     bad = dataclasses.replace(msg, delete=dataclasses.replace(msg.delete, **{field: part}))
@@ -239,21 +241,22 @@ def test_decode_of_mutated_frames_gives_finite_payloads_or_wire_error(buf, write
         except WireError:
             return
     for payload in (msg.add, msg.delete):
-        matrix = payload.S if msg.variant == VARIANT_FULL else payload.R
-        assert np.isfinite(matrix).all() and np.isfinite(payload.G).all()
+        # what the frame holds: S and G, or R and Z
+        matrix, labels = (payload.S, payload.G) if msg.variant == VARIANT_FULL else (payload.R, payload.Z)
+        assert np.isfinite(matrix).all() and np.isfinite(labels).all()
         assert isinstance(payload.n, int) and payload.n >= 0
 
 
-def _frame(variant_code, d, c, r, n, version=2):
-    """One float64 frame with an arbitrary header and a zero payload: S, or an R factor of r rows, then G.
+def _frame(variant_code, d, c, r, n, version=3):
+    """One float64 frame with an arbitrary header and a zero payload: S then G, or an R factor and Z of r rows.
 
     A frame of n = 0 samples is the header alone.
     """
     header = struct.pack("<4sHBBIIIII", b"FCUL", version, variant_code, 8, 1, 0, d, c, n)
     if n == 0:
         return header
-    packed = d * (d + 1) // 2 if variant_code == 0 else r * d - r * (r - 1) // 2
-    return header + np.zeros(packed + d * c).tobytes()
+    scalars = d * (d + 1) // 2 + d * c if variant_code == 0 else r * d - r * (r - 1) // 2 + r * c
+    return header + np.zeros(scalars).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -292,9 +295,12 @@ def test_decode_refuses_a_frame_pair_whose_dimensions_differ(other_d, other_c):
 
 
 def test_decode_refuses_other_frame_versions():
-    # version 1 (r in the header, the count as a trailing float) is refused like any unknown version
+    # version 1 (r in the header, the count as a trailing float) and version 2 (a QR frame's
+    # dense d x c G) are refused like any unknown version
     v1 = struct.pack("<4sHBBIIIII", b"FCUL", 1, 1, 8, 1, 0, 2, 1, 1) + np.zeros(2 + 2 + 1).tobytes()
-    for version, frame in ((1, v1), (0, _frame(1, 2, 1, 1, 1, version=0)), (3, _frame(1, 2, 1, 1, 1, version=3))):
+    v2 = struct.pack("<4sHBBIIIII", b"FCUL", 2, 1, 8, 1, 0, 2, 1, 1) + np.zeros(2 + 2).tobytes()
+    others = ((0, _frame(1, 2, 1, 1, 1, version=0)), (4, _frame(1, 2, 1, 1, 1, version=4)))
+    for version, frame in ((1, v1), (2, v2), *others):
         with pytest.raises(WireError, match=f"version {version}"):
             decode_message(frame + frame)
 
@@ -494,3 +500,54 @@ def test_b_payload_never_costs_more_than_a(d, c):
     for n in range(1, 2 * d + 2):
         b, a = variant_b_payload_scalars(n, d, c), variant_a_payload_scalars(n, d, c)
         assert b < a if n < d else b == a
+
+
+def _qr_batch(n, d, c, kind, dtype):
+    """n rows of F and Y; `kind` makes F full rank, or rank-deficient by a zero or a repeated row."""
+    rng = np.random.default_rng(n * 100 + d)
+    f, y = rng.standard_normal((n, d)), rng.standard_normal((n, c))
+    if kind == "zero-row":
+        f[n // 2] = 0.0
+    elif kind == "repeated-row":
+        f[-1] = f[0]
+    return f.astype(dtype), y.astype(dtype)
+
+
+@pytest.mark.parametrize("precision, tol", [("f32", 1e-5), ("f64", 1e-12)], ids=["f32", "f64"])
+@pytest.mark.parametrize("kind", ["full-rank", "zero-row", "repeated-row"])
+@pytest.mark.parametrize(
+    "n", [3, 6, 8, 9, 20], ids=["n<d", "n=d", "d<n<d+c", "n=d+c", "n>d+c"]
+)
+def test_qr_payload_carries_the_gram_and_moment_and_its_frame_round_trips_bitwise(n, kind, precision, tol):
+    d, c = 6, 3
+    dtype = np.dtype(np.float32 if precision == "f32" else np.float64)
+    f, y = _qr_batch(n, d, c, kind, dtype)
+    store = ClientStore(4, f, y, precision)
+    store.make_round_message(1, range(n), [], VARIANT_QR)
+    msg = store.make_round_message(2, [], range(n), VARIANT_QR)
+    payload = msg.delete
+    r, z = payload.R, payload.Z
+    rows = min(n, d)
+    assert r.shape == (rows, d) and z.shape == (rows, c) and r.dtype == z.dtype == dtype
+    # the reference products in float64 of the batch as the client holds it
+    f64, y64 = f.astype(np.float64), y.astype(np.float64)
+    r64, z64 = r.astype(np.float64), z.astype(np.float64)
+    assert rel_frobenius_dev(r64.T @ r64, f64.T @ f64) <= tol
+    assert rel_frobenius_dev(r64.T @ z64, f64.T @ y64) <= tol
+    assert rel_frobenius_dev(payload.G, f64.T @ y64) <= tol and not payload.G.flags.writeable
+    # upper trapezoidal with +0.0 below the diagonal, and a non-negative diagonal
+    below = ~upper_mask(d)[:rows]
+    assert not r[below].any() and not np.signbit(r[below]).any()
+    assert (np.diagonal(r) >= 0).all()
+    assert payload_scalars(payload) == rows * d - rows * (rows - 1) // 2 + rows * c
+    buf = encode_message(msg, precision)
+    assert len(buf) == 2 * 28 + dtype.itemsize * payload_scalars(payload)
+    decoded, _, end = decode_message(buf)
+    assert end == len(buf) and decoded.delete.n == n
+    for sent, got in ((r, decoded.delete.R), (z, decoded.delete.Z), (payload.G, decoded.delete.G)):
+        assert got.dtype == sent.dtype and got.shape == sent.shape and got.tobytes() == sent.tobytes()
+    # the same bytes under the previous frame version are refused
+    old = bytearray(buf)
+    struct.pack_into("<H", old, 4, 2)
+    with pytest.raises(WireError, match="version 2"):
+        decode_message(bytes(old))
