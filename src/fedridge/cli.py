@@ -117,6 +117,9 @@ def _cmd_gen(args) -> int:
     if args.n < 1 or args.d < 1 or args.c < 2:
         print("error: need n >= 1, d >= 1, c >= 2", file=sys.stderr)
         return EXIT_USAGE
+    if Path(args.out_features).resolve() == Path(args.out_scenario).resolve():
+        print(f"error: --out-features and --out-scenario name one file, {args.out_scenario}", file=sys.stderr)
+        return EXIT_USAGE
     reads = {**SCHEDULE_FLAGS[args.schedule], **PARTITION_FLAGS[args.partition]}
     for option, table in (("--schedule", SCHEDULE_FLAGS), ("--partition", PARTITION_FLAGS)):
         for name in sorted({name for flags in table.values() for name in flags}):

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 from itertools import accumulate, chain
 
@@ -33,7 +34,7 @@ from .client import ClientStore, read_only
 from .coordinator import Server
 from .kernels import NotSPD, cholesky_spd, rel_frobenius_dev
 from .posterior import MatrixNormalPosterior, kl_matrix_normal
-from .stats import PRECISION_DTYPES, SufficientStats, stats_from_batch
+from .stats import PRECISION_DTYPES, SufficientStats, check_gamma, stats_from_batch
 
 _SUBSTREAMS = {"data": 0, "partition": 1, "schedule": 2}
 
@@ -68,6 +69,9 @@ class SyntheticData:
         return np.argmax(self.labels, axis=1)
 
 
+FEATURE_BLOCK_ELEMENTS = 2**16  # float64 scalars in one block of `gen_synthetic`'s draw
+
+
 def gen_synthetic(seed: int, n: int, d: int, c: int, class_separation: float) -> SyntheticData:
     """Gaussian cluster features with an 80/20 train/test split.
 
@@ -85,16 +89,24 @@ def gen_synthetic(seed: int, n: int, d: int, c: int, class_separation: float) ->
     norms = np.sqrt(np.sum(means**2, axis=1, keepdims=True))
     norms[norms == 0] = 1.0
     means = means / norms * float(class_separation)
-    if n == 0:
-        return SyntheticData(
-            np.zeros((0, d), dtype=np.float32), np.zeros((0, c), dtype=np.float32), 0
-        )
     classes = np.resize(np.arange(c), n)
     rng.shuffle(classes)
+    # float32 rows filled a block at a time: the generator draws sequentially
+    # and addition commutes, so this is bitwise one n x d float64 draw plus
+    # means[classes], cast once, without that sum's float64 temporaries
+    features = np.empty((n, d), dtype=np.float32)
+    step = max(1, FEATURE_BLOCK_ELEMENTS // d)
     with np.errstate(over="ignore", invalid="ignore"):
-        features = (means[classes] + rng.standard_normal((n, d))).astype(np.float32)
-    if not np.isfinite(features).all():
-        raise ValueError(f"class separation {class_separation!r} gives features that are not finite in float32")
+        for start in range(0, n, step):
+            cls = classes[start : start + step]
+            rows = features[start : start + cls.size]
+            block = rng.standard_normal(rows.shape)
+            block += means[cls]
+            rows[...] = block
+            if not np.isfinite(rows).all():
+                raise ValueError(
+                    f"class separation {class_separation!r} gives features that are not finite in float32"
+                )
     labels = np.zeros((n, c), dtype=np.float32)
     labels[np.arange(n), classes] = 1.0
     return SyntheticData(features, labels, int(n * 0.8))
@@ -323,8 +335,10 @@ class Scenario:
             raise ValueError(f"unknown precision {self.precision!r}, expected 'f32' or 'f64'")
         for name in ("gamma", "sigma2"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+            # an int past the largest double is refused here, not by an OverflowError later
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value <= sys.float_info.max:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        check_gamma(self.gamma, self.precision)
         if self.rank < 1:
             raise ValueError(f"rank must be at least 1, got {self.rank}")
         if self.reset_every < 0:

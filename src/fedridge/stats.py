@@ -95,9 +95,23 @@ class Ledger:
         return w
 
 
+def check_gamma(gamma: float, precision: str) -> None:
+    """Refuse a gamma that is not positive and finite once cast to `precision`.
+
+    A gamma that rounds to 0 or overflows there would make S + gamma*I
+    singular or non-finite at the first factorization.
+    """
+    try:
+        with np.errstate(over="ignore"):  # an overflow to inf is the refusal, not a warning
+            cast = dtype_of(precision).type(gamma)
+    except OverflowError:  # an int beyond every float
+        cast = math.inf
+    if not 0 < cast < math.inf:
+        raise ValueError(f"gamma must be positive and finite in {precision}, got {gamma!r}")
+
+
 def ledger_init(d: int, c: int, gamma: float = 1.0, precision: str = "f64") -> Ledger:
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+    check_gamma(gamma, precision)
     return Ledger(SufficientStats.zero(d, c, dtype_of(precision)), 0, float(gamma), precision)
 
 

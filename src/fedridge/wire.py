@@ -46,15 +46,19 @@ Feature files ("FFUR", version 1)
         magic 4s = b"FFUR", version u16, n u32, d u32, c u32, dtype u8
 
     with dtype 4 = float32 / 8 = float64, followed by the n x d feature
-    matrix row-major, then the n x c label matrix row-major.  The reader
-    rejects a file holding any non-finite feature or label, and returns
-    both matrices read-only.  Feature files keep their own version: a new
-    message-frame version leaves them as they are.
+    matrix row-major, then the n x c label matrix row-major: the body is
+    exactly n(d + c) scalars.  The writer writes each matrix's own buffer.
+    The reader rejects d < 1, c < 1 and a file of any other size before it
+    allocates anything, reads each matrix in place into the array it
+    returns, rejects a file holding any non-finite feature or label, and
+    returns both matrices read-only.  Feature files keep their own version:
+    a new message-frame version leaves them as they are.
 """
 
 from __future__ import annotations
 
 import numbers
+import os
 import struct
 
 import numpy as np
@@ -210,29 +214,36 @@ def write_feature_file(path, features: np.ndarray, labels: np.ndarray, precision
     header = _FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, n, d, c, _PRECISION_CODE[precision])
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(features.tobytes())
-        fh.write(labels.tobytes())
+        fh.write(features.data)
+        fh.write(labels.data)
 
 
 def read_feature_file(path) -> tuple[np.ndarray, np.ndarray, str]:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < _FEATURE_HEADER.size:
-        raise WireError("truncated feature file header")
-    magic, version, n, d, c, prec_code = _FEATURE_HEADER.unpack(buf[: _FEATURE_HEADER.size])
-    if magic != FEATURE_MAGIC:
-        raise WireError(f"bad magic {magic!r}")
-    if version != FEATURE_VERSION:
-        raise WireError(f"unsupported feature-file version {version}")
-    if prec_code not in _CODE_DTYPE:
-        raise WireError(f"bad dtype code {prec_code}")
-    dtype = _CODE_DTYPE[prec_code]
-    need = _FEATURE_HEADER.size + (n * d + n * c) * dtype.itemsize
-    if len(buf) < need:
-        raise WireError("truncated feature file body")
-    features = np.frombuffer(buf, dtype=dtype, count=n * d, offset=_FEATURE_HEADER.size).reshape(n, d).copy()
-    labels = np.frombuffer(buf, dtype=dtype, count=n * c, offset=_FEATURE_HEADER.size + n * d * dtype.itemsize)
-    labels = labels.reshape(n, c).copy()
+        head = fh.read(_FEATURE_HEADER.size)
+        if len(head) < _FEATURE_HEADER.size:
+            raise WireError("truncated feature file header")
+        magic, version, n, d, c, prec_code = _FEATURE_HEADER.unpack(head)
+        if magic != FEATURE_MAGIC:
+            raise WireError(f"bad magic {magic!r}")
+        if version != FEATURE_VERSION:
+            raise WireError(f"unsupported feature-file version {version}")
+        if prec_code not in _CODE_DTYPE:
+            raise WireError(f"bad dtype code {prec_code}")
+        if d < 1 or c < 1:
+            raise WireError(f"implausible dimensions d={d}, c={c}")
+        dtype = _CODE_DTYPE[prec_code]
+        # the body's size is checked before any array is allocated for it
+        need = n * (d + c) * dtype.itemsize
+        body = os.fstat(fh.fileno()).st_size - _FEATURE_HEADER.size
+        if body != need:
+            kind = "truncated" if body < need else "overlong"
+            raise WireError(f"{kind} feature file body: {body} bytes where the header declares {need}")
+        features = np.empty((n, d), dtype=dtype)
+        labels = np.empty((n, c), dtype=dtype)
+        for array in (features, labels):
+            if fh.readinto(array.data) != array.nbytes:
+                raise WireError("truncated feature file body")
     if not (np.isfinite(features).all() and np.isfinite(labels).all()):
         raise WireError("non-finite feature or label")
     # read-only, so client stores share these rows instead of copying them

@@ -5,6 +5,7 @@ import json
 import re
 import runpy
 import shlex
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,9 @@ def test_gen_writes_both_files(tmp_path, capsys):
         ["--schedule", "chunked", "--fraction", "2", "--steps", "0"],
         ["--gamma", "nan"],
         ["--gamma", "inf"],
+        # positive and finite as a double, but 0 or inf once cast to the scenario's float32
+        ["--precision", "f32", "--gamma", "1e-320"],
+        ["--precision", "f32", "--gamma", "1e39"],
     ],
     ids="_".join,
 )
@@ -114,6 +118,18 @@ def test_gen_refuses_a_flag_its_schedule_or_partition_does_not_read(tmp_path, ca
     assert code == 2
     assert not features.exists() and not scenario.exists()
     assert f"error: {named} applies only to" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out_features, out_scenario", [("X", "X"), ("./X", "X"), ("sub/../X", "./X")])
+def test_gen_refuses_one_path_for_both_outputs(tmp_path, monkeypatch, capsys, out_features, out_scenario):
+    # the scenario used to overwrite the feature file, which `run` then refused as bad magic
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    code = main(["gen", "--n", "300", "--d", "8", "--c", "3", "--clients", "4",
+                 "--out-features", out_features, "--out-scenario", out_scenario])
+    assert code == 2
+    assert not (tmp_path / "X").exists()
+    assert "name one file" in capsys.readouterr().err
 
 
 def test_gen_refuses_features_that_overflow_float32(tmp_path, capsys, recwarn):
@@ -460,6 +476,60 @@ def test_run_refuses_a_non_finite_feature_file_exit_3(tmp_path, capsys, row, val
     assert main(["run", "--scenario", str(scenario), "--features", str(features),
                  "--out-dir", str(tmp_path / "out")]) == 3
     assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_FEATURE_HEADER = struct.Struct("<4sHIIIB")
+
+
+def _overlong_by_a_row(raw, n, d, size):
+    """The file with one more feature row in its body than its header declares."""
+    split = _FEATURE_HEADER.size + n * d * size
+    return raw[:split] + raw[split - d * size : split] + raw[split:]
+
+
+def _with_header(raw, **fields):
+    """The file under a header with some fields changed, and its body cut to what that header declares."""
+    magic, version, n, d, c, code = _FEATURE_HEADER.unpack_from(raw)
+    header = {"n": n, "d": d, "c": c, **fields}
+    end = _FEATURE_HEADER.size + header["n"] * (header["d"] + header["c"]) * code
+    return _FEATURE_HEADER.pack(magic, version, header["n"], header["d"], header["c"], code) + raw[
+        _FEATURE_HEADER.size : end
+    ]
+
+
+# each feature file whose body is not the size its header declares, or whose header declares
+# no column: the first two exited 0, the last two exited 2 mid-run as a shape mismatch
+_MISSIZED = {
+    "four-trailing-bytes": lambda raw: raw + b"\0" * 4,
+    "an-extra-feature-row": lambda raw: _overlong_by_a_row(raw, 300, 8, 4),
+    "d-of-0": lambda raw: _with_header(raw, d=0),
+    "c-of-0": lambda raw: _with_header(raw, c=0),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISSIZED))
+def test_run_refuses_a_feature_file_body_of_another_size_exit_3(tmp_path, capsys, case):
+    features, scenario = _gen(tmp_path)
+    raw = features.read_bytes()
+    assert len(raw) == _FEATURE_HEADER.size + 300 * (8 + 3) * 4
+    features.write_bytes(_MISSIZED[case](raw))
+    assert main(["run", "--scenario", str(scenario), "--features", str(features),
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert ("implausible dimensions" if case.endswith("-of-0") else "overlong feature file body") in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("gamma", [1e-320, 1e39])
+def test_run_refuses_a_gamma_out_of_range_for_its_precision_exit_2(tmp_path, capsys, gamma):
+    # in float32 the first is 0, and S + gamma*I was not SPD (exit 1); the second is inf (exit 2 mid-run)
+    features, scenario = _gen(tmp_path)
+    doc = json.loads(scenario.read_text())
+    scenario.write_text(json.dumps({**doc, "precision": "f32", "gamma": gamma}))
+    assert main(["run", "--scenario", str(scenario), "--features", str(features),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert "gamma must be positive and finite in f32" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,6 +1,7 @@
 """Scenario generation, partitions, schedules and the round loop."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,52 @@ def test_gen_synthetic_deterministic():
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
     assert a.features.dtype == np.float32
+
+
+def _one_shot_features(seed, n, d, c, class_separation):
+    """The draw as one n x d float64 sum, cast once: what the row blocks must equal."""
+    rng = simulate.rng_stream(seed, "data")
+    means = rng.standard_normal((c, d))
+    norms = np.sqrt(np.sum(means**2, axis=1, keepdims=True))
+    norms[norms == 0] = 1.0
+    means = means / norms * float(class_separation)
+    classes = np.resize(np.arange(c), n)
+    rng.shuffle(classes)
+    features = (means[classes] + rng.standard_normal((n, d))).astype(np.float32)
+    labels = np.zeros((n, c), dtype=np.float32)
+    labels[np.arange(n), classes] = 1.0
+    return features, labels
+
+
+def _block_edge_cases():
+    """(n, d) at each edge of a row block, for a narrow, a benchmark-wide and a wider-than-a-block d."""
+    cases = []
+    for d in (1, 64, 256, simulate.FEATURE_BLOCK_ELEMENTS + 1):
+        step = max(1, simulate.FEATURE_BLOCK_ELEMENTS // d)
+        # 5000 x 256 is the benchmark's widest matrix; more would only slow the suite
+        cases += [(n, d) for n in sorted({1, step - 1, step, step + 1, 5000}) if 0 < n and n * d <= 5000 * 256]
+    return cases
+
+
+@pytest.mark.parametrize("n, d", _block_edge_cases())
+def test_gen_synthetic_row_blocks_equal_the_one_shot_draw_bitwise(n, d):
+    data = gen_synthetic(5, n, d, 10, 3.0)
+    features, labels = _one_shot_features(5, n, d, 10, 3.0)
+    assert data.features.dtype == np.float32
+    assert data.features.tobytes() == features.tobytes()
+    assert data.labels.tobytes() == labels.tobytes()
+
+
+def test_gen_synthetic_allocates_its_output_and_a_few_blocks():
+    # a full-size float64 temporary, as the one-shot draw made, would be 8 MB here
+    tracemalloc.start()
+    try:
+        data = gen_synthetic(1, 4000, 256, 10, 3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    output = data.features.nbytes + data.labels.nbytes
+    assert peak <= output + 4 * simulate.FEATURE_BLOCK_ELEMENTS * 8, (peak, output)
 
 
 def test_gen_synthetic_zero_separation_is_chance():
@@ -713,6 +760,8 @@ def test_scenario_json_round_trip():
         ("sigma2", -1.0),
         ("sigma2", float("nan")),
         ("sigma2", float("inf")),
+        ("sigma2", 10**400),
+        ("gamma", 10**400),
         ("rank", 0),
         ("reset_every", -1),
         ("n_train", -5),

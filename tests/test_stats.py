@@ -184,6 +184,21 @@ def test_gamma_must_be_positive():
             ledger_init(2, 1, gamma=gamma)
 
 
+@pytest.mark.parametrize(
+    "gamma, precision", [(1e-320, "f32"), (1e-46, "f32"), (1e39, "f32"), (10**400, "f32"), (10**400, "f64")]
+)
+def test_gamma_must_be_positive_and_finite_in_the_ledger_precision(gamma, precision):
+    # in float32 the first two round to 0 and the third overflows, with no RuntimeWarning;
+    # an int beyond every float is inf in either precision
+    with pytest.raises(ValueError, match=f"gamma must be positive and finite in {precision}"):
+        ledger_init(2, 1, gamma=gamma, precision=precision)
+
+
+@pytest.mark.parametrize("gamma, precision", [(1e-40, "f32"), (3e38, "f32"), (1e-320, "f64")])
+def test_a_subnormal_or_near_overflow_gamma_is_kept(gamma, precision):
+    assert ledger_init(2, 1, gamma=gamma, precision=precision).gamma == gamma
+
+
 def test_stats_gram_is_symmetric_psd():
     from fedridge.kernels import frobenius_norm, symmetric_eig
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -387,6 +388,90 @@ def test_hand_packed_version_1_feature_file_reads(tmp_path):
     path.write_bytes(struct.pack("<4sHIIIB", b"FFUR", 2, 3, 2, 2, 8) + f.tobytes() + y.tobytes())
     with pytest.raises(WireError, match="version 2"):
         read_feature_file(path)
+
+
+_FEATURE_HEADER = "<4sHIIIB"
+
+
+def _tobytes_write(path, f, y, precision):
+    """The writer before in-place writes: the header, then a bytes copy of each matrix."""
+    dtype = np.dtype("<f4" if precision == "f32" else "<f8")
+    n, d = f.shape
+    header = struct.pack(_FEATURE_HEADER, b"FFUR", 1, n, d, y.shape[1], dtype.itemsize)
+    path.write_bytes(header + f.astype(dtype).tobytes() + y.astype(dtype).tobytes())
+
+
+def _frombuffer_read(path):
+    """The reader before in-place reads: the whole file as bytes, then a copy of each matrix."""
+    buf = path.read_bytes()
+    _, _, n, d, c, code = struct.unpack_from(_FEATURE_HEADER, buf, 0)
+    dtype = np.dtype("<f4" if code == 4 else "<f8")
+    start = struct.calcsize(_FEATURE_HEADER)
+    features = np.frombuffer(buf, dtype=dtype, count=n * d, offset=start).reshape(n, d).copy()
+    labels = np.frombuffer(buf, dtype=dtype, count=n * c, offset=start + n * d * dtype.itemsize)
+    return features, labels.reshape(n, c).copy()
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("n, d, c", [(0, 1, 2), (1, 1, 2), (37, 5, 3), (300, 64, 10)])
+def test_feature_file_writes_and_reads_in_place_bitwise_as_before(tmp_path, precision, n, d, c):
+    rng = np.random.default_rng(n + d)
+    f = rng.standard_normal((n, d)).astype(np.float32)
+    y = np.eye(n, c, dtype=np.float32)
+    old, new = tmp_path / "old.bin", tmp_path / "new.bin"
+    _tobytes_write(old, f, y, precision)
+    write_feature_file(new, f, y, precision)
+    assert new.read_bytes() == old.read_bytes()
+    f_old, y_old = _frombuffer_read(old)
+    f_new, y_new, prec = read_feature_file(new)
+    assert prec == precision
+    assert f_new.dtype == f_old.dtype and f_new.shape == f_old.shape and f_new.tobytes() == f_old.tobytes()
+    assert y_new.dtype == y_old.dtype and y_new.shape == y_old.shape and y_new.tobytes() == y_old.tobytes()
+    for array in (f_new, y_new):
+        # read-only arrays that own their rows, so run_scenario's client stores share them as they are
+        assert not array.flags.writeable and array.flags.owndata and array.base is None
+
+
+def _feature_file_bytes(n, d, c, body):
+    return struct.pack(_FEATURE_HEADER, b"FFUR", 1, n, d, c, 8) + body
+
+
+_F = np.arange(15, dtype="<f8").reshape(5, 3)
+_Y = np.eye(5, 2, dtype="<f8")
+_MISSIZED_FEATURE_FILES = {
+    "four-trailing-bytes": (_feature_file_bytes(5, 3, 2, _F.tobytes() + _Y.tobytes() + b"\0" * 4), "overlong"),
+    # one feature row too many would shift where the labels are read from
+    "an-extra-feature-row": (_feature_file_bytes(5, 3, 2, _F.tobytes() + _F[:1].tobytes() + _Y.tobytes()), "overlong"),
+    "d-of-0": (_feature_file_bytes(5, 0, 2, _Y.tobytes()), "d=0"),
+    "c-of-0": (_feature_file_bytes(5, 3, 0, _F.tobytes()), "c=0"),
+    # a body of about 2^67 bytes is refused from the file's size, before anything is allocated for it
+    "n-and-d-at-the-u32-limit": (_feature_file_bytes(MAX_COUNT, MAX_COUNT, 2, _F.tobytes()), "truncated"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISSIZED_FEATURE_FILES))
+def test_feature_file_body_must_be_exactly_its_declared_size(tmp_path, case):
+    raw, message = _MISSIZED_FEATURE_FILES[case]
+    path = tmp_path / "features.bin"
+    path.write_bytes(raw)
+    with pytest.raises(WireError, match=message):
+        read_feature_file(path)
+
+
+def test_feature_file_read_allocates_its_arrays_and_little_more(tmp_path):
+    # reading the file into bytes and copying each matrix out of them held the body twice
+    rng = np.random.default_rng(6)
+    path = tmp_path / "features.bin"
+    write_feature_file(path, rng.standard_normal((4000, 256)), np.eye(4000, 10), "f32")
+    tracemalloc.start()
+    try:
+        f, y, _ = read_feature_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # beyond the arrays, the finiteness check's mask: a byte per float32 feature
+    output = f.nbytes + y.nbytes
+    assert peak <= 1.5 * output, (peak, output)
 
 
 def test_round_driven_through_wire_bytes():
