@@ -4,15 +4,11 @@ A `Server` owns one variant's ledger and tracked state, and serves each
 round by one of three drivers, which recover the head by:
 
 * full recompute -- apply the ledger update and re-solve the SPD system
-  from scratch (robust baseline);
-* incremental inverse -- advance a tracked inverse by SMW updates built
-  from the round's folded client R-factors and Z blocks when the round
-  folds at most rebuild_rows(d) factor rows, and otherwise rebuild it
-  exactly from the ledger, which is then the cheaper path; a short round
-  also falls back to the rebuild whenever a downdate is infeasible, a
-  step's capacitance could amplify rounding past CONDITION_THRESHOLD, or
-  the drift audit run every AUDIT_EVERY rounds reads above
-  DRIFT_THRESHOLD;
+  from scratch (`run_round_a`, the robust baseline);
+* incremental inverse -- advance a tracked inverse by SMW steps built from
+  the round's folded client R-factors and Z blocks, or rebuild it exactly
+  from the ledger when the round is tall or a step is unsafe
+  (`run_round_b`);
 * truncated adds -- Variant B's messages and SMW step, with each add
   round's Gram change cut to its top-r eigenpairs.  Each cut drops a PSD
   part, so the dropped mass E = S - S_ap is PSD, T = (S + γI)⁻¹ ≼ T_ap and
@@ -23,22 +19,15 @@ round by one of three drivers, which recover the head by:
   because 0 ≼ T_ap - T ≼ T_ap.  It holds across steps and never exceeds
   1/γ.  Delete rounds and every `reset_every`-th ledger round rebuild the
   state exactly from the ledger, which advances in parallel, and reset Σ
-  to 0.
+  to 0 (`run_round_approx`).
 
-Aggregation is a running fold (`RoundFold`): each client message is
-folded into the round's aggregate as it arrives, in strictly ascending
-client id, so repeated runs are bitwise reproducible at fixed precision
-and the server holds O(d²) per round instead of every client's payload.
-Variant A's messages are `PackedStats`, whose packed upper triangles are
-summed in place and unpacked once, when the round closes.  Variant B's
-messages are `QrPayload`s: their R factors and Z = QᵀY blocks are held as
-they arrive while the round is short and stacked into U and Z when it
-closes, which gives S = UᵀU and G = UᵀZ, and once the round is tall each
-message's RᵀR and RᵀZ are summed instead, so the server never factors
-anything while it aggregates.  Either way the round's `RoundAggregate`
-carries its adds and its deletes as one dense `SufficientStats` each,
-which is what `ledger_apply` takes, and `Server.serve` reports every round
-as a `RoundReport`.
+Aggregation is a running fold (`RoundFold`) of each client message as it
+arrives, in strictly ascending client id, so repeated runs are bitwise
+reproducible at fixed precision and the server holds O(d²) per round
+instead of every client's payload.  `Server.serve` returns each round's
+head with its `RoundReport` and `CommRecord`, which the harness keeps as
+they are in the round's metrics row: every `RoundReport` field is a
+column of `metrics.csv`.
 """
 
 from __future__ import annotations
@@ -103,7 +92,7 @@ class RoundAggregate:
 
 @dataclass(frozen=True)
 class RoundReport:
-    """How a round was served.
+    """How a round was served; each field is a `metrics.csv` column (see `simulate.METRICS_COLUMNS`).
 
     `reset` is set when the state was rebuilt exactly from the ledger;
     `lambda_max` is Variant B's delete-step eigenvalue and `bound` approx

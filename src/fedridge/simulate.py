@@ -6,13 +6,14 @@ per-round event schedule, and the server configuration.  The harness
 checks the whole schedule once (`check_schedule`) before round 1, then
 feeds client stores' messages to one `coordinator.Server` per variant,
 round by round, and after every round retrains the centralized head on
-the retained samples; the relative deviation against that oracle is the
-headline metric everywhere.
-The oracle's Gram is a sum of per-block Grams over fixed blocks of sample
-ids (`RetainedGram`): a round re-forms only the blocks whose retained ids
-changed, and the sum is never downdated, so the oracle is a function of the
-retained set alone and equals a retrain from scratch up to the order of
-summation.
+the retained samples (`oracle_retrain`); the relative deviation against
+that oracle is the headline metric everywhere.
+
+Each variant's round is one record, `VariantMetrics`: the `RoundReport`
+and `CommRecord` that `Server.serve` returned, and the harness's own
+scores.  `metrics.csv` takes its header and its cells from one column
+table (`METRICS_COLUMNS`), the summary totals the same records, and
+`exact_row` says which rows must equal the oracle.
 
 Synthetic features stand in for a frozen feature extractor: Gaussian
 clusters with controllable mean separation, generated in single precision
@@ -27,11 +28,12 @@ import numbers
 import sys
 from dataclasses import dataclass, field, fields
 from itertools import accumulate, chain
+from operator import attrgetter
 
 import numpy as np
 
 from .client import ClientStore, read_only
-from .coordinator import Server
+from .coordinator import CommRecord, RoundReport, Server
 from .kernels import NotSPD, cholesky_spd, rel_frobenius_dev
 from .posterior import MatrixNormalPosterior, kl_matrix_normal
 from .stats import PRECISION_DTYPES, SufficientStats, check_gamma, stats_from_batch
@@ -467,15 +469,19 @@ def score_head(w, test_features, true_classes, c: int) -> tuple[float, list[floa
 
 @dataclass
 class VariantMetrics:
+    """One variant's row of a round: `Server.serve`'s report and uplink, then the harness's own figures."""
+
+    report: RoundReport
+    comm: CommRecord
     rel_dev: float
-    reset: bool
-    scalars: int
-    bytes: int
-    lambda_max: float | None
-    bound: float | None
     accuracy: float
     kl: float
     recall: list[float]
+
+
+def exact_row(variant: str, m: VariantMetrics) -> bool:
+    """Whether a row's head is served exactly: every A and B row, and approx's reset rows."""
+    return variant in ("A", "B") or m.report.reset
 
 
 @dataclass
@@ -487,7 +493,6 @@ class RoundMetrics:
 
 @dataclass
 class ScenarioResult:
-    scenario: Scenario
     records: list[RoundMetrics]
     final_heads: dict[str, np.ndarray]
     summary: dict
@@ -637,37 +642,24 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
             except NotSPD as exc:
                 raise RuntimeError(f"round {spec.round}: {v}'s served T cannot be certified: {exc}") from exc
             accuracy, recall = score_head(w, test_f, test_classes, scenario.c)
-            round_variants[v] = VariantMetrics(
-                rel_dev=rel_frobenius_dev(w, w_oracle),
-                reset=report.reset,
-                scalars=comm.total_scalars,
-                bytes=comm.total_bytes,
-                lambda_max=report.lambda_max,
-                bound=report.bound,
-                accuracy=accuracy,
-                kl=kl,
-                recall=recall,
-            )
+            round_variants[v] = VariantMetrics(report, comm, rel_frobenius_dev(w, w_oracle), accuracy, kl, recall)
         records.append(RoundMetrics(spec.round, n_retained, round_variants))
 
     rows = [rec.variants for rec in records]
     last = rows[-1] if rows else {}
     summary = {
         "schema_version": 3,
-        "final_dev_A": last["A"].rel_dev if "A" in last else None,
-        "final_dev_B": last["B"].rel_dev if "B" in last else None,
-        "resets": sum(m.reset for row in rows for m in row.values()),
-        "total_bytes_A": sum(row["A"].bytes for row in rows if "A" in row),
-        "total_bytes_B": sum(row["B"].bytes for row in rows if "B" in row),
+        "resets": sum(m.report.reset for row in rows for m in row.values()),
         # np.max, unlike max(), carries a NaN through; so does max_bound's
         "max_kl": float(np.max([m.kl for row in rows for m in row.values()], initial=0.0)),
     }
+    for v in ("A", "B", *(["approx"] if "approx" in variants else [])):
+        summary[f"final_dev_{v}"] = last[v].rel_dev if v in last else None
+        summary[f"total_bytes_{v}"] = sum(row[v].comm.total_bytes for row in rows if v in row)
     if "approx" in variants:
-        summary["final_dev_approx"] = last["approx"].rel_dev if "approx" in last else None
-        bounds = [row["approx"].bound for row in rows if not row["approx"].reset]
+        bounds = [m.report.bound for row in rows for v, m in row.items() if not exact_row(v, m)]
         summary["max_bound"] = float(np.max(bounds, initial=0.0))
-        summary["total_bytes_approx"] = sum(row["approx"].bytes for row in rows)
-    return ScenarioResult(scenario, records, {v: server.head for v, server in servers.items()}, summary)
+    return ScenarioResult(records, {v: server.head for v, server in servers.items()}, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -684,14 +676,28 @@ def _fmt(x) -> str:
     return str(x)
 
 
+# metrics.csv's columns after `round` and `variant`, each with its cell's path in
+# the row's VariantMetrics.  Every RoundReport field is a column, `reset` as
+# `reset_flag`, so a new server-side figure is one RoundReport field.
+METRICS_COLUMNS = (
+    ("rel_dev_vs_oracle", "rel_dev"),
+    ("reset_flag", "report.reset"),
+    ("scalars_sent", "comm.total_scalars"),
+    ("bytes_sent", "comm.total_bytes"),
+    *((f.name, f"report.{f.name}") for f in fields(RoundReport) if f.name != "reset"),
+    ("accuracy", "accuracy"),
+    ("kl", "kl"),
+)
+METRICS_HEADER = ("round", "variant", *(name for name, _ in METRICS_COLUMNS))
+_metrics_cells = attrgetter(*(path for _, path in METRICS_COLUMNS))
+
+
 def metrics_csv(result: ScenarioResult) -> str:
-    """CSV with one row per round per variant, deterministic formatting."""
-    lines = ["round,variant,rel_dev_vs_oracle,reset_flag,scalars_sent,bytes_sent,lambda_max,bound,accuracy,kl"]
+    """CSV with one row per round per variant under `METRICS_HEADER`, deterministic formatting."""
+    lines = [",".join(METRICS_HEADER)]
     for rec in result.records:
         for v in sorted(rec.variants):
-            m = rec.variants[v]
-            cells = (m.rel_dev, m.reset, m.scalars, m.bytes, m.lambda_max, m.bound, m.accuracy, m.kl)
-            lines.append(",".join([str(rec.round), v, *map(_fmt, cells)]))
+            lines.append(",".join([str(rec.round), v, *map(_fmt, _metrics_cells(rec.variants[v]))]))
     return "\n".join(lines) + "\n"
 
 

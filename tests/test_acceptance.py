@@ -234,7 +234,7 @@ def test_criterion_09_perturbation_bound_and_reset():
     schedule = schedule_churn(109, parts, rounds=12, adds_per_round=6, deletes_per_round=0)
     sc = _scenario(data, parts, schedule, seed=109, variant="approx", rank=2, reset_every=4)
     result = run_scenario(sc, data.features, data.labels)
-    resets = [rec for rec in result.records if rec.variants["approx"].reset]
+    resets = [rec for rec in result.records if rec.variants["approx"].report.reset]
     assert resets, "periodic reset never fired"
     for rec in resets:
         assert rec.variants["approx"].rel_dev <= 1e-9

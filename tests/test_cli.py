@@ -1,6 +1,9 @@
 """CLI surface: gen / run / verify / report, exit codes, determinism."""
 
+import contextlib
 import dataclasses
+import io
+import itertools
 import json
 import re
 import runpy
@@ -10,9 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedridge.cli import _build_parser, main
 from fedridge.simulate import (
+    METRICS_HEADER,
     SCENARIO_VERSION,
     Scenario,
     check_schedule,
@@ -130,6 +135,21 @@ def test_gen_refuses_one_path_for_both_outputs(tmp_path, monkeypatch, capsys, ou
     assert code == 2
     assert not (tmp_path / "X").exists()
     assert "name one file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing", ["features-dir", "scenario-dir", "scenario-is-a-directory"])
+def test_gen_writes_both_outputs_or_neither(tmp_path, monkeypatch, capsys, missing):
+    # the feature file used to be written first and left behind when the scenario could not be
+    monkeypatch.chdir(tmp_path)
+    out_features = "nodir/f.bin" if missing == "features-dir" else "f.bin"
+    out_scenario = {"scenario-dir": "nodir/s.json", "scenario-is-a-directory": "taken"}.get(missing, "s.json")
+    (tmp_path / "taken").mkdir()
+    code = main(["gen", "--n", "300", "--d", "8", "--c", "3", "--clients", "4",
+                 "--out-features", out_features, "--out-scenario", out_scenario])
+    assert code == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]  # no output and no temporary file
+    assert not any((tmp_path / "taken").iterdir())
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_gen_refuses_features_that_overflow_float32(tmp_path, capsys, recwarn):
@@ -290,6 +310,20 @@ def test_run_missing_files_exit_3(tmp_path):
         assert main(["run", "--scenario", str(bad), "--features", str(features)]) == 3
 
 
+@pytest.mark.parametrize("out_dir", ["scenario.json", "scenario.json/out"])
+def test_run_refuses_an_out_dir_that_cannot_be_a_directory_before_round_1(tmp_path, monkeypatch, capsys, out_dir):
+    # the whole scenario used to be replayed before mkdir failed with "File exists"
+    import fedridge.cli as cli_mod
+
+    features, scenario = _gen(tmp_path)
+    before = sorted(tmp_path.iterdir()), scenario.read_bytes()
+    monkeypatch.setattr(cli_mod, "run_scenario", lambda *args: pytest.fail("a round was replayed"))
+    assert main(["run", "--scenario", str(scenario), "--features", str(features),
+                 "--out-dir", str(tmp_path / out_dir)]) == 3
+    assert (sorted(tmp_path.iterdir()), scenario.read_bytes()) == before
+    assert "is not a directory" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", [p.name for p in PROPERTIES])
 def test_verify_single_property(name, capsys):
     assert main(["verify", "--only", name]) == 0
@@ -389,6 +423,82 @@ def test_report_rejects_malformed_files_exit_3(tmp_path, capsys, case):
         bad = metrics
     assert main(["report", "--summary", str(summary), "--metrics", str(metrics)]) == 3
     assert f"malformed file {bad}" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A churn run's directory, its summary.json and metrics.csv bytes, and report's stdout on them."""
+    tmp = tmp_path_factory.mktemp("finished")
+    features, scenario = _gen(tmp, "--schedule", "churn", "--rounds", "3",
+                              "--adds-per-round", "2", "--dels-per-round", "2")
+    assert main(["run", "--scenario", str(scenario), "--features", str(features), "--out-dir", str(tmp)]) == 0
+    summary, metrics = (tmp / "summary.json").read_bytes(), (tmp / "metrics.csv").read_bytes()
+    code, out, _ = _report(tmp, summary, metrics)
+    assert code == 0 and "variant A: rounds=4" in out and "variant B: rounds=4" in out
+    return tmp, summary, metrics, out
+
+
+def _report(tmp, summary: bytes, metrics: bytes) -> tuple[int, str, str]:
+    """`report`'s exit code, stdout and stderr on these file contents."""
+    (tmp / "s.json").write_bytes(summary)
+    (tmp / "m.csv").write_bytes(metrics)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["report", "--summary", str(tmp / "s.json"), "--metrics", str(tmp / "m.csv")])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _permuted(metrics: bytes, order) -> bytes:
+    return "".join(",".join(line.split(",")[i] for i in order) + "\n" for line in metrics.decode().splitlines()).encode()
+
+
+def test_report_reads_metrics_columns_by_name(finished_run):
+    # by position, reversed columns put `bound` where the deviation was and printed no variant line
+    tmp, summary, metrics, out = finished_run
+    order = list(reversed(range(len(METRICS_HEADER))))
+    assert _report(tmp, summary, _permuted(metrics, order)) == (0, out, "")
+
+
+@pytest.mark.parametrize("header, missing", [("round,variant,kl", "rel_dev_vs_oracle"),
+                                             ("round,rel_dev_vs_oracle", "variant")])
+def test_report_refuses_metrics_without_a_column_it_reads(finished_run, header, missing):
+    # a file headed round,variant,kl used to print its KL values as median_dev, with exit 0
+    tmp, summary, _, _ = finished_run
+    code, out, err = _report(tmp, summary, f"{header}\n1,A,0.375\n2,B,0.5\n".encode())
+    assert code == 3 and not out
+    assert f"no {missing} column" in err
+
+
+def _mangled(data: bytes):
+    """`data` whole, truncated, with one byte flipped, or with a byte that is not UTF-8 put in.
+
+    A flip stays within ASCII, so that most flipped files still decode and reach the parsers.
+    """
+    n = len(data)
+    return st.one_of(
+        st.just(data),
+        st.integers(0, n - 1).map(lambda k: data[:k]),
+        st.tuples(st.integers(0, n - 1), st.integers(1, 127)).map(
+            lambda t: data[: t[0]] + bytes([data[t[0]] ^ t[1]]) + data[t[0] + 1 :]
+        ),
+        st.integers(0, n).map(lambda k: data[:k] + b"\xff" + data[k:]),
+    )
+
+
+@settings(max_examples=200)
+@given(draw=st.data())
+def test_report_exits_0_or_3_on_mangled_files(finished_run, draw):
+    tmp, summary, metrics, out = finished_run
+    permuted = _permuted(metrics, draw.draw(st.permutations(range(len(METRICS_HEADER)))))
+    # one file is mangled at a time, so that a bad summary does not hide the metrics parser
+    if draw.draw(st.booleans()):
+        mangled_summary, mangled_metrics = draw.draw(_mangled(summary)), permuted
+    else:
+        mangled_summary, mangled_metrics = summary, draw.draw(_mangled(permuted))
+    code, printed, err = _report(tmp, mangled_summary, mangled_metrics)  # raises nothing
+    assert code in (0, 3), err
+    if (mangled_summary, mangled_metrics) == (summary, permuted):
+        assert (code, printed) == (0, out)
 
 
 @pytest.mark.parametrize(
@@ -731,7 +841,7 @@ def test_run_holds_approx_reset_rows_to_the_ceiling(tmp_path, monkeypatch, reset
 
     def deviating(*args):
         result = real(*args)
-        row = next(r.variants["approx"] for r in result.records if r.variants["approx"].reset == reset_row)
+        row = next(r.variants["approx"] for r in result.records if r.variants["approx"].report.reset == reset_row)
         row.rel_dev = 1e-3
         return result
 
@@ -801,3 +911,13 @@ def test_readme_commands_parse():
     assert {words[0] for words in commands} == {"gen", "run", "verify", "report"}
     for words in commands:
         _build_parser().parse_args(words)
+
+
+def test_readme_lists_the_metrics_columns_of_the_code_in_order():
+    # a column added without its line in the README's table fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme.split("`metrics.csv` has one row per round and variant", 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    rows = list(itertools.takewhile(lambda line: line.startswith("|"), lines[start:]))[2:]
+    names = [re.fullmatch(r"`(\w+)`", row.split("|")[1].strip()).group(1) for row in rows]
+    assert names == list(METRICS_HEADER)

@@ -439,7 +439,7 @@ def test_b_churn_is_as_exact_as_a(precision):
     parts = dirichlet_partition(43, data.classes[: data.n_train], 6, 0.5)
     schedule = schedule_churn(43, parts, rounds=6, adds_per_round=5, deletes_per_round=5)
     result = run_scenario(_scenario(data, parts, schedule, precision=precision), data.features, data.labels)
-    resets = [rec.variants["B"].reset for rec in result.records]
+    resets = [rec.variants["B"].report.reset for rec in result.records]
     assert resets[0] and not any(resets[1:])
     dev_a = max(rec.variants["A"].rel_dev for rec in result.records)
     dev_b = max(rec.variants["B"].rel_dev for rec in result.records)
@@ -454,7 +454,7 @@ def test_run_scenario_approx_variant_reports():
     result = run_scenario(sc, data.features, data.labels)
     assert "max_bound" in result.summary
     assert result.summary["resets"] >= 1
-    reset_rounds = [rec for rec in result.records if rec.variants["approx"].reset]
+    reset_rounds = [rec for rec in result.records if rec.variants["approx"].report.reset]
     assert reset_rounds
     for rec in reset_rounds:
         assert rec.variants["approx"].rel_dev <= 1e-9  # reset restores the oracle head
@@ -465,7 +465,7 @@ def test_run_scenario_approx_variant_reports():
     sc = _scenario(data, parts, schedule, variant="approx", rank=2, reset_every=16)
     result = run_scenario(sc, data.features, data.labels)
     for rec in result.records[1:]:
-        assert rec.variants["approx"].reset
+        assert rec.variants["approx"].report.reset
         assert rec.variants["approx"].rel_dev <= 1e-9
     assert result.summary["resets"] == 3
     _assert_no_inf_bound(result)
@@ -529,8 +529,8 @@ def test_run_scenario_folds_each_message_once_as_it_arrives(monkeypatch):
         for variant in ("A", "B"):
             arrivals = seen[(spec.round, variant)]
             assert [client for client, _ in arrivals] == expected  # each client once, ascending
-            assert rec.variants[variant].bytes == sum(comm.total_bytes for _, comm in arrivals)
-            assert rec.variants[variant].scalars == sum(comm.total_scalars for _, comm in arrivals)
+            assert rec.variants[variant].comm.total_bytes == sum(comm.total_bytes for _, comm in arrivals)
+            assert rec.variants[variant].comm.total_scalars == sum(comm.total_scalars for _, comm in arrivals)
 
 
 def test_run_scenario_shares_the_read_only_rows_of_a_feature_file(monkeypatch, tmp_path):
@@ -633,7 +633,7 @@ def test_b_round_without_reset_factors_no_ledger_and_solves_no_triangle(monkeypa
     if threshold is not None:  # a gate this low no longer matters to round 1, which takes no SMW step
         monkeypatch.setattr(coordinator_mod, "CONDITION_THRESHOLD", threshold)
     result = _b_churn(variant="B")()
-    resets = [rec.variants["B"].reset for rec in result.records]
+    resets = [rec.variants["B"].report.reset for rec in result.records]
     # round 1 is tall and rebuilt; the churn rounds' steps amplify rounding by under 1.1
     assert resets[0] and not any(resets[1:])
     resets = sum(resets)
@@ -683,7 +683,7 @@ def test_approx_bound_holds_across_truncated_steps(monkeypatch, rank, reset_ever
     result = run_scenario(sc, data.features, data.labels)
     truncated = 0
     for rec, (ledger, state) in zip(result.records, served, strict=True):
-        m = rec.variants["approx"]
+        m = rec.variants["approx"].report
         if m.reset:
             assert m.bound is None
             continue
@@ -714,7 +714,7 @@ def test_max_bound_carries_a_nan(monkeypatch):
     schedule = schedule_churn(41, parts, rounds=4, adds_per_round=6, deletes_per_round=0)
     sc = _scenario(data, parts, schedule, variant="approx", rank=2, reset_every=0)
     result = run_scenario(sc, data.features, data.labels)
-    assert np.isnan(result.records[1].variants["approx"].bound)
+    assert np.isnan(result.records[1].variants["approx"].report.bound)
     assert np.isnan(result.summary["max_bound"])
 
 
