@@ -35,7 +35,7 @@ from .simulate import (
     writer_partition,
 )
 from .verify import run_properties
-from .wire import WireError, read_feature_file, write_feature_file
+from .wire import MAX_COUNT, WireError, read_feature_file, write_feature_file
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -46,9 +46,9 @@ EXIT_INVARIANT = 4
 # In double precision any oracle deviation above this is a bug, not a result.
 HARD_DEVIATION_CEILING = 1e-6
 
-# The `gen` flags that only some schedules or partitions read, with their
-# defaults.  A flag that the chosen schedule or partition does not read is
-# refused, never silently dropped.
+# The `gen` flags that only some schedules, partitions or server variants
+# read, with their defaults.  A flag that the chosen schedule, partition or
+# variant does not read is refused, never silently dropped.
 SCHEDULE_FLAGS = {
     "ingest": {},
     "chunked": {"fraction": 0.2, "steps": 4, "target_class": None},
@@ -57,6 +57,7 @@ SCHEDULE_FLAGS = {
     "churn": {"rounds": 8, "adds_per_round": 20, "dels_per_round": 20},
 }
 PARTITION_FLAGS = {"dirichlet": {"alpha": 0.3}, "writers": {"writers": 100}}
+VARIANT_FLAGS = {"A": {}, "B": {}, "both": {}, "approx": {"rank": 8, "reset_every": 16}}
 
 
 class _Once(argparse.Action):
@@ -84,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=7)
     gen.add_argument("--gamma", type=float, default=1.0)
     gen.add_argument("--precision", choices=["f32", "f64"], default="f64")
-    gen.add_argument("--variant", choices=["A", "B", "both", "approx"], default="both")
+    gen.add_argument("--variant", choices=list(VARIANT_FLAGS), default="both")
     gen.add_argument("--schedule", choices=list(SCHEDULE_FLAGS), default="ingest")
     gen.add_argument("--fraction", type=float, help="chunked: fraction per step (default 0.2)")
     gen.add_argument("--steps", type=int, help="chunked: number of steps (default 4)")
@@ -93,8 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--adds-per-round", type=int, help="churn: additions per round (default 20)")
     gen.add_argument("--dels-per-round", type=int, help="churn: deletions per round (default 20)")
     gen.add_argument("--target-class", type=int, help="chunked: delete only this class")
-    gen.add_argument("--rank", type=int, default=8)
-    gen.add_argument("--reset-every", type=int, default=16)
+    gen.add_argument("--rank", type=int, help="approx: eigenpairs kept per add round (default 8)")
+    gen.add_argument("--reset-every", type=int, help="approx: rebuild every this many rounds (default 16)")
     gen.add_argument("--out-features", default="features.bin")
     gen.add_argument("--out-scenario", default="scenario.json")
 
@@ -116,7 +117,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _write_both(*outputs) -> None:
     """Write each (path, writer) output to a temporary file beside it, then rename them all;
-    a failure removes what was made, so the outputs are written together or not at all."""
+    a failure removes what was made, so the outputs are written together or not at all.
+
+    An old target is unlinked just before the rename onto it: renaming over a
+    large file cost more than unlinking it first, and no atomic replacement
+    of the old file is promised."""
     temps = [Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp") for path, _ in outputs]
     made = []
     try:
@@ -124,6 +129,7 @@ def _write_both(*outputs) -> None:
             made.append(temp)
             write(temp)
         for temp, (path, _) in zip(temps, outputs):
+            Path(path).unlink(missing_ok=True)
             os.replace(temp, path)
             made.append(path)
     except BaseException:
@@ -137,14 +143,15 @@ def _cmd_gen(args) -> int:
     if args.clients < 1:
         print("error: --clients must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    if args.n < 1 or args.d < 1 or args.c < 2:
-        print("error: need n >= 1, d >= 1, c >= 2", file=sys.stderr)
+    if not (1 <= args.n <= MAX_COUNT and 1 <= args.d <= MAX_COUNT and 2 <= args.c <= MAX_COUNT):
+        print(f"error: need n >= 1, d >= 1, c >= 2, each at most {MAX_COUNT}", file=sys.stderr)
         return EXIT_USAGE
     if Path(args.out_features).resolve() == Path(args.out_scenario).resolve():
         print(f"error: --out-features and --out-scenario name one file, {args.out_scenario}", file=sys.stderr)
         return EXIT_USAGE
-    reads = {**SCHEDULE_FLAGS[args.schedule], **PARTITION_FLAGS[args.partition]}
-    for option, table in (("--schedule", SCHEDULE_FLAGS), ("--partition", PARTITION_FLAGS)):
+    reads = {**SCHEDULE_FLAGS[args.schedule], **PARTITION_FLAGS[args.partition], **VARIANT_FLAGS[args.variant]}
+    tables = (("--schedule", SCHEDULE_FLAGS), ("--partition", PARTITION_FLAGS), ("--variant", VARIANT_FLAGS))
+    for option, table in tables:
         for name in sorted({name for flags in table.values() for name in flags}):
             if getattr(args, name) is None:
                 setattr(args, name, reads.get(name))
@@ -158,10 +165,9 @@ def _cmd_gen(args) -> int:
         assignments = dirichlet_partition(
             args.seed, data.classes[: data.n_train], args.clients, args.alpha
         )
-        partition = {"kind": "dirichlet", "alpha": args.alpha}
     else:
         assignments = writer_partition(args.seed, data.n_train, args.clients, args.writers)
-        partition = {"kind": "writers", "writers": args.writers}
+    partition = {"kind": args.partition, **{name: getattr(args, name) for name in PARTITION_FLAGS[args.partition]}}
     first = initial_round(assignments)
     if args.schedule == "ingest":
         schedule = [first]
@@ -195,8 +201,8 @@ def _cmd_gen(args) -> int:
         variant=args.variant,
         partition=partition,
         schedule=schedule,
-        rank=args.rank,
-        reset_every=args.reset_every,
+        # other variants keep Scenario's defaults
+        **{name: getattr(args, name) for name in VARIANT_FLAGS[args.variant]},
     )
     try:
         _write_both(
@@ -307,15 +313,19 @@ def _cmd_report(args) -> int:
             return _malformed(args.metrics, exc)
         except ValueError:
             return _malformed(args.metrics, f"line {rows.line_num}: {cell!r} is not a number")
-    print("run summary")
-    for key in sorted(summary):
-        print(f"  {key:>20}: {summary[key]}")
+    lines = ["run summary", *(f"  {key:>20}: {summary[key]}" for key in sorted(summary))]
     for variant in sorted(devs):
         vals = np.asarray(devs[variant])
-        print(
-            f"  variant {variant}: rounds={len(vals)} "
-            f"median_dev={np.median(vals):.3e} max_dev={vals.max():.3e}"
+        lines.append(
+            f"  variant {variant}: rounds={len(vals)} median_dev={np.median(vals):.3e} max_dev={vals.max():.3e}"
         )
+    text = "".join(line + "\n" for line in lines)
+    try:
+        # all or nothing: a summary may hold what stdout cannot encode, such as a lone surrogate escape
+        text.encode(sys.stdout.encoding or "utf-8", sys.stdout.errors or "strict")
+    except UnicodeEncodeError as exc:
+        return _malformed(args.summary, exc)
+    sys.stdout.write(text)
     return EXIT_OK
 
 

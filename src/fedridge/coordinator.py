@@ -38,9 +38,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .client import ClientMessage, QrPayload, VARIANT_FULL, VARIANT_QR
+from .client import ClientMessage, VARIANT_FULL, VARIANT_QR
 from .inverse import DowndateInfeasible, InverseState, audit_drift, init_from_ledger, smw_step
-from .kernels import DimensionMismatch, NotSPD, symmetric_eig, unpack_symmetric
+from .kernels import DimensionMismatch, NotSPD, symmetric_eig, unpack_symmetric, upper_mask
 from .posterior import MatrixNormalPosterior, posterior_from_ledger, posterior_from_state
 from .stats import Ledger, SufficientStats, dtype_of, ledger_apply, ledger_init
 
@@ -114,24 +114,22 @@ class RoundFold:
     """One round's running aggregate, folded one client message at a time.
 
     Messages must arrive in strictly ascending client id; one that does not
-    raises OutOfOrder, and nothing is re-sorted.  Every n, and Variant A's
-    packed Grams and G, are summed in place as each message arrives (a
-    side's first copied, the rest added with `+=`), so an A fold holds one
-    set of sums however many clients report and keeps no message.  A side
-    of no samples holds only zeros and is skipped.  Each entry of A's triangle
-    gets the same additions in the same client order as in dense d x d
-    sums, at half the bytes, and `close` unpacks each side's triangle once;
-    a side that no sample reached is zeros.  Variant B's payloads, each an
-    R factor and its Z block of as many rows, are held per side (add,
-    delete) while the round's rows, both sides together, are at most
-    `rebuild_rows(d)`; `close` then stacks each side's R factors into U and
-    its Z blocks into Z, and forms the Gram change as UᵀU and the moment
-    change as UᵀZ.  The message that takes the round over that limit turns
-    the fold into sums: each side becomes the sum of its payloads' RᵀR and
-    RᵀZ, in client order, later messages add theirs, and `close` returns
-    no U, since such a round is served by a rebuild.  So no side ever
-    holds more than `rebuild_rows(d)` rows and the server runs no QR.
-    `scalars` counts what the folded messages carried on the uplink.
+    raises OutOfOrder, and nothing is re-sorted.  Each side (add, delete)
+    is summed in one form, [packed Gram, moment], in place and in client
+    order: a side's first payload is copied, the rest added with `+=`, and
+    a payload of no samples is skipped.  An A payload is summed as sent; a
+    B payload as the packed triangle of RᵀR and RᵀZ.  Each triangle entry
+    gets the same additions as in dense d x d sums, at half the bytes, and
+    `close` unpacks each side once; a side that no sample reached is zeros.
+    A B round instead holds its payloads, each an R factor and its Z block,
+    while its rows, both sides together, are at most `rebuild_rows(d)`;
+    `close` then stacks each side's R factors into U and its Z blocks into
+    Z, and forms the Gram change as UᵀU and the moment change as UᵀZ.  The
+    message that takes the round over that limit sums every held payload,
+    and `close` then returns no U: such a round is served by a rebuild.  So
+    the fold keeps no message of an A round, no side holds more than
+    `rebuild_rows(d)` rows, and the server runs no QR.  `scalars` counts
+    what the folded messages carried on the uplink.
     """
 
     def __init__(self):
@@ -143,10 +141,9 @@ class RoundFold:
         self.n_minus = 0
         self._dims: tuple[int, int] | None = None
         self._dtype: np.dtype | None = None
-        self._sums: list[list | None] = [None, None]  # A's [packed S, G], add then delete
-        self._blocks: tuple[list, list] | None = ([], [])  # a short B round's payloads, add then delete
+        self._sums: list[list | None] = [None, None]  # [packed Gram, moment], add then delete
+        self._blocks: tuple[list, list] | None = None  # a short B round's payloads, add then delete
         self._rows = 0  # R-factor rows folded, both sides
-        self._grams: list[list[np.ndarray]] = []  # a tall B round's [S, G], add then delete
 
     def add(self, msg: ClientMessage) -> None:
         """Fold one message into the round."""
@@ -155,6 +152,8 @@ class RoundFold:
             # B's G is derived from R and Z, so the dtype comes from each variant's first matrix
             self._dims = (msg.add.d, msg.add.c)
             self._dtype = (msg.add.R if msg.variant == VARIANT_QR else msg.add.S).dtype
+            if msg.variant == VARIANT_QR:
+                self._blocks = ([], [])
         elif msg.client_id <= self.client_id:
             raise OutOfOrder(f"client {msg.client_id} arrived after client {self.client_id}")
         elif msg.round != self.round:
@@ -166,39 +165,30 @@ class RoundFold:
             if dims != self._dims:
                 d, c = self._dims
                 raise DimensionMismatch(f"message dims {dims[0]}x{dims[1]} do not match {d}x{c}")
-        if self.variant == VARIANT_QR:
-            self._fold_factors(msg.add, msg.delete)
-        else:
-            for side, payload in enumerate((msg.add, msg.delete)):
-                if not payload.n:
-                    continue
-                if self._sums[side] is None:
-                    self._sums[side] = [payload.S.copy(), payload.G.copy()]
-                else:
-                    for total, part in zip(self._sums[side], (payload.S, payload.G)):
-                        total += part
         self.n_plus += msg.add.n
         self.n_minus += msg.delete.n
         self.scalars += msg.scalar_count
         self.client_id = msg.client_id
-
-    def _fold_factors(self, add: QrPayload, delete: QrPayload) -> None:
-        d, c = self._dims
-        self._rows += add.R.shape[0] + delete.R.shape[0]
-        sides = ([add], [delete])
+        sides = ([msg.add], [msg.delete])
         if self._blocks is not None:
-            for held, payload in zip(self._blocks, (add, delete)):
+            for held, payload in zip(self._blocks, (msg.add, msg.delete)):
                 held.append(payload)
-            if self._rows <= rebuild_rows(d):
+            self._rows += msg.add.R.shape[0] + msg.delete.R.shape[0]
+            if self._rows <= rebuild_rows(self._dims[0]):
                 return
-            # the round is now tall: sums of RᵀR and RᵀZ replace the held payloads
+            # the round is now tall: every held payload is summed
             sides, self._blocks = self._blocks, None
-            self._grams = [[np.zeros((d, d), self._dtype), np.zeros((d, c), self._dtype)] for _ in sides]
-        for (gram, moment), held in zip(self._grams, sides):
-            for payload in held:
-                if payload.n:
-                    gram += payload.R.T @ payload.R
-                    moment += payload.R.T @ payload.Z
+        for side, payloads in enumerate(sides):
+            for p in payloads:
+                if not p.n:
+                    continue
+                # numpy's symmetric product: packed_gram's general one rounds differently at some widths
+                parts = ((p.R.T @ p.R)[upper_mask(p.d)], p.R.T @ p.Z) if self.variant == VARIANT_QR else (p.S, p.G)
+                if self._sums[side] is None:
+                    self._sums[side] = [part.copy() for part in parts]
+                else:
+                    for total, part in zip(self._sums[side], parts):
+                        total += part
 
     def comm(self, precision: str) -> CommRecord:
         """Uplink cost of the folded messages, counted as `account_round` does."""
@@ -210,7 +200,7 @@ class RoundFold:
             raise ValueError("cannot aggregate an empty message list")
         d, c = self._dims
         u_plus = u_minus = None
-        if self.variant != VARIANT_QR:
+        if self._blocks is None:
             # a side that no sample reached sums to zeros
             (s_add, g_add), (s_del, g_del) = (
                 (np.zeros((d, d), self._dtype), np.zeros((d, c), self._dtype))
@@ -218,8 +208,6 @@ class RoundFold:
                 else (unpack_symmetric(sums[0], d), sums[1])
                 for sums in self._sums
             )
-        elif self._blocks is None:
-            (s_add, g_add), (s_del, g_del) = self._grams
         else:
             u_plus, u_minus = (np.vstack([p.R for p in held]) for held in self._blocks)
             z_plus, z_minus = (np.vstack([p.Z for p in held]) for held in self._blocks)
@@ -267,33 +255,31 @@ def run_round_b(
 ) -> tuple[Ledger, InverseState, np.ndarray, RoundReport]:
     """Incremental round: SMW add step, then SMW delete step, or a rebuild.
 
-    The ledger is advanced first and stays authoritative.  A tall round,
-    one whose aggregate carries no U because it folded more than
-    `rebuild_rows(d)` factor rows, rebuilds the state from the ledger, the
-    cheaper path and an exact one; it reports a reset and no λ_max.  In a
-    short round an infeasible downdate, a step whose capacitance's
-    amplification exceeds CONDITION_THRESHOLD, or a drift audit above
-    DRIFT_THRESHOLD rebuilds the state the same way, which is exactly the
-    full-recompute fallback.  `agg` must come from Variant B's R-factor
-    messages: a full-statistics aggregate raises ValueError.
+    The ledger is advanced first and stays authoritative.  The state is
+    rebuilt from the ledger, at one site and exactly as the full-recompute
+    fallback, when the round is tall (its aggregate carries no U because it
+    folded more than `rebuild_rows(d)` factor rows, so a rebuild is the
+    cheaper path and no step is taken), when a downdate is infeasible, when
+    a step's capacitance amplification exceeds CONDITION_THRESHOLD, or when
+    a drift audit exceeds DRIFT_THRESHOLD; the report then says reset.
+    `agg` must come from Variant B's R-factor messages: a full-statistics
+    aggregate raises ValueError.
     """
     if agg.variant != VARIANT_QR:
         raise ValueError(f"run_round_b needs an R-factor aggregate, got variant {agg.variant!r}")
     new_ledger = ledger_apply(ledger, agg.add, agg.delete)
-    if agg.U_plus is None:
-        new_state = init_from_ledger(new_ledger)
-        return new_ledger, new_state, new_state.W, RoundReport(reset=True)
-    lam = None
-    try:
-        step = smw_step(state, agg.U_plus, agg.add.G)
-        if step.amplification <= CONDITION_THRESHOLD and agg.U_minus.shape[0]:
-            step = smw_step(step.state, agg.U_minus, agg.delete.G, delete=True)
-            lam = step.lambda_max
-        new_state = step.state
-        # a step that can magnify rounding past the threshold leaves T inexact
-        reset = step.amplification > CONDITION_THRESHOLD
-    except (DowndateInfeasible, NotSPD):
-        reset = True
+    reset, lam = agg.U_plus is None, None
+    if not reset:
+        try:
+            step = smw_step(state, agg.U_plus, agg.add.G)
+            if step.amplification <= CONDITION_THRESHOLD and agg.U_minus.shape[0]:
+                step = smw_step(step.state, agg.U_minus, agg.delete.G, delete=True)
+                lam = step.lambda_max
+            new_state = step.state
+            # a step that can magnify rounding past the threshold leaves T inexact
+            reset = step.amplification > CONDITION_THRESHOLD
+        except (DowndateInfeasible, NotSPD):
+            reset = True
     if not reset and new_ledger.t % AUDIT_EVERY == 0:
         reset = audit_drift(new_state, new_ledger) > DRIFT_THRESHOLD
     if reset:
@@ -316,8 +302,7 @@ def run_round_approx(
     t = min(1/γ, ||T_ap||_∞); the module docstring derives both terms.
     """
     new_ledger = ledger_apply(ledger, agg.add, agg.delete)
-    deletes = agg.delete.n > 0 or np.any(agg.delete.S) or np.any(agg.delete.G)
-    if deletes or (reset_every and new_ledger.t % reset_every == 0):
+    if agg.delete.n or (reset_every and new_ledger.t % reset_every == 0):
         new_state = init_from_ledger(new_ledger)
         return new_ledger, new_state, new_state.W, RoundReport(reset=True)
     vals, vecs = symmetric_eig(agg.add.S.astype(new_ledger.dtype))

@@ -17,6 +17,9 @@ I - U T Uᵀ stays SPD and the Cholesky factorization failing is the
 DowndateInfeasible signal; and the amplification max(λ_max(C), 1/λ_min(C)),
 which bounds how much the step can magnify rounding in T and is what
 Variant B's reset gate compares against its fixed condition threshold.
+U is taken as given: an all-zero row, such as approx mode's factor at a
+non-positive eigenvalue, adds only a unit row and column to C and leaves
+T and W as without it, to rounding.
 """
 
 from __future__ import annotations
@@ -81,17 +84,6 @@ def init_from_ledger(ledger: stats_mod.Ledger) -> InverseState:
     return InverseState(inverse_from_factor(ledger.factor), ledger.head)
 
 
-def _clean_rows(u, d: int, dtype) -> np.ndarray:
-    """Drop all-zero rows of U; empty client batches contribute nothing."""
-    if u is None:
-        return np.zeros((0, d), dtype=dtype)
-    u = as_matrix(u, "U")
-    if u.shape[1] != d:
-        raise DimensionMismatch(f"U has {u.shape[1]} columns, expected {d}")
-    keep = np.any(u != 0, axis=1)
-    return u[keep] if not keep.all() else u
-
-
 def smw_step(state: InverseState, u, g, delete: bool = False) -> SmwStep:
     """Fold ΔS = UᵀU and the label moment G into the state, or remove them.
 
@@ -101,7 +93,9 @@ def smw_step(state: InverseState, u, g, delete: bool = False) -> SmwStep:
     `neglected_mass` unchanged.
     """
     d = state.T.shape[0]
-    u = _clean_rows(u, d, state.T.dtype)
+    u = as_matrix(u, "U")
+    if u.shape[1] != d:
+        raise DimensionMismatch(f"U has {u.shape[1]} columns, expected {d}")
     g = np.asarray(g, dtype=state.T.dtype)
     r = u.shape[0]
     if r == 0 and not np.any(g):

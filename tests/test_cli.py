@@ -5,17 +5,19 @@ import dataclasses
 import io
 import itertools
 import json
+import os
 import re
 import runpy
 import shlex
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedridge.cli import _build_parser, main
+from fedridge.cli import PARTITION_FLAGS, SCHEDULE_FLAGS, VARIANT_FLAGS, _build_parser, main
 from fedridge.simulate import (
     METRICS_HEADER,
     SCENARIO_VERSION,
@@ -88,6 +90,10 @@ def test_gen_writes_both_files(tmp_path, capsys):
         # positive and finite as a double, but 0 or inf once cast to the scenario's float32
         ["--precision", "f32", "--gamma", "1e-320"],
         ["--precision", "f32", "--gamma", "1e39"],
+        # past the u32 fields of the feature file's header, refused before anything is drawn
+        ["--n", "4294967296"],
+        ["--d", "4294967296"],
+        ["--c", "4294967296"],
     ],
     ids="_".join,
 )
@@ -113,6 +119,11 @@ def test_gen_rejects_zero_clients(tmp_path, flags):
         (["--schedule", "chunked", "--rounds", "2"], "--rounds"),
         (["--schedule", "burst-addback", "--dels-per-round", "3"], "--dels-per-round"),
         (["--schedule", "churn", "--count", "10"], "--count"),
+        # only approx mode truncates and resets; other scenarios would carry both values unread
+        (["--rank", "5", "--reset-every", "3"], "--rank"),
+        (["--variant", "both", "--reset-every", "3"], "--reset-every"),
+        (["--variant", "B", "--rank", "8"], "--rank"),
+        (["--variant", "A", "--reset-every", "16"], "--reset-every"),
     ],
     ids=lambda v: "_".join(v) if isinstance(v, list) else None,
 )
@@ -137,11 +148,12 @@ def test_gen_refuses_one_path_for_both_outputs(tmp_path, monkeypatch, capsys, ou
     assert "name one file" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("missing", ["features-dir", "scenario-dir", "scenario-is-a-directory"])
+@pytest.mark.parametrize("missing", ["features-dir", "scenario-dir", "scenario-is-a-directory",
+                                     "features-is-a-directory"])
 def test_gen_writes_both_outputs_or_neither(tmp_path, monkeypatch, capsys, missing):
     # the feature file used to be written first and left behind when the scenario could not be
     monkeypatch.chdir(tmp_path)
-    out_features = "nodir/f.bin" if missing == "features-dir" else "f.bin"
+    out_features = {"features-dir": "nodir/f.bin", "features-is-a-directory": "taken"}.get(missing, "f.bin")
     out_scenario = {"scenario-dir": "nodir/s.json", "scenario-is-a-directory": "taken"}.get(missing, "s.json")
     (tmp_path / "taken").mkdir()
     code = main(["gen", "--n", "300", "--d", "8", "--c", "3", "--clients", "4",
@@ -150,6 +162,16 @@ def test_gen_writes_both_outputs_or_neither(tmp_path, monkeypatch, capsys, missi
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]  # no output and no temporary file
     assert not any((tmp_path / "taken").iterdir())
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_gen_into_the_same_paths_twice_leaves_the_second_run(tmp_path):
+    (tmp_path / "fresh").mkdir()
+    _gen(tmp_path, "--schedule", "churn", seed=1)
+    features, scenario = _gen(tmp_path, "--schedule", "burst", seed=2)
+    fresh_features, fresh_scenario = _gen(tmp_path / "fresh", "--schedule", "burst", seed=2)
+    assert features.read_bytes() == fresh_features.read_bytes()
+    assert scenario.read_bytes() == fresh_scenario.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["features.bin", "fresh", "scenario.json"]
 
 
 def test_gen_refuses_features_that_overflow_float32(tmp_path, capsys, recwarn):
@@ -237,6 +259,72 @@ def test_gen_server_flags_change_only_their_fields(tmp_path):
     assert {k for k in plain if plain[k] != changed[k]} == {"variant", "precision", "rank", "reset_every", "gamma"}
     assert (changed["variant"], changed["precision"], changed["rank"], changed["reset_every"], changed["gamma"]) == (
         "approx", "f32", 3, 5, 2.0)
+
+
+# Each `gen` flag's valid values, all small: a churn of 10^9 rounds or 10^9 rows would exhaust memory.
+# The sizes also draw 2^32, one past the feature file's u32 fields.
+_SMALL = st.integers(0, 50).map(str)
+_PAST_U32 = st.just(str(2**32))
+_GEN_VALUES = {
+    **dict.fromkeys(["--n", "--d"], _SMALL | _PAST_U32),
+    "--c": st.integers(2, 10).map(str) | _PAST_U32,
+    **dict.fromkeys(["--clients", "--writers", "--steps", "--count", "--rounds", "--adds-per-round",
+                     "--dels-per-round", "--rank", "--reset-every", "--seed"], _SMALL),
+    "--target-class": st.integers(0, 9).map(str),
+    **dict.fromkeys(["--alpha", "--separation", "--gamma"], st.floats(0.01, 50).map(repr)),
+    "--fraction": st.floats(0, 1).map(repr),
+}
+_ODD_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "2.5", "x"]
+_GEN_CHOICES = {"--schedule": SCHEDULE_FLAGS, "--partition": PARTITION_FLAGS, "--variant": VARIANT_FLAGS,
+                "--precision": {"f32": {}, "f64": {}}}
+
+
+@st.composite
+def _gen_argv(draw):
+    """A `gen` argv, and the flags in it that the chosen schedule, partition or variant does not read.
+
+    Each choice is drawn from its choices or left at its default; each flag is given or not, and each
+    given value is valid or one of _ODD_VALUES.  Unread flags are drawn rarely, so most argvs reach `gen`.
+    """
+    defaults = vars(_build_parser().parse_args(["gen"]))
+    argv, reads, owned = [], set(), set()
+    for flag, table in _GEN_CHOICES.items():
+        kind = draw(st.sampled_from([None, *table]))
+        argv += [flag, kind] if kind else []
+        reads |= set(table[kind or defaults[flag[2:]]])
+        owned |= {name for flags in table.values() for name in flags}
+    unread = []
+    for flag, valid in _GEN_VALUES.items():
+        name = flag[2:].replace("-", "_")
+        if draw(st.integers(0, 99)) >= (5 if name in owned - reads else 40):
+            continue
+        unread += [flag] if name in owned - reads else []
+        argv += [flag, draw(st.sampled_from(_ODD_VALUES)) if draw(st.integers(0, 99)) < 5 else draw(valid)]
+    return argv, unread
+
+
+def _quiet_main(*argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(list(argv)), err.getvalue()
+
+
+@settings(max_examples=120)
+@given(drawn=_gen_argv())
+def test_gen_exits_0_2_or_3_and_every_output_replays(drawn):
+    argv, unread = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        features, scenario = os.path.join(tmp, "f.bin"), os.path.join(tmp, "s.json")
+        code, err = _quiet_main("gen", *argv, "--out-features", features, "--out-scenario", scenario)  # raises nothing
+        assert code in (0, 2, 3), err
+        if unread:
+            assert code == 2, err
+        if code:
+            assert not os.listdir(tmp), err  # no output and no temporary file
+        else:
+            code, err = _quiet_main("run", "--scenario", scenario, "--features", features,
+                                    "--out-dir", os.path.join(tmp, "out"))
+            assert code == 0, err
 
 
 def test_run_writes_metrics_and_summary(tmp_path, capsys):
@@ -439,13 +527,14 @@ def finished_run(tmp_path_factory):
 
 
 def _report(tmp, summary: bytes, metrics: bytes) -> tuple[int, str, str]:
-    """`report`'s exit code, stdout and stderr on these file contents."""
+    """`report`'s exit code, stdout and stderr on these file contents; stdout encodes UTF-8 as a console does."""
     (tmp / "s.json").write_bytes(summary)
     (tmp / "m.csv").write_bytes(metrics)
-    out, err = io.StringIO(), io.StringIO()
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["report", "--summary", str(tmp / "s.json"), "--metrics", str(tmp / "m.csv")])
-    return code, out.getvalue(), err.getvalue()
+    out.flush()
+    return code, out.buffer.getvalue().decode(), err.getvalue()
 
 
 def _permuted(metrics: bytes, order) -> bytes:
@@ -469,8 +558,17 @@ def test_report_refuses_metrics_without_a_column_it_reads(finished_run, header, 
     assert f"no {missing} column" in err
 
 
+def test_report_prints_nothing_of_a_summary_it_cannot_print(finished_run):
+    # `print` used to write "run summary", then raise UnicodeEncodeError, which exited 2
+    tmp, _, metrics, _ = finished_run
+    code, out, err = _report(tmp, b'{"a": "\\ud800", "b": 1}', metrics)
+    assert (code, out) == (3, "")
+    assert "malformed file" in err and "surrogates not allowed" in err
+
+
 def _mangled(data: bytes):
-    """`data` whole, truncated, with one byte flipped, or with a byte that is not UTF-8 put in.
+    """`data` whole, truncated, with one byte flipped, with a byte that is not UTF-8 put in,
+    or with a lone surrogate's JSON escape put in.
 
     A flip stays within ASCII, so that most flipped files still decode and reach the parsers.
     """
@@ -482,6 +580,9 @@ def _mangled(data: bytes):
             lambda t: data[: t[0]] + bytes([data[t[0]] ^ t[1]]) + data[t[0] + 1 :]
         ),
         st.integers(0, n).map(lambda k: data[:k] + b"\xff" + data[k:]),
+        st.tuples(st.integers(0, n), st.integers(0xD800, 0xDFFF)).map(
+            lambda t: data[: t[0]] + b"\\u%04x" % t[1] + data[t[0] :]
+        ),
     )
 
 
@@ -497,6 +598,7 @@ def test_report_exits_0_or_3_on_mangled_files(finished_run, draw):
         mangled_summary, mangled_metrics = summary, draw.draw(_mangled(permuted))
     code, printed, err = _report(tmp, mangled_summary, mangled_metrics)  # raises nothing
     assert code in (0, 3), err
+    assert code == 0 or not printed
     if (mangled_summary, mangled_metrics) == (summary, permuted):
         assert (code, printed) == (0, out)
 

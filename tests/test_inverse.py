@@ -127,6 +127,29 @@ def test_smw_step_t_is_bitwise_symmetric_without_symmetrize(dtype, r):
     assert rel_frobenius_dev(back.T, state.T) <= (1e-4 if dtype == np.float32 else 1e-12)
 
 
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-13)], ids=["f32", "f64"])
+@pytest.mark.parametrize("delete", [False, True], ids=["add", "delete"])
+def test_an_all_zero_row_of_u_leaves_the_step_unchanged(dtype, tol, delete):
+    # U is taken as given: a zero row adds a unit row and column to the capacitance and nothing to T or W
+    rng = np.random.default_rng(5)
+    d, c = 12, 3
+    f = rng.standard_normal((4 * d, d))
+    led = ledger_apply(ledger_init(d, c, 1.0, "f64"), stats_from_batch(f, f[:, :c]), SufficientStats.zero(d, c))
+    state = init_from_ledger(led)
+    state = InverseState(state.T.astype(dtype), state.W.astype(dtype))
+    u = (0.3 * f[:3]).astype(dtype)
+    g = (u.T @ rng.standard_normal((3, c))).astype(dtype)
+    padded = np.insert(u, 1, 0.0, axis=0)
+    assert padded.shape == (4, d) and not padded[1].any()
+    plain, with_zero = (smw_step(state, m, g, delete=delete) for m in (u, padded))
+    for name in ("T", "W"):
+        a, b = getattr(plain.state, name), getattr(with_zero.state, name)
+        assert b.dtype == dtype and rel_frobenius_dev(b, a) <= tol, name
+    assert with_zero.amplification == pytest.approx(plain.amplification, rel=tol)
+    if delete:
+        assert with_zero.lambda_max == pytest.approx(plain.lambda_max, rel=tol)
+
+
 def _delete_step(t, u):
     state = InverseState(np.asarray(t, dtype=float), np.zeros((2, 1)))
     return smw_step(state, u, np.zeros((2, 1)), delete=True)
