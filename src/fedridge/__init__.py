@@ -63,9 +63,7 @@ from .stats import (
     SufficientStats,
     ledger_apply,
     ledger_init,
-    stats_add,
     stats_from_batch,
-    stats_sub,
 )
 
 __version__ = "0.1.0"

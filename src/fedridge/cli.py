@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -140,11 +141,8 @@ def _write_both(*outputs) -> None:
 
 
 def _cmd_gen(args) -> int:
-    if args.clients < 1:
-        print("error: --clients must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    if not (1 <= args.n <= MAX_COUNT and 1 <= args.d <= MAX_COUNT and 2 <= args.c <= MAX_COUNT):
-        print(f"error: need n >= 1, d >= 1, c >= 2, each at most {MAX_COUNT}", file=sys.stderr)
+    if not (1 <= args.n <= MAX_COUNT and args.d <= MAX_COUNT and args.c <= MAX_COUNT):
+        print(f"error: need n >= 1, and n, d and c each at most {MAX_COUNT}", file=sys.stderr)
         return EXIT_USAGE
     if Path(args.out_features).resolve() == Path(args.out_scenario).resolve():
         print(f"error: --out-features and --out-scenario name one file, {args.out_scenario}", file=sys.stderr)
@@ -160,6 +158,23 @@ def _cmd_gen(args) -> int:
                 flag = "--" + name.replace("_", "-")
                 print(f"error: {flag} applies only to {option} {readers}", file=sys.stderr)
                 return EXIT_USAGE
+    partition = {"kind": args.partition, **{name: getattr(args, name) for name in PARTITION_FLAGS[args.partition]}}
+    # every setting is checked before the draw; the drawn split and schedule are filled in after it
+    settings = Scenario(
+        seed=args.seed,
+        d=args.d,
+        c=args.c,
+        clients=args.clients,
+        n=args.n,
+        n_train=0,
+        gamma=args.gamma,
+        precision=args.precision,
+        variant=args.variant,
+        partition=partition,
+        schedule=[],
+        # other variants keep Scenario's defaults
+        **{name: getattr(args, name) for name in VARIANT_FLAGS[args.variant]},
+    )
     data = gen_synthetic(args.seed, args.n, args.d, args.c, args.separation)
     if args.partition == "dirichlet":
         assignments = dirichlet_partition(
@@ -167,7 +182,6 @@ def _cmd_gen(args) -> int:
         )
     else:
         assignments = writer_partition(args.seed, data.n_train, args.clients, args.writers)
-    partition = {"kind": args.partition, **{name: getattr(args, name) for name in PARTITION_FLAGS[args.partition]}}
     first = initial_round(assignments)
     if args.schedule == "ingest":
         schedule = [first]
@@ -189,21 +203,7 @@ def _cmd_gen(args) -> int:
         schedule = schedule_churn(
             args.seed, assignments, args.rounds, args.adds_per_round, args.dels_per_round
         )
-    scenario = Scenario(
-        seed=args.seed,
-        d=args.d,
-        c=args.c,
-        clients=args.clients,
-        n=args.n,
-        n_train=data.n_train,
-        gamma=args.gamma,
-        precision=args.precision,
-        variant=args.variant,
-        partition=partition,
-        schedule=schedule,
-        # other variants keep Scenario's defaults
-        **{name: getattr(args, name) for name in VARIANT_FLAGS[args.variant]},
-    )
+    scenario = dataclasses.replace(settings, n_train=data.n_train, schedule=schedule)
     try:
         _write_both(
             (args.out_features, lambda path: write_feature_file(path, data.features, data.labels, "f32")),

@@ -120,13 +120,15 @@ class RoundFold:
     a payload of no samples is skipped.  An A payload is summed as sent; a
     B payload as the packed triangle of RᵀR and RᵀZ.  Each triangle entry
     gets the same additions as in dense d x d sums, at half the bytes, and
-    `close` unpacks each side once; a side that no sample reached is zeros.
-    A B round instead holds its payloads, each an R factor and its Z block,
-    while its rows, both sides together, are at most `rebuild_rows(d)`;
-    `close` then stacks each side's R factors into U and its Z blocks into
-    Z, and forms the Gram change as UᵀU and the moment change as UᵀZ.  The
-    message that takes the round over that limit sums every held payload,
-    and `close` then returns no U: such a round is served by a rebuild.  So
+    `close` unpacks each side once.  A B round instead holds its payloads,
+    each an R factor and its Z block, while its rows, both sides together,
+    are at most `rebuild_rows(d)`; `close` then stacks each side's R
+    factors into U, empty sides included, and forms the Gram change as UᵀU
+    and the moment change as UᵀZ from its stacked Z blocks.  The message
+    that takes the round over that limit sums every held payload, and
+    `close` then returns no U: such a round is served by a rebuild.  In
+    either form a side that no sample reached is `SufficientStats.zero`,
+    read-only zeros that own no buffer, which `ledger_apply` skips.  So
     the fold keeps no message of an A round, no side holds more than
     `rebuild_rows(d)` rows, and the server runs no QR.  `scalars` counts
     what the folded messages carried on the uplink.
@@ -199,28 +201,18 @@ class RoundFold:
         if self._dims is None:
             raise ValueError("cannot aggregate an empty message list")
         d, c = self._dims
-        u_plus = u_minus = None
-        if self._blocks is None:
-            # a side that no sample reached sums to zeros
-            (s_add, g_add), (s_del, g_del) = (
-                (np.zeros((d, d), self._dtype), np.zeros((d, c), self._dtype))
-                if sums is None
-                else (unpack_symmetric(sums[0], d), sums[1])
-                for sums in self._sums
-            )
-        else:
-            u_plus, u_minus = (np.vstack([p.R for p in held]) for held in self._blocks)
-            z_plus, z_minus = (np.vstack([p.Z for p in held]) for held in self._blocks)
-            s_add, g_add = u_plus.T @ u_plus, u_plus.T @ z_plus
-            s_del, g_del = u_minus.T @ u_minus, u_minus.T @ z_minus
-        return RoundAggregate(
-            round=self.round,
-            variant=self.variant,
-            add=SufficientStats(s_add, g_add, self.n_plus),
-            delete=SufficientStats(s_del, g_del, self.n_minus),
-            U_plus=u_plus,
-            U_minus=u_minus,
-        )
+        sides, factors = [], [None, None]
+        for i, n in enumerate((self.n_plus, self.n_minus)):
+            if self._blocks is not None:
+                factors[i] = u = np.vstack([p.R for p in self._blocks[i]])
+            if not n:
+                sides.append(SufficientStats.zero(d, c, self._dtype))
+            elif self._blocks is not None:
+                sides.append(SufficientStats(u.T @ u, u.T @ np.vstack([p.Z for p in self._blocks[i]]), n))
+            else:
+                packed, g = self._sums[i]
+                sides.append(SufficientStats(unpack_symmetric(packed, d), g, n))
+        return RoundAggregate(self.round, self.variant, *sides, *factors)
 
 
 def aggregate(messages: list[ClientMessage], running: RoundFold | None = None) -> RoundFold | RoundAggregate:

@@ -89,8 +89,9 @@ def smw_step(state: InverseState, u, g, delete: bool = False) -> SmwStep:
 
     Raises DowndateInfeasible when a delete's capacitance is not SPD, and
     NotSPD when an add's is not, which finite U and SPD T rule out, so the
-    state is corrupted.  The step replaces T and W and carries
-    `neglected_mass` unchanged.
+    state is corrupted.  The step returns a new T and W, never writing the
+    input state's: the new T is written over the step's own ZᵀZ, its one
+    d x d allocation.  It carries `neglected_mass` unchanged.
     """
     d = state.T.shape[0]
     u = as_matrix(u, "U")
@@ -116,7 +117,9 @@ def smw_step(state: InverseState, u, g, delete: bool = False) -> SmwStep:
     pivots = np.diagonal(factor).astype(np.float64) ** 2
     amplification = float(max(pivots.max(), 1.0 / pivots.min())) if r else 1.0
     z = triangular_solve_lower(factor, ut)
-    t_new = state.T - sign * (z.T @ z)
+    zz = z.T @ z
+    # T ∓ ZᵀZ over ZᵀZ's own buffer: the input state's T is never written
+    t_new = (np.add if delete else np.subtract)(state.T, zz, out=zz)
     w_new = state.W + sign * (t_new @ (g - u.T @ (u @ state.W)))
     return SmwStep(replace(state, T=t_new, W=w_new), amplification, lam)
 

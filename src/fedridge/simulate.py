@@ -607,9 +607,9 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
         v: Server(v, scenario.d, scenario.c, scenario.gamma, scenario.precision, scenario.rank, scenario.reset_every)
         for v in variants
     }
-    stores = {
-        v: {k: ClientStore(k, features, labels, scenario.precision) for k in range(scenario.clients)} for v in variants
-    }
+    # stores for the clients the schedule names, so memory does not grow with an unused `clients`
+    named = {ev.client for spec in schedule for ev in spec.events}
+    stores = {v: {k: ClientStore(k, features, labels, scenario.precision) for k in named} for v in variants}
     gram = RetainedGram(features, labels)
     retained = np.zeros(scenario.n, dtype=bool)
     records: list[RoundMetrics] = []

@@ -54,7 +54,9 @@ class SufficientStats:
 
     @staticmethod
     def zero(d: int, c: int, dtype=np.float64) -> "SufficientStats":
-        return SufficientStats(np.zeros((d, d), dtype=dtype), np.zeros((d, c), dtype=dtype), 0)
+        """The statistics of no samples: read-only broadcast zeros, which allocate no d x d S or d x c G."""
+        zero = np.zeros((), dtype=dtype)
+        return SufficientStats(np.broadcast_to(zero, (d, d)), np.broadcast_to(zero, (d, c)), 0)
 
 
 @dataclass(frozen=True)
@@ -130,31 +132,31 @@ def stats_from_batch(f, y, dtype=np.float64) -> SufficientStats:
     return SufficientStats(f.T @ f, f.T @ y, f.shape[0])
 
 
-def _check_compatible(a: SufficientStats, b: SufficientStats) -> None:
-    if a.S.shape != b.S.shape or a.G.shape != b.G.shape:
-        raise DimensionMismatch(
-            f"stats shapes differ: {a.S.shape}/{a.G.shape} vs {b.S.shape}/{b.G.shape}"
-        )
-
-
-def stats_add(a: SufficientStats, b: SufficientStats) -> SufficientStats:
-    _check_compatible(a, b)
-    return SufficientStats(a.S + b.S, a.G + b.G, a.n + b.n)
-
-
-def stats_sub(a: SufficientStats, b: SufficientStats) -> SufficientStats:
-    _check_compatible(a, b)
-    if b.n > a.n:
-        raise NegativeCount(f"cannot remove {b.n} samples from {a.n}")
-    return SufficientStats(a.S - b.S, a.G - b.G, a.n - b.n)
-
-
 def ledger_apply(ledger: Ledger, round_add: SufficientStats, round_del: SufficientStats) -> Ledger:
-    """Advance the ledger one round: stats + adds - deletes, t + 1.
+    """Advance the ledger one round: (S + S₊) − S₋ and likewise for G and n, t + 1.
 
-    Sums and differences of symmetric Grams stay bitwise symmetric.
+    Both sides are shape-checked, empty ones included, and a delete of more
+    samples than the ledger and the adds hold raises NegativeCount.  A side
+    of no samples is skipped.  The first side that has samples makes the new
+    S and G and the second is applied to them in place, so a round allocates
+    at most one S and one G, and a round of no samples shares the old
+    arrays, which is safe because ledgers are immutable.  Sums and
+    differences of symmetric Grams stay bitwise symmetric.
     """
-    merged = stats_sub(stats_add(ledger.stats, round_add), round_del)
+    old = ledger.stats
+    for side in (round_add, round_del):
+        if side.S.shape != old.S.shape or side.G.shape != old.G.shape:
+            raise DimensionMismatch(
+                f"stats shapes differ: {old.S.shape}/{old.G.shape} vs {side.S.shape}/{side.G.shape}"
+            )
+    if round_del.n > old.n + round_add.n:
+        raise NegativeCount(f"cannot remove {round_del.n} samples from {old.n + round_add.n}")
+    s, g = old.S, old.G
+    for side, op in ((round_add, np.add), (round_del, np.subtract)):
+        if side.n:
+            s = op(s, side.S, out=None if s is old.S else s)
+            g = op(g, side.G, out=None if g is old.G else g)
+    merged = SufficientStats(s, g, old.n + round_add.n - round_del.n)
     return replace(ledger, stats=merged, t=ledger.t + 1)
 
 

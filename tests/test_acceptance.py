@@ -7,11 +7,13 @@ Each test prints one PASS line once its assertions hold; run with
 to see the per-criterion lines alongside the pytest verdicts.
 """
 
+import csv
 import time
 
 import numpy as np
 import pytest
 
+from fedridge.cli import main
 from fedridge.client import ClientStore, VARIANT_FULL, VARIANT_QR, payload_scalars
 from fedridge.coordinator import account_round, aggregate, run_round_a
 from fedridge.kernels import frobenius_norm, rel_frobenius_dev
@@ -32,6 +34,7 @@ from fedridge.simulate import (
 )
 from fedridge.stats import ledger_init
 from fedridge.verify import PROPERTIES, equivalent_shuffled_heads
+from fedridge.wire import read_feature_file
 
 PROPS = {p.name: p for p in PROPERTIES}
 
@@ -277,3 +280,78 @@ def test_criterion_11_determinism(precision):
     csv2 = metrics_csv(run_scenario(sc, data.features, data.labels))
     assert csv1.encode() == csv2.encode()
     print(f"ACCEPTANCE 11 determinism[{precision}]: PASS (byte-identical metrics CSV)")
+
+
+def _rounds_to_converge(step, a, g, tol=1e-9, limit=10_000):
+    """Federated rounds an iterative solver of a W = G, from W = 0, needs to reach `tol` relative error in W.
+
+    Each round is one product a @ p that the clients form from their own
+    statistics and upload; the first round's is the residual G - a @ 0.
+    `step(w, r, p, ap)` takes one iteration from the residual r and the
+    direction p, and returns the new (w, r, p).
+    """
+    w_star = np.linalg.solve(a, g)
+    w, r, p, rounds = np.zeros_like(g), g, g, 1
+    while np.linalg.norm(w - w_star) > tol * np.linalg.norm(w_star):
+        assert rounds < limit
+        w, r, p = step(w, r, p, a @ p)
+        rounds += 1
+    return rounds
+
+
+def _gradient_descent(a):
+    """Steps of 1/λ_max(a) along the residual, which is minus the gradient."""
+    eta = 1.0 / np.linalg.eigvalsh(a)[-1]
+
+    def step(w, r, p, ap):
+        r_new = r - eta * ap
+        return w + eta * r, r_new, r_new
+
+    return step
+
+
+def _conjugate_gradient(w, r, p, ap):
+    """One CG iteration on the c columns' block-diagonal system, with Frobenius inner products."""
+    alpha = np.sum(r * r) / np.sum(p * ap)
+    r_new = r - alpha * ap
+    return w + alpha * p, r_new, r_new + (np.sum(r_new * r_new) / np.sum(r * r)) * p
+
+
+def test_criterion_12_cost_against_retraining_baselines(tmp_path):
+    # the paper: each request costs "orders-of-magnitude" less than federated retraining;
+    # bytes and rounds are exact counts, so the claim is checked on a one-sample delete
+    d, c, clients = 64, 10, 20
+    features, scenario, out = tmp_path / "f.bin", tmp_path / "s.json", tmp_path / "out"
+    assert main(["gen", "--n", "1500", "--d", str(d), "--c", str(c), "--clients", str(clients),
+                 "--schedule", "burst", "--count", "1", "--variant", "both", "--seed", "1",
+                 "--out-features", str(features), "--out-scenario", str(scenario)]) == 0
+    assert main(["run", "--scenario", str(scenario), "--features", str(features), "--out-dir", str(out)]) == 0
+    with open(out / "metrics.csv", newline="") as fh:
+        rows = {(int(r["round"]), r["variant"]): r for r in csv.DictReader(fh)}
+    b_delete, a_delete = (int(rows[2, v]["scalars_sent"]) for v in ("B", "A"))
+    # re-collection: every client holding data re-sends its full statistics, as in A's round 1
+    recollect = int(rows[1, "A"]["scalars_sent"])
+    assert b_delete == d + c
+    # B serves the delete in its one round, exactly
+    assert float(rows[2, "B"]["rel_dev_vs_oracle"]) <= 1e-9
+
+    # the same retained set, solved iteratively: each round, each client holding data uploads d·c scalars
+    sc = Scenario.from_json(scenario.read_text())
+    f, y, _ = read_feature_file(features)
+    first, delete = sc.schedule[:2]
+    retained = sorted({i for ev in first.events for i in ev.add} - {i for ev in delete.events for i in ev.delete})
+    holders = sum(1 for ev in first.events if set(ev.add) & set(retained))
+    fr, yr = f[retained].astype(np.float64), y[retained].astype(np.float64)
+    a, g = fr.T @ fr + sc.gamma * np.eye(d), fr.T @ yr
+    rounds = {"GD": _rounds_to_converge(_gradient_descent(a), a, g), "CG": _rounds_to_converge(_conjugate_gradient, a, g)}
+    iterative = {name: k * holders * d * c for name, k in rounds.items()}
+    assert all(k > 1 for k in rounds.values())
+    cheaper = min(iterative.values())
+    assert recollect >= 100 * b_delete and cheaper >= 100 * b_delete
+    print(
+        f"ACCEPTANCE 12 cost-against-retraining: PASS (one-sample delete, d={d}, {holders} clients: "
+        f"B {b_delete} scalars in 1 round; A {a_delete} ({a_delete / b_delete:.0f}x B); "
+        f"re-collection {recollect} ({recollect / b_delete:.0f}x); "
+        + "; ".join(f"{name} {rounds[name]} rounds, {iterative[name]} ({iterative[name] / b_delete:.0f}x)" for name in rounds)
+        + ")"
+    )

@@ -11,6 +11,7 @@ import runpy
 import shlex
 import struct
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -94,16 +95,25 @@ def test_gen_writes_both_files(tmp_path, capsys):
         ["--n", "4294967296"],
         ["--d", "4294967296"],
         ["--c", "4294967296"],
+        # a bad setting is refused before 100000 x 256 features are drawn, which takes about 0.7 s
+        ["--n", "100000", "--d", "256", "--variant", "approx", "--rank", "0"],
+        ["--n", "100000", "--d", "256", "--gamma", "nan"],
+        ["--n", "100000", "--d", "256", "--precision", "f32", "--gamma", "1e-320"],
+        ["--n", "100000", "--d", "256", "--clients", "0"],
     ],
     ids="_".join,
 )
 def test_gen_rejects_zero_clients(tmp_path, flags):
-    # each bad number is refused before anything is written, never misread
+    # each bad number is refused before anything is written, never misread, and in at most
+    # the time of a 300 x 8 draw's checks
     features, scenario = tmp_path / "f.bin", tmp_path / "s.json"
+    start = time.perf_counter()
     code = main(["gen", "--n", "300", "--d", "8", "--c", "3", "--clients", "4", *flags,
                  "--out-features", str(features), "--out-scenario", str(scenario)])
+    elapsed = time.perf_counter() - start
     assert code == 2
     assert not features.exists() and not scenario.exists()
+    assert elapsed < 0.25
 
 
 @pytest.mark.parametrize(
@@ -601,6 +611,89 @@ def test_report_exits_0_or_3_on_mangled_files(finished_run, draw):
     assert code == 0 or not printed
     if (mangled_summary, mangled_metrics) == (summary, permuted):
         assert (code, printed) == (0, out)
+
+
+@pytest.fixture(scope="module")
+def replayable(tmp_path_factory):
+    """A small churn scenario's feature file and scenario file.
+
+    Paths, not contents: hypothesis puts the fixture's repr in a failure's report.
+    """
+    return _gen(tmp_path_factory.mktemp("replayable"), "--schedule", "churn", "--rounds", "3",
+                "--adds-per-round", "2", "--dels-per-round", "2")
+
+
+# JSON values a mutated field can take: wrong types, bounds, integers past int64 and
+# doubles, and numbers that are not finite
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 400), st.text(max_size=2),
+    st.sampled_from([2**31, 2**63, 2**64, 10**400, 0.5, 2.0, 1e-320, 1e308, [], {}]),
+    st.floats(), st.lists(st.integers(-1, 300), max_size=3),
+)
+
+
+def _doc_paths(node, path=()):
+    """Every path into a JSON document, with at most the first two and the last item of a list."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    items = list(items)
+    if isinstance(node, list) and len(items) > 3:
+        items = items[:2] + items[-1:]
+    for key, child in items:
+        yield from _doc_paths(child, (*path, key))
+
+
+@st.composite
+def _mutated_doc(draw, doc):
+    """`doc` with one to three of its values replaced or removed; half of them are top-level fields."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_doc_paths(doc))
+        path = draw(st.sampled_from(paths) | st.sampled_from([p for p in paths if len(p) < 2]))
+        if not path:
+            return draw(_JSON_VALUES)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if not draw(st.integers(0, 3)):  # a removed field is always exit 3, so one edit in four
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_JSON_VALUES)
+    return doc
+
+
+def _broken_file(data: bytes):
+    """`data` whole, truncated, or with one byte of its header or its body flipped."""
+    n = len(data)
+
+    def flipped(at):
+        return st.tuples(at, st.integers(1, 255)).map(lambda t: data[: t[0]] + bytes([data[t[0]] ^ t[1]]) + data[t[0] + 1 :])
+
+    # the 19-byte header would be flipped about once in 700 draws over the whole file
+    return st.one_of(
+        st.just(data), st.integers(0, n - 1).map(lambda k: data[:k]), flipped(st.integers(0, 24)), flipped(st.integers(0, n - 1))
+    )
+
+
+@settings(max_examples=150)
+@given(draw=st.data())
+def test_run_exits_0_2_3_or_4_on_mutated_inputs(replayable, draw):
+    doc, features = json.loads(replayable[1].read_text()), replayable[0].read_bytes()
+    # one input is mutated at a time, so that a bad scenario does not hide the feature reader
+    if draw.draw(st.booleans()):
+        scenario_text, feature_bytes = json.dumps(draw.draw(_mutated_doc(doc))), features
+    else:
+        scenario_text, feature_bytes = json.dumps(doc), draw.draw(_broken_file(features))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("s.json", "f.bin", "out")]
+        Path(paths[0]).write_text(scenario_text)
+        Path(paths[1]).write_bytes(feature_bytes)
+        code, err = _quiet_main("run", "--scenario", paths[0], "--features", paths[1], "--out-dir", paths[2])  # raises nothing
+        assert code in (0, 2, 3, 4), err
+        if code in (2, 3):
+            assert not os.path.exists(paths[2]), err
+        if (json.loads(scenario_text), feature_bytes) == (doc, features):
+            assert code == 0, err
 
 
 @pytest.mark.parametrize(

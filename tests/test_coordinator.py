@@ -222,6 +222,28 @@ def test_round_of_at_most_rebuild_rows_is_the_plain_stack():
     assert aggregate(_two_round_messages(VARIANT_QR, "f64", d=37, adds=3, stride=7)).U_plus is None
 
 
+@pytest.mark.parametrize(
+    "variant, d, tall", [(VARIANT_FULL, 6, None), (VARIANT_QR, 64, False), (VARIANT_QR, 6, True)], ids=["A", "B-short", "B-tall"]
+)
+def test_a_side_of_no_samples_is_read_only_zeros_that_own_no_buffer(variant, d, tall):
+    # round one adds 3 x 10 samples and round two deletes 3 x 5; rebuild_rows(64) = 32 and rebuild_rows(6) = 3
+    rng = np.random.default_rng(34)
+    features, labels = rng.standard_normal((30, d)), rng.standard_normal((30, 2))
+    stores = [ClientStore(k, features, labels) for k in range(3)]
+    parts = [list(range(10 * k, 10 * k + 10)) for k in range(3)]
+    round_one = aggregate([s.make_round_message(1, ids, [], variant) for s, ids in zip(stores, parts)])
+    round_two = aggregate([s.make_round_message(2, [], ids[:5], variant) for s, ids in zip(stores, parts)])
+    for agg, empty, u_empty in ((round_one, "delete", "U_minus"), (round_two, "add", "U_plus")):
+        side = getattr(agg, empty)
+        assert side.n == 0 and agg.add.n + agg.delete.n
+        for m, shape in ((side.S, (d, d)), (side.G, (d, 2))):
+            # one broadcast element: no d x d or d x c buffer behind it
+            assert m.shape == shape and m.strides == (0, 0) and not m.flags.writeable and not m.any()
+        if variant == VARIANT_QR:
+            # an empty side's U is still stacked, with no rows, unless the round is tall
+            assert getattr(agg, u_empty) is None if tall else getattr(agg, u_empty).shape == (0, d)
+
+
 def test_fold_of_no_messages_cannot_close():
     with pytest.raises(ValueError):
         RoundFold().close()

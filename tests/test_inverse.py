@@ -57,6 +57,21 @@ def test_smw_step_carries_the_neglected_mass(delete):
     assert init_from_ledger(_ledger_with(BATCH_A)).neglected_mass == 0.0
 
 
+@pytest.mark.parametrize("delete", [False, True])
+def test_smw_step_leaves_its_input_state_unchanged(delete):
+    rng = np.random.default_rng(35)
+    d = 70  # past one 64-row solve block
+    f = rng.standard_normal((90, d))
+    led = ledger_apply(ledger_init(d, 2), stats_from_batch(f, f[:, :2]), SufficientStats.zero(d, 2))
+    st = init_from_ledger(led)
+    t, w = st.T.copy(), st.W.copy()
+    # two retained samples, so the delete is feasible
+    u = thin_qr_rfactor(f[:2])
+    out = smw_step(st, u, f[:2].T @ f[:2, :2], delete=delete).state
+    assert st.T.tobytes() == t.tobytes() and st.W.tobytes() == w.tobytes()
+    assert not np.shares_memory(out.T, st.T) and not np.shares_memory(out.W, st.W)
+
+
 def test_smw_add_empty_is_identity():
     st = init_from_ledger(_ledger_with(BATCH_A))
     out = smw_step(st, np.zeros((0, 2)), np.zeros((2, 1))).state

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fedridge import simulate
+from fedridge.client import ClientStore
 from fedridge.kernels import rel_frobenius_dev, spd_inverse, spectral_norm
 from fedridge.simulate import (
     ClientEvent,
@@ -376,6 +377,23 @@ def test_score_head_matches_per_class_loop():
         np.testing.assert_array_equal([acc] + recall, [want_acc] + want_recall)
         assert all(type(x) is float for x in [acc] + recall)
     assert np.isnan(recall).all() and np.isnan(acc)
+
+
+def test_run_scenario_makes_stores_only_for_the_clients_it_names(monkeypatch):
+    # a scenario may declare clients that no round names; a store was made for each, so
+    # `clients` = 10**6 cost 0.9 GB and 6 s, and a larger count exhausted memory
+    data = gen_synthetic(30, 300, 8, 3, 2.0)
+    parts = dirichlet_partition(30, data.classes[: data.n_train], 4, 0.5)
+    schedule = schedule_churn(30, parts, rounds=2, adds_per_round=2, deletes_per_round=2)
+    made = []
+    monkeypatch.setattr(simulate, "ClientStore", lambda k, *a: made.append(k) or ClientStore(k, *a))
+    base = run_scenario(_scenario(data, parts, schedule), data.features, data.labels)
+    named = {ev.client for spec in schedule for ev in spec.events}
+    assert sorted(made) == sorted([*named, *named])  # one store per named client, per variant
+    made.clear()
+    wide = run_scenario(_scenario(data, parts, schedule, clients=10**5), data.features, data.labels)
+    assert sorted(made) == sorted([*named, *named])
+    assert metrics_csv(wide) == metrics_csv(base)
 
 
 def test_run_scenario_oracle_equivalence_and_bookkeeping():

@@ -10,9 +10,7 @@ from fedridge.stats import (
     SufficientStats,
     ledger_apply,
     ledger_init,
-    stats_add,
     stats_from_batch,
-    stats_sub,
 )
 
 # The two-sample batches with identical first moments but different Grams.
@@ -46,31 +44,72 @@ def test_stats_from_batch_row_mismatch():
         stats_from_batch(np.eye(2), np.ones((3, 1)))
 
 
-def test_stats_add_doubles():
+def _held(*batches, d=2, c=1):
+    """A ledger that holds `batches`, added one round each."""
+    led = ledger_init(d, c)
+    for batch in batches:
+        led = ledger_apply(led, batch, SufficientStats.zero(d, c))
+    return led
+
+
+def test_ledger_apply_add_doubles():
     a = stats_from_batch(*BATCH_A)
-    out = stats_add(a, a)
+    out = ledger_apply(_held(a), a, SufficientStats.zero(2, 1)).stats
     np.testing.assert_array_equal(out.S, 2 * np.eye(2))
     assert out.n == 4
 
 
-def test_stats_sub_full_deletion():
+def test_ledger_apply_full_deletion():
     a = stats_from_batch(*BATCH_A)
-    out = stats_sub(a, a)
+    out = ledger_apply(_held(a), SufficientStats.zero(2, 1), a).stats
     np.testing.assert_array_equal(out.S, np.zeros((2, 2)))
     np.testing.assert_array_equal(out.G, np.zeros((2, 1)))
     assert out.n == 0
 
 
-def test_stats_add_mixed_batches():
-    out = stats_add(stats_from_batch(*BATCH_A), stats_from_batch(*BATCH_B))
+def test_ledger_apply_mixed_batches():
+    out = _held(stats_from_batch(*BATCH_A), stats_from_batch(*BATCH_B)).stats
     np.testing.assert_array_equal(out.S, [[2.0, 1.0], [1.0, 2.0]])
     np.testing.assert_array_equal(out.G, [[2.0], [2.0]])
 
 
-def test_stats_sub_negative_count():
+def test_ledger_apply_negative_count():
     a = stats_from_batch(*BATCH_A)
     with pytest.raises(NegativeCount):
-        stats_sub(SufficientStats.zero(2, 1), a)
+        ledger_apply(ledger_init(2, 1), SufficientStats.zero(2, 1), a)
+    # the round's adds count: 2 held + 2 added cannot lose 5
+    with pytest.raises(NegativeCount):
+        ledger_apply(_held(a), a, SufficientStats(a.S, a.G, 5))
+
+
+@pytest.mark.parametrize("adds, deletes", [(4, 3), (4, 0), (0, 3), (0, 0)])
+def test_ledger_apply_is_bitwise_s_plus_adds_minus_deletes(adds, deletes):
+    rng = np.random.default_rng(11)
+    d, c = 5, 2
+
+    def side(n):
+        if not n:
+            return SufficientStats.zero(d, c)
+        return stats_from_batch(rng.standard_normal((n, d)), rng.standard_normal((n, c)))
+
+    led, add, delete = _held(side(9), d=d, c=c), side(adds), side(deletes)
+    inputs = [m.copy() for m in (led.stats.S, led.stats.G, add.S, add.G, delete.S, delete.G)]
+    out = ledger_apply(led, add, delete)
+    assert out.t == led.t + 1 and out.stats.n == 9 + adds - deletes
+    for got, held, plus, minus in ((out.stats.S, *inputs[0::2]), (out.stats.G, *inputs[1::2])):
+        assert got.tobytes() == ((held + plus) - minus).tobytes()
+    # no operand is written, and a round of no samples shares the ledger's arrays
+    for m, copy in zip((led.stats.S, led.stats.G, add.S, add.G, delete.S, delete.G), inputs):
+        assert m.tobytes() == copy.tobytes()
+    assert (out.stats.S is led.stats.S and out.stats.G is led.stats.G) == (not adds and not deletes)
+
+
+@pytest.mark.parametrize(
+    "add, delete", [((3, 1), (2, 1)), ((2, 1), (2, 3)), ((1, 1), (1, 1))], ids=["add-d3", "delete-c3", "both-d1"]
+)
+def test_ledger_apply_checks_the_shape_of_an_empty_side(add, delete):
+    with pytest.raises(DimensionMismatch):
+        ledger_apply(_held(stats_from_batch(*BATCH_A)), SufficientStats.zero(*add), SufficientStats.zero(*delete))
 
 
 def test_ledger_initial_add_and_round_trip():
@@ -85,9 +124,7 @@ def test_ledger_initial_add_and_round_trip():
 
 
 def test_ledger_exact_cancellation():
-    led = ledger_init(2, 1)
-    both = stats_add(stats_from_batch(*BATCH_A), stats_from_batch(*BATCH_B))
-    led1 = ledger_apply(led, both, SufficientStats.zero(2, 1))
+    led1 = _held(stats_from_batch(*BATCH_A), stats_from_batch(*BATCH_B))
     led2 = ledger_apply(led1, SufficientStats.zero(2, 1), stats_from_batch(*BATCH_B))
     a = stats_from_batch(*BATCH_A)
     assert np.max(np.abs(led2.stats.S - a.S)) <= 1e-15
@@ -146,10 +183,7 @@ def test_additivity_commutes_under_permutation():
         for _ in range(100)
     ]
     def fold(items):
-        acc = SufficientStats.zero(6, 2)
-        for s in items:
-            acc = stats_add(acc, s)
-        return acc
+        return _held(*items, d=6, c=2).stats
     base = fold(stats)
     for _ in range(5):
         perm = rng.permutation(len(stats))
