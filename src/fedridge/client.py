@@ -116,6 +116,11 @@ def payload_scalars(payload: PackedStats | QrPayload) -> int:
     return variant_a_payload_scalars(payload.n, payload.d, payload.c)
 
 
+def payload_dtype(payload: PackedStats | QrPayload) -> np.dtype:
+    """The precision a payload was formed in: R's for B, whose G is derived, and S's for A."""
+    return (payload.R if isinstance(payload, QrPayload) else payload.S).dtype
+
+
 def empty_payload(variant: str, d: int, c: int, dtype) -> PackedStats | QrPayload:
     """The payload of no samples.
 

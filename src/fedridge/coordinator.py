@@ -24,10 +24,10 @@ round by one of three drivers, which recover the head by:
 Aggregation is a running fold (`RoundFold`) of each client message as it
 arrives, in strictly ascending client id, so repeated runs are bitwise
 reproducible at fixed precision and the server holds O(d²) per round
-instead of every client's payload.  `Server.serve` returns each round's
-head with its `RoundReport` and `CommRecord`, which the harness keeps as
-they are in the round's metrics row: every `RoundReport` field is a
-column of `metrics.csv`.
+instead of every client's payload.  `Server.serve` folds each round
+against its own variant, width and precision, and returns the head with
+its `RoundReport` and `CommRecord`, which the harness keeps in the
+round's metrics row: every `RoundReport` field is a `metrics.csv` column.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .client import ClientMessage, VARIANT_FULL, VARIANT_QR
+from .client import ClientMessage, VARIANT_FULL, VARIANT_QR, payload_dtype
 from .inverse import DowndateInfeasible, InverseState, audit_drift, init_from_ledger, smw_step
 from .kernels import DimensionMismatch, NotSPD, symmetric_eig, unpack_symmetric, upper_mask
 from .posterior import MatrixNormalPosterior, posterior_from_ledger, posterior_from_state
@@ -71,7 +71,11 @@ class MixedRound(Exception):
 
 
 class MixedVariant(Exception):
-    """Messages of different variants were aggregated together."""
+    """A message's variant is not its round's."""
+
+
+class MixedPrecision(Exception):
+    """A payload's precision is not its round's."""
 
 
 class OutOfOrder(Exception):
@@ -82,8 +86,6 @@ class OutOfOrder(Exception):
 class RoundAggregate:
     """One round's summed adds and deletes; a short B round also keeps its stacked factors."""
 
-    round: int
-    variant: str
     add: SufficientStats
     delete: SufficientStats
     U_plus: np.ndarray | None = None
@@ -113,6 +115,9 @@ class CommRecord:
 class RoundFold:
     """One round's running aggregate, folded one client message at a time.
 
+    A fold is built for one wire variant, width (d, c) and dtype, and holds
+    every message to them (else MixedVariant, DimensionMismatch or
+    MixedPrecision) and to its first message's round (else MixedRound).
     Messages must arrive in strictly ascending client id; one that does not
     raises OutOfOrder, and nothing is re-sorted.  Each side (add, delete)
     is summed in one form, [packed Gram, moment], in place and in client
@@ -134,39 +139,32 @@ class RoundFold:
     what the folded messages carried on the uplink.
     """
 
-    def __init__(self):
+    def __init__(self, variant: str, d: int, c: int, dtype):
+        self.variant = variant
         self.round: int | None = None
-        self.variant: str | None = None
         self.client_id: int | None = None  # the last client folded
-        self.scalars = 0
-        self.n_plus = 0
-        self.n_minus = 0
-        self._dims: tuple[int, int] | None = None
-        self._dtype: np.dtype | None = None
+        self.scalars = self.n_plus = self.n_minus = 0
+        self._dims = (d, c)
+        self._dtype = np.dtype(dtype)
         self._sums: list[list | None] = [None, None]  # [packed Gram, moment], add then delete
-        self._blocks: tuple[list, list] | None = None  # a short B round's payloads, add then delete
+        self._blocks = ([], []) if variant == VARIANT_QR else None  # a short B round's payloads, add then delete
         self._rows = 0  # R-factor rows folded, both sides
 
     def add(self, msg: ClientMessage) -> None:
         """Fold one message into the round."""
         if self.client_id is None:
-            self.round, self.variant = msg.round, msg.variant
-            # B's G is derived from R and Z, so the dtype comes from each variant's first matrix
-            self._dims = (msg.add.d, msg.add.c)
-            self._dtype = (msg.add.R if msg.variant == VARIANT_QR else msg.add.S).dtype
-            if msg.variant == VARIANT_QR:
-                self._blocks = ([], [])
+            self.round = msg.round
         elif msg.client_id <= self.client_id:
             raise OutOfOrder(f"client {msg.client_id} arrived after client {self.client_id}")
         elif msg.round != self.round:
             raise MixedRound(f"messages span rounds {self.round} and {msg.round}")
-        elif msg.variant != self.variant:
-            raise MixedVariant(f"messages span variants {self.variant} and {msg.variant}")
+        if msg.variant != self.variant:
+            raise MixedVariant(f"a variant {msg.variant} message in a variant {self.variant} round")
         for payload in (msg.add, msg.delete):
-            dims = (payload.d, payload.c)
-            if dims != self._dims:
-                d, c = self._dims
-                raise DimensionMismatch(f"message dims {dims[0]}x{dims[1]} do not match {d}x{c}")
+            if (payload.d, payload.c) != self._dims:
+                raise DimensionMismatch(f"message dims {payload.d}x{payload.c} do not match {self._dims[0]}x{self._dims[1]}")
+            if payload_dtype(payload) != self._dtype:
+                raise MixedPrecision(f"a {payload_dtype(payload)} payload in a {self._dtype} round")
         self.n_plus += msg.add.n
         self.n_minus += msg.delete.n
         self.scalars += msg.scalar_count
@@ -192,13 +190,13 @@ class RoundFold:
                     for total, part in zip(self._sums[side], parts):
                         total += part
 
-    def comm(self, precision: str) -> CommRecord:
-        """Uplink cost of the folded messages, counted as `account_round` does."""
-        return _comm_record(self.scalars, precision)
+    def comm(self) -> CommRecord:
+        """Uplink cost of the folded messages in the fold's dtype, counted as `account_round` does."""
+        return CommRecord(self.scalars, self.scalars * self._dtype.itemsize)
 
     def close(self) -> RoundAggregate:
         """The round's aggregate; call once, after the round's last message."""
-        if self._dims is None:
+        if self.client_id is None:
             raise ValueError("cannot aggregate an empty message list")
         d, c = self._dims
         sides, factors = [], [None, None]
@@ -212,7 +210,7 @@ class RoundFold:
             else:
                 packed, g = self._sums[i]
                 sides.append(SufficientStats(unpack_symmetric(packed, d), g, n))
-        return RoundAggregate(self.round, self.variant, *sides, *factors)
+        return RoundAggregate(*sides, *factors)
 
 
 def aggregate(messages: list[ClientMessage], running: RoundFold | None = None) -> RoundFold | RoundAggregate:
@@ -220,20 +218,23 @@ def aggregate(messages: list[ClientMessage], running: RoundFold | None = None) -
 
     With `running`, the messages are folded into it in the order given and
     the same, still open fold is returned; `Server.serve` passes each
-    message this way as it arrives and closes the fold after the last.
-    Without, `messages` is the whole round: it is folded in ascending
-    client id and the closed RoundAggregate is returned.  Both ways fold
-    the same messages in the same order (see RoundFold), so their
-    aggregates are bitwise equal.
+    message this way as it arrives, into a fold of its own variant, width
+    and precision, and closes the fold after the last.  Without, `messages`
+    is the whole round: it is folded in ascending client id, into a fold of
+    the first message's variant, width and precision, and the closed
+    RoundAggregate is returned.  Both ways fold the same messages in the
+    same order (see RoundFold), so their aggregates are bitwise equal.
     """
-    if running is not None:
-        for m in messages:
-            running.add(m)
-        return running
-    fold = RoundFold()
-    for m in sorted(messages, key=lambda m: m.client_id):
-        fold.add(m)
-    return fold.close()
+    closed = running is None
+    if closed:
+        if not messages:
+            raise ValueError("cannot aggregate an empty message list")
+        messages = sorted(messages, key=lambda m: m.client_id)
+        first = messages[0]
+        running = RoundFold(first.variant, first.add.d, first.add.c, payload_dtype(first.add))
+    for m in messages:
+        running.add(m)
+    return running.close() if closed else running
 
 
 def run_round_a(ledger: Ledger, agg: RoundAggregate) -> tuple[Ledger, np.ndarray]:
@@ -249,16 +250,12 @@ def run_round_b(
 
     The ledger is advanced first and stays authoritative.  The state is
     rebuilt from the ledger, at one site and exactly as the full-recompute
-    fallback, when the round is tall (its aggregate carries no U because it
-    folded more than `rebuild_rows(d)` factor rows, so a rebuild is the
-    cheaper path and no step is taken), when a downdate is infeasible, when
-    a step's capacitance amplification exceeds CONDITION_THRESHOLD, or when
-    a drift audit exceeds DRIFT_THRESHOLD; the report then says reset.
-    `agg` must come from Variant B's R-factor messages: a full-statistics
-    aggregate raises ValueError.
+    fallback, when the aggregate carries no U (a tall round, which folded
+    more than `rebuild_rows(d)` factor rows so a rebuild is the cheaper
+    path, or a full-statistics one), when a downdate is infeasible, when a
+    step's capacitance amplification exceeds CONDITION_THRESHOLD, or when a
+    drift audit exceeds DRIFT_THRESHOLD; the report then says reset.
     """
-    if agg.variant != VARIANT_QR:
-        raise ValueError(f"run_round_b needs an R-factor aggregate, got variant {agg.variant!r}")
     new_ledger = ledger_apply(ledger, agg.add, agg.delete)
     reset, lam = agg.U_plus is None, None
     if not reset:
@@ -311,13 +308,10 @@ def run_round_approx(
     return new_ledger, new_state, new_state.W, RoundReport(reset=False, bound=bound)
 
 
-def _comm_record(scalars: int, precision: str) -> CommRecord:
-    return CommRecord(total_scalars=scalars, total_bytes=scalars * dtype_of(precision).itemsize)
-
-
 def account_round(messages: list[ClientMessage], precision: str) -> CommRecord:
     """Exact per-round communication accounting in scalars and bytes."""
-    return _comm_record(sum(m.scalar_count for m in messages), precision)
+    scalars = sum(m.scalar_count for m in messages)
+    return CommRecord(scalars, scalars * dtype_of(precision).itemsize)
 
 
 class Server:
@@ -348,9 +342,10 @@ class Server:
     def serve(self, messages: Iterable[ClientMessage]) -> tuple[np.ndarray, RoundReport, CommRecord]:
         """Fold each message by `aggregate([msg], fold)` as it arrives, then run the variant's driver.
 
-        Returns the served head, the round's report and the uplink of its messages.
+        A message of another variant, width or precision than the server's is refused before the
+        ledger moves.  Returns the served head, the round's report and the uplink of its messages.
         """
-        fold = RoundFold()
+        fold = RoundFold(self.wire_variant, *self.ledger.stats.G.shape, self.ledger.dtype)
         for msg in messages:
             aggregate([msg], fold)
         agg = fold.close()
@@ -361,7 +356,7 @@ class Server:
             self.ledger, self.state, w, report = run_round_b(self.ledger, self.state, agg)
         else:
             self.ledger, self.state, w, report = run_round_approx(self.ledger, self.state, agg, self.rank, self.reset_every)
-        return w, report, fold.comm(self.ledger.precision)
+        return w, report, fold.comm()
 
     def posterior(self, sigma2: float = 1.0) -> MatrixNormalPosterior:
         """Certify what is served: B's tracked state (NotSPD if T is not SPD), A's and approx's ledger."""

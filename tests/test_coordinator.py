@@ -7,6 +7,7 @@ import pytest
 
 from fedridge.client import ClientStore, VARIANT_FULL, VARIANT_QR, payload_scalars
 from fedridge.coordinator import (
+    MixedPrecision,
     MixedRound,
     MixedVariant,
     OutOfOrder,
@@ -25,9 +26,9 @@ from fedridge.simulate import RetainedGram, oracle_retrain
 from fedridge.stats import SufficientStats, dtype_of, ledger_init, regularized_gram, stats_from_batch
 
 
-def _idle_store(client_id, d, c):
+def _idle_store(client_id, d, c, precision="f64"):
     """A store over no rows: every payload it forms is empty."""
-    return ClientStore(client_id, np.zeros((0, d)), np.zeros((0, c)))
+    return ClientStore(client_id, np.zeros((0, d)), np.zeros((0, c)), precision)
 
 
 def _round_one_messages(variant, features, labels, parts, d, c):
@@ -101,11 +102,13 @@ def test_fold_message_by_message_is_bitwise_the_list_aggregate(variant, precisio
     for shape in (_TALL, _SHORT):
         messages = _two_round_messages(variant, precision, **shape)
         whole = aggregate(messages)
-        fold = RoundFold()
+        d, c = messages[0].add.d, messages[0].add.c
+        fold = RoundFold(variant, d, c, dtype_of(precision))
         for msg in messages:
             assert aggregate([msg], fold) is fold
+        assert (fold.round, fold.variant) == (2, variant)
         folded = fold.close()
-        for name in ("round", "variant", "add.d", "add.c", "add.n", "delete.n"):
+        for name in ("add.d", "add.c", "add.n", "delete.n"):
             assert attrgetter(name)(folded) == attrgetter(name)(whole)
         for name in ("add.S", "add.G", "delete.S", "delete.G", "U_plus", "U_minus"):
             a, b = attrgetter(name)(folded), attrgetter(name)(whole)
@@ -114,7 +117,7 @@ def test_fold_message_by_message_is_bitwise_the_list_aggregate(variant, precisio
                 continue
             assert a.dtype == b.dtype == dtype_of(precision)
             assert a.tobytes() == b.tobytes() and a.shape == b.shape
-        assert fold.comm(precision) == account_round(messages, precision)
+        assert fold.comm() == account_round(messages, precision)
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
@@ -126,7 +129,7 @@ def test_a_fold_of_packed_triangles_equals_the_sum_of_dense_grams(precision):
     d, c = messages[0].add.d, messages[0].add.c
     features = np.random.default_rng(34).standard_normal((2, d))
     adder = ClientStore(7, features, features[:, :c], precision)
-    messages += [_idle_store(5, d, c).make_round_message(2, [], [], VARIANT_FULL),
+    messages += [_idle_store(5, d, c, precision).make_round_message(2, [], [], VARIANT_FULL),
                  adder.make_round_message(2, [0, 1], [], VARIANT_FULL)]
     agg = aggregate(messages)
     for side in ("add", "delete"):
@@ -139,7 +142,7 @@ def test_a_fold_of_packed_triangles_equals_the_sum_of_dense_grams(precision):
         assert got.n == sum(p.n for p in payloads)
     # a side that no sample reached is zeros of the round's precision
     empty = aggregate([adder.make_round_message(3, [], [], VARIANT_FULL),
-                       _idle_store(8, d, c).make_round_message(3, [], [], VARIANT_FULL)])
+                       _idle_store(8, d, c, precision).make_round_message(3, [], [], VARIANT_FULL)])
     for side in (empty.add, empty.delete):
         assert side.S.shape == (d, d) and side.G.shape == (d, c) and side.n == 0
         assert side.S.dtype == dtype_of(precision) and not side.S.any() and not side.G.any()
@@ -148,7 +151,7 @@ def test_a_fold_of_packed_triangles_equals_the_sum_of_dense_grams(precision):
 @pytest.mark.parametrize("variant", [VARIANT_FULL, VARIANT_QR])
 def test_fold_rejects_a_client_id_not_above_the_last(variant):
     first, second, third = _two_round_messages(variant, "f64")
-    fold = aggregate([first, third], RoundFold())
+    fold = aggregate([first, third], RoundFold(variant, 9, 3, np.float64))
     for late in (second, third):  # below the last client, then equal to it
         with pytest.raises(OutOfOrder):
             aggregate([late], fold)
@@ -177,7 +180,7 @@ def test_fold_holds_at_most_2d_rows_per_side(precision):
     # the bound is now rebuild_rows(d) for both sides together; past it the fold keeps no U
     messages, *_ = _wide_round(precision)
     d = messages[0].add.R.shape[1]
-    fold = RoundFold()
+    fold = RoundFold(VARIANT_QR, d, 2, dtype_of(precision))
     for msg in messages:
         aggregate([msg], fold)
         assert fold._blocks is None or sum(b.shape[0] for held in fold._blocks for b in held) <= rebuild_rows(d)
@@ -245,8 +248,9 @@ def test_a_side_of_no_samples_is_read_only_zeros_that_own_no_buffer(variant, d, 
 
 
 def test_fold_of_no_messages_cannot_close():
-    with pytest.raises(ValueError):
-        RoundFold().close()
+    for variant in (VARIANT_FULL, VARIANT_QR):
+        with pytest.raises(ValueError):
+            RoundFold(variant, 2, 1, np.float64).close()
     with pytest.raises(ValueError):
         aggregate([])
 
@@ -259,6 +263,22 @@ def test_aggregate_rejects_mixed_rounds_and_variants():
     m3 = _idle_store(2, 2, 1).make_round_message(1, [], [], VARIANT_QR)
     with pytest.raises(MixedVariant):
         aggregate([m1, m3])
+
+
+@pytest.mark.parametrize("variant", [VARIANT_FULL, VARIANT_QR])
+def test_aggregate_rejects_mixed_precision(variant):
+    # B's dtype is read from R, since its G is derived; A's from S
+    features = np.random.default_rng(35).standard_normal((4, 3))
+    f64 = ClientStore(0, features, features[:, :2]).make_round_message(1, [0, 1], [], variant)
+    f32 = ClientStore(1, features, features[:, :2], "f32").make_round_message(1, [2, 3], [], variant)
+    idle = _idle_store(2, 3, 2, "f32").make_round_message(1, [], [], variant)
+    for messages in ([f64, f32], [f64, idle]):
+        with pytest.raises(MixedPrecision):
+            aggregate(messages)
+    fold = RoundFold(variant, 3, 2, np.float32)
+    with pytest.raises(MixedPrecision):
+        aggregate([f64], fold)
+    assert fold.client_id is None and fold.scalars == 0
 
 
 def test_aggregate_rejects_dimension_mismatch():
@@ -488,16 +508,19 @@ def test_run_round_b_rebuilds_tall_rounds():
     assert rel_frobenius_dev(w, oracle_retrain(RetainedGram(features, labels), np.ones(n, bool), 1.0)[0]) <= 1e-9
 
 
-def test_run_round_b_rejects_full_statistics_aggregate():
-    # the SMW steps need the stacked R-factors; without them the head would not move
+def test_run_round_b_serves_a_full_statistics_aggregate_by_its_exact_rebuild():
+    # an aggregate without U takes the driver's one rebuild, whatever variant formed it
     rng = np.random.default_rng(28)
     d, c = 4, 1
     features = rng.standard_normal((10, d))
     labels = rng.standard_normal((10, c))
     agg = aggregate(_round_one_messages(VARIANT_FULL, features, labels, [range(10)], d, c))
+    assert agg.U_plus is None and agg.U_minus is None
     ledger = ledger_init(d, c)
-    with pytest.raises(ValueError, match="R-factor"):
-        run_round_b(ledger, init_from_ledger(ledger), agg)
+    led_a, w_a = run_round_a(ledger, agg)
+    led_b, _, w_b, info = run_round_b(ledger, init_from_ledger(ledger), agg)
+    assert info.reset and info.lambda_max is None
+    assert w_b.tobytes() == w_a.tobytes() and led_b.stats.S.tobytes() == led_a.stats.S.tobytes()
 
 
 def test_burst_delete_then_addback_round_trip():
@@ -531,7 +554,6 @@ def _add_only_agg(s_plus, g_plus=None, d=None, c=1):
     d = d or s_plus.shape[0]
     g_plus = g_plus if g_plus is not None else np.zeros((d, c))
     return RoundAggregate(
-        round=1, variant=VARIANT_FULL,
         add=SufficientStats(s_plus, g_plus, 1),
         delete=SufficientStats(np.zeros((d, d)), np.zeros((d, c)), 0),
     )

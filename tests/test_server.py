@@ -13,8 +13,8 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
-from fedridge.client import ClientStore
-from fedridge.coordinator import Server
+from fedridge.client import VARIANT_FULL, VARIANT_QR, ClientStore
+from fedridge.coordinator import MixedPrecision, MixedVariant, Server
 from fedridge.kernels import rel_frobenius_dev, spd_inverse, spectral_norm
 from fedridge.simulate import RetainedGram, oracle_retrain
 from fedridge.stats import regularized_gram
@@ -92,3 +92,36 @@ def test_server_refuses_a_rank_or_reset_period_that_scenario_refuses(bad):
     # Scenario refuses all of them
     with pytest.raises(ValueError):
         Server("approx", 6, 3, 1.0, **bad)
+
+
+def _refuses_then_serves(server, bad, good):
+    """`bad` is refused with the ledger, state and round count as they were; `good` then serves exactly."""
+    ledger, state = server.ledger, server.state
+    with pytest.raises((MixedVariant, MixedPrecision)) as refused:
+        server.serve([bad])
+    assert server.ledger is ledger and server.state is state and server.ledger.t == 0
+    w, _, _ = server.serve([good])
+    retained = np.zeros(N, bool)
+    retained[:6] = True
+    tol = 1e-5 if server.ledger.precision == "f32" else 1e-8
+    assert rel_frobenius_dev(w, oracle_retrain(RetainedGram(FEATURES, LABELS), retained, GAMMA)[0]) <= tol
+    return refused.type
+
+
+@pytest.mark.parametrize("variant", ["A", "B", "approx"])
+def test_server_refuses_a_message_of_another_wire_variant(variant):
+    server = Server(variant, D, C, GAMMA)
+    other = VARIANT_QR if server.wire_variant == VARIANT_FULL else VARIANT_FULL
+    bad = ClientStore(0, FEATURES, LABELS).make_round_message(1, list(range(6)), [], other)
+    good = ClientStore(0, FEATURES, LABELS).make_round_message(1, list(range(6)), [], server.wire_variant)
+    assert _refuses_then_serves(server, bad, good) is MixedVariant
+
+
+@pytest.mark.parametrize("variant", ["A", "B", "approx"])
+@pytest.mark.parametrize("precision, other", [("f32", "f64"), ("f64", "f32")])
+def test_server_refuses_a_message_of_another_precision(variant, precision, other):
+    server = Server(variant, D, C, GAMMA, precision)
+    bad = ClientStore(0, FEATURES, LABELS, other).make_round_message(1, list(range(6)), [], server.wire_variant)
+    good = ClientStore(0, FEATURES, LABELS, precision).make_round_message(1, list(range(6)), [], server.wire_variant)
+    assert _refuses_then_serves(server, bad, good) is MixedPrecision
+    assert server.ledger.stats.S.dtype == server.ledger.dtype
