@@ -36,6 +36,10 @@ class UnknownDeleteId(Exception):
     """A deletion named an id the client does not retain, or named it twice."""
 
 
+class MixedPrecision(Exception):
+    """A payload's two matrices, or a payload and its round, differ in precision."""
+
+
 @dataclass(frozen=True)
 class PackedStats:
     """Variant A payload: S = FᵀF as its upper triangle, packed row by row, plus (G, n)."""
@@ -117,8 +121,11 @@ def payload_scalars(payload: PackedStats | QrPayload) -> int:
 
 
 def payload_dtype(payload: PackedStats | QrPayload) -> np.dtype:
-    """The precision a payload was formed in: R's for B, whose G is derived, and S's for A."""
-    return (payload.R if isinstance(payload, QrPayload) else payload.S).dtype
+    """The precision a payload's two matrices (R and Z, or S and G) share; MixedPrecision if they differ."""
+    first, second = (payload.R, payload.Z) if isinstance(payload, QrPayload) else (payload.S, payload.G)
+    if first.dtype != second.dtype:
+        raise MixedPrecision(f"a payload mixes {first.dtype} and {second.dtype}")
+    return first.dtype
 
 
 def empty_payload(variant: str, d: int, c: int, dtype) -> PackedStats | QrPayload:

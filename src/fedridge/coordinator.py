@@ -38,7 +38,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .client import ClientMessage, VARIANT_FULL, VARIANT_QR, payload_dtype
+from .client import ClientMessage, MixedPrecision, VARIANT_FULL, VARIANT_QR, payload_dtype
 from .inverse import DowndateInfeasible, InverseState, audit_drift, init_from_ledger, smw_step
 from .kernels import DimensionMismatch, NotSPD, symmetric_eig, unpack_symmetric, upper_mask
 from .posterior import MatrixNormalPosterior, posterior_from_ledger, posterior_from_state
@@ -72,10 +72,6 @@ class MixedRound(Exception):
 
 class MixedVariant(Exception):
     """A message's variant is not its round's."""
-
-
-class MixedPrecision(Exception):
-    """A payload's precision is not its round's."""
 
 
 class OutOfOrder(Exception):
@@ -358,8 +354,6 @@ class Server:
             self.ledger, self.state, w, report = run_round_approx(self.ledger, self.state, agg, self.rank, self.reset_every)
         return w, report, fold.comm()
 
-    def posterior(self, sigma2: float = 1.0) -> MatrixNormalPosterior:
+    def posterior(self) -> MatrixNormalPosterior:
         """Certify what is served: B's tracked state (NotSPD if T is not SPD), A's and approx's ledger."""
-        if self.variant == "B":
-            return posterior_from_state(self.state, sigma2)
-        return posterior_from_ledger(self.ledger, sigma2)
+        return posterior_from_state(self.state) if self.variant == "B" else posterior_from_ledger(self.ledger)

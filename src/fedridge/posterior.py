@@ -1,22 +1,22 @@
 """Bayesian view of the ridge head and the unlearning certificate.
 
-Under a Gaussian likelihood with noise variance sigma2 and an isotropic
-Gaussian prior with variance tau2 = sigma2 / gamma, the posterior over the
-head is matrix-normal with mean equal to the ridge solution and row
-covariance sigma2 * (S + gamma*I)^-1, with identity column covariance.
-Since both parameters are functions of (S, G) alone, a protocol that keeps
-the statistics exact keeps the whole posterior exact, and the KL divergence
-against a from-scratch recomputation is zero up to floating-point noise.
+Under a Gaussian likelihood with unit noise variance and a Gaussian
+prior with variance 1/gamma, the posterior over the head is matrix-normal
+with the ridge solution as mean, row covariance (S + gamma*I)^-1 and
+identity column covariance.  Both are functions of (S, G) alone, so a
+protocol that keeps the statistics exact keeps the whole posterior exact,
+and its KL from a from-scratch recomputation is zero up to floating-point
+noise; a noise variance both posteriors share only rescales the mean term.
 
 The posterior is stored as its mean M and one lower-triangular factor of
 its row covariance.  A posterior read from a ledger carries the lower
-Cholesky factor P of the row precision (S + gamma*I) / sigma2, the one
-factor the head solve already needs.  A posterior read from Variant B's
+Cholesky factor P of the row precision S + gamma*I, the ledger's own
+factor, which the head solve already needs.  One read from Variant B's
 tracked state T = (S + gamma*I)^-1 carries instead the lower covariance
-factor C = P^-1, taken from a reverse Cholesky of T: with J the exchange
-matrix (ones on the anti-diagonal) and L Lᵀ = J T J,
+factor C = P^-1, from a reverse Cholesky of T: with J the exchange matrix
+(ones on the anti-diagonal) and L Lᵀ = J T J,
 
-    T = U Uᵀ,  U = J L J upper triangular,  so  sigma2 * T = Cᵀ C  with  C = sigma * Uᵀ,
+    T = U Uᵀ,  U = J L J upper triangular,  so  T = Cᵀ C  with  C = Uᵀ,
 
 and C is lower triangular; the row covariance Cᵀ C needs no inverse.  The
 KL between two such posteriors with identity column covariance reduces to
@@ -36,7 +36,6 @@ suite against a dense vectorized-Gaussian KL at small dimensions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,29 +80,22 @@ class MatrixNormalPosterior:
         return self.M.shape[1]
 
 
-def _check_sigma2(sigma2: float) -> None:
-    if not 0 < sigma2 < math.inf:  # also refuses NaN
-        raise ValueError(f"sigma2 must be positive and finite, got {sigma2!r}")
+def posterior_from_ledger(ledger: Ledger) -> MatrixNormalPosterior:
+    """Posterior from the ledger's own read-only factor of S + gamma*I; M is `ledger.head`."""
+    return MatrixNormalPosterior(ledger.head, P=ledger.factor)
 
 
-def posterior_from_ledger(ledger: Ledger, sigma2: float = 1.0) -> MatrixNormalPosterior:
-    """Posterior from the ledger's factor of S + gamma*I; M is `ledger.head`."""
-    _check_sigma2(sigma2)
-    return MatrixNormalPosterior(ledger.head, P=ledger.factor / math.sqrt(sigma2))
+def posterior_from_state(state: InverseState) -> MatrixNormalPosterior:
+    """The served posterior N(W, T) of a tracked state.
 
-
-def posterior_from_state(state: InverseState, sigma2: float = 1.0) -> MatrixNormalPosterior:
-    """The served posterior N(W, sigma2 * T) of a tracked state.
-
-    C = sigma * Uᵀ, in float64, from the reverse Cholesky T = U Uᵀ.  Raises
-    NotSPD when T is not finite or not positive definite.
+    C = Uᵀ, in float64, from the reverse Cholesky T = U Uᵀ.  Raises NotSPD
+    when T is not finite or not positive definite.
     """
-    _check_sigma2(sigma2)
     t = np.asarray(state.T, dtype=np.float64)
     if not np.all(np.isfinite(t)):
         raise NotSPD("T has non-finite entries")
     u = cholesky_spd(t[::-1, ::-1])[::-1, ::-1]
-    return MatrixNormalPosterior(state.W, C=u.T * math.sqrt(sigma2))
+    return MatrixNormalPosterior(state.W, C=u.T)
 
 
 def kl_matrix_normal(p: MatrixNormalPosterior, q: MatrixNormalPosterior) -> float:

@@ -299,7 +299,7 @@ def schedule_churn(
 
 SCENARIO_VARIANTS = {"A": ["A"], "B": ["B"], "both": ["A", "B"], "approx": ["approx"]}
 
-SCENARIO_VERSION = 2
+SCENARIO_VERSION = 3
 
 
 class UnsupportedVersion(Exception):
@@ -321,7 +321,6 @@ class Scenario:
     schedule: list[RoundSpec]
     rank: int = 8
     reset_every: int = 16
-    sigma2: float = 1.0
 
     def __post_init__(self):
         for name in ("seed", "d", "c", "clients", "n", "n_train", "rank", "reset_every"):
@@ -335,19 +334,18 @@ class Scenario:
             raise ValueError(f"unknown variant {self.variant!r}, expected A, B, both or approx")
         if self.precision not in PRECISION_DTYPES:
             raise ValueError(f"unknown precision {self.precision!r}, expected 'f32' or 'f64'")
-        for name in ("gamma", "sigma2"):
-            value = getattr(self, name)
-            # an int past the largest double is refused here, not by an OverflowError later
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value <= sys.float_info.max:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        check_gamma(self.gamma, self.precision)
+        # an int past the largest double is refused here, not by an OverflowError later
+        gamma = self.gamma
+        if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real) or not 0 < gamma <= sys.float_info.max:
+            raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+        check_gamma(gamma, self.precision)
         if self.rank < 1:
             raise ValueError(f"rank must be at least 1, got {self.rank}")
         if self.reset_every < 0:
             raise ValueError("reset_every must be non-negative")
 
     def to_json(self) -> str:
-        """The version 2 document, built from the fields; `partition` goes in as given."""
+        """The version 3 document, built from the fields; `partition` goes in as given."""
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         doc["schedule"] = [
             {
@@ -361,7 +359,7 @@ class Scenario:
 
     @staticmethod
     def from_json(text: str) -> "Scenario":
-        """Load a version 2 file; any other version raises UnsupportedVersion."""
+        """Load a version 3 file; any other version raises UnsupportedVersion."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise TypeError(f"a scenario file holds a JSON object, not {type(doc).__name__}")
@@ -431,9 +429,7 @@ class RetainedGram:
         return SufficientStats(s, g, count)
 
 
-def oracle_retrain(
-    gram: RetainedGram, retained: np.ndarray, gamma: float, sigma2: float = 1.0
-) -> tuple[np.ndarray, MatrixNormalPosterior]:
+def oracle_retrain(gram: RetainedGram, retained: np.ndarray, gamma: float) -> tuple[np.ndarray, MatrixNormalPosterior]:
     """Centralized float64 ridge head and posterior of the retained rows.
 
     The Gram comes from `gram`'s id blocks (only blocks whose retained rows
@@ -446,7 +442,7 @@ def oracle_retrain(
     st = gram.stats(retained)
     h = st.S + float(gamma) * np.eye(st.d, dtype=st.S.dtype)
     head = np.linalg.solve(h, st.G)
-    return head, MatrixNormalPosterior(head, cholesky_spd(h) / math.sqrt(sigma2))
+    return head, MatrixNormalPosterior(head, cholesky_spd(h))
 
 
 def score_head(w, test_features, true_classes, c: int) -> tuple[float, list[float]]:
@@ -619,7 +615,10 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
             retained[ev.delete] = False
             retained[ev.add] = True
         n_retained = int(np.count_nonzero(retained))
-        w_oracle, oracle_post = oracle_retrain(gram, retained, scenario.gamma, scenario.sigma2)
+        try:
+            w_oracle, oracle_post = oracle_retrain(gram, retained, scenario.gamma)
+        except NotSPD as exc:
+            raise RuntimeError(f"round {spec.round}: the retrain's S+γI is not SPD: {exc}") from exc
 
         round_variants: dict[str, VariantMetrics] = {}
         for v, server in servers.items():
@@ -638,7 +637,7 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
                     f"ledger says {server.ledger.stats.n}, stream says {n_retained}"
                 )
             try:
-                kl = kl_matrix_normal(server.posterior(scenario.sigma2), oracle_post)
+                kl = kl_matrix_normal(server.posterior(), oracle_post)
             except NotSPD as exc:
                 raise RuntimeError(f"round {spec.round}: {v}'s served T cannot be certified: {exc}") from exc
             accuracy, recall = score_head(w, test_f, test_classes, scenario.c)

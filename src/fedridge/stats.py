@@ -79,12 +79,14 @@ class Ledger:
 
     @cached_property
     def factor(self) -> np.ndarray:
-        """Lower Cholesky factor of S + gamma*I.
+        """Lower Cholesky factor of S + gamma*I, read-only as `head` is.
 
         NotSPD here means the ledger is corrupted: with gamma > 0 and S PSD
         the system is always SPD.
         """
-        return cholesky_spd(regularized_gram(self))
+        p = cholesky_spd(regularized_gram(self))
+        p.flags.writeable = False
+        return p
 
     @cached_property
     def head(self) -> np.ndarray:

@@ -286,9 +286,9 @@ def _kl_reduction(seed):
         d = int(rng.integers(1, 4))
         c = int(rng.integers(1, 4))
         if trial % 2:
-            # a served state's posterior N(W, sigma2 T), carrying its covariance factor
-            state = InverseState(spd_inverse(_random_spd(rng, d, 0.5)), rng.standard_normal((d, c)))
-            p = posterior_from_state(state, float(rng.uniform(0.5, 2.0)))
+            # a served state's posterior N(W, T), carrying its covariance factor, with T scaled by a draw in [0.5, 2)
+            t, w = spd_inverse(_random_spd(rng, d, 0.5)), rng.standard_normal((d, c))
+            p = posterior_from_state(InverseState(float(rng.uniform(0.5, 2.0)) * t, w))
         else:
             p = MatrixNormalPosterior(rng.standard_normal((d, c)), cholesky_spd(_random_spd(rng, d, 0.5)))
         q = MatrixNormalPosterior(rng.standard_normal((d, c)), cholesky_spd(_random_spd(rng, d, 0.5)))

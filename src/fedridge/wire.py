@@ -27,15 +27,17 @@ Message frames ("FCUL", version 3)
     ClientMessage serializes as exactly two frames, the add payload first,
     then the delete payload, which agree on every header field but n.
 
-    The encoder raises WireError for a payload it cannot carry exactly: n
-    not an integer in [0, 2^32), a zero-sample payload with a nonzero entry,
-    a packed S of other than d(d+1)/2 entries, or an R factor or Z whose row
-    count is not min(n, d), or an R factor with a nonzero entry below its
-    diagonal.  The decoder rejects any other version (version 2 carried a QR
-    frame's dense d x c G in place of Z, version 1 also n as a trailing
-    float), d < 1, c < 1 and any non-finite scalar, and decodes a
-    zero-sample frame as the zeros a client forms for an empty batch
-    (`client.empty_payload`).
+    The encoder never casts: a payload whose two matrices differ in
+    precision raises `client.MixedPrecision`, and it raises WireError for
+    one it cannot carry exactly: matrices in a precision other than the
+    frame's, n not an integer in [0, 2^32), a zero-sample payload with a
+    nonzero entry, a packed S of other than d(d+1)/2 entries, or an R
+    factor or Z whose row count is not min(n, d), or an R factor with a
+    nonzero entry below its diagonal.  The decoder rejects any other
+    version (version 2 carried a QR frame's dense d x c G in place of Z,
+    version 1 also n as a trailing float), d < 1, c < 1 and any non-finite
+    scalar, and decodes a zero-sample frame as the zeros a client forms
+    for an empty batch (`client.empty_payload`).
     Since a header alone declares a d x d zero payload, both sides refuse
     d or c above MAX_DIM = 8192: a full-statistics frame there already
     holds 33.6M scalars.
@@ -64,8 +66,9 @@ import struct
 import numpy as np
 
 from .client import ClientMessage, PackedStats, QrPayload, VARIANT_FULL, VARIANT_QR, empty_payload
-from .client import variant_a_payload_scalars, variant_b_payload_scalars
+from .client import payload_dtype, variant_a_payload_scalars, variant_b_payload_scalars
 from .kernels import upper_mask
+from .stats import dtype_of
 
 MESSAGE_MAGIC = b"FCUL"
 FEATURE_MAGIC = b"FFUR"
@@ -116,6 +119,8 @@ def _encode_frame(payload, variant: str, precision: str, round_index: int, clien
         matrix, labels = payload.R, payload.Z
     else:
         raise WireError(f"a variant {variant} frame cannot carry a {type(payload).__name__}")
+    if payload_dtype(payload) != dtype_of(precision):  # a cast would change the scalars sent
+        raise WireError(f"a {payload_dtype(payload)} payload cannot be encoded as {precision}")
     header = _FRAME_HEADER.pack(
         MESSAGE_MAGIC,
         MESSAGE_VERSION,

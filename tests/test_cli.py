@@ -701,7 +701,6 @@ def test_run_exits_0_2_3_or_4_on_mutated_inputs(replayable, draw):
     [
         ("n_train", -5), ("n_train", 400), ("clients", 0),
         ("gamma", -1.0), ("gamma", float("inf")), ("gamma", float("nan")), ("gamma", True),
-        ("sigma2", float("nan")), ("sigma2", float("inf")), ("sigma2", True),
         ("rank", -1), ("rank", 0), ("rank", True), ("rank", 2.5), ("reset_every", -1), ("reset_every", 2.5),
         ("seed", "x"), ("d", 8.0), ("clients", 4.0), ("n_train", 240.0),
     ],
@@ -734,11 +733,12 @@ def test_run_rejects_invalid_config(tmp_path):
 
 
 def test_run_rejects_version_1_scenarios_exit_3(tmp_path, capsys):
-    # version 1 files carried Variant B's reset policy, fixed since version 2; no writer is left
+    # version 1 files carried Variant B's reset policy, fixed since version 2, and version 2
+    # files the posterior's noise scale sigma2, gone since version 3; no writer is left
     features, scenario = _gen(tmp_path, "--schedule", "churn", "--rounds", "3",
                               "--adds-per-round", "2", "--dels-per-round", "2")
     doc = json.loads(scenario.read_text())
-    assert doc["version"] == 2
+    assert doc["version"] == 3 and "sigma2" not in doc
     retired = {"audit_every": 32, "drift_threshold": 1e-6, "condition_threshold": 1e8}
 
     def run(name, **changes):
@@ -746,9 +746,12 @@ def test_run_rejects_version_1_scenarios_exit_3(tmp_path, capsys):
         path.write_text(json.dumps({**doc, **changes}))
         return main(["run", "--scenario", str(path), "--features", str(features), "--out-dir", str(tmp_path / name)])
 
-    assert run("v2") == 0
+    assert run("v3") == 0
     capsys.readouterr()
-    for name, changes in (("v1", {"version": 1, **retired}), ("v1-bare", {"version": 1}), ("v99", {"version": 99})):
+    for name, changes in (
+        ("v1", {"version": 1, **retired}), ("v1-bare", {"version": 1}),
+        ("v2", {"version": 2, "sigma2": 1.0}), ("v2-bare", {"version": 2}), ("v99", {"version": 99}),
+    ):
         assert run(name, **changes) == 3, name
         assert "unsupported scenario version" in capsys.readouterr().err
         assert not (tmp_path / name).exists()
@@ -1011,9 +1014,9 @@ def test_run_with_a_ledger_that_is_not_spd_exits_4(tmp_path, capsys, variant):
     features = tmp_path / "features.bin"
     write_feature_file(features, 1e4 + rng.standard_normal((6, 4)), np.eye(6, 2), "f32")
     doc = {
-        "version": 2, "seed": 0, "d": 4, "c": 2, "clients": 1, "n": 6, "n_train": 6, "gamma": 1e-6,
+        "version": 3, "seed": 0, "d": 4, "c": 2, "clients": 1, "n": 6, "n_train": 6, "gamma": 1e-6,
         "precision": "f32", "variant": variant, "partition": {"kind": "dirichlet", "alpha": 0.5},
-        "rank": 2, "reset_every": 0, "sigma2": 1.0,
+        "rank": 2, "reset_every": 0,
         "schedule": [
             {"round": 1, "events": [{"client": 0, "add": list(range(6)), "delete": []}]},
             {"round": 2, "events": [{"client": 0, "add": [], "delete": list(range(5))}]},
@@ -1025,6 +1028,19 @@ def test_run_with_a_ledger_that_is_not_spd_exits_4(tmp_path, capsys, variant):
                  "--out-dir", str(tmp_path / "out")])
     assert code == 4
     assert f"round 1: {variant}'s ledger or state is not SPD" in capsys.readouterr().err
+
+
+def test_run_with_a_retrain_that_is_not_spd_exits_4(tmp_path, capsys):
+    # 20 samples at d = 64 with gamma 1e-300: the retrain's own S + gamma*I is singular in round 1
+    features, scenario = tmp_path / "features.bin", tmp_path / "scenario.json"
+    assert main(["gen", "--n", "20", "--d", "64", "--c", "3", "--clients", "2", "--gamma", "1e-300",
+                 "--variant", "both", "--out-features", str(features), "--out-scenario", str(scenario)]) == 0
+    capsys.readouterr()
+    code = main(["run", "--scenario", str(scenario), "--features", str(features),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 4
+    assert "round 1: the retrain's S+γI is not SPD" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("reset_row, code", [(True, 4), (False, 0)])

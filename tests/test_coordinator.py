@@ -267,7 +267,7 @@ def test_aggregate_rejects_mixed_rounds_and_variants():
 
 @pytest.mark.parametrize("variant", [VARIANT_FULL, VARIANT_QR])
 def test_aggregate_rejects_mixed_precision(variant):
-    # B's dtype is read from R, since its G is derived; A's from S
+    # a payload's precision is the one its two matrices share (client.payload_dtype)
     features = np.random.default_rng(35).standard_normal((4, 3))
     f64 = ClientStore(0, features, features[:, :2]).make_round_message(1, [0, 1], [], variant)
     f32 = ClientStore(1, features, features[:, :2], "f32").make_round_message(1, [2, 3], [], variant)
@@ -365,9 +365,9 @@ def test_run_round_a_shares_one_factor_with_the_posterior(monkeypatch):
     ledger, w = run_round_a(
         ledger_init(d, c), aggregate(_round_one_messages(VARIANT_FULL, features, labels, [range(n)], d, c))
     )
-    post = posterior_from_ledger(ledger, sigma2=2.0)
+    post = posterior_from_ledger(ledger)
     assert np.array_equal(w, post.M)
-    assert np.array_equal(post.P, ledger.factor / np.sqrt(2.0))
+    assert post.P is ledger.factor
     assert len(calls) == 1
     assert rel_frobenius_dev(w, oracle_retrain(RetainedGram(features, labels), np.ones(n, bool), 1.0)[0]) <= 1e-9
 

@@ -26,20 +26,21 @@ def _ledger_with(batch):
 
 
 def test_posterior_of_empty_ledger():
-    post = posterior_from_ledger(ledger_init(2, 1), sigma2=1.0)
+    post = posterior_from_ledger(ledger_init(2, 1))
     np.testing.assert_array_equal(post.M, np.zeros((2, 1)))
     np.testing.assert_allclose(post.Sigma, np.eye(2), rtol=1e-15)
 
 
 def test_posterior_of_batch_a():
-    post = posterior_from_ledger(_ledger_with(BATCH_A), sigma2=1.0)
+    post = posterior_from_ledger(_ledger_with(BATCH_A))
     np.testing.assert_allclose(post.M, [[0.5], [0.5]], rtol=1e-15)
     np.testing.assert_allclose(post.Sigma, 0.5 * np.eye(2), rtol=1e-14)
 
 
 def test_posterior_of_batch_b_scaled_noise():
-    post = posterior_from_ledger(_ledger_with(BATCH_B), sigma2=2.0)
-    np.testing.assert_allclose(post.Sigma, (2 / 3) * np.array([[2.0, -1.0], [-1.0, 2.0]]), rtol=1e-13)
+    # the certificate is taken at unit noise: Sigma = (S + I)^-1 = [[2, 1], [1, 2]]^-1
+    post = posterior_from_ledger(_ledger_with(BATCH_B))
+    np.testing.assert_allclose(post.Sigma, (1 / 3) * np.array([[2.0, -1.0], [-1.0, 2.0]]), rtol=1e-13)
 
 
 def test_posterior_mode_matches_solve_head_bitwise():
@@ -113,21 +114,20 @@ def _random_sigma(rng, d, floor):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("c", [1, 2, 3])
 def test_kl_from_covariance_factor_matches_dense_oracle(d, c):
-    # a served state's posterior N(W, sigma2 T) carries C = sigma Uᵀ with T = U Uᵀ
+    # a served state's posterior N(W, T) carries C = Uᵀ with T = U Uᵀ; T is scaled by a draw in [0.5, 2)
     rng = np.random.default_rng(100 + 10 * d + c)
     for _ in range(10):
-        t = _random_sigma(rng, d, 0.3)
-        sigma2 = float(rng.uniform(0.5, 2.0))
-        p = posterior_from_state(InverseState(t, rng.standard_normal((d, c))), sigma2)
+        t = _random_sigma(rng, d, 0.3) * float(rng.uniform(0.5, 2.0))
+        p = posterior_from_state(InverseState(t, rng.standard_normal((d, c))))
         assert p.P is None and np.array_equal(p.C, np.tril(p.C))
-        np.testing.assert_allclose(p.Sigma, sigma2 * t, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(p.Sigma, t, rtol=1e-12, atol=1e-12)
         q = MatrixNormalPosterior(
             rng.standard_normal((d, c)), np.linalg.cholesky(np.linalg.inv(_random_sigma(rng, d, 0.3)))
         )
         kl = kl_matrix_normal(p, q)
         assert kl == pytest.approx(_dense_vectorized_kl(p, q), abs=1e-10)
         # the same posterior through its precision factor P = C^-1
-        as_precision = MatrixNormalPosterior(p.M, np.linalg.cholesky(np.linalg.inv(sigma2 * t)))
+        as_precision = MatrixNormalPosterior(p.M, np.linalg.cholesky(np.linalg.inv(t)))
         assert kl == pytest.approx(kl_matrix_normal(as_precision, q), rel=1e-9, abs=1e-12)
 
 
@@ -173,8 +173,3 @@ def test_psd_order_check_directions():
         # additions shrink the covariance: reversed arguments pass
         assert psd_order_check(after, before)
 
-
-@pytest.mark.parametrize("sigma2", [0.0, float("nan"), float("inf"), -float("inf")])
-def test_sigma2_must_be_positive(sigma2):
-    with pytest.raises(ValueError):
-        posterior_from_ledger(ledger_init(2, 1), sigma2=sigma2)

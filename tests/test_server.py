@@ -8,6 +8,8 @@ from-scratch retrain, and every truncated approx round's tracked inverse
 lies within the bound it reports.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
@@ -17,7 +19,7 @@ from fedridge.client import VARIANT_FULL, VARIANT_QR, ClientStore
 from fedridge.coordinator import MixedPrecision, MixedVariant, Server
 from fedridge.kernels import rel_frobenius_dev, spd_inverse, spectral_norm
 from fedridge.simulate import RetainedGram, oracle_retrain
-from fedridge.stats import regularized_gram
+from fedridge.stats import dtype_of, regularized_gram
 
 D, C, CLIENTS, N, GAMMA = 8, 3, 3, 48, 1.0
 _rng = np.random.default_rng(14)
@@ -125,3 +127,15 @@ def test_server_refuses_a_message_of_another_precision(variant, precision, other
     good = ClientStore(0, FEATURES, LABELS, precision).make_round_message(1, list(range(6)), [], server.wire_variant)
     assert _refuses_then_serves(server, bad, good) is MixedPrecision
     assert server.ledger.stats.S.dtype == server.ledger.dtype
+
+
+@pytest.mark.parametrize("variant", ["A", "B", "approx"])
+@pytest.mark.parametrize("precision, other", [("f32", "f64"), ("f64", "f32")])
+def test_server_refuses_a_payload_whose_two_matrices_differ_in_precision(variant, precision, other):
+    # the moment (A's G, B's Z) in another precision than the matrix (S, R) the round's dtype is checked on
+    server = Server(variant, D, C, GAMMA, precision)
+    good = ClientStore(0, FEATURES, LABELS, precision).make_round_message(1, list(range(6)), [], server.wire_variant)
+    moment = "G" if server.wire_variant == VARIANT_FULL else "Z"
+    mixed = dataclasses.replace(good.add, **{moment: getattr(good.add, moment).astype(dtype_of(other))})
+    assert _refuses_then_serves(server, dataclasses.replace(good, add=mixed), good) is MixedPrecision
+    assert server.ledger.stats.G.dtype == server.ledger.dtype

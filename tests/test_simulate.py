@@ -775,10 +775,6 @@ def test_scenario_json_round_trip():
         ("gamma", 0.0),
         ("gamma", float("nan")),
         ("gamma", float("inf")),
-        ("sigma2", -1.0),
-        ("sigma2", float("nan")),
-        ("sigma2", float("inf")),
-        ("sigma2", 10**400),
         ("gamma", 10**400),
         ("rank", 0),
         ("reset_every", -1),
@@ -787,7 +783,7 @@ def test_scenario_json_round_trip():
         ("clients", 0),
         ("d", 0),
         ("c", 1),
-        # each value below is in range but not an integer (or, for gamma and sigma2, a bool)
+        # each value below is in range but not an integer (or, for gamma, a bool)
         ("reset_every", 2.5),
         ("rank", 2.5),
         ("rank", True),
@@ -799,7 +795,6 @@ def test_scenario_json_round_trip():
         ("n", 100.0),
         ("n_train", 80.0),
         ("gamma", True),
-        ("sigma2", True),
         ("gamma", "1.0"),
     ],
 )

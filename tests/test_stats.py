@@ -140,6 +140,19 @@ def test_solve_head_cases():
     np.testing.assert_allclose(led_b.head, [[1 / 3], [1 / 3]], rtol=1e-14)
 
 
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_ledger_factor_and_head_are_read_only_and_computed_once(precision):
+    # every caller, the posterior included, receives these same arrays, so none may write them
+    led = ledger_init(2, 1, precision=precision)
+    led = ledger_apply(led, stats_from_batch(*BATCH_B, led.dtype), SufficientStats.zero(2, 1, led.dtype))
+    for name in ("factor", "head"):
+        array = getattr(led, name)
+        assert array is getattr(led, name) and array.dtype == led.dtype and not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.0
+    np.testing.assert_allclose(led.factor @ led.factor.T, [[2.0, 1.0], [1.0, 2.0]], rtol=1e-6)
+
+
 def test_second_order_information_is_necessary():
     # same column sums of F, same G, yet distinct heads
     fa, ya = BATCH_A

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedridge.client import ClientStore, PackedStats, VARIANT_FULL, VARIANT_QR, empty_payload, payload_scalars
+from fedridge.client import (
+    ClientStore, MixedPrecision, PackedStats, VARIANT_FULL, VARIANT_QR, empty_payload, payload_scalars,
+)
 from fedridge.kernels import packed_gram, rel_frobenius_dev, unpack_symmetric, upper_mask
+from fedridge.stats import dtype_of
 from fedridge.wire import (
     MAX_COUNT,
     WireError,
@@ -165,7 +168,7 @@ def test_decode_rejects_garbage():
 @pytest.mark.parametrize("precision", ["f32", "f64"])
 @pytest.mark.parametrize("count", [float("nan"), -1.0, 2.5])
 def test_decode_rejects_bad_sample_count(precision, count):
-    msg = _message(VARIANT_FULL)
+    msg = _message(VARIANT_FULL, precision=precision)  # in the case's precision, so only the count is wrong
     bad = dataclasses.replace(msg, add=dataclasses.replace(msg.add, n=count))
     with pytest.raises(WireError):
         decode_message(encode_message(bad, precision))
@@ -196,6 +199,22 @@ def test_decode_rejects_a_non_finite_payload_scalar(precision, variant, field, v
     bad = dataclasses.replace(msg, delete=dataclasses.replace(msg.delete, **{field: part}))
     with pytest.raises(WireError, match="non-finite"):
         decode_message(encode_message(bad, precision))
+
+
+@pytest.mark.parametrize("variant", [VARIANT_FULL, VARIANT_QR])
+@pytest.mark.parametrize("precision, other", [("f32", "f64"), ("f64", "f32")])
+def test_encode_refuses_a_precision_other_than_the_messages(variant, precision, other):
+    # a cast would send other scalars than the client formed
+    msg = _message(variant, precision=precision)
+    with pytest.raises(WireError, match=f"cannot be encoded as {other}"):
+        encode_message(msg, other)
+    # a payload whose two matrices differ in precision has no precision to encode in
+    moment = "G" if variant == VARIANT_FULL else "Z"
+    for side in ("add", "delete"):
+        payload = getattr(msg, side)
+        mixed = dataclasses.replace(payload, **{moment: getattr(payload, moment).astype(dtype_of(other))})
+        with pytest.raises(MixedPrecision):
+            encode_message(dataclasses.replace(msg, **{side: mixed}), precision)
 
 
 def test_encode_refuses_a_payload_of_the_other_variant():
