@@ -383,24 +383,47 @@ ORACLE_BLOCK_ROWS = 512
 class RetainedGram:
     """Float64 (S, G, n) of a retained subset of rows, from cached id blocks.
 
-    Sample ids are cut into fixed blocks of `block_rows = max(512, d)`
-    consecutive rows.  Each block's statistics are formed by one
-    `stats_from_batch` over its retained rows and cached under the block's
-    retained mask, so a call recomputes only the blocks whose mask changed
-    since the previous call.  The total is the sum of the non-empty blocks
-    in ascending order and is never updated by subtraction: it is a pure
+    Sample ids are laid out in a fixed order and cut into blocks of
+    `block_rows = max(512, d)` rows; `rows[b]` holds block b's ids.
+    Without `rounds` the order is the ids ascending over all n rows.
+    Given the event rounds a run will replay, the layout leaves out every
+    row no event names, puts the rows whose last event is in the first
+    round in blocks of their own (ids ascending), and orders the others
+    by the round of their last event, ties by id.  A round after the
+    first then changes the mask of only the blocks holding the rows it
+    names, and the first round's blocks never change again.
+
+    Each block's statistics are formed by one `stats_from_batch` over its
+    retained rows and cached under the block's retained mask, so a call
+    recomputes only the blocks whose mask changed since the previous call.
+    The total is the sum of the non-empty blocks in block order and is
+    never updated by subtraction: for the fixed layout it is a pure
     function of the mask, bitwise the same whatever masks came before.
-    With block_rows >= d the cached Grams hold at most about as many
-    scalars as the feature matrix.
+    A mask that retains a row outside the layout raises ValueError.  The
+    first round's cut adds at most one block to the ⌈n/block_rows⌉ of the
+    ascending layout, so with block_rows >= d the cached d×d Grams hold
+    at most (⌈n/block_rows⌉ + 1)·block_rows·d scalars: (n + block_rows)·d
+    when block_rows divides n.
     """
 
-    def __init__(self, features: np.ndarray, labels: np.ndarray):
+    def __init__(self, features: np.ndarray, labels: np.ndarray, rounds: list[RoundSpec] | None = None):
         self.features = features
         self.labels = labels
         n, self.d = features.shape
         self.c = labels.shape[1]
         self.block_rows = max(ORACLE_BLOCK_ROWS, self.d)
-        self.blocks = -(-n // self.block_rows)
+        if rounds is None:
+            groups = [np.arange(n)]
+        else:
+            last = np.full(n, -1, dtype=np.int64)  # position in `rounds` of each row's last event
+            for i, spec in enumerate(rounds):
+                for ev in spec.events:
+                    last[ev.add] = i
+                    last[ev.delete] = i
+            later = np.flatnonzero(last > 0)
+            groups = [np.flatnonzero(last == 0), later[np.argsort(last[later], kind="stable")]]
+        self.rows = [g[a : a + self.block_rows] for g in groups for a in range(0, g.size, self.block_rows)]
+        self.blocks = len(self.rows)
         self._masks: list[np.ndarray | None] = [None] * self.blocks
         self._stats: list[SufficientStats | None] = [None] * self.blocks
 
@@ -411,21 +434,19 @@ class RetainedGram:
         s = np.zeros((self.d, self.d))
         g = np.zeros((self.d, self.c))
         count = 0
-        for b in range(self.blocks):
-            rows = slice(b * self.block_rows, (b + 1) * self.block_rows)
-            mask = retained[rows]
+        for b, ids in enumerate(self.rows):
+            mask = retained[ids]
             if self._masks[b] is None or not np.array_equal(mask, self._masks[b]):
-                self._masks[b] = mask.copy()
-                self._stats[b] = (
-                    stats_from_batch(self.features[rows][mask], self.labels[rows][mask])
-                    if mask.any()
-                    else None
-                )
+                self._masks[b] = mask
+                kept = ids[mask]
+                self._stats[b] = stats_from_batch(self.features[kept], self.labels[kept]) if kept.size else None
             st = self._stats[b]
             if st is not None:
                 s += st.S
                 g += st.G
                 count += st.n
+        if count != np.count_nonzero(retained):
+            raise ValueError("the mask retains rows that no round of the layout names")
         return SufficientStats(s, g, count)
 
 
@@ -433,11 +454,12 @@ def oracle_retrain(gram: RetainedGram, retained: np.ndarray, gamma: float) -> tu
     """Centralized float64 ridge head and posterior of the retained rows.
 
     The Gram comes from `gram`'s id blocks (only blocks whose retained rows
-    changed are recomputed) and depends on the retained set alone; a fresh
-    `RetainedGram` gives the from-scratch retrain.  The head is an LU
-    solve, independent of the protocol's Cholesky path, and is also the
-    posterior's mean; the posterior's precision factor is the Cholesky
-    factor of the same S + gamma*I.
+    changed are recomputed) and, for the gram's fixed layout, depends on
+    the retained set alone; a fresh `RetainedGram` of the same rounds gives
+    the from-scratch retrain bitwise, and one of another layout within
+    rounding.  The head is an LU solve, independent of the protocol's
+    Cholesky path, and is also the posterior's mean; the posterior's
+    precision factor is the Cholesky factor of the same S + gamma*I.
     """
     st = gram.stats(retained)
     h = st.S + float(gamma) * np.eye(st.d, dtype=st.S.dtype)
@@ -606,7 +628,7 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
     # stores for the clients the schedule names, so memory does not grow with an unused `clients`
     named = {ev.client for spec in schedule for ev in spec.events}
     stores = {v: {k: ClientStore(k, features, labels, scenario.precision) for k in named} for v in variants}
-    gram = RetainedGram(features, labels)
+    gram = RetainedGram(features, labels, schedule)
     retained = np.zeros(scenario.n, dtype=bool)
     records: list[RoundMetrics] = []
 

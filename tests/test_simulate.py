@@ -266,15 +266,39 @@ def test_oracle_retrain_cases():
     np.testing.assert_array_equal(w0, np.zeros((3, 2)))
 
 
-# 1,700 rows in 512-row blocks: block 1 (ids 512..1023) is never retained,
-# and block 3 (ids 1536..1699) is a partial one
+# 1,700 rows: in the ascending layout's 512-row blocks, block 1 (ids 512..1023)
+# is never retained and block 3 (ids 1536..1699) is a partial one
 _BLOCKED_N = 1700
 _EMPTY_BLOCK = range(512, 1024)
 
 
+def _layout_by_last_round(rounds, block_rows):
+    """The scheduled layout by a loop over every named id: the reference for `RetainedGram.rows`."""
+    last = {}
+    for position, spec in enumerate(rounds):
+        for ev in spec.events:
+            for i in [*ev.add, *ev.delete]:
+                last[int(i)] = position
+    first = sorted(i for i, p in last.items() if p == 0)
+    later = [i for _, i in sorted((p, i) for i, p in last.items() if p > 0)]
+    return [group[a : a + block_rows] for group in (first, later) for a in range(0, len(group), block_rows)]
+
+
+def _masks(rounds, n):
+    """The retained mask after each round, kept as `run_scenario` keeps it."""
+    retained = np.zeros(n, dtype=bool)
+    out = []
+    for spec in rounds:
+        for ev in spec.events:
+            retained[ev.delete] = False
+            retained[ev.add] = True
+        out.append(retained.copy())
+    return out
+
+
 def _blocked_churn_run(monkeypatch):
-    """Replay a churn stream and record, per round, the oracle's retained mask
-    and the statistics the run's RetainedGram gives for it."""
+    """Replay a churn stream and return its checked rounds and, per round, the
+    run's RetainedGram, the oracle's retained mask and the statistics it gives."""
     data = gen_synthetic(41, _BLOCKED_N, 6, 3, 2.0)
     live = [i for i in range(_BLOCKED_N) if i not in _EMPTY_BLOCK]
     parts = [live[k::3] for k in range(3)]
@@ -292,21 +316,26 @@ def _blocked_churn_run(monkeypatch):
     monkeypatch.setattr(simulate, "oracle_retrain", recording)
     run_scenario(scenario, data.features, data.labels)
     assert len(rounds) == len(schedule) and len({id(g) for g, _, _ in rounds}) == 1
-    assert rounds[0][0].block_rows == 512 and rounds[0][0].blocks == 4
-    return data, rounds
+    checked = check_schedule(scenario)
+    gram = rounds[0][0]
+    assert gram.block_rows == 512
+    assert [ids.tolist() for ids in gram.rows] == _layout_by_last_round(checked, 512)
+    # round 1's 1,068 ids less the 146 deleted later, then those 146 and the 120 held-back adds
+    assert [ids.size for ids in gram.rows] == [512, 410, 266]
+    return data, checked, rounds
 
 
 def test_oracle_cache_after_churn_is_bitwise_a_cold_cache(monkeypatch):
-    data, rounds = _blocked_churn_run(monkeypatch)
+    data, checked, rounds = _blocked_churn_run(monkeypatch)
     for _, retained, warm in rounds:
         assert not retained[_EMPTY_BLOCK.start : _EMPTY_BLOCK.stop].any()
-        cold = RetainedGram(data.features, data.labels).stats(retained)
+        cold = RetainedGram(data.features, data.labels, checked).stats(retained)
         assert warm.n == cold.n == np.count_nonzero(retained)
         assert np.array_equal(warm.S, cold.S) and np.array_equal(warm.G, cold.G)
 
 
 def test_oracle_cache_after_churn_matches_one_gram_of_the_retained_rows(monkeypatch):
-    data, rounds = _blocked_churn_run(monkeypatch)
+    data, _, rounds = _blocked_churn_run(monkeypatch)
     for _, retained, warm in rounds:
         direct = stats_from_batch(data.features[retained], data.labels[retained])
         assert warm.n == direct.n
@@ -350,17 +379,170 @@ def test_single_delete_round_forms_at_most_one_block(monkeypatch):
     monkeypatch.setattr(simulate, "stats_from_batch", stats)
     run_scenario(scenario, data.features, data.labels)
     assert len(rows_per_round) == 1 + len(burst)
-    assert len(rows_per_round[0]) == 3  # round 1 forms every non-empty block once
+    # round 1 forms each non-empty block once: three of the 1,176 ids it last
+    # names, and one of the 12 the burst deletes
+    assert rows_per_round[0] == [512, 512, 152, 12]
     for rows in rows_per_round[1:]:
-        assert len(rows) <= 1 and sum(rows) <= 512
+        assert len(rows) <= 1 and sum(rows) <= 12
 
 
 @pytest.mark.parametrize("d", [8, 640])
-def test_oracle_cache_holds_no_more_than_the_features(d):
-    n = 4 * max(512, d)
-    gram = RetainedGram(np.zeros((n, d), dtype=np.float32), np.zeros((n, 2), dtype=np.float32))
-    assert gram.blocks >= 4
-    assert gram.blocks * d * d <= n * d
+@pytest.mark.parametrize("scheduled", [False, True])
+def test_oracle_cache_holds_no_more_than_the_features(d, scheduled):
+    block = max(512, d)
+    n = 4 * block
+    # round 1 names one id past two blocks, so the cut after it leaves two partial blocks
+    rounds = [
+        RoundSpec(1, [ClientEvent(0, list(range(2 * block + 1)), [])]),
+        RoundSpec(2, [ClientEvent(0, list(range(2 * block + 1, n)), [])]),
+    ]
+    gram = RetainedGram(
+        np.zeros((n, d), dtype=np.float32), np.zeros((n, 2), dtype=np.float32), rounds if scheduled else None
+    )
+    assert gram.blocks == 4 + scheduled  # the cut after the first round's ids adds one block
+    assert gram.blocks <= -(-n // block) + 1
+    assert gram.blocks * d * d <= (n + scheduled * block) * d
+
+
+_LAYOUT_N = 1500
+
+
+def _layout_rounds(kind, seed, d, features=None):
+    """A small run's scenario, features, labels and checked rounds for one `gen` schedule;
+    chunked and churn take `gen`'s default settings, burst-addback a count of 12."""
+    data = gen_synthetic(seed, _LAYOUT_N, d, 3, 2.0)
+    parts = dirichlet_partition(seed, data.classes[: data.n_train], 4, 0.5)
+    first = initial_round(parts)
+    schedule = {
+        "ingest": lambda: [first],
+        "chunked": lambda: [first] + schedule_chunked(seed, parts, 0.2, 4),
+        "burst-addback": lambda: [first] + (burst := schedule_burst(seed, parts, 12)) + schedule_addback(burst),
+        "churn": lambda: schedule_churn(seed, parts, 8, 20, 20),
+    }[kind]()
+    f = data.features if features is None else features(data)
+    scenario = _scenario(data, parts, schedule, variant="A")
+    return scenario, f, data.labels, check_schedule(scenario)
+
+
+_LAYOUT_KINDS = ["ingest", "chunked", "burst-addback", "churn"]
+
+
+@pytest.mark.parametrize("block_rows", [64, 512])
+@pytest.mark.parametrize("d", [6, 40])
+@pytest.mark.parametrize("kind", _LAYOUT_KINDS)
+def test_scheduled_layout_matches_the_ascending_one(monkeypatch, kind, d, block_rows):
+    monkeypatch.setattr(simulate, "ORACLE_BLOCK_ROWS", block_rows)
+    _, features, labels, rounds = _layout_rounds(kind, 51, d)
+    gram = RetainedGram(features, labels, rounds)
+    assert [ids.tolist() for ids in gram.rows] == _layout_by_last_round(rounds, block_rows)
+    assert gram.blocks <= -(-_LAYOUT_N // block_rows) + 1
+    ascending = RetainedGram(features, labels)
+    for retained in _masks(rounds, _LAYOUT_N):
+        got, want = gram.stats(retained), ascending.stats(retained)
+        assert got.n == want.n == np.count_nonzero(retained)
+        assert rel_frobenius_dev(got.S, want.S) <= 1e-13
+        assert rel_frobenius_dev(got.G, want.G) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", _LAYOUT_KINDS)
+def test_scheduled_cache_is_bitwise_a_cold_one_in_any_order(monkeypatch, kind):
+    monkeypatch.setattr(simulate, "ORACLE_BLOCK_ROWS", 64)
+    _, features, labels, rounds = _layout_rounds(kind, 53, 6)
+    masks = _masks(rounds, _LAYOUT_N)
+    cold = [RetainedGram(features, labels, rounds).stats(m) for m in masks]
+    warm = RetainedGram(features, labels, rounds)
+    for i in [*range(len(masks)), *np.random.default_rng(53).permutation(len(masks))]:
+        st = warm.stats(masks[i])
+        assert st.n == cold[i].n
+        assert np.array_equal(st.S, cold[i].S) and np.array_equal(st.G, cold[i].G)
+
+
+@pytest.mark.parametrize("block_rows", [64, 512])
+def test_churn_round_forms_only_the_blocks_of_the_ids_it_names(monkeypatch, block_rows):
+    monkeypatch.setattr(simulate, "ORACLE_BLOCK_ROWS", block_rows)
+
+    def id_in_column_0(data):
+        f = data.features.copy()
+        f[:, 0] = np.arange(_LAYOUT_N)  # exact in float32, so a gathered row names its id
+        return f
+
+    scenario, features, labels, rounds = _layout_rounds("churn", 55, 6, id_in_column_0)
+    grams, gathered = [], []
+    original_oracle, original_stats = simulate.oracle_retrain, simulate.stats_from_batch
+
+    def oracle(gram, *args):
+        grams.append(gram)
+        gathered.append([])
+        return original_oracle(gram, *args)
+
+    def stats(f, y, *args):
+        gathered[-1].append(set(f[:, 0].astype(np.int64).tolist()))
+        return original_stats(f, y, *args)
+
+    monkeypatch.setattr(simulate, "oracle_retrain", oracle)
+    monkeypatch.setattr(simulate, "stats_from_batch", stats)
+    run_scenario(scenario, features, labels)
+    blocks = [set(ids.tolist()) for ids in grams[0].rows]
+    named = [{int(i) for ev in spec.events for i in [*ev.add, *ev.delete]} for spec in rounds]
+    assert len(gathered) == len(rounds) and len(blocks) > 1
+    assert set().union(*gathered[0]) <= named[0]
+    for ids_named, formed in zip(named[1:], gathered[1:]):
+        for ids in formed:
+            block = next(b for b in blocks if ids <= b)
+            assert block & ids_named
+        if block_rows == 512:
+            assert len(formed) <= 2
+    # rows that no event names are never gathered
+    assert set().union(*(ids for formed in gathered for ids in formed)) <= set().union(*named)
+    assert set().union(*blocks) == set().union(*named)
+
+
+def _edge_rounds(case):
+    """Rounds over 24 ids and two clients that each must still give a valid layout."""
+    if case == "empty":
+        return []
+    if case == "first-round-5":
+        return [
+            RoundSpec(5, [ClientEvent(0, [3, 1, 4, 9, 7], [])]),
+            RoundSpec(9, [ClientEvent(0, [], [1]), ClientEvent(1, [0, 2, 11], [])]),
+            RoundSpec(12, [ClientEvent(1, [], [11])]),
+        ]
+    # round 1 holds only some of the rows; round 2 adds others and deletes one of round 1's
+    return [
+        RoundSpec(1, [ClientEvent(0, list(range(10)), [])]),
+        RoundSpec(2, [ClientEvent(0, [], [3]), ClientEvent(1, list(range(15, 10, -1)), [])]),
+    ]
+
+
+@pytest.mark.parametrize("case", ["empty", "first-round-5", "partial-first-round"])
+def test_edge_schedules_build_a_valid_layout(monkeypatch, case):
+    monkeypatch.setattr(simulate, "ORACLE_BLOCK_ROWS", 4)
+    n, d = 24, 3
+    rng = np.random.default_rng(57)
+    features, labels = rng.standard_normal((n, d)), rng.standard_normal((n, 2))
+    rounds = _edge_rounds(case)
+    gram = RetainedGram(features, labels, rounds)
+    assert gram.block_rows == 4 and gram.blocks <= -(-n // 4) + 1
+    assert [ids.tolist() for ids in gram.rows] == _layout_by_last_round(rounds, 4)
+    for retained in [np.zeros(n, dtype=bool), *_masks(rounds, n)]:
+        got = gram.stats(retained)
+        want = stats_from_batch(features[retained], labels[retained])
+        assert got.n == want.n
+        np.testing.assert_allclose(got.S, want.S, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(got.G, want.G, rtol=1e-13, atol=1e-13)
+    w, _ = oracle_retrain(gram, np.zeros(n, dtype=bool), 1.0)
+    np.testing.assert_array_equal(w, np.zeros((d, 2)))
+
+
+def test_scheduled_cache_refuses_a_mask_that_retains_an_unnamed_row():
+    features, labels = np.eye(6), np.ones((6, 2))
+    gram = RetainedGram(features, labels, [RoundSpec(1, [ClientEvent(0, [0, 2, 4], [])])])
+    retained = np.zeros(6, dtype=bool)
+    retained[[0, 2, 4]] = True
+    assert gram.stats(retained).n == 3
+    retained[5] = True
+    with pytest.raises(ValueError, match="no round"):
+        gram.stats(retained)
 
 
 def test_score_head_matches_per_class_loop():
