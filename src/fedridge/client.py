@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import DimensionMismatch, packed_gram, thin_qr_rfactor
+from .kernels import DimensionMismatch, packed_gram, read_only_zeros, thin_qr_rfactor
 from .stats import batch_arrays, dtype_of
 
 VARIANT_FULL = "A"  # full sufficient statistics per payload
@@ -131,12 +131,12 @@ def payload_dtype(payload: PackedStats | QrPayload) -> np.dtype:
 def empty_payload(variant: str, d: int, c: int, dtype) -> PackedStats | QrPayload:
     """The payload of no samples.
 
-    A's is read-only broadcast zeros, which allocate no packed S or d x c
-    block; B's is an R and a Z of no rows.
+    A's is shared read-only zeros (`read_only_zeros`), which allocate no
+    packed S or d x c block; B's is an R and a Z of no rows.  Each call
+    makes a new payload around the shared arrays.
     """
     if variant == VARIANT_FULL:
-        zero = np.zeros((), dtype=dtype)
-        return PackedStats(np.broadcast_to(zero, (d * (d + 1) // 2,)), np.broadcast_to(zero, (d, c)), 0)
+        return PackedStats(read_only_zeros((d * (d + 1) // 2,), dtype), read_only_zeros((d, c), dtype), 0)
     return QrPayload(np.zeros((0, d), dtype=dtype), np.zeros((0, c), dtype=dtype), 0)
 
 
@@ -192,6 +192,7 @@ class ClientStore:
         dtype = dtype_of(self.precision)
         if not len(ids):
             return empty_payload(variant, self.d, self.c, dtype)
+        # the batch's one validation: the QR below does not check it again
         f, y = batch_arrays(self.features[ids], self.labels[ids], dtype)
         if variant == VARIANT_FULL:
             return PackedStats(packed_gram(f), f.T @ y, len(ids))

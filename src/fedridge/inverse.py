@@ -25,7 +25,7 @@ T and W as without it, to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,7 +121,7 @@ def smw_step(state: InverseState, u, g, delete: bool = False) -> SmwStep:
     # T ∓ ZᵀZ over ZᵀZ's own buffer: the input state's T is never written
     t_new = (np.add if delete else np.subtract)(state.T, zz, out=zz)
     w_new = state.W + sign * (t_new @ (g - u.T @ (u @ state.W)))
-    return SmwStep(replace(state, T=t_new, W=w_new), amplification, lam)
+    return SmwStep(InverseState(t_new, w_new, state.neglected_mass), amplification, lam)
 
 
 def audit_drift(state: InverseState, ledger: stats_mod.Ledger) -> float:

@@ -3,7 +3,8 @@
 Each factorization and spectral routine wraps one or two `np.linalg`
 calls, and each triangular solve a blocked substitution over them (see
 below); they exist only for the contract they add: validated
-inputs (2-D, square, finite), NotSPD in place of LinAlgError, results in
+inputs (2-D, square, finite; `thin_qr_rfactor` takes a batch already
+validated), NotSPD in place of LinAlgError, results in
 the input's dtype, eigenpairs in descending order.  Factorizations and
 solves run in the dtype of their input (float32 or float64); the
 eigendecomposition and the spectral norm run in float64.
@@ -54,8 +55,8 @@ class DimensionMismatch(Exception):
     """Operands have incompatible shapes."""
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return `a` as a 2-D float array with finite entries."""
+def _float_matrix(a, name: str) -> np.ndarray:
+    """`a` as a 2-D float32 or float64 array (other dtypes become float64, 1-D a column); not checked for finiteness."""
     m = np.asarray(a)
     if m.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
         m = m.astype(np.float64)
@@ -63,7 +64,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         m = m.reshape(-1, 1)
     if m.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    return m
+
+
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Validate and return `a` as a 2-D float array with finite entries."""
+    m = _float_matrix(a, name)
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -160,20 +167,27 @@ def thin_qr_rfactor(f, y=None):
     its first k = min(n, d) rows are [R | Z], and (R, Z) is returned.  The
     rows below k touch only Y's columns, so FᵀY = RᵀZ exactly in exact
     arithmetic, and the sign flip of a row of R flips the same row of Z.
+
+    F and Y must hold finite entries, which is not checked here: a client
+    batch is validated once, by `stats.batch_arrays`, before its QR.
+    numpy's mode "r" already writes +0.0 below the diagonal, so only a
+    row whose diagonal is negative is touched, and only from its diagonal
+    on: the result is bitwise `np.triu(sign(diag) * R)` with a zero
+    diagonal taken as positive, and no entry below the diagonal is -0.0,
+    the +0.0 a packed frame restores.
     """
-    f = as_matrix(f, "f")
+    f = _float_matrix(f, "f")
     n, d = f.shape
     if n < 1:
         raise DimensionMismatch("F must have at least one row")
     if y is not None:
-        y = as_matrix(y, "y").astype(f.dtype, copy=False)
+        y = _float_matrix(y, "y").astype(f.dtype, copy=False)
         if y.shape[0] != n:
             raise DimensionMismatch(f"F has {n} rows but Y has {y.shape[0]}")
     r = np.linalg.qr(f if y is None else np.hstack([f, y]), mode="r")[: min(n, d)]
-    signs = np.sign(np.diagonal(r)).astype(f.dtype)
-    signs[signs == 0] = 1
-    # a flipped row's zeros would be -0.0; triu rewrites them as the +0.0 a packed frame restores
-    r = np.triu(signs[:, None] * r)
+    # negate a row whose diagonal is negative from its diagonal on: its +0.0 below the diagonal stays +0.0
+    for i in np.flatnonzero(np.diagonal(r) < 0):
+        r[i, i:] *= -1
     return r if y is None else (r[:, :d], r[:, d:])
 
 
@@ -188,6 +202,27 @@ def upper_mask(d: int) -> np.ndarray:
     mask = np.triu(np.ones((d, d), dtype=bool))
     mask.flags.writeable = False
     return mask
+
+
+@lru_cache(maxsize=32)
+def read_only_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Read-only zeros of `shape` in `dtype`, cached per (shape, dtype) and shared by every caller.
+
+    A broadcast of one zero scalar, so it allocates no buffer of that shape.
+    """
+    return np.broadcast_to(np.zeros((), dtype=dtype), shape)
+
+
+def add_to_diagonal(m: np.ndarray, value) -> np.ndarray:
+    """Add `value` to the diagonal of the square matrix `m` in place and return `m`: S + value*I, no identity formed.
+
+    It is bitwise S + value*I unless S holds a -0.0 off its diagonal, which
+    adding I's +0.0 would turn to +0.0; a Gram summed from +0.0 zeros, as
+    every ledger's and the oracle's is, holds none.
+    """
+    diagonal = np.einsum("ii->i", m)  # a writable view of m's diagonal
+    diagonal += value
+    return m
 
 
 # A batch of at most this many rows forms its Gram as a general product.

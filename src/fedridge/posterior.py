@@ -48,6 +48,7 @@ from .kernels import (
     frobenius_norm,
     inverse_from_factor,
     triangular_solve_lower,
+    upper_mask,
 )
 from .stats import Ledger
 
@@ -92,7 +93,7 @@ def posterior_from_state(state: InverseState) -> MatrixNormalPosterior:
     when T is not finite or not positive definite.
     """
     t = np.asarray(state.T, dtype=np.float64)
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise NotSPD("T has non-finite entries")
     u = cholesky_spd(t[::-1, ::-1])[::-1, ::-1]
     return MatrixNormalPosterior(state.W, C=u.T)
@@ -101,7 +102,9 @@ def posterior_from_state(state: InverseState) -> MatrixNormalPosterior:
 def kl_matrix_normal(p: MatrixNormalPosterior, q: MatrixNormalPosterior) -> float:
     """KL(p || q) between matrix-normal posteriors with identity column cov.
 
-    q must carry its precision factor P; p may carry either factor.
+    q must carry its precision factor P; p may carry either factor.  The
+    strict lower triangle of mix is taken through `upper_mask(d)`, the
+    mask cached per d, so a call builds no mask of its own.
     """
     if q.P is None:
         raise ValueError("kl_matrix_normal needs q's precision factor P")
@@ -113,7 +116,8 @@ def kl_matrix_normal(p: MatrixNormalPosterior, q: MatrixNormalPosterior) -> floa
     else:
         mix = triangular_solve_lower(p.P.astype(np.float64, copy=False), p_q)
     x = np.diagonal(mix)
-    off = np.tril(mix, -1)
+    # mix's strict lower triangle with +0.0 elsewhere, as np.tril(mix, -1), from the cached mask of its complement
+    off = np.where(upper_mask(mix.shape[0]), 0.0, mix)
     trace_logdet = float(np.sum(x * x - 1.0 - 2.0 * np.log(x)) + np.sum(off * off))
     white = p_q.T @ (q.M - p.M).astype(np.float64)
     quad = float(np.sum(white * white))

@@ -34,7 +34,7 @@ import numpy as np
 
 from .client import ClientStore, read_only
 from .coordinator import CommRecord, RoundReport, Server
-from .kernels import NotSPD, cholesky_spd, rel_frobenius_dev
+from .kernels import NotSPD, add_to_diagonal, cholesky_spd, rel_frobenius_dev
 from .posterior import MatrixNormalPosterior, kl_matrix_normal
 from .stats import PRECISION_DTYPES, SufficientStats, check_gamma, stats_from_batch
 
@@ -394,12 +394,15 @@ class RetainedGram:
     names, and the first round's blocks never change again.
 
     Each block's statistics are formed by one `stats_from_batch` over its
-    retained rows and cached under the block's retained mask, so a call
-    recomputes only the blocks whose mask changed since the previous call.
-    The total is the sum of the non-empty blocks in block order and is
-    never updated by subtraction: for the fixed layout it is a pure
-    function of the mask, bitwise the same whatever masks came before.
-    A mask that retains a row outside the layout raises ValueError.  The
+    retained rows and cached, with the retained mask of the whole layout
+    at the previous call.  A call gathers the mask in layout order once,
+    compares it with that one at once (one `!=`, reduced per block), and
+    re-forms only the blocks where the two differ.  The total is the sum
+    of the non-empty blocks in block order and is never updated by
+    subtraction: for the fixed layout it is a pure function of the mask,
+    bitwise the same whatever masks came before, and its S is a fresh
+    array each call.  A mask that retains a row outside the layout raises
+    ValueError before any block is re-formed.  The
     first round's cut adds at most one block to the ⌈n/block_rows⌉ of the
     ascending layout, so with block_rows >= d the cached d×d Grams hold
     at most (⌈n/block_rows⌉ + 1)·block_rows·d scalars: (n + block_rows)·d
@@ -422,31 +425,36 @@ class RetainedGram:
                     last[ev.delete] = i
             later = np.flatnonzero(last > 0)
             groups = [np.flatnonzero(last == 0), later[np.argsort(last[later], kind="stable")]]
-        self.rows = [g[a : a + self.block_rows] for g in groups for a in range(0, g.size, self.block_rows)]
+        self._order = np.concatenate(groups)  # every laid-out id, block by block
+        sizes = [min(self.block_rows, g.size - a) for g in groups for a in range(0, g.size, self.block_rows)]
+        self._starts = np.cumsum([0, *sizes])  # block b is _order[_starts[b]:_starts[b + 1]]
+        self.rows = [self._order[a:b] for a, b in zip(self._starts[:-1], self._starts[1:])]
         self.blocks = len(self.rows)
-        self._masks: list[np.ndarray | None] = [None] * self.blocks
+        self._mask: np.ndarray | None = None  # the laid-out mask the cached blocks were formed under
         self._stats: list[SufficientStats | None] = [None] * self.blocks
 
     def stats(self, retained: np.ndarray) -> SufficientStats:
         """Statistics of the rows where the boolean mask `retained` is set."""
         if retained.dtype != np.bool_ or retained.shape != (self.features.shape[0],):
             raise ValueError(f"need a boolean mask over {self.features.shape[0]} rows")
+        mask = retained[self._order]
+        count = np.count_nonzero(mask)
+        if count != np.count_nonzero(retained):
+            raise ValueError("the mask retains rows that no round of the layout names")
+        if self._mask is None:
+            changed = range(self.blocks)
+        else:
+            changed = np.flatnonzero(np.logical_or.reduceat(mask != self._mask, self._starts[:-1]))
+        for b in changed:
+            kept = self.rows[b][mask[self._starts[b] : self._starts[b + 1]]]
+            self._stats[b] = stats_from_batch(self.features[kept], self.labels[kept]) if kept.size else None
+        self._mask = mask
         s = np.zeros((self.d, self.d))
         g = np.zeros((self.d, self.c))
-        count = 0
-        for b, ids in enumerate(self.rows):
-            mask = retained[ids]
-            if self._masks[b] is None or not np.array_equal(mask, self._masks[b]):
-                self._masks[b] = mask
-                kept = ids[mask]
-                self._stats[b] = stats_from_batch(self.features[kept], self.labels[kept]) if kept.size else None
-            st = self._stats[b]
+        for st in self._stats:
             if st is not None:
                 s += st.S
                 g += st.G
-                count += st.n
-        if count != np.count_nonzero(retained):
-            raise ValueError("the mask retains rows that no round of the layout names")
         return SufficientStats(s, g, count)
 
 
@@ -459,25 +467,28 @@ def oracle_retrain(gram: RetainedGram, retained: np.ndarray, gamma: float) -> tu
     the from-scratch retrain bitwise, and one of another layout within
     rounding.  The head is an LU solve, independent of the protocol's
     Cholesky path, and is also the posterior's mean; the posterior's
-    precision factor is the Cholesky factor of the same S + gamma*I.
+    precision factor is the Cholesky factor of the same S + gamma*I,
+    formed by adding gamma on the diagonal of the fresh sum `gram` returns.
     """
     st = gram.stats(retained)
-    h = st.S + float(gamma) * np.eye(st.d, dtype=st.S.dtype)
+    h = add_to_diagonal(st.S, float(gamma))
     head = np.linalg.solve(h, st.G)
     return head, MatrixNormalPosterior(head, cholesky_spd(h))
 
 
-def score_head(w, test_features, true_classes, c: int) -> tuple[float, list[float]]:
+def score_head(w, test_features, true_classes, class_totals) -> tuple[float, list[float]]:
     """Accuracy and per-class recall of head `w` from one scoring pass.
 
-    `test_features` is the float64 test matrix and `true_classes` its
-    labels' argmax, both fixed for a run.  Empty sets and classes score NaN.
+    `test_features` is the float64 test matrix, `true_classes` its labels'
+    argmax and `class_totals` each of the c classes' number of test rows,
+    `np.bincount(true_classes, minlength=c)`; all three are fixed for a
+    run, which computes them once.  Empty sets and classes score NaN.
     """
     pred = (test_features @ np.asarray(w, dtype=np.float64)).argmax(axis=1)
     hits = pred == true_classes
     accuracy = float(np.count_nonzero(hits) / hits.size) if hits.size else float("nan")
     with np.errstate(invalid="ignore"):  # 0/0 is the NaN of an empty class
-        recall = np.bincount(true_classes[hits], minlength=c) / np.bincount(true_classes, minlength=c)
+        recall = np.bincount(true_classes[hits], minlength=len(class_totals)) / class_totals
     return accuracy, recall.tolist()
 
 
@@ -621,6 +632,7 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
     features, labels = read_only(features), read_only(labels)
     test_f = features[scenario.n_train :].astype(np.float64)
     test_classes = labels[scenario.n_train :].argmax(axis=1)
+    class_totals = np.bincount(test_classes, minlength=scenario.c)
     servers = {
         v: Server(v, scenario.d, scenario.c, scenario.gamma, scenario.precision, scenario.rank, scenario.reset_every)
         for v in variants
@@ -662,7 +674,7 @@ def run_scenario(scenario: Scenario, features: np.ndarray, labels: np.ndarray) -
                 kl = kl_matrix_normal(server.posterior(), oracle_post)
             except NotSPD as exc:
                 raise RuntimeError(f"round {spec.round}: {v}'s served T cannot be certified: {exc}") from exc
-            accuracy, recall = score_head(w, test_f, test_classes, scenario.c)
+            accuracy, recall = score_head(w, test_f, test_classes, class_totals)
             round_variants[v] = VariantMetrics(report, comm, rel_frobenius_dev(w, w_oracle), accuracy, kl, recall)
         records.append(RoundMetrics(spec.round, n_retained, round_variants))
 

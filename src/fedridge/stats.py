@@ -10,15 +10,17 @@ round and the head is recovered by one SPD solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .kernels import (
     DimensionMismatch,
+    add_to_diagonal,
     as_matrix,
     cholesky_spd,
+    read_only_zeros,
     solve_spd,
 )
 
@@ -54,9 +56,8 @@ class SufficientStats:
 
     @staticmethod
     def zero(d: int, c: int, dtype=np.float64) -> "SufficientStats":
-        """The statistics of no samples: read-only broadcast zeros, which allocate no d x d S or d x c G."""
-        zero = np.zeros((), dtype=dtype)
-        return SufficientStats(np.broadcast_to(zero, (d, d)), np.broadcast_to(zero, (d, c)), 0)
+        """The statistics of no samples: shared read-only zeros (`read_only_zeros`), which allocate no d x d S or d x c G."""
+        return SufficientStats(read_only_zeros((d, d), dtype), read_only_zeros((d, c), dtype), 0)
 
 
 @dataclass(frozen=True)
@@ -159,10 +160,9 @@ def ledger_apply(ledger: Ledger, round_add: SufficientStats, round_del: Sufficie
             s = op(s, side.S, out=None if s is old.S else s)
             g = op(g, side.G, out=None if g is old.G else g)
     merged = SufficientStats(s, g, old.n + round_add.n - round_del.n)
-    return replace(ledger, stats=merged, t=ledger.t + 1)
+    return Ledger(merged, ledger.t + 1, ledger.gamma, ledger.precision)
 
 
 def regularized_gram(ledger: Ledger) -> np.ndarray:
-    """S + gamma*I in the ledger's precision."""
-    s = ledger.stats.S
-    return s + float(ledger.gamma) * np.eye(s.shape[0], dtype=s.dtype)
+    """S + gamma*I in the ledger's precision: a copy of S with gamma added on its diagonal."""
+    return add_to_diagonal(ledger.stats.S.copy(), float(ledger.gamma))

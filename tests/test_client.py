@@ -213,3 +213,39 @@ def test_variant_agreement_of_gram():
     msg_b = store_b.make_round_message(1, ids, [], VARIANT_QR)
     assert rel_frobenius_dev(msg_b.add.R.T @ msg_b.add.R, unpack_symmetric(msg_a.add.S, 5)) <= 1e-12
     np.testing.assert_allclose(msg_b.add.G, msg_a.add.G, rtol=1e-15)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("bad", ["features", "labels"])
+def test_a_non_finite_batch_is_refused_by_its_one_validation(monkeypatch, variant, bad):
+    import fedridge.client as client_mod
+
+    store = _store(n=6, d=4, c=2, rng=np.random.default_rng(6))
+    rows = {"features": store.features.copy(), "labels": store.labels.copy()}
+    rows[bad][3, 1] = np.nan
+    store = ClientStore(0, rows["features"], rows["labels"])
+    factored = []
+    monkeypatch.setattr(client_mod, "thin_qr_rfactor", lambda *args: factored.append(args))
+    # the batch check names the matrix, and the refusal comes before any QR of the rows
+    with pytest.raises(ValueError, match=f"{'F' if bad == 'features' else 'Y'} contains non-finite entries"):
+        store.make_round_message(1, [2, 3, 4], [], variant)
+    assert not factored and store.retained == set()
+
+
+def test_the_zeros_of_no_samples_are_shared_and_read_only():
+    from fedridge.client import empty_payload
+    from fedridge.kernels import read_only_zeros
+
+    for dtype in (np.float32, np.float64):
+        zero, again = SufficientStats.zero(5, 3, dtype), SufficientStats.zero(5, 3, dtype)
+        payload, other = empty_payload(VARIANT_FULL, 5, 3, dtype), empty_payload(VARIANT_FULL, 5, 3, dtype)
+        assert zero.S is again.S and zero.G is again.G and payload.S is other.S and payload.G is other.G
+        assert payload is not other  # each payload is its own object around the shared arrays
+        assert payload.G is zero.G is read_only_zeros((5, 3), dtype)
+        for a, shape in ((zero.S, (5, 5)), (zero.G, (5, 3)), (payload.S, (15,)), (payload.G, (5, 3))):
+            assert a.shape == shape and a.dtype == dtype and not a.any()
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1.0
+            with pytest.raises(ValueError):
+                a += 1.0
+    assert SufficientStats.zero(5, 3, np.float32).S is not SufficientStats.zero(5, 3, np.float64).S

@@ -142,6 +142,50 @@ def test_qr_of_features_and_labels_is_one_factorization():
         thin_qr_rfactor(np.ones((3, 2)), np.ones((2, 1)))
 
 
+def _reference_rfactor(f, y=None):
+    """The sign-fixed R (and Z) as `np.triu(sign · qr_r)`, a zero diagonal taken as positive."""
+    n, d = f.shape
+    r = np.linalg.qr(f if y is None else np.hstack([f, y.astype(f.dtype)]), mode="r")[: min(n, d)]
+    signs = np.sign(np.diagonal(r)).astype(f.dtype)
+    signs[signs == 0] = 1
+    r = np.triu(signs[:, None] * r)
+    return r if y is None else (r[:, :d], r[:, d:])
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", ["1", "2", "3", "d-1", "d", "d+5"])
+@pytest.mark.parametrize("zero_column", [False, True])
+def test_rfactor_is_bitwise_the_sign_fixed_triu_of_lapack(dtype, rows, zero_column):
+    d, c = 9, 3
+    n = {"1": 1, "2": 2, "3": 3, "d-1": d - 1, "d": d, "d+5": d + 5}[rows]
+    rng = np.random.default_rng(n + 100 * zero_column)
+    raw_negative = 0
+    for trial in range(6):
+        f = rng.standard_normal((n, d)).astype(dtype)
+        y = rng.standard_normal((n, c)).astype(dtype)
+        if zero_column:
+            f[:, 2] = 0.0
+        # a positive leading entry makes LAPACK's first Householder diagonal negative; a
+        # single row is its own R, so there a negative entry is what needs the flip
+        f[0, 0] = (-1) ** (trial + (n == 1)) * abs(f[0, 0])
+        raw = np.linalg.qr(np.hstack([f, y]), mode="r")[: min(n, d)]
+        raw_negative += int((np.diagonal(raw) < 0).sum())
+        want_r = _reference_rfactor(f)
+        got_r = thin_qr_rfactor(f)
+        assert _same_bits(got_r, want_r)
+        want_r, want_z = _reference_rfactor(f, y)
+        got_r, got_z = thin_qr_rfactor(f, y)
+        assert _same_bits(got_r, want_r) and _same_bits(got_z, want_z)
+        below = ~np.triu(np.ones(got_r.shape, dtype=bool))
+        assert not np.signbit(got_r[below]).any()
+        assert (np.diagonal(got_r) >= 0).all()
+    assert raw_negative  # the flip was exercised
+
+
 def test_eig_diagonal():
     vals, vecs = symmetric_eig(np.diag([10.0, 1.0]))
     np.testing.assert_allclose(vals, [10.0, 1.0])

@@ -114,7 +114,8 @@ def test_gen_synthetic_zero_separation_is_chance():
     train = np.arange(data.features.shape[0]) < data.n_train
     w, _ = oracle_retrain(RetainedGram(data.features, data.labels), train, 1.0)
     test_f = data.features[data.n_train :].astype(np.float64)
-    acc, _ = score_head(w, test_f, data.classes[data.n_train :], 10)
+    test_classes = data.classes[data.n_train :]
+    acc, _ = score_head(w, test_f, test_classes, np.bincount(test_classes, minlength=10))
     assert abs(acc - 0.1) <= 0.05
 
 
@@ -123,7 +124,8 @@ def test_gen_synthetic_separated_clusters_learnable():
     train = np.arange(data.features.shape[0]) < data.n_train
     w, _ = oracle_retrain(RetainedGram(data.features, data.labels), train, 1.0)
     test_f = data.features[data.n_train :].astype(np.float64)
-    acc, _ = score_head(w, test_f, data.classes[data.n_train :], 10)
+    test_classes = data.classes[data.n_train :]
+    acc, _ = score_head(w, test_f, test_classes, np.bincount(test_classes, minlength=10))
     assert acc >= 0.9
 
 
@@ -545,6 +547,58 @@ def test_scheduled_cache_refuses_a_mask_that_retains_an_unnamed_row():
         gram.stats(retained)
 
 
+@pytest.mark.parametrize("scheduled", [False, True])
+def test_oracle_cache_forms_only_the_blocks_whose_mask_changed(monkeypatch, scheduled):
+    monkeypatch.setattr(simulate, "ORACLE_BLOCK_ROWS", 64)
+    n, d = 700, 5
+    rng = np.random.default_rng(61)
+    features, labels = rng.standard_normal((n, d)), rng.standard_normal((n, 2))
+    features[:, 0] = np.arange(n)  # a gathered row names its id
+    # round 1 names every id, round 2 deletes every seventh: 600 + 100 ids in 10 + 2 blocks
+    rounds = [
+        RoundSpec(1, [ClientEvent(0, list(range(n)), [])]),
+        RoundSpec(2, [ClientEvent(0, [], list(range(0, n, 7)))]),
+    ] if scheduled else None
+    gram = RetainedGram(features, labels, rounds)
+    assert gram.blocks == (12 if scheduled else 11)
+    formed = []
+    original = simulate.stats_from_batch
+
+    def counting(f, y, *args):
+        formed.append(set(f[:, 0].astype(int).tolist()))
+        return original(f, y, *args)
+
+    monkeypatch.setattr(simulate, "stats_from_batch", counting)
+    retained = rng.random(n) < 0.6
+    first = gram.stats(retained)
+    assert len(formed) == gram.blocks  # a cold cache forms every block that retains a row
+    formed.clear()
+    # an unchanged mask, even through the same array, forms no block and gives the same bits
+    again = gram.stats(retained)
+    assert not formed
+    assert again.n == first.n and np.array_equal(again.S, first.S) and np.array_equal(again.G, first.G)
+    assert again.S is not first.S  # a fresh sum each call, which the oracle may write
+    # flip one id in block 1 and two in the last block but one: exactly those two blocks are re-formed
+    b1, b2 = 1, gram.blocks - 2
+    retained[gram.rows[b1][5]] ^= True
+    retained[gram.rows[b2][[0, -1]]] ^= True
+    changed = gram.stats(retained)
+    blocks = [set(ids.tolist()) for ids in gram.rows]
+    assert len(formed) == 2
+    assert formed[0] <= blocks[b1] and formed[1] <= blocks[b2]
+    cold = RetainedGram(features, labels, rounds).stats(retained)
+    assert changed.n == cold.n == np.count_nonzero(retained)
+    assert np.array_equal(changed.S, cold.S) and np.array_equal(changed.G, cold.G)
+    assert not np.array_equal(changed.S, first.S)
+    # back to the first mask: the same two blocks again, and the first result's bits
+    formed.clear()
+    retained[gram.rows[b1][5]] ^= True
+    retained[gram.rows[b2][[0, -1]]] ^= True
+    back = gram.stats(retained)
+    assert len(formed) == 2
+    assert np.array_equal(back.S, first.S) and np.array_equal(back.G, first.G)
+
+
 def test_score_head_matches_per_class_loop():
     rng = np.random.default_rng(30)
     d, c = 5, 4
@@ -555,10 +609,34 @@ def test_score_head_matches_per_class_loop():
         hits = (f @ w).argmax(axis=1) == t
         want_acc = float(np.mean(hits)) if hits.size else float("nan")
         want_recall = [float(np.mean(hits[t == k])) if np.any(t == k) else float("nan") for k in range(c)]
-        acc, recall = score_head(w, f, t, c)
+        acc, recall = score_head(w, f, t, np.bincount(t, minlength=c))
         np.testing.assert_array_equal([acc] + recall, [want_acc] + want_recall)
         assert all(type(x) is float for x in [acc] + recall)
     assert np.isnan(recall).all() and np.isnan(acc)
+
+
+def _per_class_scores(w, data):
+    """Accuracy and recall of head w on data's test split, by a loop over its classes."""
+    test_f = data.features[data.n_train :].astype(np.float64)
+    true = data.classes[data.n_train :]
+    hits = (test_f @ w).argmax(axis=1) == true
+    recall = [float(np.mean(hits[true == k])) if np.any(true == k) else float("nan") for k in range(data.labels.shape[1])]
+    return float(np.mean(hits)), recall
+
+
+def test_two_runs_in_one_process_each_score_their_own_test_split():
+    runs = []
+    for seed, n, c in ((71, 300, 3), (72, 420, 4), (71, 300, 3)):
+        data = gen_synthetic(seed, n, 6, c, 1.0)
+        parts = dirichlet_partition(seed, data.classes[: data.n_train], 4, 0.5)
+        schedule = schedule_churn(seed, parts, rounds=3, adds_per_round=6, deletes_per_round=5)
+        result = run_scenario(_scenario(data, parts, schedule), data.features, data.labels)
+        for v, m in result.records[-1].variants.items():
+            acc, recall = _per_class_scores(result.final_heads[v], data)
+            assert len(m.recall) == c
+            np.testing.assert_array_equal([m.accuracy, *m.recall], [acc, *recall])
+        runs.append(metrics_csv(result))
+    assert runs[0] == runs[2] != runs[1]  # the second split left nothing behind for the third run
 
 
 def test_run_scenario_makes_stores_only_for_the_clients_it_names(monkeypatch):

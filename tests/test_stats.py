@@ -10,6 +10,7 @@ from fedridge.stats import (
     SufficientStats,
     ledger_apply,
     ledger_init,
+    regularized_gram,
     stats_from_batch,
 )
 
@@ -213,6 +214,28 @@ def test_noop_round_is_bitwise_stable():
     led2 = ledger_apply(led, SufficientStats.zero(2, 1), SufficientStats.zero(2, 1))
     assert np.array_equal(led2.stats.S, led.stats.S)
     assert np.array_equal(led2.head, w1)
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("gamma", [1.0, 0.3, 1e-40])
+def test_regularized_gram_is_bitwise_s_plus_gamma_identity(precision, gamma):
+    # gamma is added on a copy's diagonal, with no identity formed; the ledger's S is untouched
+    led = ledger_init(5, 2, gamma=gamma, precision=precision)
+    rng = np.random.default_rng(11)
+    previous = SufficientStats.zero(5, 2, led.dtype)
+    for _ in range(3):
+        f = rng.standard_normal((7, 5))
+        f[:, 1] = 0.0  # an all-zero feature leaves zeros in S's row and column
+        st = stats_from_batch(f, rng.standard_normal((7, 2)), led.dtype)
+        led, previous = ledger_apply(led, st, previous), st  # each round deletes the round before's batch
+        s_before = led.stats.S.copy()
+        h = regularized_gram(led)
+        want = led.stats.S + float(gamma) * np.eye(5, dtype=led.dtype)
+        assert h.dtype == led.dtype and h.tobytes() == want.tobytes()
+        assert h is not led.stats.S and led.stats.S.tobytes() == s_before.tobytes()
+    assert regularized_gram(ledger_init(3, 1, gamma=gamma, precision=precision)).tobytes() == (
+        gamma * np.eye(3, dtype=led.dtype)
+    ).tobytes()
 
 
 def test_single_precision_ledger_dtype():
