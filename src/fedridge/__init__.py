@@ -34,7 +34,6 @@ from .kernels import (
     frobenius_norm,
     rel_frobenius_dev,
     solve_spd,
-    spectral_norm,
     symmetric_eig,
     thin_qr_rfactor,
 )

@@ -1,6 +1,6 @@
-"""Command-line entry point: gen / run / verify / report.
+"""Command-line entry point: gen / run / report.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
+Exit codes: 0 success, 1 an uncaught error, 2 invalid arguments,
 3 I/O failure, 4 internal invariant violation.
 """
 
@@ -35,11 +35,9 @@ from .simulate import (
     summary_json,
     writer_partition,
 )
-from .verify import run_properties
 from .wire import MAX_COUNT, WireError, read_feature_file, write_feature_file
 
 EXIT_OK = 0
-EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INVARIANT = 4
@@ -104,11 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scenario", action=_Once, required=True, help="scenario JSON")
     run.add_argument("--features", required=True, help="feature file")
     run.add_argument("--out-dir", default=".")
-
-    ver = sub.add_parser("verify", help="run the property suites")
-    ver.add_argument("--only", default=None, help="run a single named property")
-    ver.add_argument("--tol", type=float, default=None, help="override every tolerance")
-    ver.add_argument("--seed", type=int, default=7)
 
     rep = sub.add_parser("report", help="summarize a finished run")
     rep.add_argument("--summary", required=True)
@@ -258,24 +251,6 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    failed = 0
-    try:
-        rows = list(run_properties(seed=args.seed, only=args.only, tol_override=args.tol))
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
-    for name, ok, measured, tol, description in rows:
-        status = "PASS" if ok else "FAIL"
-        print(f"{status} {name}: measured={measured:.6e} tolerance={tol:.6e} ({description})")
-        failed += 0 if ok else 1
-    if failed:
-        print(f"{failed} of {len(rows)} properties failed")
-        return EXIT_VERIFY_FAILED
-    print(f"all {len(rows)} properties passed")
-    return EXIT_OK
-
-
 def _malformed(path, problem) -> int:
     print(f"error: malformed file {path}: {problem}", file=sys.stderr)
     return EXIT_IO
@@ -340,8 +315,6 @@ def main(argv=None) -> int:
             return _cmd_gen(args)
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
         return _cmd_report(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,7 +7,7 @@ inputs (2-D, square, finite; `thin_qr_rfactor` takes a batch already
 validated), NotSPD in place of LinAlgError, results in
 the input's dtype, eigenpairs in descending order.  Factorizations and
 solves run in the dtype of their input (float32 or float64); the
-eigendecomposition and the spectral norm run in float64.
+eigendecomposition runs in float64.
 
 LAPACK's blocked routines, and the BLAS under them, may sum in a different
 order when the number of BLAS threads changes, so identical inputs give
@@ -269,12 +269,6 @@ def symmetric_eig(a):
     vals, vecs = np.linalg.eigh(a.astype(np.float64), UPLO="L")
     order = np.argsort(-vals, kind="stable")
     return vals[order].astype(a.dtype), vecs[:, order].astype(a.dtype)
-
-
-def spectral_norm(a) -> float:
-    """Largest singular value of `a`, computed in float64; 0.0 when empty."""
-    a = as_matrix(a, "a").astype(np.float64)
-    return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
 
 def frobenius_norm(a) -> float:

@@ -93,9 +93,10 @@ def posterior_from_state(state: InverseState) -> MatrixNormalPosterior:
     when T is not finite or not positive definite.
     """
     t = np.asarray(state.T, dtype=np.float64)
-    if not np.isfinite(t).all():
-        raise NotSPD("T has non-finite entries")
-    u = cholesky_spd(t[::-1, ::-1])[::-1, ::-1]
+    try:
+        u = cholesky_spd(t[::-1, ::-1])[::-1, ::-1]
+    except ValueError as exc:  # cholesky_spd's one finiteness pass refused T
+        raise NotSPD(str(exc)) from exc
     return MatrixNormalPosterior(state.W, C=u.T)
 
 

@@ -1,4 +1,4 @@
-"""CLI surface: gen / run / verify / report, exit codes, determinism."""
+"""CLI surface: gen / run / report, exit codes, determinism."""
 
 import contextlib
 import dataclasses
@@ -28,7 +28,6 @@ from fedridge.simulate import (
     gen_synthetic,
     writer_partition,
 )
-from fedridge.verify import PROPERTIES
 from fedridge.wire import WireError, read_feature_file, write_feature_file
 
 
@@ -420,73 +419,6 @@ def test_run_refuses_an_out_dir_that_cannot_be_a_directory_before_round_1(tmp_pa
                  "--out-dir", str(tmp_path / out_dir)]) == 3
     assert (sorted(tmp_path.iterdir()), scenario.read_bytes()) == before
     assert "is not a directory" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("name", [p.name for p in PROPERTIES])
-def test_verify_single_property(name, capsys):
-    assert main(["verify", "--only", name]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith(f"PASS {name}")
-
-
-def test_verify_unknown_property():
-    assert main(["verify", "--only", "no-such-suite"]) == 2
-
-
-def test_verify_tolerance_sweep_reports_failures(capsys):
-    assert main(["verify", "--only", "kernel-roundtrip", "--tol", "1e-18"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL kernel-roundtrip" in out and "measured=" in out
-
-
-@pytest.mark.parametrize("name", ["retrain-equivalence", "variant-equivalence", "kl-certificate", "kl-floor"])
-def test_verify_fails_a_nan_in_the_churn_run(monkeypatch, capsys, name):
-    # the NaN sits in the middle, where built-in max and min would drop it
-    import dataclasses
-
-    import fedridge.verify as verify_mod
-
-    real = verify_mod._churn_result(7)
-    records = list(real.records)
-    middle = len(records) // 2
-    variants = {v: dataclasses.replace(m, rel_dev=float("nan"), kl=float("nan"))
-                for v, m in records[middle].variants.items()}
-    records[middle] = dataclasses.replace(records[middle], variants=variants)
-    monkeypatch.setattr(verify_mod, "_churn_result", lambda seed: dataclasses.replace(real, records=records))
-    assert main(["verify", "--only", name]) == 1
-    assert f"FAIL {name}: measured=nan" in capsys.readouterr().out
-
-
-def _nan(*_):
-    return float("nan")
-
-
-def _nan_eigenvalues(a):
-    return [float("nan")] * len(a), None
-
-
-@pytest.mark.parametrize(
-    "name, target, fake",
-    [
-        ("kernel-roundtrip", "rel_frobenius_dev", _nan),
-        ("qr-gram", "rel_frobenius_dev", _nan),
-        ("eig-reconstruction", "rel_frobenius_dev", _nan),
-        ("eig-orthogonality", "frobenius_norm", _nan),
-        ("order-invariance", "rel_frobenius_dev", _nan),
-        ("downdate-lemma", "spectral_norm", _nan),
-        ("add-delete-roundtrip", "rel_frobenius_dev", _nan),
-        ("psd-monotonicity", "symmetric_eig", _nan_eigenvalues),
-        ("perturbation-bound", "spectral_norm", _nan),
-        ("comm-accounting", "variant_a_payload_scalars", _nan),
-    ],
-)
-def test_verify_fails_a_nan_measurement(monkeypatch, capsys, name, target, fake):
-    # built-in max(0.0, nan) is 0.0, so a reduction that starts from 0.0 would pass the NaN
-    import fedridge.verify as verify_mod
-
-    monkeypatch.setattr(verify_mod, target, fake)
-    assert main(["verify", "--only", name]) == 1
-    assert f"FAIL {name}: measured=nan" in capsys.readouterr().out
 
 
 def test_report_reads_outputs(tmp_path, capsys):
@@ -1105,6 +1037,18 @@ def test_run_exits_4_when_the_served_t_cannot_be_certified(tmp_path, monkeypatch
 def test_usage_errors_exit_2():
     assert main(["gen", "--badflag"]) == 2
     assert main([]) == 2
+    assert main(["verify"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["verify", "--only", "kl-floor"], ["verify", "--tol", "1e-9"], ["verify", "--seed", "7"]],
+    ids=["bare", "only", "tol", "seed"],
+)
+def test_the_property_suite_command_is_a_usage_error(argv, capsys):
+    # the properties it ran are tests now; neither the command nor its options parse
+    assert main(argv) == 2
+    assert "invalid choice: 'verify'" in capsys.readouterr().err
 
 
 def _readme_commands():
@@ -1119,7 +1063,7 @@ def _readme_commands():
 def test_readme_commands_parse():
     # a removed or renamed flag must not linger in the documented commands
     commands = list(_readme_commands())
-    assert {words[0] for words in commands} == {"gen", "run", "verify", "report"}
+    assert {words[0] for words in commands} == {"gen", "run", "report"}
     for words in commands:
         _build_parser().parse_args(words)
 

@@ -12,7 +12,7 @@ from fedridge.inverse import (
     init_from_ledger,
     smw_step,
 )
-from fedridge.kernels import frobenius_norm, rel_frobenius_dev, symmetric_eig, thin_qr_rfactor
+from fedridge.kernels import NotSPD, cholesky_spd, frobenius_norm, rel_frobenius_dev, symmetric_eig, thin_qr_rfactor
 from fedridge.stats import SufficientStats, ledger_apply, ledger_init, stats_from_batch
 
 BATCH_A = (np.eye(2), np.ones((2, 1)))
@@ -288,9 +288,38 @@ def test_psd_monotonicity_of_updates():
         assert vals[0] <= floor  # adds only decrease T
 
 
-def test_downdate_feasibility_lemma_conditions_agree():
-    from fedridge.verify import PROPERTIES
-
-    prop = {p.name: p for p in PROPERTIES}["downdate-lemma"]
-    ok, measured, tol = prop.run(7)
-    assert ok, f"disagreement at |lambda - 1| = {measured}"
+@pytest.mark.parametrize("offset", [1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["inside", "outside"])
+def test_downdate_conditions_agree_next_to_the_boundary(side, offset):
+    # U is scaled so that λ = λ_max(U T Uᵀ) = 1 + side·offset.  The three lemma conditions,
+    # (i) H - UᵀU is SPD, (ii) I - U T Uᵀ is SPD and (iii) λ < 1, and the delete step's own
+    # check must all say feasible inside the boundary and infeasible outside it; a pivot test
+    # shifted by as little as 1e-6 disagrees here, where λ drawn over [0.8, 1.2] seldom lands
+    rng = np.random.default_rng(16)
+    feasible = side < 0
+    d = 6
+    for trial in range(40):
+        k = int(rng.integers(1, 5))
+        m = rng.standard_normal((d, d))
+        h = m.T @ m + float(rng.uniform(0.1, 2.0)) * np.eye(d)
+        t = np.linalg.inv(h)
+        t = (t + t.T) / 2
+        u = rng.standard_normal((k, d))
+        u *= np.sqrt((1.0 + side * offset) / np.linalg.eigvalsh(u @ t @ u.T)[-1])
+        capacitance = u @ t @ u.T
+        lam = float(np.linalg.eigvalsh(capacitance)[-1])
+        conditions = []
+        for a in (h - u.T @ u, np.eye(k) - (capacitance + capacitance.T) / 2):
+            try:
+                cholesky_spd(a)
+                conditions.append(True)
+            except NotSPD:
+                conditions.append(False)
+        conditions.append(lam < 1.0)
+        try:
+            step = smw_step(InverseState(t, np.zeros((d, 1))), u, np.zeros((d, 1)), delete=True)
+            conditions.append(True)
+            assert step.lambda_max == pytest.approx(lam, rel=1e-12), trial
+        except DowndateInfeasible:
+            conditions.append(False)
+        assert conditions == [feasible] * 4, (trial, k, lam, conditions)

@@ -19,7 +19,6 @@ from fedridge.kernels import (
     rel_frobenius_dev,
     solve_spd,
     spd_inverse,
-    spectral_norm,
     symmetric_eig,
     thin_qr_rfactor,
     triangular_solve_lower,
@@ -125,6 +124,11 @@ def test_qr_gram_identity_property():
         assert r.shape == (min(n, d), d)
         assert np.all(np.diagonal(r) >= 0)
         assert rel_frobenius_dev(r.T @ r, f.T @ f) <= 1e-12
+        # the same identities from [F | Y] = Q [R | Z]: RᵀR = FᵀF and RᵀZ = FᵀY
+        y = rng.standard_normal((n, int(rng.integers(1, 11))))
+        r, z = thin_qr_rfactor(f, y)
+        assert rel_frobenius_dev(r.T @ r, f.T @ f) <= 1e-12
+        assert rel_frobenius_dev(r.T @ z, f.T @ y) <= 1e-12
 
 
 def test_qr_of_features_and_labels_is_one_factorization():
@@ -215,19 +219,6 @@ def test_eig_reconstruction_and_orthogonality():
         assert frobenius_norm(vecs.T @ vecs - np.eye(d)) <= 1e-9
 
 
-def test_spectral_norm_cases():
-    assert spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0, rel=1e-8)
-    assert spectral_norm(np.zeros((2, 2))) == 0.0
-    assert spectral_norm(np.array([[0.0, 0.0], [0.0, 0.5]])) == pytest.approx(0.5, rel=1e-8)
-
-
-def test_spectral_norm_matches_svd():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        a = rng.standard_normal((int(rng.integers(1, 20)), int(rng.integers(1, 20))))
-        assert spectral_norm(a) == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], rel=1e-8)
-
-
 def test_frobenius_and_deviation():
     a = np.array([[0.5], [0.5]])
     b = np.array([[1 / 3], [1 / 3]])
@@ -247,7 +238,6 @@ def test_determinism_bitwise():
     v1, e1 = symmetric_eig(a)
     v2, e2 = symmetric_eig(a.copy())
     assert np.array_equal(v1, v2) and np.array_equal(e1, e2)
-    assert spectral_norm(f) == spectral_norm(f.copy())
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedridge.inverse import InverseState
-from fedridge.kernels import NotSPD
+from fedridge.kernels import NotSPD, rel_frobenius_dev
 from fedridge.posterior import (
     MatrixNormalPosterior,
     kl_matrix_normal,
@@ -14,10 +14,22 @@ from fedridge.posterior import (
 )
 from fedridge.simulate import RetainedGram, oracle_retrain
 from fedridge.stats import Ledger, SufficientStats, ledger_apply, ledger_init, stats_from_batch
-from fedridge.verify import _dense_vectorized_kl
 
 BATCH_A = (np.eye(2), np.ones((2, 1)))
 BATCH_B = (np.array([[1.0, 1.0], [0.0, 0.0]]), np.ones((2, 1)))
+
+
+def _dense_vectorized_kl(p: MatrixNormalPosterior, q: MatrixNormalPosterior) -> float:
+    # Independent oracle: the generic multivariate-normal KL on the full
+    # dc x dc Kronecker covariance.
+    c1 = np.kron(np.eye(p.c), p.Sigma)
+    c2 = np.kron(np.eye(q.c), q.Sigma)
+    dm = (q.M - p.M).flatten(order="F")
+    inv2 = np.linalg.inv(c2)
+    big_d = c1.shape[0]
+    _, ld1 = np.linalg.slogdet(c1)
+    _, ld2 = np.linalg.slogdet(c2)
+    return 0.5 * (float(np.trace(inv2 @ c1)) - big_d + float(dm @ inv2 @ dm) + ld2 - ld1)
 
 
 def _ledger_with(batch):
@@ -137,10 +149,39 @@ def test_posterior_from_state_self_kl_is_zero():
     assert abs(kl_matrix_normal(served, posterior_from_ledger(led))) <= 1e-20
 
 
-@pytest.mark.parametrize("t", [-np.eye(2), np.array([[1.0, np.nan], [np.nan, 1.0]]), np.full((2, 2), np.inf)])
+@pytest.mark.parametrize(
+    "t",
+    [-np.eye(2), np.array([[1.0, np.nan], [np.nan, 1.0]]), np.full((2, 2), np.inf), np.zeros((2, 2)), np.ones((2, 2))],
+)
 def test_posterior_from_state_rejects_a_bad_t(t):
     with pytest.raises(NotSPD):
         posterior_from_state(InverseState(t, np.zeros((2, 1))))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", [(1, 1), (2, 0), (0, 2)], ids=["diagonal", "lower", "upper"])
+def test_posterior_from_state_rejects_one_non_finite_entry_anywhere(where, value):
+    # the reverse Cholesky reads only T's upper triangle, so an entry below the diagonal
+    # is refused by the finiteness pass alone
+    t = np.eye(3) + 0.1
+    t[where] = value
+    with pytest.raises(NotSPD):
+        posterior_from_state(InverseState(t, np.zeros((3, 1))))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [1, 5, 17])
+def test_posterior_from_state_factors_t_in_float64(dtype, d):
+    rng = np.random.default_rng(d)
+    m = rng.standard_normal((d, d))
+    t = np.linalg.inv(m.T @ m + np.eye(d))
+    t = ((t + t.T) / 2).astype(dtype)
+    w = rng.standard_normal((d, 2)).astype(dtype)
+    post = posterior_from_state(InverseState(t, w))
+    assert post.M is w and post.P is None
+    assert post.C.dtype == np.float64
+    assert np.array_equal(post.C, np.tril(post.C)) and np.all(np.diagonal(post.C) > 0)
+    assert rel_frobenius_dev(post.Sigma, t.astype(np.float64)) <= 1e-13
 
 
 def test_posterior_carries_exactly_one_factor():

@@ -8,7 +8,7 @@ import pytest
 
 from fedridge import simulate
 from fedridge.client import ClientStore
-from fedridge.kernels import rel_frobenius_dev, spd_inverse, spectral_norm
+from fedridge.kernels import rel_frobenius_dev, spd_inverse
 from fedridge.simulate import (
     ClientEvent,
     RetainedGram,
@@ -665,10 +665,42 @@ def test_run_scenario_oracle_equivalence_and_bookkeeping():
     for rec in result.records:
         assert rec.variants["A"].rel_dev <= 1e-9
         assert rec.variants["B"].rel_dev <= 1e-8
-        assert rec.variants["A"].kl <= 1e-9
+        for variant in ("A", "B"):
+            assert -1e-12 <= rec.variants[variant].kl <= 1e-9, (rec.round, variant)
     assert result.summary["final_dev_A"] <= 1e-9
     assert result.summary["final_dev_B"] <= 1e-8
     assert result.summary["total_bytes_B"] < result.summary["total_bytes_A"]
+
+
+def _certified_scenario(kind):
+    if kind == "churn":  # the long churn run the removed property suite measured
+        data = gen_synthetic(7, 500, 16, 4, 2.0)
+        parts = dirichlet_partition(7, data.classes[: data.n_train], 5, 0.5)
+        return data, parts, schedule_churn(7, parts, rounds=30, adds_per_round=2, deletes_per_round=5)
+    data = gen_synthetic(41, 400, 12, 3, 2.0)
+    if kind == "writer":
+        parts = writer_partition(41, data.n_train, 4, 12)
+        return data, parts, schedule_churn(41, parts, rounds=8, adds_per_round=3, deletes_per_round=6)
+    parts = dirichlet_partition(41, data.classes[: data.n_train], 4, 0.5)
+    first = initial_round(parts)
+    if kind == "chunked":
+        return data, parts, [first] + schedule_chunked(41, parts, 0.2, 4)
+    if kind == "targeted":
+        return data, parts, [first] + schedule_chunked(41, parts, 0.3, 3, classes=data.classes, target_class=1)
+    burst = schedule_burst(41, parts, 15)
+    return data, parts, [first] + burst + schedule_addback(burst)
+
+
+@pytest.mark.parametrize("kind", ["churn", "writer", "chunked", "targeted", "burst-addback"])
+def test_every_round_of_every_schedule_kind_is_exact_and_certified(kind):
+    data, parts, schedule = _certified_scenario(kind)
+    result = run_scenario(_scenario(data, parts, schedule), data.features, data.labels)
+    assert len(result.records) == len(schedule)
+    for rec in result.records:
+        assert rec.variants["A"].rel_dev <= 1e-9, (rec.round, rec.variants["A"].rel_dev)
+        assert rec.variants["B"].rel_dev <= 1e-8, (rec.round, rec.variants["B"].rel_dev)
+        for variant in ("A", "B"):
+            assert -1e-12 <= rec.variants[variant].kl <= 1e-9, (rec.round, variant, rec.variants[variant].kl)
 
 
 def test_run_scenario_single_variant_b():
@@ -966,7 +998,7 @@ def test_approx_bound_holds_across_truncated_steps(monkeypatch, rank, reset_ever
             assert m.bound is None
             continue
         truncated += 1
-        gap = spectral_norm(state.T - spd_inverse(regularized_gram(ledger)))
+        gap = np.linalg.norm(state.T - spd_inverse(regularized_gram(ledger)), 2)
         # a row with nothing dropped has bound 0 and is held to rounding (||T|| <= 1/γ = 1)
         assert gap <= m.bound + 1e-12, (rec.round, gap, m.bound)
         assert m.bound <= 1 / sc.gamma, (rec.round, m.bound)
