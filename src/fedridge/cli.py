@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .coordinator import APPROX_DEFAULTS
 from .simulate import (
     Scenario,
     UnsupportedVersion,
@@ -56,7 +57,7 @@ SCHEDULE_FLAGS = {
     "churn": {"rounds": 8, "adds_per_round": 20, "dels_per_round": 20},
 }
 PARTITION_FLAGS = {"dirichlet": {"alpha": 0.3}, "writers": {"writers": 100}}
-VARIANT_FLAGS = {"A": {}, "B": {}, "both": {}, "approx": {"rank": 8, "reset_every": 16}}
+VARIANT_FLAGS = {"A": {}, "B": {}, "both": {}, "approx": APPROX_DEFAULTS}
 
 
 class _Once(argparse.Action):

@@ -52,6 +52,16 @@ DRIFT_THRESHOLD = 1e-6
 CONDITION_THRESHOLD = 1e8
 REBUILD_FRACTION = 0.5
 
+# approx mode's settings when none are given: eigenpairs kept per add round, and the rebuild period in ledger rounds
+APPROX_DEFAULTS = {"rank": 8, "reset_every": 16}
+
+
+def check_approx_settings(rank, reset_every) -> None:
+    """ValueError unless `rank` is an integer of at least 1 and `reset_every` one of at least 0; a bool is not one."""
+    for name, value, least in (("rank", rank, 1), ("reset_every", reset_every, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
 
 def rebuild_rows(d: int) -> int:
     """The most R-factor rows, add and delete together, that a B round serves by SMW steps.
@@ -113,9 +123,11 @@ class RoundFold:
 
     A fold is built for one wire variant, width (d, c) and dtype, and holds
     every message to them (else MixedVariant, DimensionMismatch or
-    MixedPrecision) and to its first message's round (else MixedRound).
-    Messages must arrive in strictly ascending client id; one that does not
-    raises OutOfOrder, and nothing is re-sorted.  Each side (add, delete)
+    MixedPrecision), each A payload to a packed S of d(d+1)/2 entries and
+    each B payload to a Z of its R's rows (else DimensionMismatch), and
+    every message to its first message's round (else MixedRound), before
+    any count moves.  Messages must arrive in strictly ascending client id;
+    one that does not raises OutOfOrder.  Each side (add, delete)
     is summed in one form, [packed Gram, moment], in place and in client
     order: a side's first payload is copied, the rest added with `+=`, and
     a payload of no samples is skipped.  An A payload is summed as sent; a
@@ -159,6 +171,11 @@ class RoundFold:
         for payload in (msg.add, msg.delete):
             if (payload.d, payload.c) != self._dims:
                 raise DimensionMismatch(f"message dims {payload.d}x{payload.c} do not match {self._dims[0]}x{self._dims[1]}")
+            if self.variant == VARIANT_QR:
+                if payload.Z.shape[0] != payload.R.shape[0]:
+                    raise DimensionMismatch(f"R has {payload.R.shape[0]} rows but Z has {payload.Z.shape[0]}")
+            elif payload.S.shape != (payload.d * (payload.d + 1) // 2,):
+                raise DimensionMismatch(f"a packed S at d={payload.d} has d(d+1)/2 entries, not shape {payload.S.shape}")
             if payload_dtype(payload) != self._dtype:
                 raise MixedPrecision(f"a {payload_dtype(payload)} payload in a {self._dtype} round")
         self.n_plus += msg.add.n
@@ -209,28 +226,11 @@ class RoundFold:
         return RoundAggregate(*sides, *factors)
 
 
-def aggregate(messages: list[ClientMessage], running: RoundFold | None = None) -> RoundFold | RoundAggregate:
-    """Fold client messages into the server's aggregate for one round.
-
-    With `running`, the messages are folded into it in the order given and
-    the same, still open fold is returned; `Server.serve` passes each
-    message this way as it arrives, into a fold of its own variant, width
-    and precision, and closes the fold after the last.  Without, `messages`
-    is the whole round: it is folded in ascending client id, into a fold of
-    the first message's variant, width and precision, and the closed
-    RoundAggregate is returned.  Both ways fold the same messages in the
-    same order (see RoundFold), so their aggregates are bitwise equal.
-    """
-    closed = running is None
-    if closed:
-        if not messages:
-            raise ValueError("cannot aggregate an empty message list")
-        messages = sorted(messages, key=lambda m: m.client_id)
-        first = messages[0]
-        running = RoundFold(first.variant, first.add.d, first.add.c, payload_dtype(first.add))
+def aggregate(messages: Iterable[ClientMessage], fold: RoundFold) -> RoundFold:
+    """Fold `messages` into `fold` in the order given (see RoundFold) and return the same fold, still open."""
     for m in messages:
-        running.add(m)
-    return running.close() if closed else running
+        fold.add(m)
+    return fold
 
 
 def run_round_a(ledger: Ledger, agg: RoundAggregate) -> tuple[Ledger, np.ndarray]:
@@ -319,12 +319,11 @@ class Server:
     A, R-factors for B and approx.
     """
 
-    def __init__(self, variant: str, d: int, c: int, gamma: float, precision="f64", rank=8, reset_every=16):
+    def __init__(self, variant: str, d: int, c: int, gamma: float, precision="f64",
+                 rank=APPROX_DEFAULTS["rank"], reset_every=APPROX_DEFAULTS["reset_every"]):
         if variant not in ("A", "B", "approx"):
             raise ValueError(f"unknown server variant {variant!r}, expected A, B or approx")
-        for name, value, least in (("rank", rank, 1), ("reset_every", reset_every, 0)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        check_approx_settings(rank, reset_every)
         self.variant, self.rank, self.reset_every = variant, rank, reset_every
         self.wire_variant = VARIANT_FULL if variant == "A" else VARIANT_QR
         self.ledger = ledger_init(d, c, gamma, precision)
@@ -338,8 +337,9 @@ class Server:
     def serve(self, messages: Iterable[ClientMessage]) -> tuple[np.ndarray, RoundReport, CommRecord]:
         """Fold each message by `aggregate([msg], fold)` as it arrives, then run the variant's driver.
 
-        A message of another variant, width or precision than the server's is refused before the
-        ledger moves.  Returns the served head, the round's report and the uplink of its messages.
+        A message out of ascending client id, of another variant, width or precision than the
+        server's, or with a payload of inconsistent shapes is refused before the ledger moves.
+        Returns the served head, the round's report and the uplink of its messages.
         """
         fold = RoundFold(self.wire_variant, *self.ledger.stats.G.shape, self.ledger.dtype)
         for msg in messages:

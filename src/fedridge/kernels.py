@@ -149,24 +149,19 @@ def inverse_from_factor(factor: np.ndarray) -> np.ndarray:
     return x.T @ x
 
 
-def spd_inverse(a) -> np.ndarray:
-    """Explicit inverse of an SPD matrix via Cholesky; bitwise symmetric."""
-    return inverse_from_factor(cholesky_spd(a))
-
-
-def thin_qr_rfactor(f, y=None):
-    """R factor of a thin QR of F, with Rᵀ R = Fᵀ F; given a label block Y, also Z = QᵀY.
+def thin_qr_rfactor(f, y):
+    """(R, Z) from one thin QR of [F | Y]: Rᵀ R = Fᵀ F and Z = QᵀY, so RᵀZ = FᵀY.
 
     R is min(n, d) x d upper-trapezoidal, with +0.0 below its diagonal.
     Row signs are flipped so the diagonal is non-negative, which makes R
     unique for full-rank inputs.  Rank-deficient inputs simply yield
     (numerically) zero rows.
 
-    With Y (n x c, cast to F's dtype) the one QR is of [F | Y], the least
+    Y is n x c, cast to F's dtype.  The one QR is of [F | Y], the least
     squares device of Golub and Van Loan (*Matrix Computations*, §5.3):
-    its first k = min(n, d) rows are [R | Z], and (R, Z) is returned.  The
-    rows below k touch only Y's columns, so FᵀY = RᵀZ exactly in exact
-    arithmetic, and the sign flip of a row of R flips the same row of Z.
+    its first k = min(n, d) rows are [R | Z].  The rows below k touch only
+    Y's columns, so FᵀY = RᵀZ exactly in exact arithmetic, and the sign
+    flip of a row of R flips the same row of Z.
 
     F and Y must hold finite entries, which is not checked here: a client
     batch is validated once, by `stats.batch_arrays`, before its QR.
@@ -180,15 +175,14 @@ def thin_qr_rfactor(f, y=None):
     n, d = f.shape
     if n < 1:
         raise DimensionMismatch("F must have at least one row")
-    if y is not None:
-        y = _float_matrix(y, "y").astype(f.dtype, copy=False)
-        if y.shape[0] != n:
-            raise DimensionMismatch(f"F has {n} rows but Y has {y.shape[0]}")
-    r = np.linalg.qr(f if y is None else np.hstack([f, y]), mode="r")[: min(n, d)]
+    y = _float_matrix(y, "y").astype(f.dtype, copy=False)
+    if y.shape[0] != n:
+        raise DimensionMismatch(f"F has {n} rows but Y has {y.shape[0]}")
+    r = np.linalg.qr(np.hstack([f, y]), mode="r")[: min(n, d)]
     # negate a row whose diagonal is negative from its diagonal on: its +0.0 below the diagonal stays +0.0
     for i in np.flatnonzero(np.diagonal(r) < 0):
         r[i, i:] *= -1
-    return r if y is None else (r[:, :d], r[:, d:])
+    return r[:, :d], r[:, d:]
 
 
 @lru_cache(maxsize=16)

@@ -45,7 +45,6 @@ from .kernels import (
     DimensionMismatch,
     NotSPD,
     cholesky_spd,
-    frobenius_norm,
     inverse_from_factor,
     triangular_solve_lower,
     upper_mask,
@@ -123,16 +122,3 @@ def kl_matrix_normal(p: MatrixNormalPosterior, q: MatrixNormalPosterior) -> floa
     white = p_q.T @ (q.M - p.M).astype(np.float64)
     quad = float(np.sum(white * white))
     return 0.5 * (p.c * trace_logdet + quad)
-
-
-def psd_order_check(sigma_before: np.ndarray, sigma_after: np.ndarray) -> bool:
-    """True iff sigma_after dominates sigma_before in the PSD order.
-
-    The comparison tolerates eigenvalue undershoot of 1e-9 times the
-    Frobenius norm of the reference, absorbing roundoff.
-    """
-    if sigma_before.shape != sigma_after.shape:
-        raise DimensionMismatch("covariance dimensions differ")
-    diff = np.asarray(sigma_after, dtype=np.float64) - np.asarray(sigma_before, dtype=np.float64)
-    floor = -1e-9 * frobenius_norm(sigma_before)
-    return bool(np.linalg.eigvalsh(diff)[0] >= floor)

@@ -33,7 +33,7 @@ from operator import attrgetter
 import numpy as np
 
 from .client import ClientStore, read_only
-from .coordinator import CommRecord, RoundReport, Server
+from .coordinator import APPROX_DEFAULTS, CommRecord, RoundReport, Server, check_approx_settings
 from .kernels import NotSPD, add_to_diagonal, cholesky_spd, rel_frobenius_dev
 from .posterior import MatrixNormalPosterior, kl_matrix_normal
 from .stats import PRECISION_DTYPES, SufficientStats, check_gamma, stats_from_batch
@@ -319,11 +319,11 @@ class Scenario:
     variant: str  # "A", "B", "both" or "approx"
     partition: dict
     schedule: list[RoundSpec]
-    rank: int = 8
-    reset_every: int = 16
+    rank: int = APPROX_DEFAULTS["rank"]
+    reset_every: int = APPROX_DEFAULTS["reset_every"]
 
     def __post_init__(self):
-        for name in ("seed", "d", "c", "clients", "n", "n_train", "rank", "reset_every"):
+        for name in ("seed", "d", "c", "clients", "n", "n_train"):
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.clients < 1 or self.d < 1 or self.c < 2:
@@ -339,10 +339,7 @@ class Scenario:
         if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real) or not 0 < gamma <= sys.float_info.max:
             raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
         check_gamma(gamma, self.precision)
-        if self.rank < 1:
-            raise ValueError(f"rank must be at least 1, got {self.rank}")
-        if self.reset_every < 0:
-            raise ValueError("reset_every must be non-negative")
+        check_approx_settings(self.rank, self.reset_every)
 
     def to_json(self) -> str:
         """The version 3 document, built from the fields; `partition` goes in as given."""

@@ -21,7 +21,7 @@ from fedridge.coordinator import (
     run_round_b,
 )
 from fedridge.inverse import init_from_ledger
-from fedridge.kernels import rel_frobenius_dev, spd_inverse, unpack_symmetric
+from fedridge.kernels import cholesky_spd, inverse_from_factor, rel_frobenius_dev, unpack_symmetric
 from fedridge.simulate import RetainedGram, oracle_retrain
 from fedridge.stats import SufficientStats, dtype_of, ledger_init, regularized_gram, stats_from_batch
 
@@ -29,6 +29,11 @@ from fedridge.stats import SufficientStats, dtype_of, ledger_init, regularized_g
 def _idle_store(client_id, d, c, precision="f64"):
     """A store over no rows: every payload it forms is empty."""
     return ClientStore(client_id, np.zeros((0, d)), np.zeros((0, c)), precision)
+
+
+def _fold(messages, variant, d, c, precision="f64"):
+    """The round's aggregate: `messages` folded in the order given into a fold of this variant, width and precision."""
+    return aggregate(messages, RoundFold(variant, d, c, dtype_of(precision))).close()
 
 
 def _round_one_messages(variant, features, labels, parts, d, c):
@@ -44,7 +49,7 @@ def test_aggregate_sums_clients():
     for k in range(2):
         store = ClientStore(k, np.eye(2), np.ones((2, 1)))
         msgs.append(store.make_round_message(1, [0, 1], [], VARIANT_FULL))
-    agg = aggregate(msgs)
+    agg = _fold(msgs, VARIANT_FULL, 2, 1)
     np.testing.assert_array_equal(agg.add.S, 2 * np.eye(2))
     np.testing.assert_array_equal(agg.delete.S, np.zeros((2, 2)))
     assert agg.add.n == 4 and agg.delete.n == 0
@@ -67,7 +72,7 @@ def test_aggregated_and_ledger_grams_are_bitwise_symmetric(variant, precision):
         round_two.append(store.make_round_message(2, adds, list(parts[k])[::3], variant))
     ledger = ledger_init(d, c, 1.0, precision)
     for messages in (round_one, round_two):
-        agg = aggregate(messages)
+        agg = _fold(messages, variant, d, c, precision)
         assert np.array_equal(agg.add.S, agg.add.S.T)
         assert np.array_equal(agg.delete.S, agg.delete.S.T)
         ledger, _ = run_round_a(ledger, agg)
@@ -98,25 +103,21 @@ _TALL, _SHORT = {}, {"d": 40, "adds": 3, "stride": 7}
 
 @pytest.mark.parametrize("variant", [VARIANT_FULL, VARIANT_QR])
 @pytest.mark.parametrize("precision", ["f32", "f64"])
-def test_fold_message_by_message_is_bitwise_the_list_aggregate(variant, precision):
+def test_fold_message_by_message_counts_what_account_round_charges(variant, precision):
     for shape in (_TALL, _SHORT):
         messages = _two_round_messages(variant, precision, **shape)
-        whole = aggregate(messages)
         d, c = messages[0].add.d, messages[0].add.c
         fold = RoundFold(variant, d, c, dtype_of(precision))
         for msg in messages:
             assert aggregate([msg], fold) is fold
         assert (fold.round, fold.variant) == (2, variant)
         folded = fold.close()
-        for name in ("add.d", "add.c", "add.n", "delete.n"):
-            assert attrgetter(name)(folded) == attrgetter(name)(whole)
-        for name in ("add.S", "add.G", "delete.S", "delete.G", "U_plus", "U_minus"):
-            a, b = attrgetter(name)(folded), attrgetter(name)(whole)
-            if name.startswith("U") and (variant == VARIANT_FULL or shape is _TALL):
-                assert a is None and b is None
-                continue
-            assert a.dtype == b.dtype == dtype_of(precision)
-            assert a.tobytes() == b.tobytes() and a.shape == b.shape
+        assert (folded.add.d, folded.add.c) == (d, c)
+        assert folded.add.n == sum(m.add.n for m in messages) and folded.delete.n == sum(m.delete.n for m in messages)
+        for name in ("add.S", "add.G", "delete.S", "delete.G"):
+            assert attrgetter(name)(folded).dtype == dtype_of(precision)
+        # a short B round keeps its stacked factors; a tall one and an A round keep none
+        assert (folded.U_plus is None) == (variant == VARIANT_FULL or shape is _TALL)
         assert fold.comm() == account_round(messages, precision)
 
 
@@ -131,9 +132,9 @@ def test_a_fold_of_packed_triangles_equals_the_sum_of_dense_grams(precision):
     adder = ClientStore(7, features, features[:, :c], precision)
     messages += [_idle_store(5, d, c, precision).make_round_message(2, [], [], VARIANT_FULL),
                  adder.make_round_message(2, [0, 1], [], VARIANT_FULL)]
-    agg = aggregate(messages)
+    agg = _fold(messages, VARIANT_FULL, d, c, precision)
     for side in ("add", "delete"):
-        payloads = [getattr(m, side) for m in sorted(messages, key=lambda m: m.client_id)]
+        payloads = [getattr(m, side) for m in messages]
         dense = np.zeros((d, d), dtype=dtype_of(precision))
         for p in payloads:
             dense += unpack_symmetric(p.S, d)
@@ -141,8 +142,8 @@ def test_a_fold_of_packed_triangles_equals_the_sum_of_dense_grams(precision):
         assert got.S.dtype == dense.dtype and np.array_equal(got.S, dense)
         assert got.n == sum(p.n for p in payloads)
     # a side that no sample reached is zeros of the round's precision
-    empty = aggregate([adder.make_round_message(3, [], [], VARIANT_FULL),
-                       _idle_store(8, d, c, precision).make_round_message(3, [], [], VARIANT_FULL)])
+    idle = _idle_store(8, d, c, precision).make_round_message(3, [], [], VARIANT_FULL)
+    empty = _fold([adder.make_round_message(3, [], [], VARIANT_FULL), idle], VARIANT_FULL, d, c, precision)
     for side in (empty.add, empty.delete):
         assert side.S.shape == (d, d) and side.G.shape == (d, c) and side.n == 0
         assert side.S.dtype == dtype_of(precision) and not side.S.any() and not side.G.any()
@@ -155,8 +156,6 @@ def test_fold_rejects_a_client_id_not_above_the_last(variant):
     for late in (second, third):  # below the last client, then equal to it
         with pytest.raises(OutOfOrder):
             aggregate([late], fold)
-    # a whole list is still folded in ascending client id, whatever its order
-    assert aggregate([third, first, second]).add.S.tobytes() == aggregate([first, second, third]).add.S.tobytes()
 
 
 def _wide_round(precision, d=6, clients=8):
@@ -189,16 +188,12 @@ def test_fold_holds_at_most_2d_rows_per_side(precision):
     assert sum(m.delete.R.shape[0] for m in messages) > rebuild_rows(d)
     folded = fold.close()
     assert folded.U_plus is None and folded.U_minus is None
-    whole = aggregate(messages)
-    for name in ("add.S", "add.G", "delete.S", "delete.G"):
-        a, b = attrgetter(name)(folded), attrgetter(name)(whole)
-        assert a.tobytes() == b.tobytes() and a.shape == b.shape
 
 
 @pytest.mark.parametrize("precision, tol", [("f32", 1e-5), ("f64", 1e-13)], ids=["f32", "f64"])
 def test_tall_round_gram_is_the_batch_gram(precision, tol):
     messages, features, labels, adds, deletes = _wide_round(precision)
-    agg = aggregate(messages)
+    agg = _fold(messages, VARIANT_QR, 6, 2, precision)
     assert agg.U_plus is None and agg.U_minus is None
     for s, ids, side in ((agg.add.S, adds, "add"), (agg.delete.S, deletes, "delete")):
         assert s.dtype == dtype_of(precision) and np.array_equal(s, s.T)
@@ -216,13 +211,13 @@ def test_round_of_at_most_rebuild_rows_is_the_plain_stack():
     messages = _two_round_messages(VARIANT_QR, "f64", d=38, adds=3, stride=7)
     rows = sum(m.add.R.shape[0] + m.delete.R.shape[0] for m in messages)
     assert rows == rebuild_rows(38)
-    agg = aggregate(messages)
+    agg = _fold(messages, VARIANT_QR, 38, 3)
     for u, s, side in ((agg.U_plus, agg.add.S, "add"), (agg.U_minus, agg.delete.S, "delete")):
         stack = np.vstack([getattr(m, side).R for m in messages])
         assert u.tobytes() == stack.tobytes() and u.shape == stack.shape
         assert s.tobytes() == (stack.T @ stack).tobytes()
     # one more row and the same round is tall
-    assert aggregate(_two_round_messages(VARIANT_QR, "f64", d=37, adds=3, stride=7)).U_plus is None
+    assert _fold(_two_round_messages(VARIANT_QR, "f64", d=37, adds=3, stride=7), VARIANT_QR, 37, 3).U_plus is None
 
 
 @pytest.mark.parametrize(
@@ -234,8 +229,8 @@ def test_a_side_of_no_samples_is_read_only_zeros_that_own_no_buffer(variant, d, 
     features, labels = rng.standard_normal((30, d)), rng.standard_normal((30, 2))
     stores = [ClientStore(k, features, labels) for k in range(3)]
     parts = [list(range(10 * k, 10 * k + 10)) for k in range(3)]
-    round_one = aggregate([s.make_round_message(1, ids, [], variant) for s, ids in zip(stores, parts)])
-    round_two = aggregate([s.make_round_message(2, [], ids[:5], variant) for s, ids in zip(stores, parts)])
+    round_one = _fold([s.make_round_message(1, ids, [], variant) for s, ids in zip(stores, parts)], variant, d, 2)
+    round_two = _fold([s.make_round_message(2, [], ids[:5], variant) for s, ids in zip(stores, parts)], variant, d, 2)
     for agg, empty, u_empty in ((round_one, "delete", "U_minus"), (round_two, "add", "U_plus")):
         side = getattr(agg, empty)
         assert side.n == 0 and agg.add.n + agg.delete.n
@@ -251,18 +246,16 @@ def test_fold_of_no_messages_cannot_close():
     for variant in (VARIANT_FULL, VARIANT_QR):
         with pytest.raises(ValueError):
             RoundFold(variant, 2, 1, np.float64).close()
-    with pytest.raises(ValueError):
-        aggregate([])
 
 
 def test_aggregate_rejects_mixed_rounds_and_variants():
     m1 = _idle_store(0, 2, 1).make_round_message(1, [], [], VARIANT_FULL)
     m2 = _idle_store(1, 2, 1).make_round_message(2, [], [], VARIANT_FULL)
     with pytest.raises(MixedRound):
-        aggregate([m1, m2])
+        _fold([m1, m2], VARIANT_FULL, 2, 1)
     m3 = _idle_store(2, 2, 1).make_round_message(1, [], [], VARIANT_QR)
     with pytest.raises(MixedVariant):
-        aggregate([m1, m3])
+        _fold([m1, m3], VARIANT_FULL, 2, 1)
 
 
 @pytest.mark.parametrize("variant", [VARIANT_FULL, VARIANT_QR])
@@ -274,7 +267,7 @@ def test_aggregate_rejects_mixed_precision(variant):
     idle = _idle_store(2, 3, 2, "f32").make_round_message(1, [], [], variant)
     for messages in ([f64, f32], [f64, idle]):
         with pytest.raises(MixedPrecision):
-            aggregate(messages)
+            _fold(messages, variant, 3, 2)
     fold = RoundFold(variant, 3, 2, np.float32)
     with pytest.raises(MixedPrecision):
         aggregate([f64], fold)
@@ -287,7 +280,7 @@ def test_aggregate_rejects_dimension_mismatch():
     a = _idle_store(0, 2, 1).make_round_message(1, [], [], VARIANT_FULL)
     b = _idle_store(1, 3, 1).make_round_message(1, [], [], VARIANT_FULL)
     with pytest.raises(DimensionMismatch):
-        aggregate([a, b])
+        _fold([a, b], VARIANT_FULL, 2, 1)
 
 
 def test_aggregate_matches_concatenated_batch():
@@ -296,12 +289,12 @@ def test_aggregate_matches_concatenated_batch():
     features = rng.standard_normal((n, d))
     labels = rng.standard_normal((n, c))
     parts = [range(0, 10), range(10, 18), range(18, 30)]
-    agg = aggregate(_round_one_messages(VARIANT_FULL, features, labels, parts, d, c))
+    agg = _fold(_round_one_messages(VARIANT_FULL, features, labels, parts, d, c), VARIANT_FULL, d, c)
     st = stats_from_batch(features, labels)
     assert rel_frobenius_dev(agg.add.S, st.S) <= 1e-13
     assert rel_frobenius_dev(agg.add.G, st.G) <= 1e-13
     # the QR route's 18 factor rows make a tall round: its Grams are summed and no U is kept
-    agg_b = aggregate(_round_one_messages(VARIANT_QR, features, labels, parts, d, c))
+    agg_b = _fold(_round_one_messages(VARIANT_QR, features, labels, parts, d, c), VARIANT_QR, d, c)
     assert rel_frobenius_dev(agg_b.add.S, st.S) <= 1e-12
     assert agg_b.U_plus is None
     ledger = ledger_init(d, c)
@@ -316,14 +309,14 @@ def test_aggregate_rejects_dimension_mismatch_qr():
     a = _idle_store(0, 2, 1).make_round_message(1, [], [], VARIANT_QR)
     b = _idle_store(1, 3, 1).make_round_message(1, [], [], VARIANT_QR)
     with pytest.raises(DimensionMismatch):
-        aggregate([a, b])
+        _fold([a, b], VARIANT_QR, 2, 1)
     # a mismatched delete payload, R width or G column count, is caught too
     wide_r = QrPayload(np.zeros((0, 3)), np.zeros((2, 1)), 0)
     wide_g = QrPayload(np.zeros((0, 2)), np.zeros((2, 2)), 0)
     for bad in (wide_r, wide_g):
         m = ClientMessage(1, 1, VARIANT_QR, a.add, bad)
         with pytest.raises(DimensionMismatch):
-            aggregate([a, m])
+            _fold([a, m], VARIANT_QR, 2, 1)
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
@@ -335,7 +328,7 @@ def test_aggregate_qr_gram_is_product_of_stacked_factors(precision):
     labels = rng.standard_normal((n, c))
     parts = [range(0, 4), range(4, 7), range(7, 12)]
     stores = [ClientStore(k, features, labels, precision) for k in range(len(parts))]
-    agg = aggregate([s.make_round_message(1, list(ids), [], VARIANT_QR) for s, ids in zip(stores, parts)])
+    agg = _fold([s.make_round_message(1, list(ids), [], VARIANT_QR) for s, ids in zip(stores, parts)], VARIANT_QR, d, c, precision)
     assert np.array_equal(agg.add.S, agg.U_plus.T @ agg.U_plus)
     assert np.array_equal(agg.delete.S, np.zeros((d, d)))
     if precision == "f64":
@@ -343,7 +336,7 @@ def test_aggregate_qr_gram_is_product_of_stacked_factors(precision):
         assert rel_frobenius_dev(agg.add.S, st.S) <= 1e-13
         assert rel_frobenius_dev(agg.add.G, st.G) <= 1e-13
     dels = [list(ids)[::2] for ids in parts]
-    agg = aggregate([s.make_round_message(2, [], ids, VARIANT_QR) for s, ids in zip(stores, dels)])
+    agg = _fold([s.make_round_message(2, [], ids, VARIANT_QR) for s, ids in zip(stores, dels)], VARIANT_QR, d, c, precision)
     assert np.array_equal(agg.delete.S, agg.U_minus.T @ agg.U_minus)
     assert agg.delete.S.dtype == agg.U_minus.dtype == dtype_of(precision)
     if precision == "f64":
@@ -363,7 +356,7 @@ def test_run_round_a_shares_one_factor_with_the_posterior(monkeypatch):
     features = rng.standard_normal((n, d))
     labels = rng.standard_normal((n, c))
     ledger, w = run_round_a(
-        ledger_init(d, c), aggregate(_round_one_messages(VARIANT_FULL, features, labels, [range(n)], d, c))
+        ledger_init(d, c), _fold(_round_one_messages(VARIANT_FULL, features, labels, [range(n)], d, c), VARIANT_FULL, d, c)
     )
     post = posterior_from_ledger(ledger)
     assert np.array_equal(w, post.M)
@@ -379,7 +372,7 @@ def test_run_round_a_against_oracle():
     labels = rng.standard_normal((n, c))
     parts = [range(0, 40), range(40, 100)]
     ledger = ledger_init(d, c)
-    ledger, w = run_round_a(ledger, aggregate(_round_one_messages(VARIANT_FULL, features, labels, parts, d, c)))
+    ledger, w = run_round_a(ledger, _fold(_round_one_messages(VARIANT_FULL, features, labels, parts, d, c), VARIANT_FULL, d, c))
     assert rel_frobenius_dev(w, oracle_retrain(RetainedGram(features, labels), np.ones(n, bool), 1.0)[0]) <= 1e-9
 
 
@@ -390,8 +383,8 @@ def test_run_round_a_delete_everything_gives_zero():
     labels = rng.standard_normal((12, c))
     store = ClientStore(0, features, labels)
     ledger = ledger_init(d, c)
-    ledger, _ = run_round_a(ledger, aggregate([store.make_round_message(1, list(range(12)), [], VARIANT_FULL)]))
-    ledger, w = run_round_a(ledger, aggregate([store.make_round_message(2, [], list(range(12)), VARIANT_FULL)]))
+    ledger, _ = run_round_a(ledger, _fold([store.make_round_message(1, list(range(12)), [], VARIANT_FULL)], VARIANT_FULL, d, c))
+    ledger, w = run_round_a(ledger, _fold([store.make_round_message(2, [], list(range(12)), VARIANT_FULL)], VARIANT_FULL, d, c))
     np.testing.assert_array_equal(w, np.zeros((d, c)))
     assert ledger.stats.n == 0
 
@@ -403,9 +396,9 @@ def test_run_round_a_noop_is_bitwise_stable():
     labels = rng.standard_normal((9, c))
     store = ClientStore(0, features, labels)
     ledger = ledger_init(d, c)
-    ledger, w1 = run_round_a(ledger, aggregate([store.make_round_message(1, list(range(9)), [], VARIANT_FULL)]))
+    ledger, w1 = run_round_a(ledger, _fold([store.make_round_message(1, list(range(9)), [], VARIANT_FULL)], VARIANT_FULL, d, c))
     idle = _idle_store(0, d, c)
-    ledger, w2 = run_round_a(ledger, aggregate([idle.make_round_message(2, [], [], VARIANT_FULL)]))
+    ledger, w2 = run_round_a(ledger, _fold([idle.make_round_message(2, [], [], VARIANT_FULL)], VARIANT_FULL, d, c))
     assert np.array_equal(w1, w2)
 
 
@@ -422,8 +415,8 @@ def test_run_round_b_tracks_run_round_a():
     state = init_from_ledger(led_b)
     msgs_a = [s.make_round_message(1, list(p), [], VARIANT_FULL) for s, p in zip(stores_a, parts)]
     msgs_b = [s.make_round_message(1, list(p), [], VARIANT_QR) for s, p in zip(stores_b, parts)]
-    led_a, w_a = run_round_a(led_a, aggregate(msgs_a))
-    led_b, state, w_b, info = run_round_b(led_b, state, aggregate(msgs_b))
+    led_a, w_a = run_round_a(led_a, _fold(msgs_a, VARIANT_FULL, d, c))
+    led_b, state, w_b, info = run_round_b(led_b, state, _fold(msgs_b, VARIANT_QR, d, c))
     # 30 factor rows against d = 10: a tall round, served by a rebuild
     assert info.reset and info.lambda_max is None
     assert rel_frobenius_dev(w_b, w_a) <= 1e-8
@@ -431,16 +424,16 @@ def test_run_round_b_tracks_run_round_a():
     dels = list(range(20, 30))
     msgs_a = [stores_a[1].make_round_message(2, [], dels, VARIANT_FULL)]
     msgs_b = [stores_b[1].make_round_message(2, [], dels, VARIANT_QR)]
-    led_a, w_a = run_round_a(led_a, aggregate(msgs_a))
-    led_b, state, w_b, info = run_round_b(led_b, state, aggregate(msgs_b))
+    led_a, w_a = run_round_a(led_a, _fold(msgs_a, VARIANT_FULL, d, c))
+    led_b, state, w_b, info = run_round_b(led_b, state, _fold(msgs_b, VARIANT_QR, d, c))
     assert info.reset
     assert rel_frobenius_dev(w_b, w_a) <= 1e-8
     # and a delete of rebuild_rows(d) = 5 rows, served by an SMW step
     dels = list(range(30, 35))
     msgs_a = [stores_a[1].make_round_message(3, [], dels, VARIANT_FULL)]
     msgs_b = [stores_b[1].make_round_message(3, [], dels, VARIANT_QR)]
-    led_a, w_a = run_round_a(led_a, aggregate(msgs_a))
-    agg_b = aggregate(msgs_b)
+    led_a, w_a = run_round_a(led_a, _fold(msgs_a, VARIANT_FULL, d, c))
+    agg_b = _fold(msgs_b, VARIANT_QR, d, c)
     assert agg_b.U_minus.shape == (rebuild_rows(d), d)
     led_b, state, w_b, info = run_round_b(led_b, state, agg_b)
     assert not info.reset
@@ -459,13 +452,13 @@ def test_run_round_b_reset_on_boundary_deletion():
     store = ClientStore(0, features, labels)
     ledger = ledger_init(d, c)
     state = init_from_ledger(ledger)
-    agg = aggregate([store.make_round_message(1, list(range(3)), [], VARIANT_QR)])
+    agg = _fold([store.make_round_message(1, list(range(3)), [], VARIANT_QR)], VARIANT_QR, d, c)
     assert agg.U_plus.shape == (rebuild_rows(d), d)
     ledger, state, w, info = run_round_b(ledger, state, agg)
     # the add onto T = I amplifies rounding by ~1e10: served exact only via a rebuild
     assert info.reset
     assert rel_frobenius_dev(w, ledger.head) <= 1e-8
-    agg = aggregate([store.make_round_message(2, [], list(range(3)), VARIANT_QR)])
+    agg = _fold([store.make_round_message(2, [], list(range(3)), VARIANT_QR)], VARIANT_QR, d, c)
     assert agg.U_minus.shape == (rebuild_rows(d), d)
     ledger, state, w, info = run_round_b(ledger, state, agg)
     assert info.reset
@@ -480,7 +473,7 @@ def test_add_amplification_gate_resets_a_short_round(scale, gated):
     d, c, n = 16, 2, 8
     features = rng.standard_normal((n, d)) * scale
     labels = rng.standard_normal((n, c))
-    agg = aggregate(_round_one_messages(VARIANT_QR, features, labels, [range(0, 3), range(3, n)], d, c))
+    agg = _fold(_round_one_messages(VARIANT_QR, features, labels, [range(0, 3), range(3, n)], d, c), VARIANT_QR, d, c)
     assert agg.U_plus.shape == (rebuild_rows(d), d)
     ledger = ledger_init(d, c)
     ledger, state, w, info = run_round_b(ledger, init_from_ledger(ledger), agg)
@@ -497,7 +490,7 @@ def test_run_round_b_rebuilds_tall_rounds():
     labels = rng.standard_normal((n, c))
     parts = [range(i * 12, (i + 1) * 12) for i in range(10)]
     msgs = _round_one_messages(VARIANT_QR, features, labels, parts, d, c)
-    agg = aggregate(msgs)
+    agg = _fold(msgs, VARIANT_QR, d, c)
     assert agg.U_plus is None and agg.U_minus is None
     assert rel_frobenius_dev(agg.add.S, stats_from_batch(features, labels).S) <= 1e-12
     ledger = ledger_init(d, c)
@@ -514,7 +507,7 @@ def test_run_round_b_serves_a_full_statistics_aggregate_by_its_exact_rebuild():
     d, c = 4, 1
     features = rng.standard_normal((10, d))
     labels = rng.standard_normal((10, c))
-    agg = aggregate(_round_one_messages(VARIANT_FULL, features, labels, [range(10)], d, c))
+    agg = _fold(_round_one_messages(VARIANT_FULL, features, labels, [range(10)], d, c), VARIANT_FULL, d, c)
     assert agg.U_plus is None and agg.U_minus is None
     ledger = ledger_init(d, c)
     led_a, w_a = run_round_a(ledger, agg)
@@ -533,18 +526,25 @@ def test_burst_delete_then_addback_round_trip():
     led_a = ledger_init(d, c)
     led_b = ledger_init(d, c)
     state = init_from_ledger(led_b)
-    led_a, w0 = run_round_a(led_a, aggregate([store_a.make_round_message(1, list(range(n)), [], VARIANT_FULL)]))
-    led_b, state, _, _ = run_round_b(led_b, state, aggregate([store_b.make_round_message(1, list(range(n)), [], VARIANT_QR)]))
+
+    def agg_a(rnd, adds, dels):
+        return _fold([store_a.make_round_message(rnd, adds, dels, VARIANT_FULL)], VARIANT_FULL, d, c)
+
+    def agg_b(rnd, adds, dels):
+        return _fold([store_b.make_round_message(rnd, adds, dels, VARIANT_QR)], VARIANT_QR, d, c)
+
+    led_a, w0 = run_round_a(led_a, agg_a(1, list(range(n)), []))
+    led_b, state, _, _ = run_round_b(led_b, state, agg_b(1, list(range(n)), []))
     order = rng.permutation(200)
     rnd = 2
     for i in order:  # 200 single-point deletions
-        led_a, _ = run_round_a(led_a, aggregate([store_a.make_round_message(rnd, [], [int(i)], VARIANT_FULL)]))
-        led_b, state, _, info = run_round_b(led_b, state, aggregate([store_b.make_round_message(rnd, [], [int(i)], VARIANT_QR)]))
+        led_a, _ = run_round_a(led_a, agg_a(rnd, [], [int(i)]))
+        led_b, state, _, info = run_round_b(led_b, state, agg_b(rnd, [], [int(i)]))
         assert isinstance(info.reset, bool)  # a numpy bool would print as False in metrics.csv
         rnd += 1
     for i in order[::-1]:  # 200 add-backs
-        led_a, w_a = run_round_a(led_a, aggregate([store_a.make_round_message(rnd, [int(i)], [], VARIANT_FULL)]))
-        led_b, state, w_b, _ = run_round_b(led_b, state, aggregate([store_b.make_round_message(rnd, [int(i)], [], VARIANT_QR)]))
+        led_a, w_a = run_round_a(led_a, agg_a(rnd, [int(i)], []))
+        led_b, state, w_b, _ = run_round_b(led_b, state, agg_b(rnd, [int(i)], []))
         rnd += 1
     assert rel_frobenius_dev(w_a, w0) <= 1e-9
     assert rel_frobenius_dev(w_b, w0) <= 1e-9
@@ -569,7 +569,7 @@ def test_approx_hand_case_bound_dominates_gap():
     assert state.neglected_mass == pytest.approx(0.5, rel=1e-9)
     # min(1/γ, ||T_ap||_∞)² Σ = 1² · 0.5
     assert report.bound == pytest.approx(0.5, rel=1e-9)
-    true_gap = np.linalg.norm(spd_inverse(np.eye(2) + np.diag([10.0, 0.5])) - t_ap, 2)
+    true_gap = np.linalg.norm(inverse_from_factor(cholesky_spd(np.eye(2) + np.diag([10.0, 0.5]))) - t_ap, 2)
     assert true_gap == pytest.approx(1 / 3, rel=1e-9)
     assert true_gap <= report.bound
 
@@ -595,7 +595,7 @@ def test_approx_bound_is_finite_where_the_contraction_fails():
     agg = _add_only_agg(np.diag([10.0, 1.0]))
     ledger, state, _, report = run_round_approx(ledger, state, agg, rank=1, reset_every=0)
     assert report.bound == pytest.approx(1.0, rel=1e-9)
-    true_gap = np.linalg.norm(spd_inverse(np.eye(2) + np.diag([10.0, 1.0])) - state.T, 2)
+    true_gap = np.linalg.norm(inverse_from_factor(cholesky_spd(np.eye(2) + np.diag([10.0, 1.0]))) - state.T, 2)
     assert true_gap == pytest.approx(0.5, rel=1e-9)
     assert true_gap <= report.bound
 
@@ -609,7 +609,7 @@ def test_approx_bound_accumulates_until_a_reset():
         ledger, state, _, report = run_round_approx(ledger, state, agg, rank=1, reset_every=3)
         assert state.neglected_mass == pytest.approx(sigma, rel=1e-12)
         assert report.bound == pytest.approx(sigma, rel=1e-12)
-    true_gap = np.linalg.norm(spd_inverse(np.eye(2) + np.diag([20.0, 1.0])) - state.T, 2)
+    true_gap = np.linalg.norm(inverse_from_factor(cholesky_spd(np.eye(2) + np.diag([20.0, 1.0]))) - state.T, 2)
     assert true_gap == pytest.approx(0.5, rel=1e-9)
     assert true_gap <= report.bound
     ledger, state, _, report = run_round_approx(ledger, state, agg, rank=1, reset_every=3)
@@ -624,13 +624,13 @@ def test_approx_delete_round_is_exact():
     store = ClientStore(0, features, labels)
     ledger = ledger_init(d, c)
     state = init_from_ledger(ledger)
-    agg = aggregate([store.make_round_message(1, list(range(30)), [], VARIANT_QR)])
+    agg = _fold([store.make_round_message(1, list(range(30)), [], VARIANT_QR)], VARIANT_QR, d, c)
     ledger, state, _, _ = run_round_approx(ledger, state, agg, rank=2, reset_every=0)
-    agg = aggregate([store.make_round_message(2, [], list(range(10)), VARIANT_QR)])
+    agg = _fold([store.make_round_message(2, [], list(range(10)), VARIANT_QR)], VARIANT_QR, d, c)
     ledger, state, w_ap, report = run_round_approx(ledger, state, agg, rank=2, reset_every=0)
     assert report.reset and report.bound is None  # delete rounds fall back to exact handling
     np.testing.assert_array_equal(w_ap, ledger.head)
-    np.testing.assert_array_equal(state.T, spd_inverse(regularized_gram(ledger)))
+    np.testing.assert_array_equal(state.T, inverse_from_factor(cholesky_spd(regularized_gram(ledger))))
     assert ledger.t == 2 and state.neglected_mass == 0.0
 
 

@@ -66,7 +66,7 @@ def test_smw_step_leaves_its_input_state_unchanged(delete):
     st = init_from_ledger(led)
     t, w = st.T.copy(), st.W.copy()
     # two retained samples, so the delete is feasible
-    u = thin_qr_rfactor(f[:2])
+    u, _ = thin_qr_rfactor(f[:2], f[:2, :2])
     out = smw_step(st, u, f[:2].T @ f[:2, :2], delete=delete).state
     assert st.T.tobytes() == t.tobytes() and st.W.tobytes() == w.tobytes()
     assert not np.shares_memory(out.T, st.T) and not np.shares_memory(out.W, st.W)
@@ -80,7 +80,7 @@ def test_smw_add_empty_is_identity():
 
 def test_smw_add_qr_factor_matches_head():
     st = init_from_ledger(ledger_init(2, 1))
-    r = thin_qr_rfactor(BATCH_B[0])
+    r, _ = thin_qr_rfactor(*BATCH_B)
     out = smw_step(st, r, stats_from_batch(*BATCH_B).G).state
     np.testing.assert_allclose(out.W, [[1 / 3], [1 / 3]], rtol=1e-12)
 
@@ -110,9 +110,9 @@ def test_smw_delete_matches_rebuild():
     led1 = ledger_apply(led, stats_from_batch(f1, y1), SufficientStats.zero(d, c))
     led12 = ledger_apply(led1, stats_from_batch(f2, y2), SufficientStats.zero(d, c))
     st = init_from_ledger(led)
-    st = smw_step(st, thin_qr_rfactor(f1), stats_from_batch(f1, y1).G).state
-    st = smw_step(st, thin_qr_rfactor(f2), stats_from_batch(f2, y2).G).state
-    st = smw_step(st, thin_qr_rfactor(f1), stats_from_batch(f1, y1).G, delete=True).state
+    st = smw_step(st, thin_qr_rfactor(f1, y1)[0], stats_from_batch(f1, y1).G).state
+    st = smw_step(st, thin_qr_rfactor(f2, y2)[0], stats_from_batch(f2, y2).G).state
+    st = smw_step(st, thin_qr_rfactor(f1, y1)[0], stats_from_batch(f1, y1).G, delete=True).state
     led2 = ledger_apply(led, stats_from_batch(f2, y2), SufficientStats.zero(d, c))
     ref = init_from_ledger(led2)
     assert rel_frobenius_dev(st.T, ref.T) <= 1e-10
@@ -220,9 +220,10 @@ def test_audit_drift_after_two_hundred_rounds():
         f = rng.standard_normal((int(rng.integers(1, 9)), d))
         y = rng.standard_normal((f.shape[0], c))
         st = stats_from_batch(f, y)
-        state = smw_step(state, thin_qr_rfactor(f), st.G).state
+        r, _ = thin_qr_rfactor(f, y)
+        state = smw_step(state, r, st.G).state
         ledger = ledger_apply(ledger, st, SufficientStats.zero(d, c))
-        pool.append((thin_qr_rfactor(f), st))
+        pool.append((r, st))
         if len(pool) > 3 and rng.random() < 0.6:
             r_del, st_del = pool.pop(int(rng.integers(0, len(pool))))
             state = smw_step(state, r_del, st_del.G, delete=True).state
@@ -243,8 +244,9 @@ def test_variant_equivalence_long_stream():
         y = rng.standard_normal((r_rows, c))
         st = stats_from_batch(f, y)
         ledger = ledger_apply(ledger, st, SufficientStats.zero(d, c))
-        state = smw_step(state, thin_qr_rfactor(f), st.G).state
-        pool.append((thin_qr_rfactor(f), st))
+        r, _ = thin_qr_rfactor(f, y)
+        state = smw_step(state, r, st.G).state
+        pool.append((r, st))
         if len(pool) > 2 and rng.random() < 0.5:
             r_del, st_del = pool.pop(int(rng.integers(0, len(pool))))
             ledger = ledger_apply(ledger, SufficientStats.zero(d, c), st_del)

@@ -18,7 +18,6 @@ from fedridge.kernels import (
     inverse_from_factor,
     rel_frobenius_dev,
     solve_spd,
-    spd_inverse,
     symmetric_eig,
     thin_qr_rfactor,
     triangular_solve_lower,
@@ -101,16 +100,16 @@ def test_triangular_solve_lower():
 
 
 def test_qr_rank_deficient():
-    r = thin_qr_rfactor(np.array([[3.0, 0.0], [4.0, 0.0]]))
+    r, _ = thin_qr_rfactor(np.array([[3.0, 0.0], [4.0, 0.0]]), np.ones((2, 1)))
     np.testing.assert_allclose(r, [[5.0, 0.0], [0.0, 0.0]], atol=1e-15)
 
 
 def test_qr_orthonormal_input():
-    np.testing.assert_allclose(thin_qr_rfactor(np.eye(2)), np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(thin_qr_rfactor(np.eye(2), np.ones((2, 1)))[0], np.eye(2), atol=1e-15)
 
 
 def test_qr_gram_of_rank_one_batch():
-    r = thin_qr_rfactor(np.array([[1.0, 1.0], [0.0, 0.0]]))
+    r, _ = thin_qr_rfactor(np.array([[1.0, 1.0], [0.0, 0.0]]), np.ones((2, 1)))
     np.testing.assert_allclose(r.T @ r, [[1.0, 1.0], [1.0, 1.0]], atol=1e-15)
 
 
@@ -120,13 +119,11 @@ def test_qr_gram_identity_property():
         n = int(rng.integers(1, 65))
         d = int(rng.integers(1, 65))
         f = rng.standard_normal((n, d))
-        r = thin_qr_rfactor(f)
-        assert r.shape == (min(n, d), d)
-        assert np.all(np.diagonal(r) >= 0)
-        assert rel_frobenius_dev(r.T @ r, f.T @ f) <= 1e-12
-        # the same identities from [F | Y] = Q [R | Z]: RᵀR = FᵀF and RᵀZ = FᵀY
+        # from [F | Y] = Q [R | Z]: RᵀR = FᵀF and RᵀZ = FᵀY
         y = rng.standard_normal((n, int(rng.integers(1, 11))))
         r, z = thin_qr_rfactor(f, y)
+        assert r.shape == (min(n, d), d)
+        assert np.all(np.diagonal(r) >= 0)
         assert rel_frobenius_dev(r.T @ r, f.T @ f) <= 1e-12
         assert rel_frobenius_dev(r.T @ z, f.T @ y) <= 1e-12
 
@@ -138,7 +135,7 @@ def test_qr_of_features_and_labels_is_one_factorization():
         f, y = rng.standard_normal((n, d)), rng.standard_normal((n, c))
         r, z = thin_qr_rfactor(f, y)
         assert r.shape == (min(n, d), d) and z.shape == (min(n, d), c)
-        assert rel_frobenius_dev(r, thin_qr_rfactor(f)) <= 1e-13
+        assert rel_frobenius_dev(r, _reference_rfactor(f, np.zeros((n, 0)))[0]) <= 1e-13  # F's own R factor
         assert rel_frobenius_dev(r.T @ z, f.T @ y) <= 1e-13
     r, z = thin_qr_rfactor(np.ones((3, 2), dtype=np.float32), np.ones((3, 1)))
     assert r.dtype == z.dtype == np.float32
@@ -146,14 +143,14 @@ def test_qr_of_features_and_labels_is_one_factorization():
         thin_qr_rfactor(np.ones((3, 2)), np.ones((2, 1)))
 
 
-def _reference_rfactor(f, y=None):
-    """The sign-fixed R (and Z) as `np.triu(sign · qr_r)`, a zero diagonal taken as positive."""
+def _reference_rfactor(f, y):
+    """The sign-fixed R and Z as `np.triu(sign · qr_r)` of [F | Y], a zero diagonal taken as positive."""
     n, d = f.shape
-    r = np.linalg.qr(f if y is None else np.hstack([f, y.astype(f.dtype)]), mode="r")[: min(n, d)]
+    r = np.linalg.qr(np.hstack([f, y.astype(f.dtype)]), mode="r")[: min(n, d)]
     signs = np.sign(np.diagonal(r)).astype(f.dtype)
     signs[signs == 0] = 1
     r = np.triu(signs[:, None] * r)
-    return r if y is None else (r[:, :d], r[:, d:])
+    return r[:, :d], r[:, d:]
 
 
 def _same_bits(a, b):
@@ -178,9 +175,6 @@ def test_rfactor_is_bitwise_the_sign_fixed_triu_of_lapack(dtype, rows, zero_colu
         f[0, 0] = (-1) ** (trial + (n == 1)) * abs(f[0, 0])
         raw = np.linalg.qr(np.hstack([f, y]), mode="r")[: min(n, d)]
         raw_negative += int((np.diagonal(raw) < 0).sum())
-        want_r = _reference_rfactor(f)
-        got_r = thin_qr_rfactor(f)
-        assert _same_bits(got_r, want_r)
         want_r, want_z = _reference_rfactor(f, y)
         got_r, got_z = thin_qr_rfactor(f, y)
         assert _same_bits(got_r, want_r) and _same_bits(got_z, want_z)
@@ -232,20 +226,21 @@ def test_determinism_bitwise():
     rng = np.random.default_rng(6)
     m = rng.standard_normal((12, 12))
     a = m.T @ m + np.eye(12)
-    f = rng.standard_normal((20, 12))
+    f, y = rng.standard_normal((20, 12)), rng.standard_normal((20, 3))
     assert np.array_equal(cholesky_spd(a), cholesky_spd(a.copy()))
-    assert np.array_equal(thin_qr_rfactor(f), thin_qr_rfactor(f.copy()))
+    for got, again in zip(thin_qr_rfactor(f, y), thin_qr_rfactor(f.copy(), y.copy())):
+        assert np.array_equal(got, again)
     v1, e1 = symmetric_eig(a)
     v2, e2 = symmetric_eig(a.copy())
     assert np.array_equal(v1, v2) and np.array_equal(e1, e2)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_spd_inverse_is_bitwise_symmetric(dtype):
+def test_inverse_from_factor_is_bitwise_symmetric(dtype):
     rng = np.random.default_rng(9)
     for d in (1, 2, 17, 64, 200):
         m = rng.standard_normal((d + 3, d))
-        inv = spd_inverse((m.T @ m + np.eye(d)).astype(dtype))
+        inv = inverse_from_factor(cholesky_spd((m.T @ m + np.eye(d)).astype(dtype)))
         assert inv.dtype == dtype
         assert np.array_equal(inv, inv.T)
 

@@ -16,8 +16,8 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from fedridge.client import VARIANT_FULL, VARIANT_QR, ClientStore
-from fedridge.coordinator import MixedPrecision, MixedVariant, Server
-from fedridge.kernels import rel_frobenius_dev, spd_inverse
+from fedridge.coordinator import MixedPrecision, MixedVariant, OutOfOrder, Server
+from fedridge.kernels import DimensionMismatch, cholesky_spd, inverse_from_factor, rel_frobenius_dev
 from fedridge.simulate import RetainedGram, oracle_retrain
 from fedridge.stats import dtype_of, regularized_gram
 
@@ -77,7 +77,7 @@ class ServerMachine(RuleBasedStateMachine):
             )
             assert server.ledger.stats.n == np.count_nonzero(self.retained)
             if server.variant == "approx" and not report.reset:
-                gap = np.linalg.norm(server.state.T - spd_inverse(regularized_gram(server.ledger)), 2)
+                gap = np.linalg.norm(server.state.T - inverse_from_factor(cholesky_spd(regularized_gram(server.ledger))), 2)
                 # a round with nothing dropped has bound 0 and is held to rounding
                 assert gap <= report.bound + 1e-12, (self.round, gap, report.bound)
             else:
@@ -97,12 +97,13 @@ def test_server_refuses_a_rank_or_reset_period_that_scenario_refuses(bad):
 
 
 def _refuses_then_serves(server, bad, good):
-    """`bad` is refused with the ledger, state and round count as they were; `good` then serves exactly."""
+    """The round `bad` is refused with the ledger, state and round count as they were; `good`, which
+    adds the first six samples, then serves exactly."""
     ledger, state = server.ledger, server.state
-    with pytest.raises((MixedVariant, MixedPrecision)) as refused:
-        server.serve([bad])
+    with pytest.raises((MixedVariant, MixedPrecision, DimensionMismatch, OutOfOrder)) as refused:
+        server.serve(bad)
     assert server.ledger is ledger and server.state is state and server.ledger.t == 0
-    w, _, _ = server.serve([good])
+    w, _, _ = server.serve(good)
     retained = np.zeros(N, bool)
     retained[:6] = True
     tol = 1e-5 if server.ledger.precision == "f32" else 1e-8
@@ -116,7 +117,7 @@ def test_server_refuses_a_message_of_another_wire_variant(variant):
     other = VARIANT_QR if server.wire_variant == VARIANT_FULL else VARIANT_FULL
     bad = ClientStore(0, FEATURES, LABELS).make_round_message(1, list(range(6)), [], other)
     good = ClientStore(0, FEATURES, LABELS).make_round_message(1, list(range(6)), [], server.wire_variant)
-    assert _refuses_then_serves(server, bad, good) is MixedVariant
+    assert _refuses_then_serves(server, [bad], [good]) is MixedVariant
 
 
 @pytest.mark.parametrize("variant", ["A", "B", "approx"])
@@ -125,7 +126,7 @@ def test_server_refuses_a_message_of_another_precision(variant, precision, other
     server = Server(variant, D, C, GAMMA, precision)
     bad = ClientStore(0, FEATURES, LABELS, other).make_round_message(1, list(range(6)), [], server.wire_variant)
     good = ClientStore(0, FEATURES, LABELS, precision).make_round_message(1, list(range(6)), [], server.wire_variant)
-    assert _refuses_then_serves(server, bad, good) is MixedPrecision
+    assert _refuses_then_serves(server, [bad], [good]) is MixedPrecision
     assert server.ledger.stats.S.dtype == server.ledger.dtype
 
 
@@ -137,5 +138,29 @@ def test_server_refuses_a_payload_whose_two_matrices_differ_in_precision(variant
     good = ClientStore(0, FEATURES, LABELS, precision).make_round_message(1, list(range(6)), [], server.wire_variant)
     moment = "G" if server.wire_variant == VARIANT_FULL else "Z"
     mixed = dataclasses.replace(good.add, **{moment: getattr(good.add, moment).astype(dtype_of(other))})
-    assert _refuses_then_serves(server, dataclasses.replace(good, add=mixed), good) is MixedPrecision
+    assert _refuses_then_serves(server, [dataclasses.replace(good, add=mixed)], [good]) is MixedPrecision
     assert server.ledger.stats.G.dtype == server.ledger.dtype
+
+
+@pytest.mark.parametrize("variant", ["A", "B", "approx"])
+@pytest.mark.parametrize("size", ["one", "extra"])
+def test_server_refuses_a_payload_whose_shapes_do_not_hold_together(variant, size):
+    # A's packed S of other than d(d+1)/2 entries (one entry would broadcast over the whole
+    # triangle), or B's Z with other than R's rows, is refused before any count moves
+    server = Server(variant, D, C, GAMMA)
+    good = ClientStore(0, FEATURES, LABELS).make_round_message(1, list(range(6)), [], server.wire_variant)
+    name = "S" if server.wire_variant == VARIANT_FULL else "Z"
+    part = getattr(good.add, name)
+    misshapen = part[:1] if size == "one" else np.concatenate([part, part[:1]])
+    bad = dataclasses.replace(good, add=dataclasses.replace(good.add, **{name: misshapen}))
+    assert _refuses_then_serves(server, [bad], [good]) is DimensionMismatch
+
+
+@pytest.mark.parametrize("variant", ["A", "B", "approx"])
+def test_server_refuses_a_round_out_of_ascending_client_id(variant):
+    # the server folds in arrival order and sorts nothing: a round in descending client id is
+    # refused whole, and the same round in ascending order then serves
+    server = Server(variant, D, C, GAMMA)
+    round_one = [ClientStore(k, FEATURES, LABELS).make_round_message(1, [2 * k, 2 * k + 1], [], server.wire_variant)
+                 for k in range(CLIENTS)]
+    assert _refuses_then_serves(server, round_one[::-1], round_one) is OutOfOrder

@@ -8,7 +8,7 @@ import pytest
 
 from fedridge import simulate
 from fedridge.client import ClientStore
-from fedridge.kernels import rel_frobenius_dev, spd_inverse
+from fedridge.kernels import cholesky_spd, inverse_from_factor, rel_frobenius_dev
 from fedridge.simulate import (
     ClientEvent,
     RetainedGram,
@@ -789,9 +789,9 @@ def test_approx_sends_variant_b_messages(monkeypatch):
     payload_types = set()
     real = coordinator_mod.aggregate
 
-    def recording(messages, *running):
+    def recording(messages, fold):
         payload_types.update(type(p) for m in messages for p in (m.add, m.delete))
-        return real(messages, *running)
+        return real(messages, fold)
 
     monkeypatch.setattr(coordinator_mod, "aggregate", recording)
     data = gen_synthetic(43, 300, 8, 2, 2.0)
@@ -816,7 +816,7 @@ def test_run_scenario_folds_each_message_once_as_it_arrives(monkeypatch):
     alive_at_fold: list[int] = []
     a_payloads: dict[int, list] = {}  # round -> weakrefs to A's payloads
 
-    def recording(messages, running):
+    def recording(messages, fold):
         assert isinstance(messages, list) and len(messages) == 1
         msg = messages[0]
         if msg.variant == "A":
@@ -824,7 +824,7 @@ def test_run_scenario_folds_each_message_once_as_it_arrives(monkeypatch):
             alive_at_fold.append(sum(ref() is not None for ref in refs))
             refs += [weakref.ref(msg.add), weakref.ref(msg.delete)]
         seen.setdefault((msg.round, msg.variant), []).append((msg.client_id, account_round([msg], "f64")))
-        return real(messages, running)
+        return real(messages, fold)
 
     monkeypatch.setattr(coordinator_mod, "aggregate", recording)
     data = gen_synthetic(59, 400, 10, 3, 2.0)
@@ -998,7 +998,7 @@ def test_approx_bound_holds_across_truncated_steps(monkeypatch, rank, reset_ever
             assert m.bound is None
             continue
         truncated += 1
-        gap = np.linalg.norm(state.T - spd_inverse(regularized_gram(ledger)), 2)
+        gap = np.linalg.norm(state.T - inverse_from_factor(cholesky_spd(regularized_gram(ledger))), 2)
         # a row with nothing dropped has bound 0 and is held to rounding (||T|| <= 1/γ = 1)
         assert gap <= m.bound + 1e-12, (rec.round, gap, m.bound)
         assert m.bound <= 1 / sc.gamma, (rec.round, m.bound)

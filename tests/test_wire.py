@@ -495,9 +495,8 @@ def test_feature_file_read_allocates_its_arrays_and_little_more(tmp_path):
 
 def test_round_driven_through_wire_bytes():
     # encode every client message, decode from the byte stream, and the
-    # aggregate must advance the server identically to the in-memory path
-    from fedridge.coordinator import aggregate, run_round_a
-    from fedridge.stats import ledger_init
+    # decoded round must advance a server identically to the in-memory one
+    from fedridge.coordinator import Server
 
     rng = np.random.default_rng(4)
     d, c = 5, 2
@@ -513,8 +512,8 @@ def test_round_driven_through_wire_bytes():
         msg, prec, offset = decode_message(stream, offset)
         assert prec == "f64"
         decoded.append(msg)
-    _, w_direct = run_round_a(ledger_init(d, c), aggregate(messages))
-    _, w_wire = run_round_a(ledger_init(d, c), aggregate(decoded))
+    w_direct, _, _ = Server("A", d, c, 1.0).serve(messages)
+    w_wire, _, _ = Server("A", d, c, 1.0).serve(decoded)
     np.testing.assert_array_equal(w_wire, w_direct)
 
 
@@ -551,9 +550,9 @@ def _replayed_messages(monkeypatch, schedule_kind, variant, precision):
     folded = []
     real = coordinator_mod.aggregate
 
-    def recording(messages, running):
+    def recording(messages, fold):
         folded.extend(messages)
-        return real(messages, running)
+        return real(messages, fold)
 
     monkeypatch.setattr(coordinator_mod, "aggregate", recording)
     run_scenario(scenario, data.features, data.labels)
