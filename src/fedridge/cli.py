@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +70,15 @@ class _Once(argparse.Action):
         setattr(namespace, self.dest, value)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every `main` call.
+
+    Parsing leaves the parser as it was.  A parser built per call left about
+    200 bytes of Python objects alive after each call, so a process that
+    calls `main` many times, as the benchmark's replay loop does, grew with
+    every call.
+    """
     parser = argparse.ArgumentParser(prog="fedridge")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -26,12 +26,17 @@ P_q and mix = P_p^-1 P_q (lower triangular),
     KL(p || q) = c/2 * ( ||mix||_F^2 - d - 2 sum_i ln mix_ii )
                  + 1/2 * || P_qᵀ (M_q - M_p) ||_F^2
 
-where mix is a triangular solve when p carries P and the product C_p P_q,
-of two lower-triangular matrices, when p carries C.  The trace/log-det
+where mix is formed by a triangle-aware kernel: `kernels.lower_solve`
+when p carries P, and `kernels.lower_product` of C_p and P_q when p
+carries C.  Both return a fresh array that is exactly zero above its
+diagonal and never form its zero upper-right blocks.  The trace/log-det
 part is summed as sum_i (x_i^2 - 1 - 2 ln x_i) with x = diag(mix), plus
-the squares of mix's strict lower triangle, so every summand is
+the squares of mix's strict lower triangle: x is copied out, mix's
+diagonal is zeroed in place, and the squares of all of mix are then
+summed in one pass, so no masked copy is made and every summand is
 non-negative up to rounding.  The reduction is cross-checked in the test
-suite against a dense vectorized-Gaussian KL at small dimensions.
+suite against a dense vectorized-Gaussian KL, at widths that do and do
+not cross the kernels' blocks.
 """
 
 from __future__ import annotations
@@ -46,8 +51,8 @@ from .kernels import (
     NotSPD,
     cholesky_spd,
     inverse_from_factor,
-    triangular_solve_lower,
-    upper_mask,
+    lower_product,
+    lower_solve,
 )
 from .stats import Ledger
 
@@ -102,9 +107,7 @@ def posterior_from_state(state: InverseState) -> MatrixNormalPosterior:
 def kl_matrix_normal(p: MatrixNormalPosterior, q: MatrixNormalPosterior) -> float:
     """KL(p || q) between matrix-normal posteriors with identity column cov.
 
-    q must carry its precision factor P; p may carry either factor.  The
-    strict lower triangle of mix is taken through `upper_mask(d)`, the
-    mask cached per d, so a call builds no mask of its own.
+    q must carry its precision factor P; p may carry either factor.
     """
     if q.P is None:
         raise ValueError("kl_matrix_normal needs q's precision factor P")
@@ -112,13 +115,13 @@ def kl_matrix_normal(p: MatrixNormalPosterior, q: MatrixNormalPosterior) -> floa
         raise DimensionMismatch("posterior dimensions differ")
     p_q = q.P.astype(np.float64, copy=False)
     if p.C is not None:
-        mix = p.C.astype(np.float64, copy=False) @ p_q
+        mix = lower_product(p.C.astype(np.float64, copy=False), p_q)
     else:
-        mix = triangular_solve_lower(p.P.astype(np.float64, copy=False), p_q)
-    x = np.diagonal(mix)
-    # mix's strict lower triangle with +0.0 elsewhere, as np.tril(mix, -1), from the cached mask of its complement
-    off = np.where(upper_mask(mix.shape[0]), 0.0, mix)
-    trace_logdet = float(np.sum(x * x - 1.0 - 2.0 * np.log(x)) + np.sum(off * off))
+        mix = lower_solve(p.P.astype(np.float64, copy=False), p_q)
+    diagonal = np.einsum("ii->i", mix)  # a writable view of mix's diagonal
+    x = diagonal.copy()
+    diagonal[...] = 0.0  # mix is exactly zero above its diagonal, so its squares are now the strict lower triangle's
+    trace_logdet = float(np.sum(x * x - 1.0 - 2.0 * np.log(x)) + np.einsum("ij,ij->", mix, mix))
     white = p_q.T @ (q.M - p.M).astype(np.float64)
     quad = float(np.sum(white * white))
     return 0.5 * (p.c * trace_logdet + quad)

@@ -483,6 +483,28 @@ def _permuted(metrics: bytes, order) -> bytes:
     return "".join(",".join(line.split(",")[i] for i in order) + "\n" for line in metrics.decode().splitlines()).encode()
 
 
+def test_repeated_main_calls_share_one_parser(finished_run, monkeypatch):
+    # a parser built per call left Python objects alive after each call, so a process calling
+    # main many times, as the benchmark's replay loop does, grew with every call
+    import argparse
+
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    tmp, summary, metrics, out = finished_run  # the fixture has called main already
+    for _ in range(3):
+        assert _report(tmp, summary, metrics) == (0, out, "")
+        # a usage error leaves the shared parser as it was
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["run", "--scenario", "a", "--scenario", "b", "--features", "f"]) == 2
+    assert built == [] and _build_parser() is _build_parser()
+
+
 def test_report_reads_metrics_columns_by_name(finished_run):
     # by position, reversed columns put `bound` where the deviation was and printed no variant line
     tmp, summary, metrics, out = finished_run

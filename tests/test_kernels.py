@@ -16,6 +16,8 @@ from fedridge.kernels import (
     cholesky_spd,
     frobenius_norm,
     inverse_from_factor,
+    lower_product,
+    lower_solve,
     rel_frobenius_dev,
     solve_spd,
     symmetric_eig,
@@ -336,3 +338,69 @@ def test_small_triangular_solves_are_one_library_call(d, dtype):
         inner = np.linalg.solve(L, b)
         assert np.array_equal(triangular_solve_lower(L, b), inner)
         assert np.array_equal(solve_spd(L, b), np.linalg.solve(L.T, inner))
+
+
+_TRIANGLE_WIDTHS = [1, 2, 15, 16, 17, 31, 33, 64, 65, 100, 256]  # 16-row diagonal blocks: one, a boundary either side, many
+
+
+def _factor_pair(d, seed):
+    rng = np.random.default_rng(seed)
+    return tuple(_spd_and_factor(rng, d, np.float64)[1] for _ in range(2))
+
+
+def _below_norm_bound(got, want, a, b):
+    # within 4 units of rounding of ‖A‖_F‖B‖_F, the scale of the rounding bounds of a product and of
+    # a triangular solve's residual (B its solution).  Against the library's solve too: the factors'
+    # diagonals are at least 1, and at d = 1, where the kernel rounds 1/l and then its product with b
+    # and the library rounds b/l once, the two differ by at most 3u|x| <= 3u|l||x|
+    u = np.finfo(np.float64).eps / 2
+    return frobenius_norm(got - want) <= 4 * u * frobenius_norm(a) * frobenius_norm(b)
+
+
+@pytest.mark.parametrize("d", _TRIANGLE_WIDTHS)
+def test_lower_solve_matches_the_library_solve(d):
+    L, B = _factor_pair(d, d)
+    x = lower_solve(L, B)
+    assert x.dtype == np.float64 and x.shape == (d, d)
+    assert _below_norm_bound(x, np.linalg.solve(L, B), L, x)
+    assert _below_norm_bound(L @ x, B, L, x)  # the residual
+    assert np.all(np.triu(x, 1) == 0)
+
+
+@pytest.mark.parametrize("d", _TRIANGLE_WIDTHS)
+def test_lower_product_matches_the_library_product(d):
+    A, B = _factor_pair(d, 1000 + d)
+    x = lower_product(A, B)
+    assert x.dtype == np.float64 and x.shape == (d, d)
+    assert _below_norm_bound(x, A @ B, A, B)
+    assert np.all(np.triu(x, 1) == 0)
+
+
+@pytest.mark.parametrize("layout", ["read-only", "float32", "reversed"])
+@pytest.mark.parametrize("d", [17, 65, 100])
+def test_triangle_kernels_take_factors_as_the_kl_passes_them(d, layout):
+    # the KL hands over a ledger's read-only factor, a float32 factor cast to float64, or B's
+    # covariance factor, the transpose of a reversed Cholesky factor (negative strides)
+    L, B = _factor_pair(d, 2000 + d)
+    if layout == "read-only":
+        L.flags.writeable = B.flags.writeable = False
+    elif layout == "float32":
+        L, B = (m.astype(np.float32).astype(np.float64, copy=False) for m in (L, B))
+    else:
+        L = np.linalg.cholesky((L @ L.T)[::-1, ::-1])[::-1, ::-1].T
+        assert L.strides[0] < 0
+    before = L.copy(), B.copy()
+    for kernel, want in ((lower_solve, np.linalg.solve(L, B)), (lower_product, L @ B)):
+        got = kernel(L, B)
+        assert got.flags.writeable and not np.shares_memory(got, L) and not np.shares_memory(got, B)
+        assert _below_norm_bound(got, want, L, got if kernel is lower_solve else B)
+        assert np.all(np.triu(got, 1) == 0)
+    assert np.array_equal(L, before[0]) and np.array_equal(B, before[1])  # inputs not written
+
+
+def test_triangle_kernels_refuse_mismatched_shapes():
+    for kernel in (lower_solve, lower_product):
+        with pytest.raises(DimensionMismatch):
+            kernel(np.eye(3), np.eye(4))
+        with pytest.raises(DimensionMismatch):
+            kernel(np.ones((3, 2)), np.ones((3, 2)))

@@ -73,19 +73,21 @@ def test_kl_scalar_gaussian_case():
 
 
 def test_kl_reduction_against_dense_oracle():
-    # the matrix-normal formula must agree with the vectorized Gaussian KL
+    # the matrix-normal formula must agree with the vectorized Gaussian KL; 17 and 40 rows
+    # cross the solve's 16-row diagonal blocks, which d <= 3 never does
     rng = np.random.default_rng(40)
-    for _ in range(30):
-        d = int(rng.integers(1, 4))
-        c = int(rng.integers(1, 4))
-        def random_post():
-            m = rng.standard_normal((d, d))
-            sigma = m.T @ m + 0.3 * np.eye(d)
-            return MatrixNormalPosterior(
-                rng.standard_normal((d, c)), np.linalg.cholesky(np.linalg.inv(sigma))
-            )
-        p, q = random_post(), random_post()
-        assert kl_matrix_normal(p, q) == pytest.approx(_dense_vectorized_kl(p, q), abs=1e-10)
+    for widths in ((1, 4), (17, 18), (40, 41)):
+        for _ in range(30):
+            d = int(rng.integers(*widths))
+            c = int(rng.integers(1, 4))
+            def random_post():
+                m = rng.standard_normal((d, d))
+                sigma = m.T @ m + 0.3 * np.eye(d)
+                return MatrixNormalPosterior(
+                    rng.standard_normal((d, c)), np.linalg.cholesky(np.linalg.inv(sigma))
+                )
+            p, q = random_post(), random_post()
+            assert kl_matrix_normal(p, q) == pytest.approx(_dense_vectorized_kl(p, q), abs=1e-10)
 
 
 def test_kl_nonnegative_over_random_pairs():
@@ -122,7 +124,7 @@ def _random_sigma(rng, d, floor):
     return m.T @ m + floor * np.eye(d)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 17, 40, 70])  # 17 and 40 cross the solve's 16-row blocks, 70 the product's 64
 @pytest.mark.parametrize("c", [1, 2, 3])
 def test_kl_from_covariance_factor_matches_dense_oracle(d, c):
     # a served state's posterior N(W, T) carries C = Uᵀ with T = U Uᵀ; T is scaled by a draw in [0.5, 2)

@@ -915,6 +915,7 @@ def test_b_round_without_reset_factors_no_ledger_and_solves_no_triangle(monkeypa
     certifying = []
     real_cholesky = stats_mod.cholesky_spd  # in `stats`, only `Ledger.factor` calls it
     real_triangular = kernels_mod.triangular_solve_lower
+    real_lower_solve = kernels_mod.lower_solve
 
     def ledger_cholesky(a):
         counts["ledger_factor"] += 1
@@ -923,6 +924,10 @@ def test_b_round_without_reset_factors_no_ledger_and_solves_no_triangle(monkeypa
     def triangular(*args):
         counts["certify_triangular"] += bool(certifying)
         return real_triangular(*args)
+
+    def lower_solve(*args):  # the KL's solve of P_p⁻¹P_q, which only a ledger's posterior takes
+        counts["certify_triangular"] += bool(certifying)
+        return real_lower_solve(*args)
 
     def certify_span(fn):
         def wrapped(*args):
@@ -936,7 +941,8 @@ def test_b_round_without_reset_factors_no_ledger_and_solves_no_triangle(monkeypa
 
     monkeypatch.setattr(stats_mod, "cholesky_spd", ledger_cholesky)
     monkeypatch.setattr(kernels_mod, "triangular_solve_lower", triangular)
-    monkeypatch.setattr(posterior_mod, "triangular_solve_lower", triangular)
+    monkeypatch.setattr(kernels_mod, "lower_solve", lower_solve)
+    monkeypatch.setattr(posterior_mod, "lower_solve", lower_solve)
     for module, name in ((coordinator_mod, "posterior_from_state"), (coordinator_mod, "posterior_from_ledger"),
                          (simulate_mod, "kl_matrix_normal")):
         monkeypatch.setattr(module, name, certify_span(getattr(module, name)))
