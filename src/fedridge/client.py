@@ -11,12 +11,14 @@ and n, and Variant B its `QrPayload`, the r x d R factor and the r x c
 block Z = QᵀY of one thin QR of [F | Y], with n.  RᵀZ = FᵀY, so B never
 forms or sends the dense d x c moment: a one-sample B side is d + c
 scalars.  A payload of no samples is all zeros and costs no uplink scalars.
+Each payload type checks its own format once, when it is built.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -40,13 +42,31 @@ class MixedPrecision(Exception):
     """A payload's two matrices, or a payload and its round, differ in precision."""
 
 
+class MixedVariant(Exception):
+    """A message's two payloads, or a message and its round, differ in variant."""
+
+
+def _check_payload(n, matrix: np.ndarray, moment: np.ndarray) -> None:
+    """ValueError unless `n` is an integer of at least 0, MixedPrecision unless the two matrices share a dtype."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"sample count {n!r} is not an integer of at least 0")
+    if matrix.dtype != moment.dtype:
+        raise MixedPrecision(f"a payload mixes {matrix.dtype} and {moment.dtype}")
+
+
 @dataclass(frozen=True)
 class PackedStats:
-    """Variant A payload: S = FᵀF as its upper triangle, packed row by row, plus (G, n)."""
+    """Variant A payload: S = FᵀF as its upper triangle of d(d+1)/2 entries (else DimensionMismatch), plus (G, n)."""
 
     S: np.ndarray
     G: np.ndarray
     n: int
+    variant: ClassVar[str] = VARIANT_FULL
+
+    def __post_init__(self):
+        _check_payload(self.n, self.S, self.G)
+        if self.S.shape != (self.d * (self.d + 1) // 2,):
+            raise DimensionMismatch(f"a packed S at d={self.d} has d(d+1)/2 entries, not shape {self.S.shape}")
 
     @property
     def d(self) -> int:
@@ -56,17 +76,25 @@ class PackedStats:
     def c(self) -> int:
         return self.G.shape[1]
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.S.dtype
+
 
 @dataclass(frozen=True)
 class QrPayload:
-    """Variant B payload: R and Z = QᵀY from one thin QR of [F | Y], plus n.
-
-    Both have r = min(n, d) rows, and RᵀR = FᵀF, RᵀZ = FᵀY.
-    """
+    """Variant B payload: R and Z = QᵀY of one thin QR of [F | Y], min(n, d) rows each (else DimensionMismatch), plus n."""
 
     R: np.ndarray
     Z: np.ndarray
     n: int
+    variant: ClassVar[str] = VARIANT_QR
+
+    def __post_init__(self):
+        _check_payload(self.n, self.R, self.Z)
+        rows = min(self.n, self.d)
+        if self.R.shape[0] != rows or self.Z.shape[0] != rows:
+            raise DimensionMismatch(f"R and Z of {self.n} samples need {rows} rows, not {len(self.R)} and {len(self.Z)}")
 
     @property
     def d(self) -> int:
@@ -75,6 +103,10 @@ class QrPayload:
     @property
     def c(self) -> int:
         return self.Z.shape[1]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.R.dtype
 
     @property
     def G(self) -> np.ndarray:
@@ -86,11 +118,20 @@ class QrPayload:
 
 @dataclass(frozen=True)
 class ClientMessage:
+    """One client's round: its add and delete payloads, of one type (else MixedVariant)."""
+
     client_id: int
     round: int
-    variant: str
     add: PackedStats | QrPayload
     delete: PackedStats | QrPayload
+
+    def __post_init__(self):
+        if type(self.add) is not type(self.delete):
+            raise MixedVariant(f"a message pairs a {type(self.add).__name__} with a {type(self.delete).__name__}")
+
+    @property
+    def variant(self) -> str:
+        return self.add.variant
 
     @property
     def scalar_count(self) -> int:
@@ -113,19 +154,13 @@ def variant_b_payload_scalars(n: int, d: int, c: int) -> int:
     return r * d - r * (r - 1) // 2 + r * c
 
 
+# each variant's payload size in scalars, from (n, d, c): what its frame carries after the header
+PAYLOAD_SCALARS = {VARIANT_FULL: variant_a_payload_scalars, VARIANT_QR: variant_b_payload_scalars}
+
+
 def payload_scalars(payload: PackedStats | QrPayload) -> int:
     """Scalars one payload carries on the uplink, as its frame holds them."""
-    if isinstance(payload, QrPayload):
-        return variant_b_payload_scalars(payload.n, payload.d, payload.c)
-    return variant_a_payload_scalars(payload.n, payload.d, payload.c)
-
-
-def payload_dtype(payload: PackedStats | QrPayload) -> np.dtype:
-    """The precision a payload's two matrices (R and Z, or S and G) share; MixedPrecision if they differ."""
-    first, second = (payload.R, payload.Z) if isinstance(payload, QrPayload) else (payload.S, payload.G)
-    if first.dtype != second.dtype:
-        raise MixedPrecision(f"a payload mixes {first.dtype} and {second.dtype}")
-    return first.dtype
+    return PAYLOAD_SCALARS[payload.variant](payload.n, payload.d, payload.c)
 
 
 def empty_payload(variant: str, d: int, c: int, dtype) -> PackedStats | QrPayload:
@@ -226,7 +261,6 @@ class ClientStore:
         msg = ClientMessage(
             client_id=self.client_id,
             round=round_index,
-            variant=variant,
             add=self._payload(add_ids, variant),
             delete=self._payload(del_ids, variant),
         )

@@ -38,7 +38,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .client import ClientMessage, MixedPrecision, VARIANT_FULL, VARIANT_QR, payload_dtype
+from .client import ClientMessage, MixedPrecision, MixedVariant, VARIANT_FULL, VARIANT_QR
 from .inverse import DowndateInfeasible, InverseState, audit_drift, init_from_ledger, smw_step
 from .kernels import DimensionMismatch, NotSPD, symmetric_eig, unpack_symmetric, upper_mask
 from .posterior import MatrixNormalPosterior, posterior_from_ledger, posterior_from_state
@@ -80,10 +80,6 @@ class MixedRound(Exception):
     """Messages from different rounds were aggregated together."""
 
 
-class MixedVariant(Exception):
-    """A message's variant is not its round's."""
-
-
 class OutOfOrder(Exception):
     """A message's client id is not above the last one folded into its round."""
 
@@ -123,11 +119,11 @@ class RoundFold:
 
     A fold is built for one wire variant, width (d, c) and dtype, and holds
     every message to them (else MixedVariant, DimensionMismatch or
-    MixedPrecision), each A payload to a packed S of d(d+1)/2 entries and
-    each B payload to a Z of its R's rows (else DimensionMismatch), and
-    every message to its first message's round (else MixedRound), before
-    any count moves.  Messages must arrive in strictly ascending client id;
-    one that does not raises OutOfOrder.  Each side (add, delete)
+    MixedPrecision), and every message to its first message's round (else
+    MixedRound), before any count moves; a payload's own shapes were
+    checked when it was built (`client.PackedStats`, `client.QrPayload`).
+    Messages must arrive in strictly ascending client id; one that does
+    not raises OutOfOrder.  Each side (add, delete)
     is summed in one form, [packed Gram, moment], in place and in client
     order: a side's first payload is copied, the rest added with `+=`, and
     a payload of no samples is skipped.  An A payload is summed as sent; a
@@ -171,13 +167,8 @@ class RoundFold:
         for payload in (msg.add, msg.delete):
             if (payload.d, payload.c) != self._dims:
                 raise DimensionMismatch(f"message dims {payload.d}x{payload.c} do not match {self._dims[0]}x{self._dims[1]}")
-            if self.variant == VARIANT_QR:
-                if payload.Z.shape[0] != payload.R.shape[0]:
-                    raise DimensionMismatch(f"R has {payload.R.shape[0]} rows but Z has {payload.Z.shape[0]}")
-            elif payload.S.shape != (payload.d * (payload.d + 1) // 2,):
-                raise DimensionMismatch(f"a packed S at d={payload.d} has d(d+1)/2 entries, not shape {payload.S.shape}")
-            if payload_dtype(payload) != self._dtype:
-                raise MixedPrecision(f"a {payload_dtype(payload)} payload in a {self._dtype} round")
+            if payload.dtype != self._dtype:
+                raise MixedPrecision(f"a {payload.dtype} payload in a {self._dtype} round")
         self.n_plus += msg.add.n
         self.n_minus += msg.delete.n
         self.scalars += msg.scalar_count
@@ -337,8 +328,8 @@ class Server:
     def serve(self, messages: Iterable[ClientMessage]) -> tuple[np.ndarray, RoundReport, CommRecord]:
         """Fold each message by `aggregate([msg], fold)` as it arrives, then run the variant's driver.
 
-        A message out of ascending client id, of another variant, width or precision than the
-        server's, or with a payload of inconsistent shapes is refused before the ledger moves.
+        A message out of ascending client id, or of another variant, width or precision than the
+        server's, is refused before the ledger moves.
         Returns the served head, the round's report and the uplink of its messages.
         """
         fold = RoundFold(self.wire_variant, *self.ledger.stats.G.shape, self.ledger.dtype)

@@ -46,14 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inverse import InverseState
-from .kernels import (
-    DimensionMismatch,
-    NotSPD,
-    cholesky_spd,
-    inverse_from_factor,
-    lower_product,
-    lower_solve,
-)
+from .kernels import DimensionMismatch, NotSPD, cholesky_spd, lower_product, lower_solve
 from .stats import Ledger
 
 
@@ -68,13 +61,6 @@ class MatrixNormalPosterior:
     def __post_init__(self):
         if (self.P is None) == (self.C is None):
             raise ValueError("a posterior carries exactly one of P and C")
-
-    @property
-    def Sigma(self) -> np.ndarray:
-        """Row covariance, CᵀC or (P Pᵀ)^-1, formed on demand."""
-        if self.C is not None:
-            return self.C.T @ self.C
-        return inverse_from_factor(self.P)
 
     @property
     def d(self) -> int:

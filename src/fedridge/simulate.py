@@ -37,6 +37,7 @@ from .coordinator import APPROX_DEFAULTS, CommRecord, RoundReport, Server, check
 from .kernels import NotSPD, add_to_diagonal, cholesky_spd, rel_frobenius_dev
 from .posterior import MatrixNormalPosterior, kl_matrix_normal
 from .stats import PRECISION_DTYPES, SufficientStats, check_gamma, stats_from_batch
+from .wire import MAX_COUNT
 
 _SUBSTREAMS = {"data": 0, "partition": 1, "schedule": 2}
 
@@ -552,11 +553,12 @@ def _repeats(ids: np.ndarray) -> bool:
 def check_schedule(scenario: Scenario) -> list[RoundSpec]:
     """The rounds that have events, sorted by client with int64 ids, once all are valid.
 
-    Rounds are strictly increasing integers, each naming a client at most
-    once, by an integer in [0, clients), with flat integer id lists in
-    [0, n) and adds in the training split.  As of the round's start, its
-    adds are distinct ids no client retains and each delete a distinct id
-    its own client retains; a violation raises RuntimeError naming the round.
+    Rounds are strictly increasing integers in [0, 2^32), which a frame
+    header holds, each naming a client at most once, by an integer in [0,
+    clients), with flat integer id lists in [0, n) and adds in the training
+    split.  As of the round's start, its adds are distinct ids no client
+    retains and each delete a distinct id its own client retains; a
+    violation raises RuntimeError naming the round.
 
     A round is checked in one pass over one flat list of all its ids, the
     adds of every event and then the deletes: one integer test per distinct
@@ -572,8 +574,8 @@ def check_schedule(scenario: Scenario) -> list[RoundSpec]:
     numbers = [spec.round for spec in scenario.schedule]
     for previous, spec in zip([None, *numbers], scenario.schedule):
         r = spec.round
-        if not _is_int(r) or (previous is not None and r <= previous):
-            raise RuntimeError(f"round {r!r} is not an integer above the round before it ({previous!r})")
+        if not _is_int(r) or not 0 <= r <= MAX_COUNT or (previous is not None and r <= previous):
+            raise RuntimeError(f"round {r!r} is not an integer in [0, 2^32) above the round before it ({previous!r})")
         for ev in spec.events:
             if not _is_int(ev.client) or ev.client not in range(scenario.clients):
                 raise RuntimeError(f"round {r} names client {ev.client!r}, not an integer in [0, {scenario.clients})")

@@ -27,12 +27,13 @@ Message frames ("FCUL", version 3)
     ClientMessage serializes as exactly two frames, the add payload first,
     then the delete payload, which agree on every header field but n.
 
-    The encoder never casts: a payload whose two matrices differ in
-    precision raises `client.MixedPrecision`, and it raises WireError for
-    one it cannot carry exactly: matrices in a precision other than the
-    frame's, n not an integer in [0, 2^32), a zero-sample payload with a
-    nonzero entry, a packed S of other than d(d+1)/2 entries, or an R
-    factor or Z whose row count is not min(n, d), or an R factor with a
+    A payload's own format, an integer n >= 0, a packed S of d(d+1)/2
+    entries, an R and Z of min(n, d) rows and one dtype for both matrices,
+    is checked once, when the payload is built (`client.PackedStats`,
+    `client.QrPayload`).  The encoder never casts, and raises WireError
+    only for what a frame cannot carry exactly: a round, client id or n
+    outside [0, 2^32), a payload in another precision than the frame's, a
+    zero-sample payload with a nonzero entry, or an R factor with a
     nonzero entry below its diagonal.  The decoder rejects any other
     version (version 2 carried a QR frame's dense d x c G in place of Z,
     version 1 also n as a trailing float), d < 1, c < 1 and any non-finite
@@ -59,14 +60,12 @@ Feature files ("FFUR", version 1)
 
 from __future__ import annotations
 
-import numbers
 import os
 import struct
 
 import numpy as np
 
-from .client import ClientMessage, PackedStats, QrPayload, VARIANT_FULL, VARIANT_QR, empty_payload
-from .client import payload_dtype, variant_a_payload_scalars, variant_b_payload_scalars
+from .client import PAYLOAD_SCALARS, ClientMessage, PackedStats, QrPayload, VARIANT_FULL, VARIANT_QR, empty_payload
 from .kernels import upper_mask
 from .stats import dtype_of
 
@@ -74,7 +73,7 @@ MESSAGE_MAGIC = b"FCUL"
 FEATURE_MAGIC = b"FFUR"
 MESSAGE_VERSION = 3
 FEATURE_VERSION = 1
-MAX_COUNT = 2**32 - 1  # the largest n the header's u32 field holds
+MAX_COUNT = 2**32 - 1  # the largest n, round or client id a header's u32 fields hold
 MAX_DIM = 2**13  # the largest d or c a frame may declare
 
 _FRAME_HEADER = struct.Struct("<4sHBBIIIII")
@@ -85,7 +84,6 @@ _CODE_PRECISION = {v: k for k, v in _PRECISION_CODE.items()}
 _CODE_DTYPE = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
 _VARIANT_CODE = {VARIANT_FULL: 0, VARIANT_QR: 1}
 _CODE_VARIANT = {v: k for k, v in _VARIANT_CODE.items()}
-_PAYLOAD_SCALARS = {VARIANT_FULL: variant_a_payload_scalars, VARIANT_QR: variant_b_payload_scalars}
 
 
 class WireError(Exception):
@@ -105,26 +103,18 @@ def unpack_upper(packed: np.ndarray, r: int, d: int) -> np.ndarray:
     return m
 
 
-def _encode_frame(payload, variant: str, precision: str, round_index: int, client_id: int) -> bytes:
+def _encode_frame(payload, precision: str, round_index: int, client_id: int) -> bytes:
     n = payload.n
     if not (payload.d <= MAX_DIM and payload.c <= MAX_DIM):
         raise WireError(f"dimensions d={payload.d}, c={payload.c} above {MAX_DIM}")
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 0 <= n <= MAX_COUNT:
-        raise WireError(f"sample count {n!r} is not an integer in [0, 2^32)")
-    if variant == VARIANT_FULL and isinstance(payload, PackedStats):
-        matrix, labels = payload.S, payload.G
-        if matrix.shape != (payload.d * (payload.d + 1) // 2,):
-            raise WireError(f"a packed S at d={payload.d} has d(d+1)/2 entries, not shape {matrix.shape}")
-    elif variant == VARIANT_QR and isinstance(payload, QrPayload):
-        matrix, labels = payload.R, payload.Z
-    else:
-        raise WireError(f"a variant {variant} frame cannot carry a {type(payload).__name__}")
-    if payload_dtype(payload) != dtype_of(precision):  # a cast would change the scalars sent
-        raise WireError(f"a {payload_dtype(payload)} payload cannot be encoded as {precision}")
+    if not (0 <= round_index <= MAX_COUNT and 0 <= client_id <= MAX_COUNT and n <= MAX_COUNT):
+        raise WireError(f"round {round_index}, client {client_id} or n = {n} is outside a header's [0, 2^32)")
+    if payload.dtype != dtype_of(precision):  # a cast would change the scalars sent
+        raise WireError(f"a {payload.dtype} payload cannot be encoded as {precision}")
     header = _FRAME_HEADER.pack(
         MESSAGE_MAGIC,
         MESSAGE_VERSION,
-        _VARIANT_CODE[variant],
+        _VARIANT_CODE[payload.variant],
         _PRECISION_CODE[precision],
         round_index,
         client_id,
@@ -132,16 +122,12 @@ def _encode_frame(payload, variant: str, precision: str, round_index: int, clien
         payload.c,
         n,
     )
+    matrix, labels = (payload.S, payload.G) if payload.variant == VARIANT_FULL else (payload.R, payload.Z)
     if n == 0:
         if matrix.any() or labels.any():
             raise WireError("a zero-sample payload has a nonzero entry")
         return header
-    if variant == VARIANT_QR:
-        rows = min(n, payload.d)
-        if matrix.shape[0] != rows or labels.shape[0] != rows:
-            raise WireError(
-                f"R and Z of {n} samples have min(n, d) = {rows} rows, not {matrix.shape[0]} and {labels.shape[0]}"
-            )
+    if payload.variant == VARIANT_QR:
         if np.tril(matrix, -1).any():
             raise WireError("R factor has a nonzero entry below its diagonal")
         matrix = pack_upper(matrix)
@@ -169,7 +155,7 @@ def _decode_frame(buf: bytes, offset: int):
     meta = (variant, _CODE_PRECISION[prec_code], round_index, client_id, d, c)
     if n == 0:
         return empty_payload(variant, d, c, dtype), meta, end
-    count = _PAYLOAD_SCALARS[variant](n, d, c)
+    count = PAYLOAD_SCALARS[variant](n, d, c)
     nbytes = count * dtype.itemsize
     if len(buf) < end + nbytes:
         raise WireError("truncated frame payload")
@@ -189,8 +175,8 @@ def _decode_frame(buf: bytes, offset: int):
 
 def encode_message(msg: ClientMessage, precision: str) -> bytes:
     """Serialize a ClientMessage as two frames: add first, delete second."""
-    return _encode_frame(msg.add, msg.variant, precision, msg.round, msg.client_id) + _encode_frame(
-        msg.delete, msg.variant, precision, msg.round, msg.client_id
+    return _encode_frame(msg.add, precision, msg.round, msg.client_id) + _encode_frame(
+        msg.delete, precision, msg.round, msg.client_id
     )
 
 
@@ -202,7 +188,7 @@ def decode_message(buf: bytes, offset: int = 0) -> tuple[ClientMessage, str, int
         raise WireError(f"frame pair mismatch: {meta_add} vs {meta_del}")
     variant, precision, round_index, client_id, _, _ = meta_add
     return (
-        ClientMessage(client_id=client_id, round=round_index, variant=variant, add=add, delete=delete),
+        ClientMessage(client_id=client_id, round=round_index, add=add, delete=delete),
         precision,
         offset,
     )

@@ -302,9 +302,11 @@ def test_criterion_08_bayesian_certificate():
             kl = kl_matrix_normal(after, oracle_posterior(ledger.t))
             max_kl = max(max_kl, kl)
             min_kl = min(min_kl, kl)
-            # a deletion grows the covariance and an addition shrinks it, in the PSD order up to roundoff
-            grown = after.Sigma - before.Sigma if phase == "delete" else before.Sigma - after.Sigma
-            assert np.linalg.eigvalsh(grown)[0] >= -1e-9 * frobenius_norm(before.Sigma), (phase, rnd)
+            # a deletion grows the covariance and an addition shrinks it, in the PSD order up to roundoff;
+            # both posteriors carry the ledger's precision factor P, so each covariance is (P Pᵀ)^-1
+            sigma_before, sigma_after = inverse_from_factor(before.P), inverse_from_factor(after.P)
+            grown = sigma_after - sigma_before if phase == "delete" else sigma_before - sigma_after
+            assert np.linalg.eigvalsh(grown)[0] >= -1e-9 * frobenius_norm(sigma_before), (phase, rnd)
             rnd += 1
     assert max_kl <= 1e-9
     assert min_kl >= -1e-12

@@ -942,6 +942,9 @@ def test_a_bad_event_in_the_last_round_exits_4_before_any_round_is_served(tmp_pa
         ("decreasing", [1, 3, 2, 4], "2"),
         ("float", [1, 2.0, 3, 4], "2.0"),
         ("bool", [True, 2, 3, 4], "True"),
+        # a frame header's u32 cannot hold these rounds
+        ("past-u32", [1, 2**32, 2**32 + 1, 2**32 + 2], str(2**32)),
+        ("negative", [-5, 2, 3, 4], "-5"),
     ],
 )
 def test_run_refuses_round_numbers_that_do_not_increase_exit_4(tmp_path, capsys, case, rounds, bad):
@@ -957,7 +960,7 @@ def test_run_refuses_round_numbers_that_do_not_increase_exit_4(tmp_path, capsys,
     out = tmp_path / "out"
     code = main(["run", "--scenario", str(bad_file), "--features", str(features), "--out-dir", str(out)])
     assert code == 4
-    assert f"round {bad} is not an integer above the round before it" in capsys.readouterr().err
+    assert f"round {bad} is not an integer in [0, 2^32) above the round before it" in capsys.readouterr().err
     assert not (out / "metrics.csv").exists()
 
 

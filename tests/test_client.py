@@ -1,26 +1,31 @@
 """Client store, message formation and payload sizing."""
 
 import dataclasses
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fedridge.client import (
+    ClientMessage,
     ClientStore,
     DuplicateId,
+    MixedPrecision,
+    MixedVariant,
     PackedStats,
     QrPayload,
     UnknownDeleteId,
     VARIANT_FULL,
     VARIANT_QR,
     VARIANTS,
+    empty_payload,
     payload_scalars,
     read_only,
     variant_a_payload_scalars,
     variant_b_payload_scalars,
 )
 from fedridge.kernels import DimensionMismatch, rel_frobenius_dev, unpack_symmetric
-from fedridge.stats import SufficientStats
+from fedridge.stats import SufficientStats, dtype_of
 
 
 def _store(n=10, d=2, c=1, rng=None, client_id=0):
@@ -233,7 +238,6 @@ def test_a_non_finite_batch_is_refused_by_its_one_validation(monkeypatch, varian
 
 
 def test_the_zeros_of_no_samples_are_shared_and_read_only():
-    from fedridge.client import empty_payload
     from fedridge.kernels import read_only_zeros
 
     for dtype in (np.float32, np.float64):
@@ -249,3 +253,69 @@ def test_the_zeros_of_no_samples_are_shared_and_read_only():
             with pytest.raises(ValueError):
                 a += 1.0
     assert SufficientStats.zero(5, 3, np.float32).S is not SufficientStats.zero(5, 3, np.float64).S
+
+
+def _two_sample_message(variant, precision):
+    """A valid message at d = 3, c = 2 whose add and delete payloads each hold two samples."""
+    rng = np.random.default_rng(0)
+    store = ClientStore(9, rng.standard_normal((102, 3)), rng.standard_normal((102, 2)), precision)
+    store.make_round_message(1, range(4), [], variant)
+    return store.make_round_message(5, [100, 101], range(2), variant)
+
+
+def _other_side(p, variant):
+    """A message pairing payload `p` with an empty payload of `variant`."""
+    return ClientMessage(9, 5, p, empty_payload(variant, p.d, p.c, p.dtype))
+
+
+# each row breaks one rule of a valid two-sample payload `p` of its variant at d = 3, c = 2, in its own precision;
+# `other` is the other precision's dtype
+MALFORMED = [
+    pytest.param(VARIANT_FULL, lambda p, other: replace(p, n=2.0), ValueError, id="A-float-n"),
+    pytest.param(VARIANT_QR, lambda p, other: replace(p, n=True), ValueError, id="B-bool-n"),
+    pytest.param(VARIANT_FULL, lambda p, other: replace(p, n=-1), ValueError, id="A-negative-n"),
+    pytest.param(VARIANT_FULL, lambda p, other: replace(p, n=float("nan")), ValueError, id="A-nan-n"),
+    pytest.param(VARIANT_FULL, lambda p, other: replace(p, n=-1.0), ValueError, id="A-negative-float-n"),
+    pytest.param(VARIANT_FULL, lambda p, other: replace(p, n=2.5), ValueError, id="A-fractional-n"),
+    # a packed S of other than d(d+1)/2 entries: one entry would broadcast over the whole triangle
+    pytest.param(VARIANT_FULL, lambda p, other: replace(p, S=np.zeros((3, 3), p.dtype)), DimensionMismatch, id="A-S-not-packed"),
+    pytest.param(VARIANT_FULL, lambda p, other: replace(p, S=p.S[:1]), DimensionMismatch, id="A-S-of-one-entry"),
+    pytest.param(VARIANT_FULL, lambda p, other: replace(p, S=np.concatenate([p.S, p.S[:1]])), DimensionMismatch,
+                 id="A-S-of-an-extra-entry"),
+    pytest.param(VARIANT_FULL, lambda p, other: replace(p, G=np.zeros((2**13 + 1, 2), p.dtype)), DimensionMismatch,
+                 id="A-G-past-max-dim-beside-a-d3-S"),
+    # an R or Z of other than min(n, d) rows
+    pytest.param(VARIANT_QR, lambda p, other: replace(p, n=0, R=p.R[:0]), DimensionMismatch,
+                 id="B-zero-n-Z-of-two-rows"),
+    pytest.param(VARIANT_QR, lambda p, other: replace(p, n=3), DimensionMismatch, id="B-too-few-rows"),
+    pytest.param(VARIANT_QR, lambda p, other: replace(p, n=1), DimensionMismatch, id="B-too-many-rows"),
+    pytest.param(VARIANT_QR, lambda p, other: replace(p, Z=p.Z[:1]), DimensionMismatch, id="B-Z-short-of-R"),
+    pytest.param(VARIANT_QR, lambda p, other: replace(p, Z=np.concatenate([p.Z, p.Z[:1]])), DimensionMismatch,
+                 id="B-Z-past-R"),
+    pytest.param(VARIANT_QR, lambda p, other: QrPayload(np.zeros((0, 3)), np.zeros((2, 1)), 0), DimensionMismatch,
+                 id="B-zero-n-Z-of-two-rows-one-column"),
+    pytest.param(VARIANT_QR, lambda p, other: QrPayload(np.zeros((0, 2)), np.zeros((2, 2)), 0), DimensionMismatch,
+                 id="B-zero-n-Z-of-two-rows-two-columns"),
+    # a delete side of no samples that carries one R row was folded as a rank-1 downdate
+    pytest.param(VARIANT_QR, lambda p, other: replace(p, n=0, R=p.R[:1], Z=p.Z[:1]), DimensionMismatch,
+                 id="B-zero-n-one-row"),
+    # one sample carrying four rows was folded as one sample and counted as 9 uplink scalars
+    pytest.param(VARIANT_QR, lambda p, other: replace(p, n=1, R=np.vstack([p.R, p.R]), Z=np.vstack([p.Z, p.Z])),
+                 DimensionMismatch, id="B-one-sample-four-rows"),
+    # two matrices of different precisions have no precision to be sent or folded in
+    pytest.param(VARIANT_FULL, lambda p, other: replace(p, G=p.G.astype(other)), MixedPrecision, id="A-G-other-precision"),
+    pytest.param(VARIANT_QR, lambda p, other: replace(p, Z=p.Z.astype(other)), MixedPrecision, id="B-Z-other-precision"),
+    # a message's payloads are of one type, which names its variant
+    pytest.param(VARIANT_FULL, lambda p, other: _other_side(p, VARIANT_QR), MixedVariant, id="A-payload-beside-B"),
+    pytest.param(VARIANT_QR, lambda p, other: _other_side(p, VARIANT_FULL), MixedVariant, id="B-payload-beside-A"),
+]
+
+
+@pytest.mark.parametrize("precision, other", [("f32", "f64"), ("f64", "f32")])
+@pytest.mark.parametrize("variant, build, error", MALFORMED)
+def test_a_malformed_payload_is_refused_when_it_is_built(variant, build, error, precision, other):
+    # so no encoder, fold, ledger or round count ever sees it
+    msg = _two_sample_message(variant, precision)
+    for payload in (msg.add, msg.delete):
+        with pytest.raises(error):
+            build(payload, dtype_of(other))

@@ -260,7 +260,7 @@ def test_aggregate_rejects_mixed_rounds_and_variants():
 
 @pytest.mark.parametrize("variant", [VARIANT_FULL, VARIANT_QR])
 def test_aggregate_rejects_mixed_precision(variant):
-    # a payload's precision is the one its two matrices share (client.payload_dtype)
+    # a payload's precision is the one its two matrices share (its `dtype`)
     features = np.random.default_rng(35).standard_normal((4, 3))
     f64 = ClientStore(0, features, features[:, :2]).make_round_message(1, [0, 1], [], variant)
     f32 = ClientStore(1, features, features[:, :2], "f32").make_round_message(1, [2, 3], [], variant)
@@ -310,11 +310,11 @@ def test_aggregate_rejects_dimension_mismatch_qr():
     b = _idle_store(1, 3, 1).make_round_message(1, [], [], VARIANT_QR)
     with pytest.raises(DimensionMismatch):
         _fold([a, b], VARIANT_QR, 2, 1)
-    # a mismatched delete payload, R width or G column count, is caught too
-    wide_r = QrPayload(np.zeros((0, 3)), np.zeros((2, 1)), 0)
-    wide_g = QrPayload(np.zeros((0, 2)), np.zeros((2, 2)), 0)
-    for bad in (wide_r, wide_g):
-        m = ClientMessage(1, 1, VARIANT_QR, a.add, bad)
+    # a mismatched delete payload, R width or Z column count, is caught too
+    wide_r = QrPayload(np.zeros((0, 3)), np.zeros((0, 1)), 0)
+    wide_z = QrPayload(np.zeros((0, 2)), np.zeros((0, 2)), 0)
+    for bad in (wide_r, wide_z):
+        m = ClientMessage(1, 1, a.add, bad)
         with pytest.raises(DimensionMismatch):
             _fold([a, m], VARIANT_QR, 2, 1)
 

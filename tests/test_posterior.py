@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedridge.inverse import InverseState
-from fedridge.kernels import NotSPD, rel_frobenius_dev
+from fedridge.kernels import NotSPD, inverse_from_factor, rel_frobenius_dev
 from fedridge.posterior import (
     MatrixNormalPosterior,
     kl_matrix_normal,
@@ -18,11 +18,16 @@ BATCH_A = (np.eye(2), np.ones((2, 1)))
 BATCH_B = (np.array([[1.0, 1.0], [0.0, 0.0]]), np.ones((2, 1)))
 
 
+def _row_covariance(p: MatrixNormalPosterior) -> np.ndarray:
+    """Sigma from the factor the posterior holds: CᵀC, or (P Pᵀ)^-1."""
+    return p.C.T @ p.C if p.C is not None else inverse_from_factor(p.P)
+
+
 def _dense_vectorized_kl(p: MatrixNormalPosterior, q: MatrixNormalPosterior) -> float:
     # Independent oracle: the generic multivariate-normal KL on the full
     # dc x dc Kronecker covariance.
-    c1 = np.kron(np.eye(p.c), p.Sigma)
-    c2 = np.kron(np.eye(q.c), q.Sigma)
+    c1 = np.kron(np.eye(p.c), _row_covariance(p))
+    c2 = np.kron(np.eye(q.c), _row_covariance(q))
     dm = (q.M - p.M).flatten(order="F")
     inv2 = np.linalg.inv(c2)
     big_d = c1.shape[0]
@@ -39,19 +44,19 @@ def _ledger_with(batch):
 def test_posterior_of_empty_ledger():
     post = posterior_from_ledger(ledger_init(2, 1))
     np.testing.assert_array_equal(post.M, np.zeros((2, 1)))
-    np.testing.assert_allclose(post.Sigma, np.eye(2), rtol=1e-15)
+    np.testing.assert_allclose(_row_covariance(post), np.eye(2), rtol=1e-15)
 
 
 def test_posterior_of_batch_a():
     post = posterior_from_ledger(_ledger_with(BATCH_A))
     np.testing.assert_allclose(post.M, [[0.5], [0.5]], rtol=1e-15)
-    np.testing.assert_allclose(post.Sigma, 0.5 * np.eye(2), rtol=1e-14)
+    np.testing.assert_allclose(_row_covariance(post), 0.5 * np.eye(2), rtol=1e-14)
 
 
 def test_posterior_of_batch_b_scaled_noise():
     # the certificate is taken at unit noise: Sigma = (S + I)^-1 = [[2, 1], [1, 2]]^-1
     post = posterior_from_ledger(_ledger_with(BATCH_B))
-    np.testing.assert_allclose(post.Sigma, (1 / 3) * np.array([[2.0, -1.0], [-1.0, 2.0]]), rtol=1e-13)
+    np.testing.assert_allclose(_row_covariance(post), (1 / 3) * np.array([[2.0, -1.0], [-1.0, 2.0]]), rtol=1e-13)
 
 
 def test_posterior_mode_matches_solve_head_bitwise():
@@ -133,7 +138,7 @@ def test_kl_from_covariance_factor_matches_dense_oracle(d, c):
         t = _random_sigma(rng, d, 0.3) * float(rng.uniform(0.5, 2.0))
         p = posterior_from_state(InverseState(t, rng.standard_normal((d, c))))
         assert p.P is None and np.array_equal(p.C, np.tril(p.C))
-        np.testing.assert_allclose(p.Sigma, t, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(_row_covariance(p), t, rtol=1e-12, atol=1e-12)
         q = MatrixNormalPosterior(
             rng.standard_normal((d, c)), np.linalg.cholesky(np.linalg.inv(_random_sigma(rng, d, 0.3)))
         )
@@ -182,7 +187,7 @@ def test_posterior_from_state_factors_t_in_float64(dtype, d):
     assert post.M is w and post.P is None
     assert post.C.dtype == np.float64
     assert np.array_equal(post.C, np.tril(post.C)) and np.all(np.diagonal(post.C) > 0)
-    assert rel_frobenius_dev(post.Sigma, t.astype(np.float64)) <= 1e-13
+    assert rel_frobenius_dev(_row_covariance(post), t.astype(np.float64)) <= 1e-13
 
 
 def test_posterior_carries_exactly_one_factor():
@@ -204,12 +209,12 @@ def test_an_addition_shrinks_the_row_covariance_in_the_psd_order():
         led = ledger_apply(
             led, stats_from_batch(m, rng.standard_normal((d, 1))), SufficientStats.zero(d, 1)
         )
-        before = posterior_from_ledger(led).Sigma
+        before = _row_covariance(posterior_from_ledger(led))
         f_add = rng.standard_normal((3, d))
         led2 = ledger_apply(
             led, stats_from_batch(f_add, rng.standard_normal((3, 1))), SufficientStats.zero(d, 1)
         )
-        after = posterior_from_ledger(led2).Sigma
+        after = _row_covariance(posterior_from_ledger(led2))
         # before - after is PSD up to roundoff
         assert np.linalg.eigvalsh(before - after)[0] >= -1e-9 * np.linalg.norm(before), d
 
