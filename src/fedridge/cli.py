@@ -1,7 +1,10 @@
 """Command-line entry point: gen / run / report.
 
-Exit codes: 0 success, 1 an uncaught error, 2 invalid arguments,
-3 I/O failure, 4 internal invariant violation.
+Exit codes: 0 success, 1 an uncaught error, 2 invalid arguments (a
+`Scenario` setting or limit, refused before a draw or round 1), 3 I/O
+failure, 4 internal invariant violation (the event stream or a served row,
+refused by `run_scenario`).  `run` writes its output directory only after
+the whole replay has passed, so no exit 2, 3 or 4 leaves one.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ import contextlib
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 from functools import cache
@@ -26,7 +28,6 @@ from .simulate import (
     dirichlet_partition,
     gen_synthetic,
     events_jsonl,
-    exact_row,
     initial_round,
     metrics_csv,
     run_scenario,
@@ -37,15 +38,12 @@ from .simulate import (
     summary_json,
     writer_partition,
 )
-from .wire import MAX_COUNT, WireError, read_feature_file, write_feature_file
+from .wire import WireError, read_feature_file, write_feature_file
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INVARIANT = 4
-
-# In double precision any oracle deviation above this is a bug, not a result.
-HARD_DEVIATION_CEILING = 1e-6
 
 # The `gen` flags that only some schedules, partitions or server variants
 # read, with their defaults.  A flag that the chosen schedule, partition or
@@ -144,9 +142,6 @@ def _write_both(*outputs) -> None:
 
 
 def _cmd_gen(args) -> int:
-    if not (1 <= args.n <= MAX_COUNT and args.d <= MAX_COUNT and args.c <= MAX_COUNT):
-        print(f"error: need n >= 1, and n, d and c each at most {MAX_COUNT}", file=sys.stderr)
-        return EXIT_USAGE
     if Path(args.out_features).resolve() == Path(args.out_scenario).resolve():
         print(f"error: --out-features and --out-scenario name one file, {args.out_scenario}", file=sys.stderr)
         return EXIT_USAGE
@@ -236,25 +231,13 @@ def _cmd_run(args) -> int:
         (out_dir / "metrics.csv").write_text(metrics_csv(result))
         (out_dir / "summary.json").write_text(summary_json(result))
         (out_dir / "events.jsonl").write_text(events_jsonl(scenario))
-        # truncated-add rounds deviate by design until the next reset, so only
-        # exact rows are held to the ceiling.  np.max carries a NaN, which fails the
-        # `<=` test in either precision; double precision also holds the ceiling.
-        worst = np.max(
-            [m.rel_dev for rec in result.records for v, m in rec.variants.items() if exact_row(v, m)], initial=0.0
-        )
-        ceiling = HARD_DEVIATION_CEILING if scenario.precision == "f64" else math.inf
-        if not worst <= ceiling:
-            raise AssertionError(
-                f"{scenario.precision} oracle deviation {worst:.3e} on an exact row exceeds "
-                f"the hard ceiling {ceiling:.0e}; treating as a bug"
-            )
     except (OSError, WireError, json.JSONDecodeError, UnsupportedVersion) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (TypeError, KeyError) as exc:
         print(f"error: malformed scenario file: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (AssertionError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     print(f"{args.scenario}: {json.dumps(result.summary, sort_keys=True)}")

@@ -16,14 +16,13 @@ Each payload type checks its own format once, when it is built.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .kernels import DimensionMismatch, packed_gram, read_only_zeros, thin_qr_rfactor
-from .stats import batch_arrays, dtype_of
+from .stats import batch_arrays, dtype_of, is_int
 
 VARIANT_FULL = "A"  # full sufficient statistics per payload
 VARIANT_QR = "B"  # QR R-factor per payload
@@ -48,7 +47,7 @@ class MixedVariant(Exception):
 
 def _check_payload(n, matrix: np.ndarray, moment: np.ndarray) -> None:
     """ValueError unless `n` is an integer of at least 0, MixedPrecision unless the two matrices share a dtype."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+    if not is_int(n) or n < 0:
         raise ValueError(f"sample count {n!r} is not an integer of at least 0")
     if matrix.dtype != moment.dtype:
         raise MixedPrecision(f"a payload mixes {matrix.dtype} and {moment.dtype}")

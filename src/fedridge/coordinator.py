@@ -32,7 +32,6 @@ round's metrics row: every `RoundReport` field is a `metrics.csv` column.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -42,7 +41,7 @@ from .client import ClientMessage, MixedPrecision, MixedVariant, VARIANT_FULL, V
 from .inverse import DowndateInfeasible, InverseState, audit_drift, init_from_ledger, smw_step
 from .kernels import DimensionMismatch, NotSPD, symmetric_eig, unpack_symmetric, upper_mask
 from .posterior import MatrixNormalPosterior, posterior_from_ledger, posterior_from_state
-from .stats import Ledger, SufficientStats, dtype_of, ledger_apply, ledger_init
+from .stats import Ledger, SufficientStats, dtype_of, is_int, ledger_apply, ledger_init
 
 # Variant B's fixed reset policy: the drift audit's period and threshold,
 # the gate on each SMW step's amplification, and the share of d above which
@@ -59,7 +58,7 @@ APPROX_DEFAULTS = {"rank": 8, "reset_every": 16}
 def check_approx_settings(rank, reset_every) -> None:
     """ValueError unless `rank` is an integer of at least 1 and `reset_every` one of at least 0; a bool is not one."""
     for name, value, least in (("rank", rank, 1), ("reset_every", reset_every, 0)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        if not is_int(value) or value < least:
             raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 

@@ -10,6 +10,7 @@ round and the head is recovered by one SPD solve.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,6 +30,16 @@ PRECISION_DTYPES = {"f32": np.float32, "f64": np.float64}
 
 class NegativeCount(Exception):
     """A subtraction would drive the retained sample count negative."""
+
+
+def is_int_type(kind: type) -> bool:
+    """A Python or numpy integer type; bool is not one."""
+    return issubclass(kind, numbers.Integral) and not issubclass(kind, bool)
+
+
+def is_int(value) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return is_int_type(type(value))
 
 
 def dtype_of(precision: str) -> np.dtype:
@@ -72,11 +83,11 @@ class Ledger:
     stats: SufficientStats
     t: int
     gamma: float
-    precision: str
 
     @property
     def dtype(self) -> np.dtype:
-        return dtype_of(self.precision)
+        """The dtype its statistics hold, so a ledger cannot name a precision its arrays do not."""
+        return self.stats.S.dtype
 
     @cached_property
     def factor(self) -> np.ndarray:
@@ -117,7 +128,7 @@ def check_gamma(gamma: float, precision: str) -> None:
 
 def ledger_init(d: int, c: int, gamma: float = 1.0, precision: str = "f64") -> Ledger:
     check_gamma(gamma, precision)
-    return Ledger(SufficientStats.zero(d, c, dtype_of(precision)), 0, float(gamma), precision)
+    return Ledger(SufficientStats.zero(d, c, dtype_of(precision)), 0, float(gamma))
 
 
 def batch_arrays(f, y, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
@@ -160,7 +171,7 @@ def ledger_apply(ledger: Ledger, round_add: SufficientStats, round_del: Sufficie
             s = op(s, side.S, out=None if s is old.S else s)
             g = op(g, side.G, out=None if g is old.G else g)
     merged = SufficientStats(s, g, old.n + round_add.n - round_del.n)
-    return Ledger(merged, ledger.t + 1, ledger.gamma, ledger.precision)
+    return Ledger(merged, ledger.t + 1, ledger.gamma)
 
 
 def regularized_gram(ledger: Ledger) -> np.ndarray:

@@ -31,8 +31,9 @@ Message frames ("FCUL", version 3)
     entries, an R and Z of min(n, d) rows and one dtype for both matrices,
     is checked once, when the payload is built (`client.PackedStats`,
     `client.QrPayload`).  The encoder never casts, and raises WireError
-    only for what a frame cannot carry exactly: a round, client id or n
-    outside [0, 2^32), a payload in another precision than the frame's, a
+    only for what a frame cannot carry exactly: a round or client id that
+    is not an integer (a bool is not one), a round, client id or n outside
+    [0, 2^32), a payload in another precision than the frame's, a
     zero-sample payload with a nonzero entry, or an R factor with a
     nonzero entry below its diagonal.  The decoder rejects any other
     version (version 2 carried a QR frame's dense d x c G in place of Z,
@@ -67,7 +68,7 @@ import numpy as np
 
 from .client import PAYLOAD_SCALARS, ClientMessage, PackedStats, QrPayload, VARIANT_FULL, VARIANT_QR, empty_payload
 from .kernels import upper_mask
-from .stats import dtype_of
+from .stats import dtype_of, is_int
 
 MESSAGE_MAGIC = b"FCUL"
 FEATURE_MAGIC = b"FFUR"
@@ -107,8 +108,8 @@ def _encode_frame(payload, precision: str, round_index: int, client_id: int) -> 
     n = payload.n
     if not (payload.d <= MAX_DIM and payload.c <= MAX_DIM):
         raise WireError(f"dimensions d={payload.d}, c={payload.c} above {MAX_DIM}")
-    if not (0 <= round_index <= MAX_COUNT and 0 <= client_id <= MAX_COUNT and n <= MAX_COUNT):
-        raise WireError(f"round {round_index}, client {client_id} or n = {n} is outside a header's [0, 2^32)")
+    if not all(is_int(v) and 0 <= v <= MAX_COUNT for v in (round_index, client_id, n)):
+        raise WireError(f"round {round_index!r}, client {client_id!r} or n = {n} is not an integer in [0, 2^32)")
     if payload.dtype != dtype_of(precision):  # a cast would change the scalars sent
         raise WireError(f"a {payload.dtype} payload cannot be encoded as {precision}")
     header = _FRAME_HEADER.pack(

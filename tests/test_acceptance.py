@@ -257,7 +257,7 @@ def test_criterion_07_second_order_necessity():
     a = stats_from_batch(np.eye(2), np.ones((2, 1)))
     b = stats_from_batch(np.array([[1.0, 1.0], [0.0, 0.0]]), np.ones((2, 1)))
     np.testing.assert_array_equal(a.G, b.G)
-    measured = rel_frobenius_dev(Ledger(a, 1, 1.0, "f64").head, Ledger(b, 1, 1.0, "f64").head)
+    measured = rel_frobenius_dev(Ledger(a, 1, 1.0).head, Ledger(b, 1, 1.0).head)
     assert measured >= 0.3
     print(f"ACCEPTANCE 07 second-order-necessity: PASS (head deviation {measured:.3f} >= 0.3)")
 
@@ -285,7 +285,7 @@ def test_criterion_08_bayesian_certificate():
     def oracle_posterior(t):
         ids = sorted(retained)
         return posterior_from_ledger(
-            Ledger(stats_from_batch(features[ids], labels[ids], np.float64), t, 1.0, "f64")
+            Ledger(stats_from_batch(features[ids], labels[ids], np.float64), t, 1.0)
         )
 
     for phase, op_ids in (("delete", targets), ("add", targets[::-1])):

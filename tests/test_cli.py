@@ -94,6 +94,10 @@ def test_gen_writes_both_files(tmp_path, capsys):
         ["--n", "4294967296"],
         ["--d", "4294967296"],
         ["--c", "4294967296"],
+        ["--n", "0"],
+        # past the MAX_DIM = 8192 a message frame may declare: gen wrote frames the wire refuses
+        ["--d", "8193"],
+        ["--c", "8193"],
         # a bad setting is refused before 100000 x 256 features are drawn, which takes about 0.7 s
         ["--n", "100000", "--d", "256", "--variant", "approx", "--rank", "0"],
         ["--n", "100000", "--d", "256", "--gamma", "nan"],
@@ -657,6 +661,8 @@ def test_run_exits_0_2_3_or_4_on_mutated_inputs(replayable, draw):
         ("gamma", -1.0), ("gamma", float("inf")), ("gamma", float("nan")), ("gamma", True),
         ("rank", -1), ("rank", 0), ("rank", True), ("rank", 2.5), ("reset_every", -1), ("reset_every", 2.5),
         ("seed", "x"), ("d", 8.0), ("clients", 4.0), ("n_train", 240.0),
+        # past what a frame header (d, c) or the feature file's header (n) carries; clients have their own test
+        ("d", 8193), ("c", 8193), ("n", 2**32), ("n", 0),
     ],
 )
 def test_run_rejects_invalid_scenario_fields_exit_2(tmp_path, field, value):
@@ -669,6 +675,19 @@ def test_run_rejects_invalid_scenario_fields_exit_2(tmp_path, field, value):
                  "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("clients, code", [(2**32, 0), (2**32 + 1, 2)])
+def test_run_bounds_clients_by_a_headers_client_ids(tmp_path, capsys, clients, code):
+    # a frame header's u32 client field holds ids up to 2^32 - 1, so a scenario has at most 2^32 clients;
+    # 2^33 clients ran, with client ids no frame could carry
+    features, scenario = _gen(tmp_path)
+    scenario.write_text(json.dumps({**json.loads(scenario.read_text()), "clients": clients}))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--features", str(features), "--out-dir", str(out)]) == code
+    assert out.exists() == (code == 0)
+    if code:
+        assert "need clients in [1, 2^32]" in capsys.readouterr().err
 
 
 def test_run_rejects_invalid_config(tmp_path):
@@ -795,18 +814,21 @@ def test_run_refuses_a_gamma_out_of_range_for_its_precision_exit_2(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
-# each bad event stream and the words its exit-4 message holds
+# each bad event stream and the words its exit-4 message holds, given the id `first` that the
+# lowest-numbered client `low` retains from round 1 on and the next client `next`
 _BAD_EVENTS = {
     "past-end": "names ids outside the feature file",
     "negative": "names ids outside the feature file",
     "never-added": "names ids outside the feature file",
-    "not-retained": "deletes ids client",
-    "re-add": "round 1 re-adds retained ids, or adds one id on two clients",
-    "repeated-add": "round 1 repeats an id within one client's event",
-    "repeated-delete": "round 2 repeats an id within one client's event",
-    "cross-client-delete": "round 2 deletes ids client",
-    "move-to-a-lower-client": "round 2 re-adds retained ids",
-    "move-to-a-higher-client": "round 2 re-adds retained ids",
+    "not-retained": "round 1 deletes id 299, which client {low} does not retain",
+    "re-add": "round 1 adds id {first} more than once",  # on two clients
+    "repeated-add": "round 1 adds id {first} more than once",  # on one client
+    "repeated-delete": "round 2 deletes id {first} more than once",  # by one client
+    "deleted-by-two-clients": "round 2 deletes id {first} more than once",
+    "repeated-re-add": "round 2 adds id {first} more than once",  # the repeat is named first
+    "cross-client-delete": "round 2 deletes id {first}, which client {next} does not retain",
+    "move-to-a-lower-client": "round 2 re-adds id {moved}, which client {src} retains",
+    "move-to-a-higher-client": "round 2 re-adds id {moved}, which client {src} retains",
     "fractional-add": "names an id that is not an integer",
     "bool-add": "round 1 names an id that is not an integer",
     "string-add": "round 1 names an id that is not an integer",
@@ -833,6 +855,7 @@ def test_run_bad_event_ids_exit_4(tmp_path, capsys, case, message):
     doc = json.loads(scenario.read_text())
     events = doc["schedule"][0]["events"]
     first = events[0]["add"][0]  # retained by events[0]'s client from round 1 on
+    words = {"first": first, "low": events[0]["client"], "next": events[1]["client"]}
     if case == "past-end":
         events[0]["add"].append(300)
     elif case == "negative":
@@ -847,6 +870,13 @@ def test_run_bad_event_ids_exit_4(tmp_path, capsys, case, message):
         events[0]["add"].append(first)
     elif case == "repeated-delete":
         doc["schedule"].append({"round": 2, "events": [{"client": events[0]["client"], "add": [], "delete": [first] * 2}]})
+    elif case == "deleted-by-two-clients":  # one id, the owner's delete and another client's
+        doc["schedule"].append({"round": 2, "events": [
+            {"client": events[0]["client"], "add": [], "delete": [first]},
+            {"client": events[1]["client"], "add": [], "delete": [first]},
+        ]})
+    elif case == "repeated-re-add":  # the client adds twice an id it already retains
+        doc["schedule"].append({"round": 2, "events": [{"client": events[0]["client"], "add": [first] * 2, "delete": []}]})
     elif case.startswith("move-to-a-"):
         # one round deletes an id from its client and adds it on another: judged at the
         # round's start the add is a re-add, whichever of the two clients is numbered first
@@ -854,6 +884,7 @@ def test_run_bad_event_ids_exit_4(tmp_path, capsys, case, message):
         assert low["client"] < high["client"]
         src, dst = (low, high) if case == "move-to-a-higher-client" else (high, low)
         moved = src["add"][0]
+        words.update(moved=moved, src=src["client"])
         doc["schedule"].append({"round": 2, "events": [
             {"client": src["client"], "add": [], "delete": [moved]},
             {"client": dst["client"], "add": [moved], "delete": []},
@@ -899,7 +930,7 @@ def test_run_bad_event_ids_exit_4(tmp_path, capsys, case, message):
     out = tmp_path / "out"
     code = main(["run", "--scenario", str(bad), "--features", str(features), "--out-dir", str(out)])
     assert code == 4
-    assert message in capsys.readouterr().err
+    assert message.format(**words) in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -930,7 +961,8 @@ def test_a_bad_event_in_the_last_round_exits_4_before_any_round_is_served(tmp_pa
     out = tmp_path / "out"
     code = main(["run", "--scenario", str(bad), "--features", str(features), "--out-dir", str(out)])
     assert code == 4
-    assert f"round {doc['schedule'][-1]['round']} deletes ids client {last['client']} does not retain" in capsys.readouterr().err
+    round_ = doc["schedule"][-1]["round"]
+    assert f"round {round_} deletes id 299, which client {last['client']} does not retain" in capsys.readouterr().err
     assert calls == [] and not out.exists()
 
 
@@ -1000,43 +1032,57 @@ def test_run_with_a_retrain_that_is_not_spd_exits_4(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _serving(monkeypatch, head):
+    """`Server.serve` patched to serve `head(server, report, w)` in place of each head `w` it serves;
+    the server's ledger round `t` is then the round's number in a schedule numbered from 1."""
+    import fedridge.coordinator as coordinator_mod
+
+    real = coordinator_mod.Server.serve
+
+    def serve(self, messages):
+        w, report, comm = real(self, messages)
+        return head(self, report, w), report, comm
+
+    monkeypatch.setattr(coordinator_mod.Server, "serve", serve)
+
+
 @pytest.mark.parametrize("reset_row, code", [(True, 4), (False, 0)])
-def test_run_holds_approx_reset_rows_to_the_ceiling(tmp_path, monkeypatch, reset_row, code):
+def test_run_holds_approx_reset_rows_to_the_ceiling(tmp_path, monkeypatch, capsys, reset_row, code):
     # reset rows are served exactly, so a deviation there is a bug; truncated rows may deviate
-    import fedridge.cli as cli_mod
+    deviated = []
 
-    real = cli_mod.run_scenario
+    def deviating(server, report, w):
+        if report.reset != reset_row:
+            return w
+        deviated.append(server.ledger.t)
+        return w * (1 + 1e-3)
 
-    def deviating(*args):
-        result = real(*args)
-        row = next(r.variants["approx"] for r in result.records if r.variants["approx"].report.reset == reset_row)
-        row.rel_dev = 1e-3
-        return result
-
-    monkeypatch.setattr(cli_mod, "run_scenario", deviating)
+    _serving(monkeypatch, deviating)
     features, scenario = _gen(tmp_path, "--schedule", "churn", "--rounds", "6",
                               "--adds-per-round", "4", "--dels-per-round", "0",
                               "--variant", "approx", "--rank", "2", "--reset-every", "3")
-    assert main(["run", "--scenario", str(scenario), "--features", str(features),
-                 "--out-dir", str(tmp_path / "out")]) == code
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--features", str(features), "--out-dir", str(out)]) == code
+    assert deviated and out.exists() == (code == 0)
+    if code:
+        # the first deviating reset row stops the run, before any later round is served
+        assert len(deviated) == 1
+        message = f"round {deviated[0]}: approx's exact row deviates by 1.000e-03, above the f64 ceiling 1e-06"
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("precision", ["f64", "f32"])
 def test_run_fails_a_nan_on_an_exact_row(tmp_path, monkeypatch, capsys, precision):
-    import fedridge.cli as cli_mod
-
-    real = cli_mod.run_scenario
-
-    def nan_row(*args):
-        result = real(*args)
-        result.records[-1].variants["A"].rel_dev = float("nan")
-        return result
-
-    monkeypatch.setattr(cli_mod, "run_scenario", nan_row)
+    # a NaN head in A's last round fails the ceiling in either precision; f32 rows are held to inf
+    _serving(monkeypatch, lambda server, report, w: np.full_like(w, np.nan) if server.ledger.t == 4 else w)
     features, scenario = _gen(tmp_path, "--schedule", "churn", "--rounds", "3", "--precision", precision)
-    assert main(["run", "--scenario", str(scenario), "--features", str(features),
-                 "--out-dir", str(tmp_path / "out")]) == 4
-    assert "nan" in capsys.readouterr().err
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--features", str(features), "--out-dir", str(out)]) == 4
+    ceiling = "1e-06" if precision == "f64" else "inf"
+    assert f"round 4: A's exact row deviates by nan, above the {precision} ceiling {ceiling}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad_t", ["indefinite", "nan"])

@@ -118,7 +118,7 @@ def test_zero_kl_certificate_protocol_vs_oracle():
     # protocol path: three per-client contributions summed into the ledger
     for lo, hi in [(0, 30), (30, 55), (55, 80)]:
         led = ledger_apply(led, stats_from_batch(f[lo:hi], y[lo:hi]), SufficientStats.zero(d, c))
-    oracle_led = Ledger(stats_from_batch(f, y), led.t, led.gamma, "f64")
+    oracle_led = Ledger(stats_from_batch(f, y), led.t, led.gamma)
     kl = kl_matrix_normal(posterior_from_ledger(led), posterior_from_ledger(oracle_led))
     assert -1e-12 <= kl <= 1e-9
     np.testing.assert_allclose(led.head, oracle_retrain(RetainedGram(f, y), np.ones(80, bool), 1.0)[0], rtol=1e-12)

@@ -104,7 +104,7 @@ def _refuses_then_serves(server, bad, good):
     w, _, _ = server.serve(good)
     retained = np.zeros(N, bool)
     retained[:6] = True
-    tol = 1e-5 if server.ledger.precision == "f32" else 1e-8
+    tol = 1e-5 if server.ledger.dtype == np.float32 else 1e-8
     assert rel_frobenius_dev(w, oracle_retrain(RetainedGram(FEATURES, LABELS), retained, GAMMA)[0]) <= tol
     return refused.type
 

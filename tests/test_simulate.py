@@ -881,7 +881,9 @@ def _b_churn(variant="both"):
 
 @pytest.mark.parametrize("field", ["W", "T"])
 def test_b_kl_reads_a_nudge_of_the_served_state(monkeypatch, field):
-    # B is certified from the state it serves, so a 1e-6 nudge of it shows in B's kl and not in A's
+    # B is certified from the state it serves, so a 5e-8 nudge of it shows in B's kl and not in A's;
+    # compounded over the rounds, a W nudge of 5e-8 keeps B's head 4.4e-7 off the retrain, within
+    # the 1e-6 ceiling that run_scenario holds every B row to (a 1e-6 nudge trips it)
     import dataclasses
 
     import fedridge.coordinator as coordinator_mod
@@ -892,15 +894,40 @@ def test_b_kl_reads_a_nudge_of_the_served_state(monkeypatch, field):
 
     def nudged(ledger, state, agg):
         ledger, state, _, info = real(ledger, state, agg)
-        state = dataclasses.replace(state, **{field: getattr(state, field) * (1 + 1e-6)})
+        state = dataclasses.replace(state, **{field: getattr(state, field) * (1 + 5e-8)})
         return ledger, state, state.W, info
 
     monkeypatch.setattr(coordinator_mod, "run_round_b", nudged)
     dirty = run()
     for before, after in zip(clean.records, dirty.records):
         assert before.variants["B"].kl <= 1e-18
-        assert after.variants["B"].kl > 1e-12
+        assert after.variants["B"].kl > 1e-15
         assert after.variants["A"].kl == before.variants["A"].kl
+
+
+@pytest.mark.parametrize("scale, stops", [(2e-6, True), (5e-7, False)])
+def test_run_scenario_holds_each_exact_row_to_the_ceiling_as_it_is_served(monkeypatch, scale, stops):
+    # a library caller gets the ceiling too: B's round 2 head, 2e-6 off the retrain, stops the replay
+    # there, before any later round is served; 5e-7 off it is a result
+    import fedridge.coordinator as coordinator_mod
+
+    real = coordinator_mod.Server.serve
+    served = []
+
+    def serve(self, messages):
+        w, report, comm = real(self, messages)
+        served.append((self.ledger.t, self.variant))
+        return (w * (1 + scale) if served[-1] == (2, "B") else w), report, comm
+
+    monkeypatch.setattr(coordinator_mod.Server, "serve", serve)
+    run = _b_churn()
+    if stops:
+        with pytest.raises(RuntimeError, match=r"round 2: B's exact row deviates by 2\.000e-06, above the f64 ceiling 1e-06"):
+            run()
+        assert served[-2:] == [(2, "A"), (2, "B")]
+    else:
+        assert run().records[1].variants["B"].rel_dev == pytest.approx(scale, rel=1e-3)
+        assert served[-1] == (9, "B")
 
 
 @pytest.mark.parametrize("threshold", [None, 100.0])

@@ -114,7 +114,7 @@ def test_sample_count_is_carried_exactly_up_to_the_header_limit(variant, precisi
     decoded, _, _ = decode_message(buf)
     assert decoded.add.n == MAX_COUNT and isinstance(decoded.add.n, int)
     past = dataclasses.replace(msg, delete=dataclasses.replace(msg.delete, n=MAX_COUNT + 1))
-    with pytest.raises(WireError, match=r"outside a header's \[0, 2\^32\)"):
+    with pytest.raises(WireError, match=r"is not an integer in \[0, 2\^32\)"):
         encode_message(past, precision)
 
 
@@ -305,7 +305,7 @@ WIDE = 2**13 + 1  # one past MAX_DIM
 @pytest.mark.parametrize(
     "variant, changes, header, match",
     [
-        pytest.param(VARIANT_FULL, {"n": 2**32}, {}, "outside a header", id="A-n-past-u32"),
+        pytest.param(VARIANT_FULL, {"n": 2**32}, {}, "not an integer in", id="A-n-past-u32"),
         pytest.param(VARIANT_FULL, {"n": 0}, {}, "zero-sample", id="A-zero-n-nonzero-S-and-G"),
         pytest.param(VARIANT_FULL, {"n": 0, "G": np.zeros((3, 2))}, {}, "zero-sample", id="A-zero-n-nonzero-S"),
         pytest.param(VARIANT_QR, {"R": np.ones((2, 3))}, {}, "below its diagonal", id="B-below-diagonal"),
@@ -318,10 +318,13 @@ WIDE = 2**13 + 1  # one past MAX_DIM
             id="A-d-past-max",
         ),
         # the header's u32 round and client fields raised struct.error for these
-        pytest.param(VARIANT_QR, {}, {"round": 2**32}, "outside a header", id="round-past-u32"),
-        pytest.param(VARIANT_QR, {}, {"round": -1}, "outside a header", id="negative-round"),
-        pytest.param(VARIANT_QR, {}, {"client_id": 2**32}, "outside a header", id="client-past-u32"),
-        pytest.param(VARIANT_QR, {}, {"client_id": -1}, "outside a header", id="negative-client"),
+        pytest.param(VARIANT_QR, {}, {"round": 2**32}, "not an integer in", id="round-past-u32"),
+        pytest.param(VARIANT_QR, {}, {"round": -1}, "not an integer in", id="negative-round"),
+        pytest.param(VARIANT_QR, {}, {"client_id": 2**32}, "not an integer in", id="client-past-u32"),
+        pytest.param(VARIANT_QR, {}, {"client_id": -1}, "not an integer in", id="negative-client"),
+        pytest.param(VARIANT_QR, {}, {"round": 1.5}, r"round 1\.5, client 9 or n = 2 is not an integer", id="fractional-round"),
+        pytest.param(VARIANT_FULL, {}, {"client_id": 2.5}, r"round 5, client 2\.5 or n = 2 is not an integer", id="fractional-client"),
+        pytest.param(VARIANT_QR, {}, {"round": True}, "round True, client", id="bool-round"),
     ],
 )
 def test_encode_refuses_what_a_frame_cannot_carry_exactly(variant, changes, header, match):
